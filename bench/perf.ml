@@ -102,6 +102,19 @@ let fluid_test =
     (Staged.stage (fun () ->
          ignore (Fluid.integrate params ~init ~dt:0.01 ~horizon:10.0 ~record_every:1000)))
 
+(* The fluid right-hand side where it costs: K = 8 with all 256 types
+   occupied, as past the first instants of a million-peer fluid run.
+   The kernel is owned by the caller, as in Sim_fluid. *)
+let fluid_rhs_test =
+  let params = Scenario.flash_crowd ~k:8 ~lambda:100.0 ~us:1.0 ~mu:1.0 ~gamma:2.0 in
+  let rng = P2p_prng.Rng.of_seed 8 in
+  let x = Array.init (Fluid.dim params) (fun _ -> 1.0 +. (1e4 *. P2p_prng.Rng.float rng)) in
+  let dx = Array.make (Fluid.dim params + Fluid.aug_slots) 0.0 in
+  let kernel = Rate.kernel ~k:8 in
+  Test.make ~name:"fluid RHS drift_into (K=8, 256 types occupied)"
+    (Staged.stage (fun () ->
+         Fluid.drift_into params ~kernel ~us_scale:1.0 ~abort_rate:0.0 ~loss_factor:1.0 x dx))
+
 let tests =
   [
     markov_sim_test;
@@ -115,6 +128,7 @@ let tests =
     heap_test;
     mu_inf_test;
     fluid_test;
+    fluid_rhs_test;
   ]
 
 (* P2: multicore scaling of the replication runner.

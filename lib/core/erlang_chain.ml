@@ -45,19 +45,7 @@ let build (params : Params.t) ~stages ~n_max =
   Array.iteri (fun i v -> Hashtbl.replace index v i) states;
   let full = Params.full_set params in
   let stage_rate = float_of_int stages *. params.gamma in
-  (* the piece-transfer rates see seeds (all stages) as type-F peers *)
-  let to_state vec =
-    let entries = ref [] in
-    Array.iteri
-      (fun i _ -> if vec.(i) > 0 then entries := (proper.(i), vec.(i)) :: !entries)
-      proper;
-    let seeds = ref 0 in
-    for s = 0 to stages - 1 do
-      seeds := !seeds + vec.(np + s)
-    done;
-    if !seeds > 0 then entries := (full, !seeds) :: !entries;
-    State.of_counts !entries
-  in
+  let kernel = Rate.kernel ~k:params.k and x = Array.make (1 lsl params.k) 0.0 in
   let n_states = Array.length states in
   let targets = Array.make n_states [||] in
   let rates = Array.make n_states [||] in
@@ -67,7 +55,11 @@ let build (params : Params.t) ~stages ~n_max =
   Array.iteri
     (fun si vec ->
       let n = pop.(si) in
-      let state = to_state vec in
+      (* the piece-transfer rates see seeds (all stages) as type-F peers *)
+      Array.iteri (fun i c -> x.(Pieceset.to_index c) <- float_of_int vec.(i)) proper;
+      x.(Pieceset.to_index full) <-
+        float_of_int (Array.fold_left ( + ) 0 (Array.sub vec np stages));
+      let gammas = Rate.gammas params kernel x ~n:(float_of_int n) in
       let row = ref [] in
       let push vec' rate = row := (Hashtbl.find index vec', rate) :: !row in
       (* arrivals (rejected at the cap) *)
@@ -88,7 +80,7 @@ let build (params : Params.t) ~stages ~n_max =
           if vec.(i) > 0 then
             Pieceset.iter
               (fun piece ->
-                let rate = Rate.gamma_c_i params state ~c ~piece in
+                let rate = gammas.((Pieceset.to_index c * params.k) + piece) in
                 if rate > 0.0 then begin
                   let target = Pieceset.add piece c in
                   let vec' = Array.copy vec in

@@ -41,38 +41,15 @@ let total_types x d =
    through.  Flooring the divisor at [n_floor] makes the RHS Lipschitz
    there: flows scale down linearly once the population drops below a
    nano-peer, which no trajectory of interest ever resolves, and the
-   floor is exact identity for any [n >= n_floor] — the generator-drift
-   cross-check test pins bit-identity on integer-count states. *)
+   floor is exact identity for any [n >= n_floor].  The tests hold this
+   RHS to the generator drift within 1e-9 on integer-count states; the
+   bit-identity contract is [Rate.gammas] = the per-(C, i) scan. *)
 let n_floor = 1e-9
 
-(* Γ_{C,C∪{i}} of Eq. (1) with real-valued occupancies; [c] is the dense
-   index (bitmask) of the type.  [us_scale] modulates the fixed seed's
-   rate (0 while a seed outage holds, 1 nominally). *)
-let flow (p : Params.t) ~us_scale x ~n ~c ~piece =
-  let xc = x.(c) in
-  if xc <= 0.0 || n <= 0.0 then 0.0
-  else begin
-    let cset = Pieceset.of_index c in
-    let seed_part = us_scale *. p.us /. float_of_int (Pieceset.missing_count ~k:p.k cset) in
-    let peer_part = ref 0.0 in
-    for s = 0 to dim p - 1 do
-      if x.(s) > 0.0 then begin
-        let sset = Pieceset.of_index s in
-        if Pieceset.mem piece sset then begin
-          let extra = Pieceset.cardinal (Pieceset.diff sset cset) in
-          peer_part := !peer_part +. (x.(s) /. float_of_int extra)
-        end
-      end
-    done;
-    xc /. n *. (seed_part +. (p.mu *. !peer_part))
-  end
-
 (* The full right-hand side, shared by the plain [derivative] (nominal
-   parameters) and the fluid simulator (fault-modulated, augmented).
-   With [us_scale = 1, abort_rate = 0, loss_factor = 1] and a bare
-   [dim p] vector this computes bit-for-bit what the pre-adaptive
-   [derivative] did — the Lyapunov drift cross-check test pins that. *)
-let drift_into (p : Params.t) ~us_scale ~abort_rate ~loss_factor x dx =
+   parameters) and the fluid simulator (fault-modulated, augmented, and
+   owning its [kernel] so no call allocates). *)
+let drift_into p ?(kernel = Rate.kernel ~k:p.Params.k) ~us_scale ~abort_rate ~loss_factor x dx =
   let d = dim p in
   if Array.length x < d then invalid_arg "Fluid.drift_into: state vector too short";
   if Array.length dx < d then invalid_arg "Fluid.drift_into: output vector too short";
@@ -90,31 +67,28 @@ let drift_into (p : Params.t) ~us_scale ~abort_rate ~loss_factor x dx =
   let full = Pieceset.to_index (Params.full_set p) in
   let immediate = Params.immediate_departure p in
   (* Transfers. *)
+  let gammas = Rate.gammas ~us_scale p kernel x ~n in
   for c = 0 to d - 1 do
-    if c <> full && x.(c) > 0.0 then begin
-      let cset = Pieceset.of_index c in
-      Pieceset.iter
-        (fun piece ->
-          let raw = flow p ~us_scale x ~n ~c ~piece in
-          if raw > 0.0 then begin
-            (* A lost upload consumes the contact but moves no mass. *)
-            let eff = raw *. loss_factor in
-            dx.(c) <- dx.(c) -. eff;
-            let target = Pieceset.to_index (Pieceset.add piece cset) in
-            let completes = target = full in
-            (* γ = ∞: completion is departure, mass vanishes. *)
-            if not (completes && immediate) then dx.(target) <- dx.(target) +. eff;
-            if augmented then begin
-              dx.(d + aug_transfers) <- dx.(d + aug_transfers) +. eff;
-              dx.(d + aug_lost) <- dx.(d + aug_lost) +. (raw -. eff);
-              if completes then begin
-                dx.(d + aug_completions) <- dx.(d + aug_completions) +. eff;
-                if immediate then dx.(d + aug_departures) <- dx.(d + aug_departures) +. eff
-              end
-            end
-          end)
-        (Pieceset.complement ~k:p.k cset)
-    end
+    for piece = 0 to p.k - 1 do
+      let raw = gammas.((c * p.k) + piece) in
+      if raw > 0.0 then begin
+        (* A lost upload consumes the contact but moves no mass. *)
+        let eff = raw *. loss_factor in
+        dx.(c) <- dx.(c) -. eff;
+        let target = c lor (1 lsl piece) in
+        let completes = target = full in
+        (* γ = ∞: completion is departure, mass vanishes. *)
+        if not (completes && immediate) then dx.(target) <- dx.(target) +. eff;
+        if augmented then begin
+          dx.(d + aug_transfers) <- dx.(d + aug_transfers) +. eff;
+          dx.(d + aug_lost) <- dx.(d + aug_lost) +. (raw -. eff);
+          if completes then begin
+            dx.(d + aug_completions) <- dx.(d + aug_completions) +. eff;
+            if immediate then dx.(d + aug_departures) <- dx.(d + aug_departures) +. eff
+          end
+        end
+      end
+    done
   done;
   (* Churn: every non-seed density drains at [abort_rate]. *)
   if abort_rate > 0.0 then

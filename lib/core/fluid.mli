@@ -55,6 +55,7 @@ val aug_pop_integral : int
 
 val drift_into :
   Params.t ->
+  ?kernel:Rate.kernel ->
   us_scale:float ->
   abort_rate:float ->
   loss_factor:float ->
@@ -70,7 +71,8 @@ val drift_into :
     Only the first [dim p] entries of [x] are read; if [dx] has at
     least [dim p + aug_slots] entries the cumulative-flow rates are
     written after the densities.  With nominal parameters this is
-    bit-identical to {!derivative}.
+    bit-identical to {!derivative}.  Flows come from {!Rate.gammas} on
+    [kernel] (a fresh one when omitted; repeated callers should own one).
     @raise Invalid_argument on short vectors. *)
 
 val clamp_nonnegative : float array -> unit

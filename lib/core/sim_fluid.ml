@@ -67,35 +67,25 @@ let run ?probe ?sample_every ?resume ?until ?init ?max_steps ~rng config ~horizo
     Engine.drive_continuous ?probe ?sample_every ?resume ~name:"sim_fluid" ~rng
       ~faults:config.faults ~horizon (fun h ->
         let frun = Engine.faults h in
+        let kernel = Rate.kernel ~k:p.k in
         let rhs _t y =
           let dy = Array.make (d + Fluid.aug_slots) 0.0 in
           let us_scale = if Faults.seed_up frun then 1.0 else 0.0 in
-          Fluid.drift_into p ~us_scale ~abort_rate ~loss_factor y dy;
+          Fluid.drift_into p ~kernel ~us_scale ~abort_rate ~loss_factor y dy;
           dy
         in
         let session =
           Ode.session ~control ~f:rhs ~t0:(Engine.start_time h) ~y0 ()
         in
-        let pop () =
-          let y = Ode.state session in
+        let pop_of y =
           let acc = ref 0.0 in
           for i = 0 to d - 1 do
             acc := !acc +. Float.max 0.0 y.(i)
           done;
           !acc
         in
-        let ode_until =
-          match until with
-          | None -> None
-          | Some pred ->
-              Some
-                (fun ~t ~y ->
-                  let acc = ref 0.0 in
-                  for i = 0 to d - 1 do
-                    acc := !acc +. Float.max 0.0 y.(i)
-                  done;
-                  pred ~time:t ~total:!acc)
-        in
+        let pop () = pop_of (Ode.state session) in
+        let ode_until = Option.map (fun pred ~t ~y -> pred ~time:t ~total:(pop_of y)) until in
         let c_advance ~to_ =
           match Ode.advance ?until:ode_until session ~to_ with
           | Ode.Reached -> `Reached

@@ -141,6 +141,27 @@ let test_grid_times_exact () =
     (fun i t -> Alcotest.(check (float 0.0)) (Printf.sprintf "grid %d" i) (float_of_int i *. 1.0) t)
     traj.times
 
+(* The million-peer K = 8 flash crowd of the fluid benchmark, cut at
+   horizon 2: step counts and the float bits of the exact ODE-integral
+   counters, pinned from the per-(C, i) scan the dense Γ kernel replaced.
+   Any change to the order of the RHS sums moves these bits. *)
+let test_k8_golden () =
+  let p = Params.make ~k:8 ~us:1.0 ~mu:1.0 ~gamma:2.0 ~arrivals:[ (PS.empty, 100.0) ] in
+  let control = Ode.control ~rtol:1e-6 ~atol:1e-9 () in
+  let config = { (Sim_fluid.default_config p) with initial = [ (PS.empty, 1e6) ]; control } in
+  let s, _ = Sim_fluid.run_seeded ~seed:1 config ~horizon:2.0 in
+  Alcotest.(check int) "steps" 207 s.Sim_fluid.steps;
+  Alcotest.(check int) "rejected steps" 0 s.rejected_steps;
+  Alcotest.(check int) "rhs evals" 1244 s.rhs_evals;
+  List.iter
+    (fun (name, bits, v) -> Alcotest.(check int64) name bits (Int64.bits_of_float v))
+    [
+      ("transfers", 0x40198e610bd8def2L, s.transfers);
+      ("departures", 0x3715c335893f3ce0L, s.departures);
+      ("final_n", 0x412e860ffffffffcL, s.final_n);
+      ("time_avg_n", 0x412e854800000000L, s.time_avg_n);
+    ]
+
 let test_bad_arguments () =
   let init = Fluid.of_state ~k:3 (State.create ()) in
   let rejects name f =
@@ -180,6 +201,7 @@ let () =
           Alcotest.test_case "two-chunk equilibrium pinned" `Quick
             test_two_chunk_equilibrium_pinned;
           Alcotest.test_case "grid times exact" `Quick test_grid_times_exact;
+          Alcotest.test_case "K=8 million-peer golden" `Slow test_k8_golden;
           Alcotest.test_case "bad arguments" `Quick test_bad_arguments;
         ] );
     ]

@@ -62,6 +62,66 @@ let test_policy_rate_matches_eq1 () =
       (List.init 7 (fun i -> i))
   done
 
+(* The per-(C, i) scan the dense kernel replaced, kept as its reference:
+   for one (C, i), every S holding piece i with positive mass, ascending. *)
+let reference_gamma (p : Params.t) ~us_scale x ~n ~c ~piece =
+  let xc = x.(c) and cset = PS.of_index c in
+  if xc <= 0.0 || n <= 0.0 || PS.mem piece cset then 0.0
+  else begin
+    let seed_part = us_scale *. p.us /. float_of_int (PS.missing_count ~k:p.k cset) in
+    let peer_part = ref 0.0 in
+    for s = 0 to (1 lsl p.k) - 1 do
+      let sset = PS.of_index s in
+      if x.(s) > 0.0 && PS.mem piece sset then
+        peer_part := !peer_part +. (x.(s) /. float_of_int (PS.cardinal (PS.diff sset cset)))
+    done;
+    xc /. n *. (seed_part +. (p.mu *. !peer_part))
+  end
+
+(* Zeros, integration overshoots just below zero, and tiny, ordinary and
+   huge masses, so the kernel's +0.0 table entries and its divisions are
+   exercised at every scale. *)
+let random_mass rng =
+  match P2p_prng.Rng.int_below rng 6 with
+  | 0 -> 0.0
+  | 1 -> -1e-12
+  | 2 -> 1e-300 *. (1.0 +. P2p_prng.Rng.float rng)
+  | 3 -> 1e12 *. (1.0 +. P2p_prng.Rng.float rng)
+  | 4 -> 1e250 *. (1.0 +. P2p_prng.Rng.float rng)
+  | _ -> 1e3 *. P2p_prng.Rng.float rng
+
+let test_kernel_matches_scan () =
+  let rng = P2p_prng.Rng.of_seed 21 in
+  for k = 1 to 7 do
+    let p = params ~k ~us:0.7 ~mu:1.3 () in
+    let d = 1 lsl k in
+    (* One kernel across all vectors: stale tables must not leak. *)
+    let kernel = Rate.kernel ~k in
+    for trial = 1 to 40 do
+      (* Trailing entries (the fluid backend's augmented slots) are ignored. *)
+      let x = Array.init (d + 3) (fun _ -> random_mass rng) in
+      let us_scale = [| 1.0; 0.0; 0.37 |].(trial mod 3) in
+      let pop = ref 0.0 in
+      for s = 0 to d - 1 do
+        pop := !pop +. x.(s)
+      done;
+      let n = if trial mod 10 = 0 then 0.0 else Float.max !pop 1e-9 in
+      let g = Rate.gammas ~us_scale p kernel x ~n in
+      for c = 0 to d - 1 do
+        for piece = 0 to k - 1 do
+          let expected = reference_gamma p ~us_scale x ~n ~c ~piece in
+          let got = g.((c * k) + piece) in
+          if Int64.bits_of_float got <> Int64.bits_of_float expected then
+            Alcotest.failf "k=%d trial %d C=%d i=%d: kernel %h, scan %h" k trial c piece got
+              expected
+        done
+      done
+    done
+  done;
+  Alcotest.check_raises "kernel built for another k"
+    (Invalid_argument "Rate.gammas: kernel built for another k") (fun () ->
+      ignore (Rate.gammas (params ~k:3 ()) (Rate.kernel ~k:2) (Array.make 8 1.0) ~n:8.0))
+
 let test_transitions_complete () =
   let p = params () in
   let s = worked_state () in
@@ -182,6 +242,8 @@ let () =
           Alcotest.test_case "worked example" `Quick test_eq1_worked_example;
           Alcotest.test_case "zero cases" `Quick test_eq1_zero_cases;
           Alcotest.test_case "policy matches closed form" `Quick test_policy_rate_matches_eq1;
+          Alcotest.test_case "dense kernel matches scan" `Quick
+            test_kernel_matches_scan;
           Alcotest.test_case "rarest-first shifts mass" `Quick test_rarest_first_rate_shifts_mass;
         ] );
       ( "generator",
