@@ -33,17 +33,16 @@ type stats = {
   samples : (float * int) array;
 }
 
-(* One contact resolution: [uploader] tries to push a piece to a uniformly
-   chosen peer.  Returns true iff the state changed.  [probe] only ever
+(* One contact resolution: [uploader] tries to push a piece to
+   [downloader].  Returns true iff the state changed.  [probe] only ever
    receives events here (never randomness or state), so a [Probe.none]
    run takes the exact same draws in the exact same order.  [seeds]
    mirrors [State.count state full] incrementally so [total_rate] never
    pays a hash lookup per event. *)
-let resolve_contact ~rng ~frun ~(p : Params.t) ~policy ~state ~uploader ~seeds
+let resolve_contact ~rng ~frun ~(p : Params.t) ~policy ~state ~uploader ~downloader ~seeds
     ~(counters : Engine.counters) ~probe ~time =
   let tracing = probe.Probe.tracing in
   let is_seed = match uploader with Policy.Fixed_seed -> true | Policy.Peer _ -> false in
-  let downloader = State.sample_uniform_peer state ~draw:(Rng.int_below rng) in
   let choice = Policy.sample policy ~rng ~k:p.k ~state ~uploader ~downloader in
   if tracing then
     Probe.contact probe ~time ~seed:is_seed ~useful:(Option.is_some choice);
@@ -103,7 +102,13 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ?resume ?until
         let seeds = ref (State.count state full) in
         let us = p.us and mu = p.mu and gamma = p.gamma in
         let immediate = Params.immediate_departure p in
-        (* Rate bands, stashed by [total_rate] for [apply]'s dispatch. *)
+        let draw = Rng.int_below rng in
+        let pair = { State.uploader = full; downloader = full } in
+        (* Rate bands, stashed by [total_rate] for [apply]'s dispatch.
+           Only contacts between different types are raced (the seed is
+           a full-type uploader): same-type contacts are self-loops of
+           the chain, and every other ordered pair keeps its rate μ/n
+           (U_s/n for the seed).  DESIGN §18. *)
         let rate_arrival = ref lambda_total in
         let rate_seed_contact = ref 0.0 in
         let rate_peer_contact = ref 0.0 in
@@ -111,12 +116,25 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ?resume ?until
         let total_rate () =
           let n = State.n state in
           let s = !seeds in
-          rate_seed_contact := (if n > 0 && Faults.seed_up frun then us else 0.0);
-          rate_peer_contact := mu *. float_of_int n;
+          let fn = float_of_int n in
+          rate_seed_contact :=
+            (if n > s && Faults.seed_up frun then us *. float_of_int (n - s) /. fn else 0.0);
+          rate_peer_contact :=
+            (if n > 0 then mu *. float_of_int ((n * n) - State.same_type_pairs state) /. fn
+             else 0.0);
           rate_abort := abort_rate *. float_of_int (n - s);
           let rate_departure = if immediate then 0.0 else gamma *. float_of_int s in
           !rate_arrival +. !rate_seed_contact +. !rate_peer_contact +. !rate_abort
           +. rate_departure
+        in
+        let contact ~time ~uploader ~downloader =
+          let c_t0 = Hist.tick contact_tm in
+          let changed =
+            resolve_contact ~rng ~frun ~p ~policy:config.policy ~state ~uploader ~downloader
+              ~seeds ~counters ~probe ~time
+          in
+          Hist.tock contact_tm c_t0;
+          changed
         in
         let apply ~time ~u =
           let changed =
@@ -129,37 +147,19 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ?resume ?until
               if tracing then Probe.arrival probe ~time ~pieces;
               true
             end
-            else if u < !rate_arrival +. !rate_seed_contact then begin
-              let c_t0 = Hist.tick contact_tm in
-              let changed =
-                resolve_contact ~rng ~frun ~p ~policy:config.policy ~state
-                  ~uploader:Policy.Fixed_seed ~seeds ~counters ~probe ~time
-              in
-              Hist.tock contact_tm c_t0;
-              changed
-            end
+            else if u < !rate_arrival +. !rate_seed_contact then
+              contact ~time ~uploader:Policy.Fixed_seed
+                ~downloader:(State.sample_peer_not_of state ~draw full)
             else if u < !rate_arrival +. !rate_seed_contact +. !rate_peer_contact then begin
-              let uploader_type =
-                State.sample_uniform_peer state ~draw:(Rng.int_below rng)
-              in
-              let c_t0 = Hist.tick contact_tm in
-              let changed =
-                resolve_contact ~rng ~frun ~p ~policy:config.policy ~state
-                  ~uploader:(Policy.Peer uploader_type) ~seeds ~counters ~probe ~time
-              in
-              Hist.tock contact_tm c_t0;
-              changed
+              State.sample_distinct_pair state ~draw pair;
+              contact ~time ~uploader:(Policy.Peer pair.uploader) ~downloader:pair.downloader
             end
             else if
               u < !rate_arrival +. !rate_seed_contact +. !rate_peer_contact +. !rate_abort
             then begin
               (* Churn: a uniformly chosen in-progress peer abandons its
                  download.  rate_abort > 0 guarantees a non-seed peer exists. *)
-              let rec pick () =
-                let c = State.sample_uniform_peer state ~draw:(Rng.int_below rng) in
-                if Pieceset.equal c full then pick () else c
-              in
-              State.remove_peer state (pick ());
+              State.remove_peer state (State.sample_peer_not_of state ~draw full);
               counters.aborted <- counters.aborted + 1;
               counters.departures <- counters.departures + 1;
               if tracing then Probe.departure probe ~time Aborted;
@@ -321,8 +321,9 @@ let run_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?max_events ?sync_
             | Shard.Local ->
                 let c_t0 = Hist.tick contact_tm in
                 let changed =
-                  resolve_contact ~rng ~frun ~p ~policy:config.policy ~state ~uploader ~seeds
-                    ~counters ~probe ~time
+                  resolve_contact ~rng ~frun ~p ~policy:config.policy ~state ~uploader
+                    ~downloader:(State.sample_uniform_peer state ~draw:(Rng.int_below rng))
+                    ~seeds ~counters ~probe ~time
                 in
                 Hist.tock contact_tm c_t0;
                 changed
@@ -386,8 +387,9 @@ let run_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?max_events ?sync_
               in
               let c_t0 = Hist.tick contact_tm in
               let changed =
-                resolve_contact ~rng ~frun ~p ~policy:config.policy ~state ~uploader ~seeds
-                  ~counters ~probe ~time
+                resolve_contact ~rng ~frun ~p ~policy:config.policy ~state ~uploader
+                  ~downloader:(State.sample_uniform_peer state ~draw:(Rng.int_below rng))
+                  ~seeds ~counters ~probe ~time
               in
               Hist.tock contact_tm c_t0;
               if changed then Engine.observe h ~time ~n:(State.n state)

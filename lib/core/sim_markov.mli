@@ -2,12 +2,15 @@
 
     Rather than enumerating the generator row at every step (O(types²·K)),
     we simulate the underlying {e contact process} the model is defined
-    by — arrivals at rate [λ_total], fixed-seed contacts at rate [U_s],
-    peer contacts at rate [μ·n], peer-seed departures at rate [γ·x_F] —
-    and resolve each contact with the piece-selection policy.  Contacts
+    by — arrivals at rate [λ_total], fixed-seed contacts at rate
+    [U_s·(n − x_F)/n], peer contacts at rate [μ·(n² − Σ_C x_C²)/n],
+    peer-seed departures at rate [γ·x_F] — and resolve each contact with
+    the piece-selection policy.  Only contacts between different piece
+    sets are raced (the seed counts as a full-type uploader): a same-type
+    contact is a self-loop of the chain (DESIGN §18).  Raced contacts
     with no useful piece are silent, exactly as in Section III.  The
-    induced jump rates on type counts are exactly Eq. (1) (a test checks
-    this against {!Rate.transitions}). *)
+    induced jump rates on type counts are exactly Eq. (1) (tests check
+    the first-jump law and holding time against {!Rate.transitions}). *)
 
 module Pieceset = P2p_pieceset.Pieceset
 
@@ -23,7 +26,7 @@ val default_config : Params.t -> config
 
 type stats = {
   final_time : float;
-  events : int;  (** all exponential clock ticks, including silent contacts *)
+  events : int;  (** raced clock ticks; same-type contacts are never raced *)
   arrivals : int;
   transfers : int;  (** successful piece uploads *)
   completions : int;  (** peers reaching the full collection *)
@@ -69,10 +72,10 @@ val run :
     [probe] (default {!P2p_obs.Probe.none}) attaches telemetry: event
     tracing (arrivals, contacts, transfers, departures, seed toggles),
     periodic swarm samples on the probe's own sim-time grid, and phase
-    profiling.  The probe only ever {e observes} — it never draws from
-    [rng] or touches the state — so any run with [probe = Probe.none]
-    is bit-identical to one with telemetry attached (a regression test
-    pins this). *)
+    profiling ([contact] events are raced contacts only).  The probe
+    only ever {e observes} — it never draws from [rng] or touches the
+    state — so any run with [probe = Probe.none] is bit-identical to one
+    with telemetry attached (a regression test pins this). *)
 
 val run_seeded :
   ?probe:P2p_obs.Probe.t ->

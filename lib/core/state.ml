@@ -13,8 +13,11 @@ type t = {
   mutable len : int;
   slot_of : (Pieceset.t, int) Hashtbl.t;
   mutable total : int;
+  mutable same_pairs : int;  (* Σ_C x_C²: ordered pairs of same-type peers *)
   piece_counts : int array;  (* piece i -> copies held across all peers *)
 }
+
+type pair = { mutable uploader : Pieceset.t; mutable downloader : Pieceset.t }
 
 let create () =
   {
@@ -23,6 +26,7 @@ let create () =
     len = 0;
     slot_of = Hashtbl.create 32;
     total = 0;
+    same_pairs = 0;
     piece_counts = Array.make Pieceset.max_pieces 0;
   }
 
@@ -33,6 +37,7 @@ let copy t =
     len = t.len;
     slot_of = Hashtbl.copy t.slot_of;
     total = t.total;
+    same_pairs = t.same_pairs;
     piece_counts = Array.copy t.piece_counts;
   }
 
@@ -42,6 +47,7 @@ let count t c = match Hashtbl.find t.slot_of c with v -> t.vals.(v) | exception 
 
 let n t = t.total
 let occupied t = t.len
+let same_type_pairs t = t.same_pairs
 
 (* Add [dv] (possibly negative) to the copy count of every piece of [c];
    tail-recursive over the bitset, no closure, no allocation. *)
@@ -52,13 +58,17 @@ let rec bump_pieces pc c dv =
     bump_pieces pc (Pieceset.remove i c) dv
   end
 
-(* Slot-level add/remove: maintain the dense arrays and the slot table
-   only.  [total] and [piece_counts] are the callers' business, so that
-   [move_peer] can account for just the pieces that changed hands. *)
+(* Slot-level add/remove: maintain the dense arrays, the slot table and
+   [same_pairs] only.  [total] and [piece_counts] are the callers'
+   business, so [move_peer] can account for just the moved pieces. *)
 let add_slot t c v =
   match Hashtbl.find t.slot_of c with
-  | slot -> t.vals.(slot) <- t.vals.(slot) + v
+  | slot ->
+      let x = t.vals.(slot) in
+      t.vals.(slot) <- x + v;
+      t.same_pairs <- t.same_pairs + (v * ((2 * x) + v))
   | exception Not_found ->
+      t.same_pairs <- t.same_pairs + (v * v);
       if t.len = Array.length t.types then begin
         let cap = Int.max 16 (2 * t.len) in
         let types = Array.make cap Pieceset.empty and vals = Array.make cap 0 in
@@ -78,6 +88,7 @@ let remove_slot t c =
       invalid_arg (Printf.sprintf "State.remove_peer: no type %s peer" (Pieceset.to_string c))
   | slot ->
       let v = t.vals.(slot) in
+      t.same_pairs <- t.same_pairs - ((2 * v) - 1);
       if v = 1 then begin
         (* Swap-remove the emptied slot to keep the prefix dense. *)
         let last = t.len - 1 in
@@ -146,15 +157,56 @@ let piece_copies t ~k ~piece =
 
 let piece_count_vector t ~k = Array.sub t.piece_counts 0 k
 
+(* Slot holding peer number [target] in slot order; allocation-free. *)
+let rec scan_peers vals target slot acc =
+  let acc = acc + Array.unsafe_get vals slot in
+  if acc > target then slot else scan_peers vals target (slot + 1) acc
+
+(* The same, numbering only the peers outside slot [skip]: a target at
+   or past the skipped slot's first peer shifts by its count, so the scan
+   itself carries no per-slot test. *)
+let slot_of_peer_skipping t ~skip target =
+  let slot = scan_peers t.vals target 0 0 in
+  if slot < skip then slot else scan_peers t.vals (target + t.vals.(skip)) 0 0
+
 let sample_uniform_peer t ~draw =
   if t.total = 0 then invalid_arg "State.sample_uniform_peer: empty state";
-  let target = draw t.total in
-  (* Guaranteed to land inside the dense prefix: sum of vals = total. *)
-  let rec go slot acc =
-    let acc = acc + Array.unsafe_get t.vals slot in
-    if acc > target then Array.unsafe_get t.types slot else go (slot + 1) acc
-  in
-  go 0 0
+  t.types.(scan_peers t.vals (draw t.total) 0 0)
+
+let sample_peer_not_of t ~draw c =
+  match Hashtbl.find t.slot_of c with
+  | exception Not_found -> sample_uniform_peer t ~draw
+  | skip ->
+      let others = t.total - t.vals.(skip) in
+      if others = 0 then invalid_arg "State.sample_peer_not_of: no peer of another type";
+      t.types.(slot_of_peer_skipping t ~skip (draw others))
+
+(* Slot whose cumulative weight x_C·(n − x_C) first exceeds [target]. *)
+let rec scan_pairs vals n target slot acc =
+  let x = Array.unsafe_get vals slot in
+  let acc = acc + (x * (n - x)) in
+  if acc > target then slot else scan_pairs vals n target (slot + 1) acc
+
+let set_pair t pair ~up ~down =
+  pair.uploader <- t.types.(up);
+  pair.downloader <- t.types.(down)
+
+(* Each try is accepted with probability 1 − Σx²/n²; once a one-club
+   dominates, the exact scan takes over.  Both give the same law. *)
+let rec draw_pair t ~draw pair tries =
+  let n = t.total in
+  if tries = 0 then
+    let d = scan_pairs t.vals n (draw ((n * n) - t.same_pairs)) 0 0 in
+    set_pair t pair ~up:(slot_of_peer_skipping t ~skip:d (draw (n - t.vals.(d)))) ~down:d
+  else
+    let d = scan_peers t.vals (draw n) 0 0 in
+    let u = scan_peers t.vals (draw n) 0 0 in
+    if u <> d then set_pair t pair ~up:u ~down:d else draw_pair t ~draw pair (tries - 1)
+
+let sample_distinct_pair t ~draw pair =
+  if t.total * t.total = t.same_pairs then
+    invalid_arg "State.sample_distinct_pair: every peer has the same type";
+  draw_pair t ~draw pair 3
 
 let count_subset_peers t s =
   fold t ~init:0 ~f:(fun acc c v -> if Pieceset.subset c s then acc + v else acc)

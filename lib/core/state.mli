@@ -28,6 +28,9 @@ val n : t -> int
 val occupied : t -> int
 (** Number of distinct occupied types. *)
 
+val same_type_pairs : t -> int
+(** [Σ_C x_C²]: ordered same-type peer pairs (self-pairs included), O(1). *)
+
 val add_peer : t -> Pieceset.t -> unit
 val remove_peer : t -> Pieceset.t -> unit
 (** @raise Invalid_argument if no such peer. *)
@@ -55,6 +58,19 @@ val sample_uniform_peer : t -> draw:(int -> int) -> Pieceset.t
     return a uniform index in [0, m-1].  A linear scan of the dense
     occupied-type array; allocation-free.
     @raise Invalid_argument on the empty state. *)
+
+val sample_peer_not_of : t -> draw:(int -> int) -> Pieceset.t -> Pieceset.t
+(** [sample_peer_not_of t ~draw c]: type of a peer chosen uniformly among
+    the peers whose type is not [c].  One scan, allocation-free.
+    @raise Invalid_argument if every peer has type [c]. *)
+
+type pair = { mutable uploader : Pieceset.t; mutable downloader : Pieceset.t }
+
+val sample_distinct_pair : t -> draw:(int -> int) -> pair -> unit
+(** Write into [pair] an ordered (uploader, downloader) pair of peers
+    drawn uniformly among the [n² − Σ_C x_C²] pairs whose types differ:
+    a few uniform tries (exact rejection), then an exact weighted scan.
+    Allocation-free.  @raise Invalid_argument if every peer has one type. *)
 
 val count_subset_peers : t -> Pieceset.t -> int
 (** [Σ_{C ⊆ S} x_C]: the paper's [E_S]. *)

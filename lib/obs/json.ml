@@ -24,13 +24,18 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The C routine behind [Printf.sprintf "%.15g"], called without the
+   format interpreter: byte-identical output for finite floats, and the
+   probe-series writer calls it for every field of every sample. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Shortest representation that parses back to the same float: JSON has
    no distinct float grammar, so "3." and "nan" must be avoided. *)
 let float_repr f =
   if not (Float.is_finite f) then "null"
   else
-    let shortest = Printf.sprintf "%.15g" f in
-    let s = if float_of_string shortest = f then shortest else Printf.sprintf "%.17g" f in
+    let shortest = format_float "%.15g" f in
+    let s = if float_of_string shortest = f then shortest else format_float "%.17g" f in
     (* "1e+22" and "3.5" are valid JSON; "inf"/"nan" were handled above. *)
     if String.contains s '.' || String.contains s 'e' || String.contains s 'E' then s
     else s ^ ".0"

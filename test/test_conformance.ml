@@ -10,19 +10,15 @@ open P2p_core
 module PS = P2p_pieceset.Pieceset
 module Rng = P2p_prng.Rng
 
-(* ---- 1. empirical first-jump distribution vs the generator row ---- *)
+(* ---- 1. empirical first-jump law vs the generator row ---- *)
 
 (* From a frozen state, the probability that the first state change is a
-   given transition equals rate/total_rate.  We measure it by running many
-   very short simulations from that state and diffing states. *)
-let test_first_jump_distribution () =
-  let p =
-    Params.make ~k:2 ~us:0.7 ~mu:1.0 ~gamma:2.0
-      ~arrivals:[ (PS.empty, 0.6); (PS.singleton 0, 0.4) ]
-  in
-  let initial =
-    [ (PS.empty, 4); (PS.singleton 0, 2); (PS.singleton 1, 1); (PS.full ~k:2, 2) ]
-  in
+   given transition equals rate/total_rate, and the time to it is
+   exponential with mean 1/total_rate.  We measure both by running many
+   very short simulations from that state and diffing states.  Sim_markov
+   races only contacts between different types (DESIGN §18), so these
+   two laws are what pins it to Eq. (1). *)
+let check_first_jump_law ~seed ~reps p initial =
   let state0 = State.of_counts initial in
   let transitions = Rate.transitions p state0 in
   let total_rate = List.fold_left (fun acc (_, r) -> acc +. r) 0.0 transitions in
@@ -42,19 +38,20 @@ let test_first_jump_distribution () =
     transitions;
   (* simulate the first jump many times *)
   let observed = Hashtbl.create 16 in
-  let reps = 60_000 in
-  let rng = Rng.of_seed 1 in
+  let holding = ref 0.0 in
+  let rng = Rng.of_seed seed in
   let config = { (Sim_markov.default_config p) with initial } in
   for _ = 1 to reps do
     (* run until the first state change using the observer *)
     let first = ref None in
-    let observer ~time:_ ~state =
-      if Option.is_none !first then first := Some (fingerprint state)
+    let observer ~time ~state =
+      if Option.is_none !first then first := Some (time, fingerprint state)
     in
     (* a long-enough horizon that a change almost surely happens *)
     ignore (Sim_markov.run ~observer ~rng config ~horizon:(60.0 /. total_rate));
     match !first with
-    | Some key ->
+    | Some (time, key) ->
+        holding := !holding +. time;
         Hashtbl.replace observed key
           (1 + Option.value (Hashtbl.find_opt observed key) ~default:0)
     | None -> ()
@@ -71,7 +68,38 @@ let test_first_jump_distribution () =
         (Printf.sprintf "jump to %s: theory %.4f empirical %.4f" key prob freq)
         true
         (Float.abs (prob -. freq) < 0.01))
-    expected
+    expected;
+  Alcotest.(check int) "no jump outside the generator row" 0
+    (Hashtbl.fold (fun key _ acc -> if Hashtbl.mem expected key then acc else acc + 1) observed 0);
+  (* Exp(total_rate) holding time: its standard deviation equals its
+     mean, so the sample mean has sigma = (1/total_rate)/sqrt(seen). *)
+  let mean = !holding /. float_of_int seen and theory = 1.0 /. total_rate in
+  let sigma = theory /. sqrt (float_of_int seen) in
+  Alcotest.(check bool)
+    (Printf.sprintf "mean holding time %.5f vs 1/q %.5f (4 sigma = %.5f)" mean theory
+       (4.0 *. sigma))
+    true
+    (Float.abs (mean -. theory) < 4.0 *. sigma)
+
+let test_first_jump_distribution () =
+  let p =
+    Params.make ~k:2 ~us:0.7 ~mu:1.0 ~gamma:2.0
+      ~arrivals:[ (PS.empty, 0.6); (PS.singleton 0, 0.4) ]
+  in
+  check_first_jump_law ~seed:1 ~reps:60_000 p
+    [ (PS.empty, 4); (PS.singleton 0, 2); (PS.singleton 1, 1); (PS.full ~k:2, 2) ]
+
+(* A one-club-heavy state: distinct-type pairs are under a quarter of all
+   ordered pairs, so the pair sampler's rejection often gives up and the
+   exact scan runs; two full peers sit out of the seed's downloaders, and
+   three empty peers are uploaders that can never help. *)
+let test_first_jump_one_club () =
+  let p =
+    Params.make ~k:3 ~us:0.7 ~mu:1.0 ~gamma:2.0
+      ~arrivals:[ (PS.empty, 0.5); (PS.singleton 2, 0.3) ]
+  in
+  check_first_jump_law ~seed:3 ~reps:40_000 p
+    [ (PS.of_list [ 0; 1 ], 40); (PS.empty, 3); (PS.singleton 2, 1); (PS.full ~k:3, 2) ]
 
 (* ---- 2. four engines, one stationary mean ---- *)
 
@@ -174,12 +202,23 @@ let test_littles_law_everywhere () =
      /. Float.max 1.0 stats.time_avg_n
     < 0.08)
 
+(* Mostly peer seeds and a strong seed: the fixed seed's contacts land on
+   a full peer three times in four, so its raced rate U_s·(n − x_F)/n is
+   a quarter of U_s, and any slip in that exclusion moves both laws. *)
+let test_first_jump_seed_heavy () =
+  let p = Params.make ~k:2 ~us:2.0 ~mu:1.0 ~gamma:0.5 ~arrivals:[ (PS.empty, 0.5) ] in
+  check_first_jump_law ~seed:5 ~reps:40_000 p
+    [ (PS.full ~k:2, 6); (PS.empty, 1); (PS.singleton 0, 1) ]
+
 let () =
   Alcotest.run "conformance"
     [
       ( "conformance",
         [
           Alcotest.test_case "first-jump law = generator row" `Slow test_first_jump_distribution;
+          Alcotest.test_case "first-jump law, one-club-heavy state" `Slow
+            test_first_jump_one_club;
+          Alcotest.test_case "first-jump law, seed-heavy state" `Slow test_first_jump_seed_heavy;
           Alcotest.test_case "four engines, one mean" `Slow test_four_engines_agree;
           Alcotest.test_case "fluid = generator drift" `Quick test_fluid_equals_generator_everywhere;
           Alcotest.test_case "coded engines agree" `Slow test_coded_engines_agree;

@@ -107,19 +107,24 @@ let test_fault_schedule_deterministic () =
    result silently changes.  Re-pinned when the hot-path samplers
    changed the RNG draw order (fast piece selection, alias-method
    arrivals); the chi-square suites in test_policy and test_dist check
-   the new draw path agrees in distribution with the spec. *)
+   the new draw path agrees in distribution with the spec.  The markov
+   golden was re-pinned again when Sim_markov stopped racing same-type
+   contacts (DESIGN §18): the draw stream changed, the law did not —
+   test_conformance checks the first-jump law and the holding-time mean
+   against Rate.transitions, and test_state chi-squares the pair
+   sampler against uniform over distinct-type pairs. *)
 
 let test_golden_no_fault_markov () =
   let stats, _ =
     Sim_markov.run_seeded ~seed:2024 (Sim_markov.default_config stable_params) ~horizon:500.0
   in
-  Alcotest.(check int) "events" 2080 stats.events;
-  Alcotest.(check int) "transfers" 651 stats.transfers;
-  Alcotest.(check int) "final n" 4 stats.final_n;
+  Alcotest.(check int) "events" 1629 stats.events;
+  Alcotest.(check int) "transfers" 770 stats.transfers;
+  Alcotest.(check int) "final n" 5 stats.final_n;
   Alcotest.(check bool)
     (Printf.sprintf "time-avg N %.17g unchanged" stats.time_avg_n)
     true
-    (Float.equal stats.time_avg_n 2.6027392530325715);
+    (Float.equal stats.time_avg_n 3.4173318938391359);
   Alcotest.(check int) "no outage time" 0 (compare stats.outage_time 0.0);
   Alcotest.(check int) "no aborts" 0 stats.aborted_peers;
   Alcotest.(check int) "no losses" 0 stats.lost_transfers

@@ -66,6 +66,28 @@ let test_json_float_bit_exact () =
       | None -> Alcotest.failf "%h did not parse back to a number" x)
     [ 0.1 +. 0.2; 1.0 /. 3.0; 1e-300; 1.7976931348623157e308; -0.0; 3.5017060493169474 ]
 
+(* Float emission calls the C routine behind Printf's %g directly; it
+   must stay byte-identical to the Printf formulation it replaced, here
+   restated as the reference, on random bit patterns and edge cases. *)
+let test_json_float_matches_printf () =
+  let reference f =
+    let shortest = Printf.sprintf "%.15g" f in
+    let s = if float_of_string shortest = f then shortest else Printf.sprintf "%.17g" f in
+    if String.contains s '.' || String.contains s 'e' || String.contains s 'E' then s
+    else s ^ ".0"
+  in
+  let check f =
+    Alcotest.(check string) (Printf.sprintf "%h" f) (reference f) (Json.to_string (Json.Float f))
+  in
+  List.iter check [ 0.1 +. 0.2; -0.0; 0.0; 5e-324; 1e22; 3.0; 1e-7; -1.5e300; 0.05 *. 3.0 ];
+  let rng = P2p_prng.Rng.of_seed 99 in
+  for _ = 1 to 20_000 do
+    let f = Int64.float_of_bits (P2p_prng.Rng.bits64 rng) in
+    if Float.is_finite f then check f;
+    (* and values on a probe grid's scale *)
+    check (P2p_prng.Rng.float rng *. 1500.0)
+  done
+
 let test_json_nonfinite_as_null () =
   Alcotest.(check string) "nan is null" "null" (Json.to_string (Json.Float nan));
   Alcotest.(check string) "inf is null" "null" (Json.to_string (Json.Float infinity));
@@ -1050,6 +1072,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "float bit-exact" `Quick test_json_float_bit_exact;
+          Alcotest.test_case "float text = Printf %g" `Quick test_json_float_matches_printf;
           Alcotest.test_case "non-finite as null" `Quick test_json_nonfinite_as_null;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "accessors" `Quick test_json_accessors;

@@ -141,6 +141,131 @@ let test_incremental_counts_match_rescan () =
         (State.piece_copies s ~k ~piece:i))
     (recount ())
 
+(* Σx² is updated in O(1) inside the slot primitives; after random
+   add/remove/move traces, copies (which must not share it) and
+   of_counts rebuilds it must equal the brute-force sum. *)
+let test_same_type_pairs_match_rescan () =
+  let rng = P2p_prng.Rng.of_seed 77 in
+  let k = 4 in
+  let brute s = State.fold s ~init:0 ~f:(fun acc _ v -> acc + (v * v)) in
+  let random_type () = PS.of_index (P2p_prng.Rng.int_below rng (1 lsl k)) in
+  let s = ref (State.create ()) in
+  for step = 1 to 6_000 do
+    let occupied () = State.sample_uniform_peer !s ~draw:(P2p_prng.Rng.int_below rng) in
+    (* adds balance removes, so counts stay small and types keep
+       emptying and refilling *)
+    (match P2p_prng.Rng.int_below rng 10 with
+    | 0 | 1 | 2 -> State.add_peer !s (random_type ())
+    | 3 | 4 | 5 -> if State.n !s > 0 then State.remove_peer !s (occupied ())
+    | 6 | 7 -> if State.n !s > 0 then State.move_peer !s ~from_:(occupied ()) ~to_:(random_type ())
+    | 8 ->
+        let before = State.same_type_pairs !s in
+        let c = State.copy !s in
+        State.add_peer c (random_type ());
+        Alcotest.(check int) "copy leaves the original's sum alone" before
+          (State.same_type_pairs !s);
+        s := c
+    | _ ->
+        (* Rebuild with every entry split in two: of_counts sums duplicates. *)
+        s :=
+          State.of_counts
+            (List.concat_map (fun (c, v) -> [ (c, v / 2); (c, v - (v / 2)) ]) (State.to_alist !s)));
+    Alcotest.(check int) (Printf.sprintf "sum x^2 at step %d" step) (brute !s)
+      (State.same_type_pairs !s)
+  done;
+  Alcotest.(check int) "final sum x^2" (brute !s) (State.same_type_pairs !s)
+
+(* 99.9% quantile of chi-square with [df] degrees of freedom
+   (Wilson-Hilferty; within 2% for df >= 2). *)
+let chi2_crit df =
+  let d = float_of_int df in
+  let h = 2.0 /. (9.0 *. d) in
+  d *. ((1.0 -. h +. (3.0902 *. sqrt h)) ** 3.0)
+
+let chi2 ~draws ~expected ~observed =
+  List.fold_left
+    (fun acc (key, p) ->
+      let e = p *. float_of_int draws in
+      let o = float_of_int (Option.value (Hashtbl.find_opt observed key) ~default:0) in
+      acc +. ((o -. e) *. (o -. e) /. e))
+    0.0 expected
+
+(* The pair sampler against uniform over ordered pairs of peers with
+   different types, P(C, D) = x_C x_D / (n² − Σx²), by Pearson
+   chi-square at the 99.9% level; and the not-of-type draw against
+   uniform over the other peers.  A flat state runs the rejection path;
+   a one-club-heavy state (acceptance ~6%) mostly runs the scan. *)
+let test_pair_sampler_chi_square () =
+  let rng = P2p_prng.Rng.of_seed 19 in
+  let draw = P2p_prng.Rng.int_below rng in
+  let draws = 200_000 in
+  let check name entries =
+    let s = State.of_counts entries in
+    let n = State.n s in
+    let distinct = float_of_int ((n * n) - State.same_type_pairs s) in
+    let expected =
+      List.concat_map
+        (fun (u, xu) ->
+          List.filter_map
+            (fun (d, xd) ->
+              if PS.equal u d then None
+              else Some ((u, d), float_of_int (xu * xd) /. distinct))
+            entries)
+        entries
+    in
+    let observed = Hashtbl.create 64 in
+    let pair = { State.uploader = PS.empty; downloader = PS.empty } in
+    for _ = 1 to draws do
+      State.sample_distinct_pair s ~draw pair;
+      let key = (pair.State.uploader, pair.State.downloader) in
+      Hashtbl.replace observed key (1 + Option.value (Hashtbl.find_opt observed key) ~default:0)
+    done;
+    Alcotest.(check int) (name ^ ": only distinct-type pairs") (List.length expected)
+      (Hashtbl.length observed);
+    let df = List.length expected - 1 in
+    let stat = chi2 ~draws ~expected ~observed in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s pairs: chi2 %.1f, df %d, crit %.1f" name stat df (chi2_crit df))
+      true
+      (stat < chi2_crit df);
+    (* not-of-type draws, excluding the most common type *)
+    let club, xc =
+      List.fold_left (fun (c, x) (d, y) -> if y > x then (d, y) else (c, x)) (PS.empty, 0) entries
+    in
+    let expected =
+      List.filter_map
+        (fun (c, x) ->
+          if PS.equal c club then None else Some (c, float_of_int x /. float_of_int (n - xc)))
+        entries
+    in
+    let observed = Hashtbl.create 16 in
+    for _ = 1 to draws do
+      let c = State.sample_peer_not_of s ~draw club in
+      Hashtbl.replace observed c (1 + Option.value (Hashtbl.find_opt observed c) ~default:0)
+    done;
+    Alcotest.(check bool) (name ^ ": excluded type never drawn") false (Hashtbl.mem observed club);
+    let df = List.length expected - 1 in
+    let stat = chi2 ~draws ~expected ~observed in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s not-of-type: chi2 %.1f, df %d, crit %.1f" name stat df (chi2_crit df))
+      true
+      (stat < chi2_crit df)
+  in
+  check "flat" (List.init 8 (fun i -> (PS.of_index i, [| 5; 3; 4; 2; 6; 1; 3; 2 |].(i))));
+  check "one-club"
+    [ (PS.of_list [ 0; 1 ], 200); (PS.empty, 3); (PS.singleton 2, 1); (PS.full ~k:3, 2) ];
+  let single = State.of_counts [ (PS.singleton 1, 5) ] in
+  Alcotest.(check bool) "one type: no distinct pair" true
+    (try
+       State.sample_distinct_pair single ~draw { State.uploader = PS.empty; downloader = PS.empty };
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "one type: no peer of another type" true
+    (try
+       ignore (State.sample_peer_not_of single ~draw (PS.singleton 1));
+       false
+     with Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "state"
     [
@@ -159,5 +284,7 @@ let () =
           Alcotest.test_case "sample distribution" `Quick test_sample_uniform_distribution;
           Alcotest.test_case "sample empty" `Quick test_sample_empty_raises;
           Alcotest.test_case "equal" `Quick test_equal;
+          Alcotest.test_case "sum x^2 vs rescan" `Quick test_same_type_pairs_match_rescan;
+          Alcotest.test_case "pair sampler (chi-square)" `Quick test_pair_sampler_chi_square;
         ] );
     ]

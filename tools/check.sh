@@ -115,7 +115,8 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
     --arrive none=40 -t 50 --hybrid --switch-up 95 --switch-down 80 --seed 7 \
     >/dev/null || {
     echo "FAIL: hybrid fluid run exited non-zero" >&2; exit 1; }
-  # Regression gate: the fresh quick-bench events/s (all four simulators)
+  # Regression gate: the fresh quick-bench throughput (events/s, or
+  # simulated time per second for sim_markov; all four simulators)
   # plus the fluid stepper's steps/s and million-peer wall clock must
   # stay within bounds of the committed BENCH_PR9.json baseline (skips
   # the ratio checks when the baseline is absent).
