@@ -18,7 +18,6 @@ let extra =
   [
     ("bench-json", Perf.bench_json);
     ("bench-json-quick", Perf.bench_json_quick);
-    ("bench-json-pr10", Perf.bench_json_pr10);
     ("bench-gate", Perf.bench_gate);
   ]
 

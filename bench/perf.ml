@@ -387,89 +387,6 @@ let fluid_section ~quick =
         ("final_n", Json.Float stats.Sim_fluid.final_n);
       ] )
 
-(* P5: sharded-swarm scaling (PR 10).
-
-   One giant agent swarm — a million peers at the full size — split
-   across 4 shards and driven at 1, 2 and 4 domains.  Three claims to
-   verify in BENCH_PR10.json:
-
-   - the partition ran: every shard's event count is a fat, roughly
-     equal share of the total;
-   - determinism: every jobs count produces the identical merged stats
-     (events, final N, time-avg N) — the jobs-invariance half of the
-     DESIGN §17 contract;
-   - scaling, where the hardware has it: on a multi-core box the wall
-     should drop toward 1/min(jobs, cores); on a single-core box (the
-     bench host: recommended_domains = 1) wall grows slightly with jobs
-     from spawn/join and barrier overhead, and the committed table
-     documents that ceiling instead of a speedup. *)
-
-let sharded_section ~quick =
-  let params = Scenario.flash_crowd ~k:4 ~lambda:100.0 ~us:1.0 ~mu:1.0 ~gamma:2.0 in
-  let peers = if quick then 50_000 else 1_000_000 in
-  let horizon = if quick then 0.5 else 1.0 in
-  let shards = 4 in
-  let config =
-    { (Sim_agent.default_config params) with Sim_agent.initial = [ (PS.empty, peers) ] }
-  in
-  let run jobs =
-    timed (fun () -> Sim_agent.run_sharded_seeded ~jobs ~shards ~seed:1 config ~horizon)
-  in
-  let rounds = if quick then 1 else 2 in
-  let best_run jobs =
-    let (r, w) = run jobs in
-    let best = ref (r, w) in
-    for _ = 2 to rounds do
-      let (r, w) = run jobs in
-      if w < snd !best then best := (r, w)
-    done;
-    !best
-  in
-  let ref_result, t1 = best_run 1 in
-  let ref_stats, _, ref_report = ref_result in
-  let row jobs ((stats : Sim_agent.stats), _, (report : Sim_agent.shard_report)) wall =
-    Json.Obj
-      [
-        ("jobs", Json.Int jobs);
-        ("wall_s", Json.Float wall);
-        ("speedup", Json.Float (t1 /. wall));
-        ("events", Json.Int stats.Sim_agent.events);
-        ( "events_per_sec",
-          Json.Float
-            (if wall > 0.0 then float_of_int stats.Sim_agent.events /. wall else nan) );
-        ( "bit_identical",
-          Json.Bool
-            (stats.Sim_agent.events = ref_stats.Sim_agent.events
-            && stats.Sim_agent.final_n = ref_stats.Sim_agent.final_n
-            && Float.equal stats.Sim_agent.time_avg_n ref_stats.Sim_agent.time_avg_n) );
-        ( "shard_events",
-          Json.List
-            (Array.to_list
-               (Array.map (fun e -> Json.Int e) report.Sim_agent.shard_events)) );
-      ]
-  in
-  let rows =
-    row 1 ref_result t1
-    :: List.map
-         (fun jobs ->
-           let result, wall = best_run jobs in
-           row jobs result wall)
-         [ 2; 4 ]
-  in
-  ( "sharded",
-    Json.Obj
-      [
-        ("simulator", Json.String "sim_agent");
-        ("peers", Json.Int peers);
-        ("shards", Json.Int shards);
-        ("horizon", Json.Float horizon);
-        ("events", Json.Int ref_stats.Sim_agent.events);
-        ("cross_messages", Json.Int ref_report.Sim_agent.cross_messages);
-        ("sync_windows", Json.Int ref_report.Sim_agent.windows);
-        ("recommended_domains", Json.Int (Domain.recommended_domain_count ()));
-        ("rows", Json.List rows);
-      ] )
-
 (* P4: before/after against the committed PR3 baseline, and the CI bench
    gate.  Both read baselines back through the in-tree JSON parser. *)
 
@@ -548,7 +465,6 @@ let bench_json_to ~quick path =
         vs_baseline_section sims;
         ("runner_scaling", scaling_rows);
         reps_field;
-        sharded_section ~quick;
         ("recommended_domains", Json.Int (Domain.recommended_domain_count ()));
       ]
   in
@@ -559,24 +475,6 @@ let bench_json_to ~quick path =
 
 let bench_json () = bench_json_to ~quick:false "BENCH_PR9.json"
 let bench_json_quick () = bench_json_to ~quick:true "BENCH_smoke.json"
-
-(* The PR 10 artefact: the full-size sharded-swarm scaling table alone.
-   Kept separate from the PR9 throughput baseline so regenerating one
-   never perturbs the other's ratchet floors. *)
-let bench_json_pr10 () =
-  let j =
-    Json.Obj
-      [
-        ("bench", Json.String "sharded-swarm scaling table");
-        ("pr", Json.Int 10);
-        ("quick", Json.Bool false);
-        sharded_section ~quick:false;
-      ]
-  in
-  Json.write_file_atomic "BENCH_PR10.json" (fun oc ->
-      Json.to_channel oc j;
-      output_char oc '\n');
-  print_endline "wrote BENCH_PR10.json"
 
 (* The CI regression gate: compare a fresh quick-bench throughput figure
    ([gated_rate]) against the committed baseline and fail below 70% (a
@@ -713,106 +611,6 @@ let bench_gate () =
       | None ->
           Printf.eprintf "bench-gate: missing fluid wall_s in fresh results\n";
           failed := true);
-      (* Sharded-run gates.  Two layers:
-
-         - the fresh smoke file's sharded section (quick-size run from
-           this very CI job) must prove the partition ran — every shard
-           processed events — and the jobs-invariance bit-identity held
-           on every row;
-         - the committed BENCH_PR10.json scaling table (full-size,
-           million-peer) must satisfy the same invariants, plus the
-           scaling acceptance: > 1.5x speedup at 4 domains when the box
-           that produced it had >= 4 cores, otherwise the recorded
-           single-core ceiling with fat per-shard event counts is the
-           accepted witness. *)
-      let sharded_rows j =
-        Option.bind (Json.member "sharded" j) (fun s ->
-            Option.bind (Json.member "rows" s) (function Json.List l -> Some (s, l) | _ -> None))
-      in
-      let row_field name r = Option.bind (Json.member name r) Json.to_float_opt in
-      let check_sharded ~label ~require_scaling j =
-        match sharded_rows j with
-        | None ->
-            Printf.eprintf "bench-gate: %s has no sharded section\n" label;
-            failed := true
-        | Some (section, rows) ->
-            let jobs_seen = ref [] in
-            List.iter
-              (fun r ->
-                let jobs =
-                  match row_field "jobs" r with Some f -> int_of_float f | None -> -1
-                in
-                jobs_seen := jobs :: !jobs_seen;
-                (match Json.member "bit_identical" r with
-                | Some (Json.Bool true) -> ()
-                | _ ->
-                    Printf.eprintf
-                      "bench-gate: %s sharded row jobs=%d is not bit-identical\n" label jobs;
-                    failed := true);
-                match Json.member "shard_events" r with
-                | Some (Json.List evs)
-                  when evs <> []
-                       && List.for_all
-                            (fun e ->
-                              match Json.to_float_opt e with
-                              | Some v -> v > 0.0
-                              | None -> false)
-                            evs ->
-                    ()
-                | _ ->
-                    Printf.eprintf
-                      "bench-gate: %s sharded row jobs=%d has an idle shard (partition did \
-                       not run)\n"
-                      label jobs;
-                    failed := true)
-              rows;
-            List.iter
-              (fun j ->
-                if not (List.mem j !jobs_seen) then begin
-                  Printf.eprintf "bench-gate: %s sharded table is missing the jobs=%d row\n"
-                    label j;
-                  failed := true
-                end)
-              [ 1; 2; 4 ];
-            let cores =
-              match
-                Option.bind (Json.member "recommended_domains" section) Json.to_float_opt
-              with
-              | Some c -> int_of_float c
-              | None -> 1
-            in
-            let speedup4 =
-              List.fold_left
-                (fun acc r ->
-                  match (row_field "jobs" r, row_field "speedup" r) with
-                  | Some 4.0, Some s -> Some s
-                  | _ -> acc)
-                None rows
-            in
-            (match speedup4 with
-            | Some s when require_scaling && cores >= 4 ->
-                Printf.printf "bench-gate: %s sharded speedup at 4 domains: %.2fx (%d cores)\n"
-                  label s cores;
-                if s < 1.5 then begin
-                  Printf.eprintf
-                    "bench-gate: %s sharded run scaled %.2fx at 4 domains on a %d-core box \
-                     (floor 1.5x)\n"
-                    label s cores;
-                  failed := true
-                end
-            | Some s ->
-                Printf.printf
-                  "bench-gate: %s sharded speedup at 4 domains: %.2fx (%d-core box — \
-                   single-core ceiling documented, scaling floor not applicable)\n"
-                  label s cores
-            | None -> ())
-      in
-      check_sharded ~label:fresh_path ~require_scaling:false fresh;
-      let sharded_path = getenv "BENCH_GATE_SHARDED" "BENCH_PR10.json" in
-      (match read_json_file sharded_path with
-      | None ->
-          Printf.printf "bench-gate: no sharded scaling table at %s, skipping\n" sharded_path
-      | Some table -> check_sharded ~label:sharded_path ~require_scaling:true table);
       if !failed then exit 1;
       print_endline "bench-gate: OK"
 

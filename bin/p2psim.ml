@@ -96,32 +96,6 @@ let jobs_arg =
 
 let resolve_jobs jobs = if jobs <= 0 then Runner.default_jobs () else jobs
 
-let shards_arg =
-  let doc =
-    "Partition the swarm itself into $(docv) shards (by arrival-class hash) and run their \
-     event loops concurrently, resolving cross-shard contacts through barrier messages \
-     (DESIGN §17). 1 = the classic single-loop simulator, bit-identical to previous \
-     releases. For a fixed shard count the run is deterministic — repeated invocations and \
-     every --jobs value produce identical output — but trajectories differ between shard \
-     counts. Requires --reps 1."
-  in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"S" ~doc)
-
-let sync_every_arg =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v && v > 0.0 -> Ok v
-    | Some _ | None ->
-        Error (`Msg (Printf.sprintf "sync window must be a finite positive time, got %S" s))
-  in
-  let c = Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v) in
-  Arg.(value & opt (some c) None
-       & info [ "sync-every" ] ~docv:"T"
-           ~doc:"Simulation-time width of the shard synchronisation window (default \
-                 horizon/200). Smaller windows tighten cross-shard rate coupling at the cost \
-                 of more barriers; the value is part of the deterministic-run key, so hold it \
-                 fixed when comparing runs.")
-
 let reps_arg ~default =
   Arg.(value & opt int default & info [ "reps"; "r" ] ~docv:"R"
        ~doc:"Independent replications (replication i uses the RNG stream (seed, i)).")
@@ -562,29 +536,6 @@ let write_samples_csv file samples =
       Array.iter (fun (t, n) -> Printf.fprintf oc "%g,%d\n" t n) samples);
   Printf.printf "wrote %s\n" file
 
-(* Telemetry a sharded run can carry: per-shard instruments that merge
-   (or file-split) at the join.  Everything that assumes one global event
-   stream — traces, probe series, the syndrome monitor, the phase
-   profile — is rejected rather than silently recording one shard. *)
-let reject_sharded_telemetry tel =
-  if tel.trace <> None then
-    usage_error "--trace requires --shards 1 (per-shard traces would interleave)";
-  if tel.metrics_out <> None || tel.probe_interval <> None then
-    usage_error "--metrics-out/--probe-interval require --shards 1 (one probe series per run)";
-  if tel.monitor || tel.alerts_out <> None then
-    usage_error "--monitor requires --shards 1 (the detector watches one global series)";
-  if tel.profile then usage_error "--profile requires --shards 1"
-
-(* FILE.shardI with the extension preserved (flight.json ->
-   flight.shard0.json), so format sniffing on the suffix still works. *)
-let shard_file file i =
-  match String.rindex_opt file '.' with
-  | Some dot when dot > 0 && not (String.contains (String.sub file dot (String.length file - dot)) '/')
-    ->
-      Printf.sprintf "%s.shard%d%s" (String.sub file 0 dot) i
-        (String.sub file dot (String.length file - dot))
-  | _ -> Printf.sprintf "%s.shard%d" file i
-
 let reject_single_run_telemetry tel =
   if tel.trace <> None then
     usage_error "--trace requires --reps 1 (per-replication traces would interleave)";
@@ -688,123 +639,7 @@ let simulate_cmd =
       ~after_table:(fun () -> report_effective_verdict params faults)
       thunk
   in
-  (* One giant sharded run: per-shard instruments, merged stats, and a
-     sharding section proving the partition ran (per-shard event
-     counts).  The merged report mirrors the single-run path so sharded
-     and classic output stay diffable. *)
-  let sharded params horizon seed agent policy csv shards sync_every jobs faults max_events tel =
-    reject_sharded_telemetry tel;
-    let hist_groups =
-      Array.init shards (fun _ ->
-          if tel.hist_out <> None then Hist.group () else Hist.disabled_group)
-    in
-    let recorders =
-      Array.init shards (fun _ ->
-          match tel.flight_recorder with None -> Recorder.disabled | Some _ -> Recorder.create ())
-    in
-    let probes i =
-      if tel.hist_out = None && tel.flight_recorder = None then Probe.none
-      else Probe.make ~recorder:recorders.(i) ~hists:hist_groups.(i) ()
-    in
-    let jobs = Int.min shards (resolve_jobs jobs) in
-    let stats_rows, samples, truncated, growth, report =
-      if agent then begin
-        let config = { (Sim_agent.default_config params) with policy; faults } in
-        let s, _, (r : Sim_agent.shard_report) =
-          Sim_agent.run_sharded_seeded ~probes ?sync_every ?max_events ~jobs ~shards ~seed
-            config ~horizon
-        in
-        ( [
-            ("events", string_of_int s.Sim_agent.events);
-            ("arrivals", string_of_int s.Sim_agent.arrivals);
-            ("transfers", string_of_int s.Sim_agent.transfers);
-            ("departures", string_of_int s.Sim_agent.departures);
-            ("time-avg N", Report.fmt_float s.Sim_agent.time_avg_n);
-            ("max N", string_of_int s.Sim_agent.max_n);
-            ("final N", string_of_int s.Sim_agent.final_n);
-            ("mean sojourn", Report.fmt_float s.Sim_agent.mean_sojourn);
-            ("one-club fraction", Report.fmt_float s.Sim_agent.one_club_time_fraction);
-          ]
-          @ fault_rows faults
-              (s.Sim_agent.outage_time, s.Sim_agent.aborted_peers, s.Sim_agent.lost_transfers),
-          s.Sim_agent.samples,
-          s.Sim_agent.truncated,
-          (Classify.of_samples s.Sim_agent.samples).growth_rate,
-          ( r.Sim_agent.windows,
-            r.Sim_agent.cross_messages,
-            r.Sim_agent.shard_events,
-            r.Sim_agent.shard_final_n ) )
-      end
-      else begin
-        let config = { (Sim_markov.default_config params) with policy; faults } in
-        let s, _, (r : Sim_markov.shard_report) =
-          Sim_markov.run_sharded_seeded ~probes ?sync_every ?max_events ~jobs ~shards ~seed
-            config ~horizon
-        in
-        ( [
-            ("events", string_of_int s.Sim_markov.events);
-            ("arrivals", string_of_int s.Sim_markov.arrivals);
-            ("transfers", string_of_int s.Sim_markov.transfers);
-            ("departures", string_of_int s.Sim_markov.departures);
-            ("time-avg N", Report.fmt_float s.Sim_markov.time_avg_n);
-            ("max N", string_of_int s.Sim_markov.max_n);
-            ("final N", string_of_int s.Sim_markov.final_n);
-            ("visits to empty (barrier-sampled)", string_of_int s.Sim_markov.visits_to_empty);
-          ]
-          @ fault_rows faults
-              (s.Sim_markov.outage_time, s.Sim_markov.aborted_peers, s.Sim_markov.lost_transfers),
-          s.Sim_markov.samples,
-          s.Sim_markov.truncated,
-          (Classify.of_samples s.Sim_markov.samples).growth_rate,
-          ( r.Sim_markov.windows,
-            r.Sim_markov.cross_messages,
-            r.Sim_markov.shard_events,
-            r.Sim_markov.shard_final_n ) )
-      end
-    in
-    truncation_warning truncated;
-    Report.kv stats_rows;
-    let windows, messages, shard_events, shard_final_n = report in
-    Report.subsection
-      (Printf.sprintf "sharding (%d shards, %d domain%s)" shards jobs
-         (if jobs = 1 then "" else "s"));
-    Report.kv
-      [
-        ("sync windows", string_of_int windows);
-        ("cross-shard messages", string_of_int messages);
-        ( "per-shard events",
-          String.concat " "
-            (Array.to_list (Array.map string_of_int shard_events)) );
-        ( "per-shard final N",
-          String.concat " "
-            (Array.to_list (Array.map string_of_int shard_final_n)) );
-      ];
-    (match tel.hist_out with
-    | None -> ()
-    | Some file ->
-        let merged = Hist.group () in
-        Array.iter (fun g -> Hist.merge_group_into ~into:merged g) hist_groups;
-        Hist.write_group_file merged file;
-        Printf.printf "wrote %d histograms (merged over %d shards) to %s\n"
-          (List.length (Hist.hists merged)) shards file);
-    (match tel.flight_recorder with
-    | None -> ()
-    | Some file ->
-        Array.iteri
-          (fun i r ->
-            let f = shard_file file i in
-            Recorder.dump r ~code_name:Probe.code_name f;
-            Printf.printf "flight recorder shard %d: %d events kept (%d overwritten) -> %s\n" i
-              (min (Recorder.recorded r) (Recorder.capacity r))
-              (Recorder.dropped r) f)
-          recorders);
-    Printf.printf "empirical verdict: %s (growth %s/t)\n"
-      (Classify.verdict_to_string (Classify.of_samples samples).verdict)
-      (Report.fmt_float growth);
-    report_effective_verdict params faults;
-    match csv with None -> () | Some file -> write_samples_csv file samples
-  in
-  let run params horizon seed agent policy csv reps jobs shards sync_every faults on_error
+  let run params horizon seed agent policy csv reps jobs faults on_error
       rep_timeout max_events tel =
     let write_csv samples =
       match csv with
@@ -812,12 +647,7 @@ let simulate_cmd =
       | Some file -> write_samples_csv file samples
     in
     let fault_rows = fault_rows faults in
-    if shards < 1 then usage_error "--shards must be >= 1";
-    if shards > 1 && reps > 1 then
-      usage_error "--shards requires --reps 1 (shard one giant run, or replicate unsharded)";
-    if shards > 1 then
-      sharded params horizon seed agent policy csv shards sync_every jobs faults max_events tel
-    else if reps > 1 then begin
+    if reps > 1 then begin
       reject_single_run_telemetry tel;
       replicated params horizon seed agent policy reps jobs faults on_error rep_timeout
         max_events ~progress:tel.progress
@@ -878,7 +708,7 @@ let simulate_cmd =
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Run the exact stochastic simulation")
     Term.(const run $ params_term $ horizon_arg $ seed_arg $ agent_arg $ policy_arg $ csv_arg
-          $ reps_arg ~default:1 $ jobs_arg $ shards_arg $ sync_every_arg $ faults_term
+          $ reps_arg ~default:1 $ jobs_arg $ faults_term
           $ on_error_arg $ rep_timeout_arg $ max_events_arg $ telemetry_term)
 
 (* ---- fluid ---- *)
@@ -1385,6 +1215,7 @@ let hetero_cmd =
         ("lambda_total", Report.fmt_float (Hetero.lambda_total h));
       ];
     let s = Hetero.simulate_seeded ~seed h ~horizon in
+    truncation_warning s.truncated;
     let r = Classify.of_samples s.samples in
     Report.kv
       [

@@ -20,7 +20,6 @@ type t = {
   policy : string;
   backend : string;
   q : int;
-  shards : int;
   faults : Faults.t;
   mode : mode;
 }
@@ -88,9 +87,6 @@ let to_json t =
        therefore its hash, store and resume directory. *)
     @ (if t.backend = "markov" then []
        else [ ("backend", Json.String t.backend); ("q", Json.Int t.q) ])
-    (* [shards] follows the same only-when-non-default rule: every
-       pre-PR-10 spec encodes (and hashes) exactly as before. *)
-    @ (if t.shards = 1 then [] else [ ("shards", Json.Int t.shards) ])
     @ faults_json t.faults
     @ [ ("mode", mode_json t.mode) ])
 
@@ -226,18 +222,15 @@ let of_json json =
       then Error (Printf.sprintf "unknown policy %S" policy)
       else if not (List.mem backend [ "markov"; "coded" ]) then
         Error (Printf.sprintf "unknown backend %S (expected markov or coded)" backend)
-      else if shards < 1 then Error "shards < 1"
-      else if shards > 1 && backend <> "markov" then
-        Error "shards > 1 requires the markov backend"
-      else if shards > 1 && reps > 1 then
-        Error "shards > 1 requires reps = 1 (shard one giant run per cell)"
+      else if shards <> 1 then
+        Error (Printf.sprintf "\"shards\": %d is not supported: sharding was removed" shards)
       else begin
         (* Probe the parameter constructor at a representative cell so a
            bad spec fails at load time, not at cell 4000. *)
         let t =
           {
             name; hypothesis; k; mu; gamma; horizon; reps; master_seed; policy; backend; q;
-            shards; faults; mode;
+            faults; mode;
           }
         in
         match

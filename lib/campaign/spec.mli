@@ -50,12 +50,6 @@ type t = {
           cell.  Encoded in the spec JSON only when not the default, so
           existing markov specs keep their hashes (and result stores). *)
   q : int;  (** coded backend only: field size (default 16) *)
-  shards : int;
-      (** shards per cell run (default 1 = classic single-loop cell).
-          [shards > 1] requires the markov backend and [reps = 1]: the
-          cell is one giant sharded run ({!P2p_core.Sim_markov.run_sharded})
-          instead of a replication sweep.  Like [backend], encoded only
-          when not the default, so existing spec hashes are stable. *)
   faults : P2p_core.Faults.t;
   mode : mode;
 }
@@ -64,6 +58,9 @@ val to_json : t -> Json.t
 (** Canonical encoding: fixed field order, so {!hash} is stable. *)
 
 val of_json : Json.t -> (t, string) result
+(** Rejects a ["shards"] field other than 1: sharded cells were removed,
+    and ignoring the field would run a different experiment. *)
+
 val of_file : string -> (t, string) result
 val hash : t -> string
 (** Hex digest of the canonical encoding; recorded in the store and

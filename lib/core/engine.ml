@@ -162,8 +162,8 @@ let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resu
   record_samples_through t model t.start_time;
   Profile.stop setup_span;
   let loop_span = Profile.start prof (name ^ "/event-loop") in
-  (* Per-phase monotonic-clock attribution (ROADMAP items 1-2 need the
-     split between rate recomputation and event application).  The
+  (* Per-phase monotonic-clock attribution: the split between rate
+     recomputation, event application and scheduled events.  The
      timers sample 1-in-32 so two clock reads never ride every event;
      with hists off each tick/tock is a dead branch. *)
   let hists = probe.Probe.hists in
@@ -270,254 +270,6 @@ let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resu
   in
   Profile.stop finish_span;
   (stats, extra)
-
-(* ------------------------------------------------------------------ *)
-(* The sharded driver: one logical swarm split across [nshards] local
-   event loops, synchronised by windows.  Each shard owns a handle
-   ([t]), a generator split off the caller's rng in shard order, and a
-   model; within a window it runs the same exponential race as [drive],
-   bounded by the window end instead of the horizon.  Contacts whose
-   downloader lives elsewhere become messages; at the window barrier the
-   main domain delivers all of them in [(shard_id, seq)] order — outbox
-   concatenation in shard order, each outbox in send order — then every
-   shard refreshes its snapshot of the others' populations.  Windows
-   ending at the window boundary rather than at the message's origin
-   time is the approximation knob: shrinking [sync_every] tightens it.
-
-   Determinism: shard streams are split from [rng] in shard order at
-   startup; within a window a shard touches only its own slot; the
-   barrier runs sequentially on the calling domain.  So the run is a
-   pure function of (rng seed, nshards, sync window layout) — the same
-   for any [jobs], which only picks how many domains execute the
-   windows.  Redrawing the exponential race at each window boundary is
-   valid by memorylessness, exactly like the outage-toggle redraw. *)
-
-type 'msg shard_model = {
-  sh_model : model;
-  sh_deliver : time:float -> src:int -> 'msg -> unit;
-      (** Apply one cross-shard message at the barrier; [time] is the
-          barrier (window-end) time on this shard's clock. *)
-  sh_sync : time:float -> populations:int array -> unit;
-      (** Rate exchange: fresh per-shard populations after the barrier
-          (the receiving shard's own entry is its live value). *)
-}
-
-type sharded_stats = {
-  sh_stats : stats;  (** merged across shards; see field notes in the mli *)
-  sh_events : int array;  (** per-shard event counts (partition proof) *)
-  sh_final_n : int array;
-  sh_messages : int;  (** cross-shard messages delivered *)
-  sh_windows : int;  (** sync barriers executed *)
-}
-
-type 'msg shard_slot = {
-  sl_handle : t;
-  sl_rng : Rng.t;
-  sl_model : 'msg shard_model;
-  sl_outbox : (float * int * 'msg) Vec.t;  (** (send time, dst, msg) in seq order *)
-  mutable sl_frozen : bool;  (** event budget spent: state frozen, grid still walks *)
-}
-
-(* One shard's slice of one window: the [drive] loop bounded by [until]
-   instead of the horizon, without closing the time-average (the run
-   continues next window).  Touches only [slot]-owned data, so windows
-   of distinct shards run on distinct domains with no synchronisation. *)
-let run_shard_window slot ~until =
-  let t = slot.sl_handle in
-  let m = slot.sl_model.sh_model in
-  if slot.sl_frozen then begin
-    (* Budget exhausted in an earlier window: the state is frozen but
-       the sampling grid still advances, as in [drive]'s truncation. *)
-    record_samples_through t m until;
-    t.clock <- until
-  end
-  else begin
-    let rng = slot.sl_rng in
-    let c = t.counters in
-    let total_rate = m.total_rate in
-    let apply = m.apply in
-    let next_scheduled = m.next_scheduled in
-    let do_scheduled = m.scheduled in
-    let frun = t.frun in
-    let budget = t.max_events in
-    let running = ref true in
-    while !running do
-      let total = total_rate () in
-      (* A shard can legitimately idle (empty shard of a dried-up swarm):
-         treat a zero rate as an infinitely distant next event. *)
-      let dt = if total > 0.0 then Dist.exponential rng ~rate:total else infinity in
-      let t_next = t.clock +. dt in
-      let sched = next_scheduled () in
-      let toggle = Faults.next_toggle frun in
-      if toggle <= t_next && toggle <= until && toggle <= sched && c.events < budget then begin
-        record_samples_through t m toggle;
-        t.clock <- toggle;
-        Faults.toggle frun ~now:toggle
-      end
-      else if sched <= t_next && sched <= until then begin
-        record_samples_through t m sched;
-        t.clock <- sched;
-        c.events <- c.events + 1;
-        do_scheduled ~time:sched
-      end
-      else if t_next > until || c.events >= budget then begin
-        if t_next <= until then begin
-          (* Budget ran out before the window end: freeze this shard for
-             the rest of the run, like [drive]'s truncation. *)
-          t.truncated <- true;
-          slot.sl_frozen <- true
-        end;
-        record_samples_through t m until;
-        t.clock <- until;
-        running := false
-      end
-      else begin
-        if t.next_sample <= t_next || (t.probing && t.next_probe <= t_next) then
-          record_samples_through t m t_next;
-        t.clock <- t_next;
-        c.events <- c.events + 1;
-        let u = Rng.float rng *. total in
-        apply ~time:t_next ~u
-      end
-    done
-  end
-
-let drive_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?(max_events = 200_000_000)
-    ?sync_every ?(jobs = 1) ?should_stop ~name:_ ~rng ~faults ~horizon ~nshards build =
-  if nshards < 2 then
-    invalid_arg "Engine.drive_sharded: nshards must be >= 2 (1 shard = the unsharded engine)";
-  let sample_every =
-    match sample_every with Some dt -> dt | None -> Float.max (horizon /. 200.0) 1e-9
-  in
-  let sync_every =
-    match sync_every with
-    | Some dt when dt > 0.0 -> dt
-    | Some dt -> invalid_arg (Printf.sprintf "Engine.drive_sharded: sync_every %g <= 0" dt)
-    | None -> Float.max (horizon /. 200.0) 1e-9
-  in
-  let budget = (max_events + nshards - 1) / nshards in
-  (* The outage clockwork belongs to shard 0, where the fixed seed
-     lives; the other shards keep only the memoryless fault components
-     (churn, loss) and draw them from their own fault streams. *)
-  let shard_faults i =
-    if i = 0 then faults
-    else Faults.make ~abort_rate:faults.Faults.abort_rate ~loss_prob:faults.Faults.loss_prob ()
-  in
-  (* Shard streams split off the caller's rng in shard order — the
-     sharded counterpart of the runner's per-replication derivation. *)
-  let rngs = Array.init nshards (fun _ -> Rng.split rng) in
-  let handles =
-    Array.init nshards (fun i ->
-        make_handle ~probe:(probes i) ~resume:fresh ~rng:rngs.(i) ~faults:(shard_faults i)
-          ~horizon ~max_events:budget ~sample_every)
-  in
-  let outboxes = Array.init nshards (fun _ -> Vec.create ()) in
-  let messages = ref 0 in
-  let slots_and_extras =
-    Array.init nshards (fun i ->
-        let send ~time ~dst msg =
-          if dst < 0 || dst >= nshards || dst = i then
-            invalid_arg "Engine.drive_sharded: bad message destination";
-          Vec.push outboxes.(i) (time, dst, msg)
-        in
-        let sm, extra = build ~shard:i ~rng:rngs.(i) ~send handles.(i) in
-        ( { sl_handle = handles.(i); sl_rng = rngs.(i); sl_model = sm;
-            sl_outbox = outboxes.(i); sl_frozen = false },
-          extra ))
-  in
-  let slots = Array.map fst slots_and_extras in
-  let extras = Array.map snd slots_and_extras in
-  Array.iter (fun s -> record_samples_through s.sl_handle s.sl_model.sh_model s.sl_handle.start_time) slots;
-  let populations = Array.make nshards 0 in
-  let windows = ref 0 in
-  let stopped = ref false in
-  let final_time = ref horizon in
-  (* Window loop: parallel shard windows, then a sequential barrier. *)
-  let w = ref 1 in
-  let continue_ = ref true in
-  while !continue_ do
-    let wend = Float.min horizon (sync_every *. float_of_int !w) in
-    Pool.run ~jobs nshards (fun i -> run_shard_window slots.(i) ~until:wend);
-    (* Deliver cross-shard messages in (shard_id, seq) order: outbox
-       concatenation in shard order, each outbox already in send order.
-       Delivery consumes one receiver event per message. *)
-    Array.iteri
-      (fun src slot ->
-        let ob = slot.sl_outbox in
-        for j = 0 to Vec.length ob - 1 do
-          let _t_sent, dst, msg = Vec.get ob j in
-          incr messages;
-          let d = slots.(dst) in
-          d.sl_handle.counters.events <- d.sl_handle.counters.events + 1;
-          d.sl_model.sh_deliver ~time:wend ~src msg
-        done;
-        Vec.clear ob)
-      slots;
-    incr windows;
-    Array.iteri (fun i s -> populations.(i) <- s.sl_model.sh_model.population ()) slots;
-    Array.iter (fun s -> s.sl_model.sh_sync ~time:wend ~populations) slots;
-    (match should_stop with
-    | Some f when f () ->
-        stopped := true;
-        final_time := wend;
-        continue_ := false
-    | _ -> if wend >= horizon then continue_ := false else incr w)
-  done;
-  let tend = !final_time in
-  Array.iter
-    (fun s ->
-      Timeavg.close s.sl_handle.avg ~time:tend;
-      s.sl_model.sh_model.finish ~time:tend;
-      Faults.finish s.sl_handle.frun ~now:tend)
-    slots;
-  (* Merge.  Every shard walked the same sampling grid from 0 to the
-     final time, so the per-shard sample arrays are pointwise summable;
-     the population time-average is linear in the shard decomposition;
-     max_n is taken over the summed grid (plus the final state), so it
-     is exact on grid points and a lower bound between them. *)
-  let per_samples = Array.map (fun s -> Vec.to_array s.sl_handle.samples) slots in
-  let grid_len = Array.length per_samples.(0) in
-  Array.iter
-    (fun a -> if Array.length a <> grid_len then failwith "Engine.drive_sharded: ragged sample grids")
-    per_samples;
-  let samples =
-    Array.init grid_len (fun g ->
-        let tg, _ = per_samples.(0).(g) in
-        let n = ref 0 in
-        Array.iter (fun a -> n := !n + snd a.(g)) per_samples;
-        (tg, !n))
-  in
-  let sum f = Array.fold_left (fun acc s -> acc + f s.sl_handle.counters) 0 slots in
-  let final_ns = Array.map (fun s -> s.sl_model.sh_model.population ()) slots in
-  let final_n = Array.fold_left ( + ) 0 final_ns in
-  let max_n = Array.fold_left (fun m (_, n) -> Int.max m n) final_n samples in
-  let stats =
-    {
-      final_time = tend;
-      events = sum (fun c -> c.events);
-      arrivals = sum (fun c -> c.arrivals);
-      transfers = sum (fun c -> c.transfers);
-      completions = sum (fun c -> c.completions);
-      departures = sum (fun c -> c.departures);
-      time_avg_n = Array.fold_left (fun acc s -> acc +. Timeavg.average s.sl_handle.avg) 0.0 slots;
-      max_n;
-      final_n;
-      truncated = Array.exists (fun s -> s.sl_handle.truncated) slots;
-      stopped = !stopped;
-      outage_time = Faults.outage_time slots.(0).sl_handle.frun;
-      aborted_peers = sum (fun c -> c.aborted);
-      lost_transfers = sum (fun c -> c.lost);
-      samples;
-    }
-  in
-  ( {
-      sh_stats = stats;
-      sh_events = Array.map (fun s -> s.sl_handle.counters.events) slots;
-      sh_final_n = final_ns;
-      sh_messages = !messages;
-      sh_windows = !windows;
-    },
-    extras )
 
 type continuous = {
   c_advance : to_:float -> [ `Reached | `Stopped of float | `Step_limit ];

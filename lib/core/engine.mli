@@ -1,6 +1,9 @@
-(** The shared simulation-engine core behind all four simulators.
+(** The shared simulation-engine core behind every simulator:
+    {!drive} runs the jump processes ({!Sim_markov}, {!Sim_agent},
+    {!Sim_coded}, {!Sim_network} and the multi-class {!Hetero}), and
+    {!drive_continuous} the fluid model.
 
-    Every simulator in this library is the same machine wearing a
+    Every jump-process simulator is the same machine wearing a
     different model: an exponential race over a handful of aggregate
     rates, punctured by {e time barriers} (scheduled departures popping
     off a heap, seed-outage toggles), truncated by a horizon and an event
@@ -193,93 +196,6 @@ val drive :
     profile spans ([name ^ "/setup"], ["/event-loop"], ["/finalise"]).
     [sample_every] defaults to [horizon /. 200.] (floored at [1e-9]);
     [max_events] defaults to 200 million. *)
-
-(** {1 The sharded driver}
-
-    One logical swarm split across [nshards] local event loops
-    (ROADMAP item 1).  Each shard owns a generator split off the
-    caller's [rng] in shard order, a partition of the peers (see
-    {!Shard}), and its own engine handle; the horizon is divided into
-    sync windows of length [sync_every], and within a window every
-    shard runs the exact [drive] loop bounded by the window end —
-    redrawing the exponential race at the boundary, valid by
-    memorylessness.  Contacts whose downloader lives on another shard
-    are sent as messages; at the window barrier the calling domain
-    delivers all of them in [(shard_id, seq)] order (outbox
-    concatenation in shard order, each outbox in send order) at the
-    window-end time, then every shard receives a fresh population
-    snapshot ([sh_sync]) for its cross-shard rate bookkeeping.
-
-    {b Determinism contract.}  A sharded run is a pure function of
-    (rng, nshards, sync_every, sample grid): bit-identical across
-    repeated invocations and across any [jobs] count, because shard
-    windows touch only shard-owned state and the barrier is sequential.
-    Results {e do} change when [nshards] or [sync_every] changes — the
-    partition, the per-shard streams, and the barrier timing are all
-    part of the trajectory.  [nshards = 1] is {e defined} as the
-    unsharded engine: callers dispatch to {!drive}, which is why this
-    function refuses it. *)
-
-type 'msg shard_model = {
-  sh_model : model;  (** the shard-local event loop, exactly as for {!drive} *)
-  sh_deliver : time:float -> src:int -> 'msg -> unit;
-      (** apply one cross-shard message; [time] is the barrier time *)
-  sh_sync : time:float -> populations:int array -> unit;
-      (** post-barrier rate exchange: per-shard populations, the
-          receiver's own entry being its live value *)
-}
-
-type sharded_stats = {
-  sh_stats : stats;
-      (** merged: counters and [time_avg_n] are sums (the time-average
-          is linear in the shard decomposition), [samples] is the
-          pointwise sum over the shared grid, [max_n] the maximum of the
-          summed grid plus the final state (exact on grid points, a
-          lower bound between them), [outage_time] is shard 0's (the
-          fixed seed lives there). *)
-  sh_events : int array;
-      (** per-shard event counts — the partition proof the bench table
-          commits *)
-  sh_final_n : int array;
-  sh_messages : int;  (** cross-shard messages delivered *)
-  sh_windows : int;  (** sync barriers executed *)
-}
-
-val drive_sharded :
-  ?probes:(int -> P2p_obs.Probe.t) ->
-  ?sample_every:float ->
-  ?max_events:int ->
-  ?sync_every:float ->
-  ?jobs:int ->
-  ?should_stop:(unit -> bool) ->
-  name:string ->
-  rng:P2p_prng.Rng.t ->
-  faults:Faults.t ->
-  horizon:float ->
-  nshards:int ->
-  (shard:int ->
-  rng:P2p_prng.Rng.t ->
-  send:(time:float -> dst:int -> 'msg -> unit) ->
-  t ->
-  'msg shard_model * 'a) ->
-  sharded_stats * 'a array
-(** [drive_sharded ~rng ~faults ~horizon ~nshards build] runs one
-    sharded simulation on [[0, horizon]].  [build ~shard ~rng ~send h]
-    is called once per shard, in shard order, and must construct only
-    shard-local state; [rng] is the shard's own stream (the engine
-    draws the exponential race from the same one, as [drive] does);
-    [send ~time ~dst msg] enqueues a cross-shard message for delivery
-    at the next barrier.  [probes] supplies a
-    per-shard probe (default [Probe.none] everywhere); sampling probes
-    observe their own shard only.  [sync_every] defaults to
-    [horizon /. 200.] (the sample-grid default); [max_events] is a
-    global budget split evenly across shards — a shard that exhausts
-    its share freezes (truncated) while the others continue.
-    [jobs] caps the domains used per window (default 1 = inline);
-    [should_stop], polled at each barrier, ends the run early with
-    [stopped] set (the campaign watchdog hook).  The outage clockwork
-    runs on shard 0 only; churn and loss draws are per-shard.
-    @raise Invalid_argument if [nshards < 2]. *)
 
 (** {1 The continuous (fluid) model interface}
 

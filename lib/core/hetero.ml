@@ -172,25 +172,23 @@ type stats = {
   time_avg_n : float;
   max_n : int;
   final_n : int;
+  truncated : bool;
   samples : (float * int) array;
   class_mean_n : float array;
   class_mean_sojourn : float array;
 }
 
-let simulate ?sample_every ?(max_events = 200_000_000) ~rng t ~horizon =
+(* One multi-class model on [Engine.drive].  The bands, in race order:
+   arrivals (λ), the seed's contacts (U_s while anyone is present), then
+   each class's uploads (μ_c·n_c).  Departures after a seed dwell are
+   the scheduled events. *)
+let simulate ?sample_every ?max_events ~rng t ~horizon =
   let full = Pieceset.full ~k:t.k in
   let nc = Array.length t.classes in
   let global = bag_create () in
   let per_class = Array.init nc (fun _ -> bag_create ()) in
   let state = State.create () in
   let departures_heap : peer P2p_des.Heap.t = P2p_des.Heap.create () in
-  let clock = ref 0.0 in
-  let events = ref 0 in
-  let arrivals = ref 0 in
-  let transfers = ref 0 in
-  let departures = ref 0 in
-  let max_n = ref 0 in
-  let avg = P2p_stats.Timeavg.create () in
   let class_avg = Array.init nc (fun _ -> P2p_stats.Timeavg.create ()) in
   let sojourn = Array.init nc (fun _ -> P2p_stats.Welford.create ()) in
   (* flatten the arrival streams into (class, type, rate) *)
@@ -203,149 +201,137 @@ let simulate ?sample_every ?(max_events = 200_000_000) ~rng t ~horizon =
   in
   let stream_weights = Array.map (fun (_, _, r) -> r) streams in
   let lambda = Array.fold_left ( +. ) 0.0 stream_weights in
-
-  let new_peer ci set ~time =
-    let peer =
-      {
-        pieces = set;
-        klass = ci;
-        arrival_time = time;
-        slot_global = -1;
-        slot_class = -1;
-        departed = false;
-      }
+  let build eng =
+    let c = Engine.counters eng in
+    let new_peer ci set ~time =
+      let peer =
+        {
+          pieces = set;
+          klass = ci;
+          arrival_time = time;
+          slot_global = -1;
+          slot_class = -1;
+          departed = false;
+        }
+      in
+      bag_add `Global global peer;
+      bag_add `Class per_class.(ci) peer;
+      State.add_peer state set;
+      peer
     in
-    bag_add `Global global peer;
-    bag_add `Class per_class.(ci) peer;
-    State.add_peer state set;
-    peer
-  in
-  let depart peer ~time =
-    bag_remove `Global global peer;
-    bag_remove `Class per_class.(peer.klass) peer;
-    State.remove_peer state peer.pieces;
-    peer.departed <- true;
-    incr departures;
-    P2p_stats.Welford.add sojourn.(peer.klass) (time -. peer.arrival_time)
-  in
-  let complete peer ~time =
-    let c = t.classes.(peer.klass) in
-    if Float.is_finite c.gamma then begin
-      let dwell = Dist.exponential rng ~rate:c.gamma in
-      ignore (P2p_des.Heap.insert departures_heap ~key:(time +. dwell) peer)
-    end
-    else depart peer ~time
-  in
-  let deliver peer piece ~time =
-    incr transfers;
-    let target = Pieceset.add piece peer.pieces in
-    State.move_peer state ~from_:peer.pieces ~to_:target;
-    peer.pieces <- target;
-    if Pieceset.equal target full then complete peer ~time
-  in
-  let contact uploader_pieces ~time =
-    if global.len > 0 then begin
-      let downloader = bag_uniform global rng in
-      let useful = Pieceset.diff uploader_pieces downloader.pieces in
-      if not (Pieceset.is_empty useful) then
-        deliver downloader (Pieceset.choose_uniform (Rng.int_below rng) useful) ~time
-    end
-  in
-  let observe time =
-    P2p_stats.Timeavg.observe avg ~time ~value:(float_of_int global.len);
-    Array.iteri
-      (fun ci bag -> P2p_stats.Timeavg.observe class_avg.(ci) ~time ~value:(float_of_int bag.len))
-      per_class;
-    if global.len > !max_n then max_n := global.len
-  in
-  observe 0.0;
-  let sample_every =
-    match sample_every with Some dt -> dt | None -> Float.max (horizon /. 200.0) 1e-9
-  in
-  let samples = ref [] in
-  let next_sample = ref 0.0 in
-  let record_through time =
-    while !next_sample <= time && !next_sample <= horizon do
-      samples := (!next_sample, global.len) :: !samples;
-      next_sample := !next_sample +. sample_every
-    done
-  in
-  record_through 0.0;
-  let running = ref true in
-  while !running do
-    let rate_seed = if global.len = 0 then 0.0 else t.us in
-    let rate_peers = ref 0.0 in
-    Array.iteri
-      (fun ci bag -> rate_peers := !rate_peers +. (t.classes.(ci).mu *. float_of_int bag.len))
-      per_class;
-    let total = lambda +. rate_seed +. !rate_peers in
-    let dt = Dist.exponential rng ~rate:total in
-    let t_candidate = !clock +. dt in
-    let next_departure = P2p_des.Heap.min_key departures_heap in
-    let departure_first =
-      match next_departure with Some d -> d <= t_candidate && d <= horizon | None -> false
+    let depart peer ~time =
+      bag_remove `Global global peer;
+      bag_remove `Class per_class.(peer.klass) peer;
+      State.remove_peer state peer.pieces;
+      peer.departed <- true;
+      c.departures <- c.departures + 1;
+      P2p_stats.Welford.add sojourn.(peer.klass) (time -. peer.arrival_time)
     in
-    if departure_first then begin
-      match P2p_des.Heap.pop_min departures_heap with
-      | Some (time, peer) ->
-          record_through time;
-          clock := time;
-          incr events;
-          if not peer.departed then depart peer ~time;
-          observe time
-      | None -> assert false
-    end
-    else if t_candidate > horizon || !events >= max_events then begin
-      record_through horizon;
-      P2p_stats.Timeavg.close avg ~time:horizon;
-      Array.iter (fun a -> P2p_stats.Timeavg.close a ~time:horizon) class_avg;
-      clock := horizon;
-      running := false
-    end
-    else begin
-      record_through t_candidate;
-      clock := t_candidate;
-      incr events;
-      let u = Rng.float rng *. total in
+    let complete peer ~time =
+      let cl = t.classes.(peer.klass) in
+      if Float.is_finite cl.gamma then begin
+        let dwell = Dist.exponential rng ~rate:cl.gamma in
+        ignore (P2p_des.Heap.insert departures_heap ~key:(time +. dwell) peer)
+      end
+      else depart peer ~time
+    in
+    let deliver peer piece ~time =
+      c.transfers <- c.transfers + 1;
+      let target = Pieceset.add piece peer.pieces in
+      State.move_peer state ~from_:peer.pieces ~to_:target;
+      peer.pieces <- target;
+      if Pieceset.equal target full then complete peer ~time
+    in
+    let contact uploader_pieces ~time =
+      if global.len > 0 then begin
+        let downloader = bag_uniform global rng in
+        let useful = Pieceset.diff uploader_pieces downloader.pieces in
+        if not (Pieceset.is_empty useful) then
+          deliver downloader (Pieceset.choose_uniform (Rng.int_below rng) useful) ~time
+      end
+    in
+    let observe time =
+      Engine.observe eng ~time ~n:global.len;
+      Array.iteri
+        (fun ci bag ->
+          P2p_stats.Timeavg.observe class_avg.(ci) ~time ~value:(float_of_int bag.len))
+        per_class
+    in
+    observe 0.0;
+    let seed_rate () = if global.len = 0 then 0.0 else t.us in
+    let total_rate () =
+      let rate_peers = ref 0.0 in
+      for ci = 0 to nc - 1 do
+        rate_peers := !rate_peers +. (t.classes.(ci).mu *. float_of_int per_class.(ci).len)
+      done;
+      lambda +. seed_rate () +. !rate_peers
+    in
+    let apply ~time ~u =
+      let rate_seed = seed_rate () in
       if u < lambda then begin
         let idx = Dist.categorical rng ~weights:stream_weights in
         let ci, set, _ = streams.(idx) in
-        let peer = new_peer ci set ~time:!clock in
-        incr arrivals;
-        if Pieceset.equal set full then complete peer ~time:!clock
+        let peer = new_peer ci set ~time in
+        c.arrivals <- c.arrivals + 1;
+        if Pieceset.equal set full then complete peer ~time
       end
-      else if u < lambda +. rate_seed then contact full ~time:!clock
+      else if u < lambda +. rate_seed then contact full ~time
       else begin
         (* pick the uploader class proportionally to mu_c * n_c *)
         let target = u -. lambda -. rate_seed in
         let acc = ref 0.0 in
         let chosen = ref (-1) in
-        Array.iteri
-          (fun ci bag ->
-            if !chosen < 0 then begin
-              acc := !acc +. (t.classes.(ci).mu *. float_of_int bag.len);
-              if target < !acc then chosen := ci
-            end)
-          per_class;
+        for ci = 0 to nc - 1 do
+          if !chosen < 0 then begin
+            acc := !acc +. (t.classes.(ci).mu *. float_of_int per_class.(ci).len);
+            if target < !acc then chosen := ci
+          end
+        done;
         let ci = if !chosen < 0 then nc - 1 else !chosen in
         if per_class.(ci).len > 0 then begin
           let uploader = bag_uniform per_class.(ci) rng in
-          contact uploader.pieces ~time:!clock
+          contact uploader.pieces ~time
         end
       end;
-      observe !clock
-    end
-  done;
+      observe time
+    in
+    let scheduled ~time =
+      match P2p_des.Heap.pop_min departures_heap with
+      | Some (_, peer) ->
+          if not peer.departed then depart peer ~time;
+          observe time
+      | None -> assert false
+    in
+    ( {
+        Engine.total_rate;
+        apply;
+        next_scheduled =
+          (fun () ->
+            match P2p_des.Heap.min_key departures_heap with Some d -> d | None -> infinity);
+        scheduled;
+        population = (fun () -> global.len);
+        extra_sample = (fun ~time:_ -> ());
+        probe_sample = (fun ~time:_ -> assert false) (* no probe is attached *);
+        finish =
+          (fun ~time -> Array.iter (fun a -> P2p_stats.Timeavg.close a ~time) class_avg);
+      },
+      () )
+  in
+  let s, () =
+    Engine.drive ?sample_every ?max_events ~name:"hetero" ~rng ~faults:Faults.none ~horizon
+      build
+  in
   {
-    final_time = !clock;
-    events = !events;
-    arrivals = !arrivals;
-    transfers = !transfers;
-    departures = !departures;
-    time_avg_n = P2p_stats.Timeavg.average avg;
-    max_n = !max_n;
-    final_n = global.len;
-    samples = Array.of_list (List.rev !samples);
+    final_time = s.final_time;
+    events = s.events;
+    arrivals = s.arrivals;
+    transfers = s.transfers;
+    departures = s.departures;
+    time_avg_n = s.time_avg_n;
+    max_n = s.max_n;
+    final_n = s.final_n;
+    truncated = s.truncated;
+    samples = s.samples;
     class_mean_n = Array.map P2p_stats.Timeavg.average class_avg;
     class_mean_sojourn = Array.map P2p_stats.Welford.mean sojourn;
   }

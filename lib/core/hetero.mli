@@ -65,6 +65,9 @@ type stats = {
   time_avg_n : float;
   max_n : int;
   final_n : int;
+  truncated : bool;
+      (** the [max_events] budget ran out before [horizon]; see
+          {!Engine.stats.truncated} *)
   samples : (float * int) array;
   class_mean_n : float array;  (** time-average population per class *)
   class_mean_sojourn : float array;  (** [nan] where no departures *)
@@ -77,6 +80,8 @@ val simulate :
   t ->
   horizon:float ->
   stats
+(** One run on {!Engine.drive}, without faults or probes; [sample_every]
+    and [max_events] default as there. *)
 
 val simulate_seeded :
   ?sample_every:float -> ?max_events:int -> seed:int -> t -> horizon:float -> stats

@@ -92,47 +92,3 @@ val run_seeded :
   config ->
   horizon:float ->
   stats * State.t
-
-(** {1 Sharded runs}
-
-    The agent swarm partitioned across shards (see
-    {!Engine.drive_sharded} and DESIGN §17).  [shards = 1] dispatches to
-    {!run} and is bit-identical to it.  For [shards >= 2]: peer ids are
-    globally unique ([shard + n*shards]); the unsuccessful-contact boost
-    is shard-local (cross-shard upload outcomes never reach the
-    uploader's shard); [one_club_time_fraction] is the ratio of
-    time-averages (Σ per-shard club-count averages over the global
-    time-averaged population) rather than the time-average of the
-    instantaneous ratio. *)
-
-type shard_report = {
-  shards : int;
-  windows : int;
-  cross_messages : int;
-  shard_events : int array;  (** per-shard event counts *)
-  shard_final_n : int array;
-}
-
-val run_sharded :
-  ?probes:(int -> P2p_obs.Probe.t) ->
-  ?sample_every:float ->
-  ?max_events:int ->
-  ?sync_every:float ->
-  ?jobs:int ->
-  shards:int ->
-  rng:P2p_prng.Rng.t ->
-  config ->
-  horizon:float ->
-  stats * State.t * shard_report
-
-val run_sharded_seeded :
-  ?probes:(int -> P2p_obs.Probe.t) ->
-  ?sample_every:float ->
-  ?max_events:int ->
-  ?sync_every:float ->
-  ?jobs:int ->
-  shards:int ->
-  seed:int ->
-  config ->
-  horizon:float ->
-  stats * State.t * shard_report

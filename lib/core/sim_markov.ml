@@ -225,235 +225,3 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ?resume ?until
 let run_seeded ?probe ?observer ?sample_every ?max_events ?resume ?until ~seed config ~horizon =
   let rng = Rng.of_seed seed in
   run ?probe ?observer ?sample_every ?max_events ?resume ?until ~rng config ~horizon
-
-(* ---- the sharded run path ---- *)
-
-type shard_report = {
-  shards : int;
-  windows : int;
-  cross_messages : int;
-  shard_events : int array;
-  shard_final_n : int array;
-  shard_states : State.t array;
-}
-
-let merged_state states =
-  State.of_counts (List.concat_map State.to_alist (Array.to_list states))
-
-let run_sharded ?(probes = fun _ -> Probe.none) ?sample_every ?max_events ?sync_every ?jobs
-    ?should_stop ~shards ~rng config ~horizon =
-  if shards < 1 then invalid_arg "Sim_markov.run_sharded: shards must be >= 1";
-  if shards = 1 then begin
-    (* One shard is *defined* as the unsharded engine: same draws, same
-       grid, bit-identical to [run] — the goldens' anchor. *)
-    let stats, state = run ~probe:(probes 0) ?sample_every ?max_events ~rng config ~horizon in
-    ( stats,
-      state,
-      {
-        shards = 1;
-        windows = 0;
-        cross_messages = 0;
-        shard_events = [| stats.events |];
-        shard_final_n = [| stats.final_n |];
-        shard_states = [| State.copy state |];
-      } )
-  end
-  else begin
-    let p = config.params in
-    let full = Params.full_set p in
-    let immediate = Params.immediate_departure p in
-    let us = p.us and mu = p.mu and gamma = p.gamma in
-    let abort_rate = config.faults.abort_rate in
-    let lambda_share = Params.lambda_total p /. float_of_int shards in
-    let parts = Shard.partition_counts ~shards config.initial in
-    let barrier_empties = ref 0 in
-    let sharded, states =
-      Engine.drive_sharded ~probes ?sample_every ?max_events ?sync_every ?jobs ?should_stop
-        ~name:"sim_markov" ~rng ~faults:config.faults ~horizon ~nshards:shards
-        (fun ~shard ~rng ~send h ->
-          (* One shard of the markov swarm: [run]'s model re-read
-             through the partition.  Arrivals are Poisson-thinned (λ/S
-             per shard), contact *initiation* is local (μ·n_i sums to
-             μ·n over the shards), and the downloader of every contact
-             is drawn uniformly over the global population as this
-             shard sees it — own peers live, the others from the last
-             sync snapshot.  A remote downloader turns the contact into
-             a message; the receiving shard picks the concrete
-             downloader and resolves the policy with its own generator.
-             The fixed seed lives on shard 0. *)
-          let probe = probes shard in
-          let tracing = probe.Probe.tracing in
-          let state = State.of_counts parts.(shard) in
-          let arrival_alias = Dist.Alias.make (Array.map snd p.arrivals) in
-          let counters = Engine.counters h in
-          let frun = Engine.faults h in
-          let contact_tm = Hist.timer (Hist.get probe.Probe.hists "sim_markov/contact") in
-          Engine.observe h ~time:(Engine.start_time h) ~n:(State.n state);
-          let seeds = ref (State.count state full) in
-          let remote = Array.make shards 0 in
-          let visible_remote () =
-            let t = ref 0 in
-            Array.iteri (fun j nj -> if j <> shard then t := !t + nj) remote;
-            !t
-          in
-          let rate_arrival = ref lambda_share in
-          let rate_seed_contact = ref 0.0 in
-          let rate_peer_contact = ref 0.0 in
-          let rate_abort = ref 0.0 in
-          let total_rate () =
-            let n = State.n state in
-            let s = !seeds in
-            rate_seed_contact :=
-              (if shard = 0 && n + visible_remote () > 0 && Faults.seed_up frun then us else 0.0);
-            rate_peer_contact := mu *. float_of_int n;
-            rate_abort := abort_rate *. float_of_int (n - s);
-            let rate_departure = if immediate then 0.0 else gamma *. float_of_int s in
-            !rate_arrival +. !rate_seed_contact +. !rate_peer_contact +. !rate_abort
-            +. rate_departure
-          in
-          (* Resolve a contact whose downloader routing already chose
-             this shard, or forward it across the boundary. *)
-          let contact uploader ~time =
-            match
-              Shard.route ~draw:(Rng.int_below rng) ~me:shard ~local_n:(State.n state) ~remote
-            with
-            | Shard.Nobody -> false
-            | Shard.Local ->
-                let c_t0 = Hist.tick contact_tm in
-                let changed =
-                  resolve_contact ~rng ~frun ~p ~policy:config.policy ~state ~uploader
-                    ~downloader:(State.sample_uniform_peer state ~draw:(Rng.int_below rng))
-                    ~seeds ~counters ~probe ~time
-                in
-                Hist.tock contact_tm c_t0;
-                changed
-            | Shard.Remote dst ->
-                let up =
-                  match uploader with Policy.Fixed_seed -> None | Policy.Peer c -> Some c
-                in
-                send ~time ~dst { Shard.uploader = up };
-                false
-          in
-          let apply ~time ~u =
-            let changed =
-              if u < !rate_arrival then begin
-                let idx = Dist.Alias.sample rng arrival_alias in
-                let pieces = fst p.arrivals.(idx) in
-                State.add_peer state pieces;
-                if Pieceset.equal pieces full then incr seeds;
-                counters.arrivals <- counters.arrivals + 1;
-                if tracing then Probe.arrival probe ~time ~pieces;
-                true
-              end
-              else if u < !rate_arrival +. !rate_seed_contact then
-                contact Policy.Fixed_seed ~time
-              else if u < !rate_arrival +. !rate_seed_contact +. !rate_peer_contact then begin
-                let uploader_type =
-                  State.sample_uniform_peer state ~draw:(Rng.int_below rng)
-                in
-                contact (Policy.Peer uploader_type) ~time
-              end
-              else if
-                u < !rate_arrival +. !rate_seed_contact +. !rate_peer_contact +. !rate_abort
-              then begin
-                let rec pick () =
-                  let c = State.sample_uniform_peer state ~draw:(Rng.int_below rng) in
-                  if Pieceset.equal c full then pick () else c
-                in
-                State.remove_peer state (pick ());
-                counters.aborted <- counters.aborted + 1;
-                counters.departures <- counters.departures + 1;
-                if tracing then Probe.departure probe ~time Aborted;
-                true
-              end
-              else begin
-                State.remove_peer state full;
-                decr seeds;
-                counters.departures <- counters.departures + 1;
-                if tracing then Probe.departure probe ~time Seed_departed;
-                true
-              end
-            in
-            if changed then Engine.observe h ~time ~n:(State.n state)
-          in
-          let sh_deliver ~time ~src:_ (msg : Shard.msg) =
-            (* The target shard emptied since the sender looked: the
-               contact finds nobody and dissolves. *)
-            if State.n state > 0 then begin
-              let uploader =
-                match msg.Shard.uploader with
-                | None -> Policy.Fixed_seed
-                | Some c -> Policy.Peer c
-              in
-              let c_t0 = Hist.tick contact_tm in
-              let changed =
-                resolve_contact ~rng ~frun ~p ~policy:config.policy ~state ~uploader
-                  ~downloader:(State.sample_uniform_peer state ~draw:(Rng.int_below rng))
-                  ~seeds ~counters ~probe ~time
-              in
-              Hist.tock contact_tm c_t0;
-              if changed then Engine.observe h ~time ~n:(State.n state)
-            end
-          in
-          let sh_sync ~time:_ ~populations =
-            Array.blit populations 0 remote 0 shards;
-            if shard = 0 && Array.for_all (fun n -> n = 0) populations then
-              incr barrier_empties
-          in
-          let model =
-            {
-              Engine.total_rate;
-              apply;
-              next_scheduled = (fun () -> infinity);
-              scheduled = (fun ~time:_ -> ());
-              population = (fun () -> State.n state);
-              extra_sample = (fun ~time:_ -> ());
-              probe_sample =
-                (fun ~time ->
-                  Probe.sample ~time ~k:p.k ~n:(State.n state)
-                    ~count_of:(State.count state)
-                    ~piece_counts:(State.piece_count_vector state ~k:p.k));
-              finish = (fun ~time:_ -> ());
-            }
-          in
-          ({ Engine.sh_model = model; sh_deliver; sh_sync }, state))
-    in
-    let common = sharded.Engine.sh_stats in
-    let stats =
-      {
-        final_time = common.Engine.final_time;
-        events = common.Engine.events;
-        arrivals = common.Engine.arrivals;
-        transfers = common.Engine.transfers;
-        completions = common.Engine.completions;
-        departures = common.Engine.departures;
-        time_avg_n = common.Engine.time_avg_n;
-        max_n = common.Engine.max_n;
-        final_n = common.Engine.final_n;
-        (* Sampled at sync barriers, not per event: the sharded loop has
-           no global per-event view.  Documented in DESIGN §17. *)
-        visits_to_empty = !barrier_empties;
-        truncated = common.Engine.truncated;
-        stopped = common.Engine.stopped;
-        outage_time = common.Engine.outage_time;
-        aborted_peers = common.Engine.aborted_peers;
-        lost_transfers = common.Engine.lost_transfers;
-        samples = common.Engine.samples;
-      }
-    in
-    ( stats,
-      merged_state states,
-      {
-        shards;
-        windows = sharded.Engine.sh_windows;
-        cross_messages = sharded.Engine.sh_messages;
-        shard_events = sharded.Engine.sh_events;
-        shard_final_n = sharded.Engine.sh_final_n;
-        shard_states = states;
-      } )
-  end
-
-let run_sharded_seeded ?probes ?sample_every ?max_events ?sync_every ?jobs ?should_stop ~shards
-    ~seed config ~horizon =
-  run_sharded ?probes ?sample_every ?max_events ?sync_every ?jobs ?should_stop ~shards
-    ~rng:(Rng.of_seed seed) config ~horizon

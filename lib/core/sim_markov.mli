@@ -89,56 +89,3 @@ val run_seeded :
   horizon:float ->
   stats * State.t
 (** Convenience wrapper constructing the RNG from an integer seed. *)
-
-(** {1 Sharded runs}
-
-    The swarm partitioned across shards and driven by
-    {!Engine.drive_sharded}: λ/S arrivals per shard, local contact
-    initiation, global downloader routing with cross-shard contacts
-    resolved at sync barriers.  See DESIGN §17 for the protocol and the
-    determinism contract (reproducible for a fixed shard count and any
-    [jobs]; trajectories change when the shard count changes). *)
-
-type shard_report = {
-  shards : int;
-  windows : int;  (** sync barriers executed (0 for the 1-shard path) *)
-  cross_messages : int;  (** contacts that crossed a shard boundary *)
-  shard_events : int array;  (** per-shard event counts *)
-  shard_final_n : int array;
-  shard_states : State.t array;  (** final per-shard partitions *)
-}
-
-val run_sharded :
-  ?probes:(int -> P2p_obs.Probe.t) ->
-  ?sample_every:float ->
-  ?max_events:int ->
-  ?sync_every:float ->
-  ?jobs:int ->
-  ?should_stop:(unit -> bool) ->
-  shards:int ->
-  rng:P2p_prng.Rng.t ->
-  config ->
-  horizon:float ->
-  stats * State.t * shard_report
-(** Simulate with the swarm split across [shards] shards, using up to
-    [jobs] domains per sync window (default 1).  [shards = 1] {e is}
-    the unsharded path: it dispatches to {!run} and is bit-identical to
-    it.  For [shards >= 2], [visits_to_empty] is sampled at sync
-    barriers (the sharded loop has no global per-event view) and the
-    returned state is the union of the shard partitions.  [probes]
-    supplies one probe per shard; [should_stop], polled at barriers,
-    ends the run with [stopped] set (the campaign watchdog hook). *)
-
-val run_sharded_seeded :
-  ?probes:(int -> P2p_obs.Probe.t) ->
-  ?sample_every:float ->
-  ?max_events:int ->
-  ?sync_every:float ->
-  ?jobs:int ->
-  ?should_stop:(unit -> bool) ->
-  shards:int ->
-  seed:int ->
-  config ->
-  horizon:float ->
-  stats * State.t * shard_report
-(** {!run_sharded} with the RNG constructed from an integer seed. *)

@@ -1,9 +1,10 @@
 (** Min-heap keyed by float timestamps, with O(log n) removal of arbitrary
     entries via handles.
 
-    This is the event queue of the discrete-event engine.  Handles allow a
-    peer's pending clock tick to be cancelled when the peer departs, which
-    the agent-level P2P simulator does constantly. *)
+    The scheduled-event queue of [Sim_agent], [Sim_coded], [Hetero] and
+    [Mg_inf].  Handles allow a peer's pending
+    clock tick to be cancelled when the peer departs, which the
+    agent-level P2P simulator does constantly. *)
 
 type 'a t
 

@@ -178,13 +178,6 @@ let hists g =
   Mutex.unlock g.lock;
   List.sort (fun (a, _) (b, _) -> String.compare a b) entries
 
-(* Fold one group into another by name — the per-shard → merged join of
-   a sharded run.  Associative and commutative up to float summation
-   order, like [merge_into]; a no-op when either group is disabled. *)
-let merge_group_into ~into src =
-  if into.g_live && src.g_live then
-    List.iter (fun (name, h) -> merge_into ~into:(get into name) h) (hists src)
-
 (* ---- serialisation ---- *)
 
 let to_json t =

@@ -114,12 +114,6 @@ val get : group -> string -> t
 val hists : group -> (string * t) list
 (** Live histograms sorted by name. *)
 
-val merge_group_into : into:group -> group -> unit
-(** Fold every histogram of the source group into the same-named
-    histogram of [into] (created on demand): the per-shard → merged join
-    of a sharded run.  Associative across any grouping of sources; a
-    no-op when either group is disabled. *)
-
 (** {1 Serialisation} *)
 
 val to_json : t -> Json.t

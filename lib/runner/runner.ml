@@ -280,7 +280,7 @@ let step ~on_error ~budget_s ~rep_timeout_s ~progress ~(log : chunk_log) ~master
       | Skip | Retry _ -> log.failures.(c) <- fail :: log.failures.(c))
 
 (* Per-domain replication-duration histograms: the observable behind
-   the runner's utilisation-imbalance question (ROADMAP item 2).  They
+   the runner's utilisation-imbalance question.  They
    are diagnostics of {e this} execution — chunk-to-domain assignment
    is racy by design — so, unlike every aggregate, their per-domain
    split is deliberately scheduling-dependent.  Each domain writes only

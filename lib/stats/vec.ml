@@ -21,4 +21,3 @@ let get t i =
 
 let to_array t = Array.sub t.data 0 t.len
 
-let clear t = t.len <- 0

@@ -17,5 +17,3 @@ val get : 'a t -> int -> 'a
 val to_array : 'a t -> 'a array
 (** Fresh array of the first [length] elements, in push order. *)
 
-val clear : 'a t -> unit
-(** Forgets the contents without shrinking the backing store. *)

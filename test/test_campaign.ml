@@ -39,7 +39,6 @@ let grid_spec ?(steps = 10) ?(horizon = 40.0) ?(reps = 1) () =
     policy = "random";
     backend = "markov";
     q = 16;
-    shards = 1;
     faults = Faults.none;
     mode =
       Spec.Grid
@@ -130,41 +129,42 @@ let test_markov_encoding_unchanged () =
   | Error m -> Alcotest.fail m
   | Ok spec ->
       Alcotest.(check string) "default backend" "markov" spec.Spec.backend;
-      Alcotest.(check int) "default q" 16 spec.Spec.q;
-      Alcotest.(check int) "default shards" 1 spec.Spec.shards
+      Alcotest.(check int) "default q" 16 spec.Spec.q
 
-(* Sharded cells: the shards field round-trips, changes the hash only
-   when non-default, and the validator enforces the markov + reps = 1
-   envelope. *)
-let test_sharded_spec () =
-  let base = grid_spec ~steps:2 ~reps:1 () in
-  let sharded = { base with Spec.shards = 2 } in
-  let json = Spec.to_json sharded in
-  Alcotest.(check bool) "shards encoded" true
-    (Json.member "shards" json = Some (Json.Int 2));
-  (match Spec.of_json json with
-  | Error m -> Alcotest.failf "sharded roundtrip rejected: %s" m
-  | Ok spec' ->
-      Alcotest.(check string) "hash stable" (Spec.hash sharded) (Spec.hash spec');
-      Alcotest.(check bool) "shards distinguishes hashes" true
-        (Spec.hash sharded <> Spec.hash base));
-  (match Spec.of_json (Spec.to_json { sharded with Spec.reps = 4 }) with
-  | Ok _ -> Alcotest.fail "sharded spec with reps > 1 accepted"
-  | Error _ -> ());
-  match Spec.of_json (Spec.to_json { (coded_spec ()) with Spec.shards = 2 }) with
-  | Ok _ -> Alcotest.fail "sharded coded spec accepted"
-  | Error _ -> ()
+(* Sharded cells were removed.  A spec still asking for them must fail
+   to load rather than silently run a single-loop experiment under the
+   old name; an explicit [1] asks for what every spec now gets. *)
+let test_shards_field_rejected () =
+  let with_shards n =
+    match Spec.to_json (grid_spec ()) with
+    | Json.Obj fields -> Json.Obj (fields @ [ ("shards", Json.Int n) ])
+    | _ -> assert false
+  in
+  List.iter
+    (fun n ->
+      match Spec.of_json (with_shards n) with
+      | Ok _ -> Alcotest.failf "\"shards\": %d accepted" n
+      | Error m ->
+          let says_removed =
+            List.exists (fun w -> w = "removed") (String.split_on_char ' ' m)
+          in
+          Alcotest.(check bool) (Printf.sprintf "error says removed: %s" m) true says_removed)
+    [ 2; 0 ];
+  match Spec.of_json (with_shards 1) with
+  | Error m -> Alcotest.failf "\"shards\": 1 rejected: %s" m
+  | Ok spec -> Alcotest.(check string) "same spec" (Spec.hash (grid_spec ())) (Spec.hash spec)
 
-let test_sharded_campaign_runs () =
-  with_temp_dir (fun dir ->
-      let spec = { (grid_spec ~steps:2 ~reps:1 ~horizon:40.0 ()) with Spec.shards = 2 } in
-      let o = run_clean (dir / "sharded") spec in
-      Alcotest.(check bool) "sharded campaign complete" true o.Campaign.complete;
-      Alcotest.(check int) "all cells evaluated" 4 o.Campaign.cells_done;
-      ignore (run_clean (dir / "again") spec);
-      Alcotest.(check string) "sharded store reproducible"
-        (read_file (Store.results_path ~dir:(dir / "sharded")))
-        (read_file (Store.results_path ~dir:(dir / "again"))))
+(* The canonical encoding and hash of a default markov spec, as recorded
+   before the shards field was removed: every existing store resumes. *)
+let test_markov_hash_pinned () =
+  Alcotest.(check string) "canonical encoding"
+    ({|{"schema":"p2p-campaign-spec","version":1,"name":"test-grid",|}
+    ^ {|"hypothesis":"H-test: Theorem 1 boundary is visible on a coarse grid",|}
+    ^ {|"k":2,"mu":1.0,"gamma":"inf","horizon":40.0,"reps":1,"master_seed":11,|}
+    ^ {|"policy":"random","mode":{"type":"grid","lambda":{"lo":0.3,"hi":2.7,"steps":10},|}
+    ^ {|"us":{"lo":0.3,"hi":1.8,"steps":10}}}|})
+    (Json.to_string (Spec.to_json (grid_spec ())));
+  Alcotest.(check string) "hash" "d65ff0e4f22a96b141f4ce014745d194" (Spec.hash (grid_spec ()))
 
 let test_coded_spec_roundtrip () =
   let spec = coded_spec () in
@@ -614,12 +614,11 @@ let () =
           Alcotest.test_case "markov encoding unchanged" `Quick
             test_markov_encoding_unchanged;
           Alcotest.test_case "coded spec roundtrip" `Quick test_coded_spec_roundtrip;
-          Alcotest.test_case "sharded spec" `Quick test_sharded_spec;
+          Alcotest.test_case "shards field rejected" `Quick test_shards_field_rejected;
+          Alcotest.test_case "markov hash pinned" `Quick test_markov_hash_pinned;
         ] );
       ( "coded backend",
         [ Alcotest.test_case "grid campaign runs" `Quick test_coded_campaign_runs ] );
-      ( "sharded cells",
-        [ Alcotest.test_case "grid campaign runs" `Quick test_sharded_campaign_runs ] );
       ( "cells",
         [
           Alcotest.test_case "grid row-major" `Quick test_grid_cells_row_major;

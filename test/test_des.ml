@@ -1,7 +1,6 @@
-(* Tests for the discrete-event substrate: the handle heap and the engine. *)
+(* Tests for the discrete-event substrate: the handle heap. *)
 
 module Heap = P2p_des.Heap
-module Engine = P2p_des.Engine
 
 (* ---- heap ---- *)
 
@@ -79,67 +78,6 @@ let prop_heap_random_removals =
       List.iter (fun (hd, remove_later) -> if remove_later then ignore (Heap.remove h hd)) handles;
       Heap.validate h)
 
-(* ---- engine ---- *)
-
-let test_engine_order () =
-  let e = Engine.create () in
-  let log = ref [] in
-  ignore (Engine.schedule e ~at:2.0 (fun _ -> log := 2 :: !log));
-  ignore (Engine.schedule e ~at:1.0 (fun _ -> log := 1 :: !log));
-  ignore (Engine.schedule e ~at:3.0 (fun _ -> log := 3 :: !log));
-  Engine.run_until e ~horizon:10.0;
-  Alcotest.(check (list int)) "fired in time order" [ 1; 2; 3 ] (List.rev !log);
-  Alcotest.(check (float 0.0)) "clock at horizon" 10.0 (Engine.now e)
-
-let test_engine_spawning () =
-  let e = Engine.create () in
-  let count = ref 0 in
-  let rec tick engine =
-    incr count;
-    if Engine.now engine < 5.0 then ignore (Engine.schedule_after engine ~delay:1.0 tick)
-  in
-  ignore (Engine.schedule e ~at:0.5 tick);
-  Engine.run_until e ~horizon:100.0;
-  Alcotest.(check int) "chain of events" 6 !count
-
-let test_engine_cancel () =
-  let e = Engine.create () in
-  let fired = ref false in
-  let h = Engine.schedule e ~at:1.0 (fun _ -> fired := true) in
-  Alcotest.(check bool) "cancelled" true (Engine.cancel e h);
-  Engine.run_until e ~horizon:5.0;
-  Alcotest.(check bool) "did not fire" false !fired
-
-let test_engine_past_raises () =
-  let e = Engine.create () in
-  ignore (Engine.schedule e ~at:2.0 (fun _ -> ()));
-  Engine.run_until e ~horizon:3.0;
-  Alcotest.(check bool) "scheduling in the past raises" true
-    (try
-       ignore (Engine.schedule e ~at:1.0 (fun _ -> ()));
-       false
-     with Invalid_argument _ -> true)
-
-let test_engine_horizon_boundary () =
-  let e = Engine.create () in
-  let fired = ref [] in
-  ignore (Engine.schedule e ~at:5.0 (fun _ -> fired := 5 :: !fired));
-  ignore (Engine.schedule e ~at:5.000001 (fun _ -> fired := 6 :: !fired));
-  Engine.run_until e ~horizon:5.0;
-  Alcotest.(check (list int)) "inclusive horizon" [ 5 ] !fired;
-  Engine.run_until e ~horizon:6.0;
-  Alcotest.(check (list int)) "later event next round" [ 6; 5 ] !fired
-
-let test_engine_run_while () =
-  let e = Engine.create () in
-  let count = ref 0 in
-  for i = 1 to 10 do
-    ignore (Engine.schedule e ~at:(float_of_int i) (fun _ -> incr count))
-  done;
-  Engine.run_while e (fun _ -> !count < 4);
-  Alcotest.(check int) "stopped by predicate" 4 !count;
-  Alcotest.(check int) "events fired tracked" 4 (Engine.events_fired e)
-
 let () =
   Alcotest.run "des"
     [
@@ -153,14 +91,5 @@ let () =
           Alcotest.test_case "clear" `Quick test_heap_clear;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
           QCheck_alcotest.to_alcotest prop_heap_random_removals;
-        ] );
-      ( "engine",
-        [
-          Alcotest.test_case "order" `Quick test_engine_order;
-          Alcotest.test_case "spawning" `Quick test_engine_spawning;
-          Alcotest.test_case "cancel" `Quick test_engine_cancel;
-          Alcotest.test_case "past raises" `Quick test_engine_past_raises;
-          Alcotest.test_case "horizon boundary" `Quick test_engine_horizon_boundary;
-          Alcotest.test_case "run_while" `Quick test_engine_run_while;
         ] );
     ]

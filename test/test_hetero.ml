@@ -91,6 +91,29 @@ let test_simulation_conservation () =
   Alcotest.(check int) "conservation" (s.arrivals - s.departures) s.final_n;
   Alcotest.(check int) "class count" 2 (Array.length s.class_mean_n)
 
+(* The event budget is reported, as by every other simulator. *)
+let test_truncation_flag () =
+  let h = two_classes ~lam_fast:0.3 ~lam_slow:0.3 in
+  let s = Hetero.simulate_seeded ~max_events:50 ~seed:7 h ~horizon:300.0 in
+  Alcotest.(check bool) "budget of 50 truncates" true s.truncated;
+  Alcotest.(check int) "events = budget" 50 s.events;
+  let s = Hetero.simulate_seeded ~seed:7 h ~horizon:300.0 in
+  Alcotest.(check bool) "default budget does not" false s.truncated
+
+(* Pinned from the stand-alone event loop this simulator had before it
+   ran on [Engine.drive]: the re-expression kept the draw stream. *)
+let test_golden () =
+  let h = two_classes ~lam_fast:0.3 ~lam_slow:0.3 in
+  let s = Hetero.simulate_seeded ~seed:7 h ~horizon:300.0 in
+  Alcotest.(check int) "events" 8863 s.events;
+  Alcotest.(check int) "transfers" 558 s.transfers;
+  Alcotest.(check int) "final_n" 15 s.final_n;
+  Alcotest.(check int64) "time_avg_n bits" 4625402155371864137L
+    (Int64.bits_of_float s.time_avg_n);
+  Alcotest.(check (array int64)) "class_mean_n bits"
+    [| 4620987091684363247L; 4620810019804624019L |]
+    (Array.map Int64.bits_of_float s.class_mean_n)
+
 let test_simulation_matches_single_class_agent () =
   let p = Scenario.flash_crowd ~k:3 ~lambda:0.8 ~us:0.8 ~mu:1.0 ~gamma:2.0 in
   let avg run_fn =
@@ -171,6 +194,8 @@ let () =
           Alcotest.test_case "m_bar mixes" `Quick test_mbar_mixes_classes;
           Alcotest.test_case "supercritical" `Quick test_threshold_infinite_when_supercritical;
           Alcotest.test_case "conservation" `Quick test_simulation_conservation;
+          Alcotest.test_case "truncation flag" `Quick test_truncation_flag;
+          Alcotest.test_case "golden" `Quick test_golden;
           Alcotest.test_case "matches agent" `Slow test_simulation_matches_single_class_agent;
           Alcotest.test_case "two-class region" `Quick test_two_class_region_by_simulation;
           Alcotest.test_case "sojourn ordering" `Quick test_fast_class_finishes_faster;

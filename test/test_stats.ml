@@ -57,6 +57,24 @@ let test_welford_merge () =
   closef ~tol:1e-12 "merged mean" (Welford.mean whole) (Welford.mean merged);
   closef ~tol:1e-10 "merged variance" (Welford.variance whole) (Welford.variance merged)
 
+(* Merging is associative (within float tolerance), so the runner may
+   join per-domain accumulators in any grouping. *)
+let test_welford_merge_associative () =
+  let mk seed =
+    let w = Welford.create () in
+    let rng = P2p_prng.Rng.of_seed seed in
+    for _ = 1 to 50 do
+      Welford.add w (P2p_prng.Rng.float rng)
+    done;
+    w
+  in
+  let a = mk 10 and b = mk 20 and c = mk 30 in
+  let l = Welford.merge (Welford.merge a b) c in
+  let r = Welford.merge a (Welford.merge b c) in
+  Alcotest.(check int) "count" (Welford.count l) (Welford.count r);
+  Alcotest.(check (float 1e-12)) "mean" (Welford.mean l) (Welford.mean r);
+  Alcotest.(check (float 1e-9)) "variance" (Welford.variance l) (Welford.variance r)
+
 (* Merge algebra the replication runner relies on: empty is an exact
    identity, order does not matter (within float tolerance), and merging
    disjoint halves reproduces the single-pass result. *)
@@ -463,6 +481,7 @@ let () =
           Alcotest.test_case "merge order insensitive" `Quick test_welford_merge_order_insensitive;
           Alcotest.test_case "merge halves = single pass" `Quick
             test_welford_merge_halves_vs_single_pass;
+          Alcotest.test_case "merge associative" `Quick test_welford_merge_associative;
           Alcotest.test_case "confidence interval" `Quick test_welford_ci;
         ] );
       ( "timeavg",

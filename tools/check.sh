@@ -237,44 +237,28 @@ if [ "${CHECK_OBS:-0}" = "1" ]; then
   echo "== observability smoke OK =="
 fi
 
-# Optional shard smoke: CHECK_SHARD=1 proves the sharded engine's
-# determinism contract end to end through the CLI — two identical
-# 2-shard invocations must be byte-equal, a --jobs change must not
-# alter the output, and --shards 1 must be byte-identical to the plain
-# single-loop simulator (the goldens' anchor).
-if [ "${CHECK_SHARD:-0}" = "1" ]; then
-  out="${CHECK_SHARD_DIR:-_build/shard-smoke}"
+# Optional jobs smoke: CHECK_JOBS=1 checks end to end through the CLI
+# that the replication runner, the one multicore path, gives the same
+# statistics for any --jobs: a run at --jobs 1 and at --jobs 2 must
+# print identical output apart from the "wall ..." timing line.
+if [ "${CHECK_JOBS:-0}" = "1" ]; then
+  out=_build/jobs-smoke
   rm -rf "$out"
   mkdir -p "$out"
-  echo "== shard smoke (into $out) =="
+  echo "== jobs smoke (into $out) =="
   P2PSIM=_build/default/bin/p2psim.exe
-  ARGS="-k 3 --arrive none=2.0 --us 1 --mu 1 --gamma 2 --abort-rate 0.05 --horizon 150 --seed 11"
-  left=$(remaining)
-  timeout "$left" $P2PSIM simulate $ARGS --shards 2 --csv "$out/a.csv" >"$out/a.txt" || {
-    echo "FAIL: first 2-shard run exited non-zero" >&2; exit 1; }
-  left=$(remaining)
-  timeout "$left" $P2PSIM simulate $ARGS --shards 2 --csv "$out/b.csv" >"$out/b.txt" || {
-    echo "FAIL: second 2-shard run exited non-zero" >&2; exit 1; }
-  # stdout embeds the CSV path ("wrote .../a.csv"), so mask that one
-  # line before comparing — everything else must be byte-identical.
-  sed 's/^wrote .*/wrote CSV/' "$out/a.txt" >"$out/a.norm.txt"
-  sed 's/^wrote .*/wrote CSV/' "$out/b.txt" >"$out/b.norm.txt"
-  cmp "$out/a.csv" "$out/b.csv" && cmp "$out/a.norm.txt" "$out/b.norm.txt" || {
-    echo "FAIL: repeated 2-shard runs are not byte-identical" >&2; exit 1; }
-  left=$(remaining)
-  timeout "$left" $P2PSIM simulate $ARGS --shards 2 --jobs 2 --csv "$out/j2.csv" >/dev/null || {
-    echo "FAIL: 2-shard --jobs 2 run exited non-zero" >&2; exit 1; }
-  cmp "$out/a.csv" "$out/j2.csv" || {
-    echo "FAIL: --jobs changed the 2-shard trajectory" >&2; exit 1; }
-  left=$(remaining)
-  timeout "$left" $P2PSIM simulate $ARGS --csv "$out/plain.csv" >/dev/null || {
-    echo "FAIL: unsharded run exited non-zero" >&2; exit 1; }
-  left=$(remaining)
-  timeout "$left" $P2PSIM simulate $ARGS --shards 1 --csv "$out/s1.csv" >/dev/null || {
-    echo "FAIL: --shards 1 run exited non-zero" >&2; exit 1; }
-  cmp "$out/plain.csv" "$out/s1.csv" || {
-    echo "FAIL: --shards 1 is not byte-identical to the unsharded simulator" >&2; exit 1; }
-  echo "== shard smoke OK =="
+  ARGS="-k 3 --arrive none=2.0 --gamma 2 --abort-rate 0.05 --horizon 150 --seed 11 --reps 8"
+  for j in 1 2; do
+    left=$(remaining)
+    timeout "$left" $P2PSIM simulate $ARGS --jobs "$j" >"$out/jobs$j.txt" || {
+      echo "FAIL: --jobs $j run exited non-zero" >&2; exit 1; }
+    grep -v '^wall ' "$out/jobs$j.txt" >"$out/jobs$j.norm.txt"
+  done
+  cmp "$out/jobs1.norm.txt" "$out/jobs2.norm.txt" || {
+    echo "FAIL: --jobs 2 changed the replication statistics" >&2
+    diff "$out/jobs1.txt" "$out/jobs2.txt" >&2 || true
+    exit 1; }
+  echo "== jobs smoke OK =="
 fi
 
 echo "== tier-1 check OK =="
