@@ -798,9 +798,10 @@ let e17 () =
      exactly.  Does the Theorem 1 region survive sparsification?";
   let stable = Scenario.flash_crowd ~k:3 ~lambda:0.9 ~us:0.8 ~mu:1.0 ~gamma:2.0 in
   let transient = Scenario.flash_crowd ~k:3 ~lambda:1.3 ~us:0.3 ~mu:1.0 ~gamma:infinity in
-  let run params degree choice seed =
-    let cfg = { (Sim_network.default_config params) with degree; choice } in
-    Sim_network.run_seeded ~seed cfg ~horizon:1600.0
+  let random = (Policy.random_useful, Sim_agent.Swarm) in
+  let run params degree (policy, census) seed =
+    let cfg = { (Sim_agent.default_config params) with degree; policy; census } in
+    Sim_agent.run_seeded ~seed cfg ~horizon:1600.0
   in
   let degree_label = function None -> "inf" | Some d -> string_of_int d in
   Report.subsection "stable configuration (threshold 1.6 > lambda 0.9)";
@@ -808,7 +809,7 @@ let e17 () =
     ~header:[ "deg"; "verdict"; "mean N"; "mean overlay degree"; "components at end" ]
     (List.map
        (fun degree ->
-         let s, _ = run stable degree Sim_network.Random_useful 171 in
+         let s, _ = run stable degree random 171 in
          let r = Classify.of_samples s.samples in
          [
            degree_label degree;
@@ -823,7 +824,7 @@ let e17 () =
     ~header:[ "deg"; "verdict"; "dN/dt"; "final club fraction" ]
     (List.map
        (fun degree ->
-         let s, _ = run transient degree Sim_network.Random_useful 172 in
+         let s, _ = run transient degree random 172 in
          let r = Classify.of_samples s.samples in
          let _, club = s.club_samples.(Array.length s.club_samples - 1) in
          [
@@ -847,9 +848,9 @@ let e17 () =
            string_of_int s.silent_contacts;
          ])
        [
-         ("random useful", Sim_network.Random_useful);
-         ("rarest (global info)", Sim_network.Rarest_global);
-         ("rarest (neighborhood info)", Sim_network.Rarest_local);
+         ("random useful", random);
+         ("rarest (global info)", (Policy.rarest_first, Sim_agent.Swarm));
+         ("rarest (neighborhood info)", (Policy.random_useful, Sim_agent.Neighbourhood));
        ]);
   print_endline
     "(the stability region survives sparsification down to degree 1 here\n\

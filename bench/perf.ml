@@ -280,15 +280,14 @@ let sim_section ~quick =
           ("instrumented_ratio", Json.Float !best_ratio);
         ] )
   in
-  (* The coded and network workloads mirror the flash-crowd one: K = 4,
-     stable side, same horizon, so the four events/s figures are
+  (* The coded workload mirrors the flash-crowd one: K = 4,
+     stable side, same horizon, so the three events/s figures are
      comparable and the k=4 sampling probe fits all of them. *)
   let coded_config =
     Sim_coded.of_gift
       { Stability.Coded.q = 16; k = 4; us = 1.0; mu = 1.0; gamma = 2.0;
         lambda0 = 0.65; lambda1 = 0.35 }
   in
-  let network_config = Sim_network.default_config params in
   [
     measure "sim_markov" (fun probe ->
         let s, _ =
@@ -303,9 +302,6 @@ let sim_section ~quick =
     measure "sim_coded" (fun probe ->
         let s = Sim_coded.run_seeded ~probe ~seed:1 coded_config ~horizon in
         s.Sim_coded.events);
-    measure "sim_network" (fun probe ->
-        let s, _ = Sim_network.run_seeded ~probe ~seed:1 network_config ~horizon in
-        s.Sim_network.events);
   ]
 
 let scaling_section ~quick =
@@ -425,7 +421,7 @@ let ratchet_floors = [ ("sim_markov", 3.68e6 *. 2000.0 /. 24_427.0); ("sim_coded
 
 (* Per-simulator before/after speedup vs the committed PR3 baseline;
    [Null] when the baseline file is absent (e.g. a bare checkout).
-   Simulators the PR3 baseline never measured (coded, network) are
+   Simulators that baseline never measured (coded) are
    skipped rather than reported as null speedups. *)
 let vs_baseline_section sims =
   match read_json_file "BENCH_PR3.json" with
@@ -517,7 +513,7 @@ let bench_gate () =
           | _ ->
               Printf.eprintf "bench-gate: missing %s for %s\n" (gated_unit sim) sim;
               failed := true)
-        [ "sim_markov"; "sim_agent"; "sim_coded"; "sim_network" ];
+        [ "sim_markov"; "sim_agent"; "sim_coded" ];
       (* Ratcheted absolute floors, held against the COMMITTED baseline
          (full-bench figures — the fresh quick run measures lower on
          shorter walls and is policed by the relative threshold above).
@@ -577,7 +573,7 @@ let bench_gate () =
           | None ->
               Printf.eprintf "bench-gate: missing instrumented_ratio for %s\n" sim;
               failed := true)
-        [ "sim_markov"; "sim_agent"; "sim_coded"; "sim_network" ];
+        [ "sim_markov"; "sim_agent"; "sim_coded" ];
       let fluid_field name j =
         Option.bind (Json.member "fluid" j) (fun f ->
             Option.bind (Json.member name f) Json.to_float_opt)

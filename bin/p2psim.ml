@@ -1083,13 +1083,15 @@ let overlay_cmd =
     let choice_conv =
       Arg.enum
         [
-          ("random", Sim_network.Random_useful);
-          ("rarest-global", Sim_network.Rarest_global);
-          ("rarest-local", Sim_network.Rarest_local);
+          ("random", (Policy.random_useful, Sim_agent.Swarm));
+          ("rarest-global", (Policy.rarest_first, Sim_agent.Swarm));
+          ("rarest-local", (Policy.random_useful, Sim_agent.Neighbourhood));
         ]
     in
-    Arg.(value & opt choice_conv Sim_network.Random_useful & info [ "choice" ] ~docv:"NAME"
-         ~doc:"Piece choice: random|rarest-global|rarest-local.")
+    Arg.(value & opt choice_conv (Policy.random_useful, Sim_agent.Swarm)
+         & info [ "choice" ] ~docv:"NAME"
+         ~doc:"Piece choice: random|rarest-global|rarest-local (rarest-local needs a finite \
+               --degree; the fixed seed then sends a random useful piece).")
   in
   let replicated cfg ~horizon ~seed ~reps ~jobs ~faults ~on_error ~rep_timeout ~max_events
       ~progress:want_progress =
@@ -1101,8 +1103,8 @@ let overlay_cmd =
       @ fault_metric_names faults
     in
     let thunk ~rng ~index:_ =
-      let s, _ = Sim_network.run ?max_events ~rng cfg ~horizon in
-      Progress.add_events progress s.Sim_network.events;
+      let s, _ = Sim_agent.run ?max_events ~rng cfg ~horizon in
+      Progress.add_events progress s.Sim_agent.events;
       let growth = (Classify.of_samples s.samples).growth_rate in
       let degree =
         if Float.is_nan s.mean_degree_time_avg then 0.0 else s.mean_degree_time_avg
@@ -1122,7 +1124,10 @@ let overlay_cmd =
   in
   let run params horizon seed degree choice reps jobs faults on_error rep_timeout max_events
       tel =
-    let cfg = { (Sim_network.default_config params) with degree; choice; faults } in
+    let policy, census = choice in
+    if census = Sim_agent.Neighbourhood && Option.is_none degree then
+      usage_error "--choice rarest-local needs a finite --degree";
+    let cfg = { (Sim_agent.default_config params) with degree; policy; census; faults } in
     if reps > 1 then begin
       reject_single_run_telemetry tel;
       replicated cfg ~horizon ~seed ~reps ~jobs ~faults ~on_error ~rep_timeout ~max_events
@@ -1132,7 +1137,7 @@ let overlay_cmd =
     else begin
       let s, _ =
         with_single_run_probe tel ~k:params.k ~horizon (fun probe ->
-            Sim_network.run_seeded ~probe ?max_events ~seed cfg ~horizon)
+            Sim_agent.run_seeded ~probe ?max_events ~seed cfg ~horizon)
       in
       truncation_warning s.truncated;
       let r = Classify.of_samples s.samples in

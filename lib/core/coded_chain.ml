@@ -1,6 +1,4 @@
 module Lattice = P2p_coding.Lattice
-module Rng = P2p_prng.Rng
-module Dist = P2p_prng.Dist
 
 type config = {
   q : int;
@@ -140,80 +138,65 @@ type stats = {
   time_avg_n : float;
   max_n : int;
   final_n : int;
+  truncated : bool;
   samples : (float * int) array;
 }
 
-let simulate ?sample_every ~rng t ~init ~horizon =
+(* The chain as a model on [Engine.drive]: [total_rate] stashes the
+   transitions list, and [apply] walks it with the same cumulative rule
+   the generator row is summed in. *)
+let simulate ?sample_every ?max_events ~rng t ~init ~horizon =
   let state = copy_state init in
-  let clock = ref 0.0 in
-  let events = ref 0 in
-  let arrivals = ref 0 in
-  let departures = ref 0 in
-  let max_n = ref state.n in
-  let avg = P2p_stats.Timeavg.create () in
-  P2p_stats.Timeavg.observe avg ~time:0.0 ~value:(float_of_int state.n);
-  let sample_every =
-    match sample_every with Some dt -> dt | None -> Float.max (horizon /. 200.0) 1e-9
+  let build eng =
+    let c = Engine.counters eng in
+    let row = ref [] in
+    let total_rate () =
+      let ts = transitions t state in
+      row := ts;
+      List.fold_left (fun acc (_, r) -> acc +. r) 0.0 ts
+    in
+    let apply ~time ~u =
+      let rec pick acc = function
+        | [] -> assert false
+        | [ (tr, _) ] -> tr
+        | (tr, r) :: rest -> if acc +. r >= u then tr else pick (acc +. r) rest
+      in
+      let transition = pick 0.0 !row in
+      let before = state.n in
+      apply t state transition;
+      (match transition with
+      | Arrival _ -> c.arrivals <- c.arrivals + 1
+      | Seed_departure -> c.departures <- c.departures + 1
+      | Transfer _ -> if state.n < before then c.departures <- c.departures + 1);
+      Engine.observe eng ~time ~n:state.n
+    in
+    Engine.observe eng ~time:0.0 ~n:state.n;
+    ( {
+        Engine.total_rate;
+        apply;
+        next_scheduled = (fun () -> infinity);
+        scheduled = (fun ~time:_ -> ());
+        population = (fun () -> state.n);
+        extra_sample = (fun ~time:_ -> ());
+        probe_sample = (fun ~time:_ -> assert false) (* no probe is attached *);
+        finish = (fun ~time:_ -> ());
+      },
+      () )
   in
-  let samples = ref [] in
-  let next_sample = ref 0.0 in
-  let record_through time =
-    while !next_sample <= time && !next_sample <= horizon do
-      samples := (!next_sample, state.n) :: !samples;
-      next_sample := !next_sample +. sample_every
-    done
+  let s, () =
+    Engine.drive ?sample_every ?max_events ~name:"coded_chain" ~rng ~faults:Faults.none
+      ~horizon build
   in
-  record_through 0.0;
-  let running = ref true in
-  while !running do
-    let ts = transitions t state in
-    let total = List.fold_left (fun acc (_, r) -> acc +. r) 0.0 ts in
-    if total <= 0.0 then begin
-      record_through horizon;
-      P2p_stats.Timeavg.close avg ~time:horizon;
-      clock := horizon;
-      running := false
-    end
-    else begin
-      let dt = Dist.exponential rng ~rate:total in
-      let next = !clock +. dt in
-      if next > horizon then begin
-        record_through horizon;
-        P2p_stats.Timeavg.close avg ~time:horizon;
-        clock := horizon;
-        running := false
-      end
-      else begin
-        record_through next;
-        clock := next;
-        incr events;
-        let target = Rng.float rng *. total in
-        let rec pick acc = function
-          | [] -> assert false
-          | [ (tr, _) ] -> tr
-          | (tr, r) :: rest -> if acc +. r >= target then tr else pick (acc +. r) rest
-        in
-        let transition = pick 0.0 ts in
-        let before = state.n in
-        apply t state transition;
-        (match transition with
-        | Arrival _ -> incr arrivals
-        | Seed_departure -> incr departures
-        | Transfer _ -> if state.n < before then incr departures);
-        P2p_stats.Timeavg.observe avg ~time:!clock ~value:(float_of_int state.n);
-        if state.n > !max_n then max_n := state.n
-      end
-    end
-  done;
   {
-    final_time = !clock;
-    events = !events;
-    arrivals = !arrivals;
-    departures = !departures;
-    time_avg_n = P2p_stats.Timeavg.average avg;
-    max_n = !max_n;
-    final_n = state.n;
-    samples = Array.of_list (List.rev !samples);
+    final_time = s.final_time;
+    events = s.events;
+    arrivals = s.arrivals;
+    departures = s.departures;
+    time_avg_n = s.time_avg_n;
+    max_n = s.max_n;
+    final_n = s.final_n;
+    truncated = s.truncated;
+    samples = s.samples;
   }
 
 (* ---- exact stationary analysis ---- *)

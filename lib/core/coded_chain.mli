@@ -72,13 +72,23 @@ type stats = {
   time_avg_n : float;
   max_n : int;
   final_n : int;
+  truncated : bool;
+      (** the [max_events] budget ran out before [horizon]; time-based
+          statistics are biased toward the frozen final state *)
   samples : (float * int) array;
 }
 
 val simulate :
-  ?sample_every:float -> rng:P2p_prng.Rng.t -> t -> init:state -> horizon:float -> stats
-(** Exact Gillespie simulation on type counts (cost per event is
-    O(occupied types × covers), independent of the population). *)
+  ?sample_every:float ->
+  ?max_events:int ->
+  rng:P2p_prng.Rng.t ->
+  t ->
+  init:state ->
+  horizon:float ->
+  stats
+(** Exact Gillespie simulation on type counts, on {!Engine.drive} (cost
+    per event is O(occupied types × covers), independent of the
+    population).  [max_events] defaults to 200 million. *)
 
 (* ---- exact stationary analysis ---- *)
 

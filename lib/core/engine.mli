@@ -1,7 +1,7 @@
 (** The shared simulation-engine core behind every simulator:
-    {!drive} runs the jump processes ({!Sim_markov}, {!Sim_agent},
-    {!Sim_coded}, {!Sim_network} and the multi-class {!Hetero}), and
-    {!drive_continuous} the fluid model.
+    {!drive} runs the jump processes ({!Sim_markov}, {!Sim_agent} on any
+    overlay, {!Sim_coded}, the multi-class {!Hetero} and the type-level
+    {!Coded_chain}), and {!drive_continuous} the fluid model.
 
     Every jump-process simulator is the same machine wearing a
     different model: an exponential race over a handful of aggregate

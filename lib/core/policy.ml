@@ -60,6 +60,30 @@ let random_useful =
         if n = 0 then None else Some (Pieceset.nth_element useful (Rng.int_below rng n)));
   }
 
+(* Uniform over the pieces of [useful] (nonempty) whose [copies] count is
+   the least (resp. greatest): two allocation-free passes over the bitset
+   find the extreme count and collect the tied pieces, then one bounded
+   draw picks among them. *)
+let pick_extreme ~prefer_rare ~rng ~copies useful =
+  let rec extreme c b =
+    if Pieceset.is_empty c then b
+    else
+      let i = Pieceset.lowest c in
+      let n = copies i in
+      extreme (Pieceset.remove i c) (if prefer_rare then Int.min b n else Int.max b n)
+  in
+  let b = extreme useful (if prefer_rare then max_int else min_int) in
+  let rec ties c acc =
+    if Pieceset.is_empty c then acc
+    else
+      let i = Pieceset.lowest c in
+      ties (Pieceset.remove i c) (if copies i = b then Pieceset.add i acc else acc)
+  in
+  let tied = ties useful Pieceset.empty in
+  Pieceset.nth_element tied (Rng.int_below rng (Pieceset.cardinal tied))
+
+let rarest ~rng ~copies useful = pick_extreme ~prefer_rare:true ~rng ~copies useful
+
 (* Uniform over the useful pieces minimising (resp. maximising) the global
    copy count. *)
 let by_rarity ~name ~prefer_rare =
@@ -86,34 +110,15 @@ let by_rarity ~name ~prefer_rare =
             let chosen = Pieceset.fold (fun i acc -> if copies.(i) = b then Pieceset.add i acc else acc) useful Pieceset.empty in
             uniform_over chosen);
     sample_fast =
-      (* Two allocation-free passes over the useful bitset against the
-         state's O(1) incremental copy counts: find the extreme count,
-         collect the tied pieces as a bitset, draw uniformly. *)
+      (* Against the state's O(1) incremental copy counts. *)
       (fun ~rng ~k ~state ~uploader ~downloader ->
         let useful = useful_pieces ~k ~uploader ~downloader in
         if Pieceset.is_empty useful then None
-        else begin
-          let rec extreme c b =
-            if Pieceset.is_empty c then b
-            else
-              let i = Pieceset.lowest c in
-              let n = State.piece_copies state ~k ~piece:i in
-              extreme (Pieceset.remove i c) (if prefer_rare then Int.min b n else Int.max b n)
-          in
-          let b = extreme useful (if prefer_rare then max_int else min_int) in
-          let rec ties c acc =
-            if Pieceset.is_empty c then acc
-            else
-              let i = Pieceset.lowest c in
-              let acc =
-                if State.piece_copies state ~k ~piece:i = b then Pieceset.add i acc else acc
-              in
-              ties (Pieceset.remove i c) acc
-          in
-          let tied = ties useful Pieceset.empty in
-          let n = Pieceset.cardinal tied in
-          Some (Pieceset.nth_element tied (Rng.int_below rng n))
-        end);
+        else
+          Some
+            (pick_extreme ~prefer_rare ~rng
+               ~copies:(fun piece -> State.piece_copies state ~k ~piece)
+               useful));
   }
 
 let rarest_first = by_rarity ~name:"rarest-first" ~prefer_rare:true

@@ -54,7 +54,13 @@ val random_useful : t
 
 val rarest_first : t
 (** Uniform over the useful pieces with the fewest copies in the network
-    (counting every peer's holdings, as a tracker-assisted client could). *)
+    (counting every peer's holdings, as a tracker-assisted client could):
+    {!rarest} over {!State.piece_copies}. *)
+
+val rarest : rng:Rng.t -> copies:(int -> int) -> Pieceset.t -> int
+(** [rarest ~rng ~copies useful] is the rarity rule of {!rarest_first} for
+    any census: uniform over the pieces of the nonempty set [useful] with
+    the fewest [copies].  One bounded draw from [rng]. *)
 
 val most_common_first : t
 (** Uniform over the useful pieces with the {e most} copies — a

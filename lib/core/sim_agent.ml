@@ -1,10 +1,12 @@
 module Pieceset = P2p_pieceset.Pieceset
 module Rng = P2p_prng.Rng
 module Dist = P2p_prng.Dist
+module Adjacency = P2p_graph.Adjacency
 module Probe = P2p_obs.Probe
 module Hist = P2p_obs.Hist
 
 type dwell = Exp_dwell | Deterministic_dwell | Erlang_dwell of int
+type census = Swarm | Neighbourhood
 
 type config = {
   params : Params.t;
@@ -14,11 +16,13 @@ type config = {
   rare_piece : int;
   initial : (Pieceset.t * int) list;
   faults : Faults.t;
+  degree : int option;
+  census : census;
 }
 
 let default_config params =
   { params; policy = Policy.random_useful; dwell = Exp_dwell; eta = 1.0; rare_piece = 0;
-    initial = []; faults = Faults.none }
+    initial = []; faults = Faults.none; degree = None; census = Swarm }
 
 type groups = {
   young : int;
@@ -49,6 +53,7 @@ type stats = {
   transfers : int;
   completions : int;
   departures : int;
+  silent_contacts : int;
   time_avg_n : float;
   max_n : int;
   final_n : int;
@@ -58,9 +63,12 @@ type stats = {
   lost_transfers : int;
   samples : (float * int) array;
   group_samples : (float * groups) array;
+  club_samples : (float * float) array;
   mean_sojourn : float;
   sojourn_count : int;
   one_club_time_fraction : float;
+  mean_degree_time_avg : float;
+  final_component_sizes : int list;
 }
 
 (* Dynamic array of live peers with O(1) swap-removal. *)
@@ -140,13 +148,40 @@ let classify_groups config pop =
       else g := { c with young = c.young + 1 });
   !g
 
+(* The one-club witness that needs no designated piece: max over pieces
+   of the fraction of peers whose type is exactly F - {i}. *)
+let club_fraction (p : Params.t) state =
+  let n = State.n state in
+  if n = 0 then 0.0
+  else begin
+    let full = Params.full_set p in
+    let best = ref 0 in
+    for i = 0 to p.k - 1 do
+      best := Int.max !best (State.count state (Pieceset.remove i full))
+    done;
+    float_of_int !best /. float_of_int n
+  end
+
+(* Reject a bad config before any draw. *)
+let validate config =
+  let p = config.params in
+  let fail msg = invalid_arg ("Sim_agent.run: " ^ msg) in
+  if not (config.eta >= 1.0) then fail "eta must be >= 1";
+  if config.rare_piece < 0 || config.rare_piece >= p.k then fail "rare piece out of range";
+  (match config.degree with Some d when d < 1 -> fail "degree must be >= 1" | _ -> ());
+  (match config.dwell with Erlang_dwell m when m < 1 -> fail "Erlang stages must be >= 1" | _ -> ());
+  if config.census = Neighbourhood && Option.is_none config.degree then
+    fail "a neighbourhood census needs a sparse overlay";
+  if Params.immediate_departure p
+     && List.exists (fun (c, n) -> n > 0 && Pieceset.equal c (Params.full_set p)) config.initial
+  then fail "initial peer seeds need finite gamma"
+
 let sample_dwell config rng =
   let gamma = config.params.gamma in
   match config.dwell with
   | Exp_dwell -> Dist.exponential rng ~rate:gamma
   | Deterministic_dwell -> 1.0 /. gamma
   | Erlang_dwell m ->
-      if m < 1 then invalid_arg "Sim_agent: Erlang stages must be >= 1";
       let stage_rate = float_of_int m *. gamma in
       let total = ref 0.0 in
       for _ = 1 to m do
@@ -154,12 +189,12 @@ let sample_dwell config rng =
       done;
       !total
 
-let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
+let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~horizon =
+  validate config;
   let p = config.params in
-  if config.eta < 1.0 then invalid_arg "Sim_agent.run: eta must be >= 1";
-  if config.rare_piece < 0 || config.rare_piece >= p.k then
-    invalid_arg "Sim_agent.run: rare piece out of range";
-  let common, (state, group_samples, sojourn, club_avg) =
+  let sparse = Option.is_some config.degree in
+  let local = config.census = Neighbourhood in
+  let common, (state, pop, graph, silent, group_samples, club_samples, sojourn, club_avg, deg_avg) =
     Engine.drive ~probe ?sample_every ?max_events ~name:"sim_agent" ~rng
       ~faults:config.faults ~horizon (fun h ->
         let tracing = probe.Probe.tracing in
@@ -167,10 +202,16 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
         let one_club_type = Pieceset.remove config.rare_piece full in
         let pop = Population.create () in
         let state = State.create () in
+        (* The overlay: peers by id for neighbour lookups.  Both stay
+           empty on the complete graph. *)
+        let graph = Adjacency.create () in
+        let by_id : (int, peer) Hashtbl.t = Hashtbl.create 64 in
         let departures_heap : peer P2p_des.Heap.t = P2p_des.Heap.create () in
         let next_id = ref 0 in
+        let silent = ref 0 in
         let sojourn = P2p_stats.Welford.create () in
         let club_avg = P2p_stats.Timeavg.create () in
+        let deg_avg = P2p_stats.Timeavg.create () in
         let seed_boosted = ref false in
         let lambda_total = Params.lambda_total p in
         (* Walker alias table, as in Sim_markov: O(1) arrival-type draws. *)
@@ -178,6 +219,7 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
         let counters = Engine.counters h in
         let frun = Engine.faults h in
         let abort_rate = config.faults.abort_rate in
+        let notify ~time = match observer with Some f -> f ~time ~state | None -> () in
 
         let new_peer c ~time =
           let peer =
@@ -196,13 +238,27 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
           incr next_id;
           Population.add pop peer;
           State.add_peer state c;
+          Option.iter
+            (fun degree ->
+              Hashtbl.replace by_id peer.id peer;
+              Adjacency.add_node graph peer.id;
+              Adjacency.attach_uniform graph peer.id ~degree rng)
+            config.degree;
           peer
         in
-        let depart peer ~time =
+        let leave peer ~time =
           Population.remove pop peer;
-          State.remove_peer state peer.pieces;
+          if sparse then begin
+            Adjacency.remove_node graph peer.id;
+            Hashtbl.remove by_id peer.id
+          end;
           counters.departures <- counters.departures + 1;
           P2p_stats.Welford.add sojourn (time -. peer.arrival_time)
+        in
+        let depart peer ~time =
+          State.remove_peer state peer.pieces;
+          leave peer ~time;
+          notify ~time
         in
         let schedule_departure peer ~time =
           let dwell = sample_dwell config rng in
@@ -222,9 +278,7 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
             counters.completions <- counters.completions + 1;
             State.remove_peer state peer.pieces;
             peer.pieces <- target;
-            Population.remove pop peer;
-            counters.departures <- counters.departures + 1;
-            P2p_stats.Welford.add sojourn (time -. peer.arrival_time);
+            leave peer ~time;
             if tracing then Probe.departure probe ~time Completed
           end
           else begin
@@ -238,26 +292,50 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
               counters.completions <- counters.completions + 1;
               schedule_departure peer ~time
             end
-          end
+          end;
+          notify ~time
         in
-        (* Resolve one contact from [uploader] (None = fixed seed). *)
+        (* Copies of each piece held by [up] and its overlay neighbours. *)
+        let neighbourhood_copies up =
+          let counts = Array.make p.k 0 in
+          let tally c = Pieceset.iter (fun i -> counts.(i) <- counts.(i) + 1) c in
+          tally up.pieces;
+          Adjacency.iter_neighbors graph up.id (fun id -> tally (Hashtbl.find by_id id).pieces);
+          fun i -> counts.(i)
+        in
+        let choose uploader downloader =
+          match uploader with
+          | Some up when up == downloader -> None (* self-contact is never useful *)
+          | Some up when local ->
+              let useful = Pieceset.diff up.pieces downloader.pieces in
+              if Pieceset.is_empty useful then None
+              else Some (Policy.rarest ~rng ~copies:(neighbourhood_copies up) useful)
+          | _ ->
+              let uploader =
+                match uploader with None -> Policy.Fixed_seed | Some up -> Policy.Peer up.pieces
+              in
+              Policy.sample config.policy ~rng ~k:p.k ~state ~uploader
+                ~downloader:downloader.pieces
+        in
+        (* Resolve one contact from [uploader] (None = fixed seed, which
+           reaches every peer; a peer reaches only its neighbours, and an
+           isolated one only itself, which is never useful). *)
         let contact_tm = Hist.timer (Hist.get probe.Probe.hists "sim_agent/contact") in
         let contact uploader ~time =
           let c_t0 = Hist.tick contact_tm in
           (if Population.size pop = 0 then ()
           else begin
-            let downloader = Population.uniform pop rng in
-            let uploader_arg =
-              match uploader with None -> Policy.Fixed_seed | Some peer -> Policy.Peer peer.pieces
-            in
-            let choice =
+            let downloader =
               match uploader with
-              | Some up when up == downloader -> None (* self-contact is never useful *)
-              | _ ->
-                  Policy.sample config.policy ~rng ~k:p.k ~state ~uploader:uploader_arg
-                    ~downloader:downloader.pieces
+              | Some up when sparse -> (
+                  match Adjacency.sample_neighbor graph up.id rng with
+                  | Some id -> Hashtbl.find by_id id
+                  | None -> up)
+              | _ -> Population.uniform pop rng
             in
+            let choice = choose uploader downloader in
             let success = Option.is_some choice in
+            if not success then incr silent;
             if tracing then
               Probe.contact probe ~time ~seed:(Option.is_none uploader) ~useful:success;
             (match uploader with
@@ -281,10 +359,7 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
           (fun (c, count) ->
             for _ = 1 to count do
               let peer = new_peer c ~time:0.0 in
-              if Pieceset.equal c full then
-                if Params.immediate_departure p then
-                  invalid_arg "Sim_agent.run: initial peer seeds need finite gamma"
-                else schedule_departure peer ~time:0.0
+              if Pieceset.equal c full then schedule_departure peer ~time:0.0
             done)
           config.initial;
 
@@ -301,11 +376,14 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
               float_of_int club_count /. float_of_int n
             end
           in
-          P2p_stats.Timeavg.observe club_avg ~time ~value:club
+          P2p_stats.Timeavg.observe club_avg ~time ~value:club;
+          if sparse && n > 0 then
+            P2p_stats.Timeavg.observe deg_avg ~time ~value:(Adjacency.mean_degree graph)
         in
         observe 0.0;
 
         let group_samples = P2p_stats.Vec.create () in
+        let club_samples = P2p_stats.Vec.create () in
 
         (* Rate bands, stashed by [total_rate] for [apply]'s dispatch. *)
         let rate_arrival = ref 0.0 in
@@ -329,7 +407,8 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
             let peer = new_peer c ~time in
             counters.arrivals <- counters.arrivals + 1;
             if tracing then Probe.arrival probe ~time ~pieces:c;
-            if Pieceset.equal c full then schedule_departure peer ~time
+            if Pieceset.equal c full then schedule_departure peer ~time;
+            notify ~time
           end
           else if u < !rate_arrival +. !rate_seed then contact None ~time
           else if u < !rate_arrival +. !rate_seed +. !rate_peers then begin
@@ -343,9 +422,9 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
               let peer = Population.uniform pop rng in
               if Pieceset.equal peer.pieces full then pick () else peer
             in
-            depart (pick ()) ~time;
             counters.aborted <- counters.aborted + 1;
-            if tracing then Probe.departure probe ~time Aborted
+            if tracing then Probe.departure probe ~time Aborted;
+            depart (pick ()) ~time
           end;
           observe time
         in
@@ -363,23 +442,28 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
                 match P2p_des.Heap.pop_min departures_heap with
                 | Some (_, peer) ->
                     if not peer.departed then begin
-                      depart peer ~time;
-                      if tracing then
-                        Probe.departure probe ~time Seed_departed
+                      if tracing then Probe.departure probe ~time Seed_departed;
+                      depart peer ~time
                     end;
                     observe time
                 | None -> assert false);
             population = (fun () -> Population.size pop);
             extra_sample =
-              (fun ~time -> P2p_stats.Vec.push group_samples (time, classify_groups config pop));
+              (fun ~time ->
+                P2p_stats.Vec.push group_samples (time, classify_groups config pop);
+                P2p_stats.Vec.push club_samples (time, club_fraction p state));
             probe_sample =
               (fun ~time ->
                 Probe.sample ~time ~k:p.k ~n:(State.n state) ~count_of:(State.count state)
                   ~piece_counts:(State.piece_count_vector state ~k:p.k));
-            finish = (fun ~time -> P2p_stats.Timeavg.close club_avg ~time);
+            finish =
+              (fun ~time ->
+                P2p_stats.Timeavg.close club_avg ~time;
+                if sparse then P2p_stats.Timeavg.close deg_avg ~time);
           }
         in
-        (model, (state, group_samples, sojourn, club_avg)))
+        ( model,
+          (state, pop, graph, silent, group_samples, club_samples, sojourn, club_avg, deg_avg) ))
   in
   let stats =
     {
@@ -389,6 +473,7 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
       transfers = common.Engine.transfers;
       completions = common.Engine.completions;
       departures = common.Engine.departures;
+      silent_contacts = !silent;
       time_avg_n = common.Engine.time_avg_n;
       max_n = common.Engine.max_n;
       final_n = common.Engine.final_n;
@@ -398,12 +483,17 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
       lost_transfers = common.Engine.lost_transfers;
       samples = common.Engine.samples;
       group_samples = P2p_stats.Vec.to_array group_samples;
+      club_samples = P2p_stats.Vec.to_array club_samples;
       mean_sojourn = P2p_stats.Welford.mean sojourn;
       sojourn_count = P2p_stats.Welford.count sojourn;
       one_club_time_fraction = P2p_stats.Timeavg.average club_avg;
+      mean_degree_time_avg = (if sparse then P2p_stats.Timeavg.average deg_avg else nan);
+      final_component_sizes =
+        (if sparse then Adjacency.connected_component_sizes graph
+         else [ Population.size pop ]);
     }
   in
   (stats, state)
 
-let run_seeded ?probe ?sample_every ?max_events ~seed config ~horizon =
-  run ?probe ?sample_every ?max_events ~rng:(Rng.of_seed seed) config ~horizon
+let run_seeded ?probe ?observer ?sample_every ?max_events ~seed config ~horizon =
+  run ?probe ?observer ?sample_every ?max_events ~rng:(Rng.of_seed seed) config ~horizon

@@ -4,7 +4,7 @@
     of times per run (setup, the event loop, finalisation), not a
     per-event probe — so the clock reads never show up in the event
     loop's own profile.  {!disabled} follows the same dead-cell contract
-    as {!Metrics}: [start]/[stop] on it are a branch each, no clock read,
+    as {!Hist}: [start]/[stop] on it are a branch each, no clock read,
     no allocation beyond the shared dummy span.
 
     Accumulators are mutex-protected so replications running on several

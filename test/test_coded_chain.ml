@@ -163,6 +163,37 @@ let test_finite_gamma_seed_dwell () =
   Alcotest.(check int) "conservation" (s.arrivals - s.departures) s.final_n;
   Alcotest.(check bool) "departures happen" true (s.departures > 100)
 
+(* Pinned from the private race loop this simulator ran before it moved
+   onto Engine.drive: the move is bit-identical. *)
+let test_engine_golden () =
+  let t = Coded_chain.create { stable_cfg with gamma = 2.0 } in
+  let s =
+    Coded_chain.simulate ~sample_every:50.0 ~rng:(P2p_prng.Rng.of_seed 6) t
+      ~init:(Coded_chain.empty_state t) ~horizon:400.0
+  in
+  Alcotest.(check int) "events" 1486 s.events;
+  Alcotest.(check int) "arrivals" 415 s.arrivals;
+  Alcotest.(check int) "departures" 409 s.departures;
+  Alcotest.(check int) "final n" 6 s.final_n;
+  Alcotest.(check int) "max n" 12 s.max_n;
+  Alcotest.(check (array (pair (float 0.0) int))) "samples"
+    [| (0., 0); (50., 5); (100., 4); (150., 0); (200., 8); (250., 8); (300., 1); (350., 7);
+       (400., 6) |]
+    s.samples;
+  Alcotest.(check int64) "time-avg N bits" 4616270305733297701L
+    (Int64.bits_of_float s.time_avg_n);
+  Alcotest.(check bool) "not truncated" false s.truncated
+
+let test_truncated_flag () =
+  let t = Coded_chain.create stable_cfg in
+  let s =
+    Coded_chain.simulate ~max_events:50 ~rng:(P2p_prng.Rng.of_seed 6) t
+      ~init:(Coded_chain.empty_state t) ~horizon:400.0
+  in
+  Alcotest.(check bool) "budget exhaustion flagged" true s.truncated;
+  Alcotest.(check int) "stopped at the budget" 50 s.events;
+  Alcotest.(check bool) "stats closed at the horizon" true (Float.equal s.final_time 400.0)
+
 let () =
   Alcotest.run "coded_chain"
     [
@@ -181,6 +212,8 @@ let () =
           Alcotest.test_case "transient grows" `Quick test_transient_grows;
           Alcotest.test_case "exact vs simulated" `Slow test_exact_stationary_matches_simulation;
           Alcotest.test_case "finite gamma dwell" `Quick test_finite_gamma_seed_dwell;
+          Alcotest.test_case "engine golden" `Quick test_engine_golden;
+          Alcotest.test_case "truncated flag" `Quick test_truncated_flag;
         ] );
       ( "lyapunov-56",
         [

@@ -16,9 +16,26 @@ module Rng = P2p_prng.Rng
    given transition equals rate/total_rate, and the time to it is
    exponential with mean 1/total_rate.  We measure both by running many
    very short simulations from that state and diffing states.  Sim_markov
-   races only contacts between different types (DESIGN §18), so these
-   two laws are what pins it to Eq. (1). *)
-let check_first_jump_law ~seed ~reps p initial =
+   races only contacts between different types (DESIGN §18), and
+   Sim_agent races every peer's clock on its own, so these two laws are
+   what pins each of them to Eq. (1).  [run] is the backend under test. *)
+type runner =
+  observer:(time:float -> state:State.t -> unit) ->
+  rng:Rng.t ->
+  Params.t ->
+  (PS.t * int) list ->
+  horizon:float ->
+  unit
+
+let markov : runner =
+ fun ~observer ~rng p initial ~horizon ->
+  ignore (Sim_markov.run ~observer ~rng { (Sim_markov.default_config p) with initial } ~horizon)
+
+let agent : runner =
+ fun ~observer ~rng p initial ~horizon ->
+  ignore (Sim_agent.run ~observer ~rng { (Sim_agent.default_config p) with initial } ~horizon)
+
+let check_first_jump_law ~(run : runner) ~seed ~reps p initial =
   let state0 = State.of_counts initial in
   let transitions = Rate.transitions p state0 in
   let total_rate = List.fold_left (fun acc (_, r) -> acc +. r) 0.0 transitions in
@@ -40,7 +57,6 @@ let check_first_jump_law ~seed ~reps p initial =
   let observed = Hashtbl.create 16 in
   let holding = ref 0.0 in
   let rng = Rng.of_seed seed in
-  let config = { (Sim_markov.default_config p) with initial } in
   for _ = 1 to reps do
     (* run until the first state change using the observer *)
     let first = ref None in
@@ -48,7 +64,7 @@ let check_first_jump_law ~seed ~reps p initial =
       if Option.is_none !first then first := Some (time, fingerprint state)
     in
     (* a long-enough horizon that a change almost surely happens *)
-    ignore (Sim_markov.run ~observer ~rng config ~horizon:(60.0 /. total_rate));
+    run ~observer ~rng p initial ~horizon:(60.0 /. total_rate);
     match !first with
     | Some (time, key) ->
         holding := !holding +. time;
@@ -81,27 +97,27 @@ let check_first_jump_law ~seed ~reps p initial =
     true
     (Float.abs (mean -. theory) < 4.0 *. sigma)
 
-let test_first_jump_distribution () =
+let test_first_jump_distribution run () =
   let p =
     Params.make ~k:2 ~us:0.7 ~mu:1.0 ~gamma:2.0
       ~arrivals:[ (PS.empty, 0.6); (PS.singleton 0, 0.4) ]
   in
-  check_first_jump_law ~seed:1 ~reps:60_000 p
+  check_first_jump_law ~run ~seed:1 ~reps:60_000 p
     [ (PS.empty, 4); (PS.singleton 0, 2); (PS.singleton 1, 1); (PS.full ~k:2, 2) ]
 
 (* A one-club-heavy state: distinct-type pairs are under a quarter of all
    ordered pairs, so the pair sampler's rejection often gives up and the
    exact scan runs; two full peers sit out of the seed's downloaders, and
    three empty peers are uploaders that can never help. *)
-let test_first_jump_one_club () =
+let test_first_jump_one_club run () =
   let p =
     Params.make ~k:3 ~us:0.7 ~mu:1.0 ~gamma:2.0
       ~arrivals:[ (PS.empty, 0.5); (PS.singleton 2, 0.3) ]
   in
-  check_first_jump_law ~seed:3 ~reps:40_000 p
+  check_first_jump_law ~run ~seed:3 ~reps:40_000 p
     [ (PS.of_list [ 0; 1 ], 40); (PS.empty, 3); (PS.singleton 2, 1); (PS.full ~k:3, 2) ]
 
-(* ---- 2. four engines, one stationary mean ---- *)
+(* ---- 2. the exact chain and both simulators, one stationary mean ---- *)
 
 let test_four_engines_agree () =
   let p = Params.make ~k:2 ~us:0.9 ~mu:1.0 ~gamma:2.0 ~arrivals:[ (PS.empty, 0.5) ] in
@@ -118,11 +134,6 @@ let test_four_engines_agree () =
     (fst (Sim_agent.run_seeded ~seed:3 (Sim_agent.default_config p) ~horizon:25_000.0))
       .time_avg_n
   in
-  (* network simulation at degree = inf *)
-  let network =
-    (fst (Sim_network.run_seeded ~seed:4 (Sim_network.default_config p) ~horizon:25_000.0))
-      .time_avg_n
-  in
   let check name value =
     Alcotest.(check bool)
       (Printf.sprintf "%s %.3f vs exact %.3f" name value exact)
@@ -130,8 +141,7 @@ let test_four_engines_agree () =
       (Float.abs (value -. exact) /. exact < 0.08)
   in
   check "sim_markov" markov;
-  check "sim_agent" agent;
-  check "sim_network" network
+  check "sim_agent" agent
 
 (* ---- 3. fluid drift equals generator mean drift on random states ---- *)
 
@@ -205,9 +215,9 @@ let test_littles_law_everywhere () =
 (* Mostly peer seeds and a strong seed: the fixed seed's contacts land on
    a full peer three times in four, so its raced rate U_s·(n − x_F)/n is
    a quarter of U_s, and any slip in that exclusion moves both laws. *)
-let test_first_jump_seed_heavy () =
+let test_first_jump_seed_heavy run () =
   let p = Params.make ~k:2 ~us:2.0 ~mu:1.0 ~gamma:0.5 ~arrivals:[ (PS.empty, 0.5) ] in
-  check_first_jump_law ~seed:5 ~reps:40_000 p
+  check_first_jump_law ~run ~seed:5 ~reps:40_000 p
     [ (PS.full ~k:2, 6); (PS.empty, 1); (PS.singleton 0, 1) ]
 
 let () =
@@ -215,10 +225,18 @@ let () =
     [
       ( "conformance",
         [
-          Alcotest.test_case "first-jump law = generator row" `Slow test_first_jump_distribution;
+          Alcotest.test_case "first-jump law = generator row" `Slow
+            (test_first_jump_distribution markov);
           Alcotest.test_case "first-jump law, one-club-heavy state" `Slow
-            test_first_jump_one_club;
-          Alcotest.test_case "first-jump law, seed-heavy state" `Slow test_first_jump_seed_heavy;
+            (test_first_jump_one_club markov);
+          Alcotest.test_case "first-jump law, seed-heavy state" `Slow
+            (test_first_jump_seed_heavy markov);
+          Alcotest.test_case "agent first-jump law = generator row" `Slow
+            (test_first_jump_distribution agent);
+          Alcotest.test_case "agent first-jump law, one-club-heavy" `Slow
+            (test_first_jump_one_club agent);
+          Alcotest.test_case "agent first-jump law, seed-heavy" `Slow
+            (test_first_jump_seed_heavy agent);
           Alcotest.test_case "four engines, one mean" `Slow test_four_engines_agree;
           Alcotest.test_case "fluid = generator drift" `Quick test_fluid_equals_generator_everywhere;
           Alcotest.test_case "coded engines agree" `Slow test_coded_engines_agree;

@@ -1,12 +1,12 @@
-(* Engine-parity contracts for the coded and network simulators.
+(* Engine-parity contracts for the coded simulator and the per-peer
+   simulator on a sparse overlay.
 
-   These two simulators gained fault injection, probes, and truncation
-   when they moved onto the shared Engine core.  This suite pins the
-   guarantees that move demanded:
+   These paths gained fault injection, probes, and truncation when they
+   moved onto the shared Engine core.  This suite pins the guarantees
+   that move demanded:
 
-   - no-fault goldens: with Faults.none and no probe, both simulators
-     are bit-identical to the pre-engine loops (goldens captured from a
-     baseline build of the old code);
+   - no-fault goldens: with Faults.none and no probe, each run is
+     bit-identical to a pinned baseline;
    - probes observe, never perturb: a busy probe leaves every statistic
      bit-identical;
    - probe series are a function of the replication seed alone, so the
@@ -33,15 +33,15 @@ let coded_run ?probe ?max_events ~seed () =
   Sim_coded.run_seeded ?probe ?max_events ~seed (coded_config ()) ~horizon:300.0
 
 let network_params = Scenario.flash_crowd ~k:3 ~lambda:0.9 ~us:0.8 ~mu:1.0 ~gamma:2.0
-let network_config () = Sim_network.default_config network_params
+let network_config () = { (Sim_agent.default_config network_params) with degree = Some 4 }
 let network_run ?probe ?max_events ~seed () =
-  Sim_network.run_seeded ?probe ?max_events ~seed (network_config ()) ~horizon:500.0
+  Sim_agent.run_seeded ?probe ?max_events ~seed (network_config ()) ~horizon:500.0
 
 (* ---- no-fault golden bit-identity ----
 
-   Golden values from the pre-engine simulators (same seed, same
-   workload, faults = none).  If these move, every published coded or
-   network replication result silently changes. *)
+   Golden values (same seed, same workload, faults = none).  If these
+   move, every published coded or overlay replication result silently
+   changes. *)
 
 let test_golden_no_fault_coded () =
   let s = coded_run ~seed:81 () in
@@ -67,44 +67,24 @@ let test_golden_no_fault_coded () =
   Alcotest.(check int) "no aborts" 0 s.aborted_peers;
   Alcotest.(check int) "no losses" 0 s.lost_transfers
 
-let test_golden_no_fault_network () =
-  let s, _ = network_run ~seed:2024 () in
-  Alcotest.(check int) "events" 4709 s.events;
-  Alcotest.(check int) "arrivals" 461 s.arrivals;
-  Alcotest.(check int) "transfers" 1374 s.transfers;
-  Alcotest.(check int) "departures" 455 s.departures;
-  Alcotest.(check int) "silent contacts" 2419 s.silent_contacts;
-  Alcotest.(check int) "final n" 6 s.final_n;
-  Alcotest.(check int) "max n" 17 s.max_n;
-  Alcotest.(check bool)
-    (Printf.sprintf "time-avg N %.17g unchanged" s.time_avg_n)
-    true
-    (Float.equal s.time_avg_n 6.5988731799098614);
-  Alcotest.(check bool) "not truncated" false s.truncated;
-  Alcotest.(check int) "no outage time" 0 (compare s.outage_time 0.0);
-  Alcotest.(check int) "no aborts" 0 s.aborted_peers;
-  Alcotest.(check int) "no losses" 0 s.lost_transfers
-
 let test_golden_no_fault_network_sparse () =
-  let config =
-    { (network_config ()) with degree = Some 4; choice = Sim_network.Rarest_local }
-  in
-  let s, _ = Sim_network.run_seeded ~seed:7 config ~horizon:400.0 in
-  Alcotest.(check int) "events" 3751 s.events;
-  Alcotest.(check int) "arrivals" 362 s.arrivals;
-  Alcotest.(check int) "transfers" 1084 s.transfers;
-  Alcotest.(check int) "departures" 358 s.departures;
-  Alcotest.(check int) "silent contacts" 1947 s.silent_contacts;
+  let config = { (network_config ()) with census = Sim_agent.Neighbourhood } in
+  let s, _ = Sim_agent.run_seeded ~seed:7 config ~horizon:400.0 in
+  Alcotest.(check int) "events" 3886 s.events;
+  Alcotest.(check int) "arrivals" 376 s.arrivals;
+  Alcotest.(check int) "transfers" 1124 s.transfers;
+  Alcotest.(check int) "departures" 372 s.departures;
+  Alcotest.(check int) "silent contacts" 2014 s.silent_contacts;
   Alcotest.(check int) "final n" 4 s.final_n;
   Alcotest.(check int) "max n" 20 s.max_n;
   Alcotest.(check bool)
     (Printf.sprintf "time-avg N %.17g unchanged" s.time_avg_n)
     true
-    (Float.equal s.time_avg_n 6.918622793169261);
+    (Float.equal s.time_avg_n 7.3783098273809102);
   Alcotest.(check bool)
     (Printf.sprintf "mean degree %.17g unchanged" s.mean_degree_time_avg)
     true
-    (Float.equal s.mean_degree_time_avg 3.1537276251164026)
+    (Float.equal s.mean_degree_time_avg 3.5348963382235135)
 
 (* ---- probes observe, never perturb ---- *)
 
@@ -146,27 +126,27 @@ let test_coded_probe_bit_identity () =
 
 let test_network_probe_bit_identity () =
   let config = { (network_config ()) with faults = faulty } in
-  let run ?probe () = Sim_network.run_seeded ?probe ~seed:77 config ~horizon:250.0 in
+  let run ?probe () = Sim_agent.run_seeded ?probe ~seed:77 config ~horizon:250.0 in
   let bare, _ = run () in
   let probe, events = busy_probe ~k:3 in
   let probed, _ = run ~probe () in
-  Alcotest.(check int) "events" bare.Sim_network.events probed.Sim_network.events;
-  Alcotest.(check int) "arrivals" bare.Sim_network.arrivals probed.Sim_network.arrivals;
-  Alcotest.(check int) "transfers" bare.Sim_network.transfers probed.Sim_network.transfers;
-  Alcotest.(check int) "silent" bare.Sim_network.silent_contacts
-    probed.Sim_network.silent_contacts;
-  Alcotest.(check int) "aborted" bare.Sim_network.aborted_peers probed.Sim_network.aborted_peers;
-  Alcotest.(check int) "lost" bare.Sim_network.lost_transfers probed.Sim_network.lost_transfers;
+  Alcotest.(check int) "events" bare.Sim_agent.events probed.Sim_agent.events;
+  Alcotest.(check int) "arrivals" bare.Sim_agent.arrivals probed.Sim_agent.arrivals;
+  Alcotest.(check int) "transfers" bare.Sim_agent.transfers probed.Sim_agent.transfers;
+  Alcotest.(check int) "silent" bare.Sim_agent.silent_contacts
+    probed.Sim_agent.silent_contacts;
+  Alcotest.(check int) "aborted" bare.Sim_agent.aborted_peers probed.Sim_agent.aborted_peers;
+  Alcotest.(check int) "lost" bare.Sim_agent.lost_transfers probed.Sim_agent.lost_transfers;
   Alcotest.(check bool) "time_avg_n bit-identical" true
-    (Int64.bits_of_float bare.Sim_network.time_avg_n
-    = Int64.bits_of_float probed.Sim_network.time_avg_n);
+    (Int64.bits_of_float bare.Sim_agent.time_avg_n
+    = Int64.bits_of_float probed.Sim_agent.time_avg_n);
   Alcotest.(check bool) "outage_time bit-identical" true
-    (Int64.bits_of_float bare.Sim_network.outage_time
-    = Int64.bits_of_float probed.Sim_network.outage_time);
+    (Int64.bits_of_float bare.Sim_agent.outage_time
+    = Int64.bits_of_float probed.Sim_agent.outage_time);
   Alcotest.(check bool) "sample grid" true
-    (bare.Sim_network.samples = probed.Sim_network.samples);
+    (bare.Sim_agent.samples = probed.Sim_agent.samples);
   Alcotest.(check bool) "club samples" true
-    (bare.Sim_network.club_samples = probed.Sim_network.club_samples);
+    (bare.Sim_agent.club_samples = probed.Sim_agent.club_samples);
   Alcotest.(check bool) "the probe actually saw traffic" true (!events > 0)
 
 (* ---- probe series are jobs-independent ---- *)
@@ -189,9 +169,9 @@ let network_probe_sweep ~jobs =
     Runner.run_map ~jobs ~chunk:2 ~master_seed:424242 ~replications:6 (fun ~rng ~index:_ ->
         let series = Series.create ~k:3 in
         let probe = Probe.make ~interval:4.0 ~on_sample:(Series.record series) () in
-        let stats, _ = Sim_network.run ~probe ~rng config ~horizon:100.0 in
+        let stats, _ = Sim_agent.run ~probe ~rng config ~horizon:100.0 in
         Series.close series ~time:100.0;
-        (stats.Sim_network.events, Series.samples series, Series.avg_n series))
+        (stats.Sim_agent.events, Series.samples series, Series.avg_n series))
   in
   Array.map Option.get results
 
@@ -268,14 +248,14 @@ let test_coded_fault_efficacy () =
 let test_network_fault_efficacy () =
   let base = network_config () in
   let outage, _ =
-    Sim_network.run_seeded ~seed:9
+    Sim_agent.run_seeded ~seed:9
       { base with faults = Faults.make ~outage:(20.0, 20.0) () }
       ~horizon:400.0
   in
   Alcotest.(check bool) "outage time accrues" true (outage.outage_time > 0.0);
   Alcotest.(check bool) "outage within horizon" true (outage.outage_time <= 400.0);
   let churn, _ =
-    Sim_network.run_seeded ~seed:9
+    Sim_agent.run_seeded ~seed:9
       { base with faults = Faults.make ~abort_rate:0.3 () }
       ~horizon:400.0
   in
@@ -283,7 +263,7 @@ let test_network_fault_efficacy () =
   Alcotest.(check bool) "aborts are departures" true (churn.aborted_peers <= churn.departures);
   Alcotest.(check int) "conservation of peers" (churn.arrivals - churn.departures) churn.final_n;
   let lossy, _ =
-    Sim_network.run_seeded ~seed:9
+    Sim_agent.run_seeded ~seed:9
       { base with faults = Faults.make ~loss_prob:1.0 () }
       ~horizon:200.0
   in
@@ -302,8 +282,8 @@ let test_fault_schedule_deterministic () =
   Alcotest.(check bool) "coded outage bit-identical" true
     (Float.equal a.outage_time b.outage_time);
   let nconfig = { (network_config ()) with faults = faulty } in
-  let c, _ = Sim_network.run_seeded ~seed:2024 nconfig ~horizon:300.0 in
-  let d, _ = Sim_network.run_seeded ~seed:2024 nconfig ~horizon:300.0 in
+  let c, _ = Sim_agent.run_seeded ~seed:2024 nconfig ~horizon:300.0 in
+  let d, _ = Sim_agent.run_seeded ~seed:2024 nconfig ~horizon:300.0 in
   Alcotest.(check int) "network events" c.events d.events;
   Alcotest.(check int) "network aborted" c.aborted_peers d.aborted_peers;
   Alcotest.(check int) "network lost" c.lost_transfers d.lost_transfers;
@@ -316,7 +296,6 @@ let () =
       ( "no-fault goldens",
         [
           Alcotest.test_case "coded golden" `Quick test_golden_no_fault_coded;
-          Alcotest.test_case "network golden" `Quick test_golden_no_fault_network;
           Alcotest.test_case "network sparse golden" `Quick test_golden_no_fault_network_sparse;
         ] );
       ( "probe bit-identity",

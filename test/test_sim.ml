@@ -224,13 +224,48 @@ let test_agent_eta_speedup_runs () =
   let r = Classify.of_samples stats.samples in
   Alcotest.(check string) "still stable" "appears-stable" (Classify.verdict_to_string r.verdict)
 
-let test_agent_eta_invalid () =
-  let config = { (Sim_agent.default_config stable_params) with eta = 0.5 } in
-  Alcotest.(check bool) "eta < 1 rejected" true
+let rejects name config =
+  Alcotest.(check bool) name true
     (try
        ignore (Sim_agent.run_seeded ~seed:16 config ~horizon:10.0);
        false
      with Invalid_argument _ -> true)
+
+let test_agent_eta_invalid () =
+  rejects "eta < 1 rejected" { (Sim_agent.default_config stable_params) with eta = 0.5 }
+
+(* [nan] fails every comparison, so only [not (eta >= 1)] catches it. *)
+let test_agent_eta_nan () =
+  rejects "eta = nan rejected" { (Sim_agent.default_config stable_params) with eta = nan }
+
+(* At gamma = inf no dwell is ever drawn, so only the preamble can see a
+   stage-less Erlang law. *)
+let test_agent_erlang_zero () =
+  rejects "Erlang_dwell 0 rejected at gamma = inf"
+    { (Sim_agent.default_config transient_params) with dwell = Sim_agent.Erlang_dwell 0 }
+
+let test_agent_rare_piece_range () =
+  List.iter
+    (fun rare_piece ->
+      rejects
+        (Printf.sprintf "rare piece %d rejected" rare_piece)
+        { (Sim_agent.default_config stable_params) with rare_piece })
+    [ -1; 3 ]
+
+let test_agent_local_census_needs_overlay () =
+  rejects "neighbourhood census on the complete graph rejected"
+    { (Sim_agent.default_config stable_params) with census = Sim_agent.Neighbourhood }
+
+(* With gamma = inf a full-set initial peer never leaves: an extra seed
+   for ever, on every overlay. *)
+let test_agent_initial_seeds_need_finite_gamma () =
+  List.iter
+    (fun degree ->
+      rejects "initial peer seeds at gamma = inf rejected"
+        { (Sim_agent.default_config transient_params) with
+          degree;
+          initial = [ (PS.full ~k:3, 3) ] })
+    [ None; Some 1; Some 4 ]
 
 let test_agent_deterministic_given_seed () =
   let run () =
@@ -268,6 +303,13 @@ let () =
           Alcotest.test_case "dwell distributions" `Slow test_agent_dwell_distributions_same_mean;
           Alcotest.test_case "eta speedup" `Quick test_agent_eta_speedup_runs;
           Alcotest.test_case "eta invalid" `Quick test_agent_eta_invalid;
+          Alcotest.test_case "eta nan" `Quick test_agent_eta_nan;
+          Alcotest.test_case "Erlang 0 stages" `Quick test_agent_erlang_zero;
+          Alcotest.test_case "rare piece range" `Quick test_agent_rare_piece_range;
+          Alcotest.test_case "local census needs overlay" `Quick
+            test_agent_local_census_needs_overlay;
+          Alcotest.test_case "initial seeds need finite gamma" `Quick
+            test_agent_initial_seeds_need_finite_gamma;
           Alcotest.test_case "deterministic" `Quick test_agent_deterministic_given_seed;
         ] );
     ]

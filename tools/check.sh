@@ -116,7 +116,7 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
     >/dev/null || {
     echo "FAIL: hybrid fluid run exited non-zero" >&2; exit 1; }
   # Regression gate: the fresh quick-bench throughput (events/s, or
-  # simulated time per second for sim_markov; all four simulators)
+  # simulated time per second for sim_markov; all three simulators)
   # plus the fluid stepper's steps/s and million-peer wall clock must
   # stay within bounds of the committed BENCH_PR9.json baseline (skips
   # the ratio checks when the baseline is absent).
@@ -240,7 +240,9 @@ fi
 # Optional jobs smoke: CHECK_JOBS=1 checks end to end through the CLI
 # that the replication runner, the one multicore path, gives the same
 # statistics for any --jobs: a run at --jobs 1 and at --jobs 2 must
-# print identical output apart from the "wall ..." timing line.
+# print identical output apart from the "wall ..." timing line.  It
+# covers the aggregate backend, the per-peer backend on the complete
+# graph, and the per-peer backend on a degree-4 overlay.
 if [ "${CHECK_JOBS:-0}" = "1" ]; then
   out=_build/jobs-smoke
   rm -rf "$out"
@@ -248,16 +250,19 @@ if [ "${CHECK_JOBS:-0}" = "1" ]; then
   echo "== jobs smoke (into $out) =="
   P2PSIM=_build/default/bin/p2psim.exe
   ARGS="-k 3 --arrive none=2.0 --gamma 2 --abort-rate 0.05 --horizon 150 --seed 11 --reps 8"
-  for j in 1 2; do
-    left=$(remaining)
-    timeout "$left" $P2PSIM simulate $ARGS --jobs "$j" >"$out/jobs$j.txt" || {
-      echo "FAIL: --jobs $j run exited non-zero" >&2; exit 1; }
-    grep -v '^wall ' "$out/jobs$j.txt" >"$out/jobs$j.norm.txt"
+  for run in "simulate" "simulate --agent" "overlay --degree 4"; do
+    tag=$(echo "$run" | tr -c 'a-z0-9\n' '_')
+    for j in 1 2; do
+      left=$(remaining)
+      timeout "$left" $P2PSIM $run $ARGS --jobs "$j" >"$out/$tag.jobs$j.txt" || {
+        echo "FAIL: '$run' at --jobs $j exited non-zero" >&2; exit 1; }
+      grep -v '^wall ' "$out/$tag.jobs$j.txt" >"$out/$tag.jobs$j.norm.txt"
+    done
+    cmp "$out/$tag.jobs1.norm.txt" "$out/$tag.jobs2.norm.txt" || {
+      echo "FAIL: --jobs 2 changed the replication statistics of '$run'" >&2
+      diff "$out/$tag.jobs1.txt" "$out/$tag.jobs2.txt" >&2 || true
+      exit 1; }
   done
-  cmp "$out/jobs1.norm.txt" "$out/jobs2.norm.txt" || {
-    echo "FAIL: --jobs 2 changed the replication statistics" >&2
-    diff "$out/jobs1.txt" "$out/jobs2.txt" >&2 || true
-    exit 1; }
   echo "== jobs smoke OK =="
 fi
 
