@@ -1548,7 +1548,13 @@ let report_cmd =
                (List.sort compare (Hashtbl.fold (fun c n acc -> (c, n) :: acc) counts [])))
         end
   in
-  let render_monitor_file file json =
+  let render_monitor_file file =
+    (* the dispatch read one line; corruption past it must still fail *)
+    let json =
+      match Json.read_jsonl_file file with
+      | Error msg -> usage_error "cannot read %s: %s" file msg
+      | Ok { Json.records; _ } -> List.hd records
+    in
     let ints path = Option.bind (Json.member path json) Json.to_int_opt in
     let lists path = Option.value ~default:[] (Option.bind (Json.member path json) Json.to_list_opt) in
     let alerts = lists "alerts" and episodes = lists "episodes" in
@@ -1573,15 +1579,15 @@ let report_cmd =
   let run file =
     let schema_of j = Option.bind (Json.member "schema" j) Json.to_string_opt in
     let first_record =
-      match Json.read_jsonl_file file with
+      match Json.first_record file with
       | Error msg -> usage_error "cannot read %s: %s" file msg
-      | Ok { Json.records = []; _ } -> usage_error "%s: no complete records" file
-      | Ok { Json.records = r :: _; _ } -> r
+      | Ok None -> usage_error "%s: no complete records" file
+      | Ok (Some r) -> r
     in
     match schema_of first_record with
     | Some "p2p-hist" -> render_hists file
     | Some s when s = Recorder.schema -> render_flight file
-    | Some "p2p-monitor" -> render_monitor_file file first_record
+    | Some "p2p-monitor" -> render_monitor_file file
     | Some "p2p-swarm-probe" -> begin
         match Series.read_file file with
         | Error msg -> usage_error "cannot read %s: %s" file msg

@@ -248,6 +248,11 @@ type jsonl = { records : t list; remnant : string option }
    bytes happen to form valid JSON (the tear may have truncated a longer
    record to a shorter valid one).  A complete line that fails to parse
    is real corruption and stays an error. *)
+let record_of_line lineno line =
+  if String.trim line = "" then Ok None
+  else
+    Result.map_error (Printf.sprintf "line %d: %s" lineno) (Result.map Option.some (of_string line))
+
 let jsonl_of_string s =
   let n = String.length s in
   let rec lines acc lineno start =
@@ -255,14 +260,11 @@ let jsonl_of_string s =
     | None ->
         let tail = String.sub s start (n - start) in
         Ok { records = List.rev acc; remnant = (if tail = "" then None else Some tail) }
-    | Some nl ->
-        let line = String.sub s start (nl - start) in
-        if String.trim line = "" then lines acc (lineno + 1) (nl + 1)
-        else begin
-          match of_string line with
-          | Ok v -> lines (v :: acc) (lineno + 1) (nl + 1)
-          | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-        end
+    | Some nl -> (
+        match record_of_line lineno (String.sub s start (nl - start)) with
+        | Ok None -> lines acc (lineno + 1) (nl + 1)
+        | Ok (Some v) -> lines (v :: acc) (lineno + 1) (nl + 1)
+        | Error msg -> Error msg)
   in
   lines [] 1 0
 
@@ -276,6 +278,21 @@ let read_jsonl_file path =
   match read_file path with
   | content -> jsonl_of_string content
   | exception Sys_error msg -> Error msg
+
+(* The same rules, reading no further than the first record. *)
+let first_record path =
+  match open_in_bin path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+      let rec scan lineno =
+        let start = pos_in ic in
+        match In_channel.input_line ic with
+        (* complete exactly when [input_line] consumed a newline after it *)
+        | Some line when pos_in ic > start + String.length line -> (
+            match record_of_line lineno line with Ok None -> scan (lineno + 1) | r -> r)
+        | _ -> Ok None
+      in
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> scan 1)
 
 (* ---- atomic file replacement ---- *)
 

@@ -18,7 +18,6 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-val to_buffer : Buffer.t -> t -> unit
 val to_channel : out_channel -> t -> unit
 
 val of_string : string -> (t, string) result
@@ -51,6 +50,12 @@ val jsonl_of_string : string -> (jsonl, string) result
 
 val read_jsonl_file : string -> (jsonl, string) result
 (** {!jsonl_of_string} of the file's bytes; [Error] on I/O failure. *)
+
+val first_record : string -> (t option, string) result
+(** The file's first complete record under {!jsonl_of_string}'s rules,
+    reading no further than its line: [Ok None] if there is none (say, a
+    torn first line); [Error] on I/O failure or a corrupt line before it.
+    Later lines are not checked; a reader that needs them reads them. *)
 
 (** {1 Atomic file replacement} *)
 

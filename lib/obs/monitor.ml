@@ -31,6 +31,8 @@ type alert = {
 type t = {
   config : config;
   on_alert : alert -> unit;
+  (* the window oldest first, as the fit reads it; sample times increase,
+     so this is time order *)
   times : float array;
   clubs : float array;
   rares : int array;
@@ -65,7 +67,7 @@ let alerting t = t.in_episode
 
 (* The syndrome test over the current window: scarcity pinned for most
    of it AND the one-club drifting up with statistical significance.
-   O(window) arithmetic, once per probe sample. *)
+   O(window) arithmetic on the window's own arrays, once per probe sample. *)
 let condition t =
   let c = t.config in
   let w = c.window in
@@ -74,27 +76,23 @@ let condition t =
     if t.rares.(i) <= c.pin_threshold then incr pinned
   done;
   if float_of_int !pinned < c.pin_fraction *. float_of_int w then None
-  else begin
-    let points = Array.init w (fun i -> (t.times.(i), t.clubs.(i))) in
-    (* sort by time so the window reads oldest-first regardless of the
-       ring phase; OLS itself is order-independent but degenerate-x
-       detection and readers are simpler on sorted points *)
-    Array.sort (fun (a, _) (b, _) -> Float.compare a b) points;
-    match Regression.fit points with
+  else
+    match Regression.fit_arrays ~xs:t.times ~ys:t.clubs with
     | exception Invalid_argument _ -> None (* degenerate window (repeated times) *)
     | fit ->
         let t_stat = Regression.slope_t_statistic fit in
         if fit.Regression.slope > c.min_slope && t_stat >= c.min_t_stat then
           Some (fit.Regression.slope, t_stat)
         else None
-  end
 
 let observe t ~time ~one_club ~rarest_piece ~rarest_count =
   let c = t.config in
-  let slot = t.seen mod c.window in
-  t.times.(slot) <- time;
-  t.clubs.(slot) <- float_of_int one_club;
-  t.rares.(slot) <- rarest_count;
+  let last = c.window - 1 in
+  Array.blit t.times 1 t.times 0 last;
+  Array.blit t.clubs 1 t.clubs 0 last;
+  t.times.(last) <- time;
+  t.clubs.(last) <- float_of_int one_club;
+  t.rares.(t.seen mod c.window) <- rarest_count;
   t.seen <- t.seen + 1;
   if t.seen >= c.window && one_club >= c.min_one_club then (
     match condition t with

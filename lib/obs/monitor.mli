@@ -44,7 +44,11 @@ val create : ?config:config -> ?on_alert:(alert -> unit) -> unit -> t
     fraction outside [0, 1], negative thresholds). *)
 
 val observe : t -> time:float -> one_club:int -> rarest_piece:int -> rarest_count:int -> unit
-(** Feed one probe sample.  Cheap: O(window) only once per sample. *)
+(** Feed one probe sample; [time] must increase from sample to sample,
+    as it does on the probe grid, so the window is kept in time order
+    and fitted in place, with no sort.  A sample whose window fails the
+    scarcity test allocates nothing; one that passes allocates only its
+    fit result. *)
 
 val samples_seen : t -> int
 
@@ -57,10 +61,6 @@ val episodes : t -> (float * float option) list
 
 val alerting : t -> bool
 (** Whether the detector is currently inside an episode. *)
-
-val alert_json : alert -> Json.t
-(** One structured JSONL line:
-    [{"alert": "missing_piece_syndrome", "t": ..., ...}]. *)
 
 val to_json : t -> Json.t
 (** The full detector timeline: alerts plus episodes. *)

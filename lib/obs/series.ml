@@ -69,20 +69,25 @@ let avg_piece t piece =
 let schema = "p2p-swarm-probe"
 let version = 1
 
+(* The row format: [write] emits these keys in this order and [read]
+   accepts exactly that shape. *)
+let row_keys = [ "t"; "n"; "seeds"; "club"; "rarest"; "rarest_n"; "pieces" ]
+
 let header t =
   Json.Obj [ ("schema", Json.String schema); ("version", Json.Int version); ("k", Json.Int t.k) ]
 
 let sample_json (s : Probe.sample) =
   Json.Obj
-    [
-      ("t", Json.Float s.time);
-      ("n", Json.Int s.n);
-      ("seeds", Json.Int s.seeds);
-      ("club", Json.Int s.one_club);
-      ("rarest", Json.Int (s.rarest_piece + 1));
-      ("rarest_n", Json.Int s.rarest_count);
-      ("pieces", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) s.piece_counts)));
-    ]
+    (List.combine row_keys
+       [
+         Json.Float s.time;
+         Json.Int s.n;
+         Json.Int s.seeds;
+         Json.Int s.one_club;
+         Json.Int (s.rarest_piece + 1);
+         Json.Int s.rarest_count;
+         Json.List (Array.to_list (Array.map (fun c -> Json.Int c) s.piece_counts));
+       ])
 
 let write t oc =
   Json.to_channel oc (header t);
@@ -93,87 +98,132 @@ let write t oc =
       output_char oc '\n')
     (List.rev t.rev_samples)
 
-let sample_of_json ~k json =
-  let int_field name =
-    match Json.member name json with
-    | Some v -> (
-        match Json.to_int_opt v with
-        | Some i -> Ok i
-        | None -> Error (Printf.sprintf "field %S is not an integer" name))
-    | None -> Error (Printf.sprintf "missing field %S" name)
+(* ---- reading rows in place ---- *)
+
+exception Bad_row of string
+
+let fail msg = raise (Bad_row msg)
+
+(* What precedes each value on a row, [{"t":], [,"n":], ..., and the
+   errors that name its key. *)
+let per_key f = Array.of_list (List.mapi f row_keys)
+let prefixes = per_key (fun i -> Printf.sprintf "%c%S:" (if i = 0 then '{' else ','))
+let missing = per_key (fun _ -> Printf.sprintf "expected field %S")
+let not_int = per_key (fun _ -> Printf.sprintf "field %S is not an integer")
+let bad_pieces = "field \"pieces\" is not an int array of length k"
+let is_number_char = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+
+(* A row's bytes, [s] over [[p, stop)], consumed left to right. *)
+type cursor = { s : string; mutable p : int; mutable stop : int }
+
+let skip c lit =
+  let l = String.length lit in
+  let i = ref 0 in
+  while !i < l && c.p + !i < c.stop && c.s.[c.p + !i] = lit.[!i] do incr i done;
+  !i = l && (c.p <- c.p + l; true)
+
+let expect c lit msg = if not (skip c lit) then fail msg
+
+(* The token [Json] would read as a number. *)
+let token c =
+  let a = c.p in
+  while c.p < c.stop && is_number_char c.s.[c.p] do c.p <- c.p + 1 done;
+  String.sub c.s a (c.p - a)
+
+(* [Json]'s integer reading of the token; plain decimal digits skip the
+   substring. *)
+let int_value c err =
+  let a = c.p and v = ref 0 in
+  if a < c.stop && c.s.[a] = '-' then c.p <- a + 1;
+  let first = c.p in
+  while c.p < c.stop && c.s.[c.p] >= '0' && c.s.[c.p] <= '9' do
+    v := (10 * !v) + Char.code c.s.[c.p] - 48;
+    c.p <- c.p + 1
+  done;
+  if c.p > first && c.p - first <= 18 && not (c.p < c.stop && is_number_char c.s.[c.p]) then
+    if first > a then - !v else !v
+  else (
+    c.p <- a;
+    match int_of_string_opt (token c) with Some i -> i | None -> fail err)
+
+(* One row, exactly as [sample_json] prints it. *)
+let scan_row ~k c =
+  let int_field i = expect c prefixes.(i) missing.(i); int_value c not_int.(i) in
+  expect c prefixes.(0) missing.(0);
+  let time =
+    if skip c "null" then nan
+    else
+      let tok = token c in
+      (* [Json] tries a token without '.', 'e' or 'E' as an integer first *)
+      match
+        if String.exists (function '.' | 'e' | 'E' -> true | _ -> false) tok then None
+        else int_of_string_opt tok
+      with
+      | Some i -> float_of_int i
+      | None -> (
+          match float_of_string_opt tok with
+          | Some f -> f
+          | None -> fail "missing or bad field \"t\"")
   in
-  let ( let* ) = Result.bind in
-  let* time =
-    match Option.bind (Json.member "t" json) Json.to_float_opt with
-    | Some f -> Ok f
-    | None -> Error "missing or bad field \"t\""
-  in
-  let* n = int_field "n" in
-  let* seeds = int_field "seeds" in
-  let* one_club = int_field "club" in
-  let* rarest = int_field "rarest" in
-  let* rarest_count = int_field "rarest_n" in
-  let* pieces =
-    match Option.bind (Json.member "pieces" json) Json.to_list_opt with
-    | Some items ->
-        let counts = List.filter_map Json.to_int_opt items in
-        if List.length counts = List.length items && List.length counts = k then
-          Ok (Array.of_list counts)
-        else Error "field \"pieces\" is not an int array of length k"
-    | None -> Error "missing field \"pieces\""
-  in
-  if rarest < 1 || rarest > k then Error "field \"rarest\" out of [1, k]"
-  else
-    Ok
-      {
-        Probe.time;
-        n;
-        seeds;
-        one_club;
-        rarest_piece = rarest - 1;
-        rarest_count;
-        piece_counts = pieces;
-      }
+  let n = int_field 1 in
+  let seeds = int_field 2 in
+  let one_club = int_field 3 in
+  let rarest = int_field 4 in
+  let rarest_count = int_field 5 in
+  expect c prefixes.(6) missing.(6);
+  expect c "[" bad_pieces;
+  let pieces = Array.make k 0 in
+  for i = 0 to k - 1 do
+    if i > 0 then expect c "," bad_pieces;
+    pieces.(i) <- int_value c bad_pieces
+  done;
+  expect c "]" bad_pieces;
+  if not (skip c "}" && c.p = c.stop) then fail "trailing bytes after the row";
+  if rarest < 1 || rarest > k then fail "field \"rarest\" out of [1, k]";
+  { Probe.time; n; seeds; one_club; rarest_piece = rarest - 1; rarest_count; piece_counts = pieces }
 
 let read ic =
-  let next_line () = try Some (input_line ic) with End_of_file -> None in
-  match next_line () with
-  | None -> Error "empty probe file"
-  | Some first -> (
-      match Json.of_string first with
-      | Error msg -> Error ("bad header line: " ^ msg)
-      | Ok header ->
-          if Option.bind (Json.member "schema" header) Json.to_string_opt <> Some schema then
-            Error (Printf.sprintf "not a %s file (bad or missing schema)" schema)
-          else begin
-            match Option.bind (Json.member "k" header) Json.to_int_opt with
-            | None -> Error "header has no \"k\""
-            | Some k when k < 1 -> Error "header \"k\" < 1"
-            | Some k -> (
-                let t = create ~k in
-                let rec loop lineno =
-                  match next_line () with
-                  | None -> Ok ()
-                  | Some line when String.trim line = "" -> loop (lineno + 1)
-                  | Some line -> (
-                      match Json.of_string line with
-                      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-                      | Ok json -> (
-                          match sample_of_json ~k json with
-                          | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-                          | Ok sample ->
-                              record t sample;
-                              loop (lineno + 1)))
-                in
-                match loop 2 with
-                | Error _ as e -> e
-                | Ok () ->
-                    (match t.rev_samples with
-                    | last :: _ -> close t ~time:last.Probe.time
-                    | [] -> ());
-                    Ok t)
-          end)
+  let s = In_channel.input_all ic in
+  let n = String.length s in
+  let line_end pos = Option.value ~default:n (String.index_from_opt s pos '\n') in
+  if n = 0 then Error "empty probe file"
+  else
+    let header_end = line_end 0 in
+    match Json.of_string (String.sub s 0 header_end) with
+    | Error msg -> Error ("bad header line: " ^ msg)
+    | Ok header ->
+        if Option.bind (Json.member "schema" header) Json.to_string_opt <> Some schema then
+          Error (Printf.sprintf "not a %s file (bad or missing schema)" schema)
+        else begin
+          match Option.bind (Json.member "k" header) Json.to_int_opt with
+          | None -> Error "header has no \"k\""
+          | Some k when k < 1 -> Error "header \"k\" < 1"
+          | Some k -> (
+              let t = create ~k in
+              let c = { s; p = 0; stop = 0 } in
+              let rec loop lineno pos =
+                if pos >= n then Ok ()
+                else
+                  let stop = line_end pos in
+                  c.p <- pos;
+                  c.stop <- stop;
+                  match scan_row ~k c with
+                  | sample ->
+                      record t sample;
+                      loop (lineno + 1) (stop + 1)
+                  | exception Bad_row _ when String.trim (String.sub s pos (stop - pos)) = "" ->
+                      loop (lineno + 1) (stop + 1)
+                  | exception Bad_row msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
+              in
+              match loop 2 (header_end + 1) with
+              | Error _ as e -> e
+              | Ok () ->
+                  (match t.rev_samples with
+                  | last :: _ -> close t ~time:last.Probe.time
+                  | [] -> ());
+                  Ok t)
+        end
 
 let read_file path =
-  let ic = open_in path in
+  let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read ic)

@@ -7,12 +7,14 @@
     sample list for trajectory output and growth fits.
 
     The on-disk format is JSONL: a header line
-    [{"schema": "p2p-swarm-probe", "version": 1, "k": K}] followed by one
+    [{"schema":"p2p-swarm-probe","version":1,"k":K}] followed by one
     line per sample,
-    [{"t":.., "n":.., "seeds":.., "club":.., "rarest":.., "rarest_n":..,
-      "pieces":[..]}] ([rarest] is 1-based on the wire).  {!read} accepts
-    exactly what {!write} produces, so [p2psim report] can render any
-    probe file the CLI emitted. *)
+    [{"t":..,"n":..,"seeds":..,"club":..,"rarest":..,"rarest_n":..,"pieces":[..]}]
+    ([rarest] is 1-based on the wire).  One list of row keys defines
+    both directions: {!read} accepts exactly the row shape {!write}
+    emits (those keys in that order, no whitespace, integer counts,
+    [pieces] of length k, [rarest] in [1, k]), so [p2psim report] can
+    render any probe file the CLI emitted. *)
 
 type t
 
@@ -48,6 +50,10 @@ val write : t -> out_channel -> unit
 val read : in_channel -> (t, string) result
 (** Replays the samples through {!record} and {!close}s at the last
     sample time, so the time averages of a re-read series match the
-    writer's (up to the final [close] time). *)
+    writer's (up to the final [close] time).  Rows are scanned in place,
+    with no [Json.t] tree, and numbers convert as [Json] converts them.
+    Blank lines are skipped and a last row without a newline is read;
+    any other line that is not a {!write} row is an
+    [Error "line N: ..."]. *)
 
 val read_file : string -> (t, string) result

@@ -42,9 +42,7 @@ let elementwise f a b =
   if ra <> rb || ca <> cb then invalid_arg "Linalg: dimension mismatch";
   Array.init ra (fun i -> Array.init ca (fun j -> f a.(i).(j) b.(i).(j)))
 
-let mat_add = elementwise ( +. )
 let mat_sub = elementwise ( -. )
-let scale c m = Array.map (Array.map (fun x -> c *. x)) m
 
 let solve a b =
   let n = Array.length a in
@@ -101,12 +99,6 @@ let vec_sub a b = Array.mapi (fun i v -> v -. b.(i)) a
 let vec_add a b = Array.mapi (fun i v -> v +. b.(i)) a
 let vec_scale c x = Array.map (fun v -> c *. v) x
 
-let dot a b =
-  if Array.length a <> Array.length b then invalid_arg "Linalg.dot: dimension mismatch";
-  let acc = ref 0.0 in
-  Array.iteri (fun i v -> acc := !acc +. (v *. b.(i))) a;
-  !acc
-
 let spectral_radius ?(iterations = 1000) ?(tol = 1e-12) m =
   let n = Array.length m in
   if n = 0 then 0.0
@@ -132,11 +124,3 @@ let spectral_radius ?(iterations = 1000) ?(tol = 1e-12) m =
     done;
     !lambda
   end
-
-let pp_vec fmt x =
-  Format.fprintf fmt "[%a]"
-    Format.(pp_print_array ~pp_sep:(fun f () -> pp_print_string f "; ") (fun f -> fprintf f "%.6g"))
-    x
-
-let pp_mat fmt m =
-  Format.fprintf fmt "@[<v>%a@]" Format.(pp_print_array ~pp_sep:pp_print_cut pp_vec) m

@@ -15,9 +15,7 @@ val dims : mat -> int * int
 val transpose : mat -> mat
 val mat_mul : mat -> mat -> mat
 val mat_vec : mat -> vec -> vec
-val mat_add : mat -> mat -> mat
 val mat_sub : mat -> mat -> mat
-val scale : float -> mat -> mat
 
 val solve : mat -> vec -> vec
 (** [solve a b] solves [a x = b] by Gaussian elimination with partial
@@ -36,7 +34,3 @@ val vec_norm_inf : vec -> float
 val vec_sub : vec -> vec -> vec
 val vec_add : vec -> vec -> vec
 val vec_scale : float -> vec -> vec
-val dot : vec -> vec -> float
-
-val pp_mat : Format.formatter -> mat -> unit
-val pp_vec : Format.formatter -> vec -> unit

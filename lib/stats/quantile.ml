@@ -40,7 +40,3 @@ let quantile t q =
   end
 
 let median t = quantile t 0.5
-
-let to_sorted_array t =
-  ensure_sorted t;
-  Array.sub t.data 0 t.len

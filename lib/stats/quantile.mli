@@ -11,4 +11,3 @@ val quantile : t -> float -> float
     statistics. @raise Invalid_argument when empty or [q] out of range. *)
 
 val median : t -> float
-val to_sorted_array : t -> float array

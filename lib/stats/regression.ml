@@ -6,25 +6,24 @@ type fit = {
   n : int;
 }
 
-let fit points =
-  let n = Array.length points in
+let fit_arrays ~xs ~ys =
+  let n = Array.length xs in
+  if Array.length ys <> n then invalid_arg "Regression.fit_arrays: length mismatch";
   if n < 3 then invalid_arg "Regression.fit: need at least 3 points";
   let nf = float_of_int n in
   let sx = ref 0.0 and sy = ref 0.0 in
-  Array.iter
-    (fun (x, y) ->
-      sx := !sx +. x;
-      sy := !sy +. y)
-    points;
+  for i = 0 to n - 1 do
+    sx := !sx +. xs.(i);
+    sy := !sy +. ys.(i)
+  done;
   let mx = !sx /. nf and my = !sy /. nf in
   let sxx = ref 0.0 and sxy = ref 0.0 and syy = ref 0.0 in
-  Array.iter
-    (fun (x, y) ->
-      let dx = x -. mx and dy = y -. my in
-      sxx := !sxx +. (dx *. dx);
-      sxy := !sxy +. (dx *. dy);
-      syy := !syy +. (dy *. dy))
-    points;
+  for i = 0 to n - 1 do
+    let dx = xs.(i) -. mx and dy = ys.(i) -. my in
+    sxx := !sxx +. (dx *. dx);
+    sxy := !sxy +. (dx *. dy);
+    syy := !syy +. (dy *. dy)
+  done;
   if !sxx <= 0.0 then invalid_arg "Regression.fit: degenerate x values";
   let slope = !sxy /. !sxx in
   let intercept = my -. (slope *. mx) in
@@ -34,10 +33,7 @@ let fit points =
   let slope_stderr = sqrt (residual_var /. !sxx) in
   { slope; intercept; slope_stderr; r_squared; n }
 
-let fit_lists ~xs ~ys =
-  let nx = List.length xs and ny = List.length ys in
-  if nx <> ny then invalid_arg "Regression.fit_lists: length mismatch";
-  fit (Array.of_list (List.combine xs ys |> List.map (fun (x, y) -> (x, y))))
+let fit points = fit_arrays ~xs:(Array.map fst points) ~ys:(Array.map snd points)
 
 let slope_t_statistic f = if f.slope_stderr > 0.0 then f.slope /. f.slope_stderr else infinity
 

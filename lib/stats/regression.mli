@@ -14,11 +14,14 @@ type fit = {
   n : int;
 }
 
-val fit : (float * float) array -> fit
-(** Least-squares fit of [y = intercept + slope * x].
-    @raise Invalid_argument with fewer than 3 points or degenerate xs. *)
+val fit_arrays : xs:float array -> ys:float array -> fit
+(** Least-squares fit of [y = intercept + slope * x] over the points
+    [(xs.(i), ys.(i))], summed in index order; allocates only the result.
+    @raise Invalid_argument with fewer than 3 points, unequal lengths,
+    or degenerate xs. *)
 
-val fit_lists : xs:float list -> ys:float list -> fit
+val fit : (float * float) array -> fit
+(** {!fit_arrays} of the points' coordinates, in the same order. *)
 
 val slope_t_statistic : fit -> float
 (** [slope / slope_stderr]; large positive values reject "no growth". *)

@@ -28,7 +28,6 @@ let observe t ~time ~value =
 let close t ~time = advance t time
 let average t = if t.elapsed <= 0.0 then nan else t.weighted_sum /. t.elapsed
 let elapsed t = t.elapsed
-let current_value t = t.value
 
 let reset t ~time =
   t.weighted_sum <- 0.0;

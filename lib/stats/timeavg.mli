@@ -25,7 +25,6 @@ val average : t -> float
     has elapsed. *)
 
 val elapsed : t -> float
-val current_value : t -> float
 val reset : t -> time:float -> unit
 (** Forget history; keep the current value and restart the clock at
     [time] — used to drop a warm-up transient. *)

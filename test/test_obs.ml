@@ -427,6 +427,148 @@ let test_series_read_rejects_garbage () =
   rejects "malformed sample line"
     "{\"schema\": \"p2p-swarm-probe\", \"version\": 1, \"k\": 3}\nnot json\n"
 
+let probe_header = "{\"schema\":\"p2p-swarm-probe\",\"version\":1,\"k\":3}\n"
+let good_row = "{\"t\":0.5,\"n\":4,\"seeds\":1,\"club\":2,\"rarest\":3,\"rarest_n\":1,\"pieces\":[2,3,1]}"
+
+let write_string path content =
+  let oc = open_out_bin path in
+  output_string oc content;
+  close_out oc
+
+let read_string content =
+  with_temp_file (fun path ->
+      write_string path content;
+      Series.read_file path)
+
+(* The reader accepts exactly the rows [Series.write] emits: keys in
+   order, integer counts, [pieces] of length k, [rarest] in [1, k], and
+   nothing after the closing brace.  Every other row is an error that
+   names its line. *)
+let test_series_read_row_contract () =
+  (match read_string (probe_header ^ good_row ^ "\n\n" ^ good_row) with
+  | Error msg -> Alcotest.failf "good rows rejected: %s" msg
+  | Ok s ->
+      (* a blank line is skipped; a last row without a newline still counts *)
+      Alcotest.(check int) "two samples" 2 (Series.count s);
+      let x = (Series.samples s).(0) in
+      Alcotest.(check bool) "fields read" true
+        (x.Probe.time = 0.5 && x.Probe.n = 4 && x.Probe.seeds = 1 && x.Probe.one_club = 2
+        && x.Probe.rarest_piece = 2 && x.Probe.rarest_count = 1
+        && x.Probe.piece_counts = [| 2; 3; 1 |]));
+  let rejects name row =
+    match read_string (probe_header ^ good_row ^ "\n\n" ^ row ^ "\n") with
+    | Ok _ -> Alcotest.failf "%s accepted" name
+    | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s names line 4 (%s)" name msg)
+          true
+          (String.starts_with ~prefix:"line 4:" msg)
+  in
+  let edit ~from ~into =
+    let l = String.length from in
+    let rec find i = if String.sub good_row i l = from then i else find (i + 1) in
+    let i = find 0 in
+    String.sub good_row 0 i ^ into ^ String.sub good_row (i + l) (String.length good_row - i - l)
+  in
+  rejects "reordered key" (edit ~from:"\"n\":4,\"seeds\":1" ~into:"\"seeds\":1,\"n\":4");
+  rejects "missing key" (edit ~from:",\"seeds\":1" ~into:"");
+  rejects "non-integer count" (edit ~from:"\"n\":4" ~into:"\"n\":4.5");
+  rejects "short pieces" (edit ~from:"[2,3,1]" ~into:"[2,3]");
+  rejects "long pieces" (edit ~from:"[2,3,1]" ~into:"[2,3,1,0]");
+  rejects "non-integer piece" (edit ~from:"[2,3,1]" ~into:"[2,\"3\",1]");
+  rejects "rarest 0" (edit ~from:"\"rarest\":3" ~into:"\"rarest\":0");
+  rejects "rarest k+1" (edit ~from:"\"rarest\":3" ~into:"\"rarest\":4");
+  rejects "trailing bytes" (good_row ^ "x");
+  rejects "trailing space" (good_row ^ " ");
+  rejects "non-numeric t" (edit ~from:"\"t\":0.5" ~into:"\"t\":\"0.5\"");
+  rejects "space inside the row" (edit ~from:"\"n\":4" ~into:"\"n\": 4");
+  rejects "not json" "not json"
+
+(* [report] picks a renderer from the first record alone, under the
+   JSONL rules; the renderer still reads the whole file. *)
+let test_first_record_contract () =
+  with_temp_file (fun path ->
+      let first content =
+        write_string path content;
+        Json.first_record path
+      in
+      (match first "\n  \n{\"a\":1}\nnot json\n" with
+      | Ok (Some v) ->
+          Alcotest.(check (option int))
+            "blank lines skipped" (Some 1)
+            (Option.bind (Json.member "a" v) Json.to_int_opt)
+      | _ -> Alcotest.fail "first record after blank lines not returned");
+      (match first "{\"a\":1}" with
+      | Ok None -> ()
+      | _ -> Alcotest.fail "a torn first line is not a record");
+      (match first "" with Ok None -> () | _ -> Alcotest.fail "an empty file has no record");
+      (match first "\n\nnot json\n{\"a\":1}\n" with
+      | Error msg ->
+          Alcotest.(check bool) ("corrupt first record names line 3: " ^ msg) true
+            (String.starts_with ~prefix:"line 3:" msg)
+      | Ok _ -> Alcotest.fail "a corrupt first line accepted");
+      (* a probe file whose header is fine but whose first row is torn
+         dispatches as a probe series, and the series reader rejects it *)
+      (match first (probe_header ^ "{\"t\":0.5,\"n\"\n" ^ good_row ^ "\n") with
+      | Ok (Some v) ->
+          Alcotest.(check (option string)) "dispatches on the header"
+            (Some "p2p-swarm-probe") (Option.bind (Json.member "schema" v) Json.to_string_opt)
+      | _ -> Alcotest.fail "header not returned");
+      match Series.read_file path with
+      | Ok _ -> Alcotest.fail "corrupt second line accepted by Series.read"
+      | Error msg ->
+          Alcotest.(check bool) ("series error names line 2: " ^ msg) true
+            (String.starts_with ~prefix:"line 2:" msg))
+
+(* A fixed syndrome-regime run (K = 3, U_s = 0.3, μ = 2, γ = ∞, λ = 2,
+   seed 1, grid 0.05): the written bytes, the samples read back, and the
+   detector replay over them are pinned to what the Json-tree reader and
+   the sorting detector produced, so the read path must reproduce them
+   bit for bit. *)
+let test_series_read_pinned () =
+  let params = Scenario.flash_crowd ~k:3 ~lambda:2.0 ~us:0.3 ~mu:2.0 ~gamma:infinity in
+  let series = Series.create ~k:3 in
+  let probe = Probe.make ~interval:0.05 ~on_sample:(Series.record series) () in
+  ignore (Sim_markov.run_seeded ~probe ~seed:1 (Sim_markov.default_config params) ~horizon:150.0);
+  with_temp_file (fun path ->
+      let oc = open_out_bin path in
+      Series.write series oc;
+      close_out oc;
+      Alcotest.(check string)
+        "written bytes" "27e7d1908afbbbac88ec5c42e9469a96"
+        (Digest.to_hex (Digest.file path));
+      match Series.read_file path with
+      | Error msg -> Alcotest.failf "read_file failed: %s" msg
+      | Ok read ->
+          Alcotest.(check int) "count" 3001 (Series.count read);
+          Alcotest.(check bool) "samples equal" true (Series.samples series = Series.samples read);
+          let m = Monitor.create () in
+          Array.iter
+            (fun (s : Probe.sample) ->
+              Monitor.observe m ~time:s.Probe.time ~one_club:s.Probe.one_club
+                ~rarest_piece:s.Probe.rarest_piece ~rarest_count:s.Probe.rarest_count)
+            (Series.samples read);
+          let alerts = Monitor.alerts m in
+          Alcotest.(check int) "alert count" 49 (List.length alerts);
+          let bits (a : Monitor.alert) =
+            (Int64.bits_of_float a.Monitor.slope, Int64.bits_of_float a.Monitor.t_stat)
+          in
+          Alcotest.(check (pair int64 int64))
+            "first alert slope/t_stat bits" (4615837162431746826L, 4621969734561691925L)
+            (bits (List.hd alerts));
+          Alcotest.(check (pair int64 int64))
+            "last alert slope/t_stat bits" (4608866373443293664L, 4616748095107364439L)
+            (bits (List.nth alerts 48));
+          let render (entered, exited) =
+            Printf.sprintf "%h-%s" entered
+              (match exited with Some x -> Printf.sprintf "%h" x | None -> "open")
+          in
+          let episodes = Monitor.episodes m in
+          Alcotest.(check int) "episode count" 49 (List.length episodes);
+          Alcotest.(check string)
+            "episode list" "dad036af77b8c43a52deccf8f741a82b"
+            (Digest.to_hex (Digest.string (String.concat ";" (List.map render episodes)))))
+
 (* ---- jobs-independence of per-replication probe series (satellite b) ---- *)
 
 let probe_sweep ~jobs =
@@ -952,6 +1094,40 @@ let test_monitor_on_alert_once_per_episode () =
   let _ = Sim_markov.run_seeded ~probe ~seed:5 (Sim_markov.default_config params) ~horizon:60.0 in
   Alcotest.(check int) "hook fires once per episode" (List.length (Monitor.episodes m)) !fired
 
+(* The detector keeps its window in preallocated arrays: a sample whose
+   window fails the scarcity test allocates nothing, and one that passes
+   allocates only the fit (and, while alerting, its slope/t-stat pair). *)
+let test_monitor_observe_alloc () =
+  let words_per_sample ~rarest_count =
+    let m = Monitor.create () in
+    let samples =
+      Array.init 10_000 (fun i ->
+          mk_sample ~time:(float_of_int i) ~n:(100 + i) ~club:(50 + i)
+            ~pieces:[| rarest_count; 100; 100 |])
+    in
+    let feed (s : Probe.sample) =
+      Monitor.observe m ~time:s.Probe.time ~one_club:s.Probe.one_club
+        ~rarest_piece:s.Probe.rarest_piece ~rarest_count:s.Probe.rarest_count
+    in
+    Array.iter feed (Array.sub samples 0 100);
+    let before = Gc.minor_words () in
+    for i = 100 to 9_999 do
+      feed samples.(i)
+    done;
+    let grown = Gc.minor_words () -. before in
+    (grown /. 9_900.0, List.length (Monitor.alerts m))
+  in
+  let quiet, quiet_alerts = words_per_sample ~rarest_count:50 in
+  Alcotest.(check int) "quiet window raises nothing" 0 quiet_alerts;
+  Alcotest.(check bool)
+    (Printf.sprintf "quiet samples allocate nothing (%.4f words each)" quiet)
+    true (quiet *. 9_900.0 <= 16.0);
+  let pinned, pinned_alerts = words_per_sample ~rarest_count:0 in
+  Alcotest.(check int) "pinned, growing window raises one alert" 1 pinned_alerts;
+  Alcotest.(check bool)
+    (Printf.sprintf "pinned samples allocate one fit (%.2f words each)" pinned)
+    true (pinned <= 32.0)
+
 let test_monitor_config_validation () =
   let bad config name =
     match Monitor.create ~config () with
@@ -1018,6 +1194,9 @@ let () =
           Alcotest.test_case "time-weighted averages" `Quick test_series_averages;
           Alcotest.test_case "file roundtrip" `Quick test_series_file_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_series_read_rejects_garbage;
+          Alcotest.test_case "read path pinned on a syndrome run" `Quick test_series_read_pinned;
+          Alcotest.test_case "reader row contract" `Quick test_series_read_row_contract;
+          Alcotest.test_case "first-record dispatch contract" `Quick test_first_record_contract;
         ] );
       ( "jobs-independence",
         [
@@ -1066,6 +1245,8 @@ let () =
           Alcotest.test_case "on_alert fires once per episode" `Quick
             test_monitor_on_alert_once_per_episode;
           Alcotest.test_case "config validation" `Quick test_monitor_config_validation;
+          Alcotest.test_case "observe allocates only a passing fit" `Quick
+            test_monitor_observe_alloc;
           Alcotest.test_case "full instrumentation bit-identity" `Quick
             test_full_instrumentation_bit_identity;
         ] );

@@ -91,14 +91,27 @@ let test_deterministic () =
 
 let test_degree_one_line_graph_survives () =
   (* Degree 1 gives a forest; the global seed still reaches everyone, so a
-     comfortably stable system should survive, if with higher population.
-     Mixing is slow here (mean N ~ 60 against ~ 8 at degree 4): at this
-     horizon about half the seeds read inconclusive rather than stable. *)
+     comfortably stable system should survive, if with higher population
+     (mean N ~ 70 against ~ 8 at degree 4).  Mixing is so slow that one
+     run's verdict is a coin flip: over 40 seeds at horizon 6000, 3 read
+     appears-unstable and 17 inconclusive.  So pool 8 seeds at horizon
+     4000 and bound what a stable swarm keeps finite.  Observed: mean N
+     71.3, mean late-half growth -0.009/t (per-seed spread ~0.02/t); a
+     transient swarm at degree 1 grows at ~1/t, N ~ 1500. *)
   let cfg = { (Sim_agent.default_config stable) with degree = Some 1 } in
-  let s, _ = Sim_agent.run_seeded ~seed:10 cfg ~horizon:1500.0 in
-  let r = Classify.of_samples s.samples in
-  Alcotest.(check string) "degree-1 still stable" "appears-stable"
-    (Classify.verdict_to_string r.verdict)
+  let runs =
+    List.init 8 (fun i ->
+        let s, _ = Sim_agent.run_seeded ~seed:(i + 1) cfg ~horizon:4000.0 in
+        (s.time_avg_n, (Classify.of_samples s.samples).growth_rate))
+  in
+  let mean f = List.fold_left (fun acc r -> acc +. f r) 0.0 runs /. 8.0 in
+  let mean_n = mean fst and mean_growth = mean snd in
+  Alcotest.(check bool)
+    (Printf.sprintf "pooled time-avg N %.1f < 100" mean_n)
+    true (mean_n < 100.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "pooled late-half growth %.4f/t < 0.02/t" mean_growth)
+    true (mean_growth < 0.02)
 
 let () =
   Alcotest.run "sim_network"

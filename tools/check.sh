@@ -93,6 +93,30 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
   left=$(remaining)
   timeout "$left" _build/default/bin/p2psim.exe report "$out/sample_probe.jsonl" >/dev/null || {
     echo "FAIL: p2psim report exited non-zero" >&2; exit 1; }
+  # `report` picks its renderer from the first line alone; the probe
+  # reader must still read every row.  A syndrome-regime series must
+  # read as unstable, and a copy with one corrupt middle row must make
+  # `report` exit 2.
+  left=$(remaining)
+  timeout "$left" _build/default/bin/p2psim.exe simulate -k 3 --us 0.3 --mu 2 --gamma inf \
+    -a none=2 -t 150 --seed 1 --probe-interval 0.05 \
+    --metrics-out "$out/syndrome_probe.jsonl" >/dev/null || {
+    echo "FAIL: syndrome-regime simulate exited non-zero" >&2; exit 1; }
+  left=$(remaining)
+  timeout "$left" _build/default/bin/p2psim.exe report "$out/syndrome_probe.jsonl" \
+    >"$out/syndrome_report.txt" || {
+    echo "FAIL: p2psim report on the syndrome series exited non-zero" >&2; exit 1; }
+  grep -q 'one-club verdict *: appears-unstable' "$out/syndrome_report.txt" || {
+    echo "FAIL: report did not read the syndrome series as appears-unstable" >&2; exit 1; }
+  sed '1500s/.*/{"t":74.9,"n":oops}/' "$out/syndrome_probe.jsonl" >"$out/syndrome_corrupt.jsonl"
+  left=$(remaining)
+  status=0
+  timeout "$left" _build/default/bin/p2psim.exe report "$out/syndrome_corrupt.jsonl" \
+    >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "FAIL: report on a series with a corrupt middle row exited $status, wanted 2" >&2
+    exit 1
+  fi
   # The coded swarm shares the same engine and flag families: prove its
   # telemetry plumbing end to end too.
   left=$(remaining)
