@@ -272,7 +272,10 @@ let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resu
   (stats, extra)
 
 type continuous = {
-  c_advance : to_:float -> [ `Reached | `Stopped of float | `Step_limit ];
+  c_advance :
+    to_:float ->
+    on_step:(t_end:float -> view:(float -> unit) -> unit) ->
+    [ `Reached | `Stopped of float | `Step_limit ];
   c_population : unit -> float;
   c_extra_sample : time:float -> unit;
   c_probe_sample : time:float -> Probe.sample;
@@ -282,11 +285,12 @@ type continuous = {
 }
 
 (* The continuous-model counterpart of the event loop: instead of an
-   exponential race the model integrates an ODE, and every shared-grid
-   point (sample, probe), fault toggle, and the horizon becomes a time
-   barrier the integrator lands on exactly — so the recorded trajectory
-   shares the sampling-grid contract with the stochastic drivers and
-   [p2psim report] consumes either without knowing which produced it. *)
+   exponential race the model integrates an ODE.  Only fault toggles, the
+   horizon and the model's own [until] crossing are barriers the
+   integrator lands on exactly; shared-grid points (sample, probe) inside
+   an accepted step are read from the model's dense output, so the
+   recorded trajectory keeps the sampling-grid contract of the stochastic
+   drivers without the grid dictating the step sizes. *)
 let drive_continuous ?(probe = Probe.none) ?sample_every ?(resume = fresh) ~name ~rng ~faults
     ~horizon build =
   let prof = probe.Probe.profile in
@@ -305,18 +309,28 @@ let drive_continuous ?(probe = Probe.none) ?sample_every ?(resume = fresh) ~name
   in
   observe t ~time:t.start_time ~n:(pop_int ());
   record t.start_time;
+  (* Grid points strictly before an accepted step's end are read through
+     [view]; one equal to [t_end] waits for the real step state. *)
+  let next_grid () = Float.min t.next_sample (if t.probing then t.next_probe else infinity) in
+  let on_step ~t_end ~view =
+    while next_grid () < t_end && next_grid () <= horizon do
+      let g = next_grid () in
+      view g;
+      observe t ~time:g ~n:(pop_int ());
+      record g
+    done
+  in
   Profile.stop setup_span;
   let loop_span = Profile.start prof (name ^ "/event-loop") in
-  (* Barrier-to-barrier integrations are few (hundreds per run), so the
-     advance timer is unsampled: every span is measured. *)
+  (* Barrier-to-barrier integrations are few (one per toggle, plus the
+     horizon), so the advance timer is unsampled: every span is measured. *)
   let advance_tm = Hist.timer ~period:1 (Hist.get probe.Probe.hists (name ^ "/advance")) in
   let running = ref true in
   while !running do
     let toggle = Faults.next_toggle t.frun in
-    let grid = Float.min t.next_sample (if t.probing then t.next_probe else infinity) in
-    let barrier = Float.max t.clock (Float.min horizon (Float.min grid toggle)) in
+    let barrier = Float.max t.clock (Float.min horizon toggle) in
     let adv_t0 = Hist.tick advance_tm in
-    let outcome = m.c_advance ~to_:barrier in
+    let outcome = m.c_advance ~to_:barrier ~on_step in
     Hist.tock advance_tm adv_t0;
     match outcome with
     | `Stopped ts ->

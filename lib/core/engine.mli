@@ -202,18 +202,27 @@ val drive :
     The fifth backend integrates the mean-field ODE instead of racing
     exponentials, but shares everything else: the sampling grid, the
     probe grid, the fault clockwork, truncation semantics, and the
-    {!stats} record.  Every grid point, fault toggle, and the horizon is
-    a {e time barrier} the integrator is asked to land on exactly
-    ([c_advance ~to_:barrier]), so fluid trajectories are sampled on the
-    same sim-time grid as the stochastic simulators and
-    [p2psim report] works unchanged. *)
+    {!stats} record.  Only fault toggles, the horizon and the model's own
+    [until] crossing are {e time barriers} the integrator lands on
+    exactly ([c_advance ~to_:barrier]).  Sample and probe points inside
+    an accepted step are read from the model's 4th-order dense output,
+    so fluid trajectories share the stochastic simulators' sim-time grid
+    and [p2psim report] works unchanged, while the grid density does not
+    change the steps taken. *)
 type continuous = {
-  c_advance : to_:float -> [ `Reached | `Stopped of float | `Step_limit ];
+  c_advance :
+    to_:float ->
+    on_step:(t_end:float -> view:(float -> unit) -> unit) ->
+    [ `Reached | `Stopped of float | `Step_limit ];
       (** Integrate the continuous state from its current time to [to_]
-          (global simulation time).  [`Stopped t] = the model's own
-          [until] predicate fired at [t <= to_] (hybrid handoff);
-          [`Step_limit] = the step budget ran out (maps to
-          {!stats.truncated}). *)
+          (global simulation time), calling [on_step ~t_end ~view] after
+          every accepted step ending at [t_end] (the stop time when
+          [until] fires).  Inside it, [view g] makes [c_population] and
+          [c_probe_sample] read the interpolated state at [g] within
+          the step; elsewhere they read the live state.  [`Stopped t]
+          = the model's own [until] predicate fired at [t <= to_]
+          (hybrid handoff); [`Step_limit] = the step budget ran out
+          (maps to {!stats.truncated}). *)
   c_population : unit -> float;  (** total mass at the current state *)
   c_extra_sample : time:float -> unit;
   c_probe_sample : time:float -> P2p_obs.Probe.sample;

@@ -84,16 +84,23 @@ let run ?probe ?sample_every ?resume ?until ?init ?max_steps ~rng config ~horizo
           done;
           !acc
         in
-        let pop () = pop_of (Ode.state session) in
+        (* The dense-output state at a grid point inside the last step. *)
+        let view = ref None in
+        let live () = match !view with Some y -> y | None -> Ode.state session in
+        let pop () = pop_of (live ()) in
         let ode_until = Option.map (fun pred ~t ~y -> pred ~time:t ~total:(pop_of y)) until in
-        let c_advance ~to_ =
-          match Ode.advance ?until:ode_until session ~to_ with
+        let c_advance ~to_ ~on_step =
+          let on_step s =
+            on_step ~t_end:(Ode.time s) ~view:(fun g -> view := Some (Ode.dense_eval s g));
+            view := None
+          in
+          match Ode.advance ?until:ode_until ~on_step session ~to_ with
           | Ode.Reached -> `Reached
           | Ode.Stopped t -> `Stopped t
           | Ode.Step_limit -> `Step_limit
         in
         let c_probe_sample ~time =
-          let y = Ode.state session in
+          let y = live () in
           let count_of set = round_nonneg y.(Pieceset.to_index set) in
           let piece_counts =
             Array.init p.k (fun piece ->

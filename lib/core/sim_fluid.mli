@@ -10,6 +10,12 @@
     that would take the CTMC simulators billions of events integrates
     in a few hundred accepted steps.
 
+    {b Samples from the dense output.}  The stepper lands only on outage
+    toggles, the horizon and an [until] crossing; sample and probe points
+    inside a step come from its 4th-order interpolant, so the grid density
+    does not change the steps taken (worst relative error in N ~4e-6 at
+    the default rtol 1e-6 on the million-peer K = 8 crowd).
+
     {b Faults as drift.}  Seed outages are still the engine's
     alternating-renewal clockwork (stochastic, from the dedicated fault
     stream), but between toggles they act on the ODE as a time-varying
@@ -54,7 +60,7 @@ type stats = {
   aborted_mass : float;  (** churn departures (also in [departures]) *)
   lost_mass : float;  (** upload mass dropped by transfer loss *)
   time_avg_n : float;  (** exact [∫n dt / T] *)
-  max_n : int;  (** max population seen at barrier/grid times *)
+  max_n : int;  (** max population seen at grid points and barriers *)
   final_n : float;
   truncated : bool;  (** the step budget ran out; frozen to horizon *)
   stopped : bool;  (** [until] fired; [final_time] is the stop time *)

@@ -197,6 +197,22 @@ let test_hybrid_samples_monotone () =
     Alcotest.(check bool) "strictly increasing grid" true (times.(i) > times.(i - 1))
   done
 
+let test_hybrid_one_sample_per_grid_point () =
+  (* Fluid segments read grid points from the dense output and record
+     only those before their [until] crossing from the crossing step:
+     through handoffs both ways, every grid point is sampled once. *)
+  let every = 0.25 and horizon = 60.0 in
+  let stats, _ =
+    Sim_hybrid.run_seeded ~sample_every:every ~seed:7 (hybrid_config ()) ~horizon
+  in
+  let dirs = List.map (fun (s : Sim_hybrid.switch) -> s.to_fluid) stats.Sim_hybrid.switches in
+  Alcotest.(check bool) "hands off to the fluid" true (List.mem true dirs);
+  Alcotest.(check bool) "hands back to the CTMC" true (List.mem false dirs);
+  Alcotest.(check int) "one sample per grid point" 241 (Array.length stats.samples);
+  Array.iteri
+    (fun i (t, _) -> Alcotest.(check (float 0.0)) "grid time" (float_of_int i *. every) t)
+    stats.samples
+
 (* ---- the stochastic side of the handoff: until / resume ---- *)
 
 let test_markov_until_and_resume () =
@@ -254,6 +270,8 @@ let () =
           Alcotest.test_case "bit-identical across jobs" `Quick
             test_hybrid_deterministic_across_jobs;
           Alcotest.test_case "monotone sample grid" `Quick test_hybrid_samples_monotone;
+          Alcotest.test_case "one sample per grid point" `Quick
+            test_hybrid_one_sample_per_grid_point;
           Alcotest.test_case "markov until/resume" `Quick test_markov_until_and_resume;
         ] );
     ]

@@ -125,15 +125,32 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
     echo "FAIL: traced coded simulate exited non-zero" >&2; exit 1; }
   # The fluid backend at headline scale: a million-peer flash crowd
   # through the CLI with probes on, round-tripped through `report`, and
-  # a hybrid run that actually crosses its thresholds.
+  # a hybrid run that actually crosses its thresholds.  A second run
+  # probes 20x more densely: grid points are read from the integrator's
+  # dense output, so it must take exactly the unprobed run's steps.
   left=$(remaining)
   timeout "$left" _build/default/bin/p2psim.exe fluid -k 8 --us 1 --gamma 2 \
     --arrive none=100 --init none=1e6 -t 100 \
-    --metrics-out "$out/fluid_probe.jsonl" >/dev/null || {
+    --metrics-out "$out/fluid_probe.jsonl" >"$out/fluid.txt" || {
     echo "FAIL: million-peer fluid run exited non-zero" >&2; exit 1; }
   left=$(remaining)
   timeout "$left" _build/default/bin/p2psim.exe report "$out/fluid_probe.jsonl" >/dev/null || {
     echo "FAIL: p2psim report on fluid probes exited non-zero" >&2; exit 1; }
+  left=$(remaining)
+  timeout "$left" _build/default/bin/p2psim.exe fluid -k 8 --us 1 --gamma 2 \
+    --arrive none=100 --init none=1e6 -t 100 --probe-interval 0.05 \
+    --metrics-out "$out/fluid_dense_probe.jsonl" >"$out/fluid_dense.txt" || {
+    echo "FAIL: densely probed million-peer fluid run exited non-zero" >&2; exit 1; }
+  left=$(remaining)
+  timeout "$left" _build/default/bin/p2psim.exe report "$out/fluid_dense_probe.jsonl" \
+    >/dev/null || {
+    echo "FAIL: p2psim report on dense fluid probes exited non-zero" >&2; exit 1; }
+  steps=$(grep 'accepted steps' "$out/fluid.txt")
+  dense_steps=$(grep 'accepted steps' "$out/fluid_dense.txt")
+  if [ -z "$steps" ] || [ "$steps" != "$dense_steps" ]; then
+    echo "FAIL: probing at 0.05 changed the fluid run's steps ($steps vs $dense_steps)" >&2
+    exit 1
+  fi
   left=$(remaining)
   timeout "$left" _build/default/bin/p2psim.exe fluid -k 2 --us 50 --gamma inf \
     --arrive none=40 -t 50 --hybrid --switch-up 95 --switch-down 80 --seed 7 \
