@@ -228,26 +228,28 @@ let pivots_subset a b =
   in
   go 0 0
 
+(* Two subspaces of one field share its representation (packed iff
+   q = 2, [xw] fixed by k), so their rows reduce against each other
+   directly.  Rows of another field would be read as this one's
+   elements, so mixing fields is an error. *)
+let check_same_field name a b =
+  if a.f.Field.q <> b.f.Field.q then invalid_arg ("Subspace." ^ name ^ ": different fields")
+
 let subspace_leq a b =
+  check_same_field "subspace_leq" a b;
   a.k = b.k
   && a.dim <= b.dim
+  && pivots_subset a b
   && begin
-       if a.packed = b.packed && a.xw = b.xw then begin
-         (* Same representation (same q): reduce rows directly. *)
-         pivots_subset a b
-         && begin
-              let scratch = alloc_xvec b in
-              let rec go i =
-                i >= a.dim
-                || begin
-                     blit_row a i scratch;
-                     contains_xvec b scratch && go (i + 1)
-                   end
-              in
-              go 0
+       let scratch = alloc_xvec b in
+       let rec go i =
+         i >= a.dim
+         || begin
+              blit_row a i scratch;
+              contains_xvec b scratch && go (i + 1)
             end
-       end
-       else Array.for_all (fun row -> contains b row) (basis a)
+       in
+       go 0
      end
 
 let can_help ~uploader ~downloader = not (subspace_leq uploader downloader)
@@ -258,20 +260,17 @@ let random_member t rng =
   unpack t x
 
 let sum_dim a b =
-  (* dim(A + B), incrementally: extend a copy of the larger-format basis
-     by the other's rows. *)
+  (* dim(A + B), incrementally: extend a copy of A by B's rows. *)
   let acc = copy a in
   let scratch = alloc_xvec acc in
-  if b.packed = acc.packed && b.xw = acc.xw then
-    for i = 0 to b.dim - 1 do
-      blit_row b i scratch;
-      ignore (insert_xvec acc scratch)
-    done
-  else
-    Array.iter (fun row -> ignore (insert acc row)) (basis b);
+  for i = 0 to b.dim - 1 do
+    blit_row b i scratch;
+    ignore (insert_xvec acc scratch)
+  done;
   acc.dim
 
 let intersection_dim a b =
+  check_same_field "intersection_dim" a b;
   if a.k <> b.k then invalid_arg "Subspace.intersection_dim: dimension mismatch";
   dim a + dim b - sum_dim a b
 

@@ -35,7 +35,8 @@ val contains : t -> P2p_gf.Mat.vec -> bool
 (** Whether [v ∈ V]. *)
 
 val subspace_leq : t -> t -> bool
-(** [subspace_leq a b] iff [V_a ⊆ V_b]. *)
+(** [subspace_leq a b] iff [V_a ⊆ V_b]; [false] when the lengths differ.
+    @raise Invalid_argument if [a] and [b] are over different fields. *)
 
 val can_help : uploader:t -> downloader:t -> bool
 (** The coded usefulness test: [V_uploader ⊄ V_downloader]. *)
@@ -51,7 +52,8 @@ val useful_probability : uploader:t -> downloader:t -> float
     [A] = downloader, [B] = uploader (Section VIII-B). *)
 
 val intersection_dim : t -> t -> int
-(** [dim (V_a ∩ V_b)], via [dim a + dim b − dim (a + b)]. *)
+(** [dim (V_a ∩ V_b)], via [dim a + dim b − dim (a + b)].
+    @raise Invalid_argument if [a] and [b] differ in field or length. *)
 
 val basis : t -> P2p_gf.Mat.vec array
 (** The current row-reduced basis (copies). *)

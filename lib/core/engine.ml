@@ -17,6 +17,11 @@ type counters = {
   mutable max_n : int;
 }
 
+(* The per-event clock fields live in their own float-only record, which
+   OCaml stores flat: writing them never boxes a float.  In [t] itself,
+   next to the pointer fields, each write would allocate. *)
+type times = { mutable clock : float; mutable next_sample : float; mutable next_probe : float }
+
 type t = {
   probe : Probe.t;
   frun : Faults.run;
@@ -26,13 +31,11 @@ type t = {
   counters : counters;
   avg : Timeavg.t;
   samples : (float * int) Vec.t;
-  mutable clock : float;
+  times : times;
   mutable truncated : bool;
   mutable stop_requested : bool;
   sample_every : float;
-  mutable next_sample : float;
   probing : bool;
-  mutable next_probe : float;
 }
 
 let counters t = t.counters
@@ -96,15 +99,15 @@ type stats = {
    lockstep — sim time, never wall clock, so probe series are
    bit-identical across --jobs. *)
 let record_through t ~population ~extra_sample ~probe_sample time =
-  while t.next_sample <= time && t.next_sample <= t.horizon do
-    Vec.push t.samples (t.next_sample, population ());
-    extra_sample ~time:t.next_sample;
-    t.next_sample <- t.next_sample +. t.sample_every
+  while t.times.next_sample <= time && t.times.next_sample <= t.horizon do
+    Vec.push t.samples (t.times.next_sample, population ());
+    extra_sample ~time:t.times.next_sample;
+    t.times.next_sample <- t.times.next_sample +. t.sample_every
   done;
   if t.probing then
-    while t.next_probe <= time && t.next_probe <= t.horizon do
-      t.probe.Probe.on_sample (probe_sample ~time:t.next_probe);
-      t.next_probe <- t.next_probe +. t.probe.Probe.interval
+    while t.times.next_probe <= time && t.times.next_probe <= t.horizon do
+      t.probe.Probe.on_sample (probe_sample ~time:t.times.next_probe);
+      t.times.next_probe <- t.times.next_probe +. t.probe.Probe.interval
     done
 
 let record_samples_through t model time =
@@ -133,16 +136,19 @@ let make_handle ~probe ~resume ~rng ~faults ~horizon ~max_events ~sample_every =
         };
       avg = Timeavg.create ~t0:resume.t0 ();
       samples = Vec.create ();
-      clock = resume.t0;
+      times =
+        {
+          clock = resume.t0;
+          next_sample = grid_start ~interval:sample_every ~grid_after:resume.grid_after;
+          next_probe =
+            (if probing then
+               grid_start ~interval:probe.Probe.interval ~grid_after:resume.grid_after
+             else 0.0);
+        };
       truncated = false;
       stop_requested = false;
       sample_every;
-      next_sample = grid_start ~interval:sample_every ~grid_after:resume.grid_after;
       probing;
-      next_probe =
-        (if probing then
-           grid_start ~interval:probe.Probe.interval ~grid_after:resume.grid_after
-         else 0.0);
     }
   in
   if probe.Probe.tracing then
@@ -186,7 +192,7 @@ let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resu
     let total = total_rate () in
     Hist.tock rate_tm rate_t0;
     let dt = Dist.exponential rng ~rate:total in
-    let t_next = t.clock +. dt in
+    let t_next = t.times.clock +. dt in
     let sched = next_scheduled () in
     let toggle = Faults.next_toggle frun in
     if toggle <= t_next && toggle <= horizon && toggle <= sched && c.events < max_events
@@ -196,21 +202,21 @@ let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resu
          Budget-gated so an exhausted run truncates instead of walking
          the rest of the outage schedule. *)
       record_samples_through t model toggle;
-      t.clock <- toggle;
+      t.times.clock <- toggle;
       Faults.toggle t.frun ~now:toggle
     end
     else if sched <= t_next && sched <= horizon then begin
       (* A scheduled event (dwell expiry) beats the race: a time
          barrier, like the toggle, but it consumes event budget. *)
       record_samples_through t model sched;
-      t.clock <- sched;
+      t.times.clock <- sched;
       c.events <- c.events + 1;
       let s_t0 = Hist.tick sched_tm in
       do_scheduled ~time:sched;
       Hist.tock sched_tm s_t0;
       if t.stop_requested then begin
-        Timeavg.close t.avg ~time:t.clock;
-        model.finish ~time:t.clock;
+        Timeavg.close t.avg ~time:t.times.clock;
+        model.finish ~time:t.times.clock;
         running := false
       end
     end
@@ -223,7 +229,7 @@ let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resu
       record_samples_through t model horizon;
       Timeavg.close t.avg ~time:horizon;
       model.finish ~time:horizon;
-      t.clock <- horizon;
+      t.times.clock <- horizon;
       running := false
     end
     else begin
@@ -231,27 +237,27 @@ let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resu
          sample or probe point falls before this event, so the common
          event skips the call (and its two grid-walk loops) entirely.
          Equivalent because both inner loops test the same bounds. *)
-      if t.next_sample <= t_next || (t.probing && t.next_probe <= t_next) then
+      if t.times.next_sample <= t_next || (t.probing && t.times.next_probe <= t_next) then
         record_samples_through t model t_next;
-      t.clock <- t_next;
+      t.times.clock <- t_next;
       c.events <- c.events + 1;
       let u = Rng.float rng *. total in
       let a_t0 = Hist.tick apply_tm in
       apply ~time:t_next ~u;
       Hist.tock apply_tm a_t0;
       if t.stop_requested then begin
-        Timeavg.close t.avg ~time:t.clock;
-        model.finish ~time:t.clock;
+        Timeavg.close t.avg ~time:t.times.clock;
+        model.finish ~time:t.times.clock;
         running := false
       end
     end
   done;
   Profile.stop loop_span;
   let finish_span = Profile.start prof (name ^ "/finalise") in
-  Faults.finish t.frun ~now:t.clock;
+  Faults.finish t.frun ~now:t.times.clock;
   let stats =
     {
-      final_time = t.clock;
+      final_time = t.times.clock;
       events = c.events;
       arrivals = c.arrivals;
       transfers = c.transfers;
@@ -311,7 +317,9 @@ let drive_continuous ?(probe = Probe.none) ?sample_every ?(resume = fresh) ~name
   record t.start_time;
   (* Grid points strictly before an accepted step's end are read through
      [view]; one equal to [t_end] waits for the real step state. *)
-  let next_grid () = Float.min t.next_sample (if t.probing then t.next_probe else infinity) in
+  let next_grid () =
+    Float.min t.times.next_sample (if t.probing then t.times.next_probe else infinity)
+  in
   let on_step ~t_end ~view =
     while next_grid () < t_end && next_grid () <= horizon do
       let g = next_grid () in
@@ -328,7 +336,7 @@ let drive_continuous ?(probe = Probe.none) ?sample_every ?(resume = fresh) ~name
   let running = ref true in
   while !running do
     let toggle = Faults.next_toggle t.frun in
-    let barrier = Float.max t.clock (Float.min horizon toggle) in
+    let barrier = Float.max t.times.clock (Float.min horizon toggle) in
     let adv_t0 = Hist.tick advance_tm in
     let outcome = m.c_advance ~to_:barrier ~on_step in
     Hist.tock advance_tm adv_t0;
@@ -336,7 +344,7 @@ let drive_continuous ?(probe = Probe.none) ?sample_every ?(resume = fresh) ~name
     | `Stopped ts ->
         (* The model's own [until] predicate fired (hybrid handoff):
            stop exactly at the located crossing. *)
-        t.clock <- ts;
+        t.times.clock <- ts;
         observe t ~time:ts ~n:(pop_int ());
         record ts;
         Timeavg.close t.avg ~time:ts;
@@ -346,13 +354,13 @@ let drive_continuous ?(probe = Probe.none) ?sample_every ?(resume = fresh) ~name
         (* The step budget ran out mid-flight: like stochastic event
            exhaustion, freeze the state through the horizon and flag. *)
         t.truncated <- true;
-        observe t ~time:t.clock ~n:(pop_int ());
-        t.clock <- horizon;
+        observe t ~time:t.times.clock ~n:(pop_int ());
+        t.times.clock <- horizon;
         record horizon;
         Timeavg.close t.avg ~time:horizon;
         running := false
     | `Reached ->
-        t.clock <- barrier;
+        t.times.clock <- barrier;
         observe t ~time:barrier ~n:(pop_int ());
         record barrier;
         if toggle <= barrier then begin
@@ -366,18 +374,18 @@ let drive_continuous ?(probe = Probe.none) ?sample_every ?(resume = fresh) ~name
   done;
   Profile.stop loop_span;
   let finish_span = Profile.start prof (name ^ "/finalise") in
-  Faults.finish t.frun ~now:t.clock;
-  m.c_finish ~time:t.clock;
+  Faults.finish t.frun ~now:t.times.clock;
+  m.c_finish ~time:t.times.clock;
   let c = t.counters in
   let stats =
     {
-      final_time = t.clock;
+      final_time = t.times.clock;
       events = c.events;
       arrivals = c.arrivals;
       transfers = c.transfers;
       completions = c.completions;
       departures = c.departures;
-      time_avg_n = m.c_time_average ~until:t.clock;
+      time_avg_n = m.c_time_average ~until:t.times.clock;
       max_n = c.max_n;
       final_n = pop_int ();
       truncated = t.truncated;

@@ -163,6 +163,10 @@ let bag_uniform bag rng =
   if bag.len = 0 then invalid_arg "Hetero: empty bag";
   bag.items.(Rng.int_below rng bag.len)
 
+(* Rate bands, stashed by [total_rate] for [apply]'s dispatch.  A
+   float-only record is stored flat, so the per-event stash never boxes. *)
+type bands = { mutable seed : float; mutable peers : float }
+
 type stats = {
   final_time : float;
   events : int;
@@ -258,16 +262,16 @@ let simulate ?sample_every ?max_events ~rng t ~horizon =
         per_class
     in
     observe 0.0;
-    let seed_rate () = if global.len = 0 then 0.0 else t.us in
+    let b = { seed = 0.0; peers = 0.0 } in
     let total_rate () =
-      let rate_peers = ref 0.0 in
+      b.seed <- (if global.len = 0 then 0.0 else t.us);
+      b.peers <- 0.0;
       for ci = 0 to nc - 1 do
-        rate_peers := !rate_peers +. (t.classes.(ci).mu *. float_of_int per_class.(ci).len)
+        b.peers <- b.peers +. (t.classes.(ci).mu *. float_of_int per_class.(ci).len)
       done;
-      lambda +. seed_rate () +. !rate_peers
+      lambda +. b.seed +. b.peers
     in
     let apply ~time ~u =
-      let rate_seed = seed_rate () in
       if u < lambda then begin
         let idx = Dist.categorical rng ~weights:stream_weights in
         let ci, set, _ = streams.(idx) in
@@ -275,10 +279,10 @@ let simulate ?sample_every ?max_events ~rng t ~horizon =
         c.arrivals <- c.arrivals + 1;
         if Pieceset.equal set full then complete peer ~time
       end
-      else if u < lambda +. rate_seed then contact full ~time
+      else if u < lambda +. b.seed then contact full ~time
       else begin
         (* pick the uploader class proportionally to mu_c * n_c *)
-        let target = u -. lambda -. rate_seed in
+        let target = u -. lambda -. b.seed in
         let acc = ref 0.0 in
         let chosen = ref (-1) in
         for ci = 0 to nc - 1 do

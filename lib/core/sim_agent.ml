@@ -189,6 +189,10 @@ let sample_dwell config rng =
       done;
       !total
 
+(* Rate bands, stashed by [total_rate] for [apply]'s dispatch.  A
+   float-only record is stored flat, so the per-event stash never boxes. *)
+type bands = { arrival : float; mutable seed : float; mutable peers : float }
+
 let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~horizon =
   validate config;
   let p = config.params in
@@ -385,23 +389,19 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~h
         let group_samples = P2p_stats.Vec.create () in
         let club_samples = P2p_stats.Vec.create () in
 
-        (* Rate bands, stashed by [total_rate] for [apply]'s dispatch. *)
-        let rate_arrival = ref 0.0 in
-        let rate_seed = ref 0.0 in
-        let rate_peers = ref 0.0 in
+        let b = { arrival = lambda_total; seed = 0.0; peers = 0.0 } in
         let total_rate () =
           let n = Population.size pop in
-          rate_arrival := lambda_total;
-          rate_seed :=
+          b.seed <-
             (if n = 0 || not (Faults.seed_up frun) then 0.0
              else if !seed_boosted then config.eta *. p.us
              else p.us);
-          rate_peers := Population.contact_rate pop ~mu:p.mu ~eta:config.eta;
+          b.peers <- Population.contact_rate pop ~mu:p.mu ~eta:config.eta;
           let rate_abort = abort_rate *. float_of_int (n - State.count state full) in
-          !rate_arrival +. !rate_seed +. !rate_peers +. rate_abort
+          b.arrival +. b.seed +. b.peers +. rate_abort
         in
         let apply ~time ~u =
-          if u < !rate_arrival then begin
+          if u < b.arrival then begin
             let idx = Dist.Alias.sample rng arrival_alias in
             let c = fst p.arrivals.(idx) in
             let peer = new_peer c ~time in
@@ -410,8 +410,8 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~h
             if Pieceset.equal c full then schedule_departure peer ~time;
             notify ~time
           end
-          else if u < !rate_arrival +. !rate_seed then contact None ~time
-          else if u < !rate_arrival +. !rate_seed +. !rate_peers then begin
+          else if u < b.arrival +. b.seed then contact None ~time
+          else if u < b.arrival +. b.seed +. b.peers then begin
             let uploader = Population.weighted pop rng ~eta:config.eta in
             contact (Some uploader) ~time
           end

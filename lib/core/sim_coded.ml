@@ -67,6 +67,10 @@ type stats = {
   near_complete_fraction : float;
 }
 
+(* Rate bands, stashed by [total_rate] for [apply]'s dispatch.  A
+   float-only record is stored flat, so the per-event stash never boxes. *)
+type bands = { arrival : float; mutable seed : float; mutable abort : float }
+
 let run ?(probe = Probe.none) ?sample_every ?max_events ?until ~rng config ~horizon =
   if config.k < 1 then invalid_arg "Sim_coded.run: k must be >= 1";
   List.iter
@@ -329,34 +333,30 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ?until ~rng config ~hori
         in
         observe 0.0;
 
-        (* Rate bands, stashed by [total_rate] for [apply]'s dispatch.  The
-           abort band sits right after the seed band so a zero abort rate
-           leaves every dispatch boundary float-identical to the pre-fault
-           simulator. *)
-        let rate_arrival = ref 0.0 in
-        let rate_seed = ref 0.0 in
-        let rate_abort = ref 0.0 in
+        (* The abort band sits right after the seed band so a zero abort
+           rate leaves every dispatch boundary float-identical to the
+           pre-fault simulator. *)
+        let b = { arrival = lambda_total; seed = 0.0; abort = 0.0 } in
         let total_rate () =
           let n = population () in
-          rate_arrival := lambda_total;
-          rate_seed := (if n = 0 || not (Faults.seed_up frun) then 0.0 else config.us);
+          b.seed <- (if n = 0 || not (Faults.seed_up frun) then 0.0 else config.us);
           (* Every peer (active or dwelling seed) ticks at rate mu; seeds'
              uploads matter, and active peers' contacts may be silent. *)
           let rate_peers = config.mu *. float_of_int n in
-          rate_abort := abort_rate *. float_of_int !len;
-          !rate_arrival +. !rate_seed +. !rate_abort +. rate_peers
+          b.abort <- abort_rate *. float_of_int !len;
+          b.arrival +. b.seed +. b.abort +. rate_peers
         in
         let apply ~time ~u =
-          if u < !rate_arrival then begin
+          if u < b.arrival then begin
             let idx = Dist.categorical rng ~weights:arrival_weights in
             counters.arrivals <- counters.arrivals + 1;
             new_peer ~coded:arrival_kinds.(idx) ~time
           end
-          else if u < !rate_arrival +. !rate_seed then
+          else if u < b.arrival +. b.seed then
             transmit ~uploader:None ~seed_upload:true ~time
-          else if u < !rate_arrival +. !rate_seed +. !rate_abort then begin
+          else if u < b.arrival +. b.seed +. b.abort then begin
             (* Churn: a uniformly chosen in-progress (active) peer abandons
-               its download.  rate_abort > 0 guarantees one exists. *)
+               its download.  A positive abort band guarantees one exists. *)
             match !peers.(Rng.int_below rng !len) with
             | Some peer ->
                 if Subspace.dim peer.space = config.k - 1 then decr near_complete;

@@ -74,6 +74,15 @@ let resolve_contact ~rng ~frun ~(p : Params.t) ~policy ~state ~uploader ~downloa
       else State.move_peer state ~from_:downloader ~to_:target;
       true
 
+(* Rate bands, stashed by [total_rate] for [apply]'s dispatch.  A
+   float-only record is stored flat, so the per-event stash never boxes. *)
+type bands = {
+  arrival : float;
+  mutable seed_contact : float;
+  mutable peer_contact : float;
+  mutable abort : float;
+}
+
 let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ?resume ?until ~rng config
     ~horizon =
   let p = config.params in
@@ -104,28 +113,23 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ?resume ?until
         let immediate = Params.immediate_departure p in
         let draw = Rng.int_below rng in
         let pair = { State.uploader = full; downloader = full } in
-        (* Rate bands, stashed by [total_rate] for [apply]'s dispatch.
-           Only contacts between different types are raced (the seed is
+        (* Only contacts between different types are raced (the seed is
            a full-type uploader): same-type contacts are self-loops of
            the chain, and every other ordered pair keeps its rate μ/n
            (U_s/n for the seed).  DESIGN §18. *)
-        let rate_arrival = ref lambda_total in
-        let rate_seed_contact = ref 0.0 in
-        let rate_peer_contact = ref 0.0 in
-        let rate_abort = ref 0.0 in
+        let b = { arrival = lambda_total; seed_contact = 0.0; peer_contact = 0.0; abort = 0.0 } in
         let total_rate () =
           let n = State.n state in
           let s = !seeds in
           let fn = float_of_int n in
-          rate_seed_contact :=
+          b.seed_contact <-
             (if n > s && Faults.seed_up frun then us *. float_of_int (n - s) /. fn else 0.0);
-          rate_peer_contact :=
+          b.peer_contact <-
             (if n > 0 then mu *. float_of_int ((n * n) - State.same_type_pairs state) /. fn
              else 0.0);
-          rate_abort := abort_rate *. float_of_int (n - s);
+          b.abort <- abort_rate *. float_of_int (n - s);
           let rate_departure = if immediate then 0.0 else gamma *. float_of_int s in
-          !rate_arrival +. !rate_seed_contact +. !rate_peer_contact +. !rate_abort
-          +. rate_departure
+          b.arrival +. b.seed_contact +. b.peer_contact +. b.abort +. rate_departure
         in
         let contact ~time ~uploader ~downloader =
           let c_t0 = Hist.tick contact_tm in
@@ -138,7 +142,7 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ?resume ?until
         in
         let apply ~time ~u =
           let changed =
-            if u < !rate_arrival then begin
+            if u < b.arrival then begin
               let idx = Dist.Alias.sample rng arrival_alias in
               let pieces = fst p.arrivals.(idx) in
               State.add_peer state pieces;
@@ -147,18 +151,17 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ?resume ?until
               if tracing then Probe.arrival probe ~time ~pieces;
               true
             end
-            else if u < !rate_arrival +. !rate_seed_contact then
+            else if u < b.arrival +. b.seed_contact then
               contact ~time ~uploader:Policy.Fixed_seed
                 ~downloader:(State.sample_peer_not_of state ~draw full)
-            else if u < !rate_arrival +. !rate_seed_contact +. !rate_peer_contact then begin
+            else if u < b.arrival +. b.seed_contact +. b.peer_contact then begin
               State.sample_distinct_pair state ~draw pair;
               contact ~time ~uploader:(Policy.Peer pair.uploader) ~downloader:pair.downloader
             end
-            else if
-              u < !rate_arrival +. !rate_seed_contact +. !rate_peer_contact +. !rate_abort
-            then begin
+            else if u < b.arrival +. b.seed_contact +. b.peer_contact +. b.abort then begin
               (* Churn: a uniformly chosen in-progress peer abandons its
-                 download.  rate_abort > 0 guarantees a non-seed peer exists. *)
+                 download.  A positive abort band guarantees a non-seed
+                 peer exists. *)
               State.remove_peer state (State.sample_peer_not_of state ~draw full);
               counters.aborted <- counters.aborted + 1;
               counters.departures <- counters.departures + 1;

@@ -7,7 +7,10 @@
 
     Generators are mutable; use {!split} to derive statistically independent
     child streams (e.g. one stream per peer, one per arrival process) without
-    sharing state. *)
+    sharing state.
+
+    The state is the four xoshiro words in one 32-byte buffer, read and
+    written unboxed, so drawing an [int] allocates nothing. *)
 
 type t
 (** Mutable generator state. *)

@@ -106,6 +106,40 @@ let test_wrong_length_raises () =
        false
      with Invalid_argument _ -> true)
 
+(* A GF(3) and a GF(5) subspace of the same K have the same row format,
+   but their elements are different numbers: comparing them must fail
+   loudly instead of reducing one field's rows in the other field. *)
+let test_mixed_fields_raise () =
+  let f3 = Field.gf 3 and f5 = Field.gf 5 in
+  let a = Subspace.of_vectors f3 ~k:3 [ [| 1; 2; 0 |]; [| 0; 1; 1 |] ] in
+  let b = Subspace.of_vectors f5 ~k:3 [ [| 1; 2; 0 |]; [| 0; 0; 4 |] ] in
+  let raises name f =
+    Alcotest.(check bool) name true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  raises "subspace_leq" (fun () -> Subspace.subspace_leq a b);
+  raises "subspace_leq, swapped" (fun () -> Subspace.subspace_leq b a);
+  raises "can_help" (fun () -> Subspace.can_help ~uploader:a ~downloader:b);
+  raises "intersection_dim" (fun () -> Subspace.intersection_dim a b);
+  raises "useful_probability" (fun () -> Subspace.useful_probability ~uploader:b ~downloader:a);
+  (* Same-field results are unchanged, over GF(3) and the packed GF(2). *)
+  let a' = Subspace.of_vectors f3 ~k:3 [ [| 1; 2; 0 |] ] in
+  let b' = Subspace.of_vectors f3 ~k:3 [ [| 2; 1; 0 |]; [| 0; 0; 1 |] ] in
+  Alcotest.(check bool) "GF(3) a' <= a" true (Subspace.subspace_leq a' a);
+  Alcotest.(check bool) "GF(3) a' <= b'" true (Subspace.subspace_leq a' b');
+  Alcotest.(check bool) "GF(3) b' not <= a" false (Subspace.subspace_leq b' a);
+  Alcotest.(check int) "GF(3) dim (a ∩ b')" 1 (Subspace.intersection_dim a b');
+  let f2 = Field.gf 2 in
+  let c = Subspace.of_vectors f2 ~k:4 [ [| 1; 1; 0; 0 |]; [| 0; 0; 1; 1 |] ] in
+  let d = Subspace.of_vectors f2 ~k:4 [ [| 1; 1; 1; 1 |] ] in
+  Alcotest.(check bool) "GF(2) d <= c" true (Subspace.subspace_leq d c);
+  Alcotest.(check int) "GF(2) dim (c ∩ d)" 1 (Subspace.intersection_dim c d);
+  Alcotest.(check (float 1e-12)) "GF(2) useful probability" 0.5
+    (Subspace.useful_probability ~uploader:c ~downloader:d)
+
 let prop_dim_bounded =
   QCheck2.Test.make ~name:"dim <= min(#inserted, k)" ~count:300
     QCheck2.Gen.(list_size (int_range 0 8) (array_size (return 4) (int_range 0 4)))
@@ -147,6 +181,7 @@ let () =
           Alcotest.test_case "useful probability MC" `Quick test_useful_probability_monte_carlo;
           Alcotest.test_case "cannot help" `Quick test_cannot_help_probability_zero;
           Alcotest.test_case "wrong length" `Quick test_wrong_length_raises;
+          Alcotest.test_case "mixed fields raise" `Quick test_mixed_fields_raise;
           QCheck_alcotest.to_alcotest prop_dim_bounded;
           QCheck_alcotest.to_alcotest prop_insert_iff_not_contained;
         ] );

@@ -173,6 +173,81 @@ let test_pp_stable () =
   let s2 = Format.asprintf "%a" Rng.pp (Rng.of_seed 1) in
   check Alcotest.string "pp deterministic" s1 s2
 
+(* Stream golden: exact values recorded from the reference [Int64]
+   implementation.  Any change to the state representation or to the
+   draw paths must reproduce them bit for bit. *)
+let test_stream_golden () =
+  let bits name rng expected =
+    List.iteri
+      (fun i e -> check Alcotest.int64 (Printf.sprintf "%s bits64 #%d" name i) e (Rng.bits64 rng))
+      expected
+  in
+  bits "of_seed 1" (Rng.of_seed 1)
+    [ 0xB3F2AF6D0FC710C5L; 0x853B559647364CEAL; 0x92F89756082A4514L; 0x642E1C7BC266A3A7L;
+      0xB27A48E29A233673L; 0x24C123126FFDA722L; 0x123004EF8DF510E6L; 0x61954DCC47B1E89DL ];
+  bits "of_seed 42" (Rng.of_seed 42)
+    [ 0x15780B2E0C2EC716L; 0x6104D9866D113A7EL; 0xAE17533239E499A1L; 0xECB8AD4703B360A1L;
+      0xFDE6DC7FE2EC5E64L; 0xC50DA53101795238L; 0xB82154855A65DDB2L; 0xD99A2743EBE60087L ];
+  bits "of_seed_pair 7/3" (Rng.of_seed_pair ~master:7 ~stream:3)
+    [ 0xBA5199E67230912EL; 0xD0842C3CD10111BEL; 0x0818F24DA67AB5B4L; 0x1ACD224C8D2AE52FL;
+      0xDABFC2E92E54F429L; 0xF280273CCF6F5559L; 0xBD85C222C9B9FDB2L; 0x290D0888481B4632L ];
+  (* One generator through all four bounds in turn; the last bound,
+     2^61 + 1, rejects about half of its raw draws. *)
+  let rng = Rng.of_seed 1 in
+  List.iter
+    (fun (n, expected) ->
+      List.iteri
+        (fun i e ->
+          check Alcotest.int (Printf.sprintf "int_below %d #%d" n i) e (Rng.int_below rng n))
+        expected)
+    [
+      (2, [ 1; 0; 0; 1; 1; 0; 0; 1 ]);
+      (16, [ 1; 0; 1; 6; 1; 5; 7; 5 ]);
+      (1_000_003, [ 758007; 116694; 435869; 364000; 66361; 960398; 616921; 276339 ]);
+      ( (1 lsl 61) + 1,
+        [ 1926416709288835536; 21086365730482213; 202581184499657049; 1613474184296668030;
+          1545422153750379572; 347846721367029943; 1087966918018904437; 93812656642291900 ] );
+    ];
+  let rng = Rng.of_seed 42 in
+  let floats name draw expected =
+    List.iteri
+      (fun i e ->
+        check Alcotest.int64 (Printf.sprintf "%s #%d" name i) e
+          (Int64.bits_of_float (draw rng)))
+      expected
+  in
+  floats "float" Rng.float
+    [ 0x3FB5780B2E0C2EC0L; 0x3FD84136619B444EL; 0x3FE5C2EA66473C93L; 0x3FED9715A8E0766CL ];
+  floats "float_pos" Rng.float_pos
+    [ 0x3FEFBCDB8FFC5D8CL; 0x3FE8A1B4A6202F2BL; 0x3FE7042A90AB4CBCL; 0x3FEB3344E87D7CC1L ];
+  let rng = Rng.of_seed 42 in
+  let child = Rng.split rng in
+  let pp = Format.asprintf "%a" Rng.pp in
+  check Alcotest.string "pp after split (parent)"
+    "xoshiro256**{cd2430ea93c77c02;d26ab6428e8200c4;3ce231bcdee2f1c7;8252ee1e60599785}" (pp rng);
+  check Alcotest.string "pp after split (child)"
+    "xoshiro256**{12fcf375691cfb21;fe11ba804230a180;148fca408b78392;299baedc9f57f54}" (pp child);
+  Rng.jump rng;
+  check Alcotest.string "pp after jump"
+    "xoshiro256**{c6b90a344800adba;115d9b64ec2e5e37;5d916a981fa8be99;761e8f9ada616bd}" (pp rng)
+
+(* The draw paths keep no boxed state: an [int_below] draw allocates
+   nothing, including the rejection loop. *)
+let test_int_below_alloc () =
+  let rng = Rng.of_seed 3 in
+  let sink = ref 0 in
+  let draws = 100_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    sink := !sink lxor Rng.int_below rng 1_000_003
+  done;
+  let grown = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !sink);
+  (* slack covers the boxed float returned by [Gc.minor_words] itself *)
+  Alcotest.(check bool)
+    (Printf.sprintf "int_below allocates nothing (%.0f words over %d draws)" grown draws)
+    true (grown <= 16.0)
+
 let () =
   ignore checkf;
   Alcotest.run "rng"
@@ -200,5 +275,7 @@ let () =
           Alcotest.test_case "bernoulli rate" `Quick test_bernoulli_rate;
           Alcotest.test_case "jump" `Quick test_jump_changes_state;
           Alcotest.test_case "pp stable" `Quick test_pp_stable;
+          Alcotest.test_case "stream golden" `Quick test_stream_golden;
+          Alcotest.test_case "int_below allocates nothing" `Quick test_int_below_alloc;
         ] );
     ]

@@ -275,6 +275,22 @@ let test_agent_deterministic_given_seed () =
   Alcotest.(check int) "same events" a.events b.events;
   Alcotest.(check int) "same transfers" a.transfers b.transfers
 
+(* Per-event allocation of the aggregate backend in the stable flash
+   crowd: the draws, the engine clock and the rate bands are unboxed, so
+   what remains is the handful of floats the model closures pass and
+   return.  The reference [Int64]-record generator allocated ~144 words
+   per event here. *)
+let test_markov_alloc_per_event () =
+  let p = Scenario.flash_crowd ~k:8 ~lambda:20.0 ~us:2.0 ~mu:1.0 ~gamma:0.8 in
+  let before = Gc.minor_words () in
+  let stats, _ = Sim_markov.run_seeded ~seed:12345 (Sim_markov.default_config p) ~horizon:400.0 in
+  let words = (Gc.minor_words () -. before) /. float_of_int stats.Sim_markov.events in
+  Alcotest.(check bool) "enough events to amortise set-up" true (stats.Sim_markov.events > 50_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "<= 40 minor words per event (%.1f over %d events)" words
+       stats.Sim_markov.events)
+    true (words <= 40.0)
+
 let () =
   Alcotest.run "sim"
     [
@@ -289,6 +305,7 @@ let () =
           Alcotest.test_case "policy invariance" `Slow test_markov_policy_changes_dynamics_not_stability;
           Alcotest.test_case "seed arrivals (lambda_F)" `Quick test_markov_seed_arrivals;
           Alcotest.test_case "truncation flag" `Quick test_markov_truncation_flag;
+          Alcotest.test_case "allocation per event" `Quick test_markov_alloc_per_event;
           Alcotest.test_case "sample grid" `Quick test_markov_samples_grid;
         ] );
       ( "agent",

@@ -172,6 +172,24 @@ let test_timeavg_single_sample () =
   closef "single value held" 7.0 (Timeavg.average t);
   closef "elapsed" 5.0 (Timeavg.elapsed t)
 
+(* The record is all floats and stored flat: an observation with a
+   precomputed argument writes its fields without boxing. *)
+let test_timeavg_observe_alloc () =
+  let t = Timeavg.create () in
+  let n = 100_000 in
+  (* boxed once, up front, so the loop passes them without boxing *)
+  let samples = Array.init n (fun i -> (float_of_int i, float_of_int (i mod 7))) in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    let time, value = Array.unsafe_get samples i in
+    Timeavg.observe t ~time ~value
+  done;
+  let grown = Gc.minor_words () -. before in
+  (* slack covers the boxed float returned by [Gc.minor_words] itself *)
+  Alcotest.(check bool)
+    (Printf.sprintf "observe allocates nothing (%.0f words over %d calls)" grown n)
+    true (grown <= 16.0)
+
 let test_timeavg_close_before_observe () =
   (* closing before the first observation must not count phantom time at
      the (unset) initial value *)
@@ -492,6 +510,7 @@ let () =
           Alcotest.test_case "close before observe" `Quick test_timeavg_close_before_observe;
           Alcotest.test_case "zero dwell" `Quick test_timeavg_zero_dwell;
           Alcotest.test_case "reset" `Quick test_timeavg_reset;
+          Alcotest.test_case "observe allocates nothing" `Quick test_timeavg_observe_alloc;
           Alcotest.test_case "time regression" `Quick test_timeavg_backwards;
         ] );
       ( "regression",

@@ -283,7 +283,8 @@ fi
 # statistics for any --jobs: a run at --jobs 1 and at --jobs 2 must
 # print identical output apart from the "wall ..." timing line.  It
 # covers the aggregate backend, the per-peer backend on the complete
-# graph, and the per-peer backend on a degree-4 overlay.
+# graph, the per-peer backend on a degree-4 overlay, and the coded
+# backend.
 if [ "${CHECK_JOBS:-0}" = "1" ]; then
   out=_build/jobs-smoke
   rm -rf "$out"
@@ -291,11 +292,13 @@ if [ "${CHECK_JOBS:-0}" = "1" ]; then
   echo "== jobs smoke (into $out) =="
   P2PSIM=_build/default/bin/p2psim.exe
   ARGS="-k 3 --arrive none=2.0 --gamma 2 --abort-rate 0.05 --horizon 150 --seed 11 --reps 8"
-  for run in "simulate" "simulate --agent" "overlay --degree 4"; do
-    tag=$(echo "$run" | tr -c 'a-z0-9\n' '_')
+  CODED_ARGS="-k 4 --gamma 2 --abort-rate 0.05 --horizon 150 --seed 11 --reps 8"
+  for run in "simulate $ARGS" "simulate --agent $ARGS" "overlay --degree 4 $ARGS" \
+             "coded --sim $CODED_ARGS"; do
+    tag=$(echo "$run" | cut -d' ' -f1-3 | tr -c 'a-z0-9\n' '_')
     for j in 1 2; do
       left=$(remaining)
-      timeout "$left" $P2PSIM $run $ARGS --jobs "$j" >"$out/$tag.jobs$j.txt" || {
+      timeout "$left" $P2PSIM $run --jobs "$j" >"$out/$tag.jobs$j.txt" || {
         echo "FAIL: '$run' at --jobs $j exited non-zero" >&2; exit 1; }
       grep -v '^wall ' "$out/$tag.jobs$j.txt" >"$out/$tag.jobs$j.norm.txt"
     done
