@@ -180,8 +180,8 @@ let scaling () =
 
    - events/sec of both simulators on the same stable flash-crowd config,
      measured with telemetry off, with swarm probes sampling, and with
-     event tracing into a sink — quantifying the observability overhead
-     promised in DESIGN.md Section 10;
+     the flight recorder and histograms attached — quantifying the
+     observability overhead promised in DESIGN.md Section 10;
    - replication-runner scaling at 1/2/4 domains (wall, speedup,
      utilisation) with the bit-identity of the merged mean asserted;
    - the probe series determinism witness: the merged mean must match
@@ -212,7 +212,6 @@ let sim_section ~quick =
     let series = Series.create ~k:4 in
     Probe.make ~interval:(horizon /. 200.0) ~on_sample:(Series.record series) ()
   in
-  let tracing_probe () = Probe.make ~on_event:(fun ~time:_ _ -> ()) () in
   (* The per-event live-observability stack — flight recorder plus
      event-count and phase-cost histograms.  This is the configuration
      the bench-gate bounds: the contract in DESIGN.md is recorder +
@@ -233,12 +232,12 @@ let sim_section ~quick =
   let measure name run =
     (* [probe] is a thunk: sampling probes accumulate a time series, so
        each round needs a fresh one.  Configurations are interleaved
-       round-robin (off, sampling, tracing, instrumented, repeat) so CPU
+       round-robin (off, sampling, instrumented, repeat) so CPU
        frequency drift and neighbour noise hit every configuration
        equally — the instrumented-overhead gate compares these walls
        against each other, not across runs. *)
     let configs =
-      [| (fun () -> Probe.none); sampling_probe; tracing_probe; instrumented_probe |]
+      [| (fun () -> Probe.none); sampling_probe; instrumented_probe |]
     in
     let best = Array.make (Array.length configs) infinity in
     let events_off = ref 0 in
@@ -258,14 +257,13 @@ let sim_section ~quick =
           walls.(i) <- wall;
           if wall < best.(i) then best.(i) <- wall)
         configs;
-      let r = walls.(0) /. walls.(3) in
+      let r = walls.(0) /. walls.(2) in
       if r > !best_ratio then best_ratio := r
     done;
     let events_off = !events_off in
     let wall_off = best.(0)
     and wall_sampling = best.(1)
-    and wall_tracing = best.(2)
-    and wall_instrumented = best.(3) in
+    and wall_instrumented = best.(2) in
     let eps wall = if wall > 0.0 then float_of_int events_off /. wall else nan in
     ( name,
       Json.Obj
@@ -275,7 +273,6 @@ let sim_section ~quick =
           ("wall_s", Json.Float wall_off);
           ("events_per_sec", Json.Float (eps wall_off));
           ("events_per_sec_probe_sampling", Json.Float (eps wall_sampling));
-          ("events_per_sec_probe_tracing", Json.Float (eps wall_tracing));
           ("events_per_sec_instrumented", Json.Float (eps wall_instrumented));
           ("instrumented_ratio", Json.Float !best_ratio);
         ] )

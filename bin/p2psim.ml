@@ -363,8 +363,7 @@ let with_single_run_probe tel ~k ~horizon f =
           | Some dt -> Some dt
           | None ->
               if series <> None || monitor <> None then Some (horizon /. 200.0) else None)
-        ?on_event:(Option.map Probe.trace_hook tracer)
-        ?on_sample ~profile:prof ~recorder ~hists ()
+        ?trace:tracer ?on_sample ~profile:prof ~recorder ~hists ()
   in
   let dump_recorder ~out =
     match tel.flight_recorder with

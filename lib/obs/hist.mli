@@ -16,8 +16,8 @@
     {!merge} is associative and commutative on everything integral
     (buckets, counts, min/max up to float compare); the running [sum]
     is a float accumulator and merges associatively only up to
-    rounding.  That makes per-domain histograms safe to combine in any
-    join order.
+    rounding.  That makes histograms filled on separate domains safe to
+    combine in any join order.
 
     {b Sampled timers.}  Reading even a monotonic clock twice per event
     costs ~5-15% at the engine's millions of events per second, so

@@ -2,43 +2,9 @@ module Pieceset = P2p_pieceset.Pieceset
 
 type departure_kind = Completed | Aborted | Seed_departed
 
-type event =
-  | Arrival of { pieces : Pieceset.t }
-  | Contact of { seed : bool; useful : bool }
-  | Transfer of { piece : int; completed : bool }
-  | Transfer_lost
-  | Departure of { kind : departure_kind }
-  | Seed_toggle of { up : bool }
-  | Handoff of { fluid : bool; n : float }
-
-let event_name = function
-  | Arrival _ -> "arrival"
-  | Contact _ -> "contact"
-  | Transfer _ -> "transfer"
-  | Transfer_lost -> "transfer_lost"
-  | Departure { kind = Completed } -> "departure_completed"
-  | Departure { kind = Aborted } -> "departure_aborted"
-  | Departure { kind = Seed_departed } -> "departure_seed"
-  | Seed_toggle _ -> "seed_toggle"
-  | Handoff { fluid = true; _ } -> "handoff_to_fluid"
-  | Handoff { fluid = false; _ } -> "handoff_to_stochastic"
-
-(* Dense event codes for the flight recorder's struct-of-arrays ring:
-   recording must not allocate, so an event is (code, a, b) ints with
-   the payload packed per code (see [payload_a]/[payload_b]). *)
+(* Dense event codes: an event is a (code, a, b) int row with the
+   payload packed per code, so recording never allocates. *)
 let n_event_codes = 10
-
-let event_code = function
-  | Arrival _ -> 0
-  | Contact _ -> 1
-  | Transfer _ -> 2
-  | Transfer_lost -> 3
-  | Departure { kind = Completed } -> 4
-  | Departure { kind = Aborted } -> 5
-  | Departure { kind = Seed_departed } -> 6
-  | Seed_toggle _ -> 7
-  | Handoff { fluid = true; _ } -> 8
-  | Handoff { fluid = false; _ } -> 9
 
 let code_name = function
   | 0 -> "arrival"
@@ -53,35 +19,19 @@ let code_name = function
   | 9 -> "handoff_to_stochastic"
   | c -> "unknown_" ^ string_of_int c
 
-let payload_a = function
-  | Arrival { pieces } -> (pieces :> int) (* the bitset itself *)
-  | Contact { seed; _ } -> Bool.to_int seed
-  | Transfer { piece; _ } -> piece + 1 (* 1-based, like the tracer *)
-  | Transfer_lost | Departure _ -> 0
-  | Seed_toggle { up } -> Bool.to_int up
-  | Handoff { fluid; _ } -> Bool.to_int fluid
-
-let payload_b = function
-  | Arrival { pieces } -> Pieceset.cardinal pieces
-  | Contact { useful; _ } -> Bool.to_int useful
-  | Transfer { completed; _ } -> Bool.to_int completed
-  | Transfer_lost | Departure _ | Seed_toggle _ -> 0
-  | Handoff { n; _ } -> int_of_float (Float.round n)
-
-let event_args = function
-  | Arrival { pieces } ->
+(* The one row decoder: a trace line's arguments from a packed row. *)
+let row_args code a b =
+  match code with
+  | 0 ->
       [
-        ("pieces", Json.String (Pieceset.to_string pieces));
-        ("held", Json.Int (Pieceset.cardinal pieces));
+        ("pieces", Json.String (Pieceset.to_string (Pieceset.of_index a)));
+        ("held", Json.Int b);
       ]
-  | Contact { seed; useful } -> [ ("seed", Json.Bool seed); ("useful", Json.Bool useful) ]
-  | Transfer { piece; completed } ->
-      (* 1-based piece numbers on the wire, matching the paper and the CLI. *)
-      [ ("piece", Json.Int (piece + 1)); ("completed", Json.Bool completed) ]
-  | Transfer_lost -> []
-  | Departure _ -> []
-  | Seed_toggle { up } -> [ ("up", Json.Bool up) ]
-  | Handoff { fluid; n } -> [ ("fluid", Json.Bool fluid); ("n", Json.Float n) ]
+  | 1 -> [ ("seed", Json.Bool (a <> 0)); ("useful", Json.Bool (b <> 0)) ]
+  | 2 -> [ ("piece", Json.Int a); ("completed", Json.Bool (b <> 0)) ]
+  | 7 -> [ ("up", Json.Bool (a <> 0)) ]
+  | 8 | 9 -> [ ("fluid", Json.Bool (a <> 0)); ("n", Json.Float (float_of_int b)) ]
+  | _ -> []
 
 type sample = {
   time : float;
@@ -113,17 +63,14 @@ let sample ~time ~k ~n ~count_of ~piece_counts =
 type t = {
   interval : float;
   tracing : bool;
-  on_event : time:float -> event -> unit;
   on_sample : sample -> unit;
   profile : Profile.t;
   recorder : Recorder.t;
   hists : Hist.group;
-  structured : bool;
-  subscribed : bool;
+  trace : Trace.t;
   event_counts : Hist.t array;
 }
 
-let noop_event ~time:_ _ = ()
 let noop_sample _ = ()
 
 let dead_counts = Array.make n_event_codes Hist.disabled
@@ -132,107 +79,77 @@ let none =
   {
     interval = infinity;
     tracing = false;
-    on_event = noop_event;
     on_sample = noop_sample;
     profile = Profile.disabled;
     recorder = Recorder.disabled;
     hists = Hist.disabled_group;
-    structured = false;
-    subscribed = false;
+    trace = Trace.null;
     event_counts = dead_counts;
   }
 
-let make ?(interval = infinity) ?on_event ?on_sample ?(profile = Profile.disabled)
+let make ?(interval = infinity) ?(trace = Trace.null) ?on_sample ?(profile = Profile.disabled)
     ?(recorder = Recorder.disabled) ?(hists = Hist.disabled_group) () =
   if not (interval > 0.0) then invalid_arg "Probe.make: interval must be > 0";
-  (* the recorder and the per-event-type hists both consume structured
-     events, so either one turns [tracing] on — the simulators only
-     report events behind that flag *)
-  let structured = Recorder.live recorder || Hist.enabled hists in
   {
     interval;
-    tracing = Option.is_some on_event || structured;
-    on_event = Option.value on_event ~default:noop_event;
+    (* the simulators only report events behind this flag *)
+    tracing = Trace.enabled trace || Recorder.live recorder || Hist.enabled hists;
     on_sample = Option.value on_sample ~default:noop_sample;
     profile;
     recorder;
     hists;
-    structured;
-    subscribed = Option.is_some on_event;
+    trace;
     event_counts =
       (if Hist.enabled hists then
          Array.init n_event_codes (fun c -> Hist.get hists ("events/" ^ code_name c))
        else dead_counts);
   }
 
-let trace_hook trace ~time ev =
-  Trace.emit trace ~time ~name:(event_name ev) ~args:(event_args ev)
-
 let sampling t = t.interval < infinity
+
+(* Out of line: only a traced run reaches it, and keeping the JSON
+   building out of [record_one] keeps the emitters small enough to
+   inline at every call site. *)
+let[@inline never] trace_row trace time c a b =
+  Trace.emit trace ~time ~name:(code_name c) ~args:(row_args c a b)
 
 (* Top level rather than a local function: a local closure would
    capture [t] and [time] and allocate on every event.  Codes are
-   literals in [0, n_event_codes) and both count arrays have exactly
-   that length, so the lookup skips its bounds check. *)
+   literals in [0, n_event_codes) and the count array has exactly that
+   length, so the lookup skips its bounds check.  The trace test is a
+   physical comparison with [Trace.null], not a call to
+   [Trace.enabled]: library modules are compiled opaque, so a call
+   across modules is never inlined, and an untraced run must pay no
+   more than a load and a compare for the trace. *)
 let[@inline] record_one t time c a b =
   Hist.record_unit (Array.unsafe_get t.event_counts c);
-  Recorder.record t.recorder ~time ~code:c ~a ~b
+  Recorder.record t.recorder ~time ~code:c ~a ~b;
+  if t.trace != Trace.null then trace_row t.trace time c a b
 
 (* Typed per-event emitters.  Each simulator call site knows its event
    statically, so the emitter takes the payload as scalars and records
-   [(code, a, b)] straight into the recorder and count hists — no
-   variant is constructed and no runtime dispatch happens unless an
-   [on_event] subscriber actually wants the value.  A match over a
-   recorded run's event mix costs ~15 ns/event in branch mispredictions
-   alone, which is most of the ≤ 5% instrumented-overhead budget. *)
+   [(code, a, b)] straight into the sinks — no variant is constructed
+   and no runtime dispatch happens.  A match over a recorded run's
+   event mix costs ~15 ns/event in branch mispredictions alone, which
+   is most of the ≤ 5% instrumented-overhead budget. *)
 let[@inline] arrival t ~time ~(pieces : Pieceset.t) =
-  if t.structured then record_one t time 0 (pieces :> int) (Pieceset.cardinal pieces);
-  if t.subscribed then t.on_event ~time (Arrival { pieces })
+  if t.tracing then record_one t time 0 (pieces :> int) (Pieceset.cardinal pieces)
 
 let[@inline] contact t ~time ~seed ~useful =
-  if t.structured then record_one t time 1 (Bool.to_int seed) (Bool.to_int useful);
-  if t.subscribed then t.on_event ~time (Contact { seed; useful })
+  if t.tracing then record_one t time 1 (Bool.to_int seed) (Bool.to_int useful)
 
+(* 1-based piece numbers on the wire, matching the paper and the CLI. *)
 let[@inline] transfer t ~time ~piece ~completed =
-  if t.structured then record_one t time 2 (piece + 1) (Bool.to_int completed);
-  if t.subscribed then t.on_event ~time (Transfer { piece; completed })
+  if t.tracing then record_one t time 2 (piece + 1) (Bool.to_int completed)
 
-let[@inline] transfer_lost t ~time =
-  if t.structured then record_one t time 3 0 0;
-  if t.subscribed then t.on_event ~time Transfer_lost
+let[@inline] transfer_lost t ~time = if t.tracing then record_one t time 3 0 0
 
 let[@inline] departure t ~time kind =
-  if t.structured then
-    record_one t time
-      (match kind with Completed -> 4 | Aborted -> 5 | Seed_departed -> 6)
-      0 0;
-  if t.subscribed then t.on_event ~time (Departure { kind })
+  if t.tracing then
+    record_one t time (match kind with Completed -> 4 | Aborted -> 5 | Seed_departed -> 6) 0 0
 
-let[@inline] seed_toggle t ~time ~up =
-  if t.structured then record_one t time 7 (Bool.to_int up) 0;
-  if t.subscribed then t.on_event ~time (Seed_toggle { up })
+let[@inline] seed_toggle t ~time ~up = if t.tracing then record_one t time 7 (Bool.to_int up) 0
 
 let[@inline] handoff t ~time ~fluid ~n =
-  if t.structured then
-    record_one t time (if fluid then 8 else 9) (Bool.to_int fluid)
-      (int_of_float (Float.round n));
-  if t.subscribed then t.on_event ~time (Handoff { fluid; n })
-
-(* The dynamic entry point, for callers that already hold an [event]
-   value (replays, tests).  Hot loops use the typed emitters above. *)
-let event t ~time ev =
-  if t.structured then begin
-    match ev with
-    | Arrival { pieces } -> record_one t time 0 (pieces :> int) (Pieceset.cardinal pieces)
-    | Contact { seed; useful } -> record_one t time 1 (Bool.to_int seed) (Bool.to_int useful)
-    | Transfer { piece; completed } -> record_one t time 2 (piece + 1) (Bool.to_int completed)
-    | Transfer_lost -> record_one t time 3 0 0
-    | Departure { kind = Completed } -> record_one t time 4 0 0
-    | Departure { kind = Aborted } -> record_one t time 5 0 0
-    | Departure { kind = Seed_departed } -> record_one t time 6 0 0
-    | Seed_toggle { up } -> record_one t time 7 (Bool.to_int up) 0
-    | Handoff { fluid; n } ->
-        record_one t time (if fluid then 8 else 9) (Bool.to_int fluid)
-          (int_of_float (Float.round n))
-  end;
-  t.on_event ~time ev
+  if t.tracing then
+    record_one t time (if fluid then 8 else 9) (Bool.to_int fluid) (int_of_float (Float.round n))

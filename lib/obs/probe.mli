@@ -1,12 +1,12 @@
 (** The observability hook record threaded through the simulators.
 
     A [Probe.t] bundles everything a simulator can report without knowing
-    who is listening: structured events (for the tracer), periodic swarm
-    samples on a {e simulation-time} grid (for time-series probes), and a
-    phase profiler.  {!none} is the contract's zero element — every hook
-    is a no-op closure, the sampling interval is [infinity], and the
-    simulators skip event construction entirely after one physical
-    equality / flag check per site.
+    who is listening: engine events (for the flight recorder, the
+    per-event-code count hists and a live trace), periodic swarm samples
+    on a {e simulation-time} grid (for time-series probes), and a phase
+    profiler.  {!none} is the contract's zero element — every sink is
+    dead, the sampling interval is [infinity], and the simulators skip
+    event reporting entirely after one flag check per site.
 
     {b Determinism.}  Probes never touch the simulation RNG, never
     perturb event ordering, and sample on the simulation clock — never
@@ -16,43 +16,22 @@
 
 module Pieceset = P2p_pieceset.Pieceset
 
-(** {1 Events} *)
+(** {1 Events}
+
+    An engine event has one form: a dense [(code, a, b)] integer row,
+    so recording never allocates.  Payload packing: arrival carries the
+    piece bitset and its cardinal; contact the seed/useful flags;
+    transfer the 1-based piece and the completion flag; seed toggle the
+    new state; handoff the direction and the rounded population.
+    Departures and lost transfers carry nothing. *)
 
 type departure_kind =
   | Completed  (** finished the file and left (γ = ∞ instant departure) *)
   | Aborted  (** churn: left without the file *)
   | Seed_departed  (** peer seed dwelled and left (finite γ) *)
 
-type event =
-  | Arrival of { pieces : Pieceset.t }
-  | Contact of { seed : bool; useful : bool }
-      (** a contact resolved; [seed] = fixed-seed upload attempt;
-          [useful] = the policy found a piece to push *)
-  | Transfer of { piece : int; completed : bool }
-      (** a piece actually arrived; [completed] = it was the last one *)
-  | Transfer_lost  (** fault injection dropped a would-be upload *)
-  | Departure of { kind : departure_kind }
-  | Seed_toggle of { up : bool }  (** fault injection flipped the fixed seed *)
-  | Handoff of { fluid : bool; n : float }
-      (** the hybrid backend switched regime: [fluid = true] = stochastic
-          → fluid at population [n]; [false] = fluid → stochastic *)
-
-val event_name : event -> string
-val event_args : event -> (string * Json.t) list
-
-(** {2 Dense codes}
-
-    The flight recorder stores events as [(code, a, b)] integer rows so
-    recording never allocates.  Payload packing: [Arrival] carries the
-    piece bitset and its cardinal; [Contact] the seed/useful flags;
-    [Transfer] the 1-based piece and the completion flag; [Seed_toggle]
-    the new state; [Handoff] the direction and rounded population. *)
-
 val n_event_codes : int
-val event_code : event -> int
 val code_name : int -> string
-val payload_a : event -> int
-val payload_b : event -> int
 
 (** {1 Swarm samples} *)
 
@@ -77,37 +56,33 @@ val sample :
 
 type t = private {
   interval : float;  (** sim-time sampling period; [infinity] = never *)
-  tracing : bool;  (** false ⇒ skip event reporting entirely *)
-  on_event : time:float -> event -> unit;
+  tracing : bool;  (** a recorder, hist group or trace is live; false ⇒ skip event reporting *)
   on_sample : sample -> unit;
   profile : Profile.t;
   recorder : Recorder.t;  (** flight recorder fed by the emitters *)
   hists : Hist.group;  (** phase-cost and event-count histograms *)
-  structured : bool;  (** recorder or hists live *)
-  subscribed : bool;  (** an [on_event] hook was supplied *)
-  event_counts : Hist.t array;  (** per-code occurrence hists, by {!event_code} *)
+  trace : Trace.t;  (** live event trace, or {!Trace.null} *)
+  event_counts : Hist.t array;  (** per-code occurrence hists, by event code *)
 }
 
 val none : t
 
 val make :
   ?interval:float ->
-  ?on_event:(time:float -> event -> unit) ->
+  ?trace:Trace.t ->
   ?on_sample:(sample -> unit) ->
   ?profile:Profile.t ->
   ?recorder:Recorder.t ->
   ?hists:Hist.group ->
   unit ->
   t
-(** [tracing] is true iff [on_event] is supplied, the recorder is live,
+(** [tracing] is true iff the trace is enabled, the recorder is live,
     or the hist group is enabled — all three consume events.  A live
     hist group additionally makes the engine attribute per-phase
     monotonic-clock cost into [hists] (sampled timers, see
-    {!Hist.timer}).
+    {!Hist.timer}).  The caller keeps ownership of [trace] and closes
+    it after the run.
     @raise Invalid_argument if [interval <= 0]. *)
-
-val trace_hook : Trace.t -> time:float -> event -> unit
-(** An [on_event] that forwards to a trace sink. *)
 
 val sampling : t -> bool
 (** Whether the probe wants grid samples ([interval < infinity]). *)
@@ -115,20 +90,28 @@ val sampling : t -> bool
 (** {1 Emitters}
 
     Call these under [if probe.tracing then ...] in hot loops.  Each
-    takes the event payload as scalars: the recorder and count hists
-    consume the dense [(code, a, b)] form directly, and the [event]
-    variant is only constructed when an [on_event] subscriber is
-    attached — so a recorder-only run never allocates or dispatches
-    per event. *)
+    takes the event payload as scalars and hands the packed row to the
+    count hists, the recorder and, when one is attached, the trace —
+    so a run without a trace never allocates or dispatches per
+    event. *)
 
 val arrival : t -> time:float -> pieces:Pieceset.t -> unit
-val contact : t -> time:float -> seed:bool -> useful:bool -> unit
-val transfer : t -> time:float -> piece:int -> completed:bool -> unit
-val transfer_lost : t -> time:float -> unit
-val departure : t -> time:float -> departure_kind -> unit
-val seed_toggle : t -> time:float -> up:bool -> unit
-val handoff : t -> time:float -> fluid:bool -> n:float -> unit
 
-val event : t -> time:float -> event -> unit
-(** Dynamic form of the emitters above, for callers that already hold
-    an [event] value (replays, tests). *)
+val contact : t -> time:float -> seed:bool -> useful:bool -> unit
+(** A contact resolved; [seed] = fixed-seed upload attempt, [useful] =
+    the policy found a piece to push. *)
+
+val transfer : t -> time:float -> piece:int -> completed:bool -> unit
+(** A piece (0-based) arrived; [completed] = it was the last one. *)
+
+val transfer_lost : t -> time:float -> unit
+(** Fault injection dropped a would-be upload. *)
+
+val departure : t -> time:float -> departure_kind -> unit
+
+val seed_toggle : t -> time:float -> up:bool -> unit
+(** Fault injection flipped the fixed seed. *)
+
+val handoff : t -> time:float -> fluid:bool -> n:float -> unit
+(** The hybrid backend switched regime at population [n]: [fluid] =
+    stochastic → fluid, otherwise fluid → stochastic. *)

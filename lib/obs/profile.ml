@@ -34,8 +34,6 @@ let time t label f =
     Fun.protect ~finally:(fun () -> stop span) f
   end
 
-let record_s t label seconds = if t.live then record_locked t label seconds
-
 let phases t =
   Mutex.lock t.lock;
   let entries =

@@ -26,10 +26,6 @@ val stop : span -> unit
 val time : t -> string -> (unit -> 'a) -> 'a
 (** [start]/[stop] around the thunk, exception-safe. *)
 
-val record_s : t -> string -> float -> unit
-(** Credit [seconds] to a phase directly (e.g. re-attributing a wall
-    measurement taken elsewhere). *)
-
 val phases : t -> (string * (float * int)) list
 (** [(name, (total seconds, times entered))], sorted by name. *)
 

@@ -1,12 +1,13 @@
 (** Flight recorder: a preallocated ring buffer of the last N engine
     events, dumped atomically on crash, timeout, signal, or demand.
 
-    The recorder is struct-of-arrays (one float array for timestamps,
-    int arrays for the event code and two integer payload slots), so a
-    live {!record} is four array stores and two integer bumps — {e zero
+    The recorder is two flat arrays (one float array for timestamps,
+    one int array interleaving the event code and two integer payload
+    slots), so a live {!record} is four array stores and two integer bumps — {e zero
     steady-state allocation} — and on the shared {!disabled} recorder a
-    single branch.  Simulators feed it through [Probe.event]; the
-    payload encoding per event code lives in [Probe].
+    single branch.  Simulators feed it through the [Probe] emitters,
+    which own the payload encoding per event code; a live trace gets
+    the same rows.
 
     {b Dumps are atomic.}  {!dump} writes through the same
     write-to-temporary-then-rename discipline as every other emitter in

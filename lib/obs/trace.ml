@@ -67,29 +67,6 @@ let emit t ~time ~name ~args =
       in
       write_record s json
 
-let emit_span t ~start ~dur ~name =
-  match t with
-  | Null -> ()
-  | Sink s ->
-      if s.closed then invalid_arg "Trace.emit_span: sink is closed";
-      let json =
-        match s.format with
-        | Jsonl ->
-            Json.Obj
-              [ ("t", Json.Float start); ("ev", Json.String name); ("dur", Json.Float dur) ]
-        | Chrome ->
-            Json.Obj
-              [
-                ("name", Json.String name);
-                ("ph", Json.String "X");
-                ("ts", chrome_ts start);
-                ("dur", chrome_ts dur);
-                ("pid", Json.Int 1);
-                ("tid", Json.Int 1);
-              ]
-      in
-      write_record s json
-
 let events_written = function Null -> 0 | Sink s -> s.written
 
 let close = function

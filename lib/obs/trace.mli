@@ -1,4 +1,6 @@
-(** Structured event tracing.
+(** Structured event tracing: the exporter a probe writes engine event
+    rows through (see [Probe.make ~trace]), and the format of the flight
+    recorder's Chrome dumps.
 
     Two on-disk formats over the same [emit] calls:
 
@@ -8,7 +10,7 @@
     - {b Chrome}: the Chrome trace-event array format — open the file in
       [chrome://tracing] / Perfetto.  Instant events carry [ph = "i"]
       with [ts] in microseconds of {e simulation} time (1 sim time unit =
-      1 s); spans from the profiler are complete events ([ph = "X"]).
+      1 s).
 
     [null] is the no-op sink: [emit] on it is one match, no allocation,
     so call sites can be left unguarded outside hot loops.  Hot loops
@@ -33,10 +35,6 @@ val to_file : string -> t
 
 val emit : t -> time:float -> name:string -> args:(string * Json.t) list -> unit
 (** Record an instant event at simulation time [time]. *)
-
-val emit_span : t -> start:float -> dur:float -> name:string -> unit
-(** Record a completed span (Chrome [ph = "X"]; in Jsonl a line with
-    ["dur"]).  Used by the phase profiler. *)
 
 val events_written : t -> int
 

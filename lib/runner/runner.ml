@@ -2,7 +2,6 @@ module Rng = P2p_prng.Rng
 module Welford = P2p_stats.Welford
 module Histogram = P2p_stats.Histogram
 module Progress = P2p_obs.Progress
-module Hist = P2p_obs.Hist
 module Clock = P2p_obs.Clock
 
 type failure = { index : int; error : exn; backtrace : Printexc.raw_backtrace }
@@ -29,7 +28,6 @@ type timing = {
   chunks : int;
   busy_s : float array;
   failures : failure list;
-  over_budget : int;
   interrupted : bool;
 }
 
@@ -54,7 +52,6 @@ let pp_timing fmt t =
   if t.failures <> [] then
     Format.fprintf fmt ", %d replication%s failed" (List.length t.failures)
       (if List.length t.failures = 1 then "" else "s");
-  if t.over_budget > 0 then Format.fprintf fmt ", %d over budget" t.over_budget;
   if t.interrupted then Format.fprintf fmt ", INTERRUPTED"
 
 let pp_failure fmt f =
@@ -119,7 +116,7 @@ let drive ~jobs ~nchunks ~handle_sigint ~work =
         let c = Atomic.fetch_and_add next 1 in
         if c < nchunks then begin
           let t0 = Clock.now_s () in
-          (try work ~domain:d c
+          (try work c
            with exn ->
              let bt = Printexc.get_raw_backtrace () in
              (* Remember the first failure; let other domains drain the
@@ -237,105 +234,61 @@ let run_replication ~on_error ~rep_timeout_s ~master_seed ~index f =
   in
   go 0
 
-(* Per-chunk fault bookkeeping: each chunk owns its own slots, so the
+(* Per-chunk failure lists: each chunk owns its own slot, so the
    records are race-free and, concatenated in chunk order, sorted by
    replication index. *)
-type chunk_log = { failures : failure list array; over : int array }
-
-let chunk_log nchunks = { failures = Array.make nchunks []; over = Array.make nchunks 0 }
-
-let log_of ~(log : chunk_log) ~wall_s ~jobs ~nchunks ~busy ~interrupted =
+let timing_of ~(failures : failure list array) ~wall_s ~jobs ~nchunks ~busy ~interrupted =
   {
     wall_s;
     jobs;
     chunks = nchunks;
     busy_s = busy;
-    failures = List.concat_map List.rev (Array.to_list log.failures);
-    over_budget = Array.fold_left ( + ) 0 log.over;
+    failures = List.concat_map List.rev (Array.to_list failures);
     interrupted;
   }
 
-(* Run replication [i] of chunk [c], enforcing policy and wall budget;
-   [keep] consumes the value of a surviving replication. *)
-let step ~on_error ~budget_s ~rep_timeout_s ~progress ~(log : chunk_log) ~master_seed ~c ~keep
-    f i =
-  let result =
-    match budget_s with
-    | None ->
-        (* No budget means no clock reads: short replications are cheap
-           enough for two gettimeofday calls apiece to show up. *)
-        run_replication ~on_error ~rep_timeout_s ~master_seed ~index:i f
-    | Some budget ->
-        let t0 = Clock.now_s () in
-        let result = run_replication ~on_error ~rep_timeout_s ~master_seed ~index:i f in
-        if Clock.now_s () -. t0 > budget then log.over.(c) <- log.over.(c) + 1;
-        result
-  in
+(* Run replication [i] of chunk [c] under the failure policy; [keep]
+   consumes the value of a surviving replication. *)
+let step ~on_error ~rep_timeout_s ~progress ~(failures : failure list array) ~master_seed ~c
+    ~keep f i =
+  let result = run_replication ~on_error ~rep_timeout_s ~master_seed ~index:i f in
   Progress.step progress;
   match result with
   | Ok v -> keep v
   | Error fail -> (
       match on_error with
       | Abort -> Printexc.raise_with_backtrace fail.error fail.backtrace
-      | Skip | Retry _ -> log.failures.(c) <- fail :: log.failures.(c))
+      | Skip | Retry _ -> failures.(c) <- fail :: failures.(c))
 
-(* Per-domain replication-duration histograms: the observable behind
-   the runner's utilisation-imbalance question.  They
-   are diagnostics of {e this} execution — chunk-to-domain assignment
-   is racy by design — so, unlike every aggregate, their per-domain
-   split is deliberately scheduling-dependent.  Each domain writes only
-   its own histogram, honouring the single-domain instrument contract;
-   merge them afterwards with [Hist.merge] if a pooled view is wanted. *)
-let rep_hists ~hists ~jobs =
-  match hists with
-  | None -> [||]
-  | Some g ->
-      Array.init jobs (fun d -> Hist.get g (Printf.sprintf "runner/replication_s/domain%d" d))
-
-let timed_step rep_h do_step =
-  if Hist.live rep_h then begin
-    let t0 = Clock.now_s () in
-    do_step ();
-    Hist.record rep_h (Clock.now_s () -. t0)
-  end
-  else do_step ()
-
-let run_map ?jobs ?chunk ?on_error ?budget_s ?rep_timeout_s ?(handle_sigint = false)
-    ?(progress = Progress.silent) ?hists ~master_seed ~replications f =
+let run_map ?jobs ?chunk ?on_error ?rep_timeout_s ?(handle_sigint = false)
+    ?(progress = Progress.silent) ~master_seed ~replications f =
   let jobs, chunk, nchunks = validate ?jobs ?chunk ?on_error ?rep_timeout_s ~replications () in
   let on_error = Option.value on_error ~default:Abort in
-  let log = chunk_log nchunks in
+  let failures = Array.make nchunks [] in
   let results = Array.make replications None in
-  let rep_hists = rep_hists ~hists ~jobs in
-  let work ~domain c =
-    let rep_h = if Array.length rep_hists = 0 then Hist.disabled else rep_hists.(domain) in
+  let work c =
     let lo, hi = chunk_bounds ~chunk ~replications c in
     for i = lo to hi - 1 do
-      timed_step rep_h (fun () ->
-          step ~on_error ~budget_s ~rep_timeout_s ~progress ~log ~master_seed ~c
-            ~keep:(fun v -> results.(i) <- Some v)
-            f i)
+      step ~on_error ~rep_timeout_s ~progress ~failures ~master_seed ~c
+        ~keep:(fun v -> results.(i) <- Some v)
+        f i
     done
   in
   let wall_s, busy, interrupted = drive ~jobs ~nchunks ~handle_sigint ~work in
   Progress.finish progress;
-  (results, log_of ~log ~wall_s ~jobs ~nchunks ~busy ~interrupted)
+  (results, timing_of ~failures ~wall_s ~jobs ~nchunks ~busy ~interrupted)
 
-let run_fold ?jobs ?chunk ?on_error ?budget_s ?rep_timeout_s ?(handle_sigint = false)
-    ?(progress = Progress.silent) ?hists ~master_seed ~replications ~init ~add ~merge f =
+let run_fold ?jobs ?chunk ?on_error ?rep_timeout_s ?(handle_sigint = false)
+    ?(progress = Progress.silent) ~master_seed ~replications ~init ~add ~merge f =
   let jobs, chunk, nchunks = validate ?jobs ?chunk ?on_error ?rep_timeout_s ~replications () in
   let on_error = Option.value on_error ~default:Abort in
-  let log = chunk_log nchunks in
+  let failures = Array.make nchunks [] in
   let accs = Array.make nchunks None in
-  let rep_hists = rep_hists ~hists ~jobs in
-  let work ~domain c =
-    let rep_h = if Array.length rep_hists = 0 then Hist.disabled else rep_hists.(domain) in
+  let work c =
     let lo, hi = chunk_bounds ~chunk ~replications c in
     let acc = init () in
     for i = lo to hi - 1 do
-      timed_step rep_h (fun () ->
-          step ~on_error ~budget_s ~rep_timeout_s ~progress ~log ~master_seed ~c
-            ~keep:(add acc) f i)
+      step ~on_error ~rep_timeout_s ~progress ~failures ~master_seed ~c ~keep:(add acc) f i
     done;
     accs.(c) <- Some acc
   in
@@ -353,7 +306,7 @@ let run_fold ?jobs ?chunk ?on_error ?budget_s ?rep_timeout_s ?(handle_sigint = f
             acc)
       (init ()) accs
   in
-  (merged, log_of ~log ~wall_s ~jobs ~nchunks ~busy ~interrupted)
+  (merged, timing_of ~failures ~wall_s ~jobs ~nchunks ~busy ~interrupted)
 
 type hist_spec = { lo : float; hi : float; bins : int }
 
@@ -374,8 +327,8 @@ type sacc = {
   mutable flagged : int;
 }
 
-let run_summary ?jobs ?chunk ?on_error ?budget_s ?rep_timeout_s ?handle_sigint ?progress
-    ?hists ?hist ~metrics ~master_seed ~replications f =
+let run_summary ?jobs ?chunk ?on_error ?rep_timeout_s ?handle_sigint ?progress ?hist ~metrics
+    ~master_seed ~replications f =
   let nmetrics = List.length metrics in
   let init () =
     {
@@ -407,12 +360,12 @@ let run_summary ?jobs ?chunk ?on_error ?budget_s ?rep_timeout_s ?handle_sigint ?
     }
   in
   let acc, timing =
-    run_fold ?jobs ?chunk ?on_error ?budget_s ?rep_timeout_s ?handle_sigint ?progress ?hists
-      ~master_seed ~replications ~init ~add ~merge f
+    run_fold ?jobs ?chunk ?on_error ?rep_timeout_s ?handle_sigint ?progress ~master_seed
+      ~replications ~init ~add ~merge f
   in
   {
     stats = List.mapi (fun m name -> (name, acc.welford.(m))) metrics;
     hist = acc.shist;
-    partial = acc.flagged + timing.over_budget;
+    partial = acc.flagged;
     timing;
   }

@@ -75,7 +75,6 @@ type timing = {
   chunks : int;  (** number of work-queue chunks *)
   busy_s : float array;  (** per-domain busy seconds, length [jobs] *)
   failures : failure list;  (** skipped replications, sorted by index *)
-  over_budget : int;  (** replications that exceeded [budget_s] *)
   interrupted : bool;  (** a SIGINT cut the sweep short (see [handle_sigint]) *)
 }
 
@@ -118,10 +117,6 @@ val derive_retry_rng : master_seed:int -> index:int -> attempt:int -> Rng.t
       per queue pop; fixes the (deterministic) float merge grouping for
       the folded paths, so hold it constant when comparing runs.
     - [on_error] (default [Abort]) — the failure policy above.
-    - [budget_s] — per-replication wall-clock budget: a replication
-      running longer is still kept (OCaml cannot safely preempt it) but
-      is counted in [timing.over_budget] so the caller knows the sweep
-      outran its budget instead of silently trusting it.
     - [rep_timeout_s] — per-replication wall-clock watchdog: an attempt
       running longer than this is a {e failure} ({!Rep_timeout}), not a
       kept-but-counted result.  Thunks that poll {!deadline_exceeded}
@@ -144,25 +139,15 @@ val derive_retry_rng : master_seed:int -> index:int -> attempt:int -> Rng.t
       meter ticked once per finished replication, from whichever domain
       finished it (the meter is thread-safe).  Thunks that want the
       events/s figure call [Progress.add_events] themselves.  Purely
-      observational: it never affects scheduling, seeding, or results.
-    - [hists] (default absent) — a {!P2p_obs.Hist.group} into which the
-      runner records one wall-clock replication-duration histogram per
-      domain, named [runner/replication_s/domain<d>].  This is the
-      utilisation-imbalance observable: a domain whose histogram mass
-      sits far above the others' is the straggler.  Each domain writes
-      only its own histogram (no cross-domain mutation); because chunk
-      claiming is racy, the per-domain split describes {e this}
-      execution, not the seeding contract.  Purely observational. *)
+      observational: it never affects scheduling, seeding, or results. *)
 
 val run_map :
   ?jobs:int ->
   ?chunk:int ->
   ?on_error:on_error ->
-  ?budget_s:float ->
   ?rep_timeout_s:float ->
   ?handle_sigint:bool ->
   ?progress:P2p_obs.Progress.t ->
-  ?hists:P2p_obs.Hist.group ->
   master_seed:int ->
   replications:int ->
   (rng:Rng.t -> index:int -> 'a) ->
@@ -183,11 +168,9 @@ val run_fold :
   ?jobs:int ->
   ?chunk:int ->
   ?on_error:on_error ->
-  ?budget_s:float ->
   ?rep_timeout_s:float ->
   ?handle_sigint:bool ->
   ?progress:P2p_obs.Progress.t ->
-  ?hists:P2p_obs.Hist.group ->
   master_seed:int ->
   replications:int ->
   init:(unit -> 'acc) ->
@@ -226,9 +209,8 @@ type summary = {
   hist : Histogram.t option;
       (** pooled over every observation the thunk emitted *)
   partial : int;
-      (** replications whose contribution is suspect: thunk-[flagged]
-          ones plus [timing.over_budget].  [0] means every aggregated
-          replication ran to completion within budget. *)
+      (** thunk-[flagged] replications, whose contribution is suspect.
+          [0] means every aggregated replication ran to completion. *)
   timing : timing;
 }
 
@@ -236,11 +218,9 @@ val run_summary :
   ?jobs:int ->
   ?chunk:int ->
   ?on_error:on_error ->
-  ?budget_s:float ->
   ?rep_timeout_s:float ->
   ?handle_sigint:bool ->
   ?progress:P2p_obs.Progress.t ->
-  ?hists:P2p_obs.Hist.group ->
   ?hist:hist_spec ->
   metrics:string list ->
   master_seed:int ->
@@ -259,8 +239,8 @@ val run_summary :
     @raise Invalid_argument if a metric array has the wrong length. *)
 
 val pp_timing : Format.formatter -> timing -> unit
-(** ["wall 1.23s, 4 domains, 87% busy"], plus failure / budget /
-    interrupt counts when present. *)
+(** ["wall 1.23s, 4 domains, 87% busy"], plus failure and interrupt
+    counts when present. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 (** ["replication 7: Failure(...)"] followed by the captured backtrace

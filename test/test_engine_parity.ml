@@ -19,6 +19,8 @@ module Rng = P2p_prng.Rng
 module Probe = P2p_obs.Probe
 module Series = P2p_obs.Series
 module Profile = P2p_obs.Profile
+module Recorder = P2p_obs.Recorder
+module Trace = P2p_obs.Trace
 module Runner = P2p_runner.Runner
 open P2p_core
 
@@ -88,14 +90,29 @@ let test_golden_no_fault_network_sparse () =
 
 (* ---- probes observe, never perturb ---- *)
 
+(* Listens to everything: a live JSONL trace, a flight recorder, the
+   sample grid and the profiler.  [finish] closes the trace and returns
+   how many events it and the recorder saw. *)
 let busy_probe ~k =
   let series = Series.create ~k in
-  let events = ref 0 in
-  ( Probe.make ~interval:7.0
-      ~on_event:(fun ~time:_ _ -> incr events)
-      ~on_sample:(Series.record series)
-      ~profile:(Profile.create ()) (),
-    events )
+  let path = Filename.temp_file "p2p_parity" ".jsonl" in
+  let trace = Trace.to_file path in
+  let recorder = Recorder.create () in
+  let probe =
+    Probe.make ~interval:7.0 ~trace ~recorder ~on_sample:(Series.record series)
+      ~profile:(Profile.create ()) ()
+  in
+  let finish () =
+    Trace.close trace;
+    Sys.remove path;
+    (Trace.events_written trace, Recorder.recorded recorder)
+  in
+  (probe, finish)
+
+let check_saw_traffic finish =
+  let traced, recorded = finish () in
+  Alcotest.(check bool) "the probe actually saw traffic" true (traced > 0);
+  Alcotest.(check int) "trace and recorder saw the same events" recorded traced
 
 let faulty = Faults.make ~outage:(20.0, 5.0) ~abort_rate:0.02 ~loss_prob:0.05 ()
 
@@ -103,7 +120,7 @@ let test_coded_probe_bit_identity () =
   let config = { (coded_config ()) with faults = faulty } in
   let run ?probe () = Sim_coded.run_seeded ?probe ~seed:77 config ~horizon:250.0 in
   let bare = run () in
-  let probe, events = busy_probe ~k:4 in
+  let probe, finish = busy_probe ~k:4 in
   let probed = run ~probe () in
   Alcotest.(check int) "events" bare.Sim_coded.events probed.Sim_coded.events;
   Alcotest.(check int) "arrivals" bare.Sim_coded.arrivals probed.Sim_coded.arrivals;
@@ -122,13 +139,13 @@ let test_coded_probe_bit_identity () =
     (Int64.bits_of_float bare.Sim_coded.near_complete_fraction
     = Int64.bits_of_float probed.Sim_coded.near_complete_fraction);
   Alcotest.(check bool) "sample grid" true (bare.Sim_coded.samples = probed.Sim_coded.samples);
-  Alcotest.(check bool) "the probe actually saw traffic" true (!events > 0)
+  check_saw_traffic finish
 
 let test_network_probe_bit_identity () =
   let config = { (network_config ()) with faults = faulty } in
   let run ?probe () = Sim_agent.run_seeded ?probe ~seed:77 config ~horizon:250.0 in
   let bare, _ = run () in
-  let probe, events = busy_probe ~k:3 in
+  let probe, finish = busy_probe ~k:3 in
   let probed, _ = run ~probe () in
   Alcotest.(check int) "events" bare.Sim_agent.events probed.Sim_agent.events;
   Alcotest.(check int) "arrivals" bare.Sim_agent.arrivals probed.Sim_agent.arrivals;
@@ -147,7 +164,7 @@ let test_network_probe_bit_identity () =
     (bare.Sim_agent.samples = probed.Sim_agent.samples);
   Alcotest.(check bool) "club samples" true
     (bare.Sim_agent.club_samples = probed.Sim_agent.club_samples);
-  Alcotest.(check bool) "the probe actually saw traffic" true (!events > 0)
+  check_saw_traffic finish
 
 (* ---- probe series are jobs-independent ---- *)
 

@@ -145,7 +145,7 @@ let test_trace_chrome () =
     (fun () ->
       let tr = Trace.to_file path in
       Trace.emit tr ~time:0.5 ~name:"arrival" ~args:[];
-      Trace.emit_span tr ~start:0.0 ~dur:1.0 ~name:"event-loop";
+      Trace.emit tr ~time:1.0 ~name:"transfer" ~args:[ ("piece", Json.Int 2) ];
       Trace.close tr;
       (* the whole file must be one valid JSON array (chrome://tracing) *)
       match Json.of_string_exn (read_file path) with
@@ -155,8 +155,7 @@ let test_trace_chrome () =
           let phs =
             List.filter_map (fun e -> Option.bind (Json.member "ph" e) Json.to_string_opt) entries
           in
-          Alcotest.(check bool) "instant event present" true (List.mem "i" phs);
-          Alcotest.(check bool) "span event present" true (List.mem "X" phs);
+          Alcotest.(check (list string)) "instant events" [ "i"; "i" ] phs;
           let ts =
             List.filter_map (fun e -> Option.bind (Json.member "ts" e) Json.to_float_opt) entries
           in
@@ -176,7 +175,7 @@ let test_probe_none_is_inert () =
   Alcotest.(check bool) "none does not trace" false Probe.none.Probe.tracing;
   Alcotest.(check bool) "none does not sample" false (Probe.sampling Probe.none);
   (* calling the hooks anyway is harmless *)
-  Probe.event Probe.none ~time:1.0 (Probe.Transfer_lost);
+  Probe.transfer_lost Probe.none ~time:1.0;
   Probe.none.Probe.on_sample
     (Probe.sample ~time:0.0 ~k:2 ~n:0 ~count_of:(fun _ -> 0) ~piece_counts:[| 0; 0 |])
 
@@ -191,12 +190,17 @@ let test_probe_make_validation () =
            false
          with Invalid_argument _ -> true))
     [ 0.0; -1.0; nan ];
-  let p = Probe.make ~on_event:(fun ~time:_ _ -> ()) () in
-  Alcotest.(check bool) "on_event implies tracing" true p.Probe.tracing;
-  Alcotest.(check bool) "no interval means no sampling" false (Probe.sampling p);
+  with_temp_file (fun path ->
+      let trace = Trace.to_file path in
+      let p = Probe.make ~trace () in
+      Trace.close trace;
+      Alcotest.(check bool) "a live trace implies tracing" true p.Probe.tracing;
+      Alcotest.(check bool) "no interval means no sampling" false (Probe.sampling p));
+  let r = Probe.make ~recorder:(Recorder.create ()) () in
+  Alcotest.(check bool) "a live recorder implies tracing" true r.Probe.tracing;
   let q = Probe.make ~interval:2.0 () in
   Alcotest.(check bool) "interval means sampling" true (Probe.sampling q);
-  Alcotest.(check bool) "no on_event means no tracing" false q.Probe.tracing
+  Alcotest.(check bool) "no event sink means no tracing" false q.Probe.tracing
 
 let test_probe_sample_construction () =
   (* A hand-built swarm with k = 3: piece 1 is rarest; the one-club is
@@ -220,23 +224,39 @@ let test_probe_sample_construction () =
   let s' = Probe.sample ~time:0.0 ~k ~n:0 ~count_of:(fun _ -> 0) ~piece_counts:[| 3; 3; 3 |] in
   Alcotest.(check int) "tie goes to lowest piece" 0 s'.Probe.rarest_piece
 
+(* Every event code reaches a live trace as a named line whose
+   arguments decode the packed row: 1-based pieces, flags as booleans,
+   the handoff population rounded as the recorder stores it. *)
 let test_probe_event_names () =
-  let named ev = Probe.event_name ev in
-  Alcotest.(check string) "arrival" "arrival" (named (Probe.Arrival { pieces = Pieceset.empty }));
-  Alcotest.(check string) "seed toggle" "seed_toggle" (named (Probe.Seed_toggle { up = false }));
-  (* every event's args serialise *)
-  List.iter
-    (fun ev -> ignore (Json.to_string (Json.Obj (Probe.event_args ev))))
-    [
-      Probe.Arrival { pieces = Pieceset.singleton 0 };
-      Probe.Contact { seed = true; useful = false };
-      Probe.Transfer { piece = 1; completed = true };
-      Probe.Transfer_lost;
-      Probe.Departure { kind = Probe.Completed };
-      Probe.Departure { kind = Probe.Aborted };
-      Probe.Departure { kind = Probe.Seed_departed };
-      Probe.Seed_toggle { up = true };
-    ]
+  with_temp_file (fun path ->
+      let trace = Trace.to_file path in
+      let p = Probe.make ~trace () in
+      Probe.arrival p ~time:1.0 ~pieces:(Pieceset.add 2 (Pieceset.singleton 0));
+      Probe.contact p ~time:2.0 ~seed:true ~useful:false;
+      Probe.transfer p ~time:3.0 ~piece:1 ~completed:true;
+      Probe.transfer_lost p ~time:4.0;
+      Probe.departure p ~time:5.0 Probe.Completed;
+      Probe.departure p ~time:6.0 Probe.Aborted;
+      Probe.departure p ~time:7.0 Probe.Seed_departed;
+      Probe.seed_toggle p ~time:8.0 ~up:false;
+      Probe.handoff p ~time:9.0 ~fluid:true ~n:12.4;
+      Probe.handoff p ~time:10.0 ~fluid:false ~n:3.6;
+      Trace.close trace;
+      Alcotest.(check (list string))
+        "one line per event code"
+        [
+          {|{"t":1.0,"ev":"arrival","pieces":"{1,3}","held":2}|};
+          {|{"t":2.0,"ev":"contact","seed":true,"useful":false}|};
+          {|{"t":3.0,"ev":"transfer","piece":2,"completed":true}|};
+          {|{"t":4.0,"ev":"transfer_lost"}|};
+          {|{"t":5.0,"ev":"departure_completed"}|};
+          {|{"t":6.0,"ev":"departure_aborted"}|};
+          {|{"t":7.0,"ev":"departure_seed"}|};
+          {|{"t":8.0,"ev":"seed_toggle","up":false}|};
+          {|{"t":9.0,"ev":"handoff_to_fluid","fluid":true,"n":12.0}|};
+          {|{"t":10.0,"ev":"handoff_to_stochastic","fluid":false,"n":4.0}|};
+        ]
+        (lines_of (read_file path)))
 
 (* ---- probes attached to the simulators ---- *)
 
@@ -252,15 +272,29 @@ let faulty_config_agent () =
     Sim_agent.faults = Faults.make ~outage:(20.0, 5.0) ~abort_rate:0.02 ~loss_prob:0.05 ();
   }
 
+(* Listens to everything: a live JSONL trace, a flight recorder, the
+   sample grid and the profiler.  [finish] closes the trace and returns
+   how many events it and the recorder saw. *)
 let busy_probe () =
-  (* listens to everything, into throwaway sinks *)
   let series = Series.create ~k:3 in
-  let events = ref 0 in
-  ( Probe.make ~interval:7.0
-      ~on_event:(fun ~time:_ _ -> incr events)
-      ~on_sample:(Series.record series)
-      ~profile:(Profile.create ()) (),
-    events )
+  let path = Filename.temp_file "p2p_obs_test" ".jsonl" in
+  let trace = Trace.to_file path in
+  let recorder = Recorder.create () in
+  let probe =
+    Probe.make ~interval:7.0 ~trace ~recorder ~on_sample:(Series.record series)
+      ~profile:(Profile.create ()) ()
+  in
+  let finish () =
+    Trace.close trace;
+    Sys.remove path;
+    (Trace.events_written trace, Recorder.recorded recorder)
+  in
+  (probe, finish)
+
+let check_saw_traffic finish =
+  let traced, recorded = finish () in
+  Alcotest.(check bool) "the probe actually saw traffic" true (traced > 0);
+  Alcotest.(check int) "trace and recorder saw the same events" recorded traced
 
 let check_markov_stats_equal name (a : Sim_markov.stats) (b : Sim_markov.stats) =
   Alcotest.(check int) (name ^ " events") a.Sim_markov.events b.Sim_markov.events;
@@ -283,15 +317,15 @@ let check_markov_stats_equal name (a : Sim_markov.stats) (b : Sim_markov.stats) 
 let test_markov_probe_bit_identity () =
   let config = faulty_config_markov () in
   let bare, _ = Sim_markov.run_seeded ~seed:77 config ~horizon:250.0 in
-  let probe, events = busy_probe () in
+  let probe, finish = busy_probe () in
   let probed, _ = Sim_markov.run_seeded ~probe ~seed:77 config ~horizon:250.0 in
   check_markov_stats_equal "markov" bare probed;
-  Alcotest.(check bool) "the probe actually saw traffic" true (!events > 0)
+  check_saw_traffic finish
 
 let test_agent_probe_bit_identity () =
   let config = faulty_config_agent () in
   let bare, _ = Sim_agent.run_seeded ~seed:77 config ~horizon:250.0 in
-  let probe, events = busy_probe () in
+  let probe, finish = busy_probe () in
   let probed, _ = Sim_agent.run_seeded ~probe ~seed:77 config ~horizon:250.0 in
   Alcotest.(check int) "agent events" bare.Sim_agent.events probed.Sim_agent.events;
   Alcotest.(check int) "agent transfers" bare.Sim_agent.transfers probed.Sim_agent.transfers;
@@ -306,7 +340,7 @@ let test_agent_probe_bit_identity () =
     (Int64.bits_of_float bare.Sim_agent.mean_sojourn
     = Int64.bits_of_float probed.Sim_agent.mean_sojourn);
   Alcotest.(check bool) "agent sample grid" true (bare.Sim_agent.samples = probed.Sim_agent.samples);
-  Alcotest.(check bool) "the probe actually saw traffic" true (!events > 0)
+  check_saw_traffic finish
 
 let probe_times ~run ~interval =
   let times = ref [] in
@@ -749,7 +783,6 @@ let test_profile_disabled () =
   Alcotest.(check bool) "disabled" false (Profile.enabled Profile.disabled);
   let span = Profile.start Profile.disabled "phase" in
   Profile.stop span;
-  Profile.record_s Profile.disabled "phase" 1.0;
   Alcotest.(check bool) "no phases recorded" true (Profile.phases Profile.disabled = []);
   Alcotest.(check (float 0.0)) "total zero" 0.0 (Profile.total_s Profile.disabled)
 
@@ -758,7 +791,7 @@ let test_profile_phases () =
   Profile.time p "setup" (fun () -> ());
   Profile.time p "event-loop" (fun () -> ());
   Profile.time p "event-loop" (fun () -> ());
-  Profile.record_s p "finalise" 0.25;
+  Profile.time p "finalise" (fun () -> ());
   let phases = Profile.phases p in
   Alcotest.(check (list string))
     "phases sorted by name"
@@ -767,9 +800,8 @@ let test_profile_phases () =
   let _, (loop_s, loop_n) = List.nth phases 0 in
   Alcotest.(check int) "event-loop entered twice" 2 loop_n;
   Alcotest.(check bool) "durations nonnegative" true (loop_s >= 0.0);
-  let _, (fin_s, _) = List.nth phases 1 in
-  Alcotest.(check (float 1e-12)) "record_s credits directly" 0.25 fin_s;
-  Alcotest.(check bool) "total covers the direct credit" true (Profile.total_s p >= 0.25);
+  Alcotest.(check bool) "total covers the phases" true
+    (Profile.total_s p >= List.fold_left (fun acc (_, (s, _)) -> Float.max acc s) 0.0 phases);
   (* exception safety: the span still closes *)
   (try Profile.time p "boom" (fun () -> failwith "boom") with Failure _ -> ());
   Alcotest.(check bool) "phase recorded despite raise" true
@@ -984,63 +1016,101 @@ let test_recorder_auto_snapshot () =
             (recorded = 4 || recorded = 8);
           Alcotest.(check int) "snapshot rows" recorded (Array.length rows))
 
-(* ---- typed emitters vs the dynamic entry point ---- *)
+(* ---- the trace and the recorder export the same rows ---- *)
 
-let test_probe_emitters_match_dynamic () =
-  let fixture =
-    [
-      (1.0, Probe.Arrival { pieces = Pieceset.add 2 (Pieceset.singleton 0) });
-      (2.0, Probe.Contact { seed = true; useful = false });
-      (2.5, Probe.Contact { seed = false; useful = true });
-      (3.0, Probe.Transfer { piece = 1; completed = true });
-      (4.0, Probe.Transfer_lost);
-      (5.0, Probe.Departure { kind = Probe.Completed });
-      (6.0, Probe.Departure { kind = Probe.Aborted });
-      (7.0, Probe.Departure { kind = Probe.Seed_departed });
-      (8.0, Probe.Seed_toggle { up = false });
-      (9.0, Probe.Handoff { fluid = true; n = 12.4 });
-      (10.0, Probe.Handoff { fluid = false; n = 3.6 });
-    ]
+let t_and_ev path =
+  match Json.read_jsonl_file path with
+  | Error e -> Alcotest.failf "%s unreadable: %s" path e
+  | Ok { Json.records; _ } ->
+      List.filter_map
+        (fun r ->
+          match (Json.member "t" r, Json.member "ev" r) with
+          | Some t, Some ev -> Some (Json.to_float_opt t, Json.to_string_opt ev)
+          | _ -> None (* the recorder's schema header *))
+        records
+
+(* A ring larger than the run keeps every event, so the recorder's dump
+   and the live trace must list the same events, in the same order, at
+   the same times. *)
+let check_trace_matches_recorder name run =
+  with_temp_file (fun trace_path ->
+      with_temp_file (fun dump_path ->
+          let trace = Trace.to_file trace_path in
+          let recorder = Recorder.create ~capacity:(1 lsl 16) () in
+          run (Probe.make ~trace ~recorder ());
+          Trace.close trace;
+          Recorder.dump recorder ~code_name:Probe.code_name dump_path;
+          Alcotest.(check int) (name ^ ": ring kept every event") 0 (Recorder.dropped recorder);
+          let traced = t_and_ev trace_path and recorded = t_and_ev dump_path in
+          Alcotest.(check int) (name ^ ": event counts") (Recorder.recorded recorder)
+            (List.length traced);
+          Alcotest.(check bool) (name ^ ": the run has events") true (traced <> []);
+          Alcotest.(check bool) (name ^ ": same t and ev, in order") true (traced = recorded)))
+
+let test_trace_rows_match_recorder () =
+  check_trace_matches_recorder "faulty markov" (fun probe ->
+      ignore (Sim_markov.run_seeded ~probe ~seed:77 (faulty_config_markov ()) ~horizon:250.0));
+  let coded =
+    {
+      (Sim_coded.of_gift
+         { Stability.Coded.q = 4; k = 4; us = 0.8; mu = 1.0; gamma = 2.0;
+           lambda0 = 0.5; lambda1 = 0.5 })
+      with
+      faults = Faults.make ~outage:(20.0, 5.0) ~abort_rate:0.02 ~loss_prob:0.05 ();
+    }
   in
-  let mk () =
-    let r = Recorder.create ~capacity:64 () in
-    let g = Hist.group () in
-    (Probe.make ~recorder:r ~hists:g (), r, g)
-  in
-  let typed, rt, gt = mk () and dynamic, rd, gd = mk () in
-  List.iter
-    (fun (time, ev) ->
-      Probe.event dynamic ~time ev;
-      match ev with
-      | Probe.Arrival { pieces } -> Probe.arrival typed ~time ~pieces
-      | Probe.Contact { seed; useful } -> Probe.contact typed ~time ~seed ~useful
-      | Probe.Transfer { piece; completed } -> Probe.transfer typed ~time ~piece ~completed
-      | Probe.Transfer_lost -> Probe.transfer_lost typed ~time
-      | Probe.Departure { kind } -> Probe.departure typed ~time kind
-      | Probe.Seed_toggle { up } -> Probe.seed_toggle typed ~time ~up
-      | Probe.Handoff { fluid; n } -> Probe.handoff typed ~time ~fluid ~n)
-    fixture;
-  let rows_of r =
-    with_temp_file (fun path ->
-        Recorder.dump r ~code_name:Probe.code_name path;
-        match Recorder.read_summary path with
-        | Ok (_, rows) -> rows
-        | Error e -> Alcotest.failf "dump unreadable: %s" e)
-  in
-  let expected =
-    fixture
-    |> List.map (fun (t, ev) -> (t, Probe.event_code ev, Probe.payload_a ev, Probe.payload_b ev))
-    |> Array.of_list
-  in
-  Alcotest.(check bool) "typed rows match the packing spec" true (rows_of rt = expected);
-  Alcotest.(check bool) "dynamic rows identical" true (rows_of rd = expected);
-  for c = 0 to Probe.n_event_codes - 1 do
-    let name = "events/" ^ Probe.code_name c in
-    Alcotest.(check int)
-      (name ^ " count agrees")
-      (Hist.count (Hist.get gd name))
-      (Hist.count (Hist.get gt name))
-  done
+  check_trace_matches_recorder "faulty coded" (fun probe ->
+      ignore (Sim_coded.run_seeded ~probe ~seed:77 coded ~horizon:250.0))
+
+(* The first 20 lines of a fixed-seed faulty run's [--trace] output,
+   pinned byte for byte: every event kind but completion departures and
+   handoffs shows up in them. *)
+let p2psim =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) Filename.parent_dir_name)
+    (Filename.concat "bin" "p2psim.exe")
+
+let trace_golden =
+  [
+    {|{"t":0.23849665968770525,"ev":"arrival","pieces":"{1}","held":1}|};
+    {|{"t":0.35603531570685154,"ev":"departure_aborted"}|};
+    {|{"t":0.93541540942460344,"ev":"arrival","pieces":"{}","held":0}|};
+    {|{"t":0.97177978315324365,"ev":"contact","seed":true,"useful":true}|};
+    {|{"t":0.97177978315324365,"ev":"transfer","piece":1,"completed":false}|};
+    {|{"t":1.1368789941908011,"ev":"seed_toggle","up":false}|};
+    {|{"t":1.6566542292475326,"ev":"seed_toggle","up":true}|};
+    {|{"t":1.6650025064665432,"ev":"contact","seed":true,"useful":true}|};
+    {|{"t":1.6650025064665432,"ev":"transfer","piece":2,"completed":true}|};
+    {|{"t":1.7731903808926235,"ev":"departure_seed"}|};
+    {|{"t":1.9357186454512454,"ev":"arrival","pieces":"{}","held":0}|};
+    {|{"t":1.9595429476052482,"ev":"arrival","pieces":"{}","held":0}|};
+    {|{"t":2.1473814205738888,"ev":"arrival","pieces":"{}","held":0}|};
+    {|{"t":2.2760884881909891,"ev":"contact","seed":true,"useful":true}|};
+    {|{"t":2.2760884881909891,"ev":"transfer_lost"}|};
+    {|{"t":2.6851973229111219,"ev":"departure_aborted"}|};
+    {|{"t":2.8345950283354187,"ev":"arrival","pieces":"{}","held":0}|};
+    {|{"t":2.8423191506350287,"ev":"arrival","pieces":"{1}","held":1}|};
+    {|{"t":3.2953070930944079,"ev":"arrival","pieces":"{1}","held":1}|};
+    {|{"t":3.4132096375905534,"ev":"contact","seed":false,"useful":false}|};
+  ]
+
+let test_cli_trace_golden () =
+  with_temp_file (fun path ->
+      let args =
+        [ "simulate"; "-k"; "2"; "--us"; "1"; "--gamma"; "2"; "-a"; "none=2"; "-a"; "1=1";
+          "-t"; "50"; "--seed-outage"; "1,0.5"; "--abort-rate"; "0.5"; "--loss-prob"; "0.3";
+          "--seed"; "26"; "--trace"; path ]
+      in
+      let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let pid =
+        Unix.create_process p2psim (Array.of_list (p2psim :: args)) Unix.stdin devnull devnull
+      in
+      Unix.close devnull;
+      (match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "p2psim simulate --trace failed");
+      let first = List.filteri (fun i _ -> i < 20) (lines_of (read_file path)) in
+      Alcotest.(check (list string)) "first 20 trace lines" trace_golden first)
 
 (* ---- the missing-piece-syndrome monitor ---- *)
 
@@ -1235,8 +1305,9 @@ let () =
         ] );
       ( "emitters",
         [
-          Alcotest.test_case "typed emitters match dynamic event" `Quick
-            test_probe_emitters_match_dynamic;
+          Alcotest.test_case "trace rows match recorder rows" `Quick
+            test_trace_rows_match_recorder;
+          Alcotest.test_case "cli trace golden" `Quick test_cli_trace_golden;
         ] );
       ( "monitor",
         [

@@ -303,24 +303,14 @@ let test_abort_still_propagates_with_backtrace () =
       let bt = Printexc.get_backtrace () in
       Alcotest.(check bool) "backtrace survives the domain join" true (bt <> "")
 
-let test_flagged_and_budget_feed_partial () =
-  (* flagged replications count toward summary.partial ... *)
+let test_flagged_feeds_partial () =
+  (* flagged replications count toward summary.partial *)
   let s =
     Runner.run_summary ~jobs:2 ~metrics:[ "m" ] ~master_seed:1 ~replications:8
       (fun ~rng:_ ~index -> Runner.rep ~flagged:(index mod 2 = 0) [| 1.0 |])
   in
   Alcotest.(check int) "flagged -> partial" 4 s.partial;
-  Alcotest.(check int) "flagged but aggregated" 8 (Welford.count (snd (List.hd s.stats)));
-  (* ... as do replications that blow the wall budget *)
-  let burn ~rng:_ ~index:_ =
-    let acc = ref 0.0 in
-    for i = 1 to 200_000 do acc := !acc +. float_of_int i done;
-    Runner.rep [| !acc |]
-  in
-  let s = Runner.run_summary ~jobs:1 ~budget_s:0.0 ~metrics:[ "m" ] ~master_seed:1 ~replications:3 burn in
-  Alcotest.(check int) "over budget counted" 3 s.timing.over_budget;
-  Alcotest.(check int) "over budget -> partial" 3 s.partial;
-  Alcotest.(check int) "over budget still aggregated" 3 (Welford.count (snd (List.hd s.stats)))
+  Alcotest.(check int) "flagged but aggregated" 8 (Welford.count (snd (List.hd s.stats)))
 
 let test_simulator_truncation_flag_propagates () =
   let s =
@@ -475,8 +465,7 @@ let () =
             test_retry_exhaustion_records_failure;
           Alcotest.test_case "abort propagates with backtrace" `Quick
             test_abort_still_propagates_with_backtrace;
-          Alcotest.test_case "flagged and budget feed partial" `Quick
-            test_flagged_and_budget_feed_partial;
+          Alcotest.test_case "flagged feeds partial" `Quick test_flagged_feeds_partial;
           Alcotest.test_case "simulator truncation flag propagates" `Quick
             test_simulator_truncation_flag_propagates;
           Alcotest.test_case "SIGINT flushes partial results" `Quick

@@ -5,7 +5,6 @@ module Welford = P2p_stats.Welford
 module Timeavg = P2p_stats.Timeavg
 module Regression = P2p_stats.Regression
 module Histogram = P2p_stats.Histogram
-module Quantile = P2p_stats.Quantile
 module Linalg = P2p_stats.Linalg
 
 let closef ?(tol = 1e-9) name expected actual =
@@ -326,29 +325,6 @@ let test_histogram_merge_layout_mismatch () =
   Alcotest.(check bool) "different hi" true
     (raises (Histogram.create ~lo:0.0 ~hi:20.0 ~bins:5))
 
-(* ---- Quantile ---- *)
-
-let test_quantile_order_stats () =
-  let q = Quantile.create () in
-  List.iter (Quantile.add q) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  closef "median" 3.0 (Quantile.median q);
-  closef "min" 1.0 (Quantile.quantile q 0.0);
-  closef "max" 5.0 (Quantile.quantile q 1.0);
-  closef "q25" 2.0 (Quantile.quantile q 0.25)
-
-let test_quantile_interpolation () =
-  let q = Quantile.create () in
-  List.iter (Quantile.add q) [ 0.0; 10.0 ];
-  closef "q30 interpolates" 3.0 (Quantile.quantile q 0.3)
-
-let test_quantile_add_after_query () =
-  let q = Quantile.create () in
-  List.iter (Quantile.add q) [ 1.0; 2.0 ];
-  ignore (Quantile.median q);
-  Quantile.add q 3.0;
-  closef "median updates" 2.0 (Quantile.median q);
-  Alcotest.(check int) "count" 3 (Quantile.count q)
-
 (* ---- Linalg ---- *)
 
 let test_solve_known_system () =
@@ -529,12 +505,6 @@ let () =
           Alcotest.test_case "merge empty identity" `Quick test_histogram_merge_empty_identity;
           Alcotest.test_case "merge commutative" `Quick test_histogram_merge_commutative;
           Alcotest.test_case "merge layout mismatch" `Quick test_histogram_merge_layout_mismatch;
-        ] );
-      ( "quantile",
-        [
-          Alcotest.test_case "order statistics" `Quick test_quantile_order_stats;
-          Alcotest.test_case "interpolation" `Quick test_quantile_interpolation;
-          Alcotest.test_case "add after query" `Quick test_quantile_add_after_query;
         ] );
       ( "linalg",
         [

@@ -90,6 +90,20 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
     --probe-interval 2 --metrics-out "$out/sample_probe.jsonl" \
     --trace "$out/sample_trace.json" >/dev/null || {
     echo "FAIL: traced simulate exited non-zero" >&2; exit 1; }
+  # The trace and the flight recorder export the same event rows.  This
+  # run's 2,035 events fit the 4,096-event ring, so the t/ev columns of
+  # the two files must match line for line.
+  left=$(remaining)
+  timeout "$left" _build/default/bin/p2psim.exe simulate -k 3 --us 0.3 --gamma 1.5 -t 200 \
+    --trace "$out/rows_trace.jsonl" --flight-recorder "$out/rows_flight.jsonl" >/dev/null || {
+    echo "FAIL: simulate with --trace and --flight-recorder exited non-zero" >&2; exit 1; }
+  grep -q '"dropped":0' "$out/rows_flight.jsonl" || {
+    echo "FAIL: the flight recorder overwrote events; the rows cannot be compared" >&2; exit 1; }
+  for f in rows_trace rows_flight; do
+    sed -n 's/^{"t":\([^,]*\),"ev":"\([a-z_]*\)".*/\1 \2/p' "$out/$f.jsonl" >"$out/$f.tev"
+  done
+  [ -s "$out/rows_trace.tev" ] && cmp -s "$out/rows_trace.tev" "$out/rows_flight.tev" || {
+    echo "FAIL: --trace and --flight-recorder disagree on the t/ev columns" >&2; exit 1; }
   left=$(remaining)
   timeout "$left" _build/default/bin/p2psim.exe report "$out/sample_probe.jsonl" >/dev/null || {
     echo "FAIL: p2psim report exited non-zero" >&2; exit 1; }
