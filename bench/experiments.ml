@@ -870,27 +870,26 @@ let e18 () =
      crosses m_bar = 1 and stabilises an otherwise hopeless load (the\n\
      heterogeneous version of the one-more-piece corollary).";
   let mix sticky =
-    Hetero.make ~k:2 ~us:0.1
-      ~classes:
-        [
-          { Hetero.label = "impatient"; mu = 1.0; gamma = infinity;
-            arrivals = [ (PS.empty, 1.0) ] };
-          { Hetero.label = "sticky"; mu = 1.0; gamma = 0.4;
-            arrivals = [ (PS.empty, sticky) ] };
-        ]
+    [
+      { Params.label = "impatient"; mu = 1.0; gamma = infinity; arrivals = [ (PS.empty, 1.0) ] };
+      { Params.label = "sticky"; mu = 1.0; gamma = 0.4; arrivals = [ (PS.empty, sticky) ] };
+    ]
+  in
+  let simulate ~seed classes =
+    fst (Sim_agent.run_seeded ~seed (Sim_agent.class_config ~k:2 ~us:0.1 classes) ~horizon:2500.0)
   in
   let rows =
     List.map
       (fun sticky ->
-        let h = mix sticky in
-        let m_bar = Hetero.mean_seed_offspring h ~piece:0 in
-        let verdict = Hetero.classify_heuristic h in
-        let s = Hetero.simulate_seeded ~seed:181 h ~horizon:2500.0 in
+        let classes = mix sticky in
+        let m_bar = Stability.mean_seed_offspring classes ~piece:0 in
+        let verdict = Stability.classify_classes ~k:2 ~us:0.1 classes in
+        let s = simulate ~seed:181 classes in
         let r = Classify.of_samples s.samples in
         [
           fmt sticky;
           fmt m_bar;
-          fmt (Hetero.threshold h ~piece:0);
+          fmt (Stability.class_threshold ~k:2 ~us:0.1 classes ~piece:0);
           verdict_cell verdict;
           sim_cell r;
           fmt s.time_avg_n;
@@ -902,7 +901,7 @@ let e18 () =
       [ "sticky rate"; "m_bar"; "threshold"; "heuristic"; "simulated"; "mean N" ]
     rows;
   Report.subsection "per-class behaviour at sticky rate = 0.8";
-  let s = Hetero.simulate_seeded ~seed:182 (mix 0.8) ~horizon:2500.0 in
+  let s = simulate ~seed:182 (mix 0.8) in
   Report.table
     ~header:[ "class"; "mean population"; "mean sojourn" ]
     [

@@ -103,9 +103,17 @@ let reps_arg ~default =
 let horizon_arg =
   Arg.(value & opt float 1000.0 & info [ "horizon"; "t" ] ~docv:"TIME" ~doc:"Simulation horizon.")
 
-let make_params k us mu gamma arrivals = Params.make ~k ~us ~mu ~gamma ~arrivals
+(* Model validation raises Invalid_argument naming the bad value; report
+   it as a usage error (exit 124, as for a malformed flag) instead of an
+   uncaught exception. *)
+let validated build =
+  Term.term_result' ~usage:true
+    (Term.map (fun f -> try Ok (f ()) with Invalid_argument msg -> Error msg) build)
 
-let params_term = Term.(const make_params $ k_arg $ us_arg $ mu_arg $ gamma_arg $ arrivals_arg)
+let params_term =
+  validated
+    Term.(const (fun k us mu gamma arrivals () -> Params.make ~k ~us ~mu ~gamma ~arrivals)
+          $ k_arg $ us_arg $ mu_arg $ gamma_arg $ arrivals_arg)
 
 (* ---- fault injection flags (shared by simulate) ---- *)
 
@@ -1184,7 +1192,7 @@ let hetero_cmd =
                       parse_float "rate" rate (fun rate ->
                           Ok
                             {
-                              Hetero.label;
+                              Params.label;
                               mu;
                               gamma;
                               arrivals = [ (Pieceset.empty, rate) ];
@@ -1193,7 +1201,7 @@ let hetero_cmd =
         end
       | _ -> fail "class spec %S is not of the form LABEL=MU,GAMMA,RATE" spec
     in
-    let pp fmt (c : Hetero.klass) =
+    let pp fmt (c : Params.klass) =
       let rate = List.fold_left (fun acc (_, r) -> acc +. r) 0.0 c.arrivals in
       Format.fprintf fmt "%s=%g,%g,%g" c.label c.mu c.gamma rate
     in
@@ -1206,19 +1214,32 @@ let hetero_cmd =
     in
     Arg.(value
          & opt_all class_conv
-             [ { Hetero.label = "all"; mu = 1.0; gamma = 2.0; arrivals = [ (Pieceset.empty, 1.0) ] } ]
+             [ { Params.label = "all"; mu = 1.0; gamma = 2.0; arrivals = [ (Pieceset.empty, 1.0) ] } ]
          & info [ "class"; "c" ] ~docv:"SPEC" ~doc)
   in
-  let run k us horizon seed classes =
-    let h = Hetero.make ~k ~us ~classes in
+  let config_term =
+    validated
+      Term.(const (fun k us classes () ->
+                let config = Sim_agent.class_config ~k ~us classes in
+                Sim_agent.validate config;
+                config)
+            $ k_arg $ us_arg $ class_arg)
+  in
+  let run horizon seed (config : Sim_agent.config) =
+    let { Sim_agent.k; us; classes; _ } = config in
+    let lambda_total =
+      List.fold_left
+        (fun acc (c : Params.klass) -> List.fold_left (fun acc (_, r) -> acc +. r) acc c.arrivals)
+        0.0 classes
+    in
     Report.kv
       [
-        ("heuristic verdict", Stability.verdict_to_string (Hetero.classify_heuristic h));
-        ("m_bar (seed branching)", Report.fmt_float (Hetero.mean_seed_offspring h ~piece:0));
-        ("heuristic threshold", Report.fmt_float (Hetero.threshold h ~piece:0));
-        ("lambda_total", Report.fmt_float (Hetero.lambda_total h));
+        ("heuristic verdict", Stability.verdict_to_string (Stability.classify_classes ~k ~us classes));
+        ("m_bar (seed branching)", Report.fmt_float (Stability.mean_seed_offspring classes ~piece:0));
+        ("heuristic threshold", Report.fmt_float (Stability.class_threshold ~k ~us classes ~piece:0));
+        ("lambda_total", Report.fmt_float lambda_total);
       ];
-    let s = Hetero.simulate_seeded ~seed h ~horizon in
+    let s, _ = Sim_agent.run_seeded ~seed config ~horizon in
     truncation_warning s.truncated;
     let r = Classify.of_samples s.samples in
     Report.kv
@@ -1230,7 +1251,7 @@ let hetero_cmd =
     Report.table
       ~header:[ "class"; "mean N"; "mean sojourn" ]
       (List.mapi
-         (fun i (c : Hetero.klass) ->
+         (fun i (c : Params.klass) ->
            [
              c.label;
              Report.fmt_float s.class_mean_n.(i);
@@ -1240,7 +1261,7 @@ let hetero_cmd =
   in
   Cmd.v
     (Cmd.info "hetero" ~doc:"Heterogeneous peer classes: heuristic region + simulation")
-    Term.(const run $ k_arg $ us_arg $ horizon_arg $ seed_arg $ class_arg)
+    Term.(const run $ horizon_arg $ seed_arg $ config_term)
 
 (* ---- exact ---- *)
 

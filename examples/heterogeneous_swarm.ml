@@ -14,27 +14,27 @@ module PS = P2p_pieceset.Pieceset
 let () =
   Report.banner "Heterogeneous swarm: impatient crowd + sticky helpers";
   let mix ~impatient ~sticky =
-    Hetero.make ~k:3 ~us:0.1
-      ~classes:
-        [
-          { Hetero.label = "impatient"; mu = 1.0; gamma = infinity;
-            arrivals = [ (PS.empty, impatient) ] };
-          { Hetero.label = "sticky"; mu = 1.0; gamma = 0.4;
-            arrivals = [ (PS.empty, sticky) ] };
-        ]
+    [
+      { Params.label = "impatient"; mu = 1.0; gamma = infinity;
+        arrivals = [ (PS.empty, impatient) ] };
+      { Params.label = "sticky"; mu = 1.0; gamma = 0.4; arrivals = [ (PS.empty, sticky) ] };
+    ]
+  in
+  let simulate ~seed classes =
+    fst (Sim_agent.run_seeded ~seed (Sim_agent.class_config ~k:3 ~us:0.1 classes) ~horizon:2500.0)
   in
   Report.subsection "sweep the sticky share at a fixed heavy load (total ~ 2)";
   let rows =
     List.map
       (fun share ->
-        let h = mix ~impatient:(2.0 *. (1.0 -. share)) ~sticky:(2.0 *. share) in
-        let m_bar = Hetero.mean_seed_offspring h ~piece:0 in
-        let s = Hetero.simulate_seeded ~seed:41 h ~horizon:2500.0 in
+        let classes = mix ~impatient:(2.0 *. (1.0 -. share)) ~sticky:(2.0 *. share) in
+        let m_bar = Stability.mean_seed_offspring classes ~piece:0 in
+        let s = simulate ~seed:41 classes in
         let r = Classify.of_samples s.samples in
         [
           Report.fmt_float share;
           Report.fmt_float m_bar;
-          Stability.verdict_to_string (Hetero.classify_heuristic h);
+          Stability.verdict_to_string (Stability.classify_classes ~k:3 ~us:0.1 classes);
           Classify.verdict_to_string r.verdict;
           Report.fmt_float s.time_avg_n;
         ])
@@ -50,8 +50,7 @@ let () =
      slowly, like any near-critical branching system.)";
 
   Report.subsection "who does the work (sticky share 0.6)";
-  let h = mix ~impatient:0.8 ~sticky:1.2 in
-  let s = Hetero.simulate_seeded ~seed:42 h ~horizon:2500.0 in
+  let s = simulate ~seed:42 (mix ~impatient:0.8 ~sticky:1.2) in
   Report.table
     ~header:[ "class"; "mean population"; "mean sojourn" ]
     [
@@ -65,6 +64,7 @@ let () =
     [
       ("Theorem 1", Stability.verdict_to_string (Stability.classify p));
       ( "heuristic on the single-class embedding",
-        Stability.verdict_to_string (Hetero.classify_heuristic (Hetero.of_params p)) );
+        Stability.verdict_to_string
+          (Stability.classify_classes ~k:p.k ~us:p.us (Params.classes p)) );
     ];
   exit 0

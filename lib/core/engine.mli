@@ -1,6 +1,6 @@
 (** The shared simulation-engine core behind every simulator:
     {!drive} runs the jump processes ({!Sim_markov}, {!Sim_agent} on any
-    overlay, {!Sim_coded}, the multi-class {!Hetero} and the type-level
+    overlay and with any peer classes, {!Sim_coded} and the type-level
     {!Coded_chain}), and {!drive_continuous} the fluid model.
 
     Every jump-process simulator is the same machine wearing a

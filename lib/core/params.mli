@@ -8,6 +8,17 @@
 
 module Pieceset = P2p_pieceset.Pieceset
 
+(** A class of peers with its own rates: the model generalised to
+    heterogeneous peers, which {!Sim_agent} simulates and
+    {!Stability.classify_classes} classifies heuristically.  A parameter
+    set is the one-class case ({!classes}). *)
+type klass = {
+  label : string;
+  mu : float;  (** contact-upload rate of this class, > 0 *)
+  gamma : float;  (** seed dwell rate; [infinity] = leave on completion *)
+  arrivals : (Pieceset.t * float) list;  (** this class's arrival streams *)
+}
+
 type t = private {
   k : int;  (** number of pieces, K >= 1 *)
   us : float;  (** fixed seed contact rate U_s >= 0 *)
@@ -16,6 +27,9 @@ type t = private {
   arrivals : (Pieceset.t * float) array;
       (** the [(C, λ_C)] pairs with [λ_C > 0], deduplicated *)
 }
+
+val classes : t -> klass list
+(** The single class [p] describes, labelled ["all"]. *)
 
 val make :
   k:int -> us:float -> mu:float -> gamma:float -> arrivals:(Pieceset.t * float) list -> t
@@ -26,6 +40,14 @@ val make :
     - [λ_total > 0] (the paper's non-triviality assumption);
     - if [gamma = infinity] then [λ_F = 0] (the paper's convention).
     @raise Invalid_argument otherwise. *)
+
+val check_classes : who:string -> k:int -> us:float -> klass list -> unit
+(** The model assumptions {!make} checks, over any class list: [k] in
+    range, [us >= 0], at least one class, each class's [mu > 0] and
+    [gamma > 0], its arrival types within [K] at finite rates [>= 0] and
+    no [λ_F > 0] at [γ = ∞], and a positive total arrival rate.
+    @raise Invalid_argument prefixed by [who], naming the value and any
+    class with a non-empty label. *)
 
 val immediate_departure : t -> bool
 (** [γ = ∞]. *)

@@ -9,7 +9,9 @@ type dwell = Exp_dwell | Deterministic_dwell | Erlang_dwell of int
 type census = Swarm | Neighbourhood
 
 type config = {
-  params : Params.t;
+  k : int;
+  us : float;
+  classes : Params.klass list;
   policy : Policy.t;
   dwell : dwell;
   eta : float;
@@ -20,9 +22,11 @@ type config = {
   census : census;
 }
 
-let default_config params =
-  { params; policy = Policy.random_useful; dwell = Exp_dwell; eta = 1.0; rare_piece = 0;
+let class_config ~k ~us classes =
+  { k; us; classes; policy = Policy.random_useful; dwell = Exp_dwell; eta = 1.0; rare_piece = 0;
     initial = []; faults = Faults.none; degree = None; census = Swarm }
+
+let default_config (p : Params.t) = class_config ~k:p.k ~us:p.us (Params.classes p)
 
 type groups = {
   young : int;
@@ -36,6 +40,7 @@ let groups_total g = g.young + g.infected + g.gifted + g.one_club + g.former_one
 
 type peer = {
   id : int;
+  klass : int;  (* index into [config.classes] *)
   mutable pieces : Pieceset.t;
   arrival_time : float;
   gifted : bool;
@@ -69,6 +74,8 @@ type stats = {
   one_club_time_fraction : float;
   mean_degree_time_avg : float;
   final_component_sizes : int list;
+  class_mean_n : float array;
+  class_mean_sojourn : float array;
 }
 
 (* Dynamic array of live peers with O(1) swap-removal. *)
@@ -136,7 +143,7 @@ module Population = struct
 end
 
 let classify_groups config pop =
-  let full = Params.full_set config.params in
+  let full = Pieceset.full ~k:config.k in
   let one_club_type = Pieceset.remove config.rare_piece full in
   let g = ref { young = 0; infected = 0; gifted = 0; one_club = 0; former_one_club = 0 } in
   Population.iter pop (fun peer ->
@@ -150,13 +157,13 @@ let classify_groups config pop =
 
 (* The one-club witness that needs no designated piece: max over pieces
    of the fraction of peers whose type is exactly F - {i}. *)
-let club_fraction (p : Params.t) state =
+let club_fraction ~k state =
   let n = State.n state in
   if n = 0 then 0.0
   else begin
-    let full = Params.full_set p in
+    let full = Pieceset.full ~k in
     let best = ref 0 in
-    for i = 0 to p.k - 1 do
+    for i = 0 to k - 1 do
       best := Int.max !best (State.count state (Pieceset.remove i full))
     done;
     float_of_int !best /. float_of_int n
@@ -164,21 +171,25 @@ let club_fraction (p : Params.t) state =
 
 (* Reject a bad config before any draw. *)
 let validate config =
-  let p = config.params in
-  let fail msg = invalid_arg ("Sim_agent.run: " ^ msg) in
-  if not (config.eta >= 1.0) then fail "eta must be >= 1";
-  if config.rare_piece < 0 || config.rare_piece >= p.k then fail "rare piece out of range";
-  (match config.degree with Some d when d < 1 -> fail "degree must be >= 1" | _ -> ());
-  (match config.dwell with Erlang_dwell m when m < 1 -> fail "Erlang stages must be >= 1" | _ -> ());
+  let fail fmt = Printf.ksprintf (fun msg -> invalid_arg ("Sim_agent.run: " ^ msg)) fmt in
+  let k = config.k in
+  Params.check_classes ~who:"Sim_agent.run" ~k ~us:config.us config.classes;
+  if not (config.eta >= 1.0) then fail "eta must be >= 1, got %g" config.eta;
+  if config.rare_piece < 0 || config.rare_piece >= k then
+    fail "rare piece %d out of range" config.rare_piece;
+  (match config.degree with Some d when d < 1 -> fail "degree must be >= 1, got %d" d | _ -> ());
+  (match config.dwell with
+  | Erlang_dwell m when m < 1 -> fail "Erlang stages must be >= 1, got %d" m
+  | _ -> ());
   if config.census = Neighbourhood && Option.is_none config.degree then
     fail "a neighbourhood census needs a sparse overlay";
-  if Params.immediate_departure p
-     && List.exists (fun (c, n) -> n > 0 && Pieceset.equal c (Params.full_set p)) config.initial
-  then fail "initial peer seeds need finite gamma"
+  let first = List.hd config.classes in
+  if (not (Float.is_finite first.gamma))
+     && List.exists (fun (c, n) -> n > 0 && Pieceset.equal c (Pieceset.full ~k)) config.initial
+  then fail "initial peer seeds need a finite gamma in class %S" first.label
 
-let sample_dwell config rng =
-  let gamma = config.params.gamma in
-  match config.dwell with
+let sample_dwell dwell ~gamma rng =
+  match dwell with
   | Exp_dwell -> Dist.exponential rng ~rate:gamma
   | Deterministic_dwell -> 1.0 /. gamma
   | Erlang_dwell m ->
@@ -195,14 +206,33 @@ type bands = { arrival : float; mutable seed : float; mutable peers : float }
 
 let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~horizon =
   validate config;
-  let p = config.params in
+  let k = config.k and us = config.us in
+  let classes = Array.of_list config.classes in
+  (* Every peer's clock ticks at the fastest class's rate μ_max; a
+     class-c uploader's tick is a contact with probability μ_c/μ_max and
+     a self-loop otherwise (thinning).  [accept] is exactly 1.0 for the
+     fastest class, which then draws no coin. *)
+  let mu_max = Array.fold_left (fun m (c : Params.klass) -> Float.max m c.mu) 0.0 classes in
+  let accept = Array.map (fun (c : Params.klass) -> c.mu /. mu_max) classes in
+  let leaves_at_once = Array.map (fun (c : Params.klass) -> not (Float.is_finite c.gamma)) classes in
+  let all_leave_at_once = Array.for_all Fun.id leaves_at_once in
+  (* All classes' arrival streams, flattened to (class, type, rate). *)
+  let streams =
+    Array.of_list
+      (List.concat
+         (List.mapi
+            (fun ci (c : Params.klass) -> List.map (fun (set, r) -> (ci, set, r)) c.arrivals)
+            config.classes))
+  in
   let sparse = Option.is_some config.degree in
   let local = config.census = Neighbourhood in
-  let common, (state, pop, graph, silent, group_samples, club_samples, sojourn, club_avg, deg_avg) =
+  let common,
+      ( state, pop, graph, silent, group_samples, club_samples, sojourn, club_avg, deg_avg,
+        class_sojourn, class_resid ) =
     Engine.drive ~probe ?sample_every ?max_events ~name:"sim_agent" ~rng
       ~faults:config.faults ~horizon (fun h ->
         let tracing = probe.Probe.tracing in
-        let full = Params.full_set p in
+        let full = Pieceset.full ~k in
         let one_club_type = Pieceset.remove config.rare_piece full in
         let pop = Population.create () in
         let state = State.create () in
@@ -214,21 +244,25 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~h
         let next_id = ref 0 in
         let silent = ref 0 in
         let sojourn = P2p_stats.Welford.create () in
+        let class_sojourn = Array.map (fun _ -> P2p_stats.Welford.create ()) classes in
+        (* residence time of departed peers, per class *)
+        let class_resid = Array.make (Array.length classes) 0.0 in
         let club_avg = P2p_stats.Timeavg.create () in
         let deg_avg = P2p_stats.Timeavg.create () in
         let seed_boosted = ref false in
-        let lambda_total = Params.lambda_total p in
-        (* Walker alias table, as in Sim_markov: O(1) arrival-type draws. *)
-        let arrival_alias = Dist.Alias.make (Array.map snd p.arrivals) in
+        let lambda_total = Array.fold_left (fun acc (_, _, r) -> acc +. r) 0.0 streams in
+        (* Walker alias table, as in Sim_markov: O(1) arrival-stream draws. *)
+        let arrival_alias = Dist.Alias.make (Array.map (fun (_, _, r) -> r) streams) in
         let counters = Engine.counters h in
         let frun = Engine.faults h in
         let abort_rate = config.faults.abort_rate in
         let notify ~time = match observer with Some f -> f ~time ~state | None -> () in
 
-        let new_peer c ~time =
+        let new_peer c ~klass ~time =
           let peer =
             {
               id = !next_id;
+              klass;
               pieces = c;
               arrival_time = time;
               gifted = Pieceset.mem config.rare_piece c;
@@ -257,7 +291,10 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~h
             Hashtbl.remove by_id peer.id
           end;
           counters.departures <- counters.departures + 1;
-          P2p_stats.Welford.add sojourn (time -. peer.arrival_time)
+          let stay = time -. peer.arrival_time in
+          P2p_stats.Welford.add sojourn stay;
+          P2p_stats.Welford.add class_sojourn.(peer.klass) stay;
+          class_resid.(peer.klass) <- class_resid.(peer.klass) +. stay
         in
         let depart peer ~time =
           State.remove_peer state peer.pieces;
@@ -265,7 +302,7 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~h
           notify ~time
         in
         let schedule_departure peer ~time =
-          let dwell = sample_dwell config rng in
+          let dwell = sample_dwell config.dwell ~gamma:classes.(peer.klass).gamma rng in
           ignore (P2p_des.Heap.insert departures_heap ~key:(time +. dwell) peer)
         in
         (* Give a piece to [peer]; updates flags and departures. *)
@@ -278,7 +315,7 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~h
           if piece = config.rare_piece && (not peer.gifted) && not was_one_club_now then
             peer.infected <- true;
           if Pieceset.equal target one_club_type then peer.was_one_club <- true;
-          if Pieceset.equal target full && Params.immediate_departure p then begin
+          if Pieceset.equal target full && leaves_at_once.(peer.klass) then begin
             counters.completions <- counters.completions + 1;
             State.remove_peer state peer.pieces;
             peer.pieces <- target;
@@ -301,7 +338,7 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~h
         in
         (* Copies of each piece held by [up] and its overlay neighbours. *)
         let neighbourhood_copies up =
-          let counts = Array.make p.k 0 in
+          let counts = Array.make k 0 in
           let tally c = Pieceset.iter (fun i -> counts.(i) <- counts.(i) + 1) c in
           tally up.pieces;
           Adjacency.iter_neighbors graph up.id (fun id -> tally (Hashtbl.find by_id id).pieces);
@@ -318,7 +355,7 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~h
               let uploader =
                 match uploader with None -> Policy.Fixed_seed | Some up -> Policy.Peer up.pieces
               in
-              Policy.sample config.policy ~rng ~k:p.k ~state ~uploader
+              Policy.sample config.policy ~rng ~k ~state ~uploader
                 ~downloader:downloader.pieces
         in
         (* Resolve one contact from [uploader] (None = fixed seed, which
@@ -358,11 +395,11 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~h
           Hist.tock contact_tm c_t0
         in
 
-        (* Initial population. *)
+        (* Initial population, all in the first class. *)
         List.iter
           (fun (c, count) ->
             for _ = 1 to count do
-              let peer = new_peer c ~time:0.0 in
+              let peer = new_peer c ~klass:0 ~time:0.0 in
               if Pieceset.equal c full then schedule_departure peer ~time:0.0
             done)
           config.initial;
@@ -375,7 +412,7 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~h
             else begin
               let club_count =
                 State.count state one_club_type
-                + if Params.immediate_departure p then 0 else State.count state full
+                + if all_leave_at_once then 0 else State.count state full
               in
               float_of_int club_count /. float_of_int n
             end
@@ -394,17 +431,17 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~h
           let n = Population.size pop in
           b.seed <-
             (if n = 0 || not (Faults.seed_up frun) then 0.0
-             else if !seed_boosted then config.eta *. p.us
-             else p.us);
-          b.peers <- Population.contact_rate pop ~mu:p.mu ~eta:config.eta;
+             else if !seed_boosted then config.eta *. us
+             else us);
+          b.peers <- Population.contact_rate pop ~mu:mu_max ~eta:config.eta;
           let rate_abort = abort_rate *. float_of_int (n - State.count state full) in
           b.arrival +. b.seed +. b.peers +. rate_abort
         in
         let apply ~time ~u =
           if u < b.arrival then begin
             let idx = Dist.Alias.sample rng arrival_alias in
-            let c = fst p.arrivals.(idx) in
-            let peer = new_peer c ~time in
+            let klass, c, _ = streams.(idx) in
+            let peer = new_peer c ~klass ~time in
             counters.arrivals <- counters.arrivals + 1;
             if tracing then Probe.arrival probe ~time ~pieces:c;
             if Pieceset.equal c full then schedule_departure peer ~time;
@@ -413,7 +450,8 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~h
           else if u < b.arrival +. b.seed then contact None ~time
           else if u < b.arrival +. b.seed +. b.peers then begin
             let uploader = Population.weighted pop rng ~eta:config.eta in
-            contact (Some uploader) ~time
+            let a = accept.(uploader.klass) in
+            if a >= 1.0 || Rng.float rng < a then contact (Some uploader) ~time
           end
           else begin
             (* Churn: a uniformly chosen in-progress peer abandons its
@@ -451,11 +489,11 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~h
             extra_sample =
               (fun ~time ->
                 P2p_stats.Vec.push group_samples (time, classify_groups config pop);
-                P2p_stats.Vec.push club_samples (time, club_fraction p state));
+                P2p_stats.Vec.push club_samples (time, club_fraction ~k state));
             probe_sample =
               (fun ~time ->
-                Probe.sample ~time ~k:p.k ~n:(State.n state) ~count_of:(State.count state)
-                  ~piece_counts:(State.piece_count_vector state ~k:p.k));
+                Probe.sample ~time ~k ~n:(State.n state) ~count_of:(State.count state)
+                  ~piece_counts:(State.piece_count_vector state ~k));
             finish =
               (fun ~time ->
                 P2p_stats.Timeavg.close club_avg ~time;
@@ -463,8 +501,13 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~h
           }
         in
         ( model,
-          (state, pop, graph, silent, group_samples, club_samples, sojourn, club_avg, deg_avg) ))
+          ( state, pop, graph, silent, group_samples, club_samples, sojourn, club_avg, deg_avg,
+            class_sojourn, class_resid ) ))
   in
+  (* ∫ n_c dt is the summed residence of class-c peers up to the end. *)
+  let final_time = common.Engine.final_time in
+  Population.iter pop (fun peer ->
+      class_resid.(peer.klass) <- class_resid.(peer.klass) +. (final_time -. peer.arrival_time));
   let stats =
     {
       final_time = common.Engine.final_time;
@@ -491,6 +534,9 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ~rng config ~h
       final_component_sizes =
         (if sparse then Adjacency.connected_component_sizes graph
          else [ Population.size pop ]);
+      class_mean_n =
+        Array.map (fun r -> if final_time > 0.0 then r /. final_time else nan) class_resid;
+      class_mean_sojourn = Array.map P2p_stats.Welford.mean class_sojourn;
     }
   in
   (stats, state)

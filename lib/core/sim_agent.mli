@@ -8,6 +8,13 @@
       one-club / former one-club peers with respect to a designated rare
       piece (the instrumentation behind the transience proof);
     - per-peer sojourn times;
+    - peer {e classes} with their own [μ_c], [γ_c] and arrival streams —
+      the heterogeneous link speeds the conclusion invites (experiment
+      E18).  Each peer keeps its class: its seed dwell is drawn at its
+      own [γ_c] (a class with [γ_c = ∞] leaves on completion), and its
+      clock ticks at the fastest class's [μ_max] with a tick accepted as
+      a contact with probability [μ_c/μ_max] (a rejected tick changes
+      nothing).  A single class draws no acceptance coin;
     - non-exponential peer-seed dwell times (deterministic, Erlang) — the
       conclusion's conjecture that stability is insensitive to the dwell
       distribution (experiment E6 extension);
@@ -45,7 +52,11 @@ type census =
           sparse overlay. *)
 
 type config = {
-  params : Params.t;
+  k : int;  (** number of pieces *)
+  us : float;  (** fixed seed contact rate U_s *)
+  classes : Params.klass list;
+      (** the peer classes, the one source of the peer rates μ, γ and the
+          arrival streams; initial peers join the first class *)
   policy : Policy.t;
   dwell : dwell;
   eta : float;  (** unsuccessful-contact speedup; 1.0 = paper model *)
@@ -58,9 +69,22 @@ type config = {
   census : census;
 }
 
-val default_config : Params.t -> config
+val class_config : k:int -> us:float -> Params.klass list -> config
 (** Random-useful, exponential dwell, [eta = 1.0], rare piece 0, no
     faults, complete graph, swarm census. *)
+
+val default_config : Params.t -> config
+(** [class_config] on the single class [p] describes
+    ({!Params.classes}): the paper's model. *)
+
+val validate : config -> unit
+(** What {!run} checks before any draw.
+    @raise Invalid_argument, naming the offending value, when [k], [us]
+    and [classes] fail {!Params.check_classes}, [eta] is not [>= 1], the
+    rare piece is out of range, [degree < 1], an Erlang dwell has no
+    stage, a [Neighbourhood] census runs on the complete graph, or the
+    first class has [γ = ∞] and full-set initial peers (they would never
+    leave). *)
 
 type groups = {
   young : int;  (** missing the rare piece and at least one other *)
@@ -105,6 +129,10 @@ type stats = {
   final_component_sizes : int list;
       (** overlay components at the end, sorted descending; the whole
           population on the complete graph *)
+  class_mean_n : float array;
+      (** time-average population per class, in [classes] order; they sum
+          to [time_avg_n] *)
+  class_mean_sojourn : float array;  (** per class; [nan] where none departed *)
 }
 
 val run :
@@ -124,10 +152,8 @@ val run :
     in {!Sim_markov.run}: pure observation, never a perturbation — runs
     are bit-identical with and without a probe attached.
 
-    @raise Invalid_argument before any draw when [eta] is not [>= 1], the
-    rare piece is out of range, [degree < 1], an Erlang dwell has no
-    stage, a [Neighbourhood] census runs on the complete graph, or
-    [gamma = ∞] meets full-set initial peers (they would never leave). *)
+    @raise Invalid_argument before any draw on a config {!validate}
+    rejects. *)
 
 val run_seeded :
   ?probe:P2p_obs.Probe.t ->

@@ -116,6 +116,54 @@ let equivalent_check (p : Params.t) =
     by_pieces = by_deltas
   end
 
+(* ---- peer classes: the heuristic region ---- *)
+
+let rho_of (c : Params.klass) = if Float.is_finite c.gamma then c.mu /. c.gamma else 0.0
+
+(* Σ over every class's arrival streams of [f c set rate]. *)
+let sum_streams classes f =
+  List.fold_left
+    (fun acc (c : Params.klass) ->
+      List.fold_left (fun acc (set, r) -> acc +. f c set r) acc c.arrivals)
+    0.0 classes
+
+let mean_seed_offspring classes ~piece =
+  (* the one-club's class mix is the arrival mix of peers missing the piece *)
+  let missing f =
+    sum_streams classes (fun c set r -> if Pieceset.mem piece set then 0.0 else r *. f c)
+  in
+  let total = missing (fun _ -> 1.0) in
+  if total <= 0.0 then 0.0 else missing rho_of /. total
+
+let holding classes ~piece f =
+  sum_streams classes (fun c set r -> if Pieceset.mem piece set then r *. f c set else 0.0)
+
+let class_threshold ~k ~us classes ~piece =
+  let m_bar = mean_seed_offspring classes ~piece in
+  if m_bar >= 1.0 then infinity
+  else begin
+    let gifted =
+      holding classes ~piece (fun c set -> float_of_int (k - Pieceset.cardinal set) +. rho_of c)
+    in
+    ((us +. gifted) /. (1.0 -. m_bar)) +. holding classes ~piece (fun _ _ -> 1.0)
+  end
+
+let classify_classes ?(tolerance = 1e-9) ~k ~us classes =
+  let pieces = List.init k Fun.id in
+  let enters piece = us > 0.0 || holding classes ~piece (fun _ _ -> 1.0) > 0.0 in
+  if not (List.for_all enters pieces) then Transient
+  else begin
+    let lambda = sum_streams classes (fun _ _ r -> r) in
+    let worst =
+      List.fold_left
+        (fun acc piece -> Float.min acc (class_threshold ~k ~us classes ~piece))
+        infinity pieces
+    in
+    if lambda > worst *. (1.0 +. tolerance) then Transient
+    else if lambda < worst *. (1.0 -. tolerance) then Positive_recurrent
+    else Borderline
+  end
+
 (* Captured before [Coded.classify] shadows the name. *)
 let theorem1_classify = classify
 

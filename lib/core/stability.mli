@@ -71,6 +71,38 @@ val equivalent_check : Params.t -> bool
     evaluations agree (used by tests; always [true] unless there is a
     bug). *)
 
+(** {1 Peer classes: a heuristic region}
+
+    Peers in classes with their own [μ_c], [γ_c] and arrival streams
+    ({!Params.klass}, simulated by {!Sim_agent}) — the heterogeneous link
+    speeds the paper's conclusion invites.  In a deep one-club a fresh
+    peer seed is a former club member whose class follows the club's
+    class mix [p_c] (the arrival mix of peers missing the rare piece), so
+    the seed branching factor becomes [m̄ = Σ_c p_c μ_c/γ_c], and a
+    class-[c] arrival holding the piece injects [K − |C| + μ_c/γ_c]
+    uploads of it over its stay.  The heuristic threshold
+
+    {v λ_total < (U_s + Σ_{c,C∋k} λ_{c,C}(K−|C|+μ_c/γ_c)) / (1 − m̄) + Σ_{c,C∋k} λ_{c,C} v}
+
+    reduces to Theorem 1 for a single class.  It is a conjecture, not a
+    theorem; experiment E18 probes it by simulation.  These functions
+    read only the classes and the [k] and [U_s] given; they do not
+    validate (see {!Params.check_classes}). *)
+
+val mean_seed_offspring : Params.klass list -> piece:int -> float
+(** [m̄]: expected one-club members served per fresh peer seed, with the
+    seed's class drawn from the arrival mix of peers missing [piece]. *)
+
+val class_threshold : k:int -> us:float -> Params.klass list -> piece:int -> float
+(** The heuristic critical total arrival rate for the given piece;
+    [infinity] when [m̄ >= 1] (supercritical seed branching). *)
+
+val classify_classes : ?tolerance:float -> k:int -> us:float -> Params.klass list -> verdict
+(** Min-threshold comparison across pieces, mirroring Theorem 1's
+    structure; a piece that cannot enter makes it [Transient].  Exact for
+    a single class: [classify_classes ~k ~us (Params.classes p)] is
+    [classify p]. *)
+
 (** Theorem 15: random linear network coding over [F_q].  Workload of the
     paper's motivating example: a fraction of peers arrive with one
     uniformly random coded piece, the rest with nothing. *)

@@ -103,26 +103,6 @@ let quantile t q =
     bucket_lower_bound !found
   end
 
-let merge_into ~into src =
-  if src.h_live then begin
-    if not into.h_live then invalid_arg "Hist.merge_into: destination is disabled";
-    for i = 0 to n_buckets - 1 do
-      into.buckets.(i) <- into.buckets.(i) + src.buckets.(i)
-    done;
-    into.count <- into.count + src.count;
-    into.acc.(0) <- into.acc.(0) +. src.acc.(0);
-    if src.acc.(1) < into.acc.(1) then into.acc.(1) <- src.acc.(1);
-    if src.acc.(2) > into.acc.(2) then into.acc.(2) <- src.acc.(2);
-    if src.period > into.period then into.period <- src.period
-  end
-
-let merge a b =
-  let t = create () in
-  t.period <- 1;
-  merge_into ~into:t a;
-  merge_into ~into:t b;
-  t
-
 (* ---- sampled timers ---- *)
 
 type timer = { th : t; t_period : int; mutable left : int }

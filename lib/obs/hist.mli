@@ -13,12 +13,6 @@
     allocation} — and on a dead one (from {!disabled}) it is a single
     branch.  A test pins zero heap growth per record.
 
-    {!merge} is associative and commutative on everything integral
-    (buckets, counts, min/max up to float compare); the running [sum]
-    is a float accumulator and merges associatively only up to
-    rounding.  That makes histograms filled on separate domains safe to
-    combine in any join order.
-
     {b Sampled timers.}  Reading even a monotonic clock twice per event
     costs ~5-15% at the engine's millions of events per second, so
     {!timer} samples: every [period]-th {!tick} returns a start stamp
@@ -69,14 +63,6 @@ val quantile : t -> float -> float
 val sample_period : t -> int
 (** The sampling period of the last {!timer} attached (1 when values
     were recorded directly). *)
-
-val merge : t -> t -> t
-(** Pointwise sum into a fresh histogram.  {!disabled} (or any empty
-    histogram) is a zero element. *)
-
-val merge_into : into:t -> t -> unit
-(** Accumulate [src] into [into] in place (both must be live; a dead
-    [src] is a no-op). *)
 
 (** {1 Sampled timers} *)
 

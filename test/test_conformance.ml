@@ -35,6 +35,25 @@ let agent : runner =
  fun ~observer ~rng p initial ~horizon ->
   ignore (Sim_agent.run ~observer ~rng { (Sim_agent.default_config p) with initial } ~horizon)
 
+(* Two peer classes whose pooled arrival streams are [p]'s, split evenly.
+   The first class runs at [p.mu] and holds every initial peer; the
+   second, ten times faster, only arrives.  Every peer's clock ticks at
+   the fastest rate and a slow peer's tick is accepted with probability
+   [p.mu / fast], so until a fast peer arrives the first jump follows
+   [Rate.transitions p]; without the acceptance coin the slow peers
+   would contact ten times too often. *)
+let agent_two_classes : runner =
+ fun ~observer ~rng p initial ~horizon ->
+  let half = List.map (fun (c, r) -> (c, r /. 2.0)) (Array.to_list p.arrivals) in
+  let classes =
+    [
+      { Params.label = "slow"; mu = p.mu; gamma = p.gamma; arrivals = half };
+      { Params.label = "fast"; mu = 10.0 *. p.mu; gamma = 5.0; arrivals = half };
+    ]
+  in
+  let config = { (Sim_agent.class_config ~k:p.k ~us:p.us classes) with initial } in
+  ignore (Sim_agent.run ~observer ~rng config ~horizon)
+
 let check_first_jump_law ~(run : runner) ~seed ~reps p initial =
   let state0 = State.of_counts initial in
   let transitions = Rate.transitions p state0 in
@@ -116,6 +135,17 @@ let test_first_jump_one_club run () =
   in
   check_first_jump_law ~run ~seed:3 ~reps:40_000 p
     [ (PS.of_list [ 0; 1 ], 40); (PS.empty, 3); (PS.singleton 2, 1); (PS.full ~k:3, 2) ]
+
+(* A slow class (μ = 0.3) holding every initial peer beside a fast one
+   (μ = 3) that only arrives: the first jump is the generator row at
+   μ = 0.3. *)
+let test_first_jump_two_classes () =
+  let p =
+    Params.make ~k:2 ~us:0.7 ~mu:0.3 ~gamma:2.0
+      ~arrivals:[ (PS.empty, 0.6); (PS.singleton 0, 0.4) ]
+  in
+  check_first_jump_law ~run:agent_two_classes ~seed:9 ~reps:40_000 p
+    [ (PS.empty, 4); (PS.singleton 0, 2); (PS.singleton 1, 1); (PS.full ~k:2, 2) ]
 
 (* ---- 2. the exact chain and both simulators, one stationary mean ---- *)
 
@@ -237,6 +267,8 @@ let () =
             (test_first_jump_one_club agent);
           Alcotest.test_case "agent first-jump law, seed-heavy" `Slow
             (test_first_jump_seed_heavy agent);
+          Alcotest.test_case "agent first-jump law, two classes" `Slow
+            test_first_jump_two_classes;
           Alcotest.test_case "four engines, one mean" `Slow test_four_engines_agree;
           Alcotest.test_case "fluid = generator drift" `Quick test_fluid_equals_generator_everywhere;
           Alcotest.test_case "coded engines agree" `Slow test_coded_engines_agree;

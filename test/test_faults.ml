@@ -145,6 +145,29 @@ let test_golden_no_fault_agent () =
     true
     (Float.equal stats.mean_sojourn 7.445331774318185)
 
+(* The per-peer backend with every knob that draws on: the η = 2 retry
+   speedup, an Erlang-3 seed dwell, and all three fault families.  Any
+   change to the draw stream of a single-class run moves these. *)
+let test_golden_faulty_agent () =
+  let config =
+    { (Sim_agent.default_config stable_params) with
+      eta = 2.0;
+      dwell = Sim_agent.Erlang_dwell 3;
+      faults = Faults.make ~outage:(20.0, 5.0) ~abort_rate:0.02 ~loss_prob:0.05 ();
+    }
+  in
+  let s, _ = Sim_agent.run_seeded ~seed:2025 config ~horizon:500.0 in
+  Alcotest.(check int) "events" 3992 s.events;
+  Alcotest.(check int) "transfers" 693 s.transfers;
+  Alcotest.(check int) "silent contacts" 2753 s.silent_contacts;
+  Alcotest.(check int) "final n" 1 s.final_n;
+  Alcotest.(check int) "aborted" 43 s.aborted_peers;
+  Alcotest.(check int) "lost" 31 s.lost_transfers;
+  Alcotest.(check int64) "time-avg N bits" 4616201855313941559L
+    (Int64.bits_of_float s.time_avg_n);
+  Alcotest.(check int64) "mean sojourn bits" 4620410058869607659L
+    (Int64.bits_of_float s.mean_sojourn)
+
 (* ---- physical sanity of each fault type ---- *)
 
 let test_outage_time_tracks_duty_cycle () =
@@ -241,6 +264,7 @@ let () =
             test_fault_schedule_deterministic;
           Alcotest.test_case "golden no-fault markov run" `Quick test_golden_no_fault_markov;
           Alcotest.test_case "golden no-fault agent run" `Quick test_golden_no_fault_agent;
+          Alcotest.test_case "golden faulty agent run" `Quick test_golden_faulty_agent;
         ] );
       ( "physics",
         [

@@ -850,17 +850,8 @@ let test_hist_bucket_bounds () =
     "quantiles ride the bucket edges monotonically" true
     (Hist.quantile h 0.0 <= Hist.quantile h 0.5 && Hist.quantile h 0.5 <= Hist.quantile h 1.0)
 
-let random_hist seed n =
-  let rng = Rng.of_seed seed in
-  let h = Hist.create () in
-  for _ = 1 to n do
-    Hist.record h (Float.ldexp (Rng.float rng) (Rng.int_below rng 40 - 20))
-  done;
-  h
-
 (* Integral-part equality: buckets, count, min/max.  The running [sum]
-   is a float accumulator, associative only up to rounding, so it gets
-   a tolerance instead. *)
+   is a float accumulator, so it gets a tolerance instead. *)
 let check_hist_equal name a b =
   Alcotest.(check (array int)) (name ^ " buckets") (Hist.buckets a) (Hist.buckets b);
   Alcotest.(check int) (name ^ " count") (Hist.count a) (Hist.count b);
@@ -874,18 +865,6 @@ let check_hist_equal name a b =
     (name ^ " sum within rounding") true
     (let sa = Hist.sum a and sb = Hist.sum b in
      Float.abs (sa -. sb) <= 1e-9 *. Float.max 1.0 (Float.abs sa))
-
-let test_hist_merge_laws () =
-  let a = random_hist 1 500 and b = random_hist 2 300 and c = random_hist 3 800 in
-  check_hist_equal "associative" (Hist.merge (Hist.merge a b) c) (Hist.merge a (Hist.merge b c));
-  check_hist_equal "commutative" (Hist.merge a b) (Hist.merge b a);
-  check_hist_equal "disabled is a right zero" (Hist.merge a Hist.disabled) a;
-  check_hist_equal "disabled is a left zero" (Hist.merge Hist.disabled a) a;
-  check_hist_equal "empty live hist is a zero" (Hist.merge a (Hist.create ())) a;
-  let into = Hist.create () in
-  Hist.merge_into ~into a;
-  Hist.merge_into ~into b;
-  check_hist_equal "merge_into agrees with merge" into (Hist.merge a b)
 
 (* The argument is hoisted and pre-boxed ([Sys.opaque_identity]) so the
    test pins what the contract promises — [record] itself allocates
@@ -1112,6 +1091,41 @@ let test_cli_trace_golden () =
       let first = List.filteri (fun i _ -> i < 20) (lines_of (read_file path)) in
       Alcotest.(check (list string)) "first 20 trace lines" trace_golden first)
 
+(* Invalid model parameters are usage errors: exit 124 (as for a
+   malformed flag) with a message naming the value, never an uncaught
+   exception. *)
+let test_cli_model_errors () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun (args, expected) ->
+      with_temp_file (fun path ->
+          let err = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+          let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+          let pid =
+            Unix.create_process p2psim (Array.of_list (p2psim :: args)) Unix.stdin devnull err
+          in
+          Unix.close devnull;
+          Unix.close err;
+          let name = String.concat " " args in
+          (match Unix.waitpid [] pid with
+          | _, Unix.WEXITED code -> Alcotest.(check int) (name ^ ": exit status") 124 code
+          | _ -> Alcotest.failf "%s: p2psim did not exit" name);
+          let msg = read_file path in
+          Alcotest.(check bool) (Printf.sprintf "%s: message names %S" name expected) true
+            (contains msg expected);
+          Alcotest.(check bool) (name ^ ": no internal error") false
+            (contains msg "internal error")))
+    [
+      ([ "simulate"; "-k"; "0" ], "k must be in [1, 62], got 0");
+      ([ "simulate"; "--mu"; "0" ], "mu must be finite > 0, got 0");
+      ([ "simulate"; "-a"; "none=-1" ], "got -1");
+      ([ "hetero"; "-c"; "x=0,1,1" ], "class \"x\": mu must be finite > 0, got 0");
+    ]
+
 (* ---- the missing-piece-syndrome monitor ---- *)
 
 let run_monitored ~params ~horizon ~seed =
@@ -1288,7 +1302,6 @@ let () =
       ( "hist",
         [
           Alcotest.test_case "bucket bounds and tails" `Quick test_hist_bucket_bounds;
-          Alcotest.test_case "merge laws" `Quick test_hist_merge_laws;
           Alcotest.test_case "record allocates nothing" `Quick test_hist_record_alloc_free;
           Alcotest.test_case "record_unit is record 1.0" `Quick test_hist_record_unit_equiv;
           Alcotest.test_case "group file roundtrip" `Quick test_hist_group_file_roundtrip;
@@ -1309,6 +1322,8 @@ let () =
             test_trace_rows_match_recorder;
           Alcotest.test_case "cli trace golden" `Quick test_cli_trace_golden;
         ] );
+      ( "cli",
+        [ Alcotest.test_case "model errors are usage errors" `Quick test_cli_model_errors ] );
       ( "monitor",
         [
           Alcotest.test_case "verdict flips across the Theorem 1 boundary" `Quick

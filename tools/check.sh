@@ -170,6 +170,22 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
     --arrive none=40 -t 50 --hybrid --switch-up 95 --switch-down 80 --seed 7 \
     >/dev/null || {
     echo "FAIL: hybrid fluid run exited non-zero" >&2; exit 1; }
+  # Peer classes run on the per-peer backend: a mixed-mu two-class swarm
+  # inside the heuristic region must read as stable, and a class with
+  # mu = 0 must be refused as a usage error (exit 124), not a crash.
+  left=$(remaining)
+  timeout "$left" _build/default/bin/p2psim.exe hetero -k 3 --us 0.4 \
+    -c fast=3,6,0.3 -c slow=0.3,0.6,0.3 -t 500 >"$out/hetero.txt" || {
+    echo "FAIL: mixed-mu hetero run exited non-zero" >&2; exit 1; }
+  grep -q 'simulated verdict *: appears-stable' "$out/hetero.txt" || {
+    echo "FAIL: the mixed-mu hetero run did not read as appears-stable" >&2; exit 1; }
+  left=$(remaining)
+  status=0
+  timeout "$left" _build/default/bin/p2psim.exe hetero -c x=0,1,1 >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 124 ]; then
+    echo "FAIL: hetero with a mu = 0 class exited $status, wanted 124" >&2
+    exit 1
+  fi
   # Regression gate: the fresh quick-bench throughput (events/s, or
   # simulated time per second for sim_markov; all three simulators)
   # plus the fluid stepper's steps/s and million-peer wall clock must
