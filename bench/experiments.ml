@@ -884,21 +884,36 @@ let e18 () =
         let classes = mix sticky in
         let m_bar = Stability.mean_seed_offspring classes ~piece:0 in
         let verdict = Stability.classify_classes ~k:2 ~us:0.1 classes in
-        let s = simulate ~seed:181 classes in
-        let r = Classify.of_samples s.samples in
+        (* one run near the boundary is noisy: the modal verdict of
+           seeds 181-189, a tie reading inconclusive *)
+        let runs = List.init 9 (fun i -> simulate ~seed:(181 + i) classes) in
+        let votes = List.map (fun (s : Sim_agent.stats) -> (Classify.of_samples s.samples).verdict) runs in
+        let count v = List.length (List.filter (( = ) v) votes) in
+        let modal =
+          match
+            List.sort (fun a b -> compare (count b) (count a))
+              Classify.[ Appears_stable; Appears_unstable; Inconclusive ]
+          with
+          | a :: b :: _ when count a = count b -> Classify.Inconclusive
+          | a :: _ -> a
+          | [] -> assert false
+        in
+        let mean_n =
+          List.fold_left (fun acc (s : Sim_agent.stats) -> acc +. s.time_avg_n) 0.0 runs /. 9.0
+        in
         [
           fmt sticky;
           fmt m_bar;
           fmt (Stability.class_threshold ~k:2 ~us:0.1 classes ~piece:0);
           verdict_cell verdict;
-          sim_cell r;
-          fmt s.time_avg_n;
+          Printf.sprintf "%s %d/9" (Classify.verdict_to_string modal) (count modal);
+          fmt mean_n;
         ])
       [ 0.05; 0.2; 0.45; 0.8; 1.5 ]
   in
   Report.table
     ~header:
-      [ "sticky rate"; "m_bar"; "threshold"; "heuristic"; "simulated"; "mean N" ]
+      [ "sticky rate"; "m_bar"; "threshold"; "heuristic"; "simulated (modal of 9)"; "mean N" ]
     rows;
   Report.subsection "per-class behaviour at sticky rate = 0.8";
   let s = simulate ~seed:182 (mix 0.8) in

@@ -24,27 +24,84 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The digits of [n <= 0] (so [min_int] needs no special case), zero-padded
+   to [width]. *)
+let rec add_digits buf n width =
+  if width > 1 || n <= -10 then add_digits buf (n / 10) (width - 1);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf i =
+  if i < 0 then Buffer.add_char buf '-';
+  add_digits buf (if i < 0 then i else -i) 1
+
 (* The C routine behind [Printf.sprintf "%.15g"], called without the
-   format interpreter: byte-identical output for finite floats, and the
-   probe-series writer calls it for every field of every sample. *)
+   format interpreter: byte-identical output for finite floats. *)
 external format_float : string -> float -> string = "caml_format_float"
 
-(* Shortest representation that parses back to the same float: JSON has
-   no distinct float grammar, so "3." and "nan" must be avoided. *)
+(* A finite float prints as [%.15g] if that parses back to the same float,
+   else as [%.17g], with ".0" appended when neither '.' nor 'e' shows
+   (JSON has no "3.").  Not the shortest round trip: 0.1 +. 0.7 prints as
+   0.79999999999999993, though 0.7999999999999999 reads back too. *)
 let float_repr f =
-  if not (Float.is_finite f) then "null"
+  let s = format_float "%.15g" f in
+  let s = if float_of_string s = f then s else format_float "%.17g" f in
+  if String.contains s '.' || String.contains s 'e' || String.contains s 'E' then s
+  else s ^ ".0"
+
+let pow10 = Array.init 19 (fun i -> int_of_string ("1" ^ String.make i '0'))
+
+(* [n]·10^-j in fixed point, trailing fraction zeros dropped but one. *)
+let rec add_fixed buf n j =
+  if j > 0 && n mod 10 = 0 then add_fixed buf (n / 10) (j - 1)
+  else begin
+    add_int buf (n / pow10.(j));
+    Buffer.add_char buf '.';
+    if j = 0 then Buffer.add_char buf '0' else add_digits buf (-(n mod pow10.(j))) j
+  end
+
+(* Long division of m/2^q: [n] is it cut to [j] fraction digits and
+   r·2^-q·10^-j < 10^-j the rest; [k] more digits are due.  Then round
+   half-to-even on the exact rest.  The 15-digit result parses back to
+   m/2^q iff it is within half an ulp, 2^-(q+1): 2r < 10^j rounding down,
+   2(2^q - r) < 10^j rounding up.  (Exactly half an ulp away would need
+   2^(q+1) to divide 10^j, but j <= q here.)  Failing that, two more
+   digits give the 17-digit form. *)
+let rec long_division buf q n r j k seventeen =
+  let one = 1 lsl q in
+  if k > 0 then
+    let r = 10 * r in
+    long_division buf q ((10 * n) + (r lsr q)) (r land (one - 1)) (j + 1) (k - 1) seventeen
   else
-    let shortest = format_float "%.15g" f in
-    let s = if float_of_string shortest = f then shortest else format_float "%.17g" f in
-    (* "1e+22" and "3.5" are valid JSON; "inf"/"nan" were handled above. *)
-    if String.contains s '.' || String.contains s 'e' || String.contains s 'E' then s
-    else s ^ ".0"
+    let up = 2 * r > one || (2 * r = one && n land 1 = 1) in
+    let err2 = if up then 2 * (one - r) else 2 * r in
+    if seventeen || err2 < pow10.(j) then
+      add_fixed buf (if up then n + 1 else n) j
+    else long_division buf q n r j 2 true
+
+let rec int_digits ip d = if ip >= pow10.(d) then int_digits ip (d + 1) else d
+
+(* [float_repr] in integer arithmetic for |f| in [2^-6, 1e15) save powers
+   of two, whose ulp below is narrower: there |f| = m/2^q exactly with m
+   the 53-bit significand and 3 <= q <= 58, so 10r < 2^62 never
+   overflows, and 15 significant digits are j = 15 - (integer digits)
+   fraction digits, or 16 below 0.1. *)
+let add_float buf f =
+  let a = Float.abs f in
+  let bits = Int64.to_int (Int64.bits_of_float a) in
+  let m = bits land ((1 lsl 52) - 1) lor (1 lsl 52) and q = 1075 - (bits lsr 52) in
+  if a >= 0.015625 && a < 1e15 && m <> 1 lsl 52 then begin
+    if f < 0. then Buffer.add_char buf '-';
+    let ip = m lsr q in
+    let j = if ip > 0 then 15 - int_digits ip 1 else if a < 0.1 then 16 else 15 in
+    long_division buf q ip (m land ((1 lsl q) - 1)) 0 j false
+  end
+  else Buffer.add_string buf (if Float.is_finite f then float_repr f else "null")
 
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_repr f)
+  | Int i -> add_int buf i
+  | Float f -> add_float buf f
   | String s -> escape_to buf s
   | List items ->
       Buffer.add_char buf '[';

@@ -3,9 +3,11 @@
     dependency.
 
     The emitter produces strict JSON.  Non-finite floats have no JSON
-    encoding, so they serialise as [null]; finite floats print with
-    enough digits to round-trip bit-exactly.  The parser accepts strict
-    JSON (objects, arrays, strings with the standard escapes, numbers,
+    encoding, so they serialise as [null]; a finite float prints as
+    [%.15g] if that parses back to it, else as [%.17g] (so not always
+    the shortest round trip), with ".0" appended when the text has no
+    '.' or 'e' (see {!add_float}).  The parser accepts strict JSON
+    (objects, arrays, strings with the standard escapes, numbers,
     booleans, null) and reports errors with a character offset. *)
 
 type t =
@@ -19,6 +21,15 @@ type t =
 
 val to_string : t -> string
 val to_channel : out_channel -> t -> unit
+
+val add_int : Buffer.t -> int -> unit
+(** The decimal text of the int, as [string_of_int] gives it. *)
+
+val add_float : Buffer.t -> float -> unit
+(** A [Float]'s text.  For |f| in [2{^-6}, 1e15) other than a power of
+    two the digits come from exact integer long division of the
+    significand, rounded half-to-even; every other value goes through the
+    C [%g] routine.  Both give the same bytes. *)
 
 val of_string : string -> (t, string) result
 (** [Error msg] carries the character offset of the failure. *)

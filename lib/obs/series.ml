@@ -76,27 +76,36 @@ let row_keys = [ "t"; "n"; "seeds"; "club"; "rarest"; "rarest_n"; "pieces" ]
 let header t =
   Json.Obj [ ("schema", Json.String schema); ("version", Json.Int version); ("k", Json.Int t.k) ]
 
-let sample_json (s : Probe.sample) =
-  Json.Obj
-    (List.combine row_keys
-       [
-         Json.Float s.time;
-         Json.Int s.n;
-         Json.Int s.seeds;
-         Json.Int s.one_club;
-         Json.Int (s.rarest_piece + 1);
-         Json.Int s.rarest_count;
-         Json.List (Array.to_list (Array.map (fun c -> Json.Int c) s.piece_counts));
-       ])
+(* What precedes each value on a row: [{"t":], [,"n":], ... *)
+let per_key f = Array.of_list (List.mapi f row_keys)
+let prefixes = per_key (fun i -> Printf.sprintf "%c%S:" (if i = 0 then '{' else ','))
 
+(* Rows go straight into one buffer, written out every 64 KiB. *)
 let write t oc =
-  Json.to_channel oc (header t);
-  output_char oc '\n';
+  let buf = Buffer.create 65536 in
+  let field i v = Buffer.add_string buf prefixes.(i); Json.add_int buf v in
+  Buffer.add_string buf (Json.to_string (header t));
+  Buffer.add_char buf '\n';
   List.iter
-    (fun s ->
-      Json.to_channel oc (sample_json s);
-      output_char oc '\n')
-    (List.rev t.rev_samples)
+    (fun (s : Probe.sample) ->
+      Buffer.add_string buf prefixes.(0);
+      Json.add_float buf s.time;
+      field 1 s.n;
+      field 2 s.seeds;
+      field 3 s.one_club;
+      field 4 (s.rarest_piece + 1);
+      field 5 s.rarest_count;
+      Buffer.add_string buf prefixes.(6);
+      Array.iteri
+        (fun i c -> Buffer.add_char buf (if i = 0 then '[' else ','); Json.add_int buf c)
+        s.piece_counts;
+      Buffer.add_string buf "]}\n";
+      if Buffer.length buf >= 65536 then begin
+        Buffer.output_buffer oc buf;
+        Buffer.clear buf
+      end)
+    (List.rev t.rev_samples);
+  Buffer.output_buffer oc buf
 
 (* ---- reading rows in place ---- *)
 
@@ -104,10 +113,7 @@ exception Bad_row of string
 
 let fail msg = raise (Bad_row msg)
 
-(* What precedes each value on a row, [{"t":], [,"n":], ..., and the
-   errors that name its key. *)
-let per_key f = Array.of_list (List.mapi f row_keys)
-let prefixes = per_key (fun i -> Printf.sprintf "%c%S:" (if i = 0 then '{' else ','))
+(* The errors that name each key. *)
 let missing = per_key (fun _ -> Printf.sprintf "expected field %S")
 let not_int = per_key (fun _ -> Printf.sprintf "field %S is not an integer")
 let bad_pieces = "field \"pieces\" is not an int array of length k"
@@ -146,7 +152,7 @@ let int_value c err =
     c.p <- a;
     match int_of_string_opt (token c) with Some i -> i | None -> fail err)
 
-(* One row, exactly as [sample_json] prints it. *)
+(* One row, exactly as [write] prints it. *)
 let scan_row ~k c =
   let int_field i = expect c prefixes.(i) missing.(i); int_value c not_int.(i) in
   expect c prefixes.(0) missing.(0);

@@ -166,6 +166,24 @@ let test_markov_hash_pinned () =
     (Json.to_string (Spec.to_json (grid_spec ())));
   Alcotest.(check string) "hash" "d65ff0e4f22a96b141f4ce014745d194" (Spec.hash (grid_spec ()))
 
+(* A coded spec with faults, its floats in both the 15- and the 17-digit
+   form, encoded and hashed as before the integer float emitter: an
+   existing coded store still resumes. *)
+let test_coded_hash_pinned () =
+  let encoding =
+    {|{"schema":"p2p-campaign-spec","version":1,"name":"pinned-coded",|}
+    ^ {|"hypothesis":"H-pin: a coded store keeps its hash","k":5,"mu":1.3,"gamma":0.7,|}
+    ^ {|"horizon":123.45,"reps":3,"master_seed":20261017,"policy":"random","backend":"coded",|}
+    ^ {|"q":16,"seed_outage":[12.5,0.1],"abort_rate":0.033333333333333333,|}
+    ^ {|"loss_prob":0.3,"mode":{"type":"grid","lambda":{"lo":0.1,"hi":2.9,"steps":4},|}
+    ^ {|"us":{"lo":0.35,"hi":1.7,"steps":5}}}|}
+  in
+  match Spec.of_json (Json.of_string_exn encoding) with
+  | Error m -> Alcotest.failf "pinned coded spec rejected: %s" m
+  | Ok spec ->
+      Alcotest.(check string) "canonical encoding" encoding (Json.to_string (Spec.to_json spec));
+      Alcotest.(check string) "hash" "d5ec9bbcb2f59f34ec45416ab1be41f4" (Spec.hash spec)
+
 let test_coded_spec_roundtrip () =
   let spec = coded_spec () in
   let json = Spec.to_json spec in
@@ -616,6 +634,7 @@ let () =
           Alcotest.test_case "coded spec roundtrip" `Quick test_coded_spec_roundtrip;
           Alcotest.test_case "shards field rejected" `Quick test_shards_field_rejected;
           Alcotest.test_case "markov hash pinned" `Quick test_markov_hash_pinned;
+          Alcotest.test_case "coded hash pinned" `Quick test_coded_hash_pinned;
         ] );
       ( "coded backend",
         [ Alcotest.test_case "grid campaign runs" `Quick test_coded_campaign_runs ] );

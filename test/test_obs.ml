@@ -63,26 +63,76 @@ let test_json_float_bit_exact () =
       | None -> Alcotest.failf "%h did not parse back to a number" x)
     [ 0.1 +. 0.2; 1.0 /. 3.0; 1e-300; 1.7976931348623157e308; -0.0; 3.5017060493169474 ]
 
-(* Float emission calls the C routine behind Printf's %g directly; it
-   must stay byte-identical to the Printf formulation it replaced, here
-   restated as the reference, on random bit patterns and edge cases. *)
-let test_json_float_matches_printf () =
-  let reference f =
-    let shortest = Printf.sprintf "%.15g" f in
-    let s = if float_of_string shortest = f then shortest else Printf.sprintf "%.17g" f in
-    if String.contains s '.' || String.contains s 'e' || String.contains s 'E' then s
-    else s ^ ".0"
-  in
-  let check f =
-    Alcotest.(check string) (Printf.sprintf "%h" f) (reference f) (Json.to_string (Json.Float f))
-  in
-  List.iter check [ 0.1 +. 0.2; -0.0; 0.0; 5e-324; 1e22; 3.0; 1e-7; -1.5e300; 0.05 *. 3.0 ];
-  let rng = P2p_prng.Rng.of_seed 99 in
-  for _ = 1 to 20_000 do
+(* Float emission is byte-identical to the Printf formulation it
+   replaced, here restated as the reference: [%.15g] if it parses back,
+   else [%.17g].  Most values in [2^-6, 1e15) take the emitter's integer
+   long division, so the cases aim at its edges: rounding carries, ties,
+   the range ends, powers of two, and the grid and Chrome-[ts] values the
+   probe series and traces print. *)
+let float_reference f =
+  let shortest = Printf.sprintf "%.15g" f in
+  let s = if float_of_string shortest = f then shortest else Printf.sprintf "%.17g" f in
+  if String.contains s '.' || String.contains s 'e' || String.contains s 'E' then s
+  else s ^ ".0"
+
+let check_float_text f =
+  let buf = Buffer.create 32 in
+  Json.add_float buf f;
+  let got = Buffer.contents buf in
+  if got <> float_reference f then
+    Alcotest.failf "%h: emitted %s, Printf gives %s" f got (float_reference f)
+
+(* [n] steps of a probe grid, accumulated as the engine does, and each
+   point as a Chrome [ts] (microseconds). *)
+let check_grid ~step ~n =
+  let t = ref 0.0 in
+  for _ = 1 to n do
+    t := !t +. step;
+    check_float_text !t;
+    check_float_text (!t *. 1e6)
+  done
+
+(* [n] random bit patterns, and as many values on a probe grid's scale. *)
+let check_random ~seed ~n =
+  let rng = P2p_prng.Rng.of_seed seed in
+  for _ = 1 to n do
     let f = Int64.float_of_bits (P2p_prng.Rng.bits64 rng) in
-    if Float.is_finite f then check f;
-    (* and values on a probe grid's scale *)
-    check (P2p_prng.Rng.float rng *. 1500.0)
+    if Float.is_finite f then check_float_text f;
+    check_float_text (P2p_prng.Rng.float rng *. 1500.0)
+  done
+
+let test_json_float_matches_printf () =
+  List.iter check_float_text
+    [ 0.1 +. 0.2; -0.0; 0.0; 5e-324; 1e22; 3.0; 1e-7; -1.5e300; 0.05 *. 3.0; 0.1; 0.3;
+      0.1 +. 0.7; 0.0999999999999999; 99999.99999999999; 999999999999999.9; 123456789012345.5;
+      -2.5; -0.3; -1e15; -1e-300 ];
+  List.iter (fun step -> check_grid ~step ~n:100_000) [ 0.05; 0.1; 1.0; 1.0 /. 3.0 ];
+  for e = -1074 to 1023 do
+    check_float_text (Float.ldexp 1.0 e);
+    check_float_text (-.Float.ldexp 1.0 e)
+  done;
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y -> check_float_text y; check_float_text (-.y))
+        [ Float.pred x; x; Float.succ x ])
+    [ Float.ldexp 1.0 (-6); 1e15; Float.ldexp 1.0 53 ];
+  check_random ~seed:99 ~n:20_000
+
+let test_json_float_matches_printf_many () = check_random ~seed:2026 ~n:1_100_000
+
+let test_json_add_int () =
+  let check i =
+    let buf = Buffer.create 24 in
+    Json.add_int buf i;
+    Alcotest.(check string) (string_of_int i) (string_of_int i) (Buffer.contents buf)
+  in
+  List.iter check [ 0; 1; -1; 9; -9; 10; -10; max_int; min_int; max_int - 1; min_int + 1 ];
+  let rng = P2p_prng.Rng.of_seed 5 in
+  for _ = 1 to 20_000 do
+    let i = Int64.to_int (P2p_prng.Rng.bits64 rng) in
+    check i;
+    check (i asr (P2p_prng.Rng.int_below rng 63))
   done
 
 let test_json_nonfinite_as_null () =
@@ -1073,23 +1123,32 @@ let trace_golden =
     {|{"t":3.4132096375905534,"ev":"contact","seed":false,"useful":false}|};
   ]
 
+let run_p2psim args =
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid = Unix.create_process p2psim (Array.of_list (p2psim :: args)) Unix.stdin devnull devnull in
+  Unix.close devnull;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "p2psim %s failed" (String.concat " " args)
+
 let test_cli_trace_golden () =
   with_temp_file (fun path ->
-      let args =
+      run_p2psim
         [ "simulate"; "-k"; "2"; "--us"; "1"; "--gamma"; "2"; "-a"; "none=2"; "-a"; "1=1";
           "-t"; "50"; "--seed-outage"; "1,0.5"; "--abort-rate"; "0.5"; "--loss-prob"; "0.3";
-          "--seed"; "26"; "--trace"; path ]
-      in
-      let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-      let pid =
-        Unix.create_process p2psim (Array.of_list (p2psim :: args)) Unix.stdin devnull devnull
-      in
-      Unix.close devnull;
-      (match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _ -> Alcotest.fail "p2psim simulate --trace failed");
+          "--seed"; "26"; "--trace"; path ];
       let first = List.filteri (fun i _ -> i < 20) (lines_of (read_file path)) in
       Alcotest.(check (list string)) "first 20 trace lines" trace_golden first)
+
+(* The whole probe series of a syndrome-regime run, 3,001 rows of grid
+   times and counts, as the Printf-based emitter wrote it. *)
+let test_cli_series_golden () =
+  with_temp_file (fun path ->
+      run_p2psim
+        [ "simulate"; "-k"; "3"; "--us"; "0.3"; "--mu"; "2"; "--gamma"; "inf"; "-a"; "none=2";
+          "-t"; "150"; "--seed"; "1"; "--probe-interval"; "0.05"; "--metrics-out"; path ];
+      Alcotest.(check string) "series MD5" "27e7d1908afbbbac88ec5c42e9469a96"
+        (Digest.to_hex (Digest.file path)))
 
 (* Invalid model parameters are usage errors: exit 124 (as for a
    malformed flag) with a message naming the value, never an uncaught
@@ -1247,6 +1306,9 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "float bit-exact" `Quick test_json_float_bit_exact;
           Alcotest.test_case "float text = Printf %g" `Quick test_json_float_matches_printf;
+          Alcotest.test_case "float text = Printf %g, 2M values" `Slow
+            test_json_float_matches_printf_many;
+          Alcotest.test_case "int text = string_of_int" `Quick test_json_add_int;
           Alcotest.test_case "non-finite as null" `Quick test_json_nonfinite_as_null;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
@@ -1321,6 +1383,7 @@ let () =
           Alcotest.test_case "trace rows match recorder rows" `Quick
             test_trace_rows_match_recorder;
           Alcotest.test_case "cli trace golden" `Quick test_cli_trace_golden;
+          Alcotest.test_case "cli series golden" `Quick test_cli_series_golden;
         ] );
       ( "cli",
         [ Alcotest.test_case "model errors are usage errors" `Quick test_cli_model_errors ] );

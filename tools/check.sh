@@ -109,12 +109,13 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
     echo "FAIL: p2psim report exited non-zero" >&2; exit 1; }
   # `report` picks its renderer from the first line alone; the probe
   # reader must still read every row.  A syndrome-regime series must
-  # read as unstable, and a copy with one corrupt middle row must make
-  # `report` exit 2.
+  # read as unstable, its time-average one-club size re-read from the
+  # written floats must equal the one `simulate` printed, and a copy
+  # with one corrupt middle row must make `report` exit 2.
   left=$(remaining)
   timeout "$left" _build/default/bin/p2psim.exe simulate -k 3 --us 0.3 --mu 2 --gamma inf \
     -a none=2 -t 150 --seed 1 --probe-interval 0.05 \
-    --metrics-out "$out/syndrome_probe.jsonl" >/dev/null || {
+    --metrics-out "$out/syndrome_probe.jsonl" >"$out/syndrome_simulate.txt" || {
     echo "FAIL: syndrome-regime simulate exited non-zero" >&2; exit 1; }
   left=$(remaining)
   timeout "$left" _build/default/bin/p2psim.exe report "$out/syndrome_probe.jsonl" \
@@ -122,6 +123,12 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
     echo "FAIL: p2psim report on the syndrome series exited non-zero" >&2; exit 1; }
   grep -q 'one-club verdict *: appears-unstable' "$out/syndrome_report.txt" || {
     echo "FAIL: report did not read the syndrome series as appears-unstable" >&2; exit 1; }
+  club=$(sed -n 's/^ *time-avg one-club size *: //p' "$out/syndrome_simulate.txt")
+  read_club=$(sed -n 's/^ *time-avg one-club size *: //p' "$out/syndrome_report.txt")
+  if [ -z "$club" ] || [ "$club" != "$read_club" ]; then
+    echo "FAIL: report read a time-avg one-club size of '$read_club' from the series; simulate printed '$club'" >&2
+    exit 1
+  fi
   sed '1500s/.*/{"t":74.9,"n":oops}/' "$out/syndrome_probe.jsonl" >"$out/syndrome_corrupt.jsonl"
   left=$(remaining)
   status=0
