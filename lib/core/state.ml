@@ -1,17 +1,45 @@
 module Pieceset = P2p_pieceset.Pieceset
 
-(* Occupied types live in dense parallel arrays with O(1) swap-removal,
-   with a hash table mapping type -> slot.  The dense layout keeps the
-   per-event operations (count lookups, uniform peer sampling, piece-count
-   maintenance) allocation-free and cache-friendly: sampling scans a flat
-   int array instead of walking hash buckets, and the per-piece copy
-   counts are maintained incrementally so rarest-first style policies read
-   them in O(1) instead of recomputing O(occupied types * k) per contact. *)
+(* Type -> slot.  An inline multiplicative hash (the high bits of a
+   Fibonacci-style product) and [=] on ints, so a lookup calls neither
+   [caml_hash] nor [caml_compare]. *)
+module Tbl = Hashtbl.Make (struct
+  type t = Pieceset.t
+
+  let equal (a : t) (b : t) = (a :> int) = (b :> int)
+  let hash (c : t) = ((c :> int) * 0x2545F4914F6CDD1D) lsr 32
+end)
+
+(* Two views of one multiset, kept in step by every add/remove/move.
+
+   Slots: occupied types live in dense parallel arrays with O(1)
+   swap-removal, and [slot_of] maps a type to its slot.  Counts, Σx²,
+   the per-piece copy counts (bumped incrementally so rarest-first style
+   policies read them in O(1)) and the exact scan fallbacks read this
+   view.
+
+   The peer bag: position p < total holds one peer, of type [bag.(p)], so
+   a uniform peer is one [bag.(draw n)] lookup.  The positions of each
+   type form a doubly-linked list through [next]/[prev] whose head is
+   [heads.(slot)].  [prev.(p) < 0] marks a head and encodes its slot as
+   [-1 - slot], so filling a hole with the last position fixes a head
+   without a table lookup.  A removal unlinks its type's head and moves
+   the last position into the hole; a move relabels the head in place.
+
+   The bag is built in one pass by the first draw, and kept from then
+   on.  A state that is never sampled (the per-peer backend's counts,
+   the exact chains' copies) never pays for it, and [copy] drops it, so
+   copying stays O(occupied types) rather than O(n). *)
 type t = {
   mutable types : Pieceset.t array;  (* slots [0, len) occupied *)
   mutable vals : int array;  (* vals.(s) > 0 for s < len *)
   mutable len : int;
-  slot_of : (Pieceset.t, int) Hashtbl.t;
+  slot_of : int Tbl.t;
+  mutable bagged : bool;  (* the bag and lists below are built *)
+  mutable heads : int array;  (* first bag position of slot s's list *)
+  mutable bag : Pieceset.t array;  (* positions [0, total) hold peers *)
+  mutable next : int array;  (* next position of the same type, or -1 *)
+  mutable prev : int array;  (* previous position, or -1 - slot at a head *)
   mutable total : int;
   mutable same_pairs : int;  (* Σ_C x_C²: ordered pairs of same-type peers *)
   piece_counts : int array;  (* piece i -> copies held across all peers *)
@@ -24,7 +52,12 @@ let create () =
     types = [||];
     vals = [||];
     len = 0;
-    slot_of = Hashtbl.create 32;
+    slot_of = Tbl.create 32;
+    bagged = false;
+    heads = [||];
+    bag = [||];
+    next = [||];
+    prev = [||];
     total = 0;
     same_pairs = 0;
     piece_counts = Array.make Pieceset.max_pieces 0;
@@ -35,15 +68,24 @@ let copy t =
     types = Array.copy t.types;
     vals = Array.copy t.vals;
     len = t.len;
-    slot_of = Hashtbl.copy t.slot_of;
+    slot_of = Tbl.copy t.slot_of;
+    bagged = false;
+    heads = [||];
+    bag = [||];
+    next = [||];
+    prev = [||];
     total = t.total;
     same_pairs = t.same_pairs;
     piece_counts = Array.copy t.piece_counts;
   }
 
-(* [match ... with exception Not_found] avoids the [Some] allocation of
-   [find_opt] on this per-event path. *)
-let count t c = match Hashtbl.find t.slot_of c with v -> t.vals.(v) | exception Not_found -> 0
+(* Slot of type [c], or -1.  [match ... with exception Not_found] avoids
+   the [Some] allocation of [find_opt] on this per-event path. *)
+let find_slot t c = match Tbl.find t.slot_of c with s -> s | exception Not_found -> -1
+
+let count t c =
+  let s = find_slot t c in
+  if s < 0 then 0 else t.vals.(s)
 
 let n t = t.total
 let occupied t = t.len
@@ -58,79 +100,172 @@ let rec bump_pieces pc c dv =
     bump_pieces pc (Pieceset.remove i c) dv
   end
 
-(* Slot-level add/remove: maintain the dense arrays, the slot table and
-   [same_pairs] only.  [total] and [piece_counts] are the callers'
-   business, so [move_peer] can account for just the moved pieces. *)
+let grow a cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* ---- the bag's lists ---- *)
+
+let link t p slot =
+  let h = t.heads.(slot) in
+  t.next.(p) <- h;
+  t.prev.(p) <- -1 - slot;
+  if h >= 0 then t.prev.(h) <- p;
+  t.heads.(slot) <- p
+
+(* Detach the head position of [slot]'s list and return it. *)
+let pop_head t slot =
+  let p = t.heads.(slot) in
+  let nx = t.next.(p) in
+  t.heads.(slot) <- nx;
+  if nx >= 0 then t.prev.(nx) <- -1 - slot;
+  p
+
+(* ---- slots ---- *)
+
+(* Slot-level add/remove: maintain the dense arrays, the slot table,
+   [same_pairs] and the list heads only.  Bag positions, [total] and
+   [piece_counts] are the callers' business, so [move_peer] can account
+   for just the moved pieces.  [add_slot] returns the slot. *)
 let add_slot t c v =
-  match Hashtbl.find t.slot_of c with
-  | slot ->
-      let x = t.vals.(slot) in
-      t.vals.(slot) <- x + v;
-      t.same_pairs <- t.same_pairs + (v * ((2 * x) + v))
-  | exception Not_found ->
-      t.same_pairs <- t.same_pairs + (v * v);
-      if t.len = Array.length t.types then begin
-        let cap = Int.max 16 (2 * t.len) in
-        let types = Array.make cap Pieceset.empty and vals = Array.make cap 0 in
-        Array.blit t.types 0 types 0 t.len;
-        Array.blit t.vals 0 vals 0 t.len;
-        t.types <- types;
-        t.vals <- vals
-      end;
-      t.types.(t.len) <- c;
-      t.vals.(t.len) <- v;
-      Hashtbl.replace t.slot_of c t.len;
-      t.len <- t.len + 1
+  let slot = find_slot t c in
+  if slot >= 0 then begin
+    let x = t.vals.(slot) in
+    t.vals.(slot) <- x + v;
+    t.same_pairs <- t.same_pairs + (v * ((2 * x) + v));
+    slot
+  end
+  else begin
+    t.same_pairs <- t.same_pairs + (v * v);
+    if t.len = Array.length t.types then begin
+      let cap = Int.max 16 (2 * t.len) in
+      t.types <- grow t.types cap Pieceset.empty;
+      t.vals <- grow t.vals cap 0;
+      if t.bagged then t.heads <- grow t.heads cap (-1)
+    end;
+    let slot = t.len in
+    t.types.(slot) <- c;
+    t.vals.(slot) <- v;
+    if t.bagged then t.heads.(slot) <- -1;
+    Tbl.replace t.slot_of c slot;
+    t.len <- slot + 1;
+    slot
+  end
 
+(* One peer of type [c] leaves its slot.  With a bag, that peer is the
+   head of the type's list: it is unlinked, and its position returned
+   (-1 without a bag). *)
 let remove_slot t c =
-  match Hashtbl.find t.slot_of c with
-  | exception Not_found ->
-      invalid_arg (Printf.sprintf "State.remove_peer: no type %s peer" (Pieceset.to_string c))
-  | slot ->
-      let v = t.vals.(slot) in
-      t.same_pairs <- t.same_pairs - ((2 * v) - 1);
-      if v = 1 then begin
-        (* Swap-remove the emptied slot to keep the prefix dense. *)
-        let last = t.len - 1 in
-        Hashtbl.remove t.slot_of c;
-        if slot <> last then begin
-          let moved = t.types.(last) in
-          t.types.(slot) <- moved;
-          t.vals.(slot) <- t.vals.(last);
-          Hashtbl.replace t.slot_of moved slot
-        end;
-        t.len <- last
-      end
-      else t.vals.(slot) <- v - 1
+  let slot = find_slot t c in
+  if slot < 0 then
+    invalid_arg (Printf.sprintf "State.remove_peer: no type %s peer" (Pieceset.to_string c));
+  let p = if t.bagged then pop_head t slot else -1 in
+  let v = t.vals.(slot) in
+  t.same_pairs <- t.same_pairs - ((2 * v) - 1);
+  if v = 1 then begin
+    (* Swap-remove the emptied slot to keep the prefix dense; the moved
+       slot's head re-encodes its new slot. *)
+    let last = t.len - 1 in
+    Tbl.remove t.slot_of t.types.(slot);
+    if slot <> last then begin
+      let moved = t.types.(last) in
+      t.types.(slot) <- moved;
+      t.vals.(slot) <- t.vals.(last);
+      if t.bagged then begin
+        let h = t.heads.(last) in
+        t.heads.(slot) <- h;
+        t.prev.(h) <- -1 - slot
+      end;
+      Tbl.replace t.slot_of moved slot
+    end;
+    t.len <- last
+  end
+  else t.vals.(slot) <- v - 1;
+  p
 
-let add_peers t c v =
-  add_slot t c v;
-  t.total <- t.total + v;
-  bump_pieces t.piece_counts c v
+(* ---- the bag ---- *)
 
-let add_peer t c = add_peers t c 1
+(* Move the peer at position [src] (linked) into the unlinked [dst]. *)
+let relocate t ~src ~dst =
+  let nx = t.next.(src) and pv = t.prev.(src) in
+  t.bag.(dst) <- t.bag.(src);
+  t.next.(dst) <- nx;
+  t.prev.(dst) <- pv;
+  if pv < 0 then t.heads.(-1 - pv) <- dst else t.next.(pv) <- dst;
+  if nx >= 0 then t.prev.(nx) <- dst
+
+let reserve t cap =
+  if cap > Array.length t.bag then begin
+    let cap = Int.max cap (Int.max 16 (2 * Array.length t.bag)) in
+    t.bag <- grow t.bag cap Pieceset.empty;
+    t.next <- grow t.next cap (-1);
+    t.prev <- grow t.prev cap (-1)
+  end
+
+(* The whole bag in one pass over the slots: each type's positions are
+   contiguous, and its list runs through them in order. *)
+let fill_bag t =
+  reserve t t.total;
+  t.heads <- Array.make (Array.length t.types) (-1);
+  let p = ref 0 in
+  for slot = 0 to t.len - 1 do
+    let c = t.types.(slot) and v = t.vals.(slot) in
+    let first = !p in
+    Array.fill t.bag first v c;
+    for q = first to first + v - 1 do
+      t.next.(q) <- q + 1;
+      t.prev.(q) <- q - 1
+    done;
+    t.next.(first + v - 1) <- -1;
+    t.prev.(first) <- -1 - slot;
+    t.heads.(slot) <- first;
+    p := first + v
+  done;
+  t.bagged <- true
+
+let add_peer t c =
+  let slot = add_slot t c 1 in
+  if t.bagged then begin
+    reserve t (t.total + 1);
+    t.bag.(t.total) <- c;
+    link t t.total slot
+  end;
+  t.total <- t.total + 1;
+  bump_pieces t.piece_counts c 1
 
 let of_counts entries =
   let t = create () in
   List.iter
     (fun (c, v) ->
       if v < 0 then invalid_arg "State.of_counts: negative count";
-      if v > 0 then add_peers t c v)
+      if v > 0 then begin
+        ignore (add_slot t c v);
+        t.total <- t.total + v;
+        bump_pieces t.piece_counts c v
+      end)
     entries;
   t
 
 let remove_peer t c =
-  remove_slot t c;
-  t.total <- t.total - 1;
+  let p = remove_slot t c in
+  let last = t.total - 1 in
+  if p >= 0 && p <> last then relocate t ~src:last ~dst:p;
+  t.total <- last;
   bump_pieces t.piece_counts c (-1)
 
 let move_peer t ~from_ ~to_ =
   if Pieceset.equal from_ to_ then ()
   else begin
-    (* One peer changes type: move the slot count, then touch only the
-       pieces that actually changed hands (for a download, exactly one). *)
-    remove_slot t from_;
-    add_slot t to_ 1;
+    (* One peer changes type: relabel its bag position in place, move the
+       slot count, then touch only the pieces that actually changed
+       hands (for a download, exactly one). *)
+    let p = remove_slot t from_ in
+    let slot = add_slot t to_ 1 in
+    if p >= 0 then begin
+      t.bag.(p) <- to_;
+      link t p slot
+    end;
     bump_pieces t.piece_counts (Pieceset.diff to_ from_) 1;
     bump_pieces t.piece_counts (Pieceset.diff from_ to_) (-1)
   end
@@ -171,15 +306,27 @@ let slot_of_peer_skipping t ~skip target =
 
 let sample_uniform_peer t ~draw =
   if t.total = 0 then invalid_arg "State.sample_uniform_peer: empty state";
-  t.types.(scan_peers t.vals (draw t.total) 0 0)
+  if not t.bagged then fill_bag t;
+  t.bag.(draw t.total)
+
+(* A few uniform bag draws, accepted unless of type [c]; once [c]
+   dominates, an exact scan over the other slots takes over.  A failed
+   try draws nothing the result depends on, so both give the same law. *)
+let rec draw_not_of t ~draw c tries =
+  if tries = 0 then begin
+    let skip = find_slot t c in
+    let others = t.total - t.vals.(skip) in
+    if others = 0 then invalid_arg "State.sample_peer_not_of: no peer of another type";
+    t.types.(slot_of_peer_skipping t ~skip (draw others))
+  end
+  else
+    let d = t.bag.(draw t.total) in
+    if not (Pieceset.equal d c) then d else draw_not_of t ~draw c (tries - 1)
 
 let sample_peer_not_of t ~draw c =
-  match Hashtbl.find t.slot_of c with
-  | exception Not_found -> sample_uniform_peer t ~draw
-  | skip ->
-      let others = t.total - t.vals.(skip) in
-      if others = 0 then invalid_arg "State.sample_peer_not_of: no peer of another type";
-      t.types.(slot_of_peer_skipping t ~skip (draw others))
+  if t.total = 0 then invalid_arg "State.sample_peer_not_of: empty state";
+  if not t.bagged then fill_bag t;
+  draw_not_of t ~draw c 3
 
 (* Slot whose cumulative weight x_C·(n − x_C) first exceeds [target]. *)
 let rec scan_pairs vals n target slot acc =
@@ -187,26 +334,34 @@ let rec scan_pairs vals n target slot acc =
   let acc = acc + (x * (n - x)) in
   if acc > target then slot else scan_pairs vals n target (slot + 1) acc
 
-let set_pair t pair ~up ~down =
-  pair.uploader <- t.types.(up);
-  pair.downloader <- t.types.(down)
-
 (* Each try is accepted with probability 1 − Σx²/n²; once a one-club
    dominates, the exact scan takes over.  Both give the same law. *)
 let rec draw_pair t ~draw pair tries =
   let n = t.total in
-  if tries = 0 then
+  if tries = 0 then begin
     let d = scan_pairs t.vals n (draw ((n * n) - t.same_pairs)) 0 0 in
-    set_pair t pair ~up:(slot_of_peer_skipping t ~skip:d (draw (n - t.vals.(d)))) ~down:d
+    pair.uploader <- t.types.(slot_of_peer_skipping t ~skip:d (draw (n - t.vals.(d))));
+    pair.downloader <- t.types.(d)
+  end
   else
-    let d = scan_peers t.vals (draw n) 0 0 in
-    let u = scan_peers t.vals (draw n) 0 0 in
-    if u <> d then set_pair t pair ~up:u ~down:d else draw_pair t ~draw pair (tries - 1)
+    let d = t.bag.(draw n) in
+    let u = t.bag.(draw n) in
+    if not (Pieceset.equal u d) then begin
+      pair.uploader <- u;
+      pair.downloader <- d
+    end
+    else draw_pair t ~draw pair (tries - 1)
 
 let sample_distinct_pair t ~draw pair =
   if t.total * t.total = t.same_pairs then
     invalid_arg "State.sample_distinct_pair: every peer has the same type";
+  if not t.bagged then fill_bag t;
   draw_pair t ~draw pair 3
+
+let bag_view t =
+  if not t.bagged then fill_bag t;
+  let rec walk p acc = if p < 0 then List.rev acc else walk t.next.(p) (p :: acc) in
+  (Array.sub t.bag 0 t.total, List.init t.len (fun s -> (t.types.(s), walk t.heads.(s) [])))
 
 let count_subset_peers t s =
   fold t ~init:0 ~f:(fun acc c v -> if Pieceset.subset c s then acc + v else acc)

@@ -4,11 +4,16 @@
     the occupied types — dense parallel arrays with O(1) swap-removal plus
     a type → slot hash table — and cache the total population [n], so
     one-club-heavy states (the interesting ones) cost O(occupied types),
-    not O(2^K).  A per-piece copy-count vector is maintained incrementally
-    on every add/remove/move, so {!piece_copies} is O(1) and
-    {!piece_count_vector} is an O(k) copy: the reads that rarest-first
-    style policies and swarm probes perform on every contact never rescan
-    the occupied types. *)
+    not O(2^K).  Beside the counts sits a peer bag: an array holding the
+    type of each of the [n] peers, with each type's positions threaded
+    on a doubly-linked list, so a uniform peer is one array lookup and
+    every add/remove/move stays O(1).  The first draw builds the bag in
+    one pass; a state that is never sampled never builds it, and {!copy}
+    leaves it behind, so a copy costs O(occupied types), not O(n).  A
+    per-piece copy-count vector is maintained incrementally on every
+    add/remove/move, so {!piece_copies} is O(1) and {!piece_count_vector}
+    is an O(k) copy: the reads that rarest-first style policies and swarm
+    probes perform on every contact never rescan the occupied types. *)
 
 module Pieceset = P2p_pieceset.Pieceset
 
@@ -55,13 +60,15 @@ val piece_count_vector : t -> k:int -> int array
 
 val sample_uniform_peer : t -> draw:(int -> int) -> Pieceset.t
 (** Type of a peer chosen uniformly among all [n] peers; [draw m] must
-    return a uniform index in [0, m-1].  A linear scan of the dense
-    occupied-type array; allocation-free.
+    return a uniform index in [0, m-1].  One [draw n] into the peer bag;
+    O(1) and allocation-free.
     @raise Invalid_argument on the empty state. *)
 
 val sample_peer_not_of : t -> draw:(int -> int) -> Pieceset.t -> Pieceset.t
 (** [sample_peer_not_of t ~draw c]: type of a peer chosen uniformly among
-    the peers whose type is not [c].  One scan, allocation-free.
+    the peers whose type is not [c]: a few uniform bag draws (exact
+    rejection), then an exact scan of the other types once [c] holds
+    nearly every peer.  Allocation-free.
     @raise Invalid_argument if every peer has type [c]. *)
 
 type pair = { mutable uploader : Pieceset.t; mutable downloader : Pieceset.t }
@@ -69,8 +76,14 @@ type pair = { mutable uploader : Pieceset.t; mutable downloader : Pieceset.t }
 val sample_distinct_pair : t -> draw:(int -> int) -> pair -> unit
 (** Write into [pair] an ordered (uploader, downloader) pair of peers
     drawn uniformly among the [n² − Σ_C x_C²] pairs whose types differ:
-    a few uniform tries (exact rejection), then an exact weighted scan.
+    a few pairs of uniform bag draws (exact rejection), then an exact
+    weighted scan of the occupied types.
     Allocation-free.  @raise Invalid_argument if every peer has one type. *)
+
+val bag_view : t -> Pieceset.t array * (Pieceset.t * int list) list
+(** The peer bag, for invariant checks: the type at each position
+    [0, n), and for each occupied type its positions in list order.
+    Builds the bag if no draw has yet. *)
 
 val count_subset_peers : t -> Pieceset.t -> int
 (** [Σ_{C ⊆ S} x_C]: the paper's [E_S]. *)

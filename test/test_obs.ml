@@ -619,7 +619,7 @@ let test_series_read_pinned () =
       Series.write series oc;
       close_out oc;
       Alcotest.(check string)
-        "written bytes" "27e7d1908afbbbac88ec5c42e9469a96"
+        "written bytes" "a57a13fb7fa6dcb0dccca075d231b563"
         (Digest.to_hex (Digest.file path));
       match Series.read_file path with
       | Error msg -> Alcotest.failf "read_file failed: %s" msg
@@ -633,24 +633,24 @@ let test_series_read_pinned () =
                 ~rarest_piece:s.Probe.rarest_piece ~rarest_count:s.Probe.rarest_count)
             (Series.samples read);
           let alerts = Monitor.alerts m in
-          Alcotest.(check int) "alert count" 49 (List.length alerts);
+          Alcotest.(check int) "alert count" 54 (List.length alerts);
           let bits (a : Monitor.alert) =
             (Int64.bits_of_float a.Monitor.slope, Int64.bits_of_float a.Monitor.t_stat)
           in
           Alcotest.(check (pair int64 int64))
-            "first alert slope/t_stat bits" (4615837162431746826L, 4621969734561691925L)
+            "first alert slope/t_stat bits" (4618088962245432069L, 4620548041142100309L)
             (bits (List.hd alerts));
           Alcotest.(check (pair int64 int64))
-            "last alert slope/t_stat bits" (4608866373443293664L, 4616748095107364439L)
-            (bits (List.nth alerts 48));
+            "last alert slope/t_stat bits" (4605615949364408586L, 4616921233821115996L)
+            (bits (List.nth alerts 53));
           let render (entered, exited) =
             Printf.sprintf "%h-%s" entered
               (match exited with Some x -> Printf.sprintf "%h" x | None -> "open")
           in
           let episodes = Monitor.episodes m in
-          Alcotest.(check int) "episode count" 49 (List.length episodes);
+          Alcotest.(check int) "episode count" 54 (List.length episodes);
           Alcotest.(check string)
-            "episode list" "dad036af77b8c43a52deccf8f741a82b"
+            "episode list" "c699a445a82a82565da56eec7be336db"
             (Digest.to_hex (Digest.string (String.concat ";" (List.map render episodes)))))
 
 (* ---- jobs-independence of per-replication probe series (satellite b) ---- *)
@@ -1147,7 +1147,7 @@ let test_cli_series_golden () =
       run_p2psim
         [ "simulate"; "-k"; "3"; "--us"; "0.3"; "--mu"; "2"; "--gamma"; "inf"; "-a"; "none=2";
           "-t"; "150"; "--seed"; "1"; "--probe-interval"; "0.05"; "--metrics-out"; path ];
-      Alcotest.(check string) "series MD5" "27e7d1908afbbbac88ec5c42e9469a96"
+      Alcotest.(check string) "series MD5" "a57a13fb7fa6dcb0dccca075d231b563"
         (Digest.to_hex (Digest.file path)))
 
 (* Invalid model parameters are usage errors: exit 124 (as for a

@@ -175,6 +175,76 @@ let test_same_type_pairs_match_rescan () =
   done;
   Alcotest.(check int) "final sum x^2" (brute !s) (State.same_type_pairs !s)
 
+(* The peer bag against the counts it mirrors: after every step of random
+   add/remove/move/copy/of_counts traces, the bag holds exactly the
+   counted multiset, and each type's list holds exactly x_C distinct
+   positions, all of that type.  A copy or an of_counts rebuild starts
+   without a bag; the step mutates it once before the check builds it,
+   so mutations of a bagless state are covered too.  A copy is checked
+   to leave its original alone. *)
+let test_bag_matches_counts () =
+  let rng = P2p_prng.Rng.of_seed 2311 in
+  let k = 4 in
+  let random_type () = PS.of_index (P2p_prng.Rng.int_below rng (1 lsl k)) in
+  let check step s =
+    let bag, lists = State.bag_view s in
+    let n = State.n s in
+    let at = Printf.sprintf "step %d: %s" step in
+    Alcotest.(check int) (at "bag size") n (Array.length bag);
+    let tally = Hashtbl.create 16 in
+    Array.iter (fun c -> Hashtbl.replace tally c (1 + Option.value (Hashtbl.find_opt tally c) ~default:0)) bag;
+    Alcotest.(check (list (pair int int)))
+      (at "bag multiset = counts")
+      (List.map (fun (c, v) -> (PS.to_index c, v)) (State.to_alist s))
+      (Hashtbl.fold (fun c v acc -> (PS.to_index c, v) :: acc) tally [] |> List.sort compare);
+    Alcotest.(check int) (at "one list per occupied type") (State.occupied s) (List.length lists);
+    let seen = Array.make n false in
+    List.iter
+      (fun (c, positions) ->
+        Alcotest.(check int) (at "list length = x_C") (State.count s c) (List.length positions);
+        List.iter
+          (fun p ->
+            if p < 0 || p >= n || seen.(p) || not (PS.equal bag.(p) c) then
+              Alcotest.failf "%s" (at (Printf.sprintf "bad position %d on the list of %s" p (PS.to_string c)));
+            seen.(p) <- true)
+          positions)
+      lists
+  in
+  (* the type of some peer, read off the counts so no bag is built *)
+  let counted_type s =
+    let types = State.to_alist s in
+    fst (List.nth types (P2p_prng.Rng.int_below rng (List.length types)))
+  in
+  let mutate s ~pick =
+    match P2p_prng.Rng.int_below rng 3 with
+    | 0 -> State.add_peer s (random_type ())
+    | 1 -> if State.n s > 0 then State.remove_peer s (pick s)
+    | _ -> if State.n s > 0 then State.move_peer s ~from_:(pick s) ~to_:(random_type ())
+  in
+  let drawn s = State.sample_uniform_peer s ~draw:(P2p_prng.Rng.int_below rng) in
+  let s = ref (State.create ()) in
+  for step = 1 to 6_000 do
+    (match P2p_prng.Rng.int_below rng 20 with
+    | 18 ->
+        let before = State.bag_view !s in
+        let c = State.copy !s in
+        mutate c ~pick:counted_type;
+        State.add_peer c (random_type ());
+        if State.bag_view !s <> before then Alcotest.failf "step %d: a copy moved its original's bag" step;
+        s := c
+    | 19 ->
+        s :=
+          State.of_counts
+            (List.concat_map (fun (c, v) -> [ (c, v / 2); (c, v - (v / 2)) ]) (State.to_alist !s));
+        mutate !s ~pick:counted_type
+    | _ ->
+        (* a little more adding than removing, so the bag grows and holes
+           are filled from every depth *)
+        if P2p_prng.Rng.int_below rng 7 = 0 then State.add_peer !s (random_type ())
+        else mutate !s ~pick:drawn);
+    check step !s
+  done
+
 (* 99.9% quantile of chi-square with [df] degrees of freedom
    (Wilson-Hilferty; within 2% for df >= 2). *)
 let chi2_crit df =
@@ -266,6 +336,85 @@ let test_pair_sampler_chi_square () =
        false
      with Invalid_argument _ -> true)
 
+(* Draw [draws] outcomes of [sample] and compare their frequencies with
+   [expected] by Pearson chi-square at the 99.9% level. *)
+let check_law name ~draws ~expected sample =
+  let observed = Hashtbl.create 16 in
+  for _ = 1 to draws do
+    let key = sample () in
+    if not (List.mem_assoc key expected) then Alcotest.failf "%s: an outcome outside the law" name;
+    Hashtbl.replace observed key (1 + Option.value (Hashtbl.find_opt observed key) ~default:0)
+  done;
+  let df = List.length expected - 1 in
+  let stat = chi2 ~draws ~expected ~observed in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: chi2 %.1f, df %d, crit %.1f" name stat df (chi2_crit df))
+    true
+    (stat < chi2_crit df)
+
+let law_without s c =
+  let others = State.n s - State.count s c in
+  List.filter_map
+    (fun (d, x) ->
+      if PS.equal d c then None else Some (d, float_of_int x /. float_of_int others))
+    (State.to_alist s)
+
+(* The not-of-type draw on both of its paths.  With the excluded type
+   rare, the first bag draw is nearly always accepted (one draw); with
+   it holding >= 95% of the peers, the three tries nearly always fail
+   and the exact scan picks the peer (four draws).  The draw counts show
+   which path ran; the law must be the same on both. *)
+let test_not_of_both_paths () =
+  let rng = P2p_prng.Rng.of_seed 23 in
+  let calls = ref 0 in
+  let draw m =
+    incr calls;
+    P2p_prng.Rng.int_below rng m
+  in
+  let draws = 200_000 in
+  let run name entries excluded ~path_draws ~at_least =
+    let s = State.of_counts entries in
+    let on_path = ref 0 in
+    check_law name ~draws ~expected:(law_without s excluded) (fun () ->
+        calls := 0;
+        let c = State.sample_peer_not_of s ~draw excluded in
+        if !calls = path_draws then incr on_path;
+        c);
+    let share = float_of_int !on_path /. float_of_int draws in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.3f of draws took %d draw(s)" name share path_draws)
+      true (share >= at_least)
+  in
+  run "rare excluded type (rejection)"
+    [ (PS.empty, 40); (PS.singleton 0, 30); (PS.singleton 1, 25); (PS.of_list [ 0; 1 ], 5) ]
+    (PS.of_list [ 0; 1 ]) ~path_draws:1 ~at_least:0.9;
+  run "dominant excluded type (scan)"
+    [ (PS.of_list [ 0; 1 ], 400); (PS.empty, 8); (PS.singleton 2, 6); (PS.full ~k:3, 4) ]
+    (PS.of_list [ 0; 1 ]) ~path_draws:4 ~at_least:0.8
+
+(* A uniform peer from a bag shuffled by moves and removals, so that bag
+   positions no longer run in slot order: the draw must still give each
+   type its share x_C/n. *)
+let test_uniform_after_moves () =
+  let rng = P2p_prng.Rng.of_seed 31 in
+  let draw = P2p_prng.Rng.int_below rng in
+  let s = State.of_counts (List.init 6 (fun i -> (PS.of_index i, 12))) in
+  ignore (State.sample_uniform_peer s ~draw);
+  for i = 0 to 59 do
+    let c = State.sample_uniform_peer s ~draw in
+    if i mod 3 = 0 then State.remove_peer s c
+    else State.move_peer s ~from_:c ~to_:(PS.of_index ((PS.to_index c + i) mod 8))
+  done;
+  let in_slot_order =
+    Array.concat (State.fold s ~init:[] ~f:(fun acc c v -> Array.make v c :: acc) |> List.rev)
+  in
+  Alcotest.(check bool) "bag order differs from slot order" true
+    (fst (State.bag_view s) <> in_slot_order);
+  let n = float_of_int (State.n s) in
+  check_law "uniform peer" ~draws:200_000
+    ~expected:(List.map (fun (c, x) -> (c, float_of_int x /. n)) (State.to_alist s))
+    (fun () -> State.sample_uniform_peer s ~draw)
+
 let () =
   Alcotest.run "state"
     [
@@ -286,5 +435,9 @@ let () =
           Alcotest.test_case "equal" `Quick test_equal;
           Alcotest.test_case "sum x^2 vs rescan" `Quick test_same_type_pairs_match_rescan;
           Alcotest.test_case "pair sampler (chi-square)" `Quick test_pair_sampler_chi_square;
+          Alcotest.test_case "bag vs counts rescan" `Quick test_bag_matches_counts;
+          Alcotest.test_case "not-of-type, both paths (chi-square)" `Quick test_not_of_both_paths;
+          Alcotest.test_case "uniform peer after moves (chi-square)" `Quick
+            test_uniform_after_moves;
         ] );
     ]

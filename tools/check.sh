@@ -138,6 +138,22 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
     echo "FAIL: report on a series with a corrupt middle row exited $status, wanted 2" >&2
     exit 1
   fi
+  # The stable K = 8 flash crowd, where ~100 piece sets are occupied at
+  # once and the aggregate backend's uniform-peer and pair draws do the
+  # work: both backends must run it to the horizon (no truncation
+  # warning) and read it as appears-stable.
+  for backend in "" "--agent"; do
+    left=$(remaining)
+    timeout "$left" _build/default/bin/p2psim.exe simulate $backend -k 8 --us 2 --mu 1 \
+      --gamma 0.8 -a none=20 -t 600 >"$out/flash_crowd$backend.txt" || {
+      echo "FAIL: K = 8 flash-crowd simulate $backend exited non-zero" >&2; exit 1; }
+    if grep -q 'WARNING: max_events' "$out/flash_crowd$backend.txt"; then
+      echo "FAIL: K = 8 flash-crowd simulate $backend was truncated" >&2; exit 1
+    fi
+    grep -q 'empirical verdict: appears-stable' "$out/flash_crowd$backend.txt" || {
+      echo "FAIL: K = 8 flash-crowd simulate $backend did not read as appears-stable" >&2
+      exit 1; }
+  done
   # The coded swarm shares the same engine and flag families: prove its
   # telemetry plumbing end to end too.
   left=$(remaining)
