@@ -8,8 +8,14 @@
     basis, normalises, back-eliminates and splices it in at its pivot
     position — O(dim·K) in-place field operations, no allocation, and a
     basis bit-identical to batch [Mat.row_reduce] of the receive history.
-    Over GF(2) rows are bitsliced into native-int words, so an insert is
-    O(dim·K/63) word XORs and the pivot scan a count-trailing-zeros.
+
+    Over a characteristic-2 field GF(2^m) (GF(2) is m = 1) a row is
+    packed into m-bit lanes, [63 / m] lanes per native-int word: K = 8
+    over GF(16) is one word.  Adding rows is a word [lxor], scaling a
+    word by c costs m multiplies (one per bit-plane, no carry crossing a
+    lane), and the pivot scan is a count-trailing-zeros, so an insert is
+    O(dim·K·m/63) word operations.  Odd-characteristic fields keep rows
+    of K field elements.
 
     The [Mat.vec] API below is the reference surface; the [xvec] API is
     the allocation-free internal-format fast path the coded simulator
@@ -63,7 +69,8 @@ val of_vectors : P2p_gf.Field.t -> k:int -> P2p_gf.Mat.vec list -> t
 (** {1 Allocation-free fast path}
 
     An [xvec] is a coding vector in the subspace's internal row format:
-    packed bit words over GF(2), an element vector otherwise.  Scratch
+    packed lane words over a characteristic-2 field, an element vector
+    otherwise.  Scratch
     buffers are caller-owned and reused across events; any subspace with
     the same field and [k] shares the format. *)
 
@@ -92,6 +99,10 @@ val insert_xvec : t -> xvec -> bool
 
 val contains_xvec : t -> xvec -> bool
 (** {!contains} on the internal format.  Clobbers the scratch. *)
+
+val subspace_leq_xvec : t -> t -> scratch:xvec -> bool
+(** {!subspace_leq} with a caller-owned scratch row (clobbered), so a
+    containment proof allocates nothing. *)
 
 val first_uncovered_into : uploader:t -> downloader:t -> scratch:xvec -> xvec -> bool
 (** Smart exchange (Remark 16): copy the first uploader basis row outside

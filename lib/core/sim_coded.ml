@@ -101,9 +101,9 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ?until ~rng config ~hori
         let frun = Engine.faults h in
         let abort_rate = config.faults.abort_rate in
 
-        (* Sampled phase timers for the GF(q) tax ROADMAP item 1 chases:
-           rank updates (Gaussian elimination on receive) vs vector
-           selection (basis scan / random member on transmit). *)
+        (* Sampled phase timers for the two halves of the GF(q) row
+           arithmetic: rank updates (Gaussian elimination on receive) vs
+           vector selection (basis scan / random member on transmit). *)
         let rank_tm = Hist.timer (Hist.get probe.Probe.hists "sim_coded/rank_update") in
         let select_tm = Hist.timer (Hist.get probe.Probe.hists "sim_coded/vector_select") in
 
@@ -192,7 +192,7 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ?until ~rng config ~hori
                 let sp = up.space in
                 if
                   Subspace.dim sp <= Subspace.dim peer.space
-                  && Subspace.subspace_leq sp peer.space
+                  && Subspace.subspace_leq_xvec sp peer.space ~scratch:scratch2
                 then begin
                   peer.memo_space <- Some sp;
                   peer.memo_gen <- Subspace.generation sp
@@ -328,7 +328,7 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ?until ~rng config ~hori
                     end
                     else Subspace.random_member_into sp rng scratch;
                     Hist.tock select_tm v_t0;
-                    deliver downloader ~from:(Some up) ~seed_upload ~time
+                    deliver downloader ~from:uploader ~seed_upload ~time
                   end)
         in
         observe 0.0;
@@ -372,9 +372,10 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ?until ~rng config ~hori
             let idx = Rng.int_below rng n in
             if idx < !len then begin
               match !peers.(idx) with
-              | Some peer ->
+              | Some peer as slot ->
+                  (* The slot's own [Some]: passing it on allocates nothing. *)
                   if Subspace.dim peer.space > 0 then
-                    transmit ~uploader:(Some peer) ~seed_upload:false ~time
+                    transmit ~uploader:slot ~seed_upload:false ~time
               | None -> assert false
             end
             else

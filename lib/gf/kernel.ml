@@ -8,13 +8,17 @@
 
 type t =
   | Gf2
-  | Char2 of { q : int; exp_ : int array; log_ : int array }
+  | Char2 of { q : int; exp_ : int array; log_ : int array; lane_ : int array }
   | Prime of { p : int; inv_ : int array }
   | Generic of Field.t
 
+let lane_table_max_m = 7
+
 (* [exp_] is the doubled antilog table: length 2(q-1), with
    [exp_.(i) = g^(i mod (q-1))], so a product's log sum indexes it
-   directly — no [mod] on the multiply path. *)
+   directly — no [mod] on the multiply path.  [lane_] holds c·x^b at
+   [c*m + b] (the element x^b is [1 lsl b] in the polynomial encoding),
+   or nothing above [lane_table_max_m]. *)
 let compile (f : Field.t) =
   if f.q = 2 then Gf2
   else if f.p = 2 then begin
@@ -24,7 +28,15 @@ let compile (f : Field.t) =
         let exp_ = Array.make (2 * n) 0 in
         Array.blit exp_tbl 0 exp_ 0 n;
         Array.blit exp_tbl 0 exp_ n n;
-        Char2 { q = f.q; exp_; log_ = Array.copy log_tbl }
+        let m = f.m in
+        let lane_ =
+          if m > lane_table_max_m then [||]
+          else
+            Array.init (f.q * m) (fun i ->
+                let c = i / m and b = i mod m in
+                if c = 0 then 0 else exp_.(log_tbl.(c) + log_tbl.(1 lsl b)))
+        in
+        Char2 { q = f.q; exp_; log_ = Array.copy log_tbl; lane_ }
     | None -> Generic f (* unreachable: char-2 fields with q > 2 are extensions *)
   end
   else if f.m = 1 then begin
@@ -92,7 +104,7 @@ let mul t a b =
 let inv t a =
   match t with
   | Gf2 -> if a = 0 then raise Division_by_zero else 1
-  | Char2 { q; exp_; log_ } ->
+  | Char2 { q; exp_; log_; _ } ->
       if a = 0 then raise Division_by_zero
       else if a = 1 then 1
       else exp_.(q - 1 - log_.(a))
@@ -158,19 +170,18 @@ let scale_into t ~c v =
         Array.unsafe_set v i (f.mul c (Array.unsafe_get v i))
       done
 
-(* ---- bitsliced GF(2) word helpers ----
+(* ---- lane products ---- *)
 
-   The subspace tracker packs GF(2) coefficient vectors into native-int
-   words (63 usable bits each, so no boxing); axpy is then a word-wise
-   XOR and pivot search a count-trailing-zeros scan. *)
+let gf2_lanes = [| 0; 1 |]
 
-let word_bits = 63
-
-let words_for ~k = (k + word_bits - 1) / word_bits
+let lane_products = function
+  | Gf2 -> gf2_lanes
+  | Char2 { lane_; _ } -> lane_
+  | Prime _ | Generic _ -> [||]
 
 (* Count trailing zeros of a nonzero int by isolating the lowest set bit
    and binary-stepping — six compares, no table. *)
-let[@inline] ctz x =
+let ctz x =
   let x = x land -x in
   let n = 0 in
   let x, n = if x land 0x7FFFFFFF = 0 then (x lsr 31, n + 31) else (x, n) in
@@ -179,28 +190,3 @@ let[@inline] ctz x =
   let x, n = if x land 0xF = 0 then (x lsr 4, n + 4) else (x, n) in
   let x, n = if x land 0x3 = 0 then (x lsr 2, n + 2) else (x, n) in
   if x land 0x1 = 0 then n + 1 else n
-
-(* y <- y xor x over packed words. *)
-let xor_into ~x ~y =
-  for i = 0 to Array.length x - 1 do
-    Array.unsafe_set y i (Array.unsafe_get y i lxor Array.unsafe_get x i)
-  done
-
-let[@inline] get_bit w j =
-  Array.unsafe_get w (j / word_bits) lsr (j mod word_bits) land 1
-
-let[@inline] set_bit w j =
-  let i = j / word_bits in
-  Array.unsafe_set w i (Array.unsafe_get w i lor (1 lsl (j mod word_bits)))
-
-(* Lowest set bit position across the packed row, or -1 if zero. *)
-let lowest_bit w =
-  let n = Array.length w in
-  let rec go i =
-    if i >= n then -1
-    else begin
-      let x = Array.unsafe_get w i in
-      if x <> 0 then (i * word_bits) + ctz x else go (i + 1)
-    end
-  in
-  go 0

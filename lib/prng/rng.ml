@@ -105,18 +105,32 @@ let[@inline] bits62 t = Int64.to_int (bits64 t) land 0x3FFF_FFFF_FFFF_FFFF
    exact, so this equals [Int64.to_float] of the shifted word. *)
 let[@inline] bits53 t = float_of_int (Int64.to_int (Int64.shift_right_logical (bits64 t) 11))
 
+(* Rejection sampling on the low 62 bits: a draw above
+   [limit = mask - (mask mod n)] is redrawn, an accepted one is returned
+   [mod n].  The common path pays no division for the limit: a power of
+   two has [mask mod n = n - 1] and [r mod n = r land (n - 1)], and for
+   any other [n] every [r <= mask - n] is below the limit, so [mask mod n]
+   is computed only for the few draws above that. *)
 let int_below t n =
   if n <= 0 then invalid_arg "Rng.int_below: bound must be positive";
   if n = 1 then 0
   else begin
-    (* Unbiased rejection sampling on the low 62 bits. *)
     let mask = 0x3FFF_FFFF_FFFF_FFFF in
-    let limit = mask - (mask mod n) in
-    let r = ref (bits62 t) in
-    while !r > limit do
-      r := bits62 t
-    done;
-    !r mod n
+    if n land (n - 1) = 0 then begin
+      let limit = mask - (n - 1) in
+      let r = ref (bits62 t) in
+      while !r > limit do
+        r := bits62 t
+      done;
+      !r land (n - 1)
+    end
+    else begin
+      let r = ref (bits62 t) in
+      while !r > mask - n && !r > mask - (mask mod n) do
+        r := bits62 t
+      done;
+      !r mod n
+    end
   end
 
 let int_in_range t ~lo ~hi =

@@ -20,7 +20,11 @@ exception Rep_timeout
    {!Rep_timeout} failure and handed to the [on_error] policy. *)
 let deadline_key : float Domain.DLS.key = Domain.DLS.new_key (fun () -> infinity)
 
-let deadline_exceeded () = Clock.now_s () > Domain.DLS.get deadline_key
+(* Polled once per engine event by every campaign cell: with no watchdog
+   set the answer is [false] without a clock read. *)
+let deadline_exceeded () =
+  let deadline = Domain.DLS.get deadline_key in
+  deadline < infinity && Clock.now_s () > deadline
 
 type timing = {
   wall_s : float;

@@ -69,6 +69,44 @@ let test_golden_no_fault_coded () =
   Alcotest.(check int) "no aborts" 0 s.aborted_peers;
   Alcotest.(check int) "no losses" 0 s.lost_transfers
 
+(* Wider fields, both with K = 8: GF(16) rows fit one packed word and
+   GF(256) rows span two, so each word layout of the subspace tracker
+   has a pinned end-to-end run.  Recorded before the rows were packed. *)
+let coded_wide_run ~q =
+  Sim_coded.run_seeded ~seed:81
+    (Sim_coded.of_gift { coded_gift with q; k = 8; us = 1.0 })
+    ~horizon:200.0
+
+let check_coded_golden ~q ~events ~arrivals ~useful ~useless ~completions ~final_n ~max_n
+    ~dims ~time_avg_n ~near_complete =
+  let s = coded_wide_run ~q in
+  Alcotest.(check int) "events" events s.events;
+  Alcotest.(check int) "arrivals" arrivals s.arrivals;
+  Alcotest.(check int) "useful" useful s.useful_transfers;
+  Alcotest.(check int) "useless" useless s.useless_transfers;
+  Alcotest.(check int) "completions" completions s.completions;
+  Alcotest.(check int) "final n" final_n s.final_n;
+  Alcotest.(check int) "max n" max_n s.max_n;
+  Alcotest.(check (array int)) "dim histogram" dims s.dim_histogram;
+  Alcotest.(check bool)
+    (Printf.sprintf "time-avg N %.17g unchanged" s.time_avg_n)
+    true
+    (Float.equal s.time_avg_n time_avg_n);
+  Alcotest.(check bool)
+    (Printf.sprintf "near-complete fraction %.17g unchanged" s.near_complete_fraction)
+    true
+    (Float.equal s.near_complete_fraction near_complete)
+
+let test_golden_no_fault_coded_gf16 () =
+  check_coded_golden ~q:16 ~events:2233 ~arrivals:198 ~useful:1426 ~useless:217
+    ~completions:182 ~final_n:17 ~max_n:17 ~dims:[| 1; 0; 6; 3; 0; 1; 1; 4; 1 |]
+    ~time_avg_n:8.6807259906259553 ~near_complete:0.13385572061330911
+
+let test_golden_no_fault_coded_gf256 () =
+  check_coded_golden ~q:256 ~events:2161 ~arrivals:192 ~useful:1398 ~useless:169
+    ~completions:185 ~final_n:7 ~max_n:14 ~dims:[| 2; 2; 0; 2; 1; 0; 0; 0; 0 |]
+    ~time_avg_n:8.099409778964711 ~near_complete:0.12000550736379051
+
 let test_golden_no_fault_network_sparse () =
   let config = { (network_config ()) with census = Sim_agent.Neighbourhood } in
   let s, _ = Sim_agent.run_seeded ~seed:7 config ~horizon:400.0 in
@@ -313,6 +351,10 @@ let () =
       ( "no-fault goldens",
         [
           Alcotest.test_case "coded golden" `Quick test_golden_no_fault_coded;
+          Alcotest.test_case "coded golden GF(16), one word" `Quick
+            test_golden_no_fault_coded_gf16;
+          Alcotest.test_case "coded golden GF(256), two words" `Quick
+            test_golden_no_fault_coded_gf256;
           Alcotest.test_case "network sparse golden" `Quick test_golden_no_fault_network_sparse;
         ] );
       ( "probe bit-identity",

@@ -98,7 +98,7 @@ let test_axpy_length_mismatch () =
        false
      with Invalid_argument _ -> true)
 
-(* ---- bitsliced helpers ---- *)
+(* ---- lane format ---- *)
 
 let test_ctz () =
   for j = 0 to 62 do
@@ -107,24 +107,29 @@ let test_ctz () =
     Alcotest.(check int) "ctz with noise" j (Kernel.ctz ((1 lsl j) lor (1 lsl 62)))
   done
 
-let test_bit_helpers () =
-  Alcotest.(check int) "words_for 1" 1 (Kernel.words_for ~k:1);
-  Alcotest.(check int) "words_for 63" 1 (Kernel.words_for ~k:63);
-  Alcotest.(check int) "words_for 64" 2 (Kernel.words_for ~k:64);
-  Alcotest.(check int) "words_for 126" 2 (Kernel.words_for ~k:126);
-  let w = Array.make (Kernel.words_for ~k:130) 0 in
-  Alcotest.(check int) "zero row" (-1) (Kernel.lowest_bit w);
-  Kernel.set_bit w 129;
-  Alcotest.(check int) "high bit" 129 (Kernel.lowest_bit w);
-  Kernel.set_bit w 7;
-  Alcotest.(check int) "low bit wins" 7 (Kernel.lowest_bit w);
-  Alcotest.(check int) "get set" 1 (Kernel.get_bit w 129);
-  Alcotest.(check int) "get clear" 0 (Kernel.get_bit w 128);
-  let v = Array.make (Array.length w) 0 in
-  Kernel.set_bit v 7;
-  Kernel.xor_into ~x:v ~y:w;
-  Alcotest.(check int) "xor cleared bit 7" 0 (Kernel.get_bit w 7);
-  Alcotest.(check int) "bit 129 survives" 129 (Kernel.lowest_bit w)
+(* The table a packed row is scaled with by bit-planes: c·x^b at
+   c*m + b, where x^b is the element [1 lsl b].  Built up to m = 7;
+   wider fields scale lane by lane through their log tables. *)
+let test_lane_products () =
+  List.iter
+    (fun (q, m) ->
+      let f = Field.gf q in
+      let kern = Kernel.of_field f in
+      let table = Kernel.lane_products kern in
+      Alcotest.(check int) (Printf.sprintf "q=%d table size" q) (q * m) (Array.length table);
+      for c = 0 to q - 1 do
+        for b = 0 to m - 1 do
+          Alcotest.(check int)
+            (Printf.sprintf "q=%d c=%d b=%d" q c b)
+            (f.Field.mul c (1 lsl b))
+            table.((c * m) + b)
+        done
+      done)
+    [ (2, 1); (4, 2); (8, 3); (16, 4); (128, 7) ];
+  Alcotest.(check int) "GF(256): no table" 0
+    (Array.length (Kernel.lane_products (Kernel.of_field (Field.gf 256))));
+  Alcotest.(check int) "GF(3): no lanes" 0
+    (Array.length (Kernel.lane_products (Kernel.of_field (Field.gf 3))))
 
 (* ---- incremental subspace vs batch row reduction ---- *)
 
@@ -168,6 +173,30 @@ let test_incremental_matches_batch () =
 let test_incremental_multiword_gf2 () =
   check_trace ~q:2 ~k:80 ~inserts:30 ~seed:7
 
+(* Characteristic-2 rows are packed into m-bit lanes, 63 / m lanes per
+   native-int word.  K equal to the lanes one word holds, and one more,
+   puts pivots on the last lane of a full word and on the first lane of
+   a second word. *)
+let test_incremental_word_boundaries () =
+  List.iter
+    (fun (q, lanes) ->
+      List.iter
+        (fun k -> check_trace ~q ~k ~inserts:(k + 4) ~seed:((1000 * q) + k))
+        [ lanes; lanes + 1 ])
+    [ (2, 63); (4, 31); (8, 21); (16, 15); (256, 7) ]
+
+(* Fields from GF(256) on scale packed rows lane by lane through their
+   log tables.  GF(512) packs seven 9-bit lanes to a word, the top one
+   on the sign bit: one word (K = 3) and two (K = 9). *)
+let test_incremental_log_scaled () =
+  check_trace ~q:512 ~k:3 ~inserts:6 ~seed:5;
+  check_trace ~q:512 ~k:9 ~inserts:13 ~seed:6
+
+(* GF(8) at K = 21: three-bit lanes fill a word exactly, so the top
+   lane holds bit 62, the sign bit of an OCaml int. *)
+let test_incremental_sign_bit_lane () =
+  List.iter (fun seed -> check_trace ~q:8 ~k:21 ~inserts:30 ~seed) [ 1; 2; 3 ]
+
 let prop_incremental_matches_batch =
   QCheck2.Test.make ~name:"incremental dim = batch rank (random traces)" ~count:60
     QCheck2.Gen.(pair (oneofl kernel_sizes) (pair (int_range 1 12) small_nat))
@@ -205,15 +234,18 @@ let () =
           Alcotest.test_case "axpy length" `Quick test_axpy_length_mismatch;
           QCheck_alcotest.to_alcotest prop_axpy_scale_vs_reference;
         ] );
-      ( "bitsliced",
+      ( "lanes",
         [
           Alcotest.test_case "ctz" `Quick test_ctz;
-          Alcotest.test_case "bit helpers" `Quick test_bit_helpers;
+          Alcotest.test_case "products table" `Quick test_lane_products;
         ] );
       ( "incremental basis",
         [
           Alcotest.test_case "matches batch RREF" `Quick test_incremental_matches_batch;
           Alcotest.test_case "multiword GF(2)" `Quick test_incremental_multiword_gf2;
+          Alcotest.test_case "word boundaries" `Quick test_incremental_word_boundaries;
+          Alcotest.test_case "sign-bit lane GF(8)" `Quick test_incremental_sign_bit_lane;
+          Alcotest.test_case "log-scaled GF(512)" `Quick test_incremental_log_scaled;
           Alcotest.test_case "ragged rows" `Quick test_row_reduce_ragged;
           QCheck_alcotest.to_alcotest prop_incremental_matches_batch;
         ] );

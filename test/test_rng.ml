@@ -231,6 +231,38 @@ let test_stream_golden () =
   check Alcotest.string "pp after jump"
     "xoshiro256**{c6b90a344800adba;115d9b64ec2e5e37;5d916a981fa8be99;761e8f9ada616bd}" (pp rng)
 
+(* [int_below] against the plain rejection formula it replaced: reject
+   a 62-bit draw above [mask - (mask mod n)], return it [mod n].  The
+   reference runs on a copy of the generator through [bits64], so the
+   two must agree draw for draw, rejections included.  2^61 + 1 rejects
+   about half of its raw draws, and 2^62 - 1 takes nearly every draw
+   past the cheap acceptance test to the exact limit. *)
+let reference_int_below rng n =
+  let mask = 0x3FFF_FFFF_FFFF_FFFF in
+  let limit = mask - (mask mod n) in
+  let draw () = Int64.to_int (Rng.bits64 rng) land mask in
+  let r = ref (draw ()) in
+  while !r > limit do
+    r := draw ()
+  done;
+  !r mod n
+
+let test_int_below_matches_reference () =
+  let draws = 100_000 in
+  List.iter
+    (fun n ->
+      let rng = Rng.of_seed n in
+      let ref_rng = Rng.copy rng in
+      for i = 1 to draws do
+        let got = Rng.int_below rng n and want = reference_int_below ref_rng n in
+        if got <> want then
+          Alcotest.failf "int_below %d, draw %d: got %d, the formula gives %d" n i got want
+      done;
+      check Alcotest.int64
+        (Printf.sprintf "int_below %d leaves the stream where the formula does" n)
+        (Rng.bits64 ref_rng) (Rng.bits64 rng))
+    [ 2; 16; 256; 3; 1000; (1 lsl 61) + 1; (1 lsl 62) - 1 ]
+
 (* The draw paths keep no boxed state: an [int_below] draw allocates
    nothing, including the rejection loop. *)
 let test_int_below_alloc () =
@@ -277,5 +309,6 @@ let () =
           Alcotest.test_case "pp stable" `Quick test_pp_stable;
           Alcotest.test_case "stream golden" `Quick test_stream_golden;
           Alcotest.test_case "int_below allocates nothing" `Quick test_int_below_alloc;
+          Alcotest.test_case "int_below matches formula" `Quick test_int_below_matches_reference;
         ] );
     ]

@@ -291,6 +291,32 @@ let test_markov_alloc_per_event () =
        stats.Sim_markov.events)
     true (words <= 40.0)
 
+(* ---- Sim_coded ---- *)
+
+(* The coded contact path reuses caller-owned scratch rows for every
+   upload, receive and containment proof; what is left per event is the
+   engine's boxed floats and each arrival's row buffers.  Measured at
+   about 24 words per event in each case below, against 39 (GF(16)),
+   34 (GF(2)) and 61 (smart exchange) when a useless transfer allocated
+   its containment scratch row. *)
+let test_coded_alloc_per_event () =
+  List.iter
+    (fun (q, smart_exchange) ->
+      let config =
+        { Sim_coded.q; k = 8; us = 1.0; mu = 1.0; gamma = infinity;
+          arrivals = [ (0, 1.0) ]; smart_exchange; faults = Faults.none }
+      in
+      let before = Gc.minor_words () in
+      let stats = Sim_coded.run_seeded ~seed:11 config ~horizon:2000.0 in
+      let events = stats.Sim_coded.events in
+      let words = (Gc.minor_words () -. before) /. float_of_int events in
+      Alcotest.(check bool) "enough events to amortise set-up" true (events > 20_000);
+      Alcotest.(check bool)
+        (Printf.sprintf "q=%d smart=%b: <= 30 minor words per event (%.1f over %d events)" q
+           smart_exchange words events)
+        true (words <= 30.0))
+    [ (16, false); (2, false); (16, true) ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -308,6 +334,8 @@ let () =
           Alcotest.test_case "allocation per event" `Quick test_markov_alloc_per_event;
           Alcotest.test_case "sample grid" `Quick test_markov_samples_grid;
         ] );
+      ( "coded",
+        [ Alcotest.test_case "allocation per event" `Quick test_coded_alloc_per_event ] );
       ( "agent",
         [
           Alcotest.test_case "conservation" `Quick test_agent_conservation;

@@ -337,7 +337,8 @@ fi
 # print identical output apart from the "wall ..." timing line.  It
 # covers the aggregate backend, the per-peer backend on the complete
 # graph, the per-peer backend on a degree-4 overlay, and the coded
-# backend.
+# backend twice: at GF(16), K = 4, whose packed rows fit one word, and
+# at GF(256), K = 8, whose rows span two.
 if [ "${CHECK_JOBS:-0}" = "1" ]; then
   out=_build/jobs-smoke
   rm -rf "$out"
@@ -345,9 +346,9 @@ if [ "${CHECK_JOBS:-0}" = "1" ]; then
   echo "== jobs smoke (into $out) =="
   P2PSIM=_build/default/bin/p2psim.exe
   ARGS="-k 3 --arrive none=2.0 --gamma 2 --abort-rate 0.05 --horizon 150 --seed 11 --reps 8"
-  CODED_ARGS="-k 4 --gamma 2 --abort-rate 0.05 --horizon 150 --seed 11 --reps 8"
+  CODED_ARGS="--gamma 2 --abort-rate 0.05 --horizon 150 --seed 11 --reps 8"
   for run in "simulate $ARGS" "simulate --agent $ARGS" "overlay --degree 4 $ARGS" \
-             "coded --sim $CODED_ARGS"; do
+             "coded --sim -k 4 $CODED_ARGS" "coded --sim -q 256 -k 8 $CODED_ARGS"; do
     tag=$(echo "$run" | cut -d' ' -f1-3 | tr -c 'a-z0-9\n' '_')
     for j in 1 2; do
       left=$(remaining)
