@@ -30,8 +30,9 @@ module Kernel = P2p_gf.Kernel
 
    The word loops stay in this module, and single-word rows (xw = 1,
    e.g. K = 8 over GF(16)) get their own branch that keeps the word in
-   a register: dev builds compile with [-opaque], so a helper in another
-   module would cost a call per row operation. *)
+   a register.  The default build would inline a small helper from
+   another module, but [--profile dev] compiles with [-opaque], where it
+   would cost a call per row operation. *)
 
 let word_bits = 63
 

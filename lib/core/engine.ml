@@ -61,7 +61,7 @@ let grid_start ~interval ~grid_after =
     !g
   end
 
-let observe t ~time ~n =
+let[@inline] observe t ~time ~n =
   Timeavg.observe t.avg ~time ~value:(float_of_int n);
   if n > t.counters.max_n then t.counters.max_n <- n
 

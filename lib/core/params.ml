@@ -86,7 +86,7 @@ let lambda_within t s =
     (fun acc (c, r) -> if Pieceset.subset c s then acc +. r else acc)
     0.0 t.arrivals
 
-let full_set t = Pieceset.full ~k:t.k
+let[@inline] full_set t = Pieceset.full ~k:t.k
 
 let piece_can_enter t ~piece = t.us > 0.0 || lambda_containing t ~piece > 0.0
 

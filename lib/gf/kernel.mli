@@ -21,9 +21,11 @@
     the kernel property tests across q ∈ {2, 3, 4, 8, 16, 256}.
 
     The packed row format of characteristic-2 fields (m-bit lanes in
-    native-int words) lives in [P2p_coding.Subspace], not here: dev
-    builds compile with [-opaque], so a per-word helper in this module
-    would cost a call per row operation however it is annotated. *)
+    native-int words) lives in [P2p_coding.Subspace], not here.  The
+    default build inlines small functions across modules, but
+    [--profile dev] compiles with [-opaque], where a per-word helper in
+    this module would cost a call per row operation however it is
+    annotated. *)
 
 type t =
   | Gf2

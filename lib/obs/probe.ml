@@ -118,9 +118,9 @@ let[@inline never] trace_row trace time c a b =
    literals in [0, n_event_codes) and the count array has exactly that
    length, so the lookup skips its bounds check.  The trace test is a
    physical comparison with [Trace.null], not a call to
-   [Trace.enabled]: library modules are compiled opaque, so a call
-   across modules is never inlined, and an untraced run must pay no
-   more than a load and a compare for the trace. *)
+   [Trace.enabled]: the dev profile compiles modules opaque, where a
+   call across modules is never inlined, and even there an untraced run
+   must pay no more than a load and a compare for the trace. *)
 let[@inline] record_one t time c a b =
   Hist.record_unit (Array.unsafe_get t.event_counts c);
   Recorder.record t.recorder ~time ~code:c ~a ~b;

@@ -5,16 +5,19 @@ let max_pieces = 62
 
 let empty = 0
 
-let check_k k =
+(* [check_k], [full], [check_piece], [add] and [lowest] are inlined:
+   each transfer calls them from other modules ([Params.full_set],
+   [State]'s per-piece counts). *)
+let[@inline] check_k k =
   if k < 1 || k > max_pieces then
     invalid_arg (Printf.sprintf "Pieceset: k = %d out of range [1, %d]" k max_pieces)
 
-let full ~k =
+let[@inline] full ~k =
   check_k k;
   (* For k = 62 this is max_int, the all-ones pattern of a 63-bit int. *)
   (1 lsl k) - 1
 
-let check_piece i =
+let[@inline] check_piece i =
   if i < 0 || i >= max_pieces then
     invalid_arg (Printf.sprintf "Pieceset: piece %d out of range [0, %d)" i max_pieces)
 
@@ -24,7 +27,7 @@ let singleton i =
 
 let mem i c = c land (1 lsl i) <> 0
 
-let add i c =
+let[@inline] add i c =
   check_piece i;
   c lor (1 lsl i)
 
@@ -106,7 +109,7 @@ let choose_uniform draw c =
   if n = 0 then invalid_arg "Pieceset.choose_uniform: empty set";
   nth_element c (draw n)
 
-let lowest c =
+let[@inline] lowest c =
   if c = 0 then invalid_arg "Pieceset.lowest: empty set";
   lowest_bit c
 

@@ -1,4 +1,6 @@
-let exponential rng ~rate =
+(* Inlined for the same reason as [Rng.float]: the engine draws one per
+   event, and the returned float would otherwise be boxed. *)
+let[@inline] exponential rng ~rate =
   if rate <= 0.0 then invalid_arg "Dist.exponential: rate must be positive";
   -.log (Rng.float_pos rng) /. rate
 

@@ -137,9 +137,11 @@ let int_in_range t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in_range: hi < lo";
   lo + int_below t (hi - lo + 1)
 
-(* 53 top bits mapped to [0,1) and (0,1]. *)
-let float t = bits53 t *. 0x1.0p-53
-let float_pos t = (bits53 t +. 1.0) *. 0x1.0p-53
+(* 53 top bits mapped to [0,1) and (0,1].  Inlined, so a caller in
+   another module (the engine's [u], [Dist.exponential]) keeps the float
+   unboxed; returned from a call, it would be boxed. *)
+let[@inline] float t = bits53 t *. 0x1.0p-53
+let[@inline] float_pos t = (bits53 t +. 1.0) *. 0x1.0p-53
 let bool t = Int64.compare (bits64 t) 0L < 0
 
 let bernoulli t ~p = if p >= 1.0 then true else if p <= 0.0 then false else float t < p

@@ -11,7 +11,9 @@ type t = {
 let create ?(t0 = 0.0) () =
   { last_time = t0; value = 0.0; weighted_sum = 0.0; elapsed = 0.0; started = 0.0 }
 
-let advance t time =
+(* [advance] and [observe] are inlined: the engine's [observe] calls
+   them on every state change. *)
+let[@inline] advance t time =
   if time < t.last_time -. 1e-12 then
     invalid_arg
       (Printf.sprintf "Timeavg.observe: time %g before previous %g" time t.last_time);
@@ -22,7 +24,7 @@ let advance t time =
   end;
   t.last_time <- time
 
-let observe t ~time ~value =
+let[@inline] observe t ~time ~value =
   advance t time;
   t.value <- value;
   t.started <- 1.0

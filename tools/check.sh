@@ -34,6 +34,26 @@ if [ "$status" -ne 0 ]; then
   exit "$status"
 fi
 
+# The default build is the optimised one (dune-workspace): no -opaque,
+# which would stop every cross-module inlining, and dev's warnings kept
+# as errors by the flags the root dune file pins.  Read the compile rule
+# of one lib/core module and check both.
+rules=$(dune rules _build/default/lib/core/.p2p_core.objs/native/p2p_core__Engine.cmx 2>/dev/null) || rules=""
+if ! printf '%s\n' "$rules" | grep -q 'ocamlopt'; then
+  echo "FAIL: could not read the build rule of lib/core/engine.ml from 'dune rules'" >&2
+  exit 1
+fi
+if printf '%s\n' "$rules" | grep -qx ' *-opaque'; then
+  echo "FAIL: the default build compiles lib/core with -opaque; it must be the release profile" >&2
+  exit 1
+fi
+for flag in '@1..3@5..28@30..39@43@46..47@49..57@61..62-40' '-strict-sequence'; do
+  if ! printf '%s\n' "$rules" | grep -qx -- " *$flag"; then
+    echo "FAIL: the default build compiles lib/core without $flag (see the root dune file)" >&2
+    exit 1
+  fi
+done
+
 # Run each test executable separately so a timeout or a failure is
 # attributed to a suite by name.  CHECK_TESTS=0 skips the loop for jobs
 # that only want a smoke phase below (the tier-1 gate always runs it).
