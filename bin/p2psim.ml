@@ -2,20 +2,21 @@
 
    Subcommands:
      classify  - Theorem 1 verdict for a parameter set
-     simulate  - run the exact Markov (or agent-level) simulator
+     simulate  - run the exact Markov simulator, or with --agent the per-peer
+                 one (sparse overlays with --degree, peer classes with --class)
      fluid     - integrate the mean-field limit (--hybrid for CTMC handoff)
      region    - sweep lambda x us and print the phase diagram
-     overlay   - simulate on a sparse random overlay topology
-     hetero    - heterogeneous peer classes (heuristic region + simulation)
      coded     - Theorem 15 thresholds and coded-swarm simulation
      drift     - Lyapunov drift scan (the Foster-Lyapunov certificate)
      exact     - exact stationary distribution on a truncated state space
      reachable - minimal closed set of states under a selection policy
      borderline- the mu = infinity watched process of Section VIII-D
+     report    - render a probe series, histogram file, flight dump or alert timeline
      campaign  - checkpointed sweeps over a crash-safe result store *)
 
 open Cmdliner
 module Pieceset = P2p_pieceset.Pieceset
+module Rng = P2p_prng.Rng
 module Runner = P2p_runner.Runner
 module Welford = P2p_stats.Welford
 module Probe = P2p_obs.Probe
@@ -103,6 +104,10 @@ let reps_arg ~default =
 let horizon_arg =
   Arg.(value & opt float 1000.0 & info [ "horizon"; "t" ] ~docv:"TIME" ~doc:"Simulation horizon.")
 
+let csv_arg =
+  Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
+       ~doc:"Write the sampled (t, N_t) trajectory as CSV.")
+
 (* Model validation raises Invalid_argument naming the bad value; report
    it as a usage error (exit 124, as for a malformed flag) instead of an
    uncaught exception. *)
@@ -140,28 +145,32 @@ let outage_arg =
   let outage_c = Arg.conv (parse, fun fmt (u, d) -> Format.fprintf fmt "%g,%g" u d) in
   Arg.(value & opt (some outage_c) None & info [ "seed-outage" ] ~docv:"UP,DOWN" ~doc)
 
-let nonneg_rate_conv what =
+(* A float flag whose value must pass [ok]; otherwise a usage error
+   saying "[what] must be [expect]". *)
+let checked_float ~what ~expect ok =
   let parse s =
     match float_of_string_opt s with
-    | Some v when Float.is_finite v && v >= 0.0 -> Ok v
-    | Some _ | None ->
-        Error (`Msg (Printf.sprintf "%s must be a finite non-negative number, got %S" what s))
+    | Some v when ok v -> Ok v
+    | Some _ | None -> Error (`Msg (Printf.sprintf "%s must be %s, got %S" what expect s))
   in
   Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v)
 
+let finite_positive v = Float.is_finite v && v > 0.0
+
 let abort_rate_arg =
-  Arg.(value & opt (nonneg_rate_conv "abort rate") 0.0
+  let c =
+    checked_float ~what:"abort rate" ~expect:"a finite non-negative number" (fun v ->
+        Float.is_finite v && v >= 0.0)
+  in
+  Arg.(value & opt c 0.0
        & info [ "abort-rate" ] ~docv:"RATE"
            ~doc:"Churn: each unfinished peer aborts (leaves without the file) at rate $(docv).")
 
 let loss_prob_arg =
-  let parse s =
-    match float_of_string_opt s with
-    | Some p when p >= 0.0 && p <= 1.0 -> Ok p
-    | Some _ | None -> Error (`Msg (Printf.sprintf "loss probability must be in [0, 1], got %S" s))
+  let c =
+    checked_float ~what:"loss probability" ~expect:"in [0, 1]" (fun p -> p >= 0.0 && p <= 1.0)
   in
-  let prob_c = Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v) in
-  Arg.(value & opt prob_c 0.0
+  Arg.(value & opt c 0.0
        & info [ "loss-prob" ] ~docv:"P"
            ~doc:"Each would-be upload is lost (no piece transferred) with probability $(docv).")
 
@@ -199,13 +208,7 @@ let max_events_arg =
                  state and counted as partial.")
 
 let timeout_conv what =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v && v > 0.0 -> Ok v
-    | Some _ | None ->
-        Error (`Msg (Printf.sprintf "%s must be a finite positive number of seconds, got %S" what s))
-  in
-  Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v)
+  checked_float ~what ~expect:"a finite positive number of seconds" finite_positive
 
 let rep_timeout_arg =
   Arg.(value & opt (some (timeout_conv "replication timeout")) None
@@ -237,13 +240,7 @@ let trace_arg =
                  otherwise. Timestamps are simulation time. Requires --reps 1.")
 
 let probe_interval_arg =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v && v > 0.0 -> Ok v
-    | Some _ | None ->
-        Error (`Msg (Printf.sprintf "probe interval must be a finite positive number, got %S" s))
-  in
-  let c = Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v) in
+  let c = checked_float ~what:"probe interval" ~expect:"a finite positive number" finite_positive in
   Arg.(value & opt (some c) None
        & info [ "probe-interval" ] ~docv:"T"
            ~doc:"Sample the swarm (population, peer seeds, one-club size, per-piece copies) \
@@ -310,6 +307,10 @@ let telemetry_term =
   Term.(const make $ trace_arg $ probe_interval_arg $ metrics_out_arg $ progress_arg
         $ profile_arg $ flight_recorder_arg $ monitor_arg $ alerts_out_arg $ hist_out_arg)
 
+let observe_sample m (s : Probe.sample) =
+  Monitor.observe m ~time:s.time ~one_club:s.one_club ~rarest_piece:s.rarest_piece
+    ~rarest_count:s.rarest_count
+
 let usage_error fmt = Printf.ksprintf (fun m -> prerr_endline ("p2psim: " ^ m); exit 2) fmt
 
 (* Build the probe for a single run, hand it to [f], then flush the
@@ -359,11 +360,7 @@ let with_single_run_probe tel ~k ~horizon f =
           Some
             (fun (s : Probe.sample) ->
               Option.iter (fun sr -> Series.record sr s) series;
-              Option.iter
-                (fun m ->
-                  Monitor.observe m ~time:s.Probe.time ~one_club:s.Probe.one_club
-                    ~rarest_piece:s.Probe.rarest_piece ~rarest_count:s.Probe.rarest_count)
-                monitor)
+              Option.iter (fun m -> observe_sample m s) monitor)
       in
       Probe.make
         ?interval:
@@ -399,14 +396,11 @@ let with_single_run_probe tel ~k ~horizon f =
           Sys.set_signal Sys.sigint prev_int;
           Sys.set_signal Sys.sigterm prev_term
         in
-        (try f probe
-         with e ->
-           dump_recorder ~out:stderr;
-           restore ();
-           raise e)
-        |> fun r ->
-        restore ();
-        r
+        Fun.protect ~finally:restore (fun () ->
+            try f probe
+            with e ->
+              dump_recorder ~out:stderr;
+              raise e)
   in
   dump_recorder ~out:stdout;
   Option.iter
@@ -458,17 +452,71 @@ let with_single_run_probe tel ~k ~horizon f =
   if tel.profile then Format.printf "%a@." Profile.pp prof;
   result
 
-(* Degraded-seed commentary shared by the simulate paths: what Theorem 1
-   predicts once U_s is scaled by the outage duty cycle. *)
-let report_effective_verdict (params : Params.t) faults =
-  match (faults : Faults.t).outage with
+(* ---- one run's report and the replication sweep ---- *)
+
+(* What a command reads off one run of any backend: a private projection
+   of the backend's own stats record.  [rows] is the single-run key-value
+   block (counts print as integers through [Report.fmt_float]), and the
+   --reps table reads its metrics off it by label; [detail] prints the
+   backend's tables after it. *)
+type summary = {
+  events : int;
+  truncated : bool;
+  samples : (float * int) array;
+  rows : (string * float) list;
+  detail : unit -> unit;
+}
+
+let summary ?(detail = ignore) ~events ~truncated ~samples rows =
+  { events; truncated; samples; rows; detail }
+
+let fault_rows faults (outage_time, aborted, lost) =
+  if Faults.is_none faults then []
+  else
+    [
+      ("seed outage time", outage_time);
+      ("aborted peers", float_of_int aborted);
+      ("lost transfers", float_of_int lost);
+    ]
+
+(* Degraded-seed commentary: what the stability criterion [classify]
+   (named [criterion]) says at U_s scaled by the outage duty cycle. *)
+let effective_verdict ?(criterion = "Theorem 1") ~us ~classify (faults : Faults.t) () =
+  match faults.outage with
   | None -> ()
   | Some _ ->
-      let uf = Faults.uptime_fraction faults in
-      Printf.printf "seed uptime fraction %.4f: effective U_s = %s; Theorem 1 there: %s\n"
-        uf
-        (Report.fmt_float (Faults.effective_us faults ~us:params.us))
-        (Stability.verdict_to_string (Stability.classify_effective params ~uptime_fraction:uf))
+      let us = Faults.effective_us faults ~us in
+      Printf.printf "seed uptime fraction %.4f: effective U_s = %s; %s there: %s\n"
+        (Faults.uptime_fraction faults) (Report.fmt_float us) criterion
+        (Stability.verdict_to_string (classify us))
+
+let truncation_warning truncated =
+  if truncated then
+    print_endline "WARNING: max_events budget exhausted before the horizon; \
+                   time-based statistics are biased"
+
+(* Every single run's report, whatever the command or backend:
+   truncation warning, key-value rows, the backend's tables, empirical
+   verdict, effective verdict, trajectory CSV. *)
+let print_run ?(effective = ignore) ?csv s =
+  truncation_warning s.truncated;
+  Report.kv (List.map (fun (label, v) -> (label, Report.fmt_float v)) s.rows);
+  s.detail ();
+  let r = Classify.of_samples s.samples in
+  Printf.printf "empirical verdict: %s (growth %s/t)\n"
+    (Classify.verdict_to_string r.verdict)
+    (Report.fmt_float r.growth_rate);
+  effective ();
+  (* The trajectory CSV goes through write-tmp-then-rename like every
+     other emitter: a crash mid-write leaves the previous file (or
+     nothing), never a torn one. *)
+  Option.iter
+    (fun file ->
+      Json.write_file_atomic file (fun oc ->
+          output_string oc "time,population\n";
+          Array.iter (fun (t, n) -> Printf.fprintf oc "%g,%d\n" t n) s.samples);
+      Printf.printf "wrote %s\n" file)
+    csv
 
 let report_failures (timing : Runner.timing) =
   if timing.failures <> [] then begin
@@ -478,21 +526,55 @@ let report_failures (timing : Runner.timing) =
   if timing.interrupted then
     print_endline "interrupted by SIGINT: aggregates cover completed chunks only"
 
-(* Shared replication driver for the simulate/coded/overlay paths:
-   R independent replications, merged Welford per metric, printed as a
-   mean ± CI table.  Aggregates are bit-identical for every --jobs value
-   (and under skip/retry: surviving replications keep their streams).
-   [after_table] slots model-specific commentary between the table and
-   the partial/failure report. *)
-let replication_table ~reps ~seed ~jobs ~on_error ?rep_timeout_s ~progress ~metrics
-    ?(after_table = fun () -> ()) thunk =
-  let summary =
-    Runner.run_summary ~jobs:(resolve_jobs jobs) ~on_error ?rep_timeout_s ~handle_sigint:true
-      ~progress
-      ~hist:{ Runner.lo = 0.0; hi = 400.0; bins = 20 }
-      ~metrics ~master_seed:seed ~replications:reps thunk
+(* The flags every simulating command shares. *)
+type runs = {
+  horizon : float;
+  seed : int;
+  reps : int;
+  jobs : int;
+  on_error : Runner.on_error;
+  rep_timeout : float option;
+  max_events : int option;
+  tel : telemetry;
+}
+
+let runs_term =
+  let make horizon seed reps jobs on_error rep_timeout max_events tel =
+    { horizon; seed; reps; jobs; on_error; rep_timeout; max_events; tel }
   in
-  Printf.printf "%d replications (master seed %d)\n" reps seed;
+  Term.(const make $ horizon_arg $ seed_arg $ reps_arg ~default:1 $ jobs_arg $ on_error_arg
+        $ rep_timeout_arg $ max_events_arg $ telemetry_term)
+
+(* The one replication sweep: R independent runs of [sim], merged
+   Welford per metric, printed as a mean +- CI table.  The metrics are
+   the summary rows labelled [metrics], the growth rate, then the fault
+   counters when faults are injected.  Aggregates are bit-identical for
+   every --jobs value (and under skip/retry: surviving replications keep
+   their streams).  [after_table] slots commentary between the table and
+   the partial/failure report. *)
+let replicated (r : runs) ~faults ~metrics ~after_table sim =
+  let progress = if r.tel.progress then Progress.create ~total:r.reps () else Progress.silent in
+  let fault_metrics =
+    if Faults.is_none faults then []
+    else [ ("outage time", "seed outage time"); ("aborted peers", "aborted peers");
+           ("lost transfers", "lost transfers") ]
+  in
+  let thunk ~rng ~index:_ =
+    let s = sim ~probe:Probe.none ~poll:true ~rng in
+    Progress.add_events progress s.events;
+    let row label = List.assoc label s.rows in
+    let growth = (Classify.of_samples s.samples).growth_rate in
+    Runner.rep ~flagged:s.truncated
+      (Array.of_list
+         (List.map row metrics @ (growth :: List.map (fun (_, l) -> row l) fault_metrics)))
+  in
+  let summary =
+    Runner.run_summary ~jobs:(resolve_jobs r.jobs) ~on_error:r.on_error
+      ?rep_timeout_s:r.rep_timeout ~handle_sigint:true ~progress
+      ~metrics:(metrics @ ("growth dN/dt" :: List.map fst fault_metrics))
+      ~master_seed:r.seed ~replications:r.reps thunk
+  in
+  Printf.printf "%d replications (master seed %d)\n" r.reps r.seed;
   Report.table
     ~header:[ "metric"; "mean"; "std err"; "95% CI"; "min"; "max" ]
     (List.map
@@ -515,34 +597,6 @@ let replication_table ~reps ~seed ~jobs ~on_error ?rep_timeout_s ~progress ~metr
   report_failures summary.timing;
   Format.printf "%a@." Runner.pp_timing summary.timing
 
-(* Extra metric columns that only appear when faults are injected. *)
-let fault_metric_names faults =
-  if Faults.is_none faults then []
-  else [ "outage time"; "aborted peers"; "lost transfers" ]
-
-let fault_rows faults (outage_time, aborted, lost) =
-  if Faults.is_none faults then []
-  else
-    [
-      ("seed outage time", Report.fmt_float outage_time);
-      ("aborted peers", string_of_int aborted);
-      ("lost transfers", string_of_int lost);
-    ]
-
-let truncation_warning truncated =
-  if truncated then
-    print_endline "WARNING: max_events budget exhausted before the horizon; \
-                   time-based statistics are biased"
-
-(* Trajectory CSVs go through write-tmp-then-rename like every other
-   emitter: a crash mid-write leaves the previous file (or nothing),
-   never a torn one. *)
-let write_samples_csv file samples =
-  Json.write_file_atomic file (fun oc ->
-      output_string oc "time,population\n";
-      Array.iter (fun (t, n) -> Printf.fprintf oc "%g,%d\n" t n) samples);
-  Printf.printf "wrote %s\n" file
-
 let reject_single_run_telemetry tel =
   if tel.trace <> None then
     usage_error "--trace requires --reps 1 (per-replication traces would interleave)";
@@ -554,6 +608,19 @@ let reject_single_run_telemetry tel =
     usage_error "--monitor requires --reps 1 (one detector per run)";
   if tel.hist_out <> None then
     usage_error "--hist-out requires --reps 1 (per-replication histograms would interleave)"
+
+(* One probed run of [sim] at --seed through [print_run], or with
+   --reps > 1 a [replicated] sweep.  [sim ~poll:true] runs inside the
+   sweep, where a backend that can should poll the replication watchdog. *)
+let run_backend (r : runs) ~k ~faults ~metrics ?(effective = ignore) ?csv sim =
+  if r.reps > 1 then begin
+    reject_single_run_telemetry r.tel;
+    replicated r ~faults ~metrics ~after_table:effective sim
+  end
+  else
+    print_run ~effective ?csv
+      (with_single_run_probe r.tel ~k ~horizon:r.horizon (fun probe ->
+           sim ~probe ~poll:false ~rng:(Rng.of_seed r.seed)))
 
 (* ---- classify ---- *)
 
@@ -582,6 +649,88 @@ let classify_cmd =
 
 (* ---- simulate ---- *)
 
+let policies =
+  [
+    ("random", Policy.random_useful);
+    ("rarest", Policy.rarest_first);
+    ("common", Policy.most_common_first);
+    ("sequential", Policy.sequential);
+  ]
+
+let class_conv =
+  let hint = "expected LABEL=MU,GAMMA,RATE, e.g. 'fast=2,inf,0.5' (GAMMA may be 'inf')" in
+  let parse spec =
+    let fail fmt = Printf.ksprintf (fun m -> Error (`Msg (m ^ "; " ^ hint))) fmt in
+    match List.map (String.split_on_char ',') (String.split_on_char '=' spec) with
+    | [ [ label ]; [ mu; gamma; rate ] ] ->
+        let num name s =
+          match float_of_string_opt s with
+          | Some v -> Ok v
+          | None -> fail "bad %s %S in class spec %S" name s spec
+        in
+        let ( let* ) = Result.bind in
+        let* mu = num "mu" mu in
+        let* gamma = num "gamma" gamma in
+        let* rate = num "rate" rate in
+        Ok { Params.label; mu; gamma; arrivals = [ (Pieceset.empty, rate) ] }
+    | _ -> fail "class spec %S is not of the form LABEL=MU,GAMMA,RATE" spec
+  in
+  Arg.conv (parse, fun fmt (c : Params.klass) -> Format.pp_print_string fmt c.label)
+
+let markov_summary faults (s : Sim_markov.stats) =
+  summary ~events:s.events ~truncated:s.truncated ~samples:s.samples
+    ([
+       ("events", float_of_int s.events);
+       ("arrivals", float_of_int s.arrivals);
+       ("transfers", float_of_int s.transfers);
+       ("departures", float_of_int s.departures);
+       ("time-avg N", s.time_avg_n);
+       ("max N", float_of_int s.max_n);
+       ("final N", float_of_int s.final_n);
+       ("visits to empty", float_of_int s.visits_to_empty);
+     ]
+    @ fault_rows faults (s.outage_time, s.aborted_peers, s.lost_transfers))
+
+(* A sparse overlay adds its silent-contact, degree and component rows;
+   [per_class] adds the --class table. *)
+let agent_summary ~per_class (config : Sim_agent.config) (s : Sim_agent.stats) =
+  let per_class_table () =
+    Report.subsection "per class";
+    Report.table
+      ~header:[ "class"; "mean N"; "mean sojourn" ]
+      (List.mapi
+         (fun i (c : Params.klass) ->
+           [
+             c.label;
+             Report.fmt_float s.class_mean_n.(i);
+             Report.fmt_float s.class_mean_sojourn.(i);
+           ])
+         config.classes)
+  in
+  summary ~events:s.events ~truncated:s.truncated ~samples:s.samples
+    ~detail:(if per_class then per_class_table else ignore)
+    ([
+       ("events", float_of_int s.events);
+       ("arrivals", float_of_int s.arrivals);
+       ("transfers", float_of_int s.transfers);
+       ("departures", float_of_int s.departures);
+       ("time-avg N", s.time_avg_n);
+       ("max N", float_of_int s.max_n);
+       ("final N", float_of_int s.final_n);
+       ("mean sojourn", s.mean_sojourn);
+       ("one-club fraction", s.one_club_time_fraction);
+     ]
+    @ (if config.degree = None then []
+       else
+         [
+           ("silent contacts", float_of_int s.silent_contacts);
+           ("mean overlay degree", s.mean_degree_time_avg);
+           ("components at end", float_of_int (List.length s.final_component_sizes));
+         ])
+    @ fault_rows config.faults (s.outage_time, s.aborted_peers, s.lost_transfers))
+
+type backend = Markov of Sim_markov.config | Agent of Sim_agent.config
+
 let simulate_cmd =
   let agent_arg =
     Arg.(value & flag & info [ "agent" ] ~doc:"Use the agent-level simulator (tracks groups).")
@@ -589,134 +738,113 @@ let simulate_cmd =
   let policy_arg =
     let policy_conv =
       Arg.enum
+        (List.map (fun (name, p) -> (name, (p, Sim_agent.Swarm))) policies
+        @ [ ("rarest-local", (Policy.random_useful, Sim_agent.Neighbourhood)) ])
+    in
+    Arg.(value & opt policy_conv (Policy.random_useful, Sim_agent.Swarm)
+         & info [ "policy" ] ~docv:"NAME"
+         ~doc:"Piece selection: random|rarest|common|sequential|rarest-local.  With \
+               rarest-local a peer uploader sends the useful piece rarest among itself and \
+               its overlay neighbours, and the fixed seed a random useful piece; it needs \
+               --agent and a finite --degree.")
+  in
+  let degree_arg =
+    let parse s =
+      if s = "inf" then Ok None
+      else
+        match int_of_string_opt s with
+        | Some d when d >= 1 -> Ok (Some d)
+        | Some _ | None -> Error (`Msg "degree must be a positive integer or 'inf'")
+    in
+    let pp fmt d = Format.pp_print_string fmt (Option.fold ~none:"inf" ~some:string_of_int d) in
+    Arg.(value & opt (conv (parse, pp)) None
+         & info [ "degree" ] ~docv:"D"
+             ~doc:"With --agent: each arriving peer attaches to $(docv) uniformly chosen peers \
+                   and uploads only to its overlay neighbours; the fixed seed stays globally \
+                   reachable. 'inf' (the default) is the complete graph, the paper's model.")
+  in
+  let class_arg =
+    Arg.(value & opt_all class_conv []
+         & info [ "class"; "c" ] ~docv:"SPEC"
+             ~doc:"With --agent: a peer class $(docv) as LABEL=MU,GAMMA,RATE (empty-handed \
+                   arrivals at RATE; GAMMA may be 'inf'); repeatable. Replaces --mu, --gamma \
+                   and --arrive.")
+  in
+  (* The backend's config, built and checked before any run: a model
+     error is a usage error. *)
+  let model_term =
+    let make (params : Params.t) agent degree classes (policy, census) faults () =
+      if census = Sim_agent.Neighbourhood && (degree = None || not agent) then
+        invalid_arg "--policy rarest-local needs --agent and a finite --degree";
+      if agent then begin
+        let base =
+          if classes = [] then Sim_agent.default_config params
+          else Sim_agent.class_config ~k:params.k ~us:params.us classes
+        in
+        let config = { base with policy; census; degree; faults } in
+        Sim_agent.validate config;
+        (params, classes, Agent config)
+      end
+      else begin
+        if degree <> None then invalid_arg "--degree needs --agent";
+        if classes <> [] then invalid_arg "--class needs --agent";
+        (params, classes, Markov { (Sim_markov.default_config params) with policy; faults })
+      end
+    in
+    validated
+      Term.(const make $ params_term $ agent_arg $ degree_arg $ class_arg $ policy_arg
+            $ faults_term)
+  in
+  let run (params, classes, backend) csv (r : runs) =
+    let { Params.k; us; _ } = params in
+    let classify us =
+      if classes = [] then Stability.classify (Params.with_us params ~us)
+      else Stability.classify_classes ~k ~us classes
+    in
+    if classes <> [] then
+      Report.kv
         [
-          ("random", Policy.random_useful);
-          ("rarest", Policy.rarest_first);
-          ("common", Policy.most_common_first);
-          ("sequential", Policy.sequential);
-        ]
+          ("heuristic verdict", Stability.verdict_to_string (classify us));
+          ( "m_bar (seed branching)",
+            Report.fmt_float (Stability.mean_seed_offspring classes ~piece:0) );
+          ( "heuristic threshold",
+            Report.fmt_float (Stability.class_threshold ~k ~us classes ~piece:0) );
+          ( "lambda_total",
+            Report.fmt_float
+              (List.fold_left (fun acc (_, rate) -> acc +. rate) 0.0
+                 (List.concat_map (fun (c : Params.klass) -> c.arrivals) classes)) );
+        ];
+    let metrics = [ "time-avg N"; "final N"; "transfers"; "departures" ] in
+    let faults, metrics, sim =
+      match backend with
+      | Markov config ->
+          ( config.faults,
+            metrics,
+            fun ~probe ~poll ~rng ->
+              let until =
+                if poll then Some (fun ~time:_ ~n:_ -> Runner.deadline_exceeded ()) else None
+              in
+              let s, _ =
+                Sim_markov.run ~probe ?max_events:r.max_events ?until ~rng config ~horizon:r.horizon
+              in
+              if s.stopped then raise Runner.Rep_timeout;
+              markov_summary config.faults s )
+      | Agent config ->
+          ( config.faults,
+            (if config.degree = None then metrics
+             else metrics @ [ "silent contacts"; "mean overlay degree" ]),
+            fun ~probe ~poll:_ ~rng ->
+              let s, _ =
+                Sim_agent.run ~probe ?max_events:r.max_events ~rng config ~horizon:r.horizon
+              in
+              agent_summary ~per_class:(classes <> []) config s )
     in
-    Arg.(value & opt policy_conv Policy.random_useful & info [ "policy" ] ~docv:"NAME"
-         ~doc:"Piece selection: random|rarest|common|sequential.")
-  in
-  let csv_arg =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
-         ~doc:"Write the sampled (t, N_t) trajectory as CSV.")
-  in
-  let replicated params horizon seed agent policy reps jobs faults on_error rep_timeout
-      max_events ~progress:want_progress =
-    let progress = if want_progress then Progress.create ~total:reps () else Progress.silent in
-    let with_faults = not (Faults.is_none faults) in
-    let metrics =
-      [ "time-avg N"; "final N"; "transfers"; "departures"; "growth dN/dt" ]
-      @ fault_metric_names faults
-    in
-    let thunk ~rng ~index:_ =
-      let time_avg_n, final_n, transfers, departures, samples, truncated, fault_counts =
-        if agent then begin
-          let config = { (Sim_agent.default_config params) with policy; faults } in
-          let s, _ = Sim_agent.run ?max_events ~rng config ~horizon in
-          Progress.add_events progress s.events;
-          ( s.time_avg_n, s.final_n, s.transfers, s.departures, s.samples, s.truncated,
-            [| s.outage_time; float_of_int s.aborted_peers; float_of_int s.lost_transfers |] )
-        end
-        else begin
-          let config = { (Sim_markov.default_config params) with policy; faults } in
-          let s, _ =
-            Sim_markov.run ?max_events ~rng
-              ~until:(fun ~time:_ ~n:_ -> Runner.deadline_exceeded ())
-              config ~horizon
-          in
-          if s.stopped then raise Runner.Rep_timeout;
-          Progress.add_events progress s.events;
-          ( s.time_avg_n, s.final_n, s.transfers, s.departures, s.samples, s.truncated,
-            [| s.outage_time; float_of_int s.aborted_peers; float_of_int s.lost_transfers |] )
-        end
-      in
-      let growth = (Classify.of_samples samples).growth_rate in
-      let values =
-        Array.append
-          [| time_avg_n; float_of_int final_n; float_of_int transfers;
-             float_of_int departures; growth |]
-          (if with_faults then fault_counts else [||])
-      in
-      Runner.rep ~flagged:truncated ~obs:[| time_avg_n |] values
-    in
-    replication_table ~reps ~seed ~jobs ~on_error ?rep_timeout_s:rep_timeout ~progress ~metrics
-      ~after_table:(fun () -> report_effective_verdict params faults)
-      thunk
-  in
-  let run params horizon seed agent policy csv reps jobs faults on_error
-      rep_timeout max_events tel =
-    let write_csv samples =
-      match csv with
-      | None -> ()
-      | Some file -> write_samples_csv file samples
-    in
-    let fault_rows = fault_rows faults in
-    if reps > 1 then begin
-      reject_single_run_telemetry tel;
-      replicated params horizon seed agent policy reps jobs faults on_error rep_timeout
-        max_events ~progress:tel.progress
-    end
-    else if agent then begin
-      let config = { (Sim_agent.default_config params) with policy; faults } in
-      let stats, _ =
-        with_single_run_probe tel ~k:params.k ~horizon (fun probe ->
-            Sim_agent.run_seeded ~probe ?max_events ~seed config ~horizon)
-      in
-      truncation_warning stats.truncated;
-      Report.kv
-        ([
-           ("events", string_of_int stats.events);
-           ("arrivals", string_of_int stats.arrivals);
-           ("transfers", string_of_int stats.transfers);
-           ("departures", string_of_int stats.departures);
-           ("time-avg N", Report.fmt_float stats.time_avg_n);
-           ("max N", string_of_int stats.max_n);
-           ("final N", string_of_int stats.final_n);
-           ("mean sojourn", Report.fmt_float stats.mean_sojourn);
-           ("one-club fraction", Report.fmt_float stats.one_club_time_fraction);
-         ]
-        @ fault_rows (stats.outage_time, stats.aborted_peers, stats.lost_transfers));
-      let r = Classify.of_samples stats.samples in
-      Printf.printf "empirical verdict: %s (growth %s/t)\n"
-        (Classify.verdict_to_string r.verdict)
-        (Report.fmt_float r.growth_rate);
-      report_effective_verdict params faults;
-      write_csv stats.samples
-    end
-    else begin
-      let config = { (Sim_markov.default_config params) with policy; faults } in
-      let stats, _ =
-        with_single_run_probe tel ~k:params.k ~horizon (fun probe ->
-            Sim_markov.run_seeded ~probe ?max_events ~seed config ~horizon)
-      in
-      truncation_warning stats.truncated;
-      Report.kv
-        ([
-           ("events", string_of_int stats.events);
-           ("arrivals", string_of_int stats.arrivals);
-           ("transfers", string_of_int stats.transfers);
-           ("departures", string_of_int stats.departures);
-           ("time-avg N", Report.fmt_float stats.time_avg_n);
-           ("max N", string_of_int stats.max_n);
-           ("final N", string_of_int stats.final_n);
-           ("visits to empty", string_of_int stats.visits_to_empty);
-         ]
-        @ fault_rows (stats.outage_time, stats.aborted_peers, stats.lost_transfers));
-      let r = Classify.of_samples stats.samples in
-      Printf.printf "empirical verdict: %s (growth %s/t)\n"
-        (Classify.verdict_to_string r.verdict)
-        (Report.fmt_float r.growth_rate);
-      report_effective_verdict params faults;
-      write_csv stats.samples
-    end
+    let criterion = if classes = [] then "Theorem 1" else "the class heuristic" in
+    run_backend r ~k ~faults ~metrics ?csv
+      ~effective:(effective_verdict ~criterion ~us ~classify faults) sim
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Run the exact stochastic simulation")
-    Term.(const run $ params_term $ horizon_arg $ seed_arg $ agent_arg $ policy_arg $ csv_arg
-          $ reps_arg ~default:1 $ jobs_arg $ faults_term
-          $ on_error_arg $ rep_timeout_arg $ max_events_arg $ telemetry_term)
+    Term.(const run $ model_term $ csv_arg $ runs_term)
 
 (* ---- fluid ---- *)
 
@@ -751,34 +879,24 @@ let fluid_cmd =
     Arg.(value & opt int 100 & info [ "switch-down" ] ~docv:"N"
          ~doc:"Hybrid: fluid total at which the run hands back to the stochastic simulator.")
   in
-  let csv_arg =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
-         ~doc:"Write the sampled (t, N_t) trajectory as CSV.")
-  in
-  let run params horizon seed init rtol atol hybrid switch_up switch_down csv faults
+  let run (params : Params.t) horizon seed init rtol atol hybrid switch_up switch_down csv faults
       max_events tel =
     let control =
       try Ode.control ~rtol ~atol ()
       with Invalid_argument m -> usage_error "%s" m
     in
-    let write_csv samples =
-      match csv with
-      | None -> ()
-      | Some file -> write_samples_csv file samples
+    let effective =
+      effective_verdict ~us:params.us
+        ~classify:(fun us -> Stability.classify (Params.with_us params ~us))
+        faults
     in
-    let empirical samples =
-      let r = Classify.of_samples samples in
-      Printf.printf "empirical verdict: %s (growth %s/t)\n"
-        (Classify.verdict_to_string r.Classify.verdict)
-        (Report.fmt_float r.Classify.growth_rate)
-    in
-    let fluid_fault_rows (outage_time, aborted_mass, lost_mass) =
+    let fault_rows (outage_time, aborted_mass, lost_mass) =
       if Faults.is_none faults then []
       else
         [
-          ("seed outage time", Report.fmt_float outage_time);
-          ("aborted mass", Report.fmt_float aborted_mass);
-          ("lost upload mass", Report.fmt_float lost_mass);
+          ("seed outage time", outage_time);
+          ("aborted mass", aborted_mass);
+          ("lost upload mass", lost_mass);
         ]
     in
     if hybrid then begin
@@ -795,63 +913,58 @@ let fluid_cmd =
       let markov = { (Sim_markov.default_config params) with initial; faults } in
       let config = { (Sim_hybrid.default_config ~up:switch_up ~down:switch_down markov)
                      with control } in
-      let stats, _ =
+      let s, _ =
         with_single_run_probe tel ~k:params.k ~horizon (fun probe ->
             Sim_hybrid.run_seeded ~probe ?max_events ~seed config ~horizon)
       in
-      truncation_warning stats.truncated;
-      Report.kv
-        ([
-           ("events", string_of_int stats.events);
-           ("stochastic events", string_of_int stats.markov_events);
-           ("fluid steps", string_of_int stats.fluid_steps);
-           ("handoffs", string_of_int (List.length stats.switches));
-           ("arrivals", Report.fmt_float stats.arrivals);
-           ("transfers", Report.fmt_float stats.transfers);
-           ("departures", Report.fmt_float stats.departures);
-           ("time-avg N", Report.fmt_float stats.time_avg_n);
-           ("max N", string_of_int stats.max_n);
-           ("final N", Report.fmt_float stats.final_n);
-           ("visits to empty", string_of_int stats.visits_to_empty);
-         ]
-        @ fluid_fault_rows (stats.outage_time, stats.aborted, stats.lost));
-      if stats.switches <> [] then begin
-        Report.subsection "regime handoffs";
-        List.iter
-          (fun s ->
-            Printf.printf "  t=%-12s %s at N=%s\n"
-              (Report.fmt_float s.Sim_hybrid.at)
-              (if s.Sim_hybrid.to_fluid then "stochastic -> fluid" else "fluid -> stochastic")
-              (Report.fmt_float s.Sim_hybrid.n))
-          stats.switches
-      end;
-      empirical stats.samples;
-      report_effective_verdict params faults;
-      write_csv stats.samples
+      let handoffs () =
+        if s.switches <> [] then begin
+          Report.subsection "regime handoffs";
+          List.iter
+            (fun (h : Sim_hybrid.switch) ->
+              Printf.printf "  t=%-12s %s at N=%s\n" (Report.fmt_float h.at)
+                (if h.to_fluid then "stochastic -> fluid" else "fluid -> stochastic")
+                (Report.fmt_float h.n))
+            s.switches
+        end
+      in
+      print_run ~effective ?csv
+        (summary ~events:s.events ~truncated:s.truncated ~samples:s.samples ~detail:handoffs
+           ([
+              ("events", float_of_int s.events);
+              ("stochastic events", float_of_int s.markov_events);
+              ("fluid steps", float_of_int s.fluid_steps);
+              ("handoffs", float_of_int (List.length s.switches));
+              ("arrivals", s.arrivals);
+              ("transfers", s.transfers);
+              ("departures", s.departures);
+              ("time-avg N", s.time_avg_n);
+              ("max N", float_of_int s.max_n);
+              ("final N", s.final_n);
+              ("visits to empty", float_of_int s.visits_to_empty);
+            ]
+           @ fault_rows (s.outage_time, s.aborted, s.lost)))
     end
     else begin
       let config = { (Sim_fluid.default_config params) with initial = init; faults; control } in
-      let stats, _ =
+      let s, _ =
         with_single_run_probe tel ~k:params.k ~horizon (fun probe ->
             Sim_fluid.run_seeded ~probe ~seed config ~horizon)
       in
-      truncation_warning stats.truncated;
-      Report.kv
-        ([
-           ("accepted steps", string_of_int stats.steps);
-           ("rejected steps", string_of_int stats.rejected_steps);
-           ("rhs evaluations", string_of_int stats.rhs_evals);
-           ("arrival mass", Report.fmt_float stats.arrivals);
-           ("transfer mass", Report.fmt_float stats.transfers);
-           ("departure mass", Report.fmt_float stats.departures);
-           ("time-avg N", Report.fmt_float stats.time_avg_n);
-           ("max N", string_of_int stats.max_n);
-           ("final N", Report.fmt_float stats.final_n);
-         ]
-        @ fluid_fault_rows (stats.outage_time, stats.aborted_mass, stats.lost_mass));
-      empirical stats.samples;
-      report_effective_verdict params faults;
-      write_csv stats.samples
+      print_run ~effective ?csv
+        (summary ~events:s.steps ~truncated:s.truncated ~samples:s.samples
+           ([
+              ("accepted steps", float_of_int s.steps);
+              ("rejected steps", float_of_int s.rejected_steps);
+              ("rhs evaluations", float_of_int s.rhs_evals);
+              ("arrival mass", s.arrivals);
+              ("transfer mass", s.transfers);
+              ("departure mass", s.departures);
+              ("time-avg N", s.time_avg_n);
+              ("max N", float_of_int s.max_n);
+              ("final N", s.final_n);
+            ]
+           @ fault_rows (s.outage_time, s.aborted_mass, s.lost_mass)))
     end
   in
   Cmd.v
@@ -964,34 +1077,7 @@ let coded_cmd =
     Arg.(value & opt float 0.25 & info [ "f"; "gift-fraction" ] ~docv:"FRAC" ~doc:"Gifted fraction of arrivals.")
   in
   let sim_arg = Arg.(value & flag & info [ "sim" ] ~doc:"Also simulate the coded swarm.") in
-  let replicated config ~horizon ~seed ~reps ~jobs ~faults ~on_error ~rep_timeout ~max_events
-      ~progress:want_progress =
-    let progress = if want_progress then Progress.create ~total:reps () else Progress.silent in
-    let with_faults = not (Faults.is_none faults) in
-    let metrics =
-      [ "time-avg N"; "final N"; "useful transfers"; "useless transfers"; "completions";
-        "growth dN/dt" ]
-      @ fault_metric_names faults
-    in
-    let thunk ~rng ~index:_ =
-      let s = Sim_coded.run ?max_events ~rng config ~horizon in
-      Progress.add_events progress s.Sim_coded.events;
-      let growth = (Classify.of_samples s.samples).growth_rate in
-      let values =
-        Array.append
-          [| s.time_avg_n; float_of_int s.final_n; float_of_int s.useful_transfers;
-             float_of_int s.useless_transfers; float_of_int s.completions; growth |]
-          (if with_faults then
-             [| s.outage_time; float_of_int s.aborted_peers; float_of_int s.lost_transfers |]
-           else [||])
-      in
-      Runner.rep ~flagged:s.truncated ~obs:[| s.time_avg_n |] values
-    in
-    replication_table ~reps ~seed ~jobs ~on_error ?rep_timeout_s:rep_timeout ~progress ~metrics
-      thunk
-  in
-  let run k q f us mu gamma horizon seed sim reps jobs faults on_error rep_timeout max_events
-      tel =
+  let run k q f us mu gamma sim faults (r : runs) =
     let g =
       { Stability.Coded.q; k; us; mu; gamma; lambda0 = 1.0 -. f; lambda1 = f }
     in
@@ -1002,40 +1088,29 @@ let coded_cmd =
           Report.fmt_float (Stability.Coded.recurrent_f_threshold_exact ~q ~k) );
         ("verdict at f", Stability.verdict_to_string (Stability.Coded.classify g));
       ];
-    if sim || reps > 1 then begin
+    if sim || r.reps > 1 then begin
       let config = { (Sim_coded.of_gift g) with faults } in
-      if reps > 1 then begin
-        reject_single_run_telemetry tel;
-        replicated config ~horizon ~seed ~reps ~jobs ~faults ~on_error ~rep_timeout ~max_events
-          ~progress:tel.progress
-      end
-      else begin
-        (* In coded traces and probes the subspace dimension plays the
-           role of the piece index, so the probe series has k slots. *)
-        let s =
-          with_single_run_probe tel ~k ~horizon (fun probe ->
-              Sim_coded.run_seeded ~probe ?max_events ~seed config ~horizon)
-        in
-        truncation_warning s.truncated;
-        Report.kv
-          ([
-             ("time-avg N", Report.fmt_float s.time_avg_n);
-             ("final N", string_of_int s.final_n);
-             ("useful transfers", string_of_int s.useful_transfers);
-             ("useless transfers", string_of_int s.useless_transfers);
-             ("completions", string_of_int s.completions);
-             ("near-complete fraction", Report.fmt_float s.near_complete_fraction);
-             ( "empirical verdict",
-               Classify.verdict_to_string (Classify.of_samples s.samples).verdict );
-           ]
-          @ fault_rows faults (s.outage_time, s.aborted_peers, s.lost_transfers))
-      end
+      (* In coded traces and probes the subspace dimension plays the
+         role of the piece index, so the probe series has k slots. *)
+      run_backend r ~k ~faults
+        ~metrics:[ "time-avg N"; "final N"; "useful transfers"; "useless transfers"; "completions" ]
+        (fun ~probe ~poll:_ ~rng ->
+          let s = Sim_coded.run ~probe ?max_events:r.max_events ~rng config ~horizon:r.horizon in
+          summary ~events:s.events ~truncated:s.truncated ~samples:s.samples
+            ([
+               ("time-avg N", s.time_avg_n);
+               ("final N", float_of_int s.final_n);
+               ("useful transfers", float_of_int s.useful_transfers);
+               ("useless transfers", float_of_int s.useless_transfers);
+               ("completions", float_of_int s.completions);
+               ("near-complete fraction", s.near_complete_fraction);
+             ]
+            @ fault_rows faults (s.outage_time, s.aborted_peers, s.lost_transfers)))
     end
   in
   Cmd.v (Cmd.info "coded" ~doc:"Theorem 15: network coding thresholds and simulation")
-    Term.(const run $ k_arg $ q_arg $ f_arg $ us_arg $ mu_arg $ gamma_arg $ horizon_arg
-          $ seed_arg $ sim_arg $ reps_arg ~default:1 $ jobs_arg $ faults_term $ on_error_arg
-          $ rep_timeout_arg $ max_events_arg $ telemetry_term)
+    Term.(const run $ k_arg $ q_arg $ f_arg $ us_arg $ mu_arg $ gamma_arg $ sim_arg
+          $ faults_term $ runs_term)
 
 (* ---- drift ---- *)
 
@@ -1067,201 +1142,6 @@ let drift_cmd =
   in
   Cmd.v (Cmd.info "drift" ~doc:"Exact Lyapunov drift scan (Foster-Lyapunov certificate)")
     Term.(const run $ params_term $ sizes_arg)
-
-(* ---- overlay ---- *)
-
-let overlay_cmd =
-  let degree_arg =
-    let doc = "Overlay attachment degree; 'inf' = fully connected (the paper's model)." in
-    let parse s =
-      if s = "inf" then Ok None
-      else
-        match int_of_string_opt s with
-        | Some d when d >= 1 -> Ok (Some d)
-        | Some _ | None -> Error (`Msg "degree must be a positive integer or 'inf'")
-    in
-    let pp fmt = function
-      | None -> Format.pp_print_string fmt "inf"
-      | Some d -> Format.pp_print_int fmt d
-    in
-    Arg.(value & opt (conv (parse, pp)) (Some 4) & info [ "degree" ] ~docv:"D" ~doc)
-  in
-  let choice_arg =
-    let choice_conv =
-      Arg.enum
-        [
-          ("random", (Policy.random_useful, Sim_agent.Swarm));
-          ("rarest-global", (Policy.rarest_first, Sim_agent.Swarm));
-          ("rarest-local", (Policy.random_useful, Sim_agent.Neighbourhood));
-        ]
-    in
-    Arg.(value & opt choice_conv (Policy.random_useful, Sim_agent.Swarm)
-         & info [ "choice" ] ~docv:"NAME"
-         ~doc:"Piece choice: random|rarest-global|rarest-local (rarest-local needs a finite \
-               --degree; the fixed seed then sends a random useful piece).")
-  in
-  let replicated cfg ~horizon ~seed ~reps ~jobs ~faults ~on_error ~rep_timeout ~max_events
-      ~progress:want_progress =
-    let progress = if want_progress then Progress.create ~total:reps () else Progress.silent in
-    let with_faults = not (Faults.is_none faults) in
-    let metrics =
-      [ "time-avg N"; "final N"; "transfers"; "silent contacts"; "mean overlay degree";
-        "growth dN/dt" ]
-      @ fault_metric_names faults
-    in
-    let thunk ~rng ~index:_ =
-      let s, _ = Sim_agent.run ?max_events ~rng cfg ~horizon in
-      Progress.add_events progress s.Sim_agent.events;
-      let growth = (Classify.of_samples s.samples).growth_rate in
-      let degree =
-        if Float.is_nan s.mean_degree_time_avg then 0.0 else s.mean_degree_time_avg
-      in
-      let values =
-        Array.append
-          [| s.time_avg_n; float_of_int s.final_n; float_of_int s.transfers;
-             float_of_int s.silent_contacts; degree; growth |]
-          (if with_faults then
-             [| s.outage_time; float_of_int s.aborted_peers; float_of_int s.lost_transfers |]
-           else [||])
-      in
-      Runner.rep ~flagged:s.truncated ~obs:[| s.time_avg_n |] values
-    in
-    replication_table ~reps ~seed ~jobs ~on_error ?rep_timeout_s:rep_timeout ~progress ~metrics
-      thunk
-  in
-  let run params horizon seed degree choice reps jobs faults on_error rep_timeout max_events
-      tel =
-    let policy, census = choice in
-    if census = Sim_agent.Neighbourhood && Option.is_none degree then
-      usage_error "--choice rarest-local needs a finite --degree";
-    let cfg = { (Sim_agent.default_config params) with degree; policy; census; faults } in
-    if reps > 1 then begin
-      reject_single_run_telemetry tel;
-      replicated cfg ~horizon ~seed ~reps ~jobs ~faults ~on_error ~rep_timeout ~max_events
-        ~progress:tel.progress;
-      report_effective_verdict params faults
-    end
-    else begin
-      let s, _ =
-        with_single_run_probe tel ~k:params.k ~horizon (fun probe ->
-            Sim_agent.run_seeded ~probe ?max_events ~seed cfg ~horizon)
-      in
-      truncation_warning s.truncated;
-      let r = Classify.of_samples s.samples in
-      Report.kv
-        ([
-           ("verdict", Classify.verdict_to_string r.verdict);
-           ("time-avg N", Report.fmt_float s.time_avg_n);
-           ("transfers", string_of_int s.transfers);
-           ("silent contacts", string_of_int s.silent_contacts);
-           ( "mean overlay degree",
-             if Float.is_nan s.mean_degree_time_avg then "-"
-             else Report.fmt_float s.mean_degree_time_avg );
-           ("components at end", string_of_int (List.length s.final_component_sizes));
-         ]
-        @ fault_rows faults (s.outage_time, s.aborted_peers, s.lost_transfers));
-      report_effective_verdict params faults
-    end
-  in
-  Cmd.v
-    (Cmd.info "overlay" ~doc:"Simulate the swarm on a sparse random overlay")
-    Term.(const run $ params_term $ horizon_arg $ seed_arg $ degree_arg $ choice_arg
-          $ reps_arg ~default:1 $ jobs_arg $ faults_term $ on_error_arg $ rep_timeout_arg
-          $ max_events_arg $ telemetry_term)
-
-(* ---- hetero ---- *)
-
-let hetero_cmd =
-  let class_conv =
-    let hint = "expected LABEL=MU,GAMMA,RATE, e.g. 'fast=2,inf,0.5' (GAMMA may be 'inf')" in
-    let parse spec =
-      let fail fmt = Printf.ksprintf (fun m -> Error (`Msg (m ^ "; " ^ hint))) fmt in
-      match String.split_on_char '=' spec with
-      | [ label; rest ] -> begin
-          match String.split_on_char ',' rest with
-          | [ mu; gamma; rate ] ->
-              let parse_float name s k =
-                if s = "inf" then k infinity
-                else
-                  match float_of_string_opt s with
-                  | Some v -> k v
-                  | None -> fail "bad %s %S in class spec %S" name s spec
-              in
-              parse_float "mu" mu (fun mu ->
-                  parse_float "gamma" gamma (fun gamma ->
-                      parse_float "rate" rate (fun rate ->
-                          Ok
-                            {
-                              Params.label;
-                              mu;
-                              gamma;
-                              arrivals = [ (Pieceset.empty, rate) ];
-                            })))
-          | _ -> fail "class spec %S is not of the form LABEL=MU,GAMMA,RATE" spec
-        end
-      | _ -> fail "class spec %S is not of the form LABEL=MU,GAMMA,RATE" spec
-    in
-    let pp fmt (c : Params.klass) =
-      let rate = List.fold_left (fun acc (_, r) -> acc +. r) 0.0 c.arrivals in
-      Format.fprintf fmt "%s=%g,%g,%g" c.label c.mu c.gamma rate
-    in
-    Arg.conv (parse, pp)
-  in
-  let class_arg =
-    let doc =
-      "A peer class $(docv) as LABEL=MU,GAMMA,RATE (empty-handed arrivals at RATE; GAMMA may \
-       be 'inf'); repeatable."
-    in
-    Arg.(value
-         & opt_all class_conv
-             [ { Params.label = "all"; mu = 1.0; gamma = 2.0; arrivals = [ (Pieceset.empty, 1.0) ] } ]
-         & info [ "class"; "c" ] ~docv:"SPEC" ~doc)
-  in
-  let config_term =
-    validated
-      Term.(const (fun k us classes () ->
-                let config = Sim_agent.class_config ~k ~us classes in
-                Sim_agent.validate config;
-                config)
-            $ k_arg $ us_arg $ class_arg)
-  in
-  let run horizon seed (config : Sim_agent.config) =
-    let { Sim_agent.k; us; classes; _ } = config in
-    let lambda_total =
-      List.fold_left
-        (fun acc (c : Params.klass) -> List.fold_left (fun acc (_, r) -> acc +. r) acc c.arrivals)
-        0.0 classes
-    in
-    Report.kv
-      [
-        ("heuristic verdict", Stability.verdict_to_string (Stability.classify_classes ~k ~us classes));
-        ("m_bar (seed branching)", Report.fmt_float (Stability.mean_seed_offspring classes ~piece:0));
-        ("heuristic threshold", Report.fmt_float (Stability.class_threshold ~k ~us classes ~piece:0));
-        ("lambda_total", Report.fmt_float lambda_total);
-      ];
-    let s, _ = Sim_agent.run_seeded ~seed config ~horizon in
-    truncation_warning s.truncated;
-    let r = Classify.of_samples s.samples in
-    Report.kv
-      [
-        ("simulated verdict", Classify.verdict_to_string r.verdict);
-        ("time-avg N", Report.fmt_float s.time_avg_n);
-      ];
-    Report.subsection "per class";
-    Report.table
-      ~header:[ "class"; "mean N"; "mean sojourn" ]
-      (List.mapi
-         (fun i (c : Params.klass) ->
-           [
-             c.label;
-             Report.fmt_float s.class_mean_n.(i);
-             Report.fmt_float s.class_mean_sojourn.(i);
-           ])
-         classes)
-  in
-  Cmd.v
-    (Cmd.info "hetero" ~doc:"Heterogeneous peer classes: heuristic region + simulation")
-    Term.(const run $ horizon_arg $ seed_arg $ config_term)
 
 (* ---- exact ---- *)
 
@@ -1297,16 +1177,7 @@ let exact_cmd =
 
 let reachable_cmd =
   let policy_arg =
-    let policy_conv =
-      Arg.enum
-        [
-          ("random", Policy.random_useful);
-          ("rarest", Policy.rarest_first);
-          ("common", Policy.most_common_first);
-          ("sequential", Policy.sequential);
-        ]
-    in
-    Arg.(value & opt policy_conv Policy.sequential & info [ "policy" ] ~docv:"NAME"
+    Arg.(value & opt (enum policies) Policy.sequential & info [ "policy" ] ~docv:"NAME"
          ~doc:"Piece selection: random|rarest|common|sequential.")
   in
   let nmax_arg =
@@ -1345,7 +1216,7 @@ let borderline_cmd =
     Arg.(value & opt int 1_000_000 & info [ "cap" ] ~docv:"STEPS" ~doc:"Per-excursion step cap.")
   in
   let run k seed start count cap =
-    let rng = P2p_prng.Rng.of_seed seed in
+    let rng = Rng.of_seed seed in
     let config = { Mu_infinity.k; lambda = 1.0 } in
     Printf.printf "mu = infinity watched process, K=%d (E[Z] = %g: zero drift on the top layer)\n"
       k (Mu_infinity.z_expectation ~k);
@@ -1512,11 +1383,7 @@ let report_cmd =
     if Array.length samples = 0 then print_endline "no samples to replay"
     else begin
       let m = Monitor.create () in
-      Array.iter
-        (fun (s : Probe.sample) ->
-          Monitor.observe m ~time:s.Probe.time ~one_club:s.Probe.one_club
-            ~rarest_piece:s.Probe.rarest_piece ~rarest_count:s.Probe.rarest_count)
-        samples;
+      Array.iter (observe_sample m) samples;
       match Monitor.alerts m with
       | [] -> print_endline "detector quiet over the whole series"
       | alerts ->
@@ -1676,6 +1543,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            classify_cmd; simulate_cmd; fluid_cmd; region_cmd; overlay_cmd; hetero_cmd; coded_cmd; drift_cmd;
-            exact_cmd; reachable_cmd; borderline_cmd; report_cmd; campaign_cmd;
+            classify_cmd; simulate_cmd; fluid_cmd; region_cmd; coded_cmd; drift_cmd; exact_cmd;
+            reachable_cmd; borderline_cmd; report_cmd; campaign_cmd;
           ]))

@@ -61,12 +61,10 @@ let of_samples samples =
     final_n;
   }
 
-let of_stats (s : Sim_markov.stats) = of_samples s.samples
-
 let run ?(horizon = 2000.0) ?(policy = Policy.random_useful) ?(initial = []) ~seed params =
   let config = { Sim_markov.params; policy; initial; faults = Faults.none } in
   let stats, _ = Sim_markov.run_seeded ~seed config ~horizon in
-  of_stats stats
+  of_samples stats.samples
 
 let majority ?(replications = 3) ?horizon ?policy ~seed params =
   let votes = List.init replications (fun i -> (run ?horizon ?policy ~seed:(seed + (7919 * i)) params).verdict) in

@@ -27,8 +27,6 @@ val of_samples : (float * int) array -> result
 (** Classify a sampled [(t, N_t)] trajectory.
     @raise Invalid_argument with fewer than 16 samples. *)
 
-val of_stats : Sim_markov.stats -> result
-
 val run :
   ?horizon:float -> ?policy:Policy.t -> ?initial:(Sim_markov.Pieceset.t * int) list ->
   seed:int -> Params.t -> result

@@ -1,6 +1,5 @@
 module Rng = P2p_prng.Rng
 module Welford = P2p_stats.Welford
-module Histogram = P2p_stats.Histogram
 module Progress = P2p_obs.Progress
 module Clock = P2p_obs.Clock
 
@@ -312,32 +311,27 @@ let run_fold ?jobs ?chunk ?on_error ?rep_timeout_s ?(handle_sigint = false)
   in
   (merged, timing_of ~failures ~wall_s ~jobs ~nchunks ~busy ~interrupted)
 
-type hist_spec = { lo : float; hi : float; bins : int }
+type rep = { values : float array; flagged : bool }
 
-type rep = { values : float array; observations : float array; flagged : bool }
-
-let rep ?(flagged = false) ?(obs = [||]) values = { values; observations = obs; flagged }
+let rep ?(flagged = false) values = { values; flagged }
 
 type summary = {
   stats : (string * Welford.t) list;
-  hist : Histogram.t option;
   partial : int;
   timing : timing;
 }
 
 type sacc = {
   welford : Welford.t array;
-  shist : Histogram.t option;
   mutable flagged : int;
 }
 
-let run_summary ?jobs ?chunk ?on_error ?rep_timeout_s ?handle_sigint ?progress ?hist ~metrics
+let run_summary ?jobs ?chunk ?on_error ?rep_timeout_s ?handle_sigint ?progress ~metrics
     ~master_seed ~replications f =
   let nmetrics = List.length metrics in
   let init () =
     {
       welford = Array.init nmetrics (fun _ -> Welford.create ());
-      shist = Option.map (fun { lo; hi; bins } -> Histogram.create ~lo ~hi ~bins) hist;
       flagged = 0;
     }
   in
@@ -347,19 +341,11 @@ let run_summary ?jobs ?chunk ?on_error ?rep_timeout_s ?handle_sigint ?progress ?
         (Printf.sprintf "Runner.run_summary: thunk returned %d metrics, expected %d"
            (Array.length r.values) nmetrics);
     Array.iteri (fun m v -> Welford.add acc.welford.(m) v) r.values;
-    if r.flagged then acc.flagged <- acc.flagged + 1;
-    match acc.shist with
-    | None -> ()
-    | Some h -> Array.iter (Histogram.add h) r.observations
+    if r.flagged then acc.flagged <- acc.flagged + 1
   in
   let merge a b =
     {
       welford = Array.init nmetrics (fun m -> Welford.merge a.welford.(m) b.welford.(m));
-      shist =
-        (match (a.shist, b.shist) with
-        | Some ha, Some hb -> Some (Histogram.merge ha hb)
-        | None, None -> None
-        | _ -> assert false);
       flagged = a.flagged + b.flagged;
     }
   in
@@ -369,7 +355,6 @@ let run_summary ?jobs ?chunk ?on_error ?rep_timeout_s ?handle_sigint ?progress ?
   in
   {
     stats = List.mapi (fun m name -> (name, acc.welford.(m))) metrics;
-    hist = acc.shist;
     partial = acc.flagged;
     timing;
   }

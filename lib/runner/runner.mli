@@ -38,7 +38,6 @@
 
 module Rng = P2p_prng.Rng
 module Welford = P2p_stats.Welford
-module Histogram = P2p_stats.Histogram
 
 type failure = {
   index : int;  (** the replication that raised *)
@@ -187,27 +186,21 @@ val run_fold :
     replications are simply never [add]ed, which keeps the surviving
     merge bit-identical across [jobs]. *)
 
-(** {1 Canned aggregation: named metrics + pooled histogram} *)
-
-type hist_spec = { lo : float; hi : float; bins : int }
+(** {1 Canned aggregation: named metrics} *)
 
 type rep = {
   values : float array;  (** one entry per metric, in [metrics] order *)
-  observations : float array;  (** pooled into the histogram when [?hist] is given *)
   flagged : bool;
       (** the replication self-reports as degraded (e.g. the simulator's
           [max_events] budget truncated it); counted in [summary.partial] *)
 }
 
-val rep : ?flagged:bool -> ?obs:float array -> float array -> rep
-(** Thunk-side constructor: [rep values], [rep ~obs values],
-    [rep ~flagged:stats.truncated values]. *)
+val rep : ?flagged:bool -> float array -> rep
+(** Thunk-side constructor: [rep values], [rep ~flagged:stats.truncated values]. *)
 
 type summary = {
   stats : (string * Welford.t) list;
       (** one merged accumulator per metric, in [metrics] order *)
-  hist : Histogram.t option;
-      (** pooled over every observation the thunk emitted *)
   partial : int;
       (** thunk-[flagged] replications, whose contribution is suspect.
           [0] means every aggregated replication ran to completion. *)
@@ -221,17 +214,14 @@ val run_summary :
   ?rep_timeout_s:float ->
   ?handle_sigint:bool ->
   ?progress:P2p_obs.Progress.t ->
-  ?hist:hist_spec ->
   metrics:string list ->
   master_seed:int ->
   replications:int ->
   (rng:Rng.t -> index:int -> rep) ->
   summary
 (** The common experiment shape.  The thunk returns a {!rep}: [values]
-    must have one entry per name in [metrics] (checked), [observations]
-    may have any length and is pooled into the histogram when [?hist] is
-    given (ignored otherwise), and [flagged] marks the replication as
-    degraded.  Welford accumulators are merged with Chan's parallel
+    must have one entry per name in [metrics] (checked) and [flagged]
+    marks the replication as degraded.  Welford accumulators are merged with Chan's parallel
     update rather than by concatenating samples: a merged accumulator is
     O(metrics) memory independent of [R], loses no precision (the
     algebra test pins means and variances to the single-pass values),

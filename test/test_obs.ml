@@ -1150,9 +1150,52 @@ let test_cli_series_golden () =
       Alcotest.(check string) "series MD5" "a57a13fb7fa6dcb0dccca075d231b563"
         (Digest.to_hex (Digest.file path)))
 
+(* [simulate --agent] with a sparse overlay or peer classes prints what
+   the per-peer backend's former [overlay] and [hetero] commands printed
+   for the same arguments: the figures below were recorded from them.
+   Each expected line must appear in stdout, blanks squeezed; a verdict
+   line may go on past the expected text. *)
+let test_cli_agent_equivalence () =
+  let stdout_lines args =
+    with_temp_file (fun path ->
+        let out = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+        let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+        let pid = Unix.create_process p2psim (Array.of_list (p2psim :: args)) Unix.stdin out devnull in
+        Unix.close out;
+        Unix.close devnull;
+        (match Unix.waitpid [] pid with
+        | _, Unix.WEXITED 0 -> ()
+        | _ -> Alcotest.failf "p2psim %s failed" (String.concat " " args));
+        List.map
+          (fun l -> String.concat " " (List.filter (( <> ) "") (String.split_on_char ' ' l)))
+          (lines_of (read_file path)))
+  in
+  List.iter
+    (fun (args, expected) ->
+      let lines = stdout_lines args in
+      List.iter
+        (fun e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: prints %S" (String.concat " " args) e)
+            true
+            (List.exists (fun l -> l = e || String.starts_with ~prefix:(e ^ " (") l) lines))
+        expected)
+    [
+      ( [ "simulate"; "--agent"; "-k"; "3"; "--us"; "0.8"; "--gamma"; "2"; "-a"; "none=0.9";
+          "--degree"; "4"; "--seed"; "3"; "-t"; "500" ],
+        [ "transfers : 1411"; "time-avg N : 7.628"; "silent contacts : 2907";
+          "mean overlay degree : 3.489"; "components at end : 1";
+          "empirical verdict: appears-stable" ] );
+      ( [ "simulate"; "--agent"; "-k"; "3"; "--us"; "0.4"; "-c"; "fast=3,6,0.3"; "-c";
+          "slow=0.3,0.6,0.3"; "-t"; "500" ],
+        [ "heuristic verdict : positive-recurrent"; "m_bar (seed branching) : 0.5";
+          "heuristic threshold : 0.8"; "time-avg N : 12.79"; "fast 6.376 21.19";
+          "slow 6.417 22.15"; "empirical verdict: appears-stable" ] );
+    ]
+
 (* Invalid model parameters are usage errors: exit 124 (as for a
    malformed flag) with a message naming the value, never an uncaught
-   exception. *)
+   exception; so is a per-peer flag without the flag it needs. *)
 let test_cli_model_errors () =
   let contains s sub =
     let n = String.length sub in
@@ -1182,7 +1225,11 @@ let test_cli_model_errors () =
       ([ "simulate"; "-k"; "0" ], "k must be in [1, 62], got 0");
       ([ "simulate"; "--mu"; "0" ], "mu must be finite > 0, got 0");
       ([ "simulate"; "-a"; "none=-1" ], "got -1");
-      ([ "hetero"; "-c"; "x=0,1,1" ], "class \"x\": mu must be finite > 0, got 0");
+      ( [ "simulate"; "--agent"; "-c"; "x=0,1,1" ],
+        "class \"x\": mu must be finite > 0, got 0" );
+      ([ "simulate"; "--degree"; "4" ], "--agent");
+      ([ "simulate"; "-c"; "fast=3,6,0.3" ], "--agent");
+      ([ "simulate"; "--agent"; "--policy"; "rarest-local" ], "--degree");
     ]
 
 (* ---- the missing-piece-syndrome monitor ---- *)
@@ -1384,6 +1431,7 @@ let () =
             test_trace_rows_match_recorder;
           Alcotest.test_case "cli trace golden" `Quick test_cli_trace_golden;
           Alcotest.test_case "cli series golden" `Quick test_cli_series_golden;
+          Alcotest.test_case "cli agent overlay and classes" `Quick test_cli_agent_equivalence;
         ] );
       ( "cli",
         [ Alcotest.test_case "model errors are usage errors" `Quick test_cli_model_errors ] );

@@ -6,21 +6,17 @@
 module Runner = P2p_runner.Runner
 module Rng = P2p_prng.Rng
 module Welford = P2p_stats.Welford
-module Histogram = P2p_stats.Histogram
 open P2p_core
 
 let stable_params = Scenario.flash_crowd ~k:3 ~lambda:0.5 ~us:0.8 ~mu:1.0 ~gamma:2.0
 
-(* A realistic thunk: a short Markov-chain simulation, metrics + pooled
-   N_t observations for the histogram path. *)
+(* A realistic thunk: a short Markov-chain simulation and its metrics. *)
 let sim_thunk ~rng ~index:_ =
   let stats, _ = Sim_markov.run ~rng (Sim_markov.default_config stable_params) ~horizon:60.0 in
-  Runner.rep
-    ~obs:(Array.map (fun (_, n) -> float_of_int n) stats.samples)
-    [| stats.time_avg_n; float_of_int stats.final_n; float_of_int stats.transfers |]
+  Runner.rep [| stats.time_avg_n; float_of_int stats.final_n; float_of_int stats.transfers |]
 
 let summary jobs =
-  Runner.run_summary ~jobs ~hist:{ Runner.lo = 0.0; hi = 20.0; bins = 10 }
+  Runner.run_summary ~jobs
     ~metrics:[ "time-avg N"; "final N"; "transfers" ]
     ~master_seed:2024 ~replications:16 sim_thunk
 
@@ -38,25 +34,12 @@ let check_welford_identical name a b =
   Alcotest.(check bool) (name ^ ": max") true
     (Float.equal (Welford.max_value a) (Welford.max_value b))
 
-let check_hist_identical name a b =
-  Alcotest.(check int) (name ^ ": count") (Histogram.count a) (Histogram.count b);
-  Alcotest.(check int) (name ^ ": underflow") (Histogram.underflow a) (Histogram.underflow b);
-  Alcotest.(check int) (name ^ ": overflow") (Histogram.overflow a) (Histogram.overflow b);
-  for i = 0 to 9 do
-    Alcotest.(check int)
-      (Printf.sprintf "%s: bin %d" name i)
-      (Histogram.bin_count a i) (Histogram.bin_count b i)
-  done;
-  Alcotest.(check bool) (name ^ ": mean") true
-    (Float.equal (Histogram.mean a) (Histogram.mean b))
-
 let check_summary_identical name (a : Runner.summary) (b : Runner.summary) =
   List.iter2
     (fun (na, wa) (nb, wb) ->
       Alcotest.(check string) (name ^ ": metric name") na nb;
       check_welford_identical (name ^ "/" ^ na) wa wb)
-    a.stats b.stats;
-  check_hist_identical (name ^ "/hist") (Option.get a.hist) (Option.get b.hist)
+    a.stats b.stats
 
 let test_deterministic_across_jobs () =
   let s1 = summary 1 and s2 = summary 2 and s4 = summary 4 in
@@ -235,7 +218,6 @@ let test_skip_names_failure_and_keeps_survivors () =
 let test_skip_summary_bit_identical_across_jobs () =
   let sweep jobs =
     Runner.run_summary ~jobs ~on_error:Runner.Skip
-      ~hist:{ Runner.lo = 0.0; hi = 20.0; bins = 10 }
       ~metrics:[ "time-avg N"; "final N"; "transfers" ]
       ~master_seed:2024 ~replications:16
       (fun ~rng ~index ->

@@ -6,7 +6,7 @@ open P2p_core
 let stable = Scenario.flash_crowd ~k:3 ~lambda:0.9 ~us:0.8 ~mu:1.0 ~gamma:2.0
 let transient = Scenario.flash_crowd ~k:3 ~lambda:1.3 ~us:0.3 ~mu:1.0 ~gamma:infinity
 
-(* The CLI's rarest-global and rarest-local piece choices. *)
+(* The CLI's `--policy rarest` and `--policy rarest-local` piece choices. *)
 let rarest_global = (Policy.rarest_first, Sim_agent.Swarm)
 let rarest_local = (Policy.random_useful, Sim_agent.Neighbourhood)
 

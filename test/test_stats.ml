@@ -1,10 +1,9 @@
 (* Tests for the statistics substrate: Welford, time averages, regression,
-   histograms, quantiles, and the small linear algebra kit. *)
+   quantiles, and the small linear algebra kit. *)
 
 module Welford = P2p_stats.Welford
 module Timeavg = P2p_stats.Timeavg
 module Regression = P2p_stats.Regression
-module Histogram = P2p_stats.Histogram
 module Linalg = P2p_stats.Linalg
 
 let closef ?(tol = 1e-9) name expected actual =
@@ -257,74 +256,6 @@ let test_regression_too_few () =
        false
      with Invalid_argument _ -> true)
 
-(* ---- Histogram ---- *)
-
-let test_histogram_binning () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 1.6; 9.9; -1.0; 10.0; 25.0 ];
-  Alcotest.(check int) "count" 7 (Histogram.count h);
-  Alcotest.(check int) "underflow" 1 (Histogram.underflow h);
-  Alcotest.(check int) "overflow" 2 (Histogram.overflow h);
-  Alcotest.(check int) "bin 0" 1 (Histogram.bin_count h 0);
-  Alcotest.(check int) "bin 1" 2 (Histogram.bin_count h 1);
-  Alcotest.(check int) "bin 9" 1 (Histogram.bin_count h 9)
-
-let test_histogram_mean_exact () =
-  let h = Histogram.create ~lo:0.0 ~hi:1.0 ~bins:4 in
-  List.iter (Histogram.add h) [ 0.1; 0.2; 0.3 ];
-  closef "exact mean" 0.2 (Histogram.mean h)
-
-let test_histogram_tail () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Histogram.add h) [ 1.0; 2.0; 8.5; 9.5; 100.0 ];
-  closef "fraction >= 8" (3.0 /. 5.0) (Histogram.fraction_at_or_above h 8.0)
-
-(* Merge: the pooled-histogram path of the replication runner. *)
-
-let hist_of xs =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  List.iter (Histogram.add h) xs;
-  h
-
-let check_hist_equal name a b =
-  Alcotest.(check int) (name ^ ": count") (Histogram.count a) (Histogram.count b);
-  Alcotest.(check int) (name ^ ": underflow") (Histogram.underflow a) (Histogram.underflow b);
-  Alcotest.(check int) (name ^ ": overflow") (Histogram.overflow a) (Histogram.overflow b);
-  for i = 0 to 4 do
-    Alcotest.(check int)
-      (Printf.sprintf "%s: bin %d" name i)
-      (Histogram.bin_count a i) (Histogram.bin_count b i)
-  done
-
-let test_histogram_merge_binwise () =
-  let xs = [ 0.5; 3.3; -2.0; 11.0 ] and ys = [ 3.4; 9.9; 9.8; -1.0; 0.6 ] in
-  let m = Histogram.merge (hist_of xs) (hist_of ys) in
-  check_hist_equal "pooled = single pass" m (hist_of (xs @ ys));
-  closef "pooled mean exact" (Histogram.mean (hist_of (xs @ ys))) (Histogram.mean m)
-
-let test_histogram_merge_empty_identity () =
-  let a = hist_of [ 1.0; 2.5; 7.7; 42.0 ] in
-  check_hist_equal "right identity" a (Histogram.merge a (hist_of []));
-  check_hist_equal "left identity" a (Histogram.merge (hist_of []) a)
-
-let test_histogram_merge_commutative () =
-  let a = hist_of [ 0.1; 4.9; 12.0 ] and b = hist_of [ 2.2; 2.3; -5.0 ] in
-  check_hist_equal "a+b = b+a" (Histogram.merge a b) (Histogram.merge b a);
-  (* counts are integers, so commutativity is exact; the mean accumulator
-     commutes too because IEEE addition is commutative *)
-  Alcotest.(check bool) "mean commutes exactly" true
-    (Float.equal (Histogram.mean (Histogram.merge a b)) (Histogram.mean (Histogram.merge b a)))
-
-let test_histogram_merge_layout_mismatch () =
-  let a = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  let raises h = try ignore (Histogram.merge a h); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "different bins" true
-    (raises (Histogram.create ~lo:0.0 ~hi:10.0 ~bins:6));
-  Alcotest.(check bool) "different lo" true
-    (raises (Histogram.create ~lo:1.0 ~hi:10.0 ~bins:5));
-  Alcotest.(check bool) "different hi" true
-    (raises (Histogram.create ~lo:0.0 ~hi:20.0 ~bins:5))
-
 (* ---- Linalg ---- *)
 
 let test_solve_known_system () =
@@ -495,16 +426,6 @@ let () =
           Alcotest.test_case "noisy line" `Quick test_regression_noisy;
           Alcotest.test_case "flat noise" `Quick test_regression_flat_noise;
           Alcotest.test_case "too few points" `Quick test_regression_too_few;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "binning" `Quick test_histogram_binning;
-          Alcotest.test_case "mean exact" `Quick test_histogram_mean_exact;
-          Alcotest.test_case "tail" `Quick test_histogram_tail;
-          Alcotest.test_case "merge bin-wise" `Quick test_histogram_merge_binwise;
-          Alcotest.test_case "merge empty identity" `Quick test_histogram_merge_empty_identity;
-          Alcotest.test_case "merge commutative" `Quick test_histogram_merge_commutative;
-          Alcotest.test_case "merge layout mismatch" `Quick test_histogram_merge_layout_mismatch;
         ] );
       ( "linalg",
         [

@@ -213,20 +213,22 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
     --arrive none=40 -t 50 --hybrid --switch-up 95 --switch-down 80 --seed 7 \
     >/dev/null || {
     echo "FAIL: hybrid fluid run exited non-zero" >&2; exit 1; }
-  # Peer classes run on the per-peer backend: a mixed-mu two-class swarm
-  # inside the heuristic region must read as stable, and a class with
-  # mu = 0 must be refused as a usage error (exit 124), not a crash.
+  # Peer classes run on the per-peer backend (simulate --agent --class):
+  # a mixed-mu two-class swarm inside the heuristic region must read as
+  # stable, and a class with mu = 0 must be refused as a usage error
+  # (exit 124), not a crash.
   left=$(remaining)
-  timeout "$left" _build/default/bin/p2psim.exe hetero -k 3 --us 0.4 \
-    -c fast=3,6,0.3 -c slow=0.3,0.6,0.3 -t 500 >"$out/hetero.txt" || {
-    echo "FAIL: mixed-mu hetero run exited non-zero" >&2; exit 1; }
-  grep -q 'simulated verdict *: appears-stable' "$out/hetero.txt" || {
-    echo "FAIL: the mixed-mu hetero run did not read as appears-stable" >&2; exit 1; }
+  timeout "$left" _build/default/bin/p2psim.exe simulate --agent -k 3 --us 0.4 \
+    -c fast=3,6,0.3 -c slow=0.3,0.6,0.3 -t 500 >"$out/classes.txt" || {
+    echo "FAIL: mixed-mu class run exited non-zero" >&2; exit 1; }
+  grep -q 'empirical verdict: appears-stable' "$out/classes.txt" || {
+    echo "FAIL: the mixed-mu class run did not read as appears-stable" >&2; exit 1; }
   left=$(remaining)
   status=0
-  timeout "$left" _build/default/bin/p2psim.exe hetero -c x=0,1,1 >/dev/null 2>&1 || status=$?
+  timeout "$left" _build/default/bin/p2psim.exe simulate --agent -c x=0,1,1 \
+    >/dev/null 2>&1 || status=$?
   if [ "$status" -ne 124 ]; then
-    echo "FAIL: hetero with a mu = 0 class exited $status, wanted 124" >&2
+    echo "FAIL: simulate --agent with a mu = 0 class exited $status, wanted 124" >&2
     exit 1
   fi
   # Regression gate: the fresh quick-bench throughput (events/s, or
@@ -356,7 +358,8 @@ fi
 # statistics for any --jobs: a run at --jobs 1 and at --jobs 2 must
 # print identical output apart from the "wall ..." timing line.  It
 # covers the aggregate backend, the per-peer backend on the complete
-# graph, the per-peer backend on a degree-4 overlay, and the coded
+# graph, the per-peer backend on a degree-4 overlay (whose table adds
+# the silent-contact and overlay-degree columns), and the coded
 # backend twice: at GF(16), K = 4, whose packed rows fit one word, and
 # at GF(256), K = 8, whose rows span two.
 if [ "${CHECK_JOBS:-0}" = "1" ]; then
@@ -367,7 +370,7 @@ if [ "${CHECK_JOBS:-0}" = "1" ]; then
   P2PSIM=_build/default/bin/p2psim.exe
   ARGS="-k 3 --arrive none=2.0 --gamma 2 --abort-rate 0.05 --horizon 150 --seed 11 --reps 8"
   CODED_ARGS="--gamma 2 --abort-rate 0.05 --horizon 150 --seed 11 --reps 8"
-  for run in "simulate $ARGS" "simulate --agent $ARGS" "overlay --degree 4 $ARGS" \
+  for run in "simulate $ARGS" "simulate --agent $ARGS" "simulate --agent --degree 4 $ARGS" \
              "coded --sim -k 4 $CODED_ARGS" "coded --sim -q 256 -k 8 $CODED_ARGS"; do
     tag=$(echo "$run" | cut -d' ' -f1-3 | tr -c 'a-z0-9\n' '_')
     for j in 1 2; do
