@@ -64,27 +64,40 @@ let arrival_conv =
   in
   Arg.conv (parse, pp)
 
-let arrivals_arg =
+(* A flag's value, its default when absent, and whether it was given. *)
+let given ~default flag = Term.(const (fun v -> (Option.value v ~default, v <> None)) $ flag)
+
+let arrivals_given =
   let doc =
     "Arrival stream $(docv) as PIECES=RATE, repeatable; PIECES is a comma-separated list of \
      1-based piece numbers, or 'none' for empty-handed peers. Example: --arrive none=1.0 \
      --arrive 1,2=0.3"
   in
-  Arg.(value & opt_all arrival_conv [ (Pieceset.empty, 1.0) ]
-       & info [ "arrive"; "a" ] ~docv:"SPEC" ~doc)
+  Term.map
+    (function [] -> ([ (Pieceset.empty, 1.0) ], false) | specs -> (specs, true))
+    Arg.(value & opt_all arrival_conv []
+         & info [ "arrive"; "a" ] ~absent:"none=1" ~docv:"SPEC" ~doc)
 
 let k_arg = Arg.(value & opt int 4 & info [ "k"; "num-pieces" ] ~docv:"K" ~doc:"Number of pieces.")
 let us_arg = Arg.(value & opt float 1.0 & info [ "us" ] ~docv:"RATE" ~doc:"Fixed seed contact rate U_s.")
-let mu_arg = Arg.(value & opt float 1.0 & info [ "mu" ] ~docv:"RATE" ~doc:"Peer contact rate mu.")
 
-let gamma_arg =
+let mu_given =
+  given ~default:1.0
+    Arg.(value & opt (some float) None
+         & info [ "mu" ] ~absent:"1" ~docv:"RATE" ~doc:"Peer contact rate mu.")
+
+let gamma_given =
   let doc = "Peer-seed departure rate gamma; 'inf' means peers leave on completion." in
   let parse s =
     if s = "inf" || s = "infinity" then Ok infinity
     else match float_of_string_opt s with Some g -> Ok g | None -> Error (`Msg "bad gamma")
   in
   let gamma_conv = Arg.conv (parse, fun fmt g -> Format.fprintf fmt "%g" g) in
-  Arg.(value & opt gamma_conv infinity & info [ "gamma" ] ~docv:"RATE" ~doc)
+  given ~default:infinity
+    Arg.(value & opt (some gamma_conv) None & info [ "gamma" ] ~absent:"inf" ~docv:"RATE" ~doc)
+
+let mu_arg = Term.map fst mu_given
+let gamma_arg = Term.map fst gamma_given
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"INT" ~doc:"PRNG seed.")
 
@@ -115,10 +128,21 @@ let validated build =
   Term.term_result' ~usage:true
     (Term.map (fun f -> try Ok (f ()) with Invalid_argument msg -> Error msg) build)
 
-let params_term =
+(* The model, and which of --mu, --gamma and --arrive were given (simulate
+   rejects them beside --class, which replaces them). *)
+let params_given_term =
   validated
-    Term.(const (fun k us mu gamma arrivals () -> Params.make ~k ~us ~mu ~gamma ~arrivals)
-          $ k_arg $ us_arg $ mu_arg $ gamma_arg $ arrivals_arg)
+    Term.(const
+            (fun k us (mu, mu_set) (gamma, gamma_set) (arrivals, arrive_set) () ->
+              let given =
+                List.filter_map
+                  (fun (flag, set) -> if set then Some flag else None)
+                  [ ("--mu", mu_set); ("--gamma", gamma_set); ("--arrive", arrive_set) ]
+              in
+              (Params.make ~k ~us ~mu ~gamma ~arrivals, given))
+          $ k_arg $ us_arg $ mu_given $ gamma_given $ arrivals_given)
+
+let params_term = Term.map fst params_given_term
 
 (* ---- fault injection flags (shared by simulate) ---- *)
 
@@ -773,12 +797,16 @@ let simulate_cmd =
   (* The backend's config, built and checked before any run: a model
      error is a usage error. *)
   let model_term =
-    let make (params : Params.t) agent degree classes (policy, census) faults () =
+    let make ((params : Params.t), given) agent degree classes (policy, census) faults () =
       if census = Sim_agent.Neighbourhood && (degree = None || not agent) then
         invalid_arg "--policy rarest-local needs --agent and a finite --degree";
       if agent then begin
         let base =
           if classes = [] then Sim_agent.default_config params
+          else if given <> [] then
+            invalid_arg
+              (Printf.sprintf "--class replaces --mu, --gamma and --arrive; drop %s"
+                 (String.concat ", " given))
           else Sim_agent.class_config ~k:params.k ~us:params.us classes
         in
         let config = { base with policy; census; degree; faults } in
@@ -792,7 +820,7 @@ let simulate_cmd =
       end
     in
     validated
-      Term.(const make $ params_term $ agent_arg $ degree_arg $ class_arg $ policy_arg
+      Term.(const make $ params_given_term $ agent_arg $ degree_arg $ class_arg $ policy_arg
             $ faults_term)
   in
   let run (params, classes, backend) csv (r : runs) =

@@ -1,22 +1,40 @@
 module Pieceset = P2p_pieceset.Pieceset
 
-(* Type -> slot.  An inline multiplicative hash (the high bits of a
-   Fibonacci-style product) and [=] on ints, so a lookup calls neither
-   [caml_hash] nor [caml_compare]. *)
-module Tbl = Hashtbl.Make (struct
-  type t = Pieceset.t
+(* Type -> slot: open addressing over two int arrays, [keys] and
+   [slots], of one power-of-two capacity kept at most half full.  A key
+   is a type's bitmask, never negative (K = 62's full set is [max_int]),
+   so [-1] marks an empty cell.  The home cell is the high bits of a
+   Fibonacci-style product, collisions probe linearly, and a deletion
+   shifts the rest of its run back, so there are no tombstones.  The
+   loops are top-level functions: a local [let rec] capturing the table
+   would allocate a closure on every lookup. *)
+let no_key = -1
+let home c mask = ((c * 0x2545F4914F6CDD1D) lsr 32) land mask
 
-  let equal (a : t) (b : t) = (a :> int) = (b :> int)
-  let hash (c : t) = ((c :> int) * 0x2545F4914F6CDD1D) lsr 32
-end)
+(* Cell holding key [c], or the empty cell that ends its run. *)
+let rec cell keys mask c i =
+  let k = Array.unsafe_get keys i in
+  if k = c || k = no_key then i else cell keys mask c ((i + 1) land mask)
+
+(* Empty cell [hole] in a run: pull back each later entry of the run
+   whose home is not cyclically in (hole, j], until the run ends. *)
+let rec shift keys slots mask hole j =
+  let k = Array.unsafe_get keys j in
+  if k = no_key then Array.unsafe_set keys hole no_key
+  else if (j - home k mask) land mask >= (j - hole) land mask then begin
+    Array.unsafe_set keys hole k;
+    Array.unsafe_set slots hole (Array.unsafe_get slots j);
+    shift keys slots mask j ((j + 1) land mask)
+  end
+  else shift keys slots mask hole ((j + 1) land mask)
 
 (* Two views of one multiset, kept in step by every add/remove/move.
 
    Slots: occupied types live in dense parallel arrays with O(1)
-   swap-removal, and [slot_of] maps a type to its slot.  Counts, Σx²,
-   the per-piece copy counts (bumped incrementally so rarest-first style
-   policies read them in O(1)) and the exact scan fallbacks read this
-   view.
+   swap-removal, and the table [keys]/[slots] maps a type to its slot.
+   Counts, Σx², the per-piece copy counts (bumped incrementally so
+   rarest-first style policies read them in O(1)) and the exact scan
+   fallbacks read this view.
 
    The peer bag: position p < total holds one peer, of type [bag.(p)], so
    a uniform peer is one [bag.(draw n)] lookup.  The positions of each
@@ -34,7 +52,8 @@ type t = {
   mutable types : Pieceset.t array;  (* slots [0, len) occupied *)
   mutable vals : int array;  (* vals.(s) > 0 for s < len *)
   mutable len : int;
-  slot_of : int Tbl.t;
+  mutable keys : int array;  (* the type table's cells; see above *)
+  mutable slots : int array;
   mutable bagged : bool;  (* the bag and lists below are built *)
   mutable heads : int array;  (* first bag position of slot s's list *)
   mutable bag : Pieceset.t array;  (* positions [0, total) hold peers *)
@@ -52,7 +71,8 @@ let create () =
     types = [||];
     vals = [||];
     len = 0;
-    slot_of = Tbl.create 32;
+    keys = Array.make 32 no_key;
+    slots = Array.make 32 0;
     bagged = false;
     heads = [||];
     bag = [||];
@@ -68,7 +88,8 @@ let copy t =
     types = Array.copy t.types;
     vals = Array.copy t.vals;
     len = t.len;
-    slot_of = Tbl.copy t.slot_of;
+    keys = Array.copy t.keys;
+    slots = Array.copy t.slots;
     bagged = false;
     heads = [||];
     bag = [||];
@@ -79,9 +100,37 @@ let copy t =
     piece_counts = Array.copy t.piece_counts;
   }
 
-(* Slot of type [c], or -1.  [match ... with exception Not_found] avoids
-   the [Some] allocation of [find_opt] on this per-event path. *)
-let find_slot t c = match Tbl.find t.slot_of c with s -> s | exception Not_found -> -1
+(* Cell holding type [c], or the empty cell where it would go. *)
+let cell_of t (c : Pieceset.t) =
+  let mask = Array.length t.keys - 1 in
+  cell t.keys mask (c :> int) (home (c :> int) mask)
+
+(* Slot of type [c], or -1. *)
+let find_slot t c =
+  let i = cell_of t c in
+  if t.keys.(i) = no_key then -1 else t.slots.(i)
+
+(* Point type [c] at [slot], inserting it if absent.  The table holds
+   the [len] occupied types, so a new type that would fill it past half
+   doubles it first, re-inserting those types from their slots. *)
+let rec set_slot t (c : Pieceset.t) slot =
+  let i = cell_of t c in
+  if t.keys.(i) = no_key && 2 * (t.len + 1) > Array.length t.keys then begin
+    t.keys <- Array.make (2 * Array.length t.keys) no_key;
+    t.slots <- Array.make (Array.length t.keys) 0;
+    for s = 0 to t.len - 1 do
+      set_slot t t.types.(s) s
+    done;
+    set_slot t c slot
+  end
+  else begin
+    t.keys.(i) <- (c :> int);
+    t.slots.(i) <- slot
+  end
+
+let delete_key t c =
+  let i = cell_of t c and mask = Array.length t.keys - 1 in
+  shift t.keys t.slots mask i ((i + 1) land mask)
 
 let count t c =
   let s = find_slot t c in
@@ -148,7 +197,7 @@ let add_slot t c v =
     t.types.(slot) <- c;
     t.vals.(slot) <- v;
     if t.bagged then t.heads.(slot) <- -1;
-    Tbl.replace t.slot_of c slot;
+    set_slot t c slot;
     t.len <- slot + 1;
     slot
   end
@@ -167,7 +216,7 @@ let remove_slot t c =
     (* Swap-remove the emptied slot to keep the prefix dense; the moved
        slot's head re-encodes its new slot. *)
     let last = t.len - 1 in
-    Tbl.remove t.slot_of t.types.(slot);
+    delete_key t t.types.(slot);
     if slot <> last then begin
       let moved = t.types.(last) in
       t.types.(slot) <- moved;
@@ -177,7 +226,7 @@ let remove_slot t c =
         t.heads.(slot) <- h;
         t.prev.(h) <- -1 - slot
       end;
-      Tbl.replace t.slot_of moved slot
+      set_slot t moved slot
     end;
     t.len <- last
   end

@@ -2,18 +2,20 @@
 
     The state vector of Section III is [x = (x_C : C ∈ C)].  We store only
     the occupied types — dense parallel arrays with O(1) swap-removal plus
-    a type → slot hash table — and cache the total population [n], so
-    one-club-heavy states (the interesting ones) cost O(occupied types),
-    not O(2^K).  Beside the counts sits a peer bag: an array holding the
-    type of each of the [n] peers, with each type's positions threaded
-    on a doubly-linked list, so a uniform peer is one array lookup and
-    every add/remove/move stays O(1).  The first draw builds the bag in
-    one pass; a state that is never sampled never builds it, and {!copy}
-    leaves it behind, so a copy costs O(occupied types), not O(n).  A
-    per-piece copy-count vector is maintained incrementally on every
-    add/remove/move, so {!piece_copies} is O(1) and {!piece_count_vector}
-    is an O(k) copy: the reads that rarest-first style policies and swarm
-    probes perform on every contact never rescan the occupied types. *)
+    an allocation-free open-addressing table from type to slot (two int
+    arrays, linear probing, backward-shift deletion) — and cache the
+    total population [n], so one-club-heavy states (the interesting ones)
+    cost O(occupied types), not O(2^K).  Beside the counts sits a peer
+    bag: an array holding the type of each of the [n] peers, with each
+    type's positions threaded on a doubly-linked list, so a uniform peer
+    is one array lookup and every add/remove/move stays O(1).  The first
+    draw builds the bag in one pass; a state that is never sampled never
+    builds it, and {!copy} leaves it behind, so a copy costs O(occupied
+    types), not O(n).  A per-piece copy-count vector is maintained
+    incrementally on every add/remove/move, so {!piece_copies} is O(1)
+    and {!piece_count_vector} is an O(k) copy: the reads that
+    rarest-first style policies and swarm probes perform on every
+    contact never rescan the occupied types. *)
 
 module Pieceset = P2p_pieceset.Pieceset
 

@@ -1195,7 +1195,8 @@ let test_cli_agent_equivalence () =
 
 (* Invalid model parameters are usage errors: exit 124 (as for a
    malformed flag) with a message naming the value, never an uncaught
-   exception; so is a per-peer flag without the flag it needs. *)
+   exception; so is a per-peer flag without the flag it needs, and an
+   explicit --mu, --gamma or --arrive beside the --class that replaces it. *)
 let test_cli_model_errors () =
   let contains s sub =
     let n = String.length sub in
@@ -1230,6 +1231,9 @@ let test_cli_model_errors () =
       ([ "simulate"; "--degree"; "4" ], "--agent");
       ([ "simulate"; "-c"; "fast=3,6,0.3" ], "--agent");
       ([ "simulate"; "--agent"; "--policy"; "rarest-local" ], "--degree");
+      ([ "simulate"; "--agent"; "--mu"; "5"; "-c"; "a=1,2,1" ], "drop --mu");
+      ([ "simulate"; "--agent"; "--gamma"; "0.1"; "-c"; "a=1,2,1" ], "drop --gamma");
+      ([ "simulate"; "--agent"; "-a"; "none=9"; "-c"; "a=1,2,1" ], "drop --arrive");
     ]
 
 (* ---- the missing-piece-syndrome monitor ---- *)

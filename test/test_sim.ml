@@ -278,8 +278,8 @@ let test_agent_deterministic_given_seed () =
 (* Per-event allocation of the aggregate backend in the stable flash
    crowd: the draws, the engine clock and the rate bands are unboxed, so
    what remains is the handful of floats the model closures pass and
-   return.  Measured at 9.8 words per event in the default build, which
-   inlines the draws across modules, and 17.3 under [--profile dev]
+   return.  Measured at 9.0 words per event in the default build, which
+   inlines the draws across modules, and 16.5 under [--profile dev]
    ([-opaque]); the ceiling must hold in both.  The reference
    [Int64]-record generator allocated ~144 words per event here. *)
 let test_markov_alloc_per_event () =

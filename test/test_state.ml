@@ -415,6 +415,125 @@ let test_uniform_after_moves () =
     ~expected:(List.map (fun (c, x) -> (c, float_of_int x /. n)) (State.to_alist s))
     (fun () -> State.sample_uniform_peer s ~draw)
 
+(* The type -> slot index against a reference [Map] of counts, on one
+   long add/remove/move trace over K = 62 keys: random 62-bit sets, the
+   empty set and the full set [max_int] (the largest key, next to the
+   index's empty marker -1).  The trace fills more than 1,000 types, so
+   the table doubles several times, then churns and drains.  Two groups
+   of keys share a home cell with the empty and the full set at every
+   capacity up to 4,096 (the home hash is copied from state.ml), so
+   removals land in the middle of probe runs and must shift the rest of
+   the run back.  After every step the touched count, [n], [occupied]
+   and Σx² match the reference; every 50 steps every key's count and
+   [to_alist] do too.  A copy taken at the peak must keep its counts
+   while the original changes, and the original must keep its own while
+   the copy is drained. *)
+let test_index_against_map () =
+  let module M = Map.Make (Int) in
+  let rng = P2p_prng.Rng.of_seed 2027 in
+  let home c = ((c * 0x2545F4914F6CDD1D) lsr 32) land 0xFFF in
+  let sharing c = Seq.ints 1 |> Seq.filter (fun d -> d <> c && home d = home c) |> Seq.take 40 in
+  let random_set () = Int64.to_int (Int64.shift_right_logical (P2p_prng.Rng.bits64 rng) 2) in
+  let keys =
+    Array.concat
+      [
+        [| 0; max_int |];
+        Array.of_seq (sharing 0);
+        Array.of_seq (sharing max_int);
+        Array.init 1_500 (fun _ -> random_set ());
+      ]
+  in
+  let nkeys = Array.length keys in
+  let key () = keys.(P2p_prng.Rng.int_below rng nkeys) in
+  let s = State.create () and m = ref M.empty in
+  let get m c = Option.value (M.find_opt c m) ~default:0 in
+  let bump c dv =
+    m := M.update c (fun v -> match Option.value v ~default:0 + dv with 0 -> None | v -> Some v) !m
+  in
+  (* an occupied key: the first one at or after a random key of the pool *)
+  let occupied_key () =
+    let start = P2p_prng.Rng.int_below rng nkeys in
+    let rec from i = if get !m keys.(i) > 0 then keys.(i) else from ((i + 1) mod nkeys) in
+    from start
+  in
+  let check_all what st m =
+    Alcotest.(check (array int)) (what ^ ": counts") (Array.map (get m) keys)
+      (Array.map (fun c -> State.count st (PS.of_index c)) keys);
+    Alcotest.(check (list (pair int int))) (what ^ ": to_alist") (M.bindings m)
+      (List.map (fun (c, v) -> (PS.to_index c, v)) (State.to_alist st))
+  in
+  let check_step step touched =
+    let at what = Printf.sprintf "step %d: %s" step what in
+    List.iter
+      (fun c ->
+        Alcotest.(check int) (at (Printf.sprintf "count %d" c)) (get !m c)
+          (State.count s (PS.of_index c)))
+      touched;
+    Alcotest.(check int) (at "n") (M.fold (fun _ v acc -> acc + v) !m 0) (State.n s);
+    Alcotest.(check int) (at "occupied") (M.cardinal !m) (State.occupied s);
+    Alcotest.(check int) (at "sum x^2")
+      (M.fold (fun _ v acc -> acc + (v * v)) !m 0)
+      (State.same_type_pairs s);
+    if step mod 50 = 0 then check_all (at "all keys") s !m
+  in
+  let peak = ref 0 and snapshot = ref None in
+  let step = ref 0 in
+  let phase ~steps ~add ~remove =
+    for _ = 1 to steps do
+      incr step;
+      let r = P2p_prng.Rng.int_below rng 100 in
+      let touched =
+        if r < add || M.is_empty !m then begin
+          let c = key () in
+          State.add_peer s (PS.of_index c);
+          bump c 1;
+          [ c ]
+        end
+        else if r < add + remove then begin
+          let c = occupied_key () in
+          State.remove_peer s (PS.of_index c);
+          bump c (-1);
+          [ c ]
+        end
+        else begin
+          let c = occupied_key () and d = key () in
+          State.move_peer s ~from_:(PS.of_index c) ~to_:(PS.of_index d);
+          bump c (-1);
+          bump d 1;
+          [ c; d ]
+        end
+      in
+      check_step !step touched;
+      peak := Int.max !peak (State.occupied s);
+      if !snapshot = None && State.occupied s >= 1_000 then snapshot := Some (State.copy s, !m)
+    done
+  in
+  phase ~steps:4_000 ~add:75 ~remove:10;
+  (* from here on the peer bag is built and kept in step as well *)
+  let c = State.sample_uniform_peer s ~draw:(P2p_prng.Rng.int_below rng) in
+  Alcotest.(check bool) "a drawn type is occupied" true (get !m (PS.to_index c) > 0);
+  phase ~steps:4_000 ~add:35 ~remove:30;
+  phase ~steps:6_000 ~add:5 ~remove:70;
+  Alcotest.(check bool) (Printf.sprintf "peak of %d occupied types" !peak) true (!peak >= 1_000);
+  let absent = Array.find_opt (fun c -> get !m c = 0) keys |> Option.get in
+  Alcotest.(check bool) "removing an absent type raises" true
+    (try
+       State.remove_peer s (PS.of_index absent);
+       false
+     with Invalid_argument _ -> true);
+  match !snapshot with
+  | None -> Alcotest.fail "no copy taken"
+  | Some (copy, at_copy) ->
+      check_all "copy after later moves" copy at_copy;
+      M.iter
+        (fun c v ->
+          for _ = 1 to v do
+            State.remove_peer copy (PS.of_index c)
+          done)
+        at_copy;
+      Alcotest.(check int) "drained copy" 0 (State.occupied copy);
+      check_all "original after the copy drained" s !m
+
 let () =
   Alcotest.run "state"
     [
@@ -439,5 +558,6 @@ let () =
           Alcotest.test_case "not-of-type, both paths (chi-square)" `Quick test_not_of_both_paths;
           Alcotest.test_case "uniform peer after moves (chi-square)" `Quick
             test_uniform_after_moves;
+          Alcotest.test_case "type index vs reference map" `Quick test_index_against_map;
         ] );
     ]
