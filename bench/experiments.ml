@@ -941,14 +941,14 @@ let e19 () =
   let rows =
     List.map
       (fun m ->
-        let ec = Erlang_chain.build p ~stages:m ~n_max:16 in
-        let s = Erlang_chain.solve ec in
+        let chain = Truncated.build ~stages:m p ~n_max:16 in
+        let pi = Truncated.stationary chain in
         [
           string_of_int m;
-          string_of_int (Erlang_chain.state_count ec);
-          fmt s.mean_n;
-          fmt s.mean_seeds;
-          fmt s.p_empty;
+          string_of_int (Truncated.state_count chain);
+          fmt (Truncated.mean_population chain pi);
+          fmt (Truncated.mean_type_count chain pi (PS.full ~k:2));
+          fmt (Truncated.probability_empty chain pi);
         ])
       [ 1; 2; 3 ]
   in
@@ -957,15 +957,17 @@ let e19 () =
     rows;
   print_endline
     "(E[seeds] = lambda/gamma = 0.25 exactly for every m — Little's law is\n\
-     distribution-free; E[N] moves by under 1%.  m = 1 reproduces the\n\
-     Exp-dwell Truncated solver to solver precision: a test checks it.)";
+     distribution-free; E[N] moves by under 1%.  m = 1 is the Exp-dwell\n\
+     chain itself, whose every row the test \"rows match\n\
+     Rate.transitions\" checks.)";
   Report.subsection "blow-up toward the boundary, by dwell shape (Example 1, threshold 1)";
   let rows =
     List.map
       (fun lambda0 ->
         let p1 = Scenario.example1 ~lambda0 ~us:0.5 ~mu:1.0 ~gamma:2.0 in
         let en stages =
-          (Erlang_chain.solve ~tol:1e-9 (Erlang_chain.build p1 ~stages ~n_max:60)).mean_n
+          let chain = Truncated.build ~stages p1 ~n_max:60 in
+          Truncated.mean_population chain (Truncated.stationary ~tol:1e-9 chain)
         in
         [ fmt lambda0; fmt (en 1); fmt (en 2) ])
       [ 0.4; 0.6; 0.75 ]

@@ -1105,16 +1105,22 @@ let coded_cmd =
     Arg.(value & opt float 0.25 & info [ "f"; "gift-fraction" ] ~docv:"FRAC" ~doc:"Gifted fraction of arrivals.")
   in
   let sim_arg = Arg.(value & flag & info [ "sim" ] ~doc:"Also simulate the coded swarm.") in
-  let run k q f us mu gamma sim faults (r : runs) =
-    let g =
-      { Stability.Coded.q; k; us; mu; gamma; lambda0 = 1.0 -. f; lambda1 = f }
-    in
+  (* the gift workload with its Theorem 15 verdict, which validates it *)
+  let gift_term =
+    validated
+      Term.(const (fun k q f us mu gamma () ->
+                let g = { Stability.Coded.q; k; us; mu; gamma; lambda0 = 1.0 -. f; lambda1 = f } in
+                (g, Stability.Coded.classify g))
+            $ k_arg $ q_arg $ f_arg $ us_arg $ mu_arg $ gamma_arg)
+  in
+  let run ((g : Stability.Coded.gift_params), verdict) sim faults (r : runs) =
+    let { Stability.Coded.q; k; _ } = g in
     Report.kv
       [
         ("transient if f <", Report.fmt_float (Stability.Coded.transient_f_threshold ~q ~k));
         ( "recurrent if f > (exact)",
           Report.fmt_float (Stability.Coded.recurrent_f_threshold_exact ~q ~k) );
-        ("verdict at f", Stability.verdict_to_string (Stability.Coded.classify g));
+        ("verdict at f", Stability.verdict_to_string verdict);
       ];
     if sim || r.reps > 1 then begin
       let config = { (Sim_coded.of_gift g) with faults } in
@@ -1137,8 +1143,7 @@ let coded_cmd =
     end
   in
   Cmd.v (Cmd.info "coded" ~doc:"Theorem 15: network coding thresholds and simulation")
-    Term.(const run $ k_arg $ q_arg $ f_arg $ us_arg $ mu_arg $ gamma_arg $ sim_arg
-          $ faults_term $ runs_term)
+    Term.(const run $ gift_term $ sim_arg $ faults_term $ runs_term)
 
 (* ---- drift ---- *)
 
@@ -1177,8 +1182,12 @@ let exact_cmd =
   let nmax_arg =
     Arg.(value & opt int 60 & info [ "n-max" ] ~docv:"N" ~doc:"Population cap for truncation.")
   in
-  let run params nmax =
-    let chain = Truncated.build params ~n_max:nmax in
+  let chain_term =
+    validated
+      Term.(const (fun (params : Params.t) nmax () -> (params, nmax, Truncated.build params ~n_max:nmax))
+            $ params_term $ nmax_arg)
+  in
+  let run ((params : Params.t), nmax, chain) =
     Printf.printf "enumerated %d states (n <= %d)\n%!" (Truncated.state_count chain) nmax;
     let pi = Truncated.stationary chain in
     Report.kv
@@ -1199,7 +1208,7 @@ let exact_cmd =
   in
   Cmd.v
     (Cmd.info "exact" ~doc:"Exact stationary distribution on a truncated state space (small K)")
-    Term.(const run $ params_term $ nmax_arg)
+    Term.(const run $ chain_term)
 
 (* ---- reachable ---- *)
 
@@ -1211,8 +1220,13 @@ let reachable_cmd =
   let nmax_arg =
     Arg.(value & opt int 4 & info [ "n-max" ] ~docv:"N" ~doc:"Population cap for the search.")
   in
-  let run params policy nmax =
-    let r = Reachability.explore ~policy params ~n_max:nmax in
+  let explored_term =
+    validated
+      Term.(const (fun (params : Params.t) policy nmax () ->
+                (params, Reachability.explore ~policy params ~n_max:nmax))
+            $ params_term $ policy_arg $ nmax_arg)
+  in
+  let run ((params : Params.t), (r : Reachability.result)) =
     Report.kv
       [
         ("states explored", string_of_int r.states_explored);
@@ -1229,7 +1243,7 @@ let reachable_cmd =
   Cmd.v
     (Cmd.info "reachable"
        ~doc:"Explore the minimal closed set of states under a piece-selection policy")
-    Term.(const run $ params_term $ policy_arg $ nmax_arg)
+    Term.(const run $ explored_term)
 
 (* ---- borderline ---- *)
 
@@ -1243,9 +1257,16 @@ let borderline_cmd =
   let cap_arg =
     Arg.(value & opt int 1_000_000 & info [ "cap" ] ~docv:"STEPS" ~doc:"Per-excursion step cap.")
   in
-  let run k seed start count cap =
+  let config_term =
+    validated
+      Term.(const (fun k () ->
+                let config = { Mu_infinity.k; lambda = 1.0 } in
+                Mu_infinity.validate config;
+                config)
+            $ k_arg)
+  in
+  let run ({ Mu_infinity.k; _ } as config) seed start count cap =
     let rng = Rng.of_seed seed in
-    let config = { Mu_infinity.k; lambda = 1.0 } in
     Printf.printf "mu = infinity watched process, K=%d (E[Z] = %g: zero drift on the top layer)\n"
       k (Mu_infinity.z_expectation ~k);
     let excursions = Mu_infinity.excursions rng config ~start_n:start ~count ~cap_steps:cap in
@@ -1263,7 +1284,7 @@ let borderline_cmd =
       ]
   in
   Cmd.v (Cmd.info "borderline" ~doc:"The mu=infinity borderline process (Section VIII-D)")
-    Term.(const run $ k_arg $ seed_arg $ start_arg $ count_arg $ cap_arg)
+    Term.(const run $ config_term $ seed_arg $ start_arg $ count_arg $ cap_arg)
 
 (* ---- campaign ---- *)
 

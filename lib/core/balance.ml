@@ -73,3 +73,95 @@ let solve ?(tol = 1e-10) ?(max_sweeps = 200_000) s ~sweep_key =
   done;
   if not !converged then failwith "Balance.solve: Gauss-Seidel did not converge";
   pi
+
+(* ---- truncated population spaces ---- *)
+
+type space = {
+  dims : int;
+  n_max : int;
+  within : int array;
+      (* within.(j * (n_max + 1) + r) = C(r + j, j): the vectors of j
+         counts summing to <= r *)
+  pop : int array;  (* population of each state, by rank *)
+}
+
+let within sp j r = sp.within.((j * (sp.n_max + 1)) + r)
+
+(* Counts in lexicographic order: the last entry varies fastest. *)
+let iter sp f =
+  let x = Array.make sp.dims 0 and i = ref 0 in
+  let rec fill pos remaining =
+    if pos = sp.dims then begin
+      f !i x (sp.n_max - remaining);
+      incr i
+    end
+    else
+      for v = 0 to remaining do
+        x.(pos) <- v;
+        fill (pos + 1) (remaining - v)
+      done
+  in
+  fill 0 sp.n_max
+
+let space ~who ~dims ~n_max =
+  if n_max < 1 then invalid_arg (who ^ ": n_max must be >= 1");
+  let count = ref 1.0 in
+  for i = 1 to dims do
+    count := !count *. float_of_int (n_max + i) /. float_of_int i
+  done;
+  if !count > 2_000_000.0 then
+    invalid_arg (who ^ ": state space too large (reduce K or n_max)");
+  let w = n_max + 1 in
+  (* split on the first count: zero leaves j - 1 counts within r, one or
+     more leaves j counts within r - 1 *)
+  let table = Array.make ((dims + 1) * w) 1 in
+  for j = 1 to dims do
+    for r = 1 to n_max do
+      table.((j * w) + r) <- table.(((j - 1) * w) + r) + table.((j * w) + r - 1)
+    done
+  done;
+  let sp = { dims; n_max; within = table; pop = Array.make table.((dims * w) + n_max) 0 } in
+  iter sp (fun i _ n -> sp.pop.(i) <- n);
+  sp
+
+let size sp = Array.length sp.pop
+
+(* The vectors before x in lexicographic order: at each position, every
+   smaller value v with any completion of the positions after it,
+   summed by the hockey-stick identity. *)
+let rank sp x =
+  let r = ref sp.n_max and acc = ref 0 in
+  for pos = 0 to sp.dims - 1 do
+    let j = sp.dims - pos and r' = !r - x.(pos) in
+    if r' < 0 || r' > !r then invalid_arg "Balance.rank: not a state of the space";
+    acc := !acc + within sp j !r - within sp j r';
+    r := r'
+  done;
+  !acc
+
+let rows sp fill =
+  let n = size sp in
+  let targets = Array.make n [||] and rates = Array.make n [||] in
+  iter sp (fun i x pop ->
+      let row = ref [] in
+      fill x pop (fun ~from_ ~to_ rate ->
+          if from_ >= 0 || pop < sp.n_max then begin
+            if from_ >= 0 then begin
+              if x.(from_) = 0 then invalid_arg "Balance.rows: move from an empty slot";
+              x.(from_) <- x.(from_) - 1
+            end;
+            if to_ >= 0 then x.(to_) <- x.(to_) + 1;
+            row := (rank sp x, rate) :: !row;
+            if to_ >= 0 then x.(to_) <- x.(to_) - 1;
+            if from_ >= 0 then x.(from_) <- x.(from_) + 1
+          end);
+      targets.(i) <- Array.of_list (List.rev_map fst !row);
+      rates.(i) <- Array.of_list (List.rev_map snd !row));
+  { targets; rates }
+
+let stationary ?tol ?max_sweeps sp s = solve ?tol ?max_sweeps s ~sweep_key:sp.pop
+
+let expect sp pi f =
+  let acc = ref 0.0 in
+  iter sp (fun i x n -> acc := !acc +. (pi.(i) *. f x n));
+  !acc

@@ -202,119 +202,59 @@ let simulate ?sample_every ?max_events ~rng t ~init ~horizon =
 (* ---- exact stationary analysis ---- *)
 
 type solved = {
-  chain_states : int array array;
+  space : Balance.space;
   pi : float array;
   mean_n : float;
   mass_at_cap : float;
 }
 
-let stationary ?tol t ~n_max =
-  if n_max < 1 then invalid_arg "Coded_chain.stationary: n_max must be >= 1";
-  let num_types =
-    if t.immediate then Lattice.count t.lat - 1 else Lattice.count t.lat
-  in
-  (* types carried: every subspace except full when gamma = inf; keep the
-     id mapping simple by always using the full vector and just never
-     populating full when immediate. *)
-  ignore num_types;
-  let type_count = Lattice.count t.lat in
+(* The subspace ids a state counts, by slot: all of them, less the full
+   space when gamma = inf (a decoded peer leaves at once). *)
+let carried t =
   let full = Lattice.full t.lat in
-  let carried =
-    Array.of_list
-      (List.filter
-         (fun v -> not (t.immediate && v = full))
-         (List.init type_count (fun i -> i)))
-  in
-  let nt = Array.length carried in
-  let space_size =
-    let acc = ref 1.0 in
-    for i = 1 to nt do
-      acc := !acc *. float_of_int (n_max + i) /. float_of_int i
-    done;
-    !acc
-  in
-  if space_size > 2_000_000.0 then
-    invalid_arg "Coded_chain.stationary: state space too large";
-  (* enumerate compositions *)
-  let states = ref [] in
-  let current = Array.make nt 0 in
-  let rec fill pos remaining =
-    if pos = nt then states := Array.copy current :: !states
-    else
-      for v = 0 to remaining do
-        current.(pos) <- v;
-        fill (pos + 1) (remaining - v)
-      done
-  in
-  fill 0 n_max;
-  let states = Array.of_list (List.rev !states) in
-  let index = Hashtbl.create (2 * Array.length states) in
-  Array.iteri (fun i v -> Hashtbl.replace index v i) states;
-  let to_state vec =
-    let s = empty_state t in
-    Array.iteri
-      (fun pos c ->
-        s.counts.(carried.(pos)) <- c;
-        s.n <- s.n + c)
-      vec;
-    s
-  in
-  let of_state s = Array.map (fun v -> s.counts.(v)) carried in
-  let n_states = Array.length states in
-  let targets = Array.make n_states [||] in
-  let rates = Array.make n_states [||] in
-  Array.iteri
-    (fun i vec ->
-      let s = to_state vec in
-      let row =
-        List.filter_map
+  Array.of_list
+    (List.filter
+       (fun v -> not (t.immediate && v = full))
+       (List.init (Lattice.count t.lat) Fun.id))
+
+let stationary ?tol t ~n_max =
+  let carried = carried t in
+  let slot = Array.make (Lattice.count t.lat) (-1) in
+  Array.iteri (fun pos v -> slot.(v) <- pos) carried;
+  let space = Balance.space ~who:"Coded_chain.stationary" ~dims:(Array.length carried) ~n_max in
+  let rows =
+    Balance.rows space (fun x _ emit ->
+        let s = empty_state t in
+        Array.iteri
+          (fun pos c ->
+            s.counts.(carried.(pos)) <- c;
+            s.n <- s.n + c)
+          x;
+        (* a decoded peer's slot is -1 at gamma = inf: it leaves *)
+        List.iter
           (fun (transition, rate) ->
             match transition with
-            | Arrival _ when s.n >= n_max -> None
-            | Arrival _ | Seed_departure | Transfer _ ->
-                let next = copy_state s in
-                apply t next transition;
-                let key = of_state next in
-                Some (Hashtbl.find index key, rate))
-          (transitions t s)
-      in
-      targets.(i) <- Array.of_list (List.map fst row);
-      rates.(i) <- Array.of_list (List.map snd row))
-    states;
-  let sweep_key = Array.map (Array.fold_left ( + ) 0) states in
-  let pi = Balance.solve ?tol { Balance.targets; rates } ~sweep_key in
-  let mean_n = ref 0.0 and cap = ref 0.0 in
-  Array.iteri
-    (fun i p ->
-      let n = sweep_key.(i) in
-      mean_n := !mean_n +. (p *. float_of_int n);
-      if n = n_max then cap := !cap +. p)
-    pi;
-  { chain_states = states; pi; mean_n = !mean_n; mass_at_cap = !cap }
-
-let mean_dim t solved =
-  (* population-weighted mean dimension: E[sum_peers dim] / E[N]. *)
-  let full = Lattice.full t.lat in
-  let carried =
-    Array.of_list
-      (List.filter
-         (fun v -> not (t.immediate && v = full))
-         (List.init (Lattice.count t.lat) (fun i -> i)))
+            | Arrival v -> emit ~from_:(-1) ~to_:slot.(v) rate
+            | Seed_departure -> emit ~from_:slot.(Lattice.full t.lat) ~to_:(-1) rate
+            | Transfer { downloader; target } ->
+                emit ~from_:slot.(downloader) ~to_:slot.(target) rate)
+          (transitions t s))
   in
-  let weighted = ref 0.0 and total = ref 0.0 in
-  Array.iteri
-    (fun i vec ->
-      let p = solved.pi.(i) in
-      Array.iteri
-        (fun pos c ->
-          if c > 0 then begin
-            weighted :=
-              !weighted +. (p *. float_of_int c *. float_of_int (Lattice.dim t.lat carried.(pos)));
-            total := !total +. (p *. float_of_int c)
-          end)
-        vec)
-    solved.chain_states;
-  if !total <= 0.0 then nan else !weighted /. !total
+  let pi = Balance.stationary ?tol space rows in
+  let mean_n = Balance.expect space pi (fun _ n -> float_of_int n) in
+  let mass_at_cap = Balance.expect space pi (fun _ n -> if n = n_max then 1.0 else 0.0) in
+  { space; pi; mean_n; mass_at_cap }
+
+(* E[sum of peer dimensions] / E[N]: the population-weighted mean. *)
+let mean_dim t solved =
+  let dims = Array.map (Lattice.dim t.lat) (carried t) in
+  let weighted =
+    Balance.expect solved.space solved.pi (fun x _ ->
+        let acc = ref 0 in
+        Array.iteri (fun pos c -> acc := !acc + (c * dims.(pos))) x;
+        float_of_int !acc)
+  in
+  if solved.mean_n <= 0.0 then nan else weighted /. solved.mean_n
 
 (* ---- Eq. (56) Lyapunov ---- *)
 

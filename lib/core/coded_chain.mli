@@ -93,7 +93,7 @@ val simulate :
 (* ---- exact stationary analysis ---- *)
 
 type solved = {
-  chain_states : int array array;
+  space : Balance.space;  (** the enumerated states, indexing [pi] *)
   pi : float array;
   mean_n : float;
   mass_at_cap : float;
@@ -104,7 +104,8 @@ val stationary : ?tol:float -> t -> n_max:int -> solved
     and solve the balance equations.  State count is
     [C(n_max + T, T)] with [T] the number of subspace types, so this is
     for genuinely small lattices (e.g. q=2, K=2: T=5).
-    @raise Invalid_argument if the space would exceed ~2 million states. *)
+    @raise Invalid_argument if [n_max < 1] or the space would exceed 2
+    million states. *)
 
 val mean_dim : t -> solved -> float
 (** Stationary mean subspace dimension per peer (population-weighted);

@@ -1,162 +1,115 @@
 module Pieceset = P2p_pieceset.Pieceset
 
+(* A state counts the proper types C in slot [C] (they fill slots
+   0 .. 2^K - 2), then peer seeds by Erlang stage from slot [full]
+   = 2^K - 1; at gamma = inf there is no seed slot. *)
 type t = {
-  params : Params.t;
   n_max : int;
-  types : Pieceset.t array;  (* types carried in the state vector *)
-  index_of : (int array, int) Hashtbl.t;
-  states : int array array;
-  (* sparse transition rows: targets.(i) and rates.(i) parallel *)
-  targets : int array array;
-  rates : float array array;
-  outflow : float array;
+  full : int;
+  seeds : int;  (* seed slots: the Erlang stages, 0 at gamma = inf *)
+  space : Balance.space;
+  rows : Balance.sparse;
 }
 
-let enumerate_states ~num_types ~n_max =
-  (* All vectors of [num_types] nonnegative counts summing to <= n_max. *)
-  let states = ref [] in
-  let current = Array.make num_types 0 in
-  let rec fill pos remaining =
-    if pos = num_types then states := Array.copy current :: !states
-    else
-      for v = 0 to remaining do
-        current.(pos) <- v;
-        fill (pos + 1) (remaining - v)
-      done
-  in
-  fill 0 n_max;
-  Array.of_list (List.rev !states)
-
-let count_states ~num_types ~n_max =
-  (* C(n_max + num_types, num_types) *)
-  let acc = ref 1.0 in
-  for i = 1 to num_types do
-    acc := !acc *. float_of_int (n_max + i) /. float_of_int i
+(* The peer seeds of a state, over every stage. *)
+let seed_count v ~full ~seeds =
+  let s = ref 0 in
+  for j = full to full + seeds - 1 do
+    s := !s + v.(j)
   done;
-  !acc
+  !s
 
-let vector_of_state types state =
-  let v = Array.make (Array.length types) 0 in
-  Array.iteri (fun i c -> v.(i) <- State.count state c) types;
-  v
-
-let state_of_vector types v =
-  State.of_counts (Array.to_list (Array.mapi (fun i count -> (types.(i), count)) v))
-
-let build (params : Params.t) ~n_max =
-  if n_max < 1 then invalid_arg "Truncated.build: n_max must be >= 1";
-  let all_types = Array.of_list (Pieceset.all ~k:params.k) in
-  let types =
-    if Params.immediate_departure params then
-      Array.of_list (Pieceset.all_proper ~k:params.k)
-    else all_types
+let build ?(stages = 1) (params : Params.t) ~n_max =
+  if stages < 1 then invalid_arg "Truncated.build: stages must be >= 1";
+  let immediate = Params.immediate_departure params in
+  if immediate && stages > 1 then invalid_arg "Truncated.build: Erlang stages need finite gamma";
+  let k = params.k in
+  let full = Pieceset.to_index (Params.full_set params) in
+  let seeds = if immediate then 0 else stages in
+  let space = Balance.space ~who:"Truncated.build" ~dims:(full + seeds) ~n_max in
+  let stage_rate = float_of_int stages *. params.gamma in
+  let kernel = Rate.kernel ~k and x = Array.make (full + 1) 0.0 in
+  let rows =
+    Balance.rows space (fun v n emit ->
+        (* Eq. (1) sees the seeds of every stage as type-F peers *)
+        for c = 0 to full - 1 do
+          x.(c) <- float_of_int v.(c)
+        done;
+        x.(full) <- float_of_int (seed_count v ~full ~seeds);
+        let gammas = Rate.gammas params kernel x ~n:(float_of_int n) in
+        Array.iter (fun (c, rate) -> emit ~from_:(-1) ~to_:(Pieceset.to_index c) rate) params.arrivals;
+        for c = 0 to full - 1 do
+          if v.(c) > 0 then
+            Pieceset.iter
+              (fun piece ->
+                let rate = gammas.((c * k) + piece) in
+                let target = c lor (1 lsl piece) in
+                if rate > 0.0 then
+                  emit ~from_:c ~to_:(if target = full && immediate then -1 else target) rate)
+              (Pieceset.complement ~k (Pieceset.of_index c))
+        done;
+        for j = full to full + seeds - 1 do
+          if v.(j) > 0 then
+            emit ~from_:j
+              ~to_:(if j < full + seeds - 1 then j + 1 else -1)
+              (stage_rate *. float_of_int v.(j))
+        done)
   in
-  let num_types = Array.length types in
-  if count_states ~num_types ~n_max > 2_000_000.0 then
-    invalid_arg "Truncated.build: state space too large (reduce K or n_max)";
-  let states = enumerate_states ~num_types ~n_max in
-  let index_of = Hashtbl.create (2 * Array.length states) in
-  Array.iteri (fun i v -> Hashtbl.replace index_of v i) states;
-  let targets = Array.make (Array.length states) [||] in
-  let rates = Array.make (Array.length states) [||] in
-  let outflow = Array.make (Array.length states) 0.0 in
-  Array.iteri
-    (fun i v ->
-      let n = Array.fold_left ( + ) 0 v in
-      let st = state_of_vector types v in
-      let transitions = Rate.transitions params st in
-      let row =
-        List.filter_map
-          (fun (transition, rate) ->
-            match transition with
-            | Rate.Arrival _ when n >= n_max -> None (* rejected at the cap *)
-            | Rate.Arrival _ | Rate.Seed_departure | Rate.Transfer _ ->
-                let next = State.copy st in
-                Rate.apply params next transition;
-                let key = vector_of_state types next in
-                let j =
-                  match Hashtbl.find_opt index_of key with
-                  | Some j -> j
-                  | None -> failwith "Truncated.build: escaped the enumerated space"
-                in
-                Some (j, rate))
-          transitions
-      in
-      targets.(i) <- Array.of_list (List.map fst row);
-      rates.(i) <- Array.of_list (List.map snd row);
-      outflow.(i) <- List.fold_left (fun acc (_, r) -> acc +. r) 0.0 row)
-    states;
-  { params; n_max; types; index_of; states; targets; rates; outflow }
+  { n_max; full; seeds; space; rows }
 
-let state_count t = Array.length t.states
+let state_count t = Balance.size t.space
+let space t = t.space
+let rows t = t.rows
 
-(* Symmetric Gauss-Seidel on the global balance equations, sweeping by
-   population (see Balance): orders of magnitude faster than power
-   iteration for these birth-death flavoured chains, especially near the
-   stability boundary. *)
-let stationary ?tol ?max_iters t =
-  let sweep_key = Array.map (Array.fold_left ( + ) 0) t.states in
-  Balance.solve ?tol ?max_sweeps:max_iters
-    { Balance.targets = t.targets; rates = t.rates }
-    ~sweep_key
+let stationary ?tol ?max_iters t = Balance.stationary ?tol ?max_sweeps:max_iters t.space t.rows
 
-let population i t = Array.fold_left ( + ) 0 t.states.(i)
-
-let mean_population t pi =
-  let acc = ref 0.0 in
-  Array.iteri (fun i p -> acc := !acc +. (p *. float_of_int (population i t))) pi;
-  !acc
+let mean_population t pi = Balance.expect t.space pi (fun _ n -> float_of_int n)
 
 let population_tail t pi ~at_least =
-  let acc = ref 0.0 in
-  Array.iteri (fun i p -> if population i t >= at_least then acc := !acc +. p) pi;
-  !acc
+  Balance.expect t.space pi (fun _ n -> if n >= at_least then 1.0 else 0.0)
 
-let mean_type_count t pi c =
-  let idx = ref (-1) in
-  Array.iteri (fun i ty -> if Pieceset.equal ty c then idx := i) t.types;
-  if !idx < 0 then 0.0
-  else begin
-    let acc = ref 0.0 in
-    Array.iteri (fun i p -> acc := !acc +. (p *. float_of_int t.states.(i).(!idx))) pi;
-    !acc
-  end
+(* The count of type c in a state: a proper type's slot, or the seeds
+   summed over their stages; 0 for a type the chain does not carry. *)
+let type_count t c v =
+  let c = Pieceset.to_index c in
+  if c < t.full then v.(c) else if c = t.full then seed_count v ~full:t.full ~seeds:t.seeds else 0
 
-let probability_empty t pi =
-  let acc = ref 0.0 in
-  Array.iteri (fun i p -> if population i t = 0 then acc := !acc +. p) pi;
-  !acc
+let mean_type_count t pi c = Balance.expect t.space pi (fun v _ -> float_of_int (type_count t c v))
+
+(* The empty state is the zero vector, rank 0. *)
+let probability_empty _ pi = pi.(0)
 
 let truncation_mass_at_cap t pi =
-  let acc = ref 0.0 in
-  Array.iteri (fun i p -> if population i t = t.n_max then acc := !acc +. p) pi;
-  !acc
+  Balance.expect t.space pi (fun _ n -> if n = t.n_max then 1.0 else 0.0)
 
 let mean_hitting_time_to_empty ?(tol = 1e-10) ?(max_sweeps = 500_000) t ~from_ =
-  let start = State.of_counts from_ in
-  if State.n start > t.n_max then
-    invalid_arg "Truncated.mean_hitting_time_to_empty: start exceeds the cap";
-  let start_key = vector_of_state t.types start in
-  let start_idx =
-    match Hashtbl.find_opt t.index_of start_key with
-    | Some i -> i
-    | None -> invalid_arg "Truncated.mean_hitting_time_to_empty: start not enumerated"
-  in
+  let fail why = invalid_arg ("Truncated.mean_hitting_time_to_empty: " ^ why) in
+  let v = Array.make (t.full + t.seeds) 0 in
+  List.iter
+    (fun (c, count) ->
+      let c = Pieceset.to_index c in
+      if count < 0 then fail "negative count";
+      if c > t.full || (c = t.full && t.seeds = 0) then fail "start not enumerated";
+      v.(c) <- v.(c) + count)
+    from_;
+  if Array.fold_left ( + ) 0 v > t.n_max then fail "start exceeds the cap";
+  let start_idx = Balance.rank t.space v in
   let n = state_count t in
+  let pop = Array.make n 0 in
+  Balance.iter t.space (fun i _ m -> pop.(i) <- m);
+  let outflow = Array.map (Array.fold_left ( +. ) 0.0) t.rows.rates in
   let h = Array.make n 0.0 in
-  let is_empty = Array.init n (fun i -> population i t = 0) in
-  (* sweep by decreasing population first: hitting times propagate down *)
+  (* symmetric sweeps by population: hitting times propagate down *)
   let order = Array.init n (fun i -> i) in
-  let pop = Array.init n (fun i -> population i t) in
   Array.sort (fun a b -> Int.compare pop.(a) pop.(b)) order;
   let update i =
-    if not is_empty.(i) && t.outflow.(i) > 0.0 then begin
+    if pop.(i) > 0 && outflow.(i) > 0.0 then begin
       let acc = ref 1.0 in
-      let row_t = t.targets.(i) and row_r = t.rates.(i) in
+      let row_t = t.rows.targets.(i) and row_r = t.rows.rates.(i) in
       for e = 0 to Array.length row_t - 1 do
         acc := !acc +. (row_r.(e) *. h.(row_t.(e)))
       done;
-      h.(i) <- !acc /. t.outflow.(i)
+      h.(i) <- !acc /. outflow.(i)
     end
   in
   let sweep = ref 0 in
@@ -179,12 +132,6 @@ let mean_hitting_time_to_empty ?(tol = 1e-10) ?(max_sweeps = 500_000) t ~from_ =
 let return_time_to_empty t pi =
   let p_empty = probability_empty t pi in
   (* the empty state's total outflow is the arrival rate *)
-  let out_empty =
-    let found = ref 0.0 in
-    Array.iteri
-      (fun i _ -> if population i t = 0 then found := t.outflow.(i))
-      t.states;
-    !found
-  in
+  let out_empty = Array.fold_left ( +. ) 0.0 t.rows.rates.(0) in
   if p_empty <= 0.0 || out_empty <= 0.0 then infinity
   else 1.0 /. (p_empty *. out_empty)

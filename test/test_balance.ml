@@ -1,6 +1,8 @@
-(* The generic stationary-distribution solver, against closed forms. *)
+(* The generic stationary-distribution solver, against closed forms, and
+   the truncated state space the exact chains share. *)
 
-module Balance = P2p_core.Balance
+open P2p_core
+module PS = P2p_pieceset.Pieceset
 
 let closef ?(tol = 1e-8) name expected actual =
   Alcotest.(check bool)
@@ -109,6 +111,97 @@ let test_balance_equations_hold () =
     closef ~tol:1e-7 (Printf.sprintf "balance at %d" i) outflow.(i) inflow.(i)
   done
 
+(* Every vector of [dims] counts with total <= n_max, in lexicographic
+   order, by brute force over [0, n_max]^dims. *)
+let reference_space ~dims ~n_max =
+  let rec go pos =
+    if pos = dims then [ [] ]
+    else
+      List.concat_map
+        (fun v -> List.map (fun rest -> v :: rest) (go (pos + 1)))
+        (List.init (n_max + 1) Fun.id)
+  in
+  List.filter_map
+    (fun l -> if List.fold_left ( + ) 0 l <= n_max then Some (Array.of_list l) else None)
+    (go 0)
+
+let test_rank_bijection () =
+  List.iter
+    (fun (dims, n_max) ->
+      let name = Printf.sprintf "dims %d, n_max %d" dims n_max in
+      let sp = Balance.space ~who:"test" ~dims ~n_max in
+      let expected = Array.of_list (reference_space ~dims ~n_max) in
+      Alcotest.(check int) (name ^ ": size") (Array.length expected) (Balance.size sp);
+      let seen = ref 0 in
+      Balance.iter sp (fun i x n ->
+          Alcotest.(check int) (name ^ ": enumeration index") !seen i;
+          Alcotest.(check (array int)) (name ^ ": enumeration order") expected.(i) x;
+          Alcotest.(check int) (name ^ ": rank") i (Balance.rank sp x);
+          Alcotest.(check int) (name ^ ": population") (Array.fold_left ( + ) 0 x) n;
+          incr seen);
+      Alcotest.(check int) (name ^ ": states visited") (Array.length expected) !seen;
+      let outside x =
+        try
+          ignore (Balance.rank sp x);
+          false
+        with Invalid_argument _ -> true
+      in
+      Alcotest.(check bool) (name ^ ": over the cap") true
+        (outside (Array.init dims (fun i -> if i = dims - 1 then n_max + 1 else 0)));
+      Alcotest.(check bool) (name ^ ": negative count") true
+        (outside (Array.init dims (fun i -> if i = 0 then -1 else 0))))
+    [ (1, 1); (1, 7); (2, 1); (3, 1); (2, 6); (3, 4); (5, 3); (8, 2) ]
+
+(* The shared builder's rows against the generic generator: for every
+   state, Rate.transitions + Rate.apply, ranked back into the space (an
+   arrival at the cap is rejected), must give the same (target, rate)
+   multiset. *)
+let test_rows_match_transitions () =
+  let check name (p : Params.t) ~n_max =
+    let chain = Truncated.build p ~n_max in
+    let sp = Truncated.space chain and rows = Truncated.rows chain in
+    Balance.iter sp (fun i x _ ->
+        let st = State.of_counts (List.init (Array.length x) (fun c -> (PS.of_index c, x.(c)))) in
+        let expected =
+          List.filter_map
+            (fun (tr, rate) ->
+              match tr with
+              | Rate.Arrival _ when State.n st = n_max -> None
+              | _ ->
+                  let next = State.copy st in
+                  Rate.apply p next tr;
+                  let y = Array.make (Array.length x) 0 in
+                  State.iter next (fun c v -> y.(PS.to_index c) <- v);
+                  Some (Balance.rank sp y, rate))
+            (Rate.transitions p st)
+        in
+        let actual = Array.to_list (Array.combine rows.targets.(i) rows.rates.(i)) in
+        let sorted l = List.sort compare l in
+        let where = Printf.sprintf "%s, state %d" name i in
+        Alcotest.(check (list int)) (where ^ ": targets")
+          (List.map fst (sorted expected)) (List.map fst (sorted actual));
+        List.iter2
+          (fun (_, a) (_, b) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: rate %.17g vs %.17g" where a b)
+              true
+              (Float.abs (a -. b) <= 1e-12 *. Float.max (Float.abs a) (Float.abs b)))
+          (sorted expected) (sorted actual))
+  in
+  let k2 = PS.full ~k:2 in
+  check "K=2 gamma=2"
+    (Params.make ~k:2 ~us:0.8 ~mu:1.0 ~gamma:2.0
+       ~arrivals:[ (PS.empty, 0.5); (PS.singleton 1, 0.2); (k2, 0.1) ])
+    ~n_max:6;
+  check "K=2 gamma=inf"
+    (Params.make ~k:2 ~us:0.8 ~mu:1.3 ~gamma:infinity
+       ~arrivals:[ (PS.empty, 0.5); (PS.singleton 0, 0.3) ])
+    ~n_max:6;
+  check "K=3 gamma=2"
+    (Params.make ~k:3 ~us:0.6 ~mu:1.0 ~gamma:2.0
+       ~arrivals:[ (PS.empty, 1.0); (PS.of_list [ 0; 2 ], 0.25) ])
+    ~n_max:4
+
 let () =
   Alcotest.run "balance"
     [
@@ -121,5 +214,7 @@ let () =
           Alcotest.test_case "shape mismatch" `Quick test_shape_mismatch;
           Alcotest.test_case "normalised / nonnegative" `Quick test_sum_to_one_and_nonnegative;
           Alcotest.test_case "balance equations" `Quick test_balance_equations_hold;
+          Alcotest.test_case "rank is a bijection in enumeration order" `Quick test_rank_bijection;
+          Alcotest.test_case "rows match Rate.transitions" `Quick test_rows_match_transitions;
         ] );
     ]

@@ -1,4 +1,4 @@
-(* Erlang-dwell exact chains (method of stages). *)
+(* Erlang-dwell exact chains (method of stages): Truncated.build ~stages. *)
 
 open P2p_core
 module PS = P2p_pieceset.Pieceset
@@ -11,26 +11,22 @@ let closef ?(tol = 1e-6) name expected actual =
 
 let base = Params.make ~k:2 ~us:0.8 ~mu:1.0 ~gamma:2.0 ~arrivals:[ (PS.empty, 0.5) ]
 
-let test_one_stage_equals_truncated () =
-  let chain = Truncated.build base ~n_max:15 in
-  let pi = Truncated.stationary chain in
-  let ec = Erlang_chain.build base ~stages:1 ~n_max:15 in
-  let s = Erlang_chain.solve ec in
-  closef "E[N]" (Truncated.mean_population chain pi) s.mean_n;
-  closef "seeds" (Truncated.mean_type_count chain pi (PS.full ~k:2)) s.mean_seeds;
-  closef "P(empty)" (Truncated.probability_empty chain pi) s.p_empty
+(* The stationary aggregates of the Erlang-[m] chain. *)
+let solve ?tol p ~stages ~n_max =
+  let chain = Truncated.build ~stages p ~n_max in
+  let pi = Truncated.stationary ?tol chain in
+  (Truncated.mean_population chain pi, Truncated.mean_type_count chain pi (PS.full ~k:p.Params.k))
 
 let test_seed_littles_law_invariant () =
   (* E[seeds] = lambda/gamma regardless of the dwell shape. *)
   List.iter
     (fun m ->
-      let ec = Erlang_chain.build base ~stages:m ~n_max:15 in
-      let s = Erlang_chain.solve ec in
-      closef ~tol:1e-4 (Printf.sprintf "m=%d" m) 0.25 s.mean_seeds)
+      let _, seeds = solve base ~stages:m ~n_max:15 in
+      closef ~tol:1e-4 (Printf.sprintf "m=%d" m) 0.25 seeds)
     [ 1; 2; 3 ]
 
 let test_population_nearly_insensitive () =
-  let en m = (Erlang_chain.solve (Erlang_chain.build base ~stages:m ~n_max:15)).mean_n in
+  let en m = fst (solve base ~stages:m ~n_max:15) in
   let e1 = en 1 and e3 = en 3 in
   Alcotest.(check bool)
     (Printf.sprintf "E[N] within 2%%: %.4f vs %.4f" e1 e3)
@@ -39,8 +35,7 @@ let test_population_nearly_insensitive () =
 
 let test_agent_simulation_agrees () =
   (* Cross-check against the agent simulator's Erlang dwell support. *)
-  let ec = Erlang_chain.build base ~stages:3 ~n_max:15 in
-  let exact = (Erlang_chain.solve ec).mean_n in
+  let exact, _ = solve base ~stages:3 ~n_max:15 in
   let config = { (Sim_agent.default_config base) with dwell = Sim_agent.Erlang_dwell 3 } in
   let stats, _ = Sim_agent.run_seeded ~seed:1 config ~horizon:20_000.0 in
   Alcotest.(check bool)
@@ -53,7 +48,7 @@ let test_boundary_location_insensitive () =
      dwell shape: compare the growth factor of E[N] between two loads. *)
   let en ~stages lambda =
     let p = Scenario.example1 ~lambda0:lambda ~us:0.5 ~mu:1.0 ~gamma:2.0 in
-    (Erlang_chain.solve ~tol:1e-9 (Erlang_chain.build p ~stages ~n_max:55)).mean_n
+    fst (solve ~tol:1e-9 p ~stages ~n_max:55)
   in
   List.iter
     (fun m ->
@@ -67,13 +62,13 @@ let test_boundary_location_insensitive () =
 let test_validation () =
   Alcotest.(check bool) "stages 0" true
     (try
-       ignore (Erlang_chain.build base ~stages:0 ~n_max:5);
+       ignore (Truncated.build ~stages:0 base ~n_max:5);
        false
      with Invalid_argument _ -> true);
   let inf = Params.make ~k:2 ~us:0.8 ~mu:1.0 ~gamma:infinity ~arrivals:[ (PS.empty, 0.5) ] in
   Alcotest.(check bool) "gamma inf" true
     (try
-       ignore (Erlang_chain.build inf ~stages:2 ~n_max:5);
+       ignore (Truncated.build ~stages:2 inf ~n_max:5);
        false
      with Invalid_argument _ -> true)
 
@@ -82,7 +77,6 @@ let () =
     [
       ( "erlang_chain",
         [
-          Alcotest.test_case "m=1 equals Truncated" `Quick test_one_stage_equals_truncated;
           Alcotest.test_case "seed Little invariant" `Quick test_seed_littles_law_invariant;
           Alcotest.test_case "E[N] nearly insensitive" `Quick test_population_nearly_insensitive;
           Alcotest.test_case "agent simulation agrees" `Slow test_agent_simulation_agrees;

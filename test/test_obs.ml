@@ -1234,6 +1234,12 @@ let test_cli_model_errors () =
       ([ "simulate"; "--agent"; "--mu"; "5"; "-c"; "a=1,2,1" ], "drop --mu");
       ([ "simulate"; "--agent"; "--gamma"; "0.1"; "-c"; "a=1,2,1" ], "drop --gamma");
       ([ "simulate"; "--agent"; "-a"; "none=9"; "-c"; "a=1,2,1" ], "drop --arrive");
+      ([ "exact"; "--n-max"; "0" ], "n_max must be >= 1");
+      ([ "exact"; "-k"; "4"; "--n-max"; "60" ], "state space too large");
+      ([ "reachable"; "--n-max"; "0" ], "n_max must be >= 1");
+      ( [ "coded"; "--sim"; "-q"; "16"; "-k"; "3"; "-f"; "2" ],
+        "arrival rates must be nonnegative with positive sum" );
+      ([ "borderline"; "-k"; "0" ], "k must be >= 2");
     ]
 
 (* ---- the missing-piece-syndrome monitor ---- *)

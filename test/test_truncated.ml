@@ -105,6 +105,25 @@ let test_hitting_time_monotone () =
   Alcotest.(check bool) "monotone in start size" true (h 1 < h 4 && h 4 < h 10);
   Alcotest.(check bool) "empty start is zero" true (Truncated.mean_hitting_time_to_empty t ~from_:[] = 0.0)
 
+let test_hitting_time_rejects_uncarried_start () =
+  (* At gamma = inf the chain carries neither the full type (a completed
+     peer leaves) nor any type beyond K. *)
+  let p = Params.make ~k:2 ~us:0.8 ~mu:1.0 ~gamma:infinity ~arrivals:[ (PS.empty, 0.4) ] in
+  let t = Truncated.build p ~n_max:10 in
+  List.iter
+    (fun (name, from_) ->
+      Alcotest.(check bool) name true
+        (try
+           ignore (Truncated.mean_hitting_time_to_empty t ~from_);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("full type at gamma=inf", [ (PS.full ~k:2, 3) ]);
+      ("type beyond K", [ (PS.singleton 2, 3) ]);
+      ("negative count", [ (PS.empty, -1) ]);
+      ("over the cap", [ (PS.empty, 11) ]);
+    ]
+
 let test_return_time_kac () =
   (* Kac: mean time between entries to empty = 1 / (pi_empty * lambda). *)
   let lambda = 0.4 in
@@ -146,6 +165,8 @@ let () =
           Alcotest.test_case "build guards" `Quick test_build_guards;
           Alcotest.test_case "hitting time M/M/1" `Quick test_hitting_time_mm1;
           Alcotest.test_case "hitting time monotone" `Quick test_hitting_time_monotone;
+          Alcotest.test_case "hitting time rejects an uncarried start" `Quick
+            test_hitting_time_rejects_uncarried_start;
           Alcotest.test_case "return time (Kac)" `Quick test_return_time_kac;
           Alcotest.test_case "cycle decomposition" `Quick test_return_decomposes_into_sojourn_plus_hit;
           Alcotest.test_case "state count" `Quick test_state_count_formula;
