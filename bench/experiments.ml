@@ -738,24 +738,21 @@ let e16 () =
      random gift matrices, transfer rates from exact cover-lift\n\
      probabilities, the Eq. (56) Lyapunov drift, and truncated stationary\n\
      distributions.  Setting: q=2, K=2, lambda0 = lambda1 = 0.5.";
+  let gift us =
+    { Stability.Coded.q = 2; k = 2; us; mu = 1.0; gamma = infinity; lambda0 = 0.5;
+      lambda1 = 0.5 }
+  in
   let make us =
     Coded_chain.create
       { Coded_chain.q = 2; k = 2; us; mu = 1.0; gamma = infinity;
         arrivals = [ (0, 0.5); (1, 0.5) ] }
   in
-  let profile us =
-    { Stability.Coded.pq = 2; pk = 2; pus = us; pmu = 1.0; pgamma = infinity;
-      parrivals = [ (0, 0.5); (1, 0.5) ] }
-  in
   let rows =
     List.map
       (fun us ->
         let t = make us in
-        let verdict = Stability.Coded.classify_profile (profile us) in
-        let rng = P2p_prng.Rng.of_seed 161 in
-        let s =
-          Coded_chain.simulate ~rng t ~init:(Coded_chain.empty_state t) ~horizon:2500.0
-        in
+        let verdict = Stability.Coded.classify (gift us) in
+        let s = Sim_coded.run_seeded ~seed:161 (Sim_coded.of_gift (gift us)) ~horizon:2500.0 in
         let exact =
           match verdict with
           | Stability.Positive_recurrent ->

@@ -78,8 +78,10 @@ let arrivals_given =
     Arg.(value & opt_all arrival_conv []
          & info [ "arrive"; "a" ] ~absent:"none=1" ~docv:"SPEC" ~doc)
 
-let k_arg = Arg.(value & opt int 4 & info [ "k"; "num-pieces" ] ~docv:"K" ~doc:"Number of pieces.")
-let us_arg = Arg.(value & opt float 1.0 & info [ "us" ] ~docv:"RATE" ~doc:"Fixed seed contact rate U_s.")
+let k_opt k = Arg.(value & opt int k & info [ "k"; "num-pieces" ] ~docv:"K" ~doc:"Number of pieces.")
+let us_opt us = Arg.(value & opt float us & info [ "us" ] ~docv:"RATE" ~doc:"Fixed seed contact rate U_s.")
+let k_arg = k_opt 4
+let us_arg = us_opt 1.0
 
 let mu_given =
   given ~default:1.0
@@ -114,8 +116,21 @@ let reps_arg ~default =
   Arg.(value & opt int default & info [ "reps"; "r" ] ~docv:"R"
        ~doc:"Independent replications (replication i uses the RNG stream (seed, i)).")
 
+(* A float flag whose value must pass [ok]; otherwise a usage error
+   saying "[what] must be [expect]". *)
+let checked_float ~what ~expect ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when ok v -> Ok v
+    | Some _ | None -> Error (`Msg (Printf.sprintf "%s must be %s, got %S" what expect s))
+  in
+  Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v)
+
+let finite_positive v = Float.is_finite v && v > 0.0
+
 let horizon_arg =
-  Arg.(value & opt float 1000.0 & info [ "horizon"; "t" ] ~docv:"TIME" ~doc:"Simulation horizon.")
+  let c = checked_float ~what:"horizon" ~expect:"a finite positive time" finite_positive in
+  Arg.(value & opt c 1000.0 & info [ "horizon"; "t" ] ~docv:"TIME" ~doc:"Simulation horizon.")
 
 let csv_arg =
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
@@ -130,7 +145,7 @@ let validated build =
 
 (* The model, and which of --mu, --gamma and --arrive were given (simulate
    rejects them beside --class, which replaces them). *)
-let params_given_term =
+let params_given_with k us =
   validated
     Term.(const
             (fun k us (mu, mu_set) (gamma, gamma_set) (arrivals, arrive_set) () ->
@@ -140,8 +155,9 @@ let params_given_term =
                   [ ("--mu", mu_set); ("--gamma", gamma_set); ("--arrive", arrive_set) ]
               in
               (Params.make ~k ~us ~mu ~gamma ~arrivals, given))
-          $ k_arg $ us_arg $ mu_given $ gamma_given $ arrivals_given)
+          $ k $ us $ mu_given $ gamma_given $ arrivals_given)
 
+let params_given_term = params_given_with k_arg us_arg
 let params_term = Term.map fst params_given_term
 
 (* ---- fault injection flags (shared by simulate) ---- *)
@@ -168,18 +184,6 @@ let outage_arg =
   in
   let outage_c = Arg.conv (parse, fun fmt (u, d) -> Format.fprintf fmt "%g,%g" u d) in
   Arg.(value & opt (some outage_c) None & info [ "seed-outage" ] ~docv:"UP,DOWN" ~doc)
-
-(* A float flag whose value must pass [ok]; otherwise a usage error
-   saying "[what] must be [expect]". *)
-let checked_float ~what ~expect ok =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when ok v -> Ok v
-    | Some _ | None -> Error (`Msg (Printf.sprintf "%s must be %s, got %S" what expect s))
-  in
-  Arg.conv (parse, fun fmt v -> Format.fprintf fmt "%g" v)
-
-let finite_positive v = Float.is_finite v && v > 0.0
 
 let abort_rate_arg =
   let c =
@@ -584,7 +588,7 @@ let replicated (r : runs) ~faults ~metrics ~after_table sim =
            ("lost transfers", "lost transfers") ]
   in
   let thunk ~rng ~index:_ =
-    let s = sim ~probe:Probe.none ~poll:true ~rng in
+    let s = sim ~probe:Probe.none ~rng in
     Progress.add_events progress s.events;
     let row label = List.assoc label s.rows in
     let growth = (Classify.of_samples s.samples).growth_rate in
@@ -634,8 +638,7 @@ let reject_single_run_telemetry tel =
     usage_error "--hist-out requires --reps 1 (per-replication histograms would interleave)"
 
 (* One probed run of [sim] at --seed through [print_run], or with
-   --reps > 1 a [replicated] sweep.  [sim ~poll:true] runs inside the
-   sweep, where a backend that can should poll the replication watchdog. *)
+   --reps > 1 a [replicated] sweep. *)
 let run_backend (r : runs) ~k ~faults ~metrics ?(effective = ignore) ?csv sim =
   if r.reps > 1 then begin
     reject_single_run_telemetry r.tel;
@@ -644,7 +647,7 @@ let run_backend (r : runs) ~k ~faults ~metrics ?(effective = ignore) ?csv sim =
   else
     print_run ~effective ?csv
       (with_single_run_probe r.tel ~k ~horizon:r.horizon (fun probe ->
-           sim ~probe ~poll:false ~rng:(Rng.of_seed r.seed)))
+           sim ~probe ~rng:(Rng.of_seed r.seed)))
 
 (* ---- classify ---- *)
 
@@ -848,20 +851,14 @@ let simulate_cmd =
       | Markov config ->
           ( config.faults,
             metrics,
-            fun ~probe ~poll ~rng ->
-              let until =
-                if poll then Some (fun ~time:_ ~n:_ -> Runner.deadline_exceeded ()) else None
-              in
-              let s, _ =
-                Sim_markov.run ~probe ?max_events:r.max_events ?until ~rng config ~horizon:r.horizon
-              in
-              if s.stopped then raise Runner.Rep_timeout;
-              markov_summary config.faults s )
+            fun ~probe ~rng ->
+              Sim_markov.run ~probe ?max_events:r.max_events ~rng config ~horizon:r.horizon
+              |> fst |> markov_summary config.faults )
       | Agent config ->
           ( config.faults,
             (if config.degree = None then metrics
              else metrics @ [ "silent contacts"; "mean overlay degree" ]),
-            fun ~probe ~poll:_ ~rng ->
+            fun ~probe ~rng ->
               let s, _ =
                 Sim_agent.run ~probe ?max_events:r.max_events ~rng config ~horizon:r.horizon
               in
@@ -1128,7 +1125,7 @@ let coded_cmd =
          role of the piece index, so the probe series has k slots. *)
       run_backend r ~k ~faults
         ~metrics:[ "time-avg N"; "final N"; "useful transfers"; "useless transfers"; "completions" ]
-        (fun ~probe ~poll:_ ~rng ->
+        (fun ~probe ~rng ->
           let s = Sim_coded.run ~probe ?max_events:r.max_events ~rng config ~horizon:r.horizon in
           summary ~events:s.events ~truncated:s.truncated ~samples:s.samples
             ([
@@ -1182,10 +1179,12 @@ let exact_cmd =
   let nmax_arg =
     Arg.(value & opt int 60 & info [ "n-max" ] ~docv:"N" ~doc:"Population cap for truncation.")
   in
+  (* K = 2, U_s = 2: stable, and solved in about a second at the default cap
+     (the shared K = 4, U_s = 1 is borderline and beyond the space guard). *)
   let chain_term =
     validated
       Term.(const (fun (params : Params.t) nmax () -> (params, nmax, Truncated.build params ~n_max:nmax))
-            $ params_term $ nmax_arg)
+            $ Term.map fst (params_given_with (k_opt 2) (us_opt 2.0)) $ nmax_arg)
   in
   let run ((params : Params.t), nmax, chain) =
     Printf.printf "enumerated %d states (n <= %d)\n%!" (Truncated.state_count chain) nmax;

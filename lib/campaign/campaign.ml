@@ -124,8 +124,8 @@ let render_record spec (cell : Spec.cell) ~agg ~attempts ~errors =
 let cell_aggregate ?jobs ?timeout_s ?flight_dir (spec : Spec.t) (cell : Spec.cell) ~attempt =
   let master_seed = cell_seed spec ~index:cell.index ~attempt in
   (* One replication, dispatched on the spec's backend.  Both simulators
-     share the watchdog contract ([until] + [stopped]) and the samples
-     array the classifier consumes. *)
+     return the samples array the classifier consumes; under [timeout_s]
+     their engine loop raises [Rep_timeout] itself. *)
   let replicate : rng:Rng.t -> probe:Probe.t -> (float * int) array =
     match spec.backend with
     | "coded" ->
@@ -141,14 +141,7 @@ let cell_aggregate ?jobs ?timeout_s ?flight_dir (spec : Spec.t) (cell : Spec.cel
             faults = spec.faults;
           }
         in
-        fun ~rng ~probe ->
-          let stats =
-            Sim_coded.run ~rng ~probe
-              ~until:(fun ~time:_ ~n:_ -> Runner.deadline_exceeded ())
-              config ~horizon:spec.horizon
-          in
-          if stats.Sim_coded.stopped then raise Runner.Rep_timeout;
-          stats.Sim_coded.samples
+        fun ~rng ~probe -> (Sim_coded.run ~rng ~probe config ~horizon:spec.horizon).samples
     | _ ->
         let params = Spec.cell_params spec ~lambda:cell.lambda ~us:cell.us in
         let config =
@@ -159,14 +152,7 @@ let cell_aggregate ?jobs ?timeout_s ?flight_dir (spec : Spec.t) (cell : Spec.cel
             faults = spec.faults;
           }
         in
-        fun ~rng ~probe ->
-          let stats, _ =
-            Sim_markov.run ~rng ~probe
-              ~until:(fun ~time:_ ~n:_ -> Runner.deadline_exceeded ())
-              config ~horizon:spec.horizon
-          in
-          if stats.Sim_markov.stopped then raise Runner.Rep_timeout;
-          stats.Sim_markov.samples
+        fun ~rng ~probe -> (fst (Sim_markov.run ~rng ~probe config ~horizon:spec.horizon)).samples
   in
   (match flight_dir with
   | Some dir when not (Sys.file_exists dir) -> (try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ())
@@ -197,8 +183,6 @@ let cell_aggregate ?jobs ?timeout_s ?flight_dir (spec : Spec.t) (cell : Spec.cel
                 path;
               (Probe.make ~recorder:r (), fun () -> Recorder.dump r ~code_name:Probe.code_name path)
         in
-        (* [until] only fires when a watchdog is armed; a stopped run is
-           a timed-out run and [replicate] raises [Rep_timeout]. *)
         match replicate ~rng ~probe with
         | exception e ->
             dump ();

@@ -77,13 +77,6 @@ type cell = {
   us : float;
 }
 
-val lattice_extent : t -> int * int
-(** Finest-resolution lattice extent [(nx, ny)]: valid [ix] are
-    [0 .. nx] and [iy] [0 .. ny]. *)
-
-val cell_value : t -> ix:int -> iy:int -> float * float
-(** [(lambda, us)] of a lattice point. *)
-
 val round0_cells : t -> cell list
 (** The cells of round 0 (the whole grid for [Grid] mode), in execution
     order. *)

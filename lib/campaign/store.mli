@@ -86,4 +86,3 @@ val read_status : dir:string -> (status, string) result
     dead campaign; the active segment is read tolerantly). *)
 
 val results_path : dir:string -> string
-val spec_path : dir:string -> string

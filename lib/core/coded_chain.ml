@@ -128,77 +128,6 @@ let apply t state = function
       if target = Lattice.full t.lat && t.immediate then state.n <- state.n - 1
       else state.counts.(target) <- state.counts.(target) + 1
 
-(* ---- simulation ---- *)
-
-type stats = {
-  final_time : float;
-  events : int;
-  arrivals : int;
-  departures : int;
-  time_avg_n : float;
-  max_n : int;
-  final_n : int;
-  truncated : bool;
-  samples : (float * int) array;
-}
-
-(* The chain as a model on [Engine.drive]: [total_rate] stashes the
-   transitions list, and [apply] walks it with the same cumulative rule
-   the generator row is summed in. *)
-let simulate ?sample_every ?max_events ~rng t ~init ~horizon =
-  let state = copy_state init in
-  let build eng =
-    let c = Engine.counters eng in
-    let row = ref [] in
-    let total_rate () =
-      let ts = transitions t state in
-      row := ts;
-      List.fold_left (fun acc (_, r) -> acc +. r) 0.0 ts
-    in
-    let apply ~time ~u =
-      let rec pick acc = function
-        | [] -> assert false
-        | [ (tr, _) ] -> tr
-        | (tr, r) :: rest -> if acc +. r >= u then tr else pick (acc +. r) rest
-      in
-      let transition = pick 0.0 !row in
-      let before = state.n in
-      apply t state transition;
-      (match transition with
-      | Arrival _ -> c.arrivals <- c.arrivals + 1
-      | Seed_departure -> c.departures <- c.departures + 1
-      | Transfer _ -> if state.n < before then c.departures <- c.departures + 1);
-      Engine.observe eng ~time ~n:state.n
-    in
-    Engine.observe eng ~time:0.0 ~n:state.n;
-    ( {
-        Engine.total_rate;
-        apply;
-        next_scheduled = (fun () -> infinity);
-        scheduled = (fun ~time:_ -> ());
-        population = (fun () -> state.n);
-        extra_sample = (fun ~time:_ -> ());
-        probe_sample = (fun ~time:_ -> assert false) (* no probe is attached *);
-        finish = (fun ~time:_ -> ());
-      },
-      () )
-  in
-  let s, () =
-    Engine.drive ?sample_every ?max_events ~name:"coded_chain" ~rng ~faults:Faults.none
-      ~horizon build
-  in
-  {
-    final_time = s.final_time;
-    events = s.events;
-    arrivals = s.arrivals;
-    departures = s.departures;
-    time_avg_n = s.time_avg_n;
-    max_n = s.max_n;
-    final_n = s.final_n;
-    truncated = s.truncated;
-    samples = s.samples;
-  }
-
 (* ---- exact stationary analysis ---- *)
 
 type solved = {

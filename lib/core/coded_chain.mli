@@ -9,10 +9,11 @@
     probability that a random member of the uploader's subspace lifts the
     downloader to a given cover.
 
-    On top of the generator this module provides a Gillespie simulator, a
-    truncated-space exact stationary solver (via {!Balance}), and the
-    coded Lyapunov function of Eq. (56) with its exact drift — the
-    computational content of the Theorem 15(b) proof. *)
+    On top of the generator this module provides a truncated-space exact
+    stationary solver (via {!Balance}) and the coded Lyapunov function of
+    Eq. (56) with its exact drift — the computational content of the
+    Theorem 15(b) proof.  The chain is simulated by {!Sim_coded}, which
+    races the same law at the level of individual peers' subspaces. *)
 
 module Lattice = P2p_coding.Lattice
 
@@ -44,7 +45,6 @@ type state = { counts : int array; mutable n : int }
 
 val empty_state : t -> state
 val state_of : t -> (Lattice.subspace * int) list -> state
-val copy_state : state -> state
 
 type transition =
   | Arrival of Lattice.subspace
@@ -61,34 +61,6 @@ val apply : t -> state -> transition -> unit
 
 val mu_tilde : t -> float
 (** [(1 − 1/q) μ] — the effective useful-contact rate of Theorem 15. *)
-
-(* ---- simulation ---- *)
-
-type stats = {
-  final_time : float;
-  events : int;
-  arrivals : int;
-  departures : int;
-  time_avg_n : float;
-  max_n : int;
-  final_n : int;
-  truncated : bool;
-      (** the [max_events] budget ran out before [horizon]; time-based
-          statistics are biased toward the frozen final state *)
-  samples : (float * int) array;
-}
-
-val simulate :
-  ?sample_every:float ->
-  ?max_events:int ->
-  rng:P2p_prng.Rng.t ->
-  t ->
-  init:state ->
-  horizon:float ->
-  stats
-(** Exact Gillespie simulation on type counts, on {!Engine.drive} (cost
-    per event is O(occupied types × covers), independent of the
-    population).  [max_events] defaults to 200 million. *)
 
 (* ---- exact stationary analysis ---- *)
 

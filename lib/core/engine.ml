@@ -5,6 +5,7 @@ module Profile = P2p_obs.Profile
 module Hist = P2p_obs.Hist
 module Vec = P2p_stats.Vec
 module Timeavg = P2p_stats.Timeavg
+module Runner = P2p_runner.Runner
 
 type counters = {
   mutable events : int;
@@ -156,6 +157,13 @@ let make_handle ~probe ~resume ~rng ~faults ~horizon ~max_events ~sample_every =
         Probe.seed_toggle probe ~time:now ~up);
   t
 
+(* [drive] polls the replication watchdog once per [poll_period] events,
+   so a sweep's [rep_timeout_s] stops every jump backend mid-run.  Outside
+   a watchdog the poll is one domain-local read. *)
+let poll_period = 1024
+
+let check_watchdog () = if Runner.deadline_exceeded () then raise Runner.Rep_timeout
+
 let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resume = fresh)
     ~name ~rng ~faults ~horizon build =
   let prof = probe.Probe.profile in
@@ -186,6 +194,10 @@ let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resu
   let next_scheduled = model.next_scheduled in
   let do_scheduled = model.scheduled in
   let frun = t.frun in
+  (* The event count at which the loop next looks up: the budget, or the
+     next watchdog poll if that comes first.  One comparison per event
+     serves both. *)
+  let next_check = ref (Int.min max_events poll_period) in
   let running = ref true in
   while !running do
     let rate_t0 = Hist.tick rate_tm in
@@ -220,7 +232,18 @@ let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resu
         running := false
       end
     end
-    else if t_next > horizon || c.events >= max_events then begin
+    else if
+      t_next > horizon
+      || c.events >= !next_check
+         && (c.events >= max_events
+            || begin
+                 (* The countdown, not the budget, ran out: poll, then go
+                    on with this event. *)
+                 check_watchdog ();
+                 next_check := Int.min max_events (c.events + poll_period);
+                 false
+               end)
+    then begin
       (* The event budget ran out before the horizon: the state is
          frozen from the clock to the horizon, which biases every
          time-based statistic.  Record that instead of truncating

@@ -1,7 +1,7 @@
 (** The shared simulation-engine core behind every simulator:
     {!drive} runs the jump processes ({!Sim_markov}, {!Sim_agent} on any
-    overlay and with any peer classes, {!Sim_coded} and the type-level
-    {!Coded_chain}), and {!drive_continuous} the fluid model.
+    overlay and with any peer classes, and {!Sim_coded}), and
+    {!drive_continuous} the fluid model.
 
     Every jump-process simulator is the same machine wearing a
     different model: an exponential race over a handful of aggregate
@@ -9,7 +9,7 @@
     off a heap, seed-outage toggles), truncated by a horizon and an event
     budget, and observed through a sampling grid, a time-averaged
     population, and an optional {!P2p_obs.Probe.t}.  Before this module
-    existed that scaffolding lived as four hand-maintained near-copies,
+    existed that scaffolding lived as hand-maintained near-copies,
     and only two of them ({!Sim_markov}, {!Sim_agent}) ever received the
     fault layer and the telemetry hooks.  [Engine] is the single home
     for the shared part; each simulator supplies only its model-specific
@@ -18,9 +18,12 @@
     {b What the engine owns}: the clock, the horizon / [max_events]
     truncation (and the [truncated] flag), the shared {!counters}, the
     time-average of the population, the [Vec]-backed sampling grid, the
-    probe grid and {!P2p_obs.Profile} spans, and the per-run
-    {!Faults.run} clockwork (including the toggle time barrier and the
-    [Seed_toggle] trace events).
+    probe grid and {!P2p_obs.Profile} spans, the per-run {!Faults.run}
+    clockwork (including the toggle time barrier and the [Seed_toggle]
+    trace events), and the replication watchdog: every 1,024 events
+    {!drive} polls {!P2p_runner.Runner.deadline_exceeded} and raises
+    {!P2p_runner.Runner.Rep_timeout} once it holds, so a sweep's
+    [rep_timeout_s] stops every jump backend mid-run.
 
     {b What a model supplies}: its total event rate (stashing the
     per-band components for {!model.apply} to dispatch on), the event
@@ -195,7 +198,10 @@ val drive :
     its model-specific statistics afterwards.  [name] prefixes the
     profile spans ([name ^ "/setup"], ["/event-loop"], ["/finalise"]).
     [sample_every] defaults to [horizon /. 200.] (floored at [1e-9]);
-    [max_events] defaults to 200 million. *)
+    [max_events] defaults to 200 million.
+    @raise P2p_runner.Runner.Rep_timeout when the watchdog of the
+    replication running on this domain expires (never outside a
+    {!P2p_runner.Runner} sweep with a [rep_timeout_s]). *)
 
 (** {1 The continuous (fluid) model interface}
 
@@ -252,5 +258,6 @@ val drive_continuous :
 (** Drive a continuous model over [[resume.t0], horizon].  [rng] is
     used only to start the fault stream (no draws at all when
     [faults = Faults.none] and [resume.frun = None] — determinism
-    contract identical to the stochastic drivers).  [sample_every]
+    contract identical to the stochastic drivers).  It does not poll the
+    replication watchdog: no caller runs it under one.  [sample_every]
     defaults to [(horizon - t0) /. 200.] (floored at [1e-9]). *)

@@ -81,7 +81,6 @@ type step = {
   sy1 : float array;
   sk1 : float array;  (* f(t0, y0) *)
   sk7 : float array;  (* f(t0+h, y1): the FSAL stage *)
-  serr : float;
   (* rcont3..rcont5 of Hairer's contd5; rcont1 = y0, rcont2 = y1 - y0. *)
   sr3 : float array;
   sr4 : float array;
@@ -89,7 +88,6 @@ type step = {
 }
 
 let step_y1 s = Array.copy s.sy1
-let step_error s = s.serr
 
 let step_eval s t =
   let h = s.sh in
@@ -167,7 +165,7 @@ let try_step ~f ~control ~t ~y ~h =
   if not (Float.is_finite h && h > 0.0) then
     invalid_arg (Printf.sprintf "Ode.try_step: h must be finite > 0, got %g" h);
   let k1 = f t y in
-  let _, k3, k4, k5, k6, y1, k7, err = eval_step ~f ~control ~t ~y ~h ~k1 in
+  let _, k3, k4, k5, k6, y1, k7, _ = eval_step ~f ~control ~t ~y ~h ~k1 in
   let r3, r4, r5 = dense_coeffs ~h ~y0:y ~y1 ~k1 ~k3 ~k4 ~k5 ~k6 ~k7 in
   {
     st0 = t;
@@ -176,7 +174,6 @@ let try_step ~f ~control ~t ~y ~h =
     sy1 = y1;
     sk1 = k1;
     sk7 = k7;
-    serr = err;
     sr3 = r3;
     sr4 = r4;
     sr5 = r5;
@@ -223,8 +220,6 @@ let state s = s.y
 let steps s = s.n_steps
 let rejected s = s.n_rejected
 let evals s = s.n_evals
-
-let last_step_start s = match s.last with Some st -> st.st0 | None -> s.t
 
 let dense_eval s t =
   match s.last with
@@ -336,8 +331,8 @@ let advance ?until ?on_step s ~to_ =
         (* Accept. *)
         let r3, r4, r5 = dense_coeffs ~h ~y0:s.y ~y1 ~k1 ~k3 ~k4 ~k5 ~k6 ~k7 in
         let st =
-          { st0 = s.t; sh = h; sy0 = s.y; sy1 = y1; sk1 = k1; sk7 = k7; serr = err;
-            sr3 = r3; sr4 = r4; sr5 = r5 }
+          { st0 = s.t; sh = h; sy0 = s.y; sy1 = y1; sk1 = k1; sk7 = k7; sr3 = r3;
+            sr4 = r4; sr5 = r5 }
         in
         s.last <- Some st;
         s.t <- s.t +. h;

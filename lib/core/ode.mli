@@ -56,10 +56,6 @@ val try_step :
 val step_y1 : step -> float array
 (** The 5th-order solution at [t + h] (a fresh copy). *)
 
-val step_error : step -> float
-(** The scaled RMS error estimate; an adaptive driver accepts iff
-    [<= 1.0]. *)
-
 val step_eval : step -> float -> float array
 (** Dense output: the 4th-order interpolant at any time within
     [[t, t + h]].  @raise Invalid_argument outside the step. *)
@@ -119,7 +115,5 @@ val advance :
 
 val dense_eval : session -> float -> float array
 (** Interpolate within the {e last accepted step} (valid between
-    {!last_step_start} and {!time}).  Only meaningful inside [on_step].
+    its start and {!time}).  Only meaningful inside [on_step].
     @raise Invalid_argument outside that window. *)
-
-val last_step_start : session -> float

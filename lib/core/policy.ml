@@ -140,9 +140,6 @@ let sequential =
 let sample t ~rng ~k ~state ~uploader ~downloader =
   t.sample_fast ~rng ~k ~state ~uploader ~downloader
 
-let sample_spec t ~rng ~k ~state ~uploader ~downloader =
-  sample_distribution t.distribution ~rng ~k ~state ~uploader ~downloader
-
 let validate_distribution dist ~useful =
   let total = List.fold_left (fun acc (_, p) -> acc +. p) 0.0 dist in
   let supported = List.for_all (fun (i, p) -> p >= 0.0 && Pieceset.mem i useful) dist in

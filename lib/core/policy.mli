@@ -11,9 +11,6 @@ module Rng = P2p_prng.Rng
 
 type uploader = Fixed_seed | Peer of Pieceset.t
 
-val uploader_pieces : k:int -> uploader -> Pieceset.t
-(** The fixed seed holds everything. *)
-
 val useful_pieces : k:int -> uploader:uploader -> downloader:Pieceset.t -> Pieceset.t
 (** Pieces the uploader holds and the downloader lacks. *)
 
@@ -81,18 +78,6 @@ val sample :
   int option
 (** Draw a piece, or [None] when the uploader cannot help.  Delegates to
     [sample_fast]. *)
-
-val sample_spec :
-  t ->
-  rng:P2p_prng.Rng.t ->
-  k:int ->
-  state:State.t ->
-  uploader:uploader ->
-  downloader:Pieceset.t ->
-  int option
-(** Reference sampler walking the [distribution] list — the behaviour
-    {!sample} had before the fast paths existed.  Kept for tests and for
-    cross-checking custom policies. *)
 
 val validate_distribution : (int * float) list -> useful:Pieceset.t -> bool
 (** Checks support and normalisation (for tests and custom policies). *)

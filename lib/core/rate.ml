@@ -132,14 +132,3 @@ let apply (p : Params.t) state = function
       if Pieceset.equal target (Params.full_set p) && Params.immediate_departure p then
         State.remove_peer state downloader
       else State.move_peer state ~from_:downloader ~to_:target
-
-let target_description p = function
-  | Arrival c -> Printf.sprintf "arrival of type %s" (Pieceset.to_string c)
-  | Seed_departure -> "peer seed departs"
-  | Transfer { downloader; piece } ->
-      let target = Pieceset.add piece downloader in
-      if Pieceset.equal target (Params.full_set p) && Params.immediate_departure p then
-        Printf.sprintf "type %s gets piece %d and departs" (Pieceset.to_string downloader)
-          (piece + 1)
-      else
-        Printf.sprintf "type %s gets piece %d" (Pieceset.to_string downloader) (piece + 1)

@@ -48,6 +48,3 @@ val total_rate : ?policy:Policy.t -> Params.t -> State.t -> float
 val apply : Params.t -> State.t -> transition -> unit
 (** Mutate the state by one transition, implementing the γ = ∞ departure
     convention. @raise Invalid_argument on an impossible transition. *)
-
-val target_description : Params.t -> transition -> string
-(** Human-readable label, for traces. *)

@@ -8,8 +8,6 @@ let set_output_dir dir =
   | Some path -> if not (Sys.file_exists path) then Sys.mkdir path 0o755
   | None -> ()
 
-let output_dir () = !csv_dir
-
 let slug_of title =
   String.map
     (fun ch ->

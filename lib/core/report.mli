@@ -23,5 +23,3 @@ val set_output_dir : string option -> unit
     [table_NNN_<slug>.csv] in that directory (created if missing), where
     the slug comes from the latest {!banner}.  Used by the benchmark
     harness to export every experiment's rows for external plotting. *)
-
-val output_dir : unit -> string option

@@ -58,7 +58,6 @@ type stats = {
   max_n : int;
   final_n : int;
   truncated : bool;
-  stopped : bool;
   outage_time : float;
   aborted_peers : int;
   lost_transfers : int;
@@ -71,7 +70,7 @@ type stats = {
    float-only record is stored flat, so the per-event stash never boxes. *)
 type bands = { arrival : float; mutable seed : float; mutable abort : float }
 
-let run ?(probe = Probe.none) ?sample_every ?max_events ?until ~rng config ~horizon =
+let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
   if config.k < 1 then invalid_arg "Sim_coded.run: k must be >= 1";
   List.iter
     (fun (j, rate) ->
@@ -382,10 +381,7 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ?until ~rng config ~hori
               (* A dwelling peer seed: its subspace is everything. *)
               transmit ~uploader:None ~seed_upload:false ~time
           end;
-          observe time;
-          match until with
-          | Some pred when pred ~time ~n:(population ()) -> Engine.request_stop h
-          | _ -> ()
+          observe time
         in
         let model =
           {
@@ -405,11 +401,7 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ?until ~rng config ~hori
                     counters.departures <- counters.departures + 1;
                     if tracing then
                       Probe.departure probe ~time Seed_departed;
-                    observe time;
-                    (match until with
-                    | Some pred when pred ~time ~n:(population ()) ->
-                        Engine.request_stop h
-                    | _ -> ())
+                    observe time
                 | None -> assert false);
             population;
             extra_sample = (fun ~time:_ -> ());
@@ -468,7 +460,6 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ?until ~rng config ~hori
     max_n = common.Engine.max_n;
     final_n = common.Engine.final_n;
     truncated = common.Engine.truncated;
-    stopped = common.Engine.stopped;
     outage_time = common.Engine.outage_time;
     aborted_peers = common.Engine.aborted_peers;
     lost_transfers = common.Engine.lost_transfers;
@@ -477,5 +468,5 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ?until ~rng config ~hori
     near_complete_fraction = P2p_stats.Timeavg.average club_avg;
   }
 
-let run_seeded ?probe ?sample_every ?max_events ?until ~seed config ~horizon =
-  run ?probe ?sample_every ?max_events ?until ~rng:(Rng.of_seed seed) config ~horizon
+let run_seeded ?probe ?sample_every ?max_events ~seed config ~horizon =
+  run ?probe ?sample_every ?max_events ~rng:(Rng.of_seed seed) config ~horizon

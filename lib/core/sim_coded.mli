@@ -17,7 +17,9 @@
     outages silence the fixed seed, churn aborts in-progress (partial
     dimension) peers, transfer loss drops uploaded vectors, and an
     attached {!P2p_obs.Probe.t} traces events and samples the swarm with
-    the usual probes-observe-never-perturb bit-identity guarantee.  In
+    the usual probes-observe-never-perturb bit-identity guarantee.  Inside
+    a {!P2p_runner.Runner} sweep with a [rep_timeout_s], the engine loop
+    raises {!P2p_runner.Runner.Rep_timeout} once the watchdog expires.  In
     trace events and probe samples, the subspace {e dimension} plays the
     role of the piece index: a useful transfer raising dim d → d+1 is
     [Transfer { piece = d; _ }], and probe [piece_counts.(i)] counts the
@@ -57,7 +59,6 @@ type stats = {
   truncated : bool;
       (** the [max_events] budget ran out before [horizon]; every
           time-based statistic is biased toward the frozen state *)
-  stopped : bool;  (** an [until] predicate requested an early stop *)
   outage_time : float;  (** total time the fixed seed spent down *)
   aborted_peers : int;  (** churn departures (also counted in [departures]) *)
   lost_transfers : int;
@@ -75,21 +76,15 @@ val run :
   ?probe:P2p_obs.Probe.t ->
   ?sample_every:float ->
   ?max_events:int ->
-  ?until:(time:float -> n:int -> bool) ->
   rng:P2p_prng.Rng.t ->
   config ->
   horizon:float ->
   stats
-(** [until] is evaluated after every state-changing event with the new
-    population; returning [true] requests a stop at the current clock
-    ([stopped] is set in the stats).  Used by the campaign layer's
-    cooperative per-replication watchdog. *)
 
 val run_seeded :
   ?probe:P2p_obs.Probe.t ->
   ?sample_every:float ->
   ?max_events:int ->
-  ?until:(time:float -> n:int -> bool) ->
   seed:int ->
   config ->
   horizon:float ->

@@ -179,7 +179,8 @@ module Coded = struct
   }
 
   let validate g =
-    if g.q < 2 then invalid_arg "Coded: q must be >= 2";
+    if not (P2p_gf.Field.is_prime_power g.q) then
+      invalid_arg (Printf.sprintf "Coded: q must be a prime power, got %d" g.q);
     if g.k < 1 then invalid_arg "Coded: k must be >= 1";
     if g.us < 0.0 || g.mu <= 0.0 || g.gamma <= 0.0 then invalid_arg "Coded: bad rates";
     if g.lambda0 < 0.0 || g.lambda1 < 0.0 || g.lambda0 +. g.lambda1 <= 0.0 then
@@ -258,7 +259,8 @@ module Coded = struct
     }
 
   let validate_profile p =
-    if p.pq < 2 then invalid_arg "Coded.profile: q must be >= 2";
+    if not (P2p_gf.Field.is_prime_power p.pq) then
+      invalid_arg (Printf.sprintf "Coded.profile: q must be a prime power, got %d" p.pq);
     if p.pk < 1 then invalid_arg "Coded.profile: k must be >= 1";
     if p.pus < 0.0 || p.pmu <= 0.0 || p.pgamma <= 0.0 then
       invalid_arg "Coded.profile: bad rates";

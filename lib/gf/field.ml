@@ -200,15 +200,22 @@ let extension ~p ~m =
 let gf_cache : (int, t) Hashtbl.t = Hashtbl.create 8
 let gf_lock = Mutex.create ()
 
-let gf_uncached q =
-  if q < 2 then invalid_arg "Field.gf: q must be >= 2";
-  (* Factor q as p^m. *)
+(* [q = p^m] as [Some (p, m)], or [None] when q is not a prime power. *)
+let prime_power q =
   let rec smallest_factor d = if d * d > q then q else if q mod d = 0 then d else smallest_factor (d + 1) in
   let p = smallest_factor 2 in
-  let rec degree x acc = if x = 1 then acc else if x mod p = 0 then degree (x / p) (acc + 1) else -1 in
-  let m = degree q 0 in
-  if m < 1 then invalid_arg (Printf.sprintf "Field.gf: %d is not a prime power" q);
-  if m = 1 then prime p else extension ~p ~m
+  let rec degree x m =
+    if x = 1 then Some (p, m) else if x mod p = 0 then degree (x / p) (m + 1) else None
+  in
+  if q < 2 then None else degree q 0
+
+let is_prime_power q = prime_power q <> None
+
+let gf_uncached q =
+  match prime_power q with
+  | None -> invalid_arg (Printf.sprintf "Field.gf: %d is not a prime power" q)
+  | Some (p, 1) -> prime p
+  | Some (p, m) -> extension ~p ~m
 
 let gf q =
   Mutex.lock gf_lock;
@@ -228,8 +235,6 @@ let gf q =
       | exception e ->
           Mutex.unlock gf_lock;
           raise e)
-
-let element_of_int f x = ((x mod f.q) + f.q) mod f.q
 
 let pow f x n =
   if n < 0 then invalid_arg "Field.pow: negative exponent";

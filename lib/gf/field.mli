@@ -40,12 +40,12 @@ val gf : int -> t
     field value, so replicated runs never rebuild the log/antilog tables.
     @raise Invalid_argument if [q] is not a prime power in range. *)
 
-val element_of_int : t -> int -> int
-(** Reduce an arbitrary integer to a field element: residue mod [q] (for
-    sampling uniform elements). *)
-
 val is_prime : int -> bool
 (** Trial-division primality (exposed for tests). *)
+
+val is_prime_power : int -> bool
+(** Whether [q = p^m] for a prime [p] and [m >= 1]: the sizes of the
+    finite fields. *)
 
 val pow : t -> int -> int -> int
 (** [pow f x n] is x^n in the field, n >= 0. *)

@@ -1,18 +1,5 @@
 type vec = int array
 
-let zero_vec n = Array.make n 0
-
-(* Explicit int loops: entries are immediate ints, so [compare]'s
-   polymorphic dispatch is pure overhead (and a latent trap if a vec is
-   ever aliased with a float array). *)
-let vec_equal a b =
-  let n = Array.length a in
-  Array.length b = n
-  && begin
-       let rec go i = i >= n || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1)) in
-       go 0
-     end
-
 let is_zero_vec v =
   let n = Array.length v in
   let rec go i = i >= n || (Array.unsafe_get v i = 0 && go (i + 1)) in

@@ -8,10 +8,6 @@
 type vec = int array
 (** A row vector; entries must be field elements in [0, q). *)
 
-val zero_vec : int -> vec
-val vec_equal : vec -> vec -> bool
-val is_zero_vec : vec -> bool
-
 val vec_add : Field.t -> vec -> vec -> vec
 val vec_scale : Field.t -> int -> vec -> vec
 val vec_axpy : Field.t -> int -> vec -> vec -> vec

@@ -28,7 +28,6 @@ let create () =
 
 let node_count t = t.node_len
 let edge_count t = t.edges
-let mem_node t id = Hashtbl.mem t.nodes id
 
 let entry t id =
   match Hashtbl.find_opt t.nodes id with
@@ -129,9 +128,6 @@ let iter_neighbors t id f =
 let sample_neighbor t id rng =
   let e = entry t id in
   if e.len = 0 then None else Some e.neigh.(Rng.int_below rng e.len)
-
-let random_node t rng =
-  if t.node_len = 0 then None else Some t.node_list.(Rng.int_below rng t.node_len)
 
 let attach_uniform t id ~degree rng =
   let e = entry t id in

@@ -15,7 +15,6 @@ type t
 val create : unit -> t
 val node_count : t -> int
 val edge_count : t -> int
-val mem_node : t -> int -> bool
 val mem_edge : t -> int -> int -> bool
 
 val add_node : t -> int -> unit
@@ -45,9 +44,6 @@ val attach_uniform : t -> int -> degree:int -> P2p_prng.Rng.t -> unit
 (** Connect an existing node to [min degree (others)] distinct nodes
     chosen uniformly among the other nodes — the arrival rule of a
     tracker that hands each newcomer a random peer set. *)
-
-val random_node : t -> P2p_prng.Rng.t -> int option
-(** Uniform over all nodes. *)
 
 val mean_degree : t -> float
 val connected_component_sizes : t -> int list

@@ -6,10 +6,6 @@ let mg_inf_maximal_bound ~arrival_rate ~mean_service ~b ~eps =
     Float.max 0.0 (Float.min 1.0 (numerator /. denominator))
   end
 
-let kingman_gi_g1 ~rate ~m1 ~m2 ~b ~eps =
-  if eps <= rate *. m1 || b <= 0.0 then 1.0
-  else Float.min 1.0 (rate *. m2 /. (2.0 *. b *. (eps -. (rate *. m1))))
-
 let poisson_tail ~mean ~at_least =
   if at_least <= 0 then 1.0
   else begin

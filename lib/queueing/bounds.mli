@@ -6,9 +6,6 @@ val mg_inf_maximal_bound : arrival_rate:float -> mean_service:float -> b:float -
     [P{M_t >= B + εt for some t} <= e^{λ(m+1)} 2^{-B} / (1 - 2^{-ε})].
     Returns the right-hand side clamped to [0, 1]. *)
 
-val kingman_gi_g1 : rate:float -> m1:float -> m2:float -> b:float -> eps:float -> float
-(** Proposition 20 restated for arbitrary first/second batch moments. *)
-
 val poisson_tail : mean:float -> at_least:int -> float
 (** [P(Poisson(mean) >= k)] by direct summation — exact reference law of
     the M/GI/∞ stationary population, used to validate the simulator. *)

@@ -10,17 +10,17 @@ type on_error = Abort | Skip | Retry of int
 exception Rep_timeout
 
 (* The watchdog deadline of the replication attempt currently running on
-   this domain ([infinity] outside one).  Cooperative: thunks poll
-   [deadline_exceeded] (the simulators wire it into their [until]
-   predicate) to stop early; the runner additionally enforces it post
-   hoc, discarding the value of an attempt that finished late.  OCaml
+   this domain ([infinity] outside one).  Cooperative: the simulators'
+   event loop polls [deadline_exceeded] to stop early; the runner
+   additionally enforces it post hoc, discarding the value of an attempt
+   that finished late.  OCaml
    cannot safely preempt a domain, so a thunk that neither polls nor
    returns runs to completion — but its result is still recorded as a
    {!Rep_timeout} failure and handed to the [on_error] policy. *)
 let deadline_key : float Domain.DLS.key = Domain.DLS.new_key (fun () -> infinity)
 
-(* Polled once per engine event by every campaign cell: with no watchdog
-   set the answer is [false] without a clock read. *)
+(* Polled every 1,024 engine events: with no watchdog set the answer is
+   [false] without a clock read. *)
 let deadline_exceeded () =
   let deadline = Domain.DLS.get deadline_key in
   deadline < infinity && Clock.now_s () > deadline

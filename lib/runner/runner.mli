@@ -55,18 +55,19 @@ type on_error =
 
 exception Rep_timeout
 (** A replication attempt outran its [rep_timeout_s] watchdog.  Raised
-    cooperatively by thunks that poll {!deadline_exceeded}, and recorded
-    by the runner itself when an attempt returns after its deadline (the
-    late value is discarded).  Handled like any other failure by the
-    {!on_error} policy: a retried attempt starts a fresh watchdog. *)
+    by the simulators' shared event loop ([P2p_core.Engine.drive]),
+    which polls {!deadline_exceeded}, and recorded by the runner itself
+    when an attempt returns after its deadline (the late value is
+    discarded).  Handled like any other failure by the {!on_error}
+    policy: a retried attempt starts a fresh watchdog. *)
 
 val deadline_exceeded : unit -> bool
 (** Whether the watchdog of the replication attempt currently running on
     this domain has expired ([false] when no [rep_timeout_s] is active).
-    OCaml cannot preempt a domain, so enforcement is cooperative: long
-    thunks poll this (the simulators accept it as an [until] predicate)
-    and bail out, typically by raising {!Rep_timeout}.  A thunk that
-    never polls still gets its late result discarded post hoc. *)
+    OCaml cannot preempt a domain, so enforcement is cooperative:
+    [P2p_core.Engine.drive] polls this every 1,024 events and raises
+    {!Rep_timeout}.  A thunk that never polls still gets its late result
+    discarded post hoc. *)
 
 type timing = {
   wall_s : float;  (** wall-clock seconds for the whole sweep *)
@@ -162,29 +163,6 @@ val run_map :
     [chunk < 1] or [Retry n] with [n < 1].  Under [Abort], the first
     exception raised by [f] is re-raised in the caller after all domains
     join, with the original backtrace preserved. *)
-
-val run_fold :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?on_error:on_error ->
-  ?rep_timeout_s:float ->
-  ?handle_sigint:bool ->
-  ?progress:P2p_obs.Progress.t ->
-  master_seed:int ->
-  replications:int ->
-  init:(unit -> 'acc) ->
-  add:('acc -> 'a -> unit) ->
-  merge:('acc -> 'acc -> 'acc) ->
-  (rng:Rng.t -> index:int -> 'a) ->
-  'acc * timing
-(** Streaming version of {!run_map}: each chunk folds its replications
-    into a fresh [init ()] accumulator with [add] (in index order), and
-    the chunk accumulators are combined left-to-right in chunk order
-    with [merge] (starting from [init ()], so [replications = 0] just
-    returns an empty accumulator).  Per-replication outputs are never
-    retained, so sweeps with large [R] run in constant memory.  Skipped
-    replications are simply never [add]ed, which keeps the surviving
-    merge bit-identical across [jobs]. *)
 
 (** {1 Canned aggregation: named metrics} *)
 

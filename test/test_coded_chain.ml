@@ -1,5 +1,6 @@
-(* The type-level coded Markov chain: generator, simulation, exact
-   stationary analysis, and the Eq. (56) Lyapunov function. *)
+(* The type-level coded Markov chain: generator, exact stationary
+   analysis and the Eq. (56) Lyapunov function, with the chain's
+   simulations run on Sim_coded. *)
 
 open P2p_core
 module L = P2p_coding.Lattice
@@ -18,6 +19,13 @@ let stable_cfg =
 let transient_cfg =
   { Coded_chain.q = 2; k = 2; us = 0.0; mu = 1.0; gamma = infinity;
     arrivals = [ (0, 0.4); (1, 0.6) ] }
+
+(* The same chain, simulated peer by peer. *)
+let simulate ?sample_every ?max_events ~seed (c : Coded_chain.config) ~horizon =
+  Sim_coded.run_seeded ?sample_every ?max_events ~seed
+    { Sim_coded.q = c.q; k = c.k; us = c.us; mu = c.mu; gamma = c.gamma; arrivals = c.arrivals;
+      smart_exchange = false; faults = Faults.none }
+    ~horizon
 
 let profile_of (c : Coded_chain.config) =
   { Stability.Coded.pq = c.q; pk = c.k; pus = c.us; pmu = c.mu; pgamma = c.gamma;
@@ -79,21 +87,8 @@ let test_apply_conservation () =
   Coded_chain.apply t state (Coded_chain.Transfer { downloader = line; target = L.full lat });
   Alcotest.(check int) "decode departs" 3 state.n
 
-let test_type_level_matches_agent_level () =
-  (* Same law as Sim_coded: compare time-average N on the transient
-     config where the signal is strong. *)
-  let t = Coded_chain.create transient_cfg in
-  let rng = P2p_prng.Rng.of_seed 1 in
-  let s = Coded_chain.simulate ~rng t ~init:(Coded_chain.empty_state t) ~horizon:2000.0 in
-  let g = { Stability.Coded.q = 2; k = 2; us = 0.0; mu = 1.0; gamma = infinity;
-            lambda0 = 0.4; lambda1 = 0.6 } in
-  let sa = Sim_coded.run_seeded ~seed:2 (Sim_coded.of_gift g) ~horizon:2000.0 in
-  close ~tol:0.15 "agent vs type-level mean N" sa.time_avg_n s.time_avg_n
-
 let test_stable_simulation_small () =
-  let t = Coded_chain.create stable_cfg in
-  let rng = P2p_prng.Rng.of_seed 3 in
-  let s = Coded_chain.simulate ~rng t ~init:(Coded_chain.empty_state t) ~horizon:3000.0 in
+  let s = simulate ~seed:3 stable_cfg ~horizon:3000.0 in
   Alcotest.(check bool) "small population" true (s.time_avg_n < 20.0);
   let r = Classify.of_samples s.samples in
   Alcotest.(check string) "stable" "appears-stable" (Classify.verdict_to_string r.verdict)
@@ -102,8 +97,7 @@ let test_exact_stationary_matches_simulation () =
   let t = Coded_chain.create stable_cfg in
   let solved = Coded_chain.stationary t ~n_max:25 in
   Alcotest.(check bool) "cap mass small" true (solved.mass_at_cap < 1e-4);
-  let rng = P2p_prng.Rng.of_seed 4 in
-  let s = Coded_chain.simulate ~rng t ~init:(Coded_chain.empty_state t) ~horizon:30000.0 in
+  let s = simulate ~seed:4 stable_cfg ~horizon:30000.0 in
   close ~tol:0.06 "exact vs simulated E[N]" solved.mean_n s.time_avg_n;
   let md = Coded_chain.mean_dim t solved in
   Alcotest.(check bool) "mean dim within [0,K)" true (md >= 0.0 && md < 2.0)
@@ -115,9 +109,7 @@ let test_theory_verdicts () =
     (Stability.verdict_to_string (Stability.Coded.classify_profile (profile_of transient_cfg)))
 
 let test_transient_grows () =
-  let t = Coded_chain.create transient_cfg in
-  let rng = P2p_prng.Rng.of_seed 5 in
-  let s = Coded_chain.simulate ~rng t ~init:(Coded_chain.empty_state t) ~horizon:1500.0 in
+  let s = simulate ~seed:5 transient_cfg ~horizon:1500.0 in
   let r = Classify.of_samples s.samples in
   Alcotest.(check string) "unstable" "appears-unstable" (Classify.verdict_to_string r.verdict)
 
@@ -156,40 +148,29 @@ let test_w_regime_guard () =
 let test_finite_gamma_seed_dwell () =
   (* gamma finite: completed peers dwell, so Seed_departure transitions
      appear and conservation holds. *)
-  let cfg = { stable_cfg with gamma = 2.0 } in
-  let t = Coded_chain.create cfg in
-  let rng = P2p_prng.Rng.of_seed 6 in
-  let s = Coded_chain.simulate ~rng t ~init:(Coded_chain.empty_state t) ~horizon:2000.0 in
+  let s = simulate ~seed:6 { stable_cfg with gamma = 2.0 } ~horizon:2000.0 in
   Alcotest.(check int) "conservation" (s.arrivals - s.departures) s.final_n;
   Alcotest.(check bool) "departures happen" true (s.departures > 100)
 
-(* Pinned from the private race loop this simulator ran before it moved
-   onto Engine.drive: the move is bit-identical. *)
+(* Pins the simulation of this chain at finite gamma, the one coded
+   configuration that both dwelling seeds and the exact solver cover. *)
 let test_engine_golden () =
-  let t = Coded_chain.create { stable_cfg with gamma = 2.0 } in
-  let s =
-    Coded_chain.simulate ~sample_every:50.0 ~rng:(P2p_prng.Rng.of_seed 6) t
-      ~init:(Coded_chain.empty_state t) ~horizon:400.0
-  in
-  Alcotest.(check int) "events" 1486 s.events;
-  Alcotest.(check int) "arrivals" 415 s.arrivals;
-  Alcotest.(check int) "departures" 409 s.departures;
-  Alcotest.(check int) "final n" 6 s.final_n;
-  Alcotest.(check int) "max n" 12 s.max_n;
+  let s = simulate ~sample_every:50.0 ~seed:6 { stable_cfg with gamma = 2.0 } ~horizon:400.0 in
+  Alcotest.(check int) "events" 3125 s.events;
+  Alcotest.(check int) "arrivals" 401 s.arrivals;
+  Alcotest.(check int) "departures" 394 s.departures;
+  Alcotest.(check int) "final n" 7 s.final_n;
+  Alcotest.(check int) "max n" 11 s.max_n;
   Alcotest.(check (array (pair (float 0.0) int))) "samples"
-    [| (0., 0); (50., 5); (100., 4); (150., 0); (200., 8); (250., 8); (300., 1); (350., 7);
-       (400., 6) |]
+    [| (0., 0); (50., 6); (100., 1); (150., 6); (200., 4); (250., 1); (300., 6); (350., 3);
+       (400., 7) |]
     s.samples;
-  Alcotest.(check int64) "time-avg N bits" 4616270305733297701L
+  Alcotest.(check int64) "time-avg N bits" 4615734806905717688L
     (Int64.bits_of_float s.time_avg_n);
   Alcotest.(check bool) "not truncated" false s.truncated
 
 let test_truncated_flag () =
-  let t = Coded_chain.create stable_cfg in
-  let s =
-    Coded_chain.simulate ~max_events:50 ~rng:(P2p_prng.Rng.of_seed 6) t
-      ~init:(Coded_chain.empty_state t) ~horizon:400.0
-  in
+  let s = simulate ~max_events:50 ~seed:6 stable_cfg ~horizon:400.0 in
   Alcotest.(check bool) "budget exhaustion flagged" true s.truncated;
   Alcotest.(check int) "stopped at the budget" 50 s.events;
   Alcotest.(check bool) "stats closed at the horizon" true (Float.equal s.final_time 400.0)
@@ -207,7 +188,6 @@ let () =
         ] );
       ( "dynamics",
         [
-          Alcotest.test_case "matches agent level" `Slow test_type_level_matches_agent_level;
           Alcotest.test_case "stable small" `Quick test_stable_simulation_small;
           Alcotest.test_case "transient grows" `Quick test_transient_grows;
           Alcotest.test_case "exact vs simulated" `Slow test_exact_stationary_matches_simulation;

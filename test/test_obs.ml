@@ -1240,7 +1240,16 @@ let test_cli_model_errors () =
       ( [ "coded"; "--sim"; "-q"; "16"; "-k"; "3"; "-f"; "2" ],
         "arrival rates must be nonnegative with positive sum" );
       ([ "borderline"; "-k"; "0" ], "k must be >= 2");
+      ([ "simulate"; "-t"; "0" ], "horizon must be a finite positive time");
+      ([ "simulate"; "-t"; "nan" ], "horizon must be a finite positive time");
+      ([ "coded"; "--horizon=-5" ], "horizon must be a finite positive time");
+      ([ "fluid"; "--horizon"; "inf" ], "horizon must be a finite positive time");
+      ([ "coded"; "-q"; "6" ], "q must be a prime power, got 6");
+      ([ "coded"; "-q"; "6"; "--sim" ], "q must be a prime power, got 6");
     ]
+
+(* [exact] at its defaults solves a stable swarm within the space guard. *)
+let test_cli_exact_defaults () = run_p2psim [ "exact" ]
 
 (* ---- the missing-piece-syndrome monitor ---- *)
 
@@ -1444,7 +1453,10 @@ let () =
           Alcotest.test_case "cli agent overlay and classes" `Quick test_cli_agent_equivalence;
         ] );
       ( "cli",
-        [ Alcotest.test_case "model errors are usage errors" `Quick test_cli_model_errors ] );
+        [
+          Alcotest.test_case "model errors are usage errors" `Quick test_cli_model_errors;
+          Alcotest.test_case "exact runs at its defaults" `Quick test_cli_exact_defaults;
+        ] );
       ( "monitor",
         [
           Alcotest.test_case "verdict flips across the Theorem 1 boundary" `Quick

@@ -1,8 +1,7 @@
-(* Queueing substrate: M/M/1 and M/GI/∞ against closed forms, plus the
-   appendix bounds (Kingman / Lemma 21) verified empirically. *)
+(* Queueing substrate: M/GI/∞ against closed forms, plus the appendix
+   bounds (Kingman / Lemma 21) verified empirically. *)
 
 module Rng = P2p_prng.Rng
-module Mm1 = P2p_queueing.Mm1
 module Mg_inf = P2p_queueing.Mg_inf
 module Cp = P2p_queueing.Compound_poisson
 module Bounds = P2p_queueing.Bounds
@@ -12,25 +11,6 @@ let close ?(tol = 0.08) name expected actual =
   Alcotest.(check bool)
     (Printf.sprintf "%s: expected %.4g got %.4g" name expected actual)
     true (rel < tol)
-
-let test_mm1_mean_queue () =
-  let rng = Rng.of_seed 1 in
-  let r = Mm1.simulate ~rng ~arrival_rate:0.5 ~service_rate:1.0 ~horizon:200_000.0 in
-  close "mean queue rho=0.5" (Mm1.stationary_mean_queue ~arrival_rate:0.5 ~service_rate:1.0)
-    r.time_avg_queue;
-  close "utilisation" 0.5 r.utilisation
-
-let test_mm1_heavier () =
-  let rng = Rng.of_seed 2 in
-  let r = Mm1.simulate ~rng ~arrival_rate:0.8 ~service_rate:1.0 ~horizon:400_000.0 in
-  close ~tol:0.1 "mean queue rho=0.8" 4.0 r.time_avg_queue
-
-let test_mm1_unstable_raises () =
-  Alcotest.(check bool) "rho >= 1 rejected" true
-    (try
-       ignore (Mm1.stationary_mean_queue ~arrival_rate:2.0 ~service_rate:1.0);
-       false
-     with Invalid_argument _ -> true)
 
 let test_service_means () =
   close ~tol:1e-9 "exp" 0.5 (Mg_inf.mean_service (Mg_inf.Exponential 2.0));
@@ -170,12 +150,6 @@ let test_poisson_tail_values () =
 let () =
   Alcotest.run "queueing"
     [
-      ( "mm1",
-        [
-          Alcotest.test_case "mean queue" `Quick test_mm1_mean_queue;
-          Alcotest.test_case "heavier load" `Quick test_mm1_heavier;
-          Alcotest.test_case "unstable raises" `Quick test_mm1_unstable_raises;
-        ] );
       ( "mg_inf",
         [
           Alcotest.test_case "service means" `Quick test_service_means;

@@ -403,6 +403,49 @@ let test_rep_timeout_cooperative_poll () =
   Alcotest.(check bool) "no watchdog -> deadline never fires" true
     (not (Runner.deadline_exceeded ()))
 
+(* The engine loop polls the watchdog itself, so a replication of any
+   jump backend stops within a poll period of the deadline instead of
+   running to its horizon and having its value discarded afterwards.
+   Each thunk sleeps past its deadline first, so the first poll fires;
+   the probe records how far the simulation clock got. *)
+let test_rep_timeout_stops_every_backend () =
+  let horizon = 3000.0 in
+  let syndrome = Scenario.flash_crowd ~k:3 ~lambda:2.0 ~us:0.3 ~mu:2.0 ~gamma:infinity in
+  let gift =
+    Sim_coded.of_gift
+      { Stability.Coded.q = 16; k = 8; us = 0.0; mu = 1.0; gamma = infinity; lambda0 = 0.95;
+        lambda1 = 0.05 }
+  in
+  List.iter
+    (fun (name, run) ->
+      let last = ref 0.0 in
+      let probe =
+        P2p_obs.Probe.make ~interval:1.0 ~on_sample:(fun s -> last := s.P2p_obs.Probe.time) ()
+      in
+      let res, timing =
+        Runner.run_map ~jobs:1 ~on_error:Runner.Skip ~rep_timeout_s:0.001 ~master_seed:1
+          ~replications:1
+          (fun ~rng ~index:_ ->
+            Unix.sleepf 0.01;
+            run ~probe ~rng)
+      in
+      Alcotest.(check bool) (name ^ ": no value") true (res.(0) = None);
+      (match timing.failures with
+      | [ f ] -> Alcotest.(check bool) (name ^ ": Rep_timeout") true (f.error = Runner.Rep_timeout)
+      | _ -> Alcotest.failf "%s: expected one failure" name);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: stopped at t = %g, well before the horizon" name !last)
+        true (!last < horizon /. 2.0))
+    [
+      ( "markov",
+        fun ~probe ~rng ->
+          ignore (Sim_markov.run ~probe ~rng (Sim_markov.default_config syndrome) ~horizon) );
+      ( "agent",
+        fun ~probe ~rng ->
+          ignore (Sim_agent.run ~probe ~rng (Sim_agent.default_config syndrome) ~horizon) );
+      ("coded", fun ~probe ~rng -> ignore (Sim_coded.run ~probe ~rng gift ~horizon));
+    ]
+
 let test_rep_timeout_validation () =
   List.iter
     (fun bad ->
@@ -461,6 +504,8 @@ let () =
           Alcotest.test_case "retry gets fresh watchdog" `Quick
             test_rep_timeout_retry_gets_fresh_watchdog;
           Alcotest.test_case "cooperative poll" `Quick test_rep_timeout_cooperative_poll;
+          Alcotest.test_case "engine stops every jump backend" `Quick
+            test_rep_timeout_stops_every_backend;
           Alcotest.test_case "validation" `Quick test_rep_timeout_validation;
         ] );
       ( "cross-implementation",

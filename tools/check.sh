@@ -361,7 +361,12 @@ fi
 # graph, the per-peer backend on a degree-4 overlay (whose table adds
 # the silent-contact and overlay-degree columns), and the coded
 # backend twice: at GF(16), K = 4, whose packed rows fit one word, and
-# at GF(256), K = 8, whose rows span two.
+# at GF(256), K = 8, whose rows span two.  Then the replication watchdog:
+# one row per jump backend (aggregate, per-peer, coded) runs two
+# replications of a growing swarm whose unwatched sweep takes 20 s or
+# more, under --rep-timeout 0.05.  The engine loop must stop both
+# mid-run: the command exits 0 within 10 s and lists both replications
+# as Rep_timeout.
 if [ "${CHECK_JOBS:-0}" = "1" ]; then
   out=_build/jobs-smoke
   rm -rf "$out"
@@ -383,6 +388,19 @@ if [ "${CHECK_JOBS:-0}" = "1" ]; then
       echo "FAIL: --jobs 2 changed the replication statistics of '$run'" >&2
       diff "$out/$tag.jobs1.txt" "$out/$tag.jobs2.txt" >&2 || true
       exit 1; }
+  done
+  WATCH="--reps 2 --rep-timeout 0.05 --on-error skip"
+  SYNDROME="-k 3 --us 0.3 --mu 2 -a none=2"
+  for run in "simulate $SYNDROME -t 4000000" "simulate --agent $SYNDROME -t 10000" \
+             "coded -q 16 -k 8 -f 0.05 --us 0 -t 10000"; do
+    tag=watchdog_$(echo "$run" | cut -d' ' -f1-2 | tr -c 'a-z0-9\n' '_')
+    timeout 10 $P2PSIM $run $WATCH >"$out/$tag.txt" || {
+      echo "FAIL: '$run $WATCH' did not exit 0 within 10 s" >&2; exit 1; }
+    if [ "$(grep -c 'replication [01]: P2p_runner.Runner.Rep_timeout' "$out/$tag.txt")" != 2 ]; then
+      echo "FAIL: '$run $WATCH' did not list both replications as Rep_timeout" >&2
+      cat "$out/$tag.txt" >&2
+      exit 1
+    fi
   done
   echo "== jobs smoke OK =="
 fi
