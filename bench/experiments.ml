@@ -763,7 +763,7 @@ let e16 () =
         let coeffs = Coded_chain.default_coeffs t in
         let worst_drift =
           List.fold_left
-            (fun acc (pt : Coded_chain.scan_point) -> Float.max acc pt.drift_per_peer)
+            (fun acc (pt : Lyapunov.scan_point) -> Float.max acc pt.drift_per_peer)
             neg_infinity
             (Coded_chain.scan_hyperplane_states t coeffs ~sizes:[ 3000 ])
         in

@@ -38,7 +38,7 @@ val zero : t -> subspace
 (** The trivial subspace [{0}]. *)
 
 val full : t -> subspace
-(** [F_q^K] itself. *)
+(** [F_q^K] itself: the last index, as indices ascend by dimension. *)
 
 val leq : t -> subspace -> subspace -> bool
 (** Containment. *)

@@ -3,6 +3,29 @@ type sparse = {
   rates : float array array;
 }
 
+(* Symmetric Gauss–Seidel: [update] every state in [order], then in
+   reverse, until [settled ()] holds after a sweep. *)
+let sweep ~who ~max_sweeps order update settled =
+  let n = Array.length order in
+  let rec go count =
+    if count >= max_sweeps then failwith (who ^ ": Gauss-Seidel did not converge");
+    for idx = 0 to n - 1 do
+      update order.(idx)
+    done;
+    for idx = n - 1 downto 0 do
+      update order.(idx)
+    done;
+    if not (settled ()) then go (count + 1)
+  in
+  go 0
+
+let sweep_order key =
+  let order = Array.init (Array.length key) Fun.id in
+  Array.sort (fun a b -> Int.compare key.(a) key.(b)) order;
+  order
+
+let outflow s = Array.map (Array.fold_left ( +. ) 0.0) s.rates
+
 let solve ?(tol = 1e-10) ?(max_sweeps = 200_000) s ~sweep_key =
   let n = Array.length s.targets in
   if Array.length s.rates <> n || Array.length sweep_key <> n then
@@ -12,9 +35,7 @@ let solve ?(tol = 1e-10) ?(max_sweeps = 200_000) s ~sweep_key =
       if Array.length row <> Array.length s.rates.(i) then
         invalid_arg "Balance.solve: row shape mismatch")
     s.targets;
-  let outflow =
-    Array.map (fun row -> Array.fold_left ( +. ) 0.0 row) s.rates
-  in
+  let outflow = outflow s in
   (* reverse adjacency *)
   let in_deg = Array.make n 0 in
   Array.iter (Array.iter (fun j -> in_deg.(j) <- in_deg.(j) + 1)) s.targets;
@@ -30,8 +51,6 @@ let solve ?(tol = 1e-10) ?(max_sweeps = 200_000) s ~sweep_key =
           fill.(j) <- fill.(j) + 1)
         row)
     s.targets;
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> Int.compare sweep_key.(a) sweep_key.(b)) order;
   let pi = Array.make n (1.0 /. float_of_int n) in
   let update j =
     if outflow.(j) > 0.0 then begin
@@ -43,35 +62,21 @@ let solve ?(tol = 1e-10) ?(max_sweeps = 200_000) s ~sweep_key =
       pi.(j) <- !inflow /. outflow.(j)
     end
   in
-  let normalise () =
+  let previous = Array.copy pi in
+  (* normalise, then stop once a sweep moves pi by less than tol in L1 *)
+  let settled () =
     let total = Array.fold_left ( +. ) 0.0 pi in
     if total <= 0.0 || not (Float.is_finite total) then
       failwith "Balance.solve: probability mass vanished or diverged";
-    let inv = 1.0 /. total in
+    let inv = 1.0 /. total and dist = ref 0.0 in
     for i = 0 to n - 1 do
-      pi.(i) <- pi.(i) *. inv
-    done
-  in
-  let previous = Array.copy pi in
-  let sweep = ref 0 in
-  let converged = ref false in
-  while (not !converged) && !sweep < max_sweeps do
-    incr sweep;
-    Array.blit pi 0 previous 0 n;
-    for idx = 0 to n - 1 do
-      update order.(idx)
-    done;
-    for idx = n - 1 downto 0 do
-      update order.(idx)
-    done;
-    normalise ();
-    let dist = ref 0.0 in
-    for i = 0 to n - 1 do
+      pi.(i) <- pi.(i) *. inv;
       dist := !dist +. Float.abs (pi.(i) -. previous.(i))
     done;
-    if !dist < tol then converged := true
-  done;
-  if not !converged then failwith "Balance.solve: Gauss-Seidel did not converge";
+    Array.blit pi 0 previous 0 n;
+    !dist < tol
+  in
+  sweep ~who:"Balance.solve" ~max_sweeps (sweep_order sweep_key) update settled;
   pi
 
 (* ---- truncated population spaces ---- *)
@@ -160,6 +165,30 @@ let rows sp fill =
   { targets; rates }
 
 let stationary ?tol ?max_sweeps sp s = solve ?tol ?max_sweeps s ~sweep_key:sp.pop
+
+let time_to_empty ?(tol = 1e-10) ?(max_sweeps = 500_000) sp s ~start =
+  let outflow = outflow s in
+  let h = Array.make (size sp) 0.0 in
+  let update i =
+    if sp.pop.(i) > 0 && outflow.(i) > 0.0 then begin
+      let acc = ref 1.0 in
+      let row_t = s.targets.(i) and row_r = s.rates.(i) in
+      for e = 0 to Array.length row_t - 1 do
+        acc := !acc +. (row_r.(e) *. h.(row_t.(e)))
+      done;
+      h.(i) <- !acc /. outflow.(i)
+    end
+  in
+  (* stop once a sweep moves the start's value by less than tol, relative *)
+  let before = ref 0.0 in
+  let settled () =
+    let after = h.(start) in
+    let moved = Float.abs (after -. !before) in
+    before := after;
+    moved < tol *. Float.max 1.0 after
+  in
+  sweep ~who:"Balance.time_to_empty" ~max_sweeps (sweep_order sp.pop) update settled;
+  h.(start)
 
 let expect sp pi f =
   let acc = ref 0.0 in

@@ -6,14 +6,17 @@
     states in a caller-supplied order (ascending then descending).  For
     the birth-death-flavoured chains in this repository — population
     processes swept by population — convergence is orders of magnitude
-    faster than Jacobi/power iteration.
+    faster than Jacobi/power iteration.  The same sweep loop solves the
+    first-step equations of the mean time to empty.
 
     Beside the solver sits the truncated state space the exact chains
     ({!Truncated}, {!Coded_chain}) live on: every vector of [dims]
     nonnegative counts with total [n <= n_max], where arrivals are
     rejected at the cap.  States are numbered in lexicographic order (the
     last count varies fastest) and ranked by the combinatorial number
-    system, so no index table is stored. *)
+    system, so no index table is stored.  Their generator rows are unit
+    moves of one peer between slots, the entry form of
+    {!Rate.transitions}, and the space sweeps them by population. *)
 
 type sparse = {
   targets : int array array;  (** [targets.(i)]: successor states of [i] *)
@@ -63,6 +66,14 @@ val rows : space -> (int array -> int -> (from_:int -> to_:int -> float -> unit)
 
 val stationary : ?tol:float -> ?max_sweeps:int -> space -> sparse -> float array
 (** {!solve} swept by population. *)
+
+val time_to_empty : ?tol:float -> ?max_sweeps:int -> space -> sparse -> start:int -> float
+(** The expected time to first reach the empty state from state [start]
+    (a rank): the first-step equations [h(x) = (1 + Σ_y q(x,y) h(y)) /
+    out(x)], [h(empty) = 0], solved by the sweeps of {!stationary} until the
+    start's value moves by less than [tol] (default 1e-10) relative, at
+    most [max_sweeps] (default 500,000) times.
+    @raise Failure if the sweeps do not settle. *)
 
 val expect : space -> float array -> (int array -> int -> float) -> float
 (** [expect sp pi f] is [Σ_i pi.(i) · f x_i n_i] over the states [x_i] of

@@ -9,11 +9,15 @@
     probability that a random member of the uploader's subspace lifts the
     downloader to a given cover.
 
-    On top of the generator this module provides a truncated-space exact
-    stationary solver (via {!Balance}) and the coded Lyapunov function of
-    Eq. (56) with its exact drift — the computational content of the
-    Theorem 15(b) proof.  The chain is simulated by {!Sim_coded}, which
-    races the same law at the level of individual peers' subspaces. *)
+    The generator row is a list of unit moves between subspace ids, the
+    entry form of {!Rate.transitions} and {!Balance.rows}, so the chain
+    reuses the uncoded exact toolkit rather than copying it: the
+    truncated stationary solve runs on {!Balance}, and the coded Lyapunov
+    function of Eq. (56) — the computational content of the Theorem
+    15(b) proof — is {!Lyapunov.lattice_w} on the subspace lattice, with
+    its exact drift from {!Lyapunov.drift_counts}.  The chain is
+    simulated by {!Sim_coded}, which races the same law at the level of
+    individual peers' subspaces. *)
 
 module Lattice = P2p_coding.Lattice
 
@@ -39,25 +43,19 @@ val config : t -> config
 val arrival_rate_to : t -> Lattice.subspace -> float
 (** Poisson rate of arrivals of exactly this subspace type. *)
 
-(** A state is the dense count vector indexed by subspace id, together
-    with its total. *)
-type state = { counts : int array; mutable n : int }
+val state_of : t -> (Lattice.subspace * int) list -> int array
+(** A state: the count of peers of each subspace type, indexed by id
+    (duplicates summed).  @raise Invalid_argument on a negative count. *)
 
-val empty_state : t -> state
-val state_of : t -> (Lattice.subspace * int) list -> state
-
-type transition =
-  | Arrival of Lattice.subspace
-  | Seed_departure
-  | Transfer of { downloader : Lattice.subspace; target : Lattice.subspace }
-
-val transitions : t -> state -> (transition * float) list
-(** Every positive-rate transition out of the state.  Arrivals of
+val transitions : t -> int array -> (int * int * float) list
+(** Every positive-rate transition out of a state, as a move
+    [(from_, to_, rate)] of one peer between subspace ids, [-1] standing
+    for outside the system: arrivals [(-1, V, rate)], seed departures
+    [(F, -1, γ x_F)] and transfers [(V, W, rate)], with [-1] in place of
+    the full space [F] when γ = ∞ (a decoded peer leaves).  Arrivals of
     already-complete peers are included only when γ < ∞ (otherwise they
-    do not change the state). *)
-
-val apply : t -> state -> transition -> unit
-(** @raise Invalid_argument on an impossible transition. *)
+    do not change the state).  At γ = ∞ the vector may omit [F], the
+    last id. *)
 
 val mu_tilde : t -> float
 (** [(1 − 1/q) μ] — the effective useful-contact rate of Theorem 15. *)
@@ -75,7 +73,8 @@ val stationary : ?tol:float -> t -> n_max:int -> solved
 (** Enumerate all states with [n <= n_max] (arrivals rejected at the cap)
     and solve the balance equations.  State count is
     [C(n_max + T, T)] with [T] the number of subspace types, so this is
-    for genuinely small lattices (e.g. q=2, K=2: T=5).
+    for genuinely small lattices (e.g. q=2, K=2: T=5).  A state's slots
+    are the subspace ids (less the full space at γ = ∞).
     @raise Invalid_argument if [n_max < 1] or the space would exceed 2
     million states. *)
 
@@ -86,18 +85,18 @@ val mean_dim : t -> solved -> float
 (* ---- the Eq. (56) Lyapunov function ---- *)
 
 val default_coeffs : t -> Lyapunov.coeffs
+(** {!Lyapunov.ramp_coeffs} for the largest one-peer jump of [H_V]. *)
 
-val w : t -> Lyapunov.coeffs -> state -> float
+val w : t -> Lyapunov.coeffs -> int array -> float
 (** [W = Σ_V r^{dim V} (½E_V² + α E_V φ(H_V))] with
     [E_V = Σ_{V'⊆V} x_{V'}] and
-    [H_V = ((1−1/q)/(1−μ̃/γ)) Σ_{V'⊄V} (K − dim V' + μ/γ) x_{V'}].
+    [H_V = ((1−1/q)/(1−μ̃/γ)) Σ_{V'⊄V} (K − dim V' + μ/γ) x_{V'}]:
+    {!Lyapunov.lattice_w} on the subspace lattice.
     @raise Invalid_argument when [γ ≤ μ̃] (outside the Eq. 56 regime). *)
 
-val drift_w : t -> Lyapunov.coeffs -> state -> float
-(** Exact generator drift [QW(x)] by row enumeration. *)
+val drift_w : t -> Lyapunov.coeffs -> int array -> float
+(** Exact generator drift [QW(x)] over the moves of {!transitions}. *)
 
-type scan_point = { state_desc : string; n : int; drift_value : float; drift_per_peer : float }
-
-val scan_hyperplane_states : t -> Lyapunov.coeffs -> sizes:int list -> scan_point list
+val scan_hyperplane_states : t -> Lyapunov.coeffs -> sizes:int list -> Lyapunov.scan_point list
 (** Drift at the coded one-club states: every peer of the same hyperplane
     type [V⁻], for each [V⁻] and size. *)

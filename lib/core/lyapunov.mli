@@ -11,10 +11,17 @@
     parameters [d, β].  For [0 < γ ≤ μ] the variant [W'] (Eq. 43) replaces
     [α φ(H_C)] by [p φ(H'_C)] with [H'_C = Σ_{C'⊄C}(K+1−|C'|) x_{C'}].
 
+    The coded system's Eq. (56) is the same function on another lattice
+    of types: subspaces of [F_q^K] ordered by inclusion and graded by
+    dimension, with [H] scaled by [(1−1/q)/(1−ρ̃)].  So the sum is written
+    once, {!lattice_w}, over a count vector indexed by type id; {!w},
+    {!w_prime} and {!Coded_chain.w} instantiate it.
+
     The drift [QW(x) = Σ_{x'} q(x,x')(W(x') − W(x))] is computed {e
-    exactly} by enumerating the generator row ({!Rate.transitions}) —
-    experiment E11 verifies [QW(x) ≤ −ξ n] on large states inside the
-    stability region, which is the content of Lemma 12 + Lemma 7. *)
+    exactly} by applying each move of the generator row
+    ({!Rate.transitions}) — experiment E11 verifies [QW(x) ≤ −ξ n] on
+    large states inside the stability region, which is the content of
+    Lemma 12 + Lemma 7. *)
 
 module Pieceset = P2p_pieceset.Pieceset
 
@@ -25,6 +32,11 @@ type coeffs = {
   alpha : float;  (** mixing weight, close to 1 (γ > μ case) *)
   p_const : float;  (** the constant p of Eq. (44) (γ ≤ μ case) *)
 }
+
+val ramp_coeffs : jump:float -> coeffs
+(** [r = 0.05], [α = 0.9], [p = 1], and the ramp of Lemma 12 for an [H]
+    that one peer moves by at most [jump]: [d = 2 (jump + 1)],
+    [β = min 0.1 ((1/α − 1)/jump²)]. *)
 
 val default_coeffs : Params.t -> coeffs
 (** Coefficients satisfying the side conditions of Lemma 12 (resp. Lemma
@@ -37,6 +49,22 @@ val phi : coeffs -> float -> float
 
 val phi_slope_bound : coeffs -> float -> float
 (** φ'(x) — for tests of the Lipschitz bound of Lemma 19. *)
+
+val lattice_w :
+  coeffs ->
+  leq:(int -> int -> bool) ->
+  dim:(int -> int) ->
+  top:int ->
+  seeds:bool ->
+  mix:float ->
+  h_weight:(int -> float) ->
+  h_scale:float ->
+  int array ->
+  float
+(** [W = Σ_v r^{dim v} T_v] over the type ids [v] of a count vector [x]:
+    [T_v = ½ E_v² + mix · E_v φ(H_v)] with [E_v = Σ_{leq v' v} x_{v'}] and
+    [H_v = h_scale Σ_{not (leq v' v)} h_weight(v') x_{v'}], except
+    [T_top = ½ n²], summed only when complete peers stay ([seeds]). *)
 
 val e_c : State.t -> c:Pieceset.t -> int
 (** [E_C]. *)
@@ -58,8 +86,13 @@ val auto : Params.t -> coeffs -> State.t -> float
 (** Selects {!w} or {!w_prime} by the parameter regime. *)
 
 val drift : Params.t -> f:(State.t -> float) -> State.t -> float
-(** Exact generator drift [Qf(x)] by row enumeration (random-useful
-    policy). *)
+(** Exact generator drift [Qf(x)]: [f] after each move of the row
+    (random-useful policy). *)
+
+val drift_counts : f:(int array -> float) -> (int * int * float) list -> int array -> float
+(** [drift_counts ~f moves x]: [Σ rate (f(x') − f(x))] over the moves
+    [(from_, to_, rate)] of [x]'s generator row, [x'] being [x] with one
+    peer moved from id [from_] to id [to_] ([-1]: outside). *)
 
 val drift_w : Params.t -> coeffs -> State.t -> float
 (** [Q(auto)(x)]. *)
@@ -85,6 +118,9 @@ type scan_point = {
   drift_value : float;
   drift_per_peer : float;  (** drift / n — should be ≤ −ξ < 0 for large n *)
 }
+
+val point : state_desc:string -> n:int -> float -> scan_point
+(** The scan point of a drift value at a population [n]. *)
 
 val scan_class_one :
   Params.t -> coeffs -> sizes:int list -> scan_point list

@@ -1,10 +1,5 @@
 module Pieceset = P2p_pieceset.Pieceset
 
-type transition =
-  | Arrival of Pieceset.t
-  | Seed_departure
-  | Transfer of { downloader : Pieceset.t; piece : int }
-
 (* Eq. (1) on a dense occupancy vector, for every (C, i) at once.  The
    division table holds x_S / m at S * (k + 1) + m (+0.0 where x_S <= 0),
    so each peer sum over S ∋ i is a branch-free gather in ascending S,
@@ -102,33 +97,23 @@ let transfer_rate ~policy (p : Params.t) state ~c ~piece =
 
 let transitions ?(policy = Policy.random_useful) (p : Params.t) state =
   let full = Params.full_set p in
+  let top = Pieceset.to_index full in
   let acc = ref [] in
   (* Arrivals always enabled. *)
-  Array.iter (fun (c, rate) -> acc := (Arrival c, rate) :: !acc) p.arrivals;
+  Array.iter (fun (c, rate) -> acc := (-1, Pieceset.to_index c, rate) :: !acc) p.arrivals;
   (* Seed departures when gamma is finite. *)
   if not (Params.immediate_departure p) then begin
     let seeds = State.count state full in
-    if seeds > 0 then acc := (Seed_departure, p.gamma *. float_of_int seeds) :: !acc
+    if seeds > 0 then acc := (top, -1, p.gamma *. float_of_int seeds) :: !acc
   end;
-  (* Piece transfers. *)
+  (* Piece transfers; completing one at gamma = inf leaves the system. *)
   State.iter state (fun c _ ->
       if not (Pieceset.equal c full) then
         Pieceset.iter
           (fun piece ->
             let rate = transfer_rate ~policy p state ~c ~piece in
-            if rate > 0.0 then acc := (Transfer { downloader = c; piece }, rate) :: !acc)
+            let target = Pieceset.to_index (Pieceset.add piece c) in
+            let target = if target = top && Params.immediate_departure p then -1 else target in
+            if rate > 0.0 then acc := (Pieceset.to_index c, target, rate) :: !acc)
           (Pieceset.complement ~k:p.k c));
   !acc
-
-let total_rate ?policy p state =
-  List.fold_left (fun acc (_, r) -> acc +. r) 0.0 (transitions ?policy p state)
-
-let apply (p : Params.t) state = function
-  | Arrival c -> State.add_peer state c
-  | Seed_departure -> State.remove_peer state (Params.full_set p)
-  | Transfer { downloader; piece } ->
-      if Pieceset.mem piece downloader then invalid_arg "Rate.apply: piece already held";
-      let target = Pieceset.add piece downloader in
-      if Pieceset.equal target (Params.full_set p) && Params.immediate_departure p then
-        State.remove_peer state downloader
-      else State.move_peer state ~from_:downloader ~to_:target

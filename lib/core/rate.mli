@@ -4,19 +4,14 @@
     Two views are provided: the one closed-form evaluation of the paper's
     [Γ_{C, C∪{i}}] under random-useful selection (a dense kernel shared
     by the fluid right-hand side and the exact chains), and a generic
-    enumeration of every outgoing transition of a state under an arbitrary
-    piece-selection policy.  The enumeration powers the aggregate
-    simulator's correctness tests and the exact Lyapunov drift of
-    experiment E11. *)
+    enumeration of a state's generator row under an arbitrary
+    piece-selection policy.  The row is a list of unit moves, the entry
+    form every exact chain shares ({!Balance.rows}, {!Coded_chain}); it
+    is the independent reference of the simulators' and the truncated
+    chain's tests, and the row behind the exact Lyapunov drift of
+    experiment E11 and the reachability search. *)
 
 module Pieceset = P2p_pieceset.Pieceset
-
-type transition =
-  | Arrival of Pieceset.t  (** a new type-[C] peer appears *)
-  | Seed_departure  (** one peer seed leaves (only when γ < ∞) *)
-  | Transfer of { downloader : Pieceset.t; piece : int }
-      (** a type-[downloader] peer receives [piece]; if that completes the
-          file and γ = ∞ the peer leaves immediately *)
 
 type kernel (** Scratch tables of {!gammas} for one [k]. *)
 
@@ -39,12 +34,11 @@ val transfer_rate :
     [(x_C/n)(U_s h_i(C, seed, x) + μ Σ_S x_S h_i(C, S, x))].
     Coincides with {!gamma_c_i} for {!Policy.random_useful}. *)
 
-val transitions : ?policy:Policy.t -> Params.t -> State.t -> (transition * float) list
+val transitions : ?policy:Policy.t -> Params.t -> State.t -> (int * int * float) list
 (** Every outgoing transition with a positive rate (default policy:
-    random-useful). *)
-
-val total_rate : ?policy:Policy.t -> Params.t -> State.t -> float
-
-val apply : Params.t -> State.t -> transition -> unit
-(** Mutate the state by one transition, implementing the γ = ∞ departure
-    convention. @raise Invalid_argument on an impossible transition. *)
+    random-useful), as a move [(from_, to_, rate)] of one peer between
+    type indices ({!Pieceset.to_index}), [-1] standing for outside the
+    system: an arrival of type [C] is [(-1, C, λ_C)], a seed departure
+    [(F, -1, γ x_F)], and a transfer of piece [i] to a type-[C] peer
+    [(C, C ∪ {i}, rate)], with [-1] in place of [F] when γ = ∞ (the peer
+    leaves on completion).  {!State.apply_move} applies one. *)

@@ -6,19 +6,14 @@ type result = {
   types_seen : Pieceset.t list;
 }
 
-let fingerprint state =
-  String.concat ";"
-    (List.map
-       (fun (c, n) -> Printf.sprintf "%d:%d" (Pieceset.to_index c) n)
-       (State.to_alist state))
-
 let explore ?(policy = Policy.random_useful) ?(max_states = 500_000) (p : Params.t) ~n_max =
   if n_max < 1 then invalid_arg "Reachability.explore: n_max must be >= 1";
+  (* states are keyed by their sorted (type, count) list *)
   let visited = Hashtbl.create 4096 in
   let types_seen = Hashtbl.create 64 in
   let queue = Queue.create () in
   let start = State.create () in
-  Hashtbl.replace visited (fingerprint start) ();
+  Hashtbl.replace visited (State.to_alist start) ();
   Queue.push start queue;
   let explored = ref 0 in
   let truncated = ref false in
@@ -32,18 +27,12 @@ let explore ?(policy = Policy.random_useful) ?(max_states = 500_000) (p : Params
     end
     else
       List.iter
-        (fun (transition, rate) ->
-          let skip =
-            rate <= 0.0
-            ||
-            match transition with
-            | Rate.Arrival _ -> State.n state >= n_max
-            | Rate.Seed_departure | Rate.Transfer _ -> false
-          in
-          if not skip then begin
+        (fun (from_, to_, rate) ->
+          (* no arrivals at the cap *)
+          if rate > 0.0 && (from_ >= 0 || State.n state < n_max) then begin
             let next = State.copy state in
-            Rate.apply p next transition;
-            let key = fingerprint next in
+            State.apply_move next ~from_ ~to_;
+            let key = State.to_alist next in
             if not (Hashtbl.mem visited key) then begin
               Hashtbl.replace visited key ();
               Queue.push next queue

@@ -428,3 +428,8 @@ let pp fmt t =
   Format.fprintf fmt "@[<h>n=%d:" t.total;
   List.iter (fun (c, v) -> Format.fprintf fmt " %a:%d" Pieceset.pp c v) (to_alist t);
   Format.fprintf fmt "@]"
+
+let apply_move t ~from_ ~to_ =
+  if from_ < 0 then add_peer t (Pieceset.of_index to_)
+  else if to_ < 0 then remove_peer t (Pieceset.of_index from_)
+  else move_peer t ~from_:(Pieceset.of_index from_) ~to_:(Pieceset.of_index to_)

@@ -45,6 +45,12 @@ val remove_peer : t -> Pieceset.t -> unit
 val move_peer : t -> from_:Pieceset.t -> to_:Pieceset.t -> unit
 (** [remove_peer] + [add_peer] in one step. *)
 
+val apply_move : t -> from_:int -> to_:int -> unit
+(** One generator entry's move ({!Rate.transitions}): a peer leaves type
+    index [from_] and joins type index [to_], where [-1] is outside the
+    system ([from_ = -1]: an arrival; [to_ = -1]: a departure).
+    @raise Invalid_argument if no peer has type [from_]. *)
+
 val iter : t -> (Pieceset.t -> int -> unit) -> unit
 (** Over occupied types only, in unspecified order. *)
 

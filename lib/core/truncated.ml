@@ -82,7 +82,7 @@ let probability_empty _ pi = pi.(0)
 let truncation_mass_at_cap t pi =
   Balance.expect t.space pi (fun _ n -> if n = t.n_max then 1.0 else 0.0)
 
-let mean_hitting_time_to_empty ?(tol = 1e-10) ?(max_sweeps = 500_000) t ~from_ =
+let mean_hitting_time_to_empty ?tol ?max_sweeps t ~from_ =
   let fail why = invalid_arg ("Truncated.mean_hitting_time_to_empty: " ^ why) in
   let v = Array.make (t.full + t.seeds) 0 in
   List.iter
@@ -93,41 +93,7 @@ let mean_hitting_time_to_empty ?(tol = 1e-10) ?(max_sweeps = 500_000) t ~from_ =
       v.(c) <- v.(c) + count)
     from_;
   if Array.fold_left ( + ) 0 v > t.n_max then fail "start exceeds the cap";
-  let start_idx = Balance.rank t.space v in
-  let n = state_count t in
-  let pop = Array.make n 0 in
-  Balance.iter t.space (fun i _ m -> pop.(i) <- m);
-  let outflow = Array.map (Array.fold_left ( +. ) 0.0) t.rows.rates in
-  let h = Array.make n 0.0 in
-  (* symmetric sweeps by population: hitting times propagate down *)
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> Int.compare pop.(a) pop.(b)) order;
-  let update i =
-    if pop.(i) > 0 && outflow.(i) > 0.0 then begin
-      let acc = ref 1.0 in
-      let row_t = t.rows.targets.(i) and row_r = t.rows.rates.(i) in
-      for e = 0 to Array.length row_t - 1 do
-        acc := !acc +. (row_r.(e) *. h.(row_t.(e)))
-      done;
-      h.(i) <- !acc /. outflow.(i)
-    end
-  in
-  let sweep = ref 0 in
-  let converged = ref false in
-  while (not !converged) && !sweep < max_sweeps do
-    incr sweep;
-    let before = h.(start_idx) in
-    for idx = 0 to n - 1 do
-      update order.(idx)
-    done;
-    for idx = n - 1 downto 0 do
-      update order.(idx)
-    done;
-    let after = h.(start_idx) in
-    if Float.abs (after -. before) < tol *. Float.max 1.0 after then converged := true
-  done;
-  if not !converged then failwith "Truncated.mean_hitting_time_to_empty: no convergence";
-  h.(start_idx)
+  Balance.time_to_empty ?tol ?max_sweeps t.space t.rows ~start:(Balance.rank t.space v)
 
 let return_time_to_empty t pi =
   let p_empty = probability_empty t pi in

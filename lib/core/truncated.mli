@@ -6,7 +6,8 @@
     most [n_max] peers ({!Balance.space}), fill the generator from Eq. (1)
     ({!Rate.gammas}) with arrivals rejected at the cap (a standard
     truncation that lower-bounds the real queue), and solve the balance
-    equations by symmetric Gauss–Seidel ({!Balance.solve}).
+    equations by symmetric Gauss–Seidel ({!Balance.solve}) swept by
+    population.
 
     This gives a third, independent view of the system next to theory and
     simulation: exact [E\[N\]], exact tail probabilities, and the blow-up
@@ -43,8 +44,8 @@ val rows : t -> Balance.sparse
 (** The generator rows, indexed like {!space}. *)
 
 val stationary : ?tol:float -> ?max_iters:int -> t -> float array
-(** Stationary distribution by symmetric Gauss–Seidel ({!Balance.solve})
-    swept by population.  Indices follow {!space}; use the accessors
+(** Stationary distribution by symmetric Gauss–Seidel
+    ({!Balance.stationary}) swept by population.  Indices follow {!space}; use the accessors
     below.
     @raise Failure if the iteration does not converge. *)
 
@@ -70,7 +71,7 @@ val mean_hitting_time_to_empty :
     population — the quantity Theorem 14(ii) asserts is finite inside the
     stability region.  Seeds start in the first stage.  Solves the
     first-step equations [h(x) = 1/out(x) + Σ_y P(x,y) h(y)],
-    [h(empty) = 0] by Gauss–Seidel.
+    [h(empty) = 0] by the same sweeps ({!Balance.time_to_empty}).
     @raise Invalid_argument if the start exceeds the cap, has a negative
     count, or holds a type the chain does not carry (the full type at
     [γ = ∞], or a type beyond [K]).

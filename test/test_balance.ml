@@ -153,9 +153,9 @@ let test_rank_bijection () =
     [ (1, 1); (1, 7); (2, 1); (3, 1); (2, 6); (3, 4); (5, 3); (8, 2) ]
 
 (* The shared builder's rows against the generic generator: for every
-   state, Rate.transitions + Rate.apply, ranked back into the space (an
-   arrival at the cap is rejected), must give the same (target, rate)
-   multiset. *)
+   state, the moves of Rate.transitions applied by State.apply_move,
+   ranked back into the space (an arrival at the cap is rejected), must
+   give the same (target, rate) multiset. *)
 let test_rows_match_transitions () =
   let check name (p : Params.t) ~n_max =
     let chain = Truncated.build p ~n_max in
@@ -164,15 +164,15 @@ let test_rows_match_transitions () =
         let st = State.of_counts (List.init (Array.length x) (fun c -> (PS.of_index c, x.(c)))) in
         let expected =
           List.filter_map
-            (fun (tr, rate) ->
-              match tr with
-              | Rate.Arrival _ when State.n st = n_max -> None
-              | _ ->
-                  let next = State.copy st in
-                  Rate.apply p next tr;
-                  let y = Array.make (Array.length x) 0 in
-                  State.iter next (fun c v -> y.(PS.to_index c) <- v);
-                  Some (Balance.rank sp y, rate))
+            (fun (from_, to_, rate) ->
+              if from_ < 0 && State.n st = n_max then None
+              else begin
+                let next = State.copy st in
+                State.apply_move next ~from_ ~to_;
+                let y = Array.make (Array.length x) 0 in
+                State.iter next (fun c v -> y.(PS.to_index c) <- v);
+                Some (Balance.rank sp y, rate)
+              end)
             (Rate.transitions p st)
         in
         let actual = Array.to_list (Array.combine rows.targets.(i) rows.rates.(i)) in

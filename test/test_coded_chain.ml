@@ -65,27 +65,74 @@ let test_transition_rates_conserve_contacts () =
   let state = Coded_chain.state_of t [ (L.zero lat, 5); (L.full lat, 0) ] in
   let transfer_total =
     List.fold_left
-      (fun acc (tr, r) ->
-        match tr with Coded_chain.Transfer _ -> acc +. r | _ -> acc)
+      (fun acc (from_, _, r) -> if from_ >= 0 && from_ <> L.full lat then acc +. r else acc)
       0.0
       (Coded_chain.transitions t state)
   in
   Alcotest.(check bool) "bounded by capacity" true
     (transfer_total <= stable_cfg.us +. (stable_cfg.mu *. 5.0) +. 1e-9)
 
+(* Each downloader's total transfer outflow against its closed form
+   (x_v/n)(U_s (1 − |V|/q^K) + μ Σ_u x_u (1 − |V∩U|/|U|)): a useful
+   contact lifts a type-V peer with probability one minus the chance
+   that a uniform member of the uploader's subspace already lies in V. *)
+let test_transfer_outflow_closed_form () =
+  let check name (c : Coded_chain.config) ~n_max =
+    let t = Coded_chain.create c in
+    let lat = Coded_chain.lattice t in
+    let full = L.full lat in
+    let size v = float_of_int (L.size lat v) in
+    let dims = if Float.is_finite c.gamma then L.count lat else L.count lat - 1 in
+    let sp = Balance.space ~who:name ~dims ~n_max in
+    Balance.iter sp (fun i x n ->
+        let state = Coded_chain.state_of t (List.init dims (fun v -> (v, x.(v)))) in
+        let out = Array.make (L.count lat) 0.0 in
+        List.iter
+          (fun (from_, _, rate) -> if from_ >= 0 && from_ <> full then out.(from_) <- out.(from_) +. rate)
+          (Coded_chain.transitions t state);
+        Array.iteri
+          (fun v x_v ->
+            if v <> full && x_v > 0 then begin
+              let peers = ref 0.0 in
+              Array.iteri
+                (fun u x_u ->
+                  peers :=
+                    !peers +. (float_of_int x_u *. (1.0 -. (size (L.inter lat v u) /. size u))))
+                x;
+              let expected =
+                float_of_int x_v /. float_of_int n
+                *. ((c.us *. (1.0 -. (size v /. size full))) +. (c.mu *. !peers))
+              in
+              if Float.abs (out.(v) -. expected) > 1e-12 *. Float.max 1.0 expected then
+                Alcotest.failf "%s, state %d, type %d: generator %.17g, closed form %.17g" name
+                  i v out.(v) expected
+            end)
+          x)
+  in
+  check "q=2 K=2 gamma=2" { stable_cfg with gamma = 2.0 } ~n_max:4;
+  check "q=2 K=2 gamma=inf" stable_cfg ~n_max:4;
+  check "q=3 K=2 gamma=2"
+    { Coded_chain.q = 3; k = 2; us = 0.7; mu = 1.3; gamma = 2.0; arrivals = [ (0, 0.5); (1, 0.4) ] }
+    ~n_max:3
+
+(* The moves of each kind: an arrival enters, a transfer keeps n, and a
+   decoding transfer at gamma = inf leaves; applied to the count vector,
+   the drift of n is the arrival rate less the departure rate. *)
 let test_apply_conservation () =
   let t = Coded_chain.create stable_cfg in
   let lat = Coded_chain.lattice t in
-  let state = Coded_chain.state_of t [ (L.zero lat, 3) ] in
-  Coded_chain.apply t state (Coded_chain.Arrival (L.zero lat));
-  Alcotest.(check int) "arrival adds" 4 state.n;
   let line = (L.covers lat (L.zero lat)).(0) in
-  Coded_chain.apply t state (Coded_chain.Transfer { downloader = L.zero lat; target = line });
-  Alcotest.(check int) "transfer keeps n" 4 state.n;
-  Alcotest.(check int) "moved" 1 state.counts.(line);
-  (* completing at gamma = inf departs *)
-  Coded_chain.apply t state (Coded_chain.Transfer { downloader = line; target = L.full lat });
-  Alcotest.(check int) "decode departs" 3 state.n
+  let x = Coded_chain.state_of t [ (L.zero lat, 3); (line, 1) ] in
+  let moves = Coded_chain.transitions t x in
+  let has from_ to_ = List.exists (fun (f, t, _) -> f = from_ && t = to_) moves in
+  Alcotest.(check bool) "arrival enters" true (has (-1) (L.zero lat));
+  Alcotest.(check bool) "transfer moves" true (has (L.zero lat) line);
+  Alcotest.(check bool) "decode departs" true (has line (-1));
+  Alcotest.(check bool) "no decoded peer stays" false (has line (L.full lat));
+  let sum_rates keep = List.fold_left (fun acc (f, t, r) -> if keep f t then acc +. r else acc) 0.0 moves in
+  close ~tol:1e-12 "Q(n)"
+    (sum_rates (fun f _ -> f < 0) -. sum_rates (fun _ t -> t < 0))
+    (Lyapunov.drift_counts ~f:(fun x -> float_of_int (Array.fold_left ( + ) 0 x)) moves x)
 
 let test_stable_simulation_small () =
   let s = simulate ~seed:3 stable_cfg ~horizon:3000.0 in
@@ -117,7 +164,7 @@ let test_lyapunov_negative_drift_stable () =
   let t = Coded_chain.create stable_cfg in
   let coeffs = Coded_chain.default_coeffs t in
   List.iter
-    (fun (pt : Coded_chain.scan_point) ->
+    (fun (pt : Lyapunov.scan_point) ->
       if pt.n >= 3000 then
         Alcotest.(check bool)
           (Printf.sprintf "QW < 0 at %s" pt.state_desc)
@@ -129,7 +176,7 @@ let test_lyapunov_positive_drift_transient () =
   let coeffs = Coded_chain.default_coeffs t in
   let worst =
     List.fold_left
-      (fun acc (pt : Coded_chain.scan_point) -> Float.max acc pt.drift_value)
+      (fun acc (pt : Lyapunov.scan_point) -> Float.max acc pt.drift_value)
       neg_infinity
       (Coded_chain.scan_hyperplane_states t coeffs ~sizes:[ 3000 ])
   in
@@ -141,12 +188,12 @@ let test_w_regime_guard () =
   let coeffs = Coded_chain.default_coeffs t in
   Alcotest.(check bool) "regime guard" true
     (try
-       ignore (Coded_chain.w t coeffs (Coded_chain.empty_state t));
+       ignore (Coded_chain.w t coeffs (Coded_chain.state_of t []));
        false
      with Invalid_argument _ -> true)
 
 let test_finite_gamma_seed_dwell () =
-  (* gamma finite: completed peers dwell, so Seed_departure transitions
+  (* gamma finite: completed peers dwell, so seed departures
      appear and conservation holds. *)
   let s = simulate ~seed:6 { stable_cfg with gamma = 2.0 } ~horizon:2000.0 in
   Alcotest.(check int) "conservation" (s.arrivals - s.departures) s.final_n;
@@ -183,6 +230,7 @@ let () =
           Alcotest.test_case "create guards" `Quick test_create_guards;
           Alcotest.test_case "arrival decomposition" `Quick test_arrival_rates_decompose;
           Alcotest.test_case "capacity bound" `Quick test_transition_rates_conserve_contacts;
+          Alcotest.test_case "transfer outflow closed form" `Quick test_transfer_outflow_closed_form;
           Alcotest.test_case "apply conservation" `Quick test_apply_conservation;
           Alcotest.test_case "theory verdicts" `Quick test_theory_verdicts;
         ] );

@@ -57,7 +57,7 @@ let agent_two_classes : runner =
 let check_first_jump_law ~(run : runner) ~seed ~reps p initial =
   let state0 = State.of_counts initial in
   let transitions = Rate.transitions p state0 in
-  let total_rate = List.fold_left (fun acc (_, r) -> acc +. r) 0.0 transitions in
+  let total_rate = List.fold_left (fun acc (_, _, r) -> acc +. r) 0.0 transitions in
   (* key the expected distribution by the resulting state fingerprint *)
   let fingerprint st =
     String.concat ";"
@@ -65,9 +65,9 @@ let check_first_jump_law ~(run : runner) ~seed ~reps p initial =
   in
   let expected = Hashtbl.create 16 in
   List.iter
-    (fun (tr, rate) ->
+    (fun (from_, to_, rate) ->
       let next = State.copy state0 in
-      Rate.apply p next tr;
+      State.apply_move next ~from_ ~to_;
       let key = fingerprint next in
       Hashtbl.replace expected key
         (rate /. total_rate +. Option.value (Hashtbl.find_opt expected key) ~default:0.0))

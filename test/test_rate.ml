@@ -122,6 +122,10 @@ let test_kernel_matches_scan () =
     (Invalid_argument "Rate.gammas: kernel built for another k") (fun () ->
       ignore (Rate.gammas (params ~k:3 ()) (Rate.kernel ~k:2) (Array.make 8 1.0) ~n:8.0))
 
+(* The summed rate of the row's moves from type index [from_] to [to_]. *)
+let move_rate moves ~from_ ~to_ =
+  List.fold_left (fun acc (f, t, r) -> if f = from_ && t = to_ then acc +. r else acc) 0.0 moves
+
 let test_transitions_complete () =
   let p = params () in
   let s = worked_state () in
@@ -129,15 +133,8 @@ let test_transitions_complete () =
   (* 1 arrival stream + 1 seed departure + transfers:
      {} can get piece 1, piece 2; {1} can get 2; {2} can get 1 -> 4 transfers *)
   Alcotest.(check int) "transition count" 6 (List.length ts);
-  let total = List.fold_left (fun acc (_, r) -> acc +. r) 0.0 ts in
-  closef ~tol:1e-9 "total rate" (Rate.total_rate p s) total;
   (* seed departure rate = gamma * x_F = 2*1 *)
-  let dep =
-    List.fold_left
-      (fun acc (t, r) -> match t with Rate.Seed_departure -> acc +. r | _ -> acc)
-      0.0 ts
-  in
-  closef "departure rate" 2.0 dep
+  closef "departure rate" 2.0 (move_rate ts ~from_:3 ~to_:(-1))
 
 let test_transitions_no_departure_when_inf () =
   let p = params ~gamma:infinity () in
@@ -147,46 +144,64 @@ let test_transitions_no_departure_when_inf () =
   let ts = Rate.transitions p s in
   Alcotest.(check bool) "no seed departure"
     true
-    (List.for_all (function Rate.Seed_departure, _ -> false | _ -> true) ts)
+    (List.for_all (fun (from_, _, _) -> from_ <> 3) ts)
 
+(* Each kind of transition as its move, applied by State.apply_move. *)
 let test_apply_arrival () =
   let p = params () in
   let s = State.create () in
-  Rate.apply p s (Rate.Arrival PS.empty);
+  closef "arrival move" 1.0 (move_rate (Rate.transitions p s) ~from_:(-1) ~to_:0);
+  State.apply_move s ~from_:(-1) ~to_:0;
   Alcotest.(check int) "added" 1 (State.count s PS.empty)
 
 let test_apply_transfer () =
   let p = params () in
   let s = State.of_counts [ (PS.empty, 1) ] in
-  Rate.apply p s (Rate.Transfer { downloader = PS.empty; piece = 0 });
+  (* U_s / (K - |C|) from the seed, no peer can help *)
+  closef "transfer move" 0.5 (move_rate (Rate.transitions p s) ~from_:0 ~to_:1);
+  State.apply_move s ~from_:0 ~to_:1;
   Alcotest.(check int) "moved" 1 (State.count s (PS.singleton 0));
   Alcotest.(check int) "n kept" 1 (State.n s)
 
 let test_apply_completion_finite_gamma () =
   let p = params () in
   let s = State.of_counts [ (PS.singleton 0, 1) ] in
-  Rate.apply p s (Rate.Transfer { downloader = PS.singleton 0; piece = 1 });
+  closef "completion move" 1.0 (move_rate (Rate.transitions p s) ~from_:1 ~to_:3);
+  State.apply_move s ~from_:1 ~to_:3;
   Alcotest.(check int) "became seed" 1 (State.count s (PS.full ~k:2));
   Alcotest.(check int) "n kept" 1 (State.n s)
 
 let test_apply_completion_immediate () =
   let p = params ~gamma:infinity () in
   let s = State.of_counts [ (PS.singleton 0, 1) ] in
-  Rate.apply p s (Rate.Transfer { downloader = PS.singleton 0; piece = 1 });
+  let ts = Rate.transitions p s in
+  closef "completion departs" 1.0 (move_rate ts ~from_:1 ~to_:(-1));
+  closef "no seed made" 0.0 (move_rate ts ~from_:1 ~to_:3);
+  State.apply_move s ~from_:1 ~to_:(-1);
   Alcotest.(check int) "departed" 0 (State.n s)
 
 let test_apply_seed_departure () =
   let p = params () in
   let s = State.of_counts [ (PS.full ~k:2, 2) ] in
-  Rate.apply p s Rate.Seed_departure;
+  closef "departure move" 4.0 (move_rate (Rate.transitions p s) ~from_:3 ~to_:(-1));
+  State.apply_move s ~from_:3 ~to_:(-1);
   Alcotest.(check int) "one left" 1 (State.count s (PS.full ~k:2))
 
 let test_apply_invalid () =
   let p = params () in
+  (* a transfer adds exactly one piece the downloader lacks *)
+  List.iter
+    (fun (from_, to_, _) ->
+      if from_ >= 0 && to_ >= 0 then
+        Alcotest.(check bool)
+          (Printf.sprintf "move %d -> %d adds one missing piece" from_ to_)
+          true
+          (from_ land to_ = from_ && PS.cardinal (PS.of_index (to_ lxor from_)) = 1))
+    (Rate.transitions p (worked_state ()));
   let s = State.of_counts [ (PS.singleton 0, 1) ] in
-  Alcotest.(check bool) "piece already held" true
+  Alcotest.(check bool) "move from an absent type" true
     (try
-       Rate.apply p s (Rate.Transfer { downloader = PS.singleton 0; piece = 0 });
+       State.apply_move s ~from_:0 ~to_:1;
        false
      with Invalid_argument _ -> true)
 
@@ -208,7 +223,8 @@ let test_total_transfer_rate_bounded () =
       let s = State.of_counts entries in
       let transfer_total =
         List.fold_left
-          (fun acc (t, r) -> match t with Rate.Transfer _ -> acc +. r | _ -> acc)
+          (* transfers: the moves out of a proper type (7 is F) *)
+          (fun acc (from_, _, r) -> if from_ >= 0 && from_ < 7 then acc +. r else acc)
           0.0 (Rate.transitions p s)
       in
       let cap = p.us +. (p.mu *. float_of_int (State.n s)) in
