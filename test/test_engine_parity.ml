@@ -72,14 +72,11 @@ let test_golden_no_fault_coded () =
 (* Wider fields, both with K = 8: GF(16) rows fit one packed word and
    GF(256) rows span two, so each word layout of the subspace tracker
    has a pinned end-to-end run.  Recorded before the rows were packed. *)
-let coded_wide_run ~q =
-  Sim_coded.run_seeded ~seed:81
-    (Sim_coded.of_gift { coded_gift with q; k = 8; us = 1.0 })
-    ~horizon:200.0
+let wide_gift ~q = { coded_gift with q; k = 8; us = 1.0 }
 
-let check_coded_golden ~q ~events ~arrivals ~useful ~useless ~completions ~final_n ~max_n
+let check_coded_golden gift ~events ~arrivals ~useful ~useless ~completions ~final_n ~max_n
     ~dims ~time_avg_n ~near_complete =
-  let s = coded_wide_run ~q in
+  let s = Sim_coded.run_seeded ~seed:81 (Sim_coded.of_gift gift) ~horizon:200.0 in
   Alcotest.(check int) "events" events s.events;
   Alcotest.(check int) "arrivals" arrivals s.arrivals;
   Alcotest.(check int) "useful" useful s.useful_transfers;
@@ -98,14 +95,26 @@ let check_coded_golden ~q ~events ~arrivals ~useful ~useless ~completions ~final
     (Float.equal s.near_complete_fraction near_complete)
 
 let test_golden_no_fault_coded_gf16 () =
-  check_coded_golden ~q:16 ~events:2233 ~arrivals:198 ~useful:1426 ~useless:217
+  check_coded_golden (wide_gift ~q:16) ~events:2233 ~arrivals:198 ~useful:1426 ~useless:217
     ~completions:182 ~final_n:17 ~max_n:17 ~dims:[| 1; 0; 6; 3; 0; 1; 1; 4; 1 |]
     ~time_avg_n:8.6807259906259553 ~near_complete:0.13385572061330911
 
 let test_golden_no_fault_coded_gf256 () =
-  check_coded_golden ~q:256 ~events:2161 ~arrivals:192 ~useful:1398 ~useless:169
+  check_coded_golden (wide_gift ~q:256) ~events:2161 ~arrivals:192 ~useful:1398 ~useless:169
     ~completions:185 ~final_n:7 ~max_n:14 ~dims:[| 2; 2; 0; 2; 1; 0; 0; 0; 0 |]
     ~time_avg_n:8.099409778964711 ~near_complete:0.12000550736379051
+
+(* Theorem 15's transient regime: no arrival is gifted (f = 0 < q/((q−1)K))
+   and U_s = 0.25 cannot drain λ = 2, so peers pile up in one shared
+   hyperplane V⁻ and most uploads pass between two peers holding that
+   same subspace.  Recorded before such uploads skipped the vector
+   draw. *)
+let test_golden_no_fault_coded_club () =
+  check_coded_golden
+    { coded_gift with q = 16; k = 8; us = 0.25; gamma = infinity; lambda0 = 2.0; lambda1 = 0.0 }
+    ~events:40333 ~arrivals:430 ~useful:3009 ~useless:36441 ~completions:51 ~final_n:379
+    ~max_n:379 ~dims:[| 1; 1; 0; 3; 6; 4; 1; 363; 0 |] ~time_avg_n:197.80827670019514
+    ~near_complete:0.77028158412996717
 
 let test_golden_no_fault_network_sparse () =
   let config = { (network_config ()) with census = Sim_agent.Neighbourhood } in
@@ -355,6 +364,8 @@ let () =
             test_golden_no_fault_coded_gf16;
           Alcotest.test_case "coded golden GF(256), two words" `Quick
             test_golden_no_fault_coded_gf256;
+          Alcotest.test_case "coded golden GF(16), transient club" `Quick
+            test_golden_no_fault_coded_club;
           Alcotest.test_case "network sparse golden" `Quick test_golden_no_fault_network_sparse;
         ] );
       ( "probe bit-identity",
