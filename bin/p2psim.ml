@@ -1114,8 +1114,9 @@ let coded_cmd =
     let { Stability.Coded.q; k; _ } = g in
     Report.kv
       [
-        ("transient if f <", Report.fmt_float (Stability.Coded.transient_f_threshold ~q ~k));
-        ( "recurrent if f > (exact)",
+        ( "transient if f < (U_s = 0, gamma = inf)",
+          Report.fmt_float (Stability.Coded.transient_f_threshold ~q ~k) );
+        ( "recurrent if f > (exact, U_s = 0, gamma = inf)",
           Report.fmt_float (Stability.Coded.recurrent_f_threshold_exact ~q ~k) );
         ("verdict at f", Stability.verdict_to_string verdict);
       ];
@@ -1188,14 +1189,19 @@ let exact_cmd =
   in
   let run ((params : Params.t), nmax, chain) =
     Printf.printf "enumerated %d states (n <= %d)\n%!" (Truncated.state_count chain) nmax;
-    let pi = Truncated.stationary chain in
+    (* The mass at the cap is only known to the solver's tolerance:
+       below it, its digits are noise that any sweep order moves. *)
+    let tol = 1e-10 in
+    let pi = Truncated.stationary ~tol chain in
+    let cap_mass = Truncated.truncation_mass_at_cap chain pi in
     Report.kv
       [
         ("exact E[N]", Report.fmt_float (Truncated.mean_population chain pi));
         ("P(empty)", Report.fmt_float (Truncated.probability_empty chain pi));
         ( "P(N >= n_max/2)",
           Report.fmt_float (Truncated.population_tail chain pi ~at_least:(nmax / 2)) );
-        ("mass at cap (bias check)", Report.fmt_float (Truncated.truncation_mass_at_cap chain pi));
+        ( "mass at cap (bias check)",
+          if cap_mass < tol then Printf.sprintf "< %g" tol else Report.fmt_float cap_mass );
       ];
     Report.subsection "stationary mean count per type";
     List.iter

@@ -52,7 +52,6 @@ type t = {
   mutable dim : int;
   pivots : int array;  (* length k; pivots.(i) valid for i < dim, ascending *)
   rows : int array array;  (* k row buffers; rows.(i) valid for i < dim *)
-  mutable gen : int;  (* bumped on every successful insert *)
 }
 
 type xvec = int array
@@ -87,7 +86,6 @@ let create f ~k =
     dim = 0;
     pivots = Array.make k (-1);
     rows = Array.init k (fun _ -> Array.make xw 0);
-    gen = 0;
   }
 
 let copy t =
@@ -101,7 +99,6 @@ let field t = t.f
 let dim t = t.dim
 let k t = t.k
 let is_full t = t.dim = t.k
-let generation t = t.gen
 
 (* ---- internal-format scratch vectors ---- *)
 
@@ -279,7 +276,6 @@ let insert_xvec t (v : xvec) =
     t.rows.(!pos) <- spare;
     t.pivots.(!pos) <- piv;
     t.dim <- t.dim + 1;
-    t.gen <- t.gen + 1;
     true
   end
 
@@ -373,13 +369,13 @@ let rec pivots_subset a b i j =
 let check_same_field name a b =
   if a.f.Field.q <> b.f.Field.q then invalid_arg ("Subspace." ^ name ^ ": different fields")
 
-let subspace_leq_xvec a b ~scratch =
+let subspace_leq a b =
   check_same_field "subspace_leq" a b;
   a.k = b.k
   && a.dim <= b.dim
   && pivots_subset a b 0 0
   && begin
-       let i = ref 0 in
+       let scratch = alloc_xvec b and i = ref 0 in
        while
          !i < a.dim
          && begin
@@ -391,6 +387,17 @@ let subspace_leq_xvec a b ~scratch =
        done;
        !i >= a.dim
      end
+
+(* The RREF is unique, so equal subspaces hold the same rows word for
+   word (lanes past K stay zero in every packed row). *)
+let rec rows_equal a b i j =
+  i >= a.dim
+  || if j >= a.xw then rows_equal a b (i + 1) 0
+     else a.rows.(i).(j) = b.rows.(i).(j) && rows_equal a b i (j + 1)
+
+let equal a b =
+  check_same_field "equal" a b;
+  a.k = b.k && a.dim = b.dim && rows_equal a b 0 0
 
 (* ---- public Mat.vec API (tests, lattice tooling, cold paths) ---- *)
 
@@ -407,8 +414,6 @@ let contains t v =
   contains_xvec t x
 
 let basis t = Array.init t.dim (fun i -> unpack t t.rows.(i))
-
-let subspace_leq a b = subspace_leq_xvec a b ~scratch:(Array.make b.xw 0)
 
 let can_help ~uploader ~downloader = not (subspace_leq uploader downloader)
 

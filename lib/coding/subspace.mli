@@ -44,6 +44,11 @@ val subspace_leq : t -> t -> bool
 (** [subspace_leq a b] iff [V_a ⊆ V_b]; [false] when the lengths differ.
     @raise Invalid_argument if [a] and [b] are over different fields. *)
 
+val equal : t -> t -> bool
+(** [equal a b] iff [V_a = V_b]: the same dimension and the same
+    canonical basis, compared word for word with no reduction.
+    @raise Invalid_argument if [a] and [b] are over different fields. *)
+
 val can_help : uploader:t -> downloader:t -> bool
 (** The coded usefulness test: [V_uploader ⊄ V_downloader]. *)
 
@@ -79,12 +84,6 @@ type xvec = int array
 val alloc_xvec : t -> xvec
 (** A zeroed scratch row of the right width for this subspace's format. *)
 
-val generation : t -> int
-(** Monotone counter bumped on every dimension-increasing insert — lets
-    callers cache containment facts ([V_up ⊆ V_down] stays true while the
-    uploader's generation is unchanged; growth of the downloader never
-    invalidates it). *)
-
 val random_member_into : t -> P2p_prng.Rng.t -> xvec -> unit
 (** {!random_member} into a caller scratch: one coefficient draw per
     basis row in pivot order (identical draw sequence), rows applied
@@ -99,10 +98,6 @@ val insert_xvec : t -> xvec -> bool
 
 val contains_xvec : t -> xvec -> bool
 (** {!contains} on the internal format.  Clobbers the scratch. *)
-
-val subspace_leq_xvec : t -> t -> scratch:xvec -> bool
-(** {!subspace_leq} with a caller-owned scratch row (clobbered), so a
-    containment proof allocates nothing. *)
 
 val first_uncovered_into : uploader:t -> downloader:t -> scratch:xvec -> xvec -> bool
 (** Smart exchange (Remark 16): copy the first uploader basis row outside

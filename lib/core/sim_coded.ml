@@ -32,19 +32,7 @@ let of_gift (g : Stability.Coded.gift_params) =
     faults = Faults.none;
   }
 
-(* [memo_space]/[memo_gen] cache a proven containment fact: the
-   referenced subspace was ⊆ this peer's subspace when its generation was
-   [memo_gen].  Containment is monotone in the downloader (our space only
-   grows), so the memo stays valid until the {e uploader}'s generation
-   moves — while it holds, anything that uploader transmits is
-   non-innovative and the receive-side reduction can be skipped. *)
-type peer = {
-  mutable space : Subspace.t;
-  mutable slot : int;
-  mutable departed : bool;
-  mutable memo_space : Subspace.t option;
-  mutable memo_gen : int;
-}
+type peer = { mutable space : Subspace.t; mutable slot : int; mutable departed : bool }
 
 type stats = {
   final_time : float;
@@ -158,12 +146,10 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
         let scratch = Subspace.alloc_xvec proto in
         let scratch2 = Subspace.alloc_xvec proto in
         (* Insert the coding vector held in [scratch] into a peer's
-           subspace, handling completion.  [from] is the uploading peer
-           (if any) — a useless transfer is the cue to try to prove
-           [V_up ⊆ V_down] and arm the containment memo.  Trace events
-           use the subspace dimension as the "piece" index: a useful
-           transfer raising dim from d to d+1 fills slot d. *)
-        let receive peer ~from ~seed_upload ~time =
+           subspace, handling completion.  Trace events use the subspace
+           dimension as the "piece" index: a useful transfer raising dim
+           from d to d+1 fills slot d. *)
+        let receive peer ~seed_upload ~time =
           let before = Subspace.dim peer.space in
           let r_t0 = Hist.tick rank_tm in
           let inserted = Subspace.insert_xvec peer.space scratch in
@@ -181,39 +167,11 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
           else begin
             incr useless;
             if tracing then
-              Probe.contact probe ~time ~seed:seed_upload ~useful:false;
-            (* A non-innovative vector from a low-dimension uploader hints
-               at containment; prove it once and skip reductions until the
-               uploader grows.  [subspace_leq] prefilters on pivot-set
-               inclusion, so failed attempts are cheap. *)
-            match from with
-            | Some (up : peer) ->
-                let sp = up.space in
-                if
-                  Subspace.dim sp <= Subspace.dim peer.space
-                  && Subspace.subspace_leq_xvec sp peer.space ~scratch:scratch2
-                then begin
-                  peer.memo_space <- Some sp;
-                  peer.memo_gen <- Subspace.generation sp
-                end
-            | None -> ()
+              Probe.contact probe ~time ~seed:seed_upload ~useful:false
           end
         in
-        let memo_valid (down : peer) up_space =
-          match down.memo_space with
-          | Some sp -> sp == up_space && Subspace.generation sp = down.memo_gen
-          | None -> false
-        in
         let new_peer ~coded ~time =
-          let peer =
-            {
-              space = Subspace.create field ~k:config.k;
-              slot = -1;
-              departed = false;
-              memo_space = None;
-              memo_gen = -1;
-            }
-          in
+          let peer = { space = Subspace.create field ~k:config.k; slot = -1; departed = false } in
           let rec feed j =
             if j > 0 && Subspace.dim peer.space < config.k then begin
               Subspace.random_full_into proto rng scratch;
@@ -260,7 +218,7 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
         in
         (* Deliver the vector held in [scratch]: transfer loss first (the
            upload happened but the vector never arrived), else receive. *)
-        let deliver downloader ~from ~seed_upload ~time =
+        let deliver downloader ~seed_upload ~time =
           if Faults.lost frun then begin
             counters.lost <- counters.lost + 1;
             if tracing then begin
@@ -269,7 +227,7 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
               Probe.transfer_lost probe ~time
             end
           end
-          else receive downloader ~from ~seed_upload ~time
+          else receive downloader ~seed_upload ~time
         in
         let transmit ~uploader ~seed_upload ~time =
           match sample_downloader () with
@@ -284,14 +242,17 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
                   let v_t0 = Hist.tick select_tm in
                   Subspace.random_full_into proto rng scratch;
                   Hist.tock select_tm v_t0;
-                  deliver downloader ~from:None ~seed_upload ~time
+                  deliver downloader ~seed_upload ~time
               | Some (up : peer) ->
                   let sp = up.space in
-                  if memo_valid downloader sp then begin
-                    (* Fast path: everything this uploader can transmit is
-                       already contained.  Burn the same coefficient draws
-                       as [random_member_into] (draw-stream parity), skip
-                       vector construction and reduction entirely. *)
+                  if Subspace.equal sp downloader.space then begin
+                    (* Fast path: the downloader already holds everything
+                       this uploader can send, the common upload once peers
+                       pile up in one hyperplane V⁻.  Burn the same
+                       coefficient draws as [random_member_into] (none
+                       under smart exchange) and draw the loss in the same
+                       order, so the draw stream and every output match the
+                       slow path; skip vector construction and reduction. *)
                     if not config.smart_exchange then
                       for _ = 1 to Subspace.dim sp do
                         ignore (Rng.int_below rng config.q)
@@ -311,23 +272,15 @@ let run ?(probe = Probe.none) ?sample_every ?max_events ~rng config ~horizon =
                   end
                   else begin
                     let v_t0 = Hist.tick select_tm in
-                    if config.smart_exchange then begin
-                      (* Remark 16: send a basis vector outside the
-                         downloader's subspace when one exists.  A failed
-                         scan is itself a containment proof — arm the memo
-                         for free. *)
-                      if
-                        not
-                          (Subspace.first_uncovered_into ~uploader:sp
-                             ~downloader:downloader.space ~scratch:scratch2 scratch)
-                      then begin
-                        downloader.memo_space <- Some sp;
-                        downloader.memo_gen <- Subspace.generation sp
-                      end
-                    end
+                    (* Remark 16: smart exchange sends a basis vector outside
+                       the downloader's subspace when one exists. *)
+                    if config.smart_exchange then
+                      ignore
+                        (Subspace.first_uncovered_into ~uploader:sp ~downloader:downloader.space
+                           ~scratch:scratch2 scratch)
                     else Subspace.random_member_into sp rng scratch;
                     Hist.tock select_tm v_t0;
-                    deliver downloader ~from:uploader ~seed_upload ~time
+                    deliver downloader ~seed_upload ~time
                   end)
         in
         observe 0.0;

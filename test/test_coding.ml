@@ -122,6 +122,7 @@ let test_mixed_fields_raise () =
   in
   raises "subspace_leq" (fun () -> Subspace.subspace_leq a b);
   raises "subspace_leq, swapped" (fun () -> Subspace.subspace_leq b a);
+  raises "equal" (fun () -> Subspace.equal a b);
   raises "can_help" (fun () -> Subspace.can_help ~uploader:a ~downloader:b);
   raises "intersection_dim" (fun () -> Subspace.intersection_dim a b);
   raises "useful_probability" (fun () -> Subspace.useful_probability ~uploader:b ~downloader:a);
@@ -139,6 +140,71 @@ let test_mixed_fields_raise () =
   Alcotest.(check int) "GF(2) dim (c ∩ d)" 1 (Subspace.intersection_dim c d);
   Alcotest.(check (float 1e-12)) "GF(2) useful probability" 0.5
     (Subspace.useful_probability ~uploader:c ~downloader:d)
+
+(* [equal] compares canonical bases word for word; it must agree with
+   two-way containment.  Pairs are built to hit every case: the same span
+   from reshuffled generators, a strict subspace, a one-vector extension,
+   an independent span of the same dimension, and two spans sharing all
+   but one generator.  The fields cover multi-word GF(2) rows (K = 70),
+   one-word GF(16) rows (K = 8), two-word GF(64) rows (K = 20) and the
+   element rows of GF(9). *)
+let test_equal_iff_mutual_leq () =
+  let rng = Rng.of_seed 31 in
+  List.iter
+    (fun (q, k) ->
+      let f = Field.gf q in
+      let draw n = Rng.int_below rng n in
+      let vec () = Mat.random_vec f draw k in
+      let vecs n = List.init n (fun _ -> vec ()) in
+      (* The same span: each generator gets a nonzero scale plus a random
+         multiple of another generator added in, then the order is
+         shuffled. *)
+      let respan gens =
+        let a = Array.of_list gens in
+        let n = Array.length a in
+        for i = 0 to n - 1 do
+          a.(i) <- Mat.vec_scale f (1 + draw (q - 1)) a.(i);
+          if n > 1 then begin
+            let j = (i + 1 + draw (n - 1)) mod n in
+            a.(i) <- Mat.vec_axpy f (draw q) a.(j) a.(i)
+          end
+        done;
+        for i = n - 1 downto 1 do
+          let j = draw (i + 1) in
+          let t = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- t
+        done;
+        Array.to_list a
+      in
+      let of_list = Subspace.of_vectors f ~k in
+      let label = Printf.sprintf "GF(%d) K = %d" q k in
+      let seen_equal = ref 0 and seen_unequal = ref 0 in
+      let check a b =
+        let mutual = Subspace.subspace_leq a b && Subspace.subspace_leq b a in
+        Alcotest.(check bool) (label ^ ": equal iff mutual leq") mutual (Subspace.equal a b);
+        Alcotest.(check bool) (label ^ ": equal symmetric") mutual (Subspace.equal b a);
+        if mutual then incr seen_equal else incr seen_unequal
+      in
+      for _ = 1 to 40 do
+        let d = 1 + draw k in
+        let gens = vecs d in
+        let a = of_list gens in
+        let same = of_list (respan gens) in
+        Alcotest.(check bool) (label ^ ": reshuffled generators equal") true
+          (Subspace.equal a same);
+        Alcotest.(check bool) (label ^ ": reshuffled generators, same basis") true
+          (Subspace.basis a = Subspace.basis same);
+        check a same;
+        check a a;
+        check a (of_list (List.tl gens));
+        check a (of_list (vec () :: gens));
+        check a (of_list (vecs d));
+        check a (of_list (vec () :: List.tl gens))
+      done;
+      Alcotest.(check bool) (label ^ ": both outcomes seen") true
+        (!seen_equal > 0 && !seen_unequal > 0))
+    [ (2, 70); (16, 8); (64, 20); (9, 6) ]
 
 let prop_dim_bounded =
   QCheck2.Test.make ~name:"dim <= min(#inserted, k)" ~count:300
@@ -182,6 +248,7 @@ let () =
           Alcotest.test_case "cannot help" `Quick test_cannot_help_probability_zero;
           Alcotest.test_case "wrong length" `Quick test_wrong_length_raises;
           Alcotest.test_case "mixed fields raise" `Quick test_mixed_fields_raise;
+          Alcotest.test_case "equal iff mutual leq" `Quick test_equal_iff_mutual_leq;
           QCheck_alcotest.to_alcotest prop_dim_bounded;
           QCheck_alcotest.to_alcotest prop_insert_iff_not_contained;
         ] );

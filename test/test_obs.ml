@@ -1123,9 +1123,11 @@ let trace_golden =
     {|{"t":3.4132096375905534,"ev":"contact","seed":false,"useful":false}|};
   ]
 
-let run_p2psim args =
+let run_p2psim ?(stdout = "/dev/null") args =
+  let out = Unix.openfile stdout [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid = Unix.create_process p2psim (Array.of_list (p2psim :: args)) Unix.stdin devnull devnull in
+  let pid = Unix.create_process p2psim (Array.of_list (p2psim :: args)) Unix.stdin out devnull in
+  Unix.close out;
   Unix.close devnull;
   match Unix.waitpid [] pid with
   | _, Unix.WEXITED 0 -> ()
@@ -1248,8 +1250,14 @@ let test_cli_model_errors () =
       ([ "coded"; "-q"; "6"; "--sim" ], "q must be a prime power, got 6");
     ]
 
-(* [exact] at its defaults solves a stable swarm within the space guard. *)
-let test_cli_exact_defaults () = run_p2psim [ "exact" ]
+(* [exact] at its defaults solves a stable swarm within the space guard.
+   Its mass at the cap falls below the solver's tolerance there, so it
+   prints as a bound, not as noise digits. *)
+let test_cli_exact_defaults () =
+  with_temp_file (fun path ->
+      run_p2psim ~stdout:path [ "exact" ];
+      Alcotest.(check bool) "mass at cap printed as a bound" true
+        (List.mem "  mass at cap (bias check) : < 1e-10" (lines_of (read_file path))))
 
 (* ---- the missing-piece-syndrome monitor ---- *)
 
