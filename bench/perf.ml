@@ -295,7 +295,7 @@ let sim_section ~quick =
         let s, _ =
           Sim_agent.run_seeded ~probe ~seed:1 (Sim_agent.default_config params) ~horizon
         in
-        s.Sim_agent.events);
+        s.Peers.events);
     measure "sim_coded" (fun probe ->
         let s = Sim_coded.run_seeded ~probe ~seed:1 coded_config ~horizon in
         s.Sim_coded.events);

@@ -1,6 +1,6 @@
 (** The shared simulation-engine core behind every simulator:
-    {!drive} runs the jump processes ({!Sim_markov}, {!Sim_agent} on any
-    overlay and with any peer classes, and {!Sim_coded}), and
+    {!drive} runs the jump processes ({!Sim_markov} and the per-peer
+    driver {!Peers}, which races {!Sim_agent} and {!Sim_coded}), and
     {!drive_continuous} the fluid model.
 
     Every jump-process simulator is the same machine wearing a
@@ -94,7 +94,7 @@ val faults : t -> Faults.run
 val observe : t -> time:float -> n:int -> unit
 (** Feed one population observation: updates the time-average and
     [max_n].  Each model decides {e when} to observe (e.g. {!Sim_markov}
-    only after a state-changing event, {!Sim_agent} after every event) —
+    only after a state-changing event, {!Peers} after every event) —
     the call sequence is part of the bit-identity contract, because
     float summation order in the time-average depends on it. *)
 

@@ -1,11 +1,13 @@
 module Pieceset = P2p_pieceset.Pieceset
 
-type klass = {
+type 'spec class_of = {
   label : string;
   mu : float;
   gamma : float;
-  arrivals : (Pieceset.t * float) list;
+  arrivals : ('spec * float) list;
 }
+
+type klass = Pieceset.t class_of
 
 type t = {
   k : int;

@@ -9,15 +9,19 @@
 module Pieceset = P2p_pieceset.Pieceset
 
 (** A class of peers with its own rates: the model generalised to
-    heterogeneous peers, which {!Sim_agent} simulates and
-    {!Stability.classify_classes} classifies heuristically.  A parameter
-    set is the one-class case ({!classes}). *)
-type klass = {
+    heterogeneous peers, which the per-peer driver {!Peers} simulates
+    and {!Stability.classify_classes} classifies heuristically.  A
+    parameter set is the one-class case ({!classes}).  ['spec] is what
+    an arriving peer brings: a piece set here, a number of coded pieces
+    in the coded swarm ({!Sim_coded}). *)
+type 'spec class_of = {
   label : string;
   mu : float;  (** contact-upload rate of this class, > 0 *)
   gamma : float;  (** seed dwell rate; [infinity] = leave on completion *)
-  arrivals : (Pieceset.t * float) list;  (** this class's arrival streams *)
+  arrivals : ('spec * float) list;  (** this class's arrival streams *)
 }
+
+type klass = Pieceset.t class_of
 
 type t = private {
   k : int;  (** number of pieces, K >= 1 *)

@@ -1,7 +1,7 @@
 (** Min-heap keyed by float timestamps, with O(log n) removal of arbitrary
     entries via handles.
 
-    The scheduled-event queue of [Sim_agent], [Sim_coded] and [Mg_inf].
+    The scheduled-event queue of [Peers] (dwelling seeds) and [Mg_inf].
     Handles allow a peer's pending
     clock tick to be cancelled when the peer departs, which the
     agent-level P2P simulator does constantly. *)

@@ -203,16 +203,16 @@ let test_finite_gamma_seed_dwell () =
    configuration that both dwelling seeds and the exact solver cover. *)
 let test_engine_golden () =
   let s = simulate ~sample_every:50.0 ~seed:6 { stable_cfg with gamma = 2.0 } ~horizon:400.0 in
-  Alcotest.(check int) "events" 3125 s.events;
-  Alcotest.(check int) "arrivals" 401 s.arrivals;
-  Alcotest.(check int) "departures" 394 s.departures;
-  Alcotest.(check int) "final n" 7 s.final_n;
-  Alcotest.(check int) "max n" 11 s.max_n;
+  Alcotest.(check int) "events" 3281 s.events;
+  Alcotest.(check int) "arrivals" 405 s.arrivals;
+  Alcotest.(check int) "departures" 405 s.departures;
+  Alcotest.(check int) "final n" 0 s.final_n;
+  Alcotest.(check int) "max n" 12 s.max_n;
   Alcotest.(check (array (pair (float 0.0) int))) "samples"
-    [| (0., 0); (50., 6); (100., 1); (150., 6); (200., 4); (250., 1); (300., 6); (350., 3);
-       (400., 7) |]
+    [| (0., 0); (50., 9); (100., 2); (150., 2); (200., 6); (250., 3); (300., 3); (350., 1);
+       (400., 0) |]
     s.samples;
-  Alcotest.(check int64) "time-avg N bits" 4615734806905717688L
+  Alcotest.(check int64) "time-avg N bits" 4616490352912465812L
     (Int64.bits_of_float s.time_avg_n);
   Alcotest.(check bool) "not truncated" false s.truncated
 

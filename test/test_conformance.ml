@@ -54,24 +54,12 @@ let agent_two_classes : runner =
   let config = { (Sim_agent.class_config ~k:p.k ~us:p.us classes) with initial } in
   ignore (Sim_agent.run ~observer ~rng config ~horizon)
 
-let check_first_jump_law ~(run : runner) ~seed ~reps p initial =
-  let state0 = State.of_counts initial in
-  let transitions = Rate.transitions p state0 in
-  let total_rate = List.fold_left (fun acc (_, _, r) -> acc +. r) 0.0 transitions in
-  (* key the expected distribution by the resulting state fingerprint *)
-  let fingerprint st =
-    String.concat ";"
-      (List.map (fun (c, n) -> Printf.sprintf "%d:%d" (PS.to_index c) n) (State.to_alist st))
-  in
-  let expected = Hashtbl.create 16 in
-  List.iter
-    (fun (from_, to_, rate) ->
-      let next = State.copy state0 in
-      State.apply_move next ~from_ ~to_;
-      let key = fingerprint next in
-      Hashtbl.replace expected key
-        (rate /. total_rate +. Option.value (Hashtbl.find_opt expected key) ~default:0.0))
-    transitions;
+(* The first-jump and holding-time laws from one frozen state, given
+   the generator row's jump probabilities keyed by the fingerprint of the
+   state each move leads to.  [first_jump ~rng ~horizon ~record] runs the
+   backend from the frozen state, calling [record ~time key] after every
+   state change, where [key ()] fingerprints the state. *)
+let check_jumps ~seed ~reps ~total_rate expected first_jump =
   (* simulate the first jump many times *)
   let observed = Hashtbl.create 16 in
   let holding = ref 0.0 in
@@ -79,11 +67,9 @@ let check_first_jump_law ~(run : runner) ~seed ~reps p initial =
   for _ = 1 to reps do
     (* run until the first state change using the observer *)
     let first = ref None in
-    let observer ~time ~state =
-      if Option.is_none !first then first := Some (time, fingerprint state)
-    in
+    let record ~time key = if Option.is_none !first then first := Some (time, key ()) in
     (* a long-enough horizon that a change almost surely happens *)
-    run ~observer ~rng p initial ~horizon:(60.0 /. total_rate);
+    first_jump ~rng ~horizon:(60.0 /. total_rate) ~record;
     match !first with
     | Some (time, key) ->
         holding := !holding +. time;
@@ -116,6 +102,35 @@ let check_first_jump_law ~(run : runner) ~seed ~reps p initial =
     true
     (Float.abs (mean -. theory) < 4.0 *. sigma)
 
+(* The jump probabilities of a generator row of unit moves, keyed by
+   [fingerprint] of the state each move leads to. *)
+let row_law moves ~apply ~fingerprint =
+  let total_rate = List.fold_left (fun acc (_, _, r) -> acc +. r) 0.0 moves in
+  let expected = Hashtbl.create 16 in
+  List.iter
+    (fun (from_, to_, rate) ->
+      let key = fingerprint (apply ~from_ ~to_) in
+      Hashtbl.replace expected key
+        (rate /. total_rate +. Option.value (Hashtbl.find_opt expected key) ~default:0.0))
+    moves;
+  (total_rate, expected)
+
+let check_first_jump_law ~(run : runner) ~seed ~reps p initial =
+  let state0 = State.of_counts initial in
+  let fingerprint st =
+    String.concat ";"
+      (List.map (fun (c, n) -> Printf.sprintf "%d:%d" (PS.to_index c) n) (State.to_alist st))
+  in
+  let apply ~from_ ~to_ =
+    let next = State.copy state0 in
+    State.apply_move next ~from_ ~to_;
+    next
+  in
+  let total_rate, expected = row_law (Rate.transitions p state0) ~apply ~fingerprint in
+  check_jumps ~seed ~reps ~total_rate expected (fun ~rng ~horizon ~record ->
+      run ~observer:(fun ~time ~state -> record ~time (fun () -> fingerprint state)) ~rng p initial
+        ~horizon)
+
 let test_first_jump_distribution run () =
   let p =
     Params.make ~k:2 ~us:0.7 ~mu:1.0 ~gamma:2.0
@@ -146,6 +161,93 @@ let test_first_jump_two_classes () =
   in
   check_first_jump_law ~run:agent_two_classes ~seed:9 ~reps:40_000 p
     [ (PS.empty, 4); (PS.singleton 0, 2); (PS.singleton 1, 1); (PS.full ~k:2, 2) ]
+
+(* ---- 1b. the coded swarm's first-jump law vs Coded_chain ---- *)
+
+(* The same laws for the subspace content on the per-peer driver, from a
+   frozen state of subspace types given as lattice ids.  A subspace maps
+   to its id through the span of its basis, coded as base-q digits. *)
+module Lattice = P2p_coding.Lattice
+module Subspace = P2p_coding.Subspace
+
+let check_coded_first_jump_law ~seed ~reps (cfg : Coded_chain.config) initial =
+  let chain = Coded_chain.create cfg in
+  let lat = Coded_chain.lattice chain in
+  let q = cfg.q and k = cfg.k in
+  let field = P2p_gf.Field.gf q in
+  let encode v = Array.fold_right (fun digit acc -> (acc * q) + digit) v 0 in
+  let decode code =
+    let v = Array.make k 0 and c = ref code in
+    for i = 0 to k - 1 do
+      v.(i) <- !c mod q;
+      c := !c / q
+    done;
+    v
+  in
+  let id_of s = Lattice.dim_of_vector_span lat (Array.map encode (Subspace.basis s)) in
+  let subspace_of id =
+    Subspace.of_vectors field ~k (List.map decode (Array.to_list (Lattice.members lat id)))
+  in
+  let fingerprint counts =
+    String.concat ";"
+      (List.filter_map
+         (fun id -> if counts.(id) > 0 then Some (Printf.sprintf "%d:%d" id counts.(id)) else None)
+         (List.init (Lattice.count lat) Fun.id))
+  in
+  let state0 = Coded_chain.state_of chain initial in
+  let apply ~from_ ~to_ =
+    let next = Array.make (Lattice.count lat) 0 in
+    Array.blit state0 0 next 0 (Array.length state0);
+    if from_ >= 0 then next.(from_) <- next.(from_) - 1;
+    if to_ >= 0 then next.(to_) <- next.(to_) + 1;
+    next
+  in
+  let total_rate, expected = row_law (Coded_chain.transitions chain state0) ~apply ~fingerprint in
+  let sim =
+    { Sim_coded.q; k; us = cfg.us; mu = cfg.mu; gamma = cfg.gamma; arrivals = cfg.arrivals;
+      smart_exchange = false; faults = Faults.none }
+  in
+  let config =
+    { (Sim_coded.peers_config sim) with
+      initial = List.map (fun (id, n) -> (Sim_coded.Span (subspace_of id), n)) initial }
+  in
+  check_jumps ~seed ~reps ~total_rate expected (fun ~rng ~horizon ~record ->
+      let observer ~time swarm =
+        record ~time (fun () ->
+            let counts = Array.make (Lattice.count lat) 0 in
+            Peers.iter swarm (fun s -> counts.(id_of s) <- counts.(id_of s) + 1);
+            fingerprint counts)
+      in
+      ignore (Peers.run ~observer ~rng config (Sim_coded.content sim) ~horizon))
+
+(* q = 2, K = 3 at γ = 2: a club of six peers in the hyperplane
+   H = <e0, e1> beside two dwelling seeds, one empty peer, a line inside
+   H and a line outside it.  Club uploads to the club are useless, seeds
+   and the fixed seed lift H to the full space, and gifts of two vectors
+   can arrive decoded. *)
+let test_coded_first_jump_club () =
+  let cfg =
+    { Coded_chain.q = 2; k = 3; us = 0.5; mu = 1.0; gamma = 2.0;
+      arrivals = [ (0, 0.6); (1, 0.3); (3, 0.1) ] }
+  in
+  let lat = Coded_chain.lattice (Coded_chain.create cfg) in
+  let span codes = Lattice.dim_of_vector_span lat codes in
+  check_coded_first_jump_law ~seed:11 ~reps:40_000 cfg
+    [ (span [| 1; 2 |], 6); (Lattice.full lat, 2); (Lattice.zero lat, 1); (span [| 1 |], 1);
+      (span [| 4 |], 1) ]
+
+(* q = 3, K = 2 at γ = ∞: empty peers beside three distinct lines, and
+   gifts of two vectors that decode on arrival (a self-loop: the peer
+   leaves at once). *)
+let test_coded_first_jump_mixed () =
+  let cfg =
+    { Coded_chain.q = 3; k = 2; us = 0.7; mu = 1.0; gamma = infinity;
+      arrivals = [ (0, 0.5); (1, 0.3); (2, 0.2) ] }
+  in
+  let lat = Coded_chain.lattice (Coded_chain.create cfg) in
+  let span codes = Lattice.dim_of_vector_span lat codes in
+  check_coded_first_jump_law ~seed:12 ~reps:40_000 cfg
+    [ (Lattice.zero lat, 2); (span [| 1 |], 3); (span [| 3 |], 2); (span [| 4 |], 1) ]
 
 (* ---- 2. the exact chain and both simulators, one stationary mean ---- *)
 
@@ -261,6 +363,10 @@ let () =
             test_first_jump_two_classes;
           Alcotest.test_case "four engines, one mean" `Slow test_four_engines_agree;
           Alcotest.test_case "fluid = generator drift" `Quick test_fluid_equals_generator_everywhere;
+          Alcotest.test_case "coded first-jump law, hyperplane club" `Slow
+            test_coded_first_jump_club;
+          Alcotest.test_case "coded first-jump law, mixed dimensions" `Slow
+            test_coded_first_jump_mixed;
           Alcotest.test_case "coded engines agree" `Slow test_coded_engines_agree;
           Alcotest.test_case "Little's law" `Slow test_littles_law_everywhere;
         ] );

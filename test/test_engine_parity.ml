@@ -47,23 +47,23 @@ let network_run ?probe ?max_events ~seed () =
 
 let test_golden_no_fault_coded () =
   let s = coded_run ~seed:81 () in
-  Alcotest.(check int) "events" 2518 s.events;
-  Alcotest.(check int) "arrivals" 285 s.arrivals;
-  Alcotest.(check int) "useful" 996 s.useful_transfers;
-  Alcotest.(check int) "useless" 615 s.useless_transfers;
-  Alcotest.(check int) "completions" 279 s.completions;
-  Alcotest.(check int) "departures" 278 s.departures;
-  Alcotest.(check int) "final n" 7 s.final_n;
-  Alcotest.(check int) "max n" 14 s.max_n;
-  Alcotest.(check (array int)) "dim histogram" [| 1; 1; 1; 3; 1 |] s.dim_histogram;
+  Alcotest.(check int) "events" 2713 s.events;
+  Alcotest.(check int) "arrivals" 322 s.arrivals;
+  Alcotest.(check int) "useful" 1134 s.useful_transfers;
+  Alcotest.(check int) "useless" 568 s.useless_transfers;
+  Alcotest.(check int) "completions" 318 s.completions;
+  Alcotest.(check int) "departures" 316 s.departures;
+  Alcotest.(check int) "final n" 6 s.final_n;
+  Alcotest.(check int) "max n" 16 s.max_n;
+  Alcotest.(check (array int)) "dim histogram" [| 0; 0; 1; 3; 2 |] s.dim_histogram;
   Alcotest.(check bool)
     (Printf.sprintf "time-avg N %.17g unchanged" s.time_avg_n)
     true
-    (Float.equal s.time_avg_n 5.7198239536182562);
+    (Float.equal s.time_avg_n 6.2248766352917571);
   Alcotest.(check bool)
     (Printf.sprintf "near-complete fraction %.17g unchanged" s.near_complete_fraction)
     true
-    (Float.equal s.near_complete_fraction 0.3303120498756249);
+    (Float.equal s.near_complete_fraction 0.32725029908914943);
   Alcotest.(check bool) "not truncated" false s.truncated;
   Alcotest.(check int) "no outage time" 0 (compare s.outage_time 0.0);
   Alcotest.(check int) "no aborts" 0 s.aborted_peers;
@@ -71,12 +71,15 @@ let test_golden_no_fault_coded () =
 
 (* Wider fields, both with K = 8: GF(16) rows fit one packed word and
    GF(256) rows span two, so each word layout of the subspace tracker
-   has a pinned end-to-end run.  Recorded before the rows were packed. *)
+   has a pinned end-to-end run.  Recorded before the rows were packed;
+   re-pinned when the coded swarm moved onto the per-peer driver, which
+   moved its draw stream (the coded first-jump laws in test_conformance
+   pin the law). *)
 let wide_gift ~q = { coded_gift with q; k = 8; us = 1.0 }
 
-let check_coded_golden gift ~events ~arrivals ~useful ~useless ~completions ~final_n ~max_n
+let check_coded_golden ?(seed = 81) gift ~events ~arrivals ~useful ~useless ~completions ~final_n ~max_n
     ~dims ~time_avg_n ~near_complete =
-  let s = Sim_coded.run_seeded ~seed:81 (Sim_coded.of_gift gift) ~horizon:200.0 in
+  let s = Sim_coded.run_seeded ~seed (Sim_coded.of_gift gift) ~horizon:200.0 in
   Alcotest.(check int) "events" events s.events;
   Alcotest.(check int) "arrivals" arrivals s.arrivals;
   Alcotest.(check int) "useful" useful s.useful_transfers;
@@ -95,26 +98,26 @@ let check_coded_golden gift ~events ~arrivals ~useful ~useless ~completions ~fin
     (Float.equal s.near_complete_fraction near_complete)
 
 let test_golden_no_fault_coded_gf16 () =
-  check_coded_golden (wide_gift ~q:16) ~events:2233 ~arrivals:198 ~useful:1426 ~useless:217
-    ~completions:182 ~final_n:17 ~max_n:17 ~dims:[| 1; 0; 6; 3; 0; 1; 1; 4; 1 |]
-    ~time_avg_n:8.6807259906259553 ~near_complete:0.13385572061330911
+  check_coded_golden (wide_gift ~q:16) ~events:2277 ~arrivals:199 ~useful:1453 ~useless:228
+    ~completions:188 ~final_n:11 ~max_n:17 ~dims:[| 0; 0; 1; 1; 3; 4; 0; 2; 0 |]
+    ~time_avg_n:8.3825298214686441 ~near_complete:0.112852567204496
 
 let test_golden_no_fault_coded_gf256 () =
-  check_coded_golden (wide_gift ~q:256) ~events:2161 ~arrivals:192 ~useful:1398 ~useless:169
-    ~completions:185 ~final_n:7 ~max_n:14 ~dims:[| 2; 2; 0; 2; 1; 0; 0; 0; 0 |]
-    ~time_avg_n:8.099409778964711 ~near_complete:0.12000550736379051
+  check_coded_golden (wide_gift ~q:256) ~events:2199 ~arrivals:198 ~useful:1433 ~useless:207
+    ~completions:186 ~final_n:13 ~max_n:14 ~dims:[| 1; 2; 1; 2; 0; 1; 2; 3; 1 |]
+    ~time_avg_n:8.3550220091683105 ~near_complete:0.12379378025796681
 
 (* Theorem 15's transient regime: no arrival is gifted (f = 0 < q/((q−1)K))
    and U_s = 0.25 cannot drain λ = 2, so peers pile up in one shared
    hyperplane V⁻ and most uploads pass between two peers holding that
-   same subspace.  Recorded before such uploads skipped the vector
-   draw. *)
+   same subspace.  About half the seeds form the club by t = 200; seed
+   83 is the first from 81 on that does. *)
 let test_golden_no_fault_coded_club () =
-  check_coded_golden
+  check_coded_golden ~seed:83
     { coded_gift with q = 16; k = 8; us = 0.25; gamma = infinity; lambda0 = 2.0; lambda1 = 0.0 }
-    ~events:40333 ~arrivals:430 ~useful:3009 ~useless:36441 ~completions:51 ~final_n:379
-    ~max_n:379 ~dims:[| 1; 1; 0; 3; 6; 4; 1; 363; 0 |] ~time_avg_n:197.80827670019514
-    ~near_complete:0.77028158412996717
+    ~events:38107 ~arrivals:430 ~useful:2980 ~useless:34220 ~completions:44 ~final_n:386
+    ~max_n:386 ~dims:[| 4; 2; 1; 3; 3; 2; 4; 367; 0 |] ~time_avg_n:188.71258703041977
+    ~near_complete:0.76961218178588253
 
 let test_golden_no_fault_network_sparse () =
   let config = { (network_config ()) with census = Sim_agent.Neighbourhood } in
@@ -194,23 +197,23 @@ let test_network_probe_bit_identity () =
   let bare, _ = run () in
   let probe, finish = busy_probe ~k:3 in
   let probed, _ = run ~probe () in
-  Alcotest.(check int) "events" bare.Sim_agent.events probed.Sim_agent.events;
-  Alcotest.(check int) "arrivals" bare.Sim_agent.arrivals probed.Sim_agent.arrivals;
-  Alcotest.(check int) "transfers" bare.Sim_agent.transfers probed.Sim_agent.transfers;
-  Alcotest.(check int) "silent" bare.Sim_agent.silent_contacts
-    probed.Sim_agent.silent_contacts;
-  Alcotest.(check int) "aborted" bare.Sim_agent.aborted_peers probed.Sim_agent.aborted_peers;
-  Alcotest.(check int) "lost" bare.Sim_agent.lost_transfers probed.Sim_agent.lost_transfers;
+  Alcotest.(check int) "events" bare.Peers.events probed.Peers.events;
+  Alcotest.(check int) "arrivals" bare.Peers.arrivals probed.Peers.arrivals;
+  Alcotest.(check int) "transfers" bare.Peers.transfers probed.Peers.transfers;
+  Alcotest.(check int) "silent" bare.Peers.silent_contacts
+    probed.Peers.silent_contacts;
+  Alcotest.(check int) "aborted" bare.Peers.aborted_peers probed.Peers.aborted_peers;
+  Alcotest.(check int) "lost" bare.Peers.lost_transfers probed.Peers.lost_transfers;
   Alcotest.(check bool) "time_avg_n bit-identical" true
-    (Int64.bits_of_float bare.Sim_agent.time_avg_n
-    = Int64.bits_of_float probed.Sim_agent.time_avg_n);
+    (Int64.bits_of_float bare.Peers.time_avg_n
+    = Int64.bits_of_float probed.Peers.time_avg_n);
   Alcotest.(check bool) "outage_time bit-identical" true
-    (Int64.bits_of_float bare.Sim_agent.outage_time
-    = Int64.bits_of_float probed.Sim_agent.outage_time);
+    (Int64.bits_of_float bare.Peers.outage_time
+    = Int64.bits_of_float probed.Peers.outage_time);
   Alcotest.(check bool) "sample grid" true
-    (bare.Sim_agent.samples = probed.Sim_agent.samples);
+    (bare.Peers.samples = probed.Peers.samples);
   Alcotest.(check bool) "club samples" true
-    (bare.Sim_agent.club_samples = probed.Sim_agent.club_samples);
+    (bare.Peers.club_samples = probed.Peers.club_samples);
   check_saw_traffic finish
 
 (* ---- probe series are jobs-independent ---- *)
@@ -235,7 +238,7 @@ let network_probe_sweep ~jobs =
         let probe = Probe.make ~interval:4.0 ~on_sample:(Series.record series) () in
         let stats, _ = Sim_agent.run ~probe ~rng config ~horizon:100.0 in
         Series.close series ~time:100.0;
-        (stats.Sim_agent.events, Series.samples series, Series.avg_n series))
+        (stats.Peers.events, Series.samples series, Series.avg_n series))
   in
   Array.map Option.get results
 

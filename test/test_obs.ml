@@ -377,19 +377,19 @@ let test_agent_probe_bit_identity () =
   let bare, _ = Sim_agent.run_seeded ~seed:77 config ~horizon:250.0 in
   let probe, finish = busy_probe () in
   let probed, _ = Sim_agent.run_seeded ~probe ~seed:77 config ~horizon:250.0 in
-  Alcotest.(check int) "agent events" bare.Sim_agent.events probed.Sim_agent.events;
-  Alcotest.(check int) "agent transfers" bare.Sim_agent.transfers probed.Sim_agent.transfers;
-  Alcotest.(check int) "agent departures" bare.Sim_agent.departures probed.Sim_agent.departures;
-  Alcotest.(check int) "agent final_n" bare.Sim_agent.final_n probed.Sim_agent.final_n;
+  Alcotest.(check int) "agent events" bare.Peers.events probed.Peers.events;
+  Alcotest.(check int) "agent transfers" bare.Peers.transfers probed.Peers.transfers;
+  Alcotest.(check int) "agent departures" bare.Peers.departures probed.Peers.departures;
+  Alcotest.(check int) "agent final_n" bare.Peers.final_n probed.Peers.final_n;
   Alcotest.(check bool)
     "agent time_avg_n bit-identical" true
-    (Int64.bits_of_float bare.Sim_agent.time_avg_n
-    = Int64.bits_of_float probed.Sim_agent.time_avg_n);
+    (Int64.bits_of_float bare.Peers.time_avg_n
+    = Int64.bits_of_float probed.Peers.time_avg_n);
   Alcotest.(check bool)
     "agent mean_sojourn bit-identical" true
-    (Int64.bits_of_float bare.Sim_agent.mean_sojourn
-    = Int64.bits_of_float probed.Sim_agent.mean_sojourn);
-  Alcotest.(check bool) "agent sample grid" true (bare.Sim_agent.samples = probed.Sim_agent.samples);
+    (Int64.bits_of_float bare.Peers.mean_sojourn
+    = Int64.bits_of_float probed.Peers.mean_sojourn);
+  Alcotest.(check bool) "agent sample grid" true (bare.Peers.samples = probed.Peers.samples);
   check_saw_traffic finish
 
 let probe_times ~run ~interval =

@@ -53,23 +53,38 @@ let test_finite_gamma_seeds_dwell () =
   Alcotest.(check int) "conservation with dwell" (s.arrivals - s.departures) s.final_n
 
 let test_smart_exchange_more_efficient () =
-  (* With q = 2 random combinations are often useless; Remark 16's
-     description exchange must strictly reduce useless transfers. *)
-  let g = { Stability.Coded.q = 2; k = 6; us = 0.0; mu = 1.0; gamma = infinity;
-            lambda0 = 0.5; lambda1 = 0.5 } in
-  let plain = Sim_coded.run_seeded ~seed:6 (Sim_coded.of_gift g) ~horizon:400.0 in
-  let smart =
-    Sim_coded.run_seeded ~seed:6 { (Sim_coded.of_gift g) with smart_exchange = true }
-      ~horizon:400.0
+  (* Remark 16: with description exchange an uploader that can help
+     always sends something useful.  From two peers holding distinct
+     lines of F_2^6 the first contact is a self-contact (useless either
+     way) with probability 1/2; otherwise a plain uploader sends its
+     line's nonzero vector with probability 1/2, a smart one always.  So
+     the first upload is useless with probability 3/4 plain, 1/2 smart. *)
+  let field = P2p_gf.Field.gf 2 in
+  let line i =
+    Sim_coded.Span
+      (P2p_coding.Subspace.of_vectors field ~k:6 [ Array.init 6 (fun j -> Bool.to_int (i = j)) ])
   in
-  let ratio (s : Sim_coded.stats) =
-    float_of_int s.useless_transfers
-    /. float_of_int (Int.max 1 (s.useful_transfers + s.useless_transfers))
+  let useless_fraction smart_exchange =
+    let sim =
+      { Sim_coded.q = 2; k = 6; us = 0.0; mu = 1.0; gamma = infinity; arrivals = [ (0, 1e-6) ];
+        smart_exchange; faults = Faults.none }
+    in
+    let config = { (Sim_coded.peers_config sim) with initial = [ (line 0, 1); (line 1, 1) ] } in
+    let rng = P2p_prng.Rng.of_seed 6 in
+    let useless = ref 0 and uploads = ref 0 in
+    for _ = 1 to 4000 do
+      let s, _ = Peers.run ~max_events:1 ~rng config (Sim_coded.content sim) ~horizon:1e6 in
+      useless := !useless + s.useless_transfers;
+      uploads := !uploads + s.transfers + s.useless_transfers
+    done;
+    float_of_int !useless /. float_of_int !uploads
   in
-  Alcotest.(check bool)
-    (Printf.sprintf "useless ratio %.3f < %.3f" (ratio smart) (ratio plain))
-    true
-    (ratio smart < ratio plain)
+  let plain = useless_fraction false and smart = useless_fraction true in
+  (* 4000 draws: the standard error is under 0.008 *)
+  Alcotest.(check bool) (Printf.sprintf "plain useless %.3f vs 3/4" plain) true
+    (Float.abs (plain -. 0.75) < 0.03);
+  Alcotest.(check bool) (Printf.sprintf "smart useless %.3f vs 1/2" smart) true
+    (Float.abs (smart -. 0.5) < 0.03)
 
 let test_gifted_with_many_pieces () =
   (* Arrivals holding K random coded pieces usually decode instantly. *)
@@ -98,6 +113,39 @@ let test_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* Classes, overlays and an initial population reach the coded swarm
+   through the driver's config alone: a warm start of 30 peers in one
+   hyperplane of F_16^4, a slow dwelling class beside a fast impatient
+   one, on a degree-3 overlay.  Every peer is accounted for, the class
+   means split the population, and the overlay reports its degree. *)
+let test_driver_features () =
+  let sim =
+    { Sim_coded.q = 16; k = 4; us = 0.5; mu = 1.0; gamma = infinity; arrivals = [];
+      smart_exchange = false; faults = Faults.none }
+  in
+  let field = P2p_gf.Field.gf 16 in
+  let unit i = Array.init 4 (fun j -> Bool.to_int (i = j)) in
+  let club = P2p_coding.Subspace.of_vectors field ~k:4 (List.init 3 unit) in
+  let classes =
+    [
+      { Params.label = "sticky"; mu = 0.5; gamma = 0.5; arrivals = [ (Sim_coded.Coded 1, 0.4) ] };
+      { Params.label = "fast"; mu = 2.0; gamma = infinity; arrivals = [ (Sim_coded.Coded 0, 0.6) ] };
+    ]
+  in
+  let config =
+    { (Peers.config ~us:0.5 classes) with
+      initial = [ (Sim_coded.Span club, 30) ]; degree = Some 3 }
+  in
+  let s, swarm =
+    Peers.run ~rng:(P2p_prng.Rng.of_seed 4) config (Sim_coded.content sim) ~horizon:300.0
+  in
+  Alcotest.(check int) "conservation" (30 + s.arrivals - s.departures) s.final_n;
+  Alcotest.(check int) "final swarm" s.final_n (Peers.size swarm);
+  Alcotest.(check bool) "some peers decoded" true (s.completions > 0);
+  Alcotest.(check (float 1e-9)) "class means sum to the mean"
+    s.time_avg_n (Array.fold_left ( +. ) 0.0 s.class_mean_n);
+  Alcotest.(check bool) "overlay degree measured" true (s.mean_degree_time_avg > 0.0)
+
 let () =
   Alcotest.run "sim_coded"
     [
@@ -113,5 +161,6 @@ let () =
           Alcotest.test_case "gifted many pieces" `Quick test_gifted_with_many_pieces;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "driver features" `Quick test_driver_features;
         ] );
     ]
