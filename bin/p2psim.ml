@@ -20,7 +20,6 @@ module Rng = P2p_prng.Rng
 module Runner = P2p_runner.Runner
 module Welford = P2p_stats.Welford
 module Probe = P2p_obs.Probe
-module Trace = P2p_obs.Trace
 module Series = P2p_obs.Series
 module Profile = P2p_obs.Profile
 module Hist = P2p_obs.Hist
@@ -349,7 +348,6 @@ let usage_error fmt = Printf.ksprintf (fun m -> prerr_endline ("p2psim: " ^ m); 
    auto-snapshot on disk so even SIGKILL leaves the last complete ring
    behind. *)
 let with_single_run_probe tel ~k ~horizon f =
-  let tracer = Option.map Trace.to_file tel.trace in
   let monitoring = tel.monitor || tel.alerts_out <> None in
   let series =
     if tel.probe_interval <> None || tel.metrics_out <> None then Some (Series.create ~k)
@@ -364,20 +362,18 @@ let with_single_run_probe tel ~k ~horizon f =
     else None
   in
   let recorder =
-    match tel.flight_recorder with
-    | None -> Recorder.disabled
-    | Some file ->
-        let r = Recorder.create () in
-        Recorder.auto_snapshot r ~every:(Recorder.capacity r) ~min_gap_s:1.0
-          ~code_name:Probe.code_name file;
-        r
+    if tel.trace = None && tel.flight_recorder = None then Recorder.disabled
+    else
+      let r = Recorder.create ?log:tel.trace () in
+      Option.iter (Recorder.auto_snapshot r ~every:(Recorder.capacity r) ~min_gap_s:1.0)
+        tel.flight_recorder;
+      r
   in
   let hists = match tel.hist_out with None -> Hist.disabled_group | Some _ -> Hist.group () in
   let prof = if tel.profile then Profile.create () else Profile.disabled in
   let bare =
-    tracer = None && series = None && monitor = None && not tel.profile
-    && not (Recorder.live recorder)
-    && not (Hist.enabled hists)
+    series = None && monitor = None
+    && not (tel.profile || Recorder.live recorder || Hist.enabled hists)
   in
   let probe =
     if bare then Probe.none
@@ -396,12 +392,12 @@ let with_single_run_probe tel ~k ~horizon f =
           | Some dt -> Some dt
           | None ->
               if series <> None || monitor <> None then Some (horizon /. 200.0) else None)
-        ?trace:tracer ?on_sample ~profile:prof ~recorder ~hists ()
+        ?on_sample ~profile:prof ~recorder ~hists ()
   in
   let dump_recorder ~out =
     match tel.flight_recorder with
     | Some file when Recorder.live recorder ->
-        Recorder.dump recorder ~code_name:Probe.code_name file;
+        Recorder.dump recorder file;
         Printf.fprintf out "flight recorder: %d events kept (%d overwritten) -> %s\n%!"
           (min (Recorder.recorded recorder) (Recorder.capacity recorder))
           (Recorder.dropped recorder) file
@@ -472,11 +468,10 @@ let with_single_run_probe tel ~k ~horizon f =
           Printf.printf "wrote %d probe samples to %s\n" (Series.count s) file)
     series;
   Option.iter
-    (fun t ->
-      let n = Trace.events_written t in
-      Trace.close t;
-      Printf.printf "wrote %d trace events to %s\n" n (Option.get tel.trace))
-    tracer;
+    (fun file ->
+      Recorder.close recorder;
+      Printf.printf "wrote %d trace events to %s\n" (Recorder.recorded recorder) file)
+    tel.trace;
   if tel.profile then Format.printf "%a@." Profile.pp prof;
   result
 
@@ -626,16 +621,17 @@ let replicated (r : runs) ~faults ~metrics ~after_table sim =
   Format.printf "%a@." Runner.pp_timing summary.timing
 
 let reject_single_run_telemetry tel =
-  if tel.trace <> None then
-    usage_error "--trace requires --reps 1 (per-replication traces would interleave)";
-  if tel.metrics_out <> None then
-    usage_error "--metrics-out requires --reps 1 (one probe series per run)";
-  if tel.flight_recorder <> None then
-    usage_error "--flight-recorder requires --reps 1 (one ring per run; campaigns have their own)";
-  if tel.monitor || tel.alerts_out <> None then
-    usage_error "--monitor requires --reps 1 (one detector per run)";
-  if tel.hist_out <> None then
-    usage_error "--hist-out requires --reps 1 (per-replication histograms would interleave)"
+  List.iter
+    (fun (set, flag, why) -> if set then usage_error "%s requires --reps 1 (%s)" flag why)
+    [
+      (tel.trace <> None, "--trace", "per-replication traces would interleave");
+      (tel.metrics_out <> None, "--metrics-out", "one probe series per run");
+      (tel.flight_recorder <> None, "--flight-recorder", "one ring per run; campaigns have their own");
+      (tel.monitor || tel.alerts_out <> None, "--monitor", "one detector per run");
+      (tel.hist_out <> None, "--hist-out", "per-replication histograms would interleave");
+      (tel.profile, "--profile", "one profiler per run");
+      (tel.probe_interval <> None, "--probe-interval", "one probe series per run");
+    ]
 
 (* One probed run of [sim] at --seed through [print_run], or with
    --reps > 1 a [replicated] sweep. *)
@@ -1471,22 +1467,20 @@ let report_cmd =
             ("ring capacity", string_of_int capacity);
             ("events recorded", string_of_int recorded);
             ("events overwritten", string_of_int dropped);
-            ("events in dump", string_of_int (Array.length events));
+            ("events in file", string_of_int (Array.length events));
           ];
         if Array.length events > 0 then begin
-          let t0, _, _, _ = events.(0) in
-          let t1, _, _, _ = events.(Array.length events - 1) in
+          let t0, _ = events.(0) and t1, _ = events.(Array.length events - 1) in
           Report.kv [ ("sim-time span", Printf.sprintf "[%g, %g]" t0 t1) ];
-          let counts = Hashtbl.create 16 in
-          Array.iter
-            (fun (_, code, _, _) ->
-              Hashtbl.replace counts code (1 + Option.value ~default:0 (Hashtbl.find_opt counts code)))
-            events;
-          Report.subsection "event mix in the dump window";
+          let counts = Array.make Recorder.n_event_codes 0 in
+          Array.iter (fun (_, code) -> counts.(code) <- counts.(code) + 1) events;
+          Report.subsection "event mix in the file";
           Report.table ~header:[ "event"; "count" ]
-            (List.map
-               (fun (code, n) -> [ Probe.code_name code; string_of_int n ])
-               (List.sort compare (Hashtbl.fold (fun c n acc -> (c, n) :: acc) counts [])))
+            (List.filter_map
+               (fun code ->
+                 if counts.(code) = 0 then None
+                 else Some [ Recorder.code_name code; string_of_int counts.(code) ])
+               (List.init Recorder.n_event_codes Fun.id))
         end
   in
   let render_monitor_file file =

@@ -179,9 +179,8 @@ let cell_aggregate ?jobs ?timeout_s ?flight_dir (spec : Spec.t) (cell : Spec.cel
               (* check the wall-clock gap every 256 events: dense enough
                  that even a short-lived cell republishes promptly, while
                  [min_gap_s] keeps the disk traffic bounded *)
-              Recorder.auto_snapshot r ~every:256 ~min_gap_s:0.5 ~code_name:Probe.code_name
-                path;
-              (Probe.make ~recorder:r (), fun () -> Recorder.dump r ~code_name:Probe.code_name path)
+              Recorder.auto_snapshot r ~every:256 ~min_gap_s:0.5 path;
+              (Probe.make ~recorder:r (), fun () -> Recorder.dump r path)
         in
         match replicate ~rng ~probe with
         | exception e ->

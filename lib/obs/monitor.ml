@@ -1,23 +1,12 @@
 module Regression = P2p_stats.Regression
 
-type config = {
-  window : int;
-  pin_threshold : int;
-  pin_fraction : float;
-  min_one_club : int;
-  min_slope : float;
-  min_t_stat : float;
-}
-
-let default =
-  {
-    window = 24;
-    pin_threshold = 2;
-    pin_fraction = 0.8;
-    min_one_club = 8;
-    min_slope = 0.0;
-    min_t_stat = 4.0;
-  }
+(* The detector's thresholds, as the interface states them. *)
+let window = 24
+let pin_threshold = 2
+let pin_fraction = 0.8
+let min_one_club = 8
+let min_slope = 0.0
+let min_t_stat = 4.0
 
 type alert = {
   at : float;
@@ -29,7 +18,6 @@ type alert = {
 }
 
 type t = {
-  config : config;
   on_alert : alert -> unit;
   (* the window oldest first, as the fit reads it; sample times increase,
      so this is time order *)
@@ -42,18 +30,12 @@ type t = {
   mutable in_episode : bool;
 }
 
-let create ?(config = default) ?(on_alert = fun _ -> ()) () =
-  if config.window < 4 then invalid_arg "Monitor.create: window < 4";
-  if not (config.pin_fraction >= 0.0 && config.pin_fraction <= 1.0) then
-    invalid_arg "Monitor.create: pin_fraction outside [0, 1]";
-  if config.pin_threshold < 0 then invalid_arg "Monitor.create: pin_threshold < 0";
-  if config.min_one_club < 0 then invalid_arg "Monitor.create: min_one_club < 0";
+let create ?(on_alert = fun _ -> ()) () =
   {
-    config;
     on_alert;
-    times = Array.make config.window 0.0;
-    clubs = Array.make config.window 0.0;
-    rares = Array.make config.window 0;
+    times = Array.make window 0.0;
+    clubs = Array.make window 0.0;
+    rares = Array.make window 0;
     seen = 0;
     alerts_rev = [];
     episodes_rev = [];
@@ -69,32 +51,29 @@ let alerting t = t.in_episode
    of it AND the one-club drifting up with statistical significance.
    O(window) arithmetic on the window's own arrays, once per probe sample. *)
 let condition t =
-  let c = t.config in
-  let w = c.window in
   let pinned = ref 0 in
-  for i = 0 to w - 1 do
-    if t.rares.(i) <= c.pin_threshold then incr pinned
+  for i = 0 to window - 1 do
+    if t.rares.(i) <= pin_threshold then incr pinned
   done;
-  if float_of_int !pinned < c.pin_fraction *. float_of_int w then None
+  if float_of_int !pinned < pin_fraction *. float_of_int window then None
   else
     match Regression.fit_arrays ~xs:t.times ~ys:t.clubs with
     | exception Invalid_argument _ -> None (* degenerate window (repeated times) *)
     | fit ->
         let t_stat = Regression.slope_t_statistic fit in
-        if fit.Regression.slope > c.min_slope && t_stat >= c.min_t_stat then
+        if fit.Regression.slope > min_slope && t_stat >= min_t_stat then
           Some (fit.Regression.slope, t_stat)
         else None
 
 let observe t ~time ~one_club ~rarest_piece ~rarest_count =
-  let c = t.config in
-  let last = c.window - 1 in
+  let last = window - 1 in
   Array.blit t.times 1 t.times 0 last;
   Array.blit t.clubs 1 t.clubs 0 last;
   t.times.(last) <- time;
   t.clubs.(last) <- float_of_int one_club;
-  t.rares.(t.seen mod c.window) <- rarest_count;
+  t.rares.(t.seen mod window) <- rarest_count;
   t.seen <- t.seen + 1;
-  if t.seen >= c.window && one_club >= c.min_one_club then (
+  if t.seen >= window && one_club >= min_one_club then (
     match condition t with
     | Some (slope, t_stat) ->
         if not t.in_episode then begin
@@ -111,7 +90,7 @@ let observe t ~time ~one_club ~rarest_piece ~rarest_count =
           | (entered, None) :: rest -> t.episodes_rev <- (entered, Some time) :: rest
           | _ -> ()
         end)
-  else if t.in_episode && one_club < c.min_one_club then begin
+  else if t.in_episode && one_club < min_one_club then begin
     t.in_episode <- false;
     match t.episodes_rev with
     | (entered, None) :: rest -> t.episodes_rev <- (entered, Some time) :: rest

@@ -5,27 +5,17 @@
     most a couple of peers — while the "one-club" of peers holding
     everything {e but} that piece grows linearly.  The monitor watches
     for exactly that signature as the run executes, instead of leaving
-    it to post-hoc [p2psim report]: a sliding window of probe samples
-    in which (a) the rarest-piece replica count pins at or below a
-    threshold for most of the window, and (b) an OLS fit of one-club
-    size against time shows significant positive drift (slope t-statistic
-    over a floor, the Section VI linear-growth witness).
+    it to post-hoc [p2psim report]: a sliding window of 24 probe
+    samples in which (a) the rarest-piece replica count pins at 2 or
+    fewer for 80% of the window, and (b) an OLS fit of one-club size
+    against time shows significant positive drift (slope t-statistic at
+    least 4, the Section VI linear-growth witness).  Swarms whose
+    one-club is under 8 peers are ignored.
 
     {b Determinism.}  The monitor consumes only probe samples, which
     ride the simulation clock; it never reads wall time and never
     touches the simulation RNG, so a monitored run is bit-identical to
     a bare run.  Feed it from a probe's [on_sample] hook. *)
-
-type config = {
-  window : int;  (** samples per sliding window *)
-  pin_threshold : int;  (** rarest count ≤ this ⇒ "pinned scarce" *)
-  pin_fraction : float;  (** fraction of window that must be pinned *)
-  min_one_club : int;  (** ignore syndromes in tiny swarms *)
-  min_slope : float;  (** one-club drift floor, peers per time unit *)
-  min_t_stat : float;  (** slope significance floor *)
-}
-
-val default : config
 
 type alert = {
   at : float;  (** sim time the detector fired *)
@@ -38,10 +28,8 @@ type alert = {
 
 type t
 
-val create : ?config:config -> ?on_alert:(alert -> unit) -> unit -> t
-(** [on_alert] fires once per episode, at entry.
-    @raise Invalid_argument on a non-sensical config (window < 4,
-    fraction outside [0, 1], negative thresholds). *)
+val create : ?on_alert:(alert -> unit) -> unit -> t
+(** [on_alert] fires once per episode, at entry. *)
 
 val observe : t -> time:float -> one_club:int -> rarest_piece:int -> rarest_count:int -> unit
 (** Feed one probe sample; [time] must increase from sample to sample,

@@ -1,8 +1,9 @@
 (** The observability hook record threaded through the simulators.
 
     A [Probe.t] bundles everything a simulator can report without knowing
-    who is listening: engine events (for the flight recorder, the
-    per-event-code count hists and a live trace), periodic swarm samples
+    who is listening: engine events (for the per-event-code count hists
+    and the {!Recorder} ring, which feeds the trace and the flight
+    dumps), periodic swarm samples
     on a {e simulation-time} grid (for time-series probes), and a phase
     profiler.  {!none} is the contract's zero element — every sink is
     dead, the sampling interval is [infinity], and the simulators skip
@@ -19,19 +20,13 @@ module Pieceset = P2p_pieceset.Pieceset
 (** {1 Events}
 
     An engine event has one form: a dense [(code, a, b)] integer row,
-    so recording never allocates.  Payload packing: arrival carries the
-    piece bitset and its cardinal; contact the seed/useful flags;
-    transfer the 1-based piece and the completion flag; seed toggle the
-    new state; handoff the direction and the rounded population.
-    Departures and lost transfers carry nothing. *)
+    so recording never allocates.  {!Recorder} lists the codes and
+    their payloads. *)
 
 type departure_kind =
   | Completed  (** finished the file and left (γ = ∞ instant departure) *)
   | Aborted  (** churn: left without the file *)
   | Seed_departed  (** peer seed dwelled and left (finite γ) *)
-
-val n_event_codes : int
-val code_name : int -> string
 
 (** {1 Swarm samples} *)
 
@@ -56,12 +51,11 @@ val sample :
 
 type t = private {
   interval : float;  (** sim-time sampling period; [infinity] = never *)
-  tracing : bool;  (** a recorder, hist group or trace is live; false ⇒ skip event reporting *)
+  tracing : bool;  (** a recorder or hist group is live; false ⇒ skip event reporting *)
   on_sample : sample -> unit;
   profile : Profile.t;
-  recorder : Recorder.t;  (** flight recorder fed by the emitters *)
+  recorder : Recorder.t;  (** the event ring fed by the emitters *)
   hists : Hist.group;  (** phase-cost and event-count histograms *)
-  trace : Trace.t;  (** live event trace, or {!Trace.null} *)
   event_counts : Hist.t array;  (** per-code occurrence hists, by event code *)
 }
 
@@ -69,19 +63,17 @@ val none : t
 
 val make :
   ?interval:float ->
-  ?trace:Trace.t ->
   ?on_sample:(sample -> unit) ->
   ?profile:Profile.t ->
   ?recorder:Recorder.t ->
   ?hists:Hist.group ->
   unit ->
   t
-(** [tracing] is true iff the trace is enabled, the recorder is live,
-    or the hist group is enabled — all three consume events.  A live
-    hist group additionally makes the engine attribute per-phase
-    monotonic-clock cost into [hists] (sampled timers, see
-    {!Hist.timer}).  The caller keeps ownership of [trace] and closes
-    it after the run.
+(** [tracing] is true iff the recorder is live or the hist group is
+    enabled — both consume events.  A live hist group additionally
+    makes the engine attribute per-phase monotonic-clock cost into
+    [hists] (sampled timers, see {!Hist.timer}).  The caller keeps
+    ownership of [recorder] and closes it after the run.
     @raise Invalid_argument if [interval <= 0]. *)
 
 val sampling : t -> bool
@@ -91,9 +83,8 @@ val sampling : t -> bool
 
     Call these under [if probe.tracing then ...] in hot loops.  Each
     takes the event payload as scalars and hands the packed row to the
-    count hists, the recorder and, when one is attached, the trace —
-    so a run without a trace never allocates or dispatches per
-    event. *)
+    count hists and the recorder, so recording never allocates or
+    dispatches per event. *)
 
 val arrival : t -> time:float -> pieces:Pieceset.t -> unit
 

@@ -12,7 +12,6 @@ module Clock = P2p_obs.Clock
 module Hist = P2p_obs.Hist
 module Recorder = P2p_obs.Recorder
 module Monitor = P2p_obs.Monitor
-module Trace = P2p_obs.Trace
 module Profile = P2p_obs.Profile
 module Probe = P2p_obs.Probe
 module Series = P2p_obs.Series
@@ -167,57 +166,85 @@ let test_json_accessors () =
   | Some [ Json.Bool true; Json.Null ] -> ()
   | _ -> Alcotest.fail "member b should be [true, null]"
 
-(* ---- Trace ---- *)
+(* ---- the event log: a ring spilled to a full log ---- *)
 
-let test_trace_jsonl () =
-  with_temp_file (fun path ->
-      let tr = Trace.to_file path in
-      Alcotest.(check bool) "enabled" true (Trace.enabled tr);
-      Trace.emit tr ~time:1.5 ~name:"arrival" ~args:[ ("pieces", Json.Int 0) ];
-      Trace.emit tr ~time:2.0 ~name:"transfer" ~args:[ ("piece", Json.Int 2) ];
-      Trace.close tr;
-      Trace.close tr;
-      (* idempotent *)
-      Alcotest.(check int) "events_written" 2 (Trace.events_written tr);
-      let lines = lines_of (read_file path) in
-      Alcotest.(check int) "one line per event" 2 (List.length lines);
-      List.iter
-        (fun line ->
-          let v = Json.of_string_exn line in
-          Alcotest.(check bool) "has t" true (Json.member "t" v <> None);
-          Alcotest.(check bool) "has ev" true (Json.member "ev" v <> None))
-        lines)
-
-let test_trace_chrome () =
-  let path = Filename.temp_file "p2p_obs_test" ".json" in
+(* A capacity-8 ring fed 100 records, spilled to a log at a path with
+   extension [ext]; returns the file.  [code = i mod 10] walks every
+   event kind. *)
+let spilled_log ext =
+  let path = Filename.temp_file "p2p_obs_test" ext in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      let tr = Trace.to_file path in
-      Trace.emit tr ~time:0.5 ~name:"arrival" ~args:[];
-      Trace.emit tr ~time:1.0 ~name:"transfer" ~args:[ ("piece", Json.Int 2) ];
-      Trace.close tr;
-      (* the whole file must be one valid JSON array (chrome://tracing) *)
-      match Json.of_string_exn (read_file path) with
-      | Json.List entries ->
-          Alcotest.(check int) "array length = events written" (Trace.events_written tr)
-            (List.length entries);
-          let phs =
-            List.filter_map (fun e -> Option.bind (Json.member "ph" e) Json.to_string_opt) entries
-          in
-          Alcotest.(check (list string)) "instant events" [ "i"; "i" ] phs;
-          let ts =
-            List.filter_map (fun e -> Option.bind (Json.member "ts" e) Json.to_float_opt) entries
-          in
-          (* sim time 0.5 s -> 5e5 microseconds *)
-          Alcotest.(check bool) "ts in microseconds" true (List.mem 500000.0 ts)
-      | _ -> Alcotest.fail "chrome trace should parse as a JSON array")
+      let r = Recorder.create ~capacity:8 ~log:path () in
+      for i = 0 to 99 do
+        Recorder.record r ~time:(float_of_int i) ~code:(i mod Recorder.n_event_codes)
+          ~a:(i mod 2) ~b:1
+      done;
+      Recorder.close r;
+      Recorder.close r;
+      (* idempotent *)
+      Alcotest.(check int) "the ring wrapped" 92 (Recorder.dropped r);
+      read_file path)
 
-let test_trace_null_sink () =
-  Alcotest.(check bool) "null disabled" false (Trace.enabled Trace.null);
-  Trace.emit Trace.null ~time:0.0 ~name:"x" ~args:[];
-  Trace.close Trace.null;
-  Alcotest.(check int) "null counts nothing" 0 (Trace.events_written Trace.null)
+let test_trace_jsonl () =
+  match lines_of (spilled_log ".jsonl") with
+  | [] -> Alcotest.fail "empty log"
+  | header :: rows ->
+      Alcotest.(check string) "schema header"
+        {|{"schema":"p2p-flight-recorder","version":2,"capacity":8}|} header;
+      Alcotest.(check int) "every row exactly once" 100 (List.length rows);
+      List.iteri
+        (fun i line ->
+          let v = Json.of_string_exn line in
+          Alcotest.(check (option (float 0.0)))
+            (Printf.sprintf "row %d in order" i) (Some (float_of_int i))
+            (Option.bind (Json.member "t" v) Json.to_float_opt);
+          Alcotest.(check (option string))
+            (Printf.sprintf "row %d name" i)
+            (Some (Recorder.code_name (i mod Recorder.n_event_codes)))
+            (Option.bind (Json.member "ev" v) Json.to_string_opt))
+        rows
+
+let test_trace_chrome () =
+  (* the whole file must be one valid JSON array (chrome://tracing) *)
+  match Json.of_string_exn (spilled_log ".json") with
+  | Json.List entries ->
+      Alcotest.(check int) "every row exactly once" 100 (List.length entries);
+      List.iteri
+        (fun i e ->
+          let str k = Option.bind (Json.member k e) Json.to_string_opt in
+          Alcotest.(check (option string)) "instant event" (Some "i") (str "ph");
+          Alcotest.(check (option string))
+            (Printf.sprintf "row %d name" i)
+            (Some (Recorder.code_name (i mod Recorder.n_event_codes)))
+            (str "name");
+          (* sim time i s -> i * 1e6 microseconds, in order *)
+          Alcotest.(check (option (float 0.0)))
+            (Printf.sprintf "row %d ts" i) (Some (float_of_int i *. 1e6))
+            (Option.bind (Json.member "ts" e) Json.to_float_opt))
+        entries
+  | _ -> Alcotest.fail "chrome trace should parse as a JSON array"
+
+(* A snapshot taken while the ring also spills to a full log holds the
+   log's last [capacity] rows, byte for byte. *)
+let test_trace_dump_is_log_tail () =
+  with_temp_file (fun log ->
+      with_temp_file (fun dump ->
+          let r = Recorder.create ~capacity:8 ~log () in
+          for i = 0 to 36 do
+            Recorder.record r ~time:(float_of_int i) ~code:(i mod Recorder.n_event_codes)
+              ~a:i ~b:(i mod 3)
+          done;
+          Recorder.dump r dump;
+          Recorder.close r;
+          let rows path = List.tl (lines_of (read_file path)) in
+          let logged = rows log and dumped = rows dump in
+          Alcotest.(check int) "the log holds every row" 37 (List.length logged);
+          Alcotest.(check (list string))
+            "the dump's rows are the log's last 8"
+            (List.filteri (fun i _ -> i >= 29) logged)
+            dumped))
 
 (* ---- Probe ---- *)
 
@@ -240,14 +267,9 @@ let test_probe_make_validation () =
            false
          with Invalid_argument _ -> true))
     [ 0.0; -1.0; nan ];
-  with_temp_file (fun path ->
-      let trace = Trace.to_file path in
-      let p = Probe.make ~trace () in
-      Trace.close trace;
-      Alcotest.(check bool) "a live trace implies tracing" true p.Probe.tracing;
-      Alcotest.(check bool) "no interval means no sampling" false (Probe.sampling p));
   let r = Probe.make ~recorder:(Recorder.create ()) () in
   Alcotest.(check bool) "a live recorder implies tracing" true r.Probe.tracing;
+  Alcotest.(check bool) "no interval means no sampling" false (Probe.sampling r);
   let q = Probe.make ~interval:2.0 () in
   Alcotest.(check bool) "interval means sampling" true (Probe.sampling q);
   Alcotest.(check bool) "no event sink means no tracing" false q.Probe.tracing
@@ -274,13 +296,13 @@ let test_probe_sample_construction () =
   let s' = Probe.sample ~time:0.0 ~k ~n:0 ~count_of:(fun _ -> 0) ~piece_counts:[| 3; 3; 3 |] in
   Alcotest.(check int) "tie goes to lowest piece" 0 s'.Probe.rarest_piece
 
-(* Every event code reaches a live trace as a named line whose
-   arguments decode the packed row: 1-based pieces, flags as booleans,
-   the handoff population rounded as the recorder stores it. *)
+(* Every event code reaches the log as a named line whose arguments
+   decode the packed row: 1-based pieces, flags as booleans, the
+   handoff population rounded as the ring stores it. *)
 let test_probe_event_names () =
   with_temp_file (fun path ->
-      let trace = Trace.to_file path in
-      let p = Probe.make ~trace () in
+      let recorder = Recorder.create ~log:path () in
+      let p = Probe.make ~recorder () in
       Probe.arrival p ~time:1.0 ~pieces:(Pieceset.add 2 (Pieceset.singleton 0));
       Probe.contact p ~time:2.0 ~seed:true ~useful:false;
       Probe.transfer p ~time:3.0 ~piece:1 ~completed:true;
@@ -291,7 +313,7 @@ let test_probe_event_names () =
       Probe.seed_toggle p ~time:8.0 ~up:false;
       Probe.handoff p ~time:9.0 ~fluid:true ~n:12.4;
       Probe.handoff p ~time:10.0 ~fluid:false ~n:3.6;
-      Trace.close trace;
+      Recorder.close recorder;
       Alcotest.(check (list string))
         "one line per event code"
         [
@@ -306,7 +328,7 @@ let test_probe_event_names () =
           {|{"t":9.0,"ev":"handoff_to_fluid","fluid":true,"n":12.0}|};
           {|{"t":10.0,"ev":"handoff_to_stochastic","fluid":false,"n":4.0}|};
         ]
-        (lines_of (read_file path)))
+        (List.tl (lines_of (read_file path))))
 
 (* ---- probes attached to the simulators ---- *)
 
@@ -322,29 +344,29 @@ let faulty_config_agent () =
     Sim_agent.faults = Faults.make ~outage:(20.0, 5.0) ~abort_rate:0.02 ~loss_prob:0.05 ();
   }
 
-(* Listens to everything: a live JSONL trace, a flight recorder, the
-   sample grid and the profiler.  [finish] closes the trace and returns
-   how many events it and the recorder saw. *)
+(* Listens to everything: a ring spilling to a JSONL log, the sample
+   grid and the profiler.  [finish] closes the log and returns how many
+   rows it holds and how many events the ring saw. *)
 let busy_probe () =
   let series = Series.create ~k:3 in
   let path = Filename.temp_file "p2p_obs_test" ".jsonl" in
-  let trace = Trace.to_file path in
-  let recorder = Recorder.create () in
+  let recorder = Recorder.create ~capacity:64 ~log:path () in
   let probe =
-    Probe.make ~interval:7.0 ~trace ~recorder ~on_sample:(Series.record series)
+    Probe.make ~interval:7.0 ~recorder ~on_sample:(Series.record series)
       ~profile:(Profile.create ()) ()
   in
   let finish () =
-    Trace.close trace;
+    Recorder.close recorder;
+    let rows = List.length (lines_of (read_file path)) - 1 in
     Sys.remove path;
-    (Trace.events_written trace, Recorder.recorded recorder)
+    (rows, Recorder.recorded recorder)
   in
   (probe, finish)
 
 let check_saw_traffic finish =
   let traced, recorded = finish () in
   Alcotest.(check bool) "the probe actually saw traffic" true (traced > 0);
-  Alcotest.(check int) "trace and recorder saw the same events" recorded traced
+  Alcotest.(check int) "the log holds every event the ring saw" recorded traced
 
 let check_markov_stats_equal name (a : Sim_markov.stats) (b : Sim_markov.stats) =
   Alcotest.(check int) (name ^ " events") a.Sim_markov.events b.Sim_markov.events;
@@ -987,12 +1009,13 @@ let test_recorder_dump_every_fill_level () =
   for n = 0 to 20 do
     let r = Recorder.create ~capacity:8 () in
     for i = 0 to n - 1 do
-      Recorder.record r ~time:(float_of_int i) ~code:(i mod Probe.n_event_codes) ~a:i ~b:(2 * i)
+      Recorder.record r ~time:(float_of_int i) ~code:(i mod Recorder.n_event_codes) ~a:i
+        ~b:(2 * i)
     done;
     Alcotest.(check int) (Printf.sprintf "recorded after %d" n) n (Recorder.recorded r);
     Alcotest.(check int) (Printf.sprintf "dropped after %d" n) (max 0 (n - 8)) (Recorder.dropped r);
     with_temp_file (fun path ->
-        Recorder.dump r ~code_name:Probe.code_name path;
+        Recorder.dump r path;
         match Recorder.read_summary path with
         | Error e -> Alcotest.failf "read_summary at fill %d: %s" n e
         | Ok ((cap, recorded, dropped), rows) ->
@@ -1001,12 +1024,12 @@ let test_recorder_dump_every_fill_level () =
             Alcotest.(check int) "header dropped" (max 0 (n - 8)) dropped;
             Alcotest.(check int) "rows kept" (min n 8) (Array.length rows);
             Array.iteri
-              (fun j (t, c, a, b) ->
+              (fun j (t, c) ->
                 let i = max 0 (n - 8) + j in
                 Alcotest.(check bool)
                   (Printf.sprintf "fill %d row %d" n j)
                   true
-                  (t = float_of_int i && c = i mod Probe.n_event_codes && a = i && b = 2 * i))
+                  (t = float_of_int i && c = i mod Recorder.n_event_codes))
               rows)
   done
 
@@ -1025,13 +1048,13 @@ let test_recorder_disabled_inert () =
   Recorder.record Recorder.disabled ~time:1.0 ~code:0 ~a:0 ~b:0;
   Alcotest.(check int) "disabled records nothing" 0 (Recorder.recorded Recorder.disabled);
   with_temp_file (fun path ->
-      Recorder.dump Recorder.disabled ~code_name:Probe.code_name path;
+      Recorder.dump Recorder.disabled path;
       Alcotest.(check string) "disabled dumps nothing" "" (read_file path))
 
 let test_recorder_auto_snapshot () =
   with_temp_file (fun path ->
       let r = Recorder.create ~capacity:8 () in
-      Recorder.auto_snapshot r ~every:4 ~min_gap_s:0.0 ~code_name:Probe.code_name path;
+      Recorder.auto_snapshot r ~every:4 ~min_gap_s:0.0 path;
       for i = 0 to 8 do
         Recorder.record r ~time:(float_of_int i) ~code:0 ~a:i ~b:i
       done;
@@ -1045,36 +1068,25 @@ let test_recorder_auto_snapshot () =
             (recorded = 4 || recorded = 8);
           Alcotest.(check int) "snapshot rows" recorded (Array.length rows))
 
-(* ---- the trace and the recorder export the same rows ---- *)
+(* ---- the log and a snapshot of one ring export the same rows ---- *)
 
-let t_and_ev path =
-  match Json.read_jsonl_file path with
-  | Error e -> Alcotest.failf "%s unreadable: %s" path e
-  | Ok { Json.records; _ } ->
-      List.filter_map
-        (fun r ->
-          match (Json.member "t" r, Json.member "ev" r) with
-          | Some t, Some ev -> Some (Json.to_float_opt t, Json.to_string_opt ev)
-          | _ -> None (* the recorder's schema header *))
-        records
-
-(* A ring larger than the run keeps every event, so the recorder's dump
-   and the live trace must list the same events, in the same order, at
-   the same times. *)
+(* A ring larger than the run keeps every event, so a snapshot of it
+   and its full log must hold the same rows, byte for byte, after
+   their headers. *)
 let check_trace_matches_recorder name run =
-  with_temp_file (fun trace_path ->
+  with_temp_file (fun log ->
       with_temp_file (fun dump_path ->
-          let trace = Trace.to_file trace_path in
-          let recorder = Recorder.create ~capacity:(1 lsl 16) () in
-          run (Probe.make ~trace ~recorder ());
-          Trace.close trace;
-          Recorder.dump recorder ~code_name:Probe.code_name dump_path;
+          let recorder = Recorder.create ~capacity:(1 lsl 16) ~log () in
+          run (Probe.make ~recorder ());
+          Recorder.dump recorder dump_path;
+          Recorder.close recorder;
           Alcotest.(check int) (name ^ ": ring kept every event") 0 (Recorder.dropped recorder);
-          let traced = t_and_ev trace_path and recorded = t_and_ev dump_path in
+          let rows path = List.tl (lines_of (read_file path)) in
+          let logged = rows log and dumped = rows dump_path in
           Alcotest.(check int) (name ^ ": event counts") (Recorder.recorded recorder)
-            (List.length traced);
-          Alcotest.(check bool) (name ^ ": the run has events") true (traced <> []);
-          Alcotest.(check bool) (name ^ ": same t and ev, in order") true (traced = recorded)))
+            (List.length logged);
+          Alcotest.(check bool) (name ^ ": the run has events") true (logged <> []);
+          Alcotest.(check (list string)) (name ^ ": same rows, in order") logged dumped))
 
 let test_trace_rows_match_recorder () =
   check_trace_matches_recorder "faulty markov" (fun probe ->
@@ -1139,8 +1151,48 @@ let test_cli_trace_golden () =
         [ "simulate"; "-k"; "2"; "--us"; "1"; "--gamma"; "2"; "-a"; "none=2"; "-a"; "1=1";
           "-t"; "50"; "--seed-outage"; "1,0.5"; "--abort-rate"; "0.5"; "--loss-prob"; "0.3";
           "--seed"; "26"; "--trace"; path ];
-      let first = List.filteri (fun i _ -> i < 20) (lines_of (read_file path)) in
-      Alcotest.(check (list string)) "first 20 trace lines" trace_golden first)
+      match lines_of (read_file path) with
+      | [] -> Alcotest.fail "empty trace"
+      | header :: rows ->
+          Alcotest.(check string) "header"
+            {|{"schema":"p2p-flight-recorder","version":2,"capacity":4096}|} header;
+          Alcotest.(check (list string)) "first 20 trace rows" trace_golden
+            (List.filteri (fun i _ -> i < 20) rows))
+
+(* [report] renders a [--trace] log like a flight dump: its event mix
+   is the whole run's, so it equals the run's [events/*] hist counts. *)
+let test_cli_report_renders_trace () =
+  with_temp_file (fun trace ->
+      with_temp_file (fun hists ->
+          with_temp_file (fun out ->
+              run_p2psim
+                [ "simulate"; "-k"; "3"; "--us"; "0.3"; "--gamma"; "1.5"; "-t"; "500";
+                  "--abort-rate"; "0.05"; "--seed"; "3"; "--trace"; trace; "--hist-out"; hists ];
+              run_p2psim ~stdout:out [ "report"; trace ];
+              let names = List.init Recorder.n_event_codes Recorder.code_name in
+              let mix =
+                List.filter_map
+                  (fun line ->
+                    match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+                    | [ name; n ] when List.mem name names ->
+                        Option.map (fun n -> (name, n)) (int_of_string_opt n)
+                    | _ -> None)
+                  (lines_of (read_file out))
+              in
+              let counted =
+                match Hist.read_group_file hists with
+                | Error e -> Alcotest.failf "read_group_file: %s" e
+                | Ok entries ->
+                    List.filter_map
+                      (fun (name, h) ->
+                        match String.split_on_char '/' name with
+                        | [ "events"; ev ] when Hist.count h > 0 -> Some (ev, Hist.count h)
+                        | _ -> None)
+                      entries
+              in
+              Alcotest.(check bool) "the run has events" true (counted <> []);
+              Alcotest.(check (list (pair string int)))
+                "event mix = events/* counts" (List.sort compare counted) (List.sort compare mix))))
 
 (* The whole probe series of a syndrome-regime run, 3,001 rows of grid
    times and counts, as the Printf-based emitter wrote it. *)
@@ -1345,15 +1397,6 @@ let test_monitor_observe_alloc () =
     (Printf.sprintf "pinned samples allocate one fit (%.2f words each)" pinned)
     true (pinned <= 32.0)
 
-let test_monitor_config_validation () =
-  let bad config name =
-    match Monitor.create ~config () with
-    | _ -> Alcotest.failf "%s should be rejected" name
-    | exception Invalid_argument _ -> ()
-  in
-  bad { Monitor.default with Monitor.window = 3 } "window < 4";
-  bad { Monitor.default with Monitor.pin_fraction = 1.5 } "pin_fraction > 1"
-
 (* Full instrumentation — recorder, hists, and monitor all attached —
    must leave the trajectory bit-identical to a bare run: probes never
    touch the sim RNG and detectors ride the sample grid. *)
@@ -1391,7 +1434,7 @@ let () =
         [
           Alcotest.test_case "jsonl format" `Quick test_trace_jsonl;
           Alcotest.test_case "chrome format" `Quick test_trace_chrome;
-          Alcotest.test_case "null sink" `Quick test_trace_null_sink;
+          Alcotest.test_case "a dump is the log's tail" `Quick test_trace_dump_is_log_tail;
         ] );
       ( "probe",
         [
@@ -1457,6 +1500,7 @@ let () =
           Alcotest.test_case "trace rows match recorder rows" `Quick
             test_trace_rows_match_recorder;
           Alcotest.test_case "cli trace golden" `Quick test_cli_trace_golden;
+          Alcotest.test_case "cli report renders a trace" `Quick test_cli_report_renders_trace;
           Alcotest.test_case "cli series golden" `Quick test_cli_series_golden;
           Alcotest.test_case "cli agent overlay and classes" `Quick test_cli_agent_equivalence;
         ] );
@@ -1471,7 +1515,6 @@ let () =
             test_monitor_verdict_flips_across_boundary;
           Alcotest.test_case "on_alert fires once per episode" `Quick
             test_monitor_on_alert_once_per_episode;
-          Alcotest.test_case "config validation" `Quick test_monitor_config_validation;
           Alcotest.test_case "observe allocates only a passing fit" `Quick
             test_monitor_observe_alloc;
           Alcotest.test_case "full instrumentation bit-identity" `Quick

@@ -88,6 +88,26 @@ if [ -n "$fail" ]; then
   exit 1
 fi
 
+# The examples are walkthroughs, so they must keep running: each of the
+# four runs to completion (under a second together).  Then the single-run
+# telemetry flags: with --reps > 1, --profile and --probe-interval are
+# usage errors (exit 2) like --trace and the rest, not silently ignored.
+for ex in quickstart missing_piece_syndrome network_coding_gift flash_crowd_drain; do
+  left=$(remaining)
+  timeout "$left" "_build/default/examples/$ex.exe" >/dev/null || {
+    echo "FAIL: example $ex exited non-zero" >&2; exit 1; }
+done
+for run in "simulate -k 3 --us 1 -t 100 --reps 2 --profile" \
+           "coded --sim -k 4 -t 50 --reps 2 --probe-interval 1"; do
+  left=$(remaining)
+  status=0
+  timeout "$left" _build/default/bin/p2psim.exe $run >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "FAIL: 'p2psim $run' exited $status, wanted 2" >&2
+    exit 1
+  fi
+done
+
 # Optional bench smoke: CHECK_BENCH=1 also runs the quick perf baseline
 # (bench-json-quick) and a traced single run, proving the telemetry
 # plumbing end to end.  Artifacts — including BENCH_smoke.json, which is
@@ -110,9 +130,10 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
     --probe-interval 2 --metrics-out "$out/sample_probe.jsonl" \
     --trace "$out/sample_trace.json" >/dev/null || {
     echo "FAIL: traced simulate exited non-zero" >&2; exit 1; }
-  # The trace and the flight recorder export the same event rows.  This
-  # run's 2,035 events fit the 4,096-event ring, so the t/ev columns of
-  # the two files must match line for line.
+  # The trace and the flight recorder are two destinations of one ring.
+  # This run's 2,035 events fit the 4,096-event ring, so the two files
+  # must hold the same rows, byte for byte, after their header lines,
+  # and `report` must render both.
   left=$(remaining)
   timeout "$left" _build/default/bin/p2psim.exe simulate -k 3 --us 0.3 --gamma 1.5 -t 200 \
     --trace "$out/rows_trace.jsonl" --flight-recorder "$out/rows_flight.jsonl" >/dev/null || {
@@ -120,10 +141,15 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
   grep -q '"dropped":0' "$out/rows_flight.jsonl" || {
     echo "FAIL: the flight recorder overwrote events; the rows cannot be compared" >&2; exit 1; }
   for f in rows_trace rows_flight; do
-    sed -n 's/^{"t":\([^,]*\),"ev":"\([a-z_]*\)".*/\1 \2/p' "$out/$f.jsonl" >"$out/$f.tev"
+    tail -n +2 "$out/$f.jsonl" >"$out/$f.rows"
   done
-  [ -s "$out/rows_trace.tev" ] && cmp -s "$out/rows_trace.tev" "$out/rows_flight.tev" || {
-    echo "FAIL: --trace and --flight-recorder disagree on the t/ev columns" >&2; exit 1; }
+  [ -s "$out/rows_trace.rows" ] && cmp -s "$out/rows_trace.rows" "$out/rows_flight.rows" || {
+    echo "FAIL: --trace and --flight-recorder disagree on the event rows" >&2; exit 1; }
+  for f in rows_trace rows_flight; do
+    left=$(remaining)
+    timeout "$left" _build/default/bin/p2psim.exe report "$out/$f.jsonl" >/dev/null || {
+      echo "FAIL: p2psim report could not render $f.jsonl" >&2; exit 1; }
+  done
   left=$(remaining)
   timeout "$left" _build/default/bin/p2psim.exe report "$out/sample_probe.jsonl" >/dev/null || {
     echo "FAIL: p2psim report exited non-zero" >&2; exit 1; }
@@ -307,9 +333,10 @@ fi
 
 # Optional observability smoke: CHECK_OBS=1 proves the live-telemetry
 # layer end to end — a Theorem-1-unstable run must raise a
-# missing-piece-syndrome alert and leave a flight dump, a histogram
-# file, and an alert timeline that `p2psim report` all render; then a
-# SIGKILL mid-run must still leave a parseable auto-snapshot behind.
+# missing-piece-syndrome alert and leave a flight dump, a trace, a
+# histogram file, and an alert timeline that `p2psim report` all
+# render; then a SIGKILL mid-run must still leave a parseable
+# auto-snapshot behind.
 if [ "${CHECK_OBS:-0}" = "1" ]; then
   out="${CHECK_OBS_DIR:-/tmp/p2p_obs_smoke}"
   rm -rf "$out"
@@ -322,14 +349,14 @@ if [ "${CHECK_OBS:-0}" = "1" ]; then
   timeout "$left" "$P2PSIM" simulate -k 3 --us 0.3 --mu 2.0 --gamma inf \
     -a none=2.0 --horizon 60 --seed 5 \
     --flight-recorder "$out/flight.jsonl" --hist-out "$out/hists.json" \
-    --alerts-out "$out/alerts.jsonl" >/dev/null || {
+    --alerts-out "$out/alerts.jsonl" --trace "$out/trace.jsonl" >/dev/null || {
     echo "FAIL: monitored unstable simulate exited non-zero" >&2; exit 1; }
-  for f in flight.jsonl hists.json alerts.jsonl; do
+  for f in flight.jsonl hists.json alerts.jsonl trace.jsonl; do
     [ -s "$out/$f" ] || { echo "FAIL: $f missing or empty" >&2; exit 1; }
   done
   grep -q missing_piece_syndrome "$out/alerts.jsonl" || {
     echo "FAIL: no missing-piece-syndrome alert on the unstable side" >&2; exit 1; }
-  for f in flight.jsonl hists.json alerts.jsonl; do
+  for f in flight.jsonl hists.json alerts.jsonl trace.jsonl; do
     left=$(remaining)
     timeout "$left" "$P2PSIM" report "$out/$f" >/dev/null || {
       echo "FAIL: p2psim report could not render $f" >&2; exit 1; }
