@@ -1513,8 +1513,17 @@ let report_cmd =
   in
   let run file =
     let schema_of j = Option.bind (Json.member "schema" j) Json.to_string_opt in
+    let no_header () =
+      usage_error
+        "%s: no schema header (Chrome-trace .json dumps are for chrome://tracing, not report)" file
+    in
+    (* A Chrome-format trace or dump is one JSON array, not JSONL records. *)
+    let json_array () =
+      try In_channel.with_open_bin file In_channel.input_char = Some '[' with Sys_error _ -> false
+    in
     let first_record =
       match Json.first_record file with
+      | Error _ when json_array () -> no_header ()
       | Error msg -> usage_error "cannot read %s: %s" file msg
       | Ok None -> usage_error "%s: no complete records" file
       | Ok (Some r) -> r
@@ -1574,10 +1583,7 @@ let report_cmd =
         render_monitor_replay (Series.samples s)
       end
     | Some other -> usage_error "%s: unknown schema %S" file other
-    | None ->
-        usage_error
-          "%s: no schema header (Chrome-trace .json dumps are for chrome://tracing, not report)"
-          file
+    | None -> no_header ()
   in
   Cmd.v
     (Cmd.info "report"

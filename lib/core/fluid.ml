@@ -42,8 +42,9 @@ let total_types x d =
    there: flows scale down linearly once the population drops below a
    nano-peer, which no trajectory of interest ever resolves, and the
    floor is exact identity for any [n >= n_floor].  The tests hold this
-   RHS to the generator drift within 1e-9 on integer-count states; the
-   bit-identity contract is [Rate.gammas] = the per-(C, i) scan. *)
+   RHS to the generator drift within 1e-9 on integer-count states, and
+   [Rate.gammas] to a compensated per-(C, i) scan within its rounding
+   bound. *)
 let n_floor = 1e-9
 
 (* The full right-hand side, shared by the plain [derivative] (nominal
@@ -63,9 +64,10 @@ let drift_into p ?(kernel = Rate.kernel ~k:p.Params.k) ~us_scale ~abort_rate ~lo
       let i = Pieceset.to_index c in
       dx.(i) <- dx.(i) +. rate)
     p.arrivals;
-  if augmented then dx.(d + aug_arrivals) <- Params.lambda_total p;
   let full = Pieceset.to_index (Params.full_set p) in
   let immediate = Params.immediate_departure p in
+  let transfers = ref 0.0 and lost = ref 0.0 and completions = ref 0.0 in
+  let departures = ref 0.0 and aborted = ref 0.0 in
   (* Transfers. *)
   let gammas = Rate.gammas ~us_scale p kernel x ~n in
   for c = 0 to d - 1 do
@@ -79,13 +81,11 @@ let drift_into p ?(kernel = Rate.kernel ~k:p.Params.k) ~us_scale ~abort_rate ~lo
         let completes = target = full in
         (* γ = ∞: completion is departure, mass vanishes. *)
         if not (completes && immediate) then dx.(target) <- dx.(target) +. eff;
-        if augmented then begin
-          dx.(d + aug_transfers) <- dx.(d + aug_transfers) +. eff;
-          dx.(d + aug_lost) <- dx.(d + aug_lost) +. (raw -. eff);
-          if completes then begin
-            dx.(d + aug_completions) <- dx.(d + aug_completions) +. eff;
-            if immediate then dx.(d + aug_departures) <- dx.(d + aug_departures) +. eff
-          end
+        transfers := !transfers +. eff;
+        lost := !lost +. (raw -. eff);
+        if completes then begin
+          completions := !completions +. eff;
+          if immediate then departures := !departures +. eff
         end
       end
     done
@@ -96,25 +96,35 @@ let drift_into p ?(kernel = Rate.kernel ~k:p.Params.k) ~us_scale ~abort_rate ~lo
       if c <> full && x.(c) > 0.0 then begin
         let r = abort_rate *. x.(c) in
         dx.(c) <- dx.(c) -. r;
-        if augmented then begin
-          dx.(d + aug_departures) <- dx.(d + aug_departures) +. r;
-          dx.(d + aug_aborted) <- dx.(d + aug_aborted) +. r
-        end
+        departures := !departures +. r;
+        aborted := !aborted +. r
       end
     done;
   (* Peer-seed departures. *)
   if not immediate then begin
     let r = p.gamma *. x.(full) in
     dx.(full) <- dx.(full) -. r;
-    if augmented then dx.(d + aug_departures) <- dx.(d + aug_departures) +. r
+    departures := !departures +. r
   end;
-  if augmented then dx.(d + aug_pop_integral) <- pop
+  if augmented then begin
+    dx.(d + aug_arrivals) <- Params.lambda_total p;
+    dx.(d + aug_transfers) <- !transfers;
+    dx.(d + aug_completions) <- !completions;
+    dx.(d + aug_departures) <- !departures;
+    dx.(d + aug_aborted) <- !aborted;
+    dx.(d + aug_lost) <- !lost;
+    dx.(d + aug_pop_integral) <- pop
+  end
 
-let derivative (p : Params.t) x =
+(* The nominal right-hand side on a caller's kernel: an integration
+   session owns one, so no evaluation rebuilds its tables. *)
+let derivative_on kernel (p : Params.t) x =
   if Array.length x <> dim p then invalid_arg "Fluid.derivative: wrong vector size";
   let dx = Array.make (dim p) 0.0 in
-  drift_into p ~us_scale:1.0 ~abort_rate:0.0 ~loss_factor:1.0 x dx;
+  drift_into p ~kernel ~us_scale:1.0 ~abort_rate:0.0 ~loss_factor:1.0 x dx;
   dx
+
+let derivative (p : Params.t) x = derivative_on (Rate.kernel ~k:p.k) p x
 
 let clamp_nonnegative x = Array.iteri (fun i v -> if v < 0.0 then x.(i) <- 0.0) x
 
@@ -133,7 +143,8 @@ let validate_integrate (p : Params.t) ~init ~dt ~horizon ~record_every =
 
 let integrate (p : Params.t) ~init ~dt ~horizon ~record_every =
   validate_integrate p ~init ~dt ~horizon ~record_every;
-  let f _t y = derivative p y in
+  let kernel = Rate.kernel ~k:p.k in
+  let f _t y = derivative_on kernel p y in
   let times = ref [] and totals = ref [] and states = ref [] in
   let record t x =
     let x = Array.copy x in
@@ -175,9 +186,10 @@ let equilibrium ?(dt = 0.01) ?(horizon = 2000.0) ?(tol = 1e-7) (p : Params.t) ~i
   if not (Float.is_finite dt) || dt <= 0.0 then invalid_arg "Fluid.equilibrium: bad dt";
   if Float.is_nan horizon || horizon < 0.0 || not (Float.is_finite horizon) then
     invalid_arg "Fluid.equilibrium: bad horizon";
-  let f _t y = derivative p y in
+  let kernel = Rate.kernel ~k:p.k in
+  let f _t y = derivative_on kernel p y in
   let converged ~t:_ ~y =
-    let x = derivative p y in
+    let x = derivative_on kernel p y in
     let scale = Float.max 1.0 (total_types y (dim p)) in
     let norm = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x in
     norm < tol *. scale

@@ -1,63 +1,62 @@
 module Pieceset = P2p_pieceset.Pieceset
 
-(* Eq. (1) on a dense occupancy vector, for every (C, i) at once.  The
-   division table holds x_S / m at S * (k + 1) + m (+0.0 where x_S <= 0),
-   so each peer sum over S ∋ i is a branch-free gather in ascending S,
-   bit-for-bit the plain per-(C, i) scan.  Four downloader types share
-   each walk over S, so their dependent addition chains overlap. *)
-type kernel = { cards : int array; share : float array; gammas : float array }
+(* Eq. (1) for every (C, i) at once, by a subset transform.  With
+   A = S ∩ C and D = S ∖ C, the peer sum Σ_{S ∋ i} x_S/|S∖C| is
+   Σ_{D ⊆ C̄, D ∋ i} Y_C(D)/|D|, Y_C(D) = Σ_{A ⊆ C} x⁺_{A ∪ D}.  A depth-first
+   walk over C (a child adds a piece j above max C) gets Y_C from its parent
+   by folding out j, Y_C(D) = Y_parent(D) + Y_parent(D ∪ {j}), 3^K adds in
+   all; level |C| of [levels] holds Y_C(D) at C ∪ D.  Each occupied C scales
+   it by 1/|D| into [w] and gathers one sum per missing piece, K·3^(K−1) adds
+   (the per-(C, i) scan does K·4^K/4).  Terms are nonnegative, so a peer
+   sum is within K + 2^(K−1) roundings of exact. *)
+type kernel = { cards : int array; inv : float array; levels : float array; w : float array;
+                gammas : float array }
 
 let kernel ~k =
   let d = 1 lsl k in
-  let cards = Array.init d (fun s -> Pieceset.cardinal (Pieceset.of_index s)) in
-  { cards; share = Array.make (d * (k + 1)) 0.0; gammas = Array.make (d * k) 0.0 }
+  { cards = Array.init d (fun s -> Pieceset.cardinal (Pieceset.of_index s));
+    inv = Array.init (k + 1) (fun m -> 1.0 /. float_of_int (max m 1));
+    levels = Array.make (d * (k + 1)) 0.0; w = Array.make d 0.0; gammas = Array.make (d * k) 0.0 }
 
 let gammas ?(us_scale = 1.0) (p : Params.t) t x ~n =
-  let k = p.k and d = 1 lsl p.k and w = p.k + 1 and share = t.share and cards = t.cards in
+  let k = p.k and d = 1 lsl p.k and lv = t.levels and w = t.w in
   if Array.length t.gammas <> d * k then invalid_arg "Rate.gammas: kernel built for another k";
-  for s = 0 to d - 1 do
-    for m = 1 to k do
-      share.((s * w) + m) <- (if x.(s) > 0.0 then x.(s) /. float_of_int m else 0.0)
-    done
-  done;
   Array.fill t.gammas 0 (d * k) 0.0;
-  let set i c peer_part =
-    if c < d then begin
-      let missing = Pieceset.missing_count ~k (Pieceset.of_index c) in
-      let seed_part = us_scale *. p.us /. float_of_int missing in
-      t.gammas.((c * k) + i) <- x.(c) /. n *. (seed_part +. (p.mu *. peer_part))
-    end
-  in
-  if n > 0.0 then
-    for i = 0 to k - 1 do
-      let bit = 1 lsl i in
-      (* The next type above c that lacks piece i and has mass (>= d if none). *)
-      let rec next c =
-        let c = ((c lor bit) + 1) land lnot bit in
-        if c < d && x.(c) <= 0.0 then next c else c
-      in
-      let c1 = ref (next (-1)) in
-      while !c1 < d do
-        let c2 = next !c1 in
-        let c3 = next c2 in
-        let c4 = next c3 in
-        let o1 = lnot !c1 and o2 = lnot c2 and o3 = lnot c3 and o4 = lnot c4 in
-        (* (s + 1) lor bit is the next index above s holding piece i, and
-           s < d keeps every read in bounds. *)
-        let a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 and a4 = ref 0.0 and s = ref bit in
-        while !s < d do
-          let row = !s * w in
-          a1 := !a1 +. Array.unsafe_get share (row + Array.unsafe_get cards (!s land o1));
-          a2 := !a2 +. Array.unsafe_get share (row + Array.unsafe_get cards (!s land o2));
-          a3 := !a3 +. Array.unsafe_get share (row + Array.unsafe_get cards (!s land o3));
-          a4 := !a4 +. Array.unsafe_get share (row + Array.unsafe_get cards (!s land o4));
-          s := (!s + 1) lor bit
-        done;
-        set i !c1 !a1; set i c2 !a2;
-        set i c3 !a3; set i c4 !a4;
-        c1 := next c4
+  let rec visit c l lo =
+    (* Γ for every piece missing from c, if occupied: W(D) = Y_c(D)/|D|, then gathers *)
+    if l < k && x.(c) > 0.0 then begin
+      let s = ref ((c + 1) lor c) and base = l * d in
+      while !s < d do
+        Array.unsafe_set w !s
+          (Array.unsafe_get lv (base + !s) *. Array.unsafe_get t.inv (Array.unsafe_get t.cards !s - l));
+        s := (!s + 1) lor c
+      done;
+      let seed_part = us_scale *. p.us /. float_of_int (k - l) and scale = x.(c) /. n in
+      for i = 0 to k - 1 do
+        let fix = c lor (1 lsl i) in
+        if fix <> c then begin
+          let acc = ref 0.0 and s = ref fix in
+          while !s < d do
+            acc := !acc +. Array.unsafe_get w !s;
+            s := (!s + 1) lor fix
+          done;
+          t.gammas.((c * k) + i) <- scale *. (seed_part +. (p.mu *. !acc))
+        end
       done
-    done;
+    end;
+    for j = lo to k - 1 do
+      let bit = 1 lsl j and src = l * d and dst = (l + 1) * d in
+      let child = c lor bit and s = ref (c lor bit) in
+      while !s < d do
+        Array.unsafe_set lv (dst + !s)
+          (Array.unsafe_get lv (src + !s - bit) +. Array.unsafe_get lv (src + !s));
+        s := (!s + 1) lor child
+      done;
+      visit child (l + 1) (j + 1)
+    done
+  in
+  for s = 0 to d - 1 do lv.(s) <- (if x.(s) > 0.0 then x.(s) else 0.0) done;
+  if n > 0.0 then visit 0 0 0;
   t.gammas
 
 let gamma_c_i (p : Params.t) state ~c ~piece =

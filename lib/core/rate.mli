@@ -21,8 +21,11 @@ val gammas : ?us_scale:float -> Params.t -> kernel -> float array -> n:float -> 
 (** Eq. (1), [Γ_{C,C∪{i}} = (x_C/n)(U_s/(K−|C|) + μ Σ_{S ∋ i} x_S/|S−C|)],
     for every type and piece of the dense occupancies [x] ([x_S <= 0] is
     empty; [U_s] scaled by [us_scale], default 1): [Γ] at [C * k + i],
-    zero if [x_C <= 0], [n <= 0] or [i ∈ C], in an array the kernel owns.
-    Sums run over ascending [S], bit-for-bit the per-[(C, i)] scan.
+    exactly [+0.0] if [x_C <= 0], [n <= 0] or [i ∈ C], in an array the
+    kernel owns.  The peer sums come from an O(K·3^K) subset transform,
+    which regroups them: each [Γ] is within [(K + 2^(K−1) + 8)·u]
+    relative ([u = 2^-53], to first order; one subnormal ulp where it
+    underflows) of the per-[(C, i)] scan with a compensated sum.
     @raise Invalid_argument if the kernel was built for another [k]. *)
 
 val gamma_c_i : Params.t -> State.t -> c:Pieceset.t -> piece:int -> float

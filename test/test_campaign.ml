@@ -578,9 +578,11 @@ let run_p2psim args =
 let test_sigint_subprocess_resume () =
   with_temp_dir (fun dir ->
       (* sized so the full sweep takes seconds: SIGINT at ~0.5s lands
-         mid-campaign (3-4 s on a 2-core box; the markov backend's cost
-         follows state changes, which grow linearly with the horizon) *)
-      let spec = grid_spec ~horizon:10_000.0 () in
+         mid-campaign (~2 s on a 2-core box; the markov backend's cost
+         follows state changes, which grow linearly with the horizon).
+         At horizon 10,000 the sweep had sped up to ~0.5 s, so the
+         signal raced the campaign's end. *)
+      let spec = grid_spec ~horizon:40_000.0 () in
       let spec_file = dir / "spec.json" in
       write_spec_file spec_file spec;
       let store = dir / "store" in

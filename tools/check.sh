@@ -107,6 +107,24 @@ for run in "simulate -k 3 --us 1 -t 100 --reps 2 --profile" \
     exit 1
   fi
 done
+# `report` on a Chrome-format trace or flight dump (one JSON array, no
+# schema header) is a usage error that says so, not a JSONL parse error.
+chrome=$(mktemp -d)
+trap 'rm -f "$log"; rm -rf "$chrome"' EXIT
+left=$(remaining)
+timeout "$left" _build/default/bin/p2psim.exe coded --sim -k 4 -t 50 \
+  --trace "$chrome/trace.json" >/dev/null
+timeout "$left" _build/default/bin/p2psim.exe simulate -k 3 --us 0.3 --gamma 1.5 -t 50 \
+  --flight-recorder "$chrome/flight.json" >/dev/null
+for f in trace.json flight.json; do
+  status=0
+  msg=$(timeout "$left" _build/default/bin/p2psim.exe report "$chrome/$f" 2>&1 >/dev/null) \
+    || status=$?
+  case "$status:$msg" in
+    "2:"*"no schema header (Chrome-trace"*) ;;
+    *) echo "FAIL: 'p2psim report' of a Chrome $f exited $status: $msg" >&2; exit 1 ;;
+  esac
+done
 
 # Optional bench smoke: CHECK_BENCH=1 also runs the quick perf baseline
 # (bench-json-quick) and a traced single run, proving the telemetry
