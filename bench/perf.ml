@@ -209,8 +209,9 @@ let sim_section ~quick =
      floor is a few percent — shorter walls are all scheduler noise. *)
   let horizon = if quick then 1000.0 else 2000.0 in
   let sampling_probe () =
-    let series = Series.create ~k:4 in
-    Probe.make ~interval:(horizon /. 200.0) ~on_sample:(Series.record series) ()
+    let interval = horizon /. 200.0 in
+    let series = Series.create ~k:4 ~interval in
+    Probe.make ~interval ~on_sample:(Series.record series) ()
   in
   (* The per-event live-observability stack — flight recorder plus
      event-count and phase-cost histograms.  This is the configuration

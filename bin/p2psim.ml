@@ -349,8 +349,10 @@ let usage_error fmt = Printf.ksprintf (fun m -> prerr_endline ("p2psim: " ^ m); 
    behind. *)
 let with_single_run_probe tel ~k ~horizon f =
   let monitoring = tel.monitor || tel.alerts_out <> None in
+  let interval = Option.value tel.probe_interval ~default:(horizon /. 200.0) in
   let series =
-    if tel.probe_interval <> None || tel.metrics_out <> None then Some (Series.create ~k)
+    if tel.probe_interval <> None || tel.metrics_out <> None then
+      Some (Series.create ~k ~interval)
     else None
   in
   let monitor =
@@ -387,11 +389,7 @@ let with_single_run_probe tel ~k ~horizon f =
               Option.iter (fun m -> observe_sample m s) monitor)
       in
       Probe.make
-        ?interval:
-          (match tel.probe_interval with
-          | Some dt -> Some dt
-          | None ->
-              if series <> None || monitor <> None then Some (horizon /. 200.0) else None)
+        ?interval:(if series <> None || monitor <> None then Some interval else None)
         ?on_sample ~profile:prof ~recorder ~hists ()
   in
   let dump_recorder ~out =

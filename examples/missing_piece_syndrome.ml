@@ -99,7 +99,7 @@ let () =
      `p2psim report` automate from the command line. *)
   Report.subsection "telemetry: one-club growth from the probe series";
   let probe_one_club config =
-    let series = Series.create ~k in
+    let series = Series.create ~k ~interval:20.0 in
     let probe = Probe.make ~interval:20.0 ~on_sample:(Series.record series) () in
     ignore (Sim_agent.run_seeded ~probe ~seed:404 config ~horizon:400.0);
     Series.close series ~time:400.0;

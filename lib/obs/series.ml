@@ -1,8 +1,19 @@
 module Timeavg = P2p_stats.Timeavg
 
+(* A run: [first] and [repeats] more samples equal to it but for their
+   time, each one [step] after the one before ([last +. step], the
+   addition [Engine.record_through] makes). *)
+type run = { first : Probe.sample; mutable repeats : int }
+
+(* All fields are floats, so the record is flat and its stores do not
+   box.  [last] is the last sample's time ([nan] before the first, so no
+   sample extends a run), [end_] the latest time recorded or closed. *)
+type clock = { mutable step : float; mutable last : float; mutable end_ : float }
+
 type t = {
   k : int;
-  mutable rev_samples : Probe.sample list;
+  clock : clock;
+  mutable rev_runs : run list;
   mutable count : int;
   avg_n : Timeavg.t;
   avg_seeds : Timeavg.t;
@@ -11,11 +22,14 @@ type t = {
   avg_pieces : Timeavg.t array;
 }
 
-let create ~k =
+let create ~k ~interval =
   if k < 1 then invalid_arg "Series.create: k < 1";
+  if not (Float.is_finite interval && interval > 0.0) then
+    invalid_arg "Series.create: interval not finite and > 0";
   {
     k;
-    rev_samples = [];
+    clock = { step = interval; last = nan; end_ = 0.0 };
+    rev_runs = [];
     count = 0;
     avg_n = Timeavg.create ();
     avg_seeds = Timeavg.create ();
@@ -26,32 +40,66 @@ let create ~k =
 
 let k t = t.k
 
+let[@inline] observe t (s : Probe.sample) ~time =
+  Timeavg.observe t.avg_n ~time ~value:(float_of_int s.n);
+  Timeavg.observe t.avg_seeds ~time ~value:(float_of_int s.seeds);
+  Timeavg.observe t.avg_club ~time ~value:(float_of_int s.one_club);
+  Timeavg.observe t.avg_rarest ~time ~value:(float_of_int s.rarest_count);
+  for piece = 0 to t.k - 1 do
+    Timeavg.observe t.avg_pieces.(piece) ~time ~value:(float_of_int s.piece_counts.(piece))
+  done;
+  t.clock.last <- time;
+  t.clock.end_ <- time;
+  t.count <- t.count + 1
+
+let same_counts (a : Probe.sample) (b : Probe.sample) =
+  a.n = b.n && a.seeds = b.seeds && a.one_club = b.one_club && a.rarest_piece = b.rarest_piece
+  && a.rarest_count = b.rarest_count && a.piece_counts = b.piece_counts
+
 let record t (s : Probe.sample) =
   if Array.length s.piece_counts <> t.k then
     invalid_arg "Series.record: sample k does not match series k";
-  Timeavg.observe t.avg_n ~time:s.time ~value:(float_of_int s.n);
-  Timeavg.observe t.avg_seeds ~time:s.time ~value:(float_of_int s.seeds);
-  Timeavg.observe t.avg_club ~time:s.time ~value:(float_of_int s.one_club);
-  Timeavg.observe t.avg_rarest ~time:s.time ~value:(float_of_int s.rarest_count);
-  Array.iteri
-    (fun piece avg -> Timeavg.observe avg ~time:s.time ~value:(float_of_int s.piece_counts.(piece)))
-    t.avg_pieces;
-  t.rev_samples <- s :: t.rev_samples;
-  t.count <- t.count + 1
+  let on_grid = s.time = t.clock.last +. t.clock.step in
+  observe t s ~time:s.time;
+  match t.rev_runs with
+  | run :: _ when on_grid && same_counts run.first s -> run.repeats <- run.repeats + 1
+  | _ -> t.rev_runs <- { first = s; repeats = 0 } :: t.rev_runs
+
+(* The next sample of the current run, as [record] would take it. *)
+let repeat t run =
+  run.repeats <- run.repeats + 1;
+  observe t run.first ~time:(t.clock.last +. t.clock.step)
 
 let close t ~time =
   Timeavg.close t.avg_n ~time;
   Timeavg.close t.avg_seeds ~time;
   Timeavg.close t.avg_club ~time;
   Timeavg.close t.avg_rarest ~time;
-  Array.iter (fun avg -> Timeavg.close avg ~time) t.avg_pieces
+  Array.iter (fun avg -> Timeavg.close avg ~time) t.avg_pieces;
+  t.clock.end_ <- time
 
 let count t = t.count
-let samples t = Array.of_list (List.rev t.rev_samples)
 
-let series_of field t =
-  Array.of_list (List.rev_map (fun (s : Probe.sample) -> (s.time, field s)) t.rev_samples)
+(* Runs re-expanded onto their grid, in record order. *)
+let samples t =
+  match t.rev_runs with
+  | [] -> [||]
+  | latest :: _ ->
+      let out = Array.make t.count latest.first in
+      let i = ref t.count in
+      List.iter
+        (fun run ->
+          i := !i - run.repeats - 1;
+          out.(!i) <- run.first;
+          let time = ref run.first.time in
+          for j = 1 to run.repeats do
+            time := !time +. t.clock.step;
+            out.(!i + j) <- { run.first with time = !time }
+          done)
+        t.rev_runs;
+      out
 
+let series_of field t = Array.map (fun (s : Probe.sample) -> (s.time, field s)) (samples t)
 let one_club_series = series_of (fun s -> s.one_club)
 let population_series = series_of (fun s -> s.n)
 
@@ -67,27 +115,31 @@ let avg_piece t piece =
 (* ---- persistence ---- *)
 
 let schema = "p2p-swarm-probe"
-let version = 1
+let version = 2
 
-(* The row format: [write] emits these keys in this order and [read]
-   accepts exactly that shape. *)
-let row_keys = [ "t"; "n"; "seeds"; "club"; "rarest"; "rarest_n"; "pieces" ]
+(* The row format: [write] emits these keys in this order, the last,
+   the run's repeats, only when there are some; [read] accepts exactly
+   that shape. *)
+let row_keys = [ "t"; "n"; "seeds"; "club"; "rarest"; "rarest_n"; "pieces"; "r" ]
 
 let header t =
-  Json.Obj [ ("schema", Json.String schema); ("version", Json.Int version); ("k", Json.Int t.k) ]
+  Json.Obj
+    [ ("schema", Json.String schema); ("version", Json.Int version); ("k", Json.Int t.k);
+      ("interval", Json.Float t.clock.step); ("end", Json.Float t.clock.end_) ]
 
 (* What precedes each value on a row: [{"t":], [,"n":], ... *)
 let per_key f = Array.of_list (List.mapi f row_keys)
 let prefixes = per_key (fun i -> Printf.sprintf "%c%S:" (if i = 0 then '{' else ','))
 
-(* Rows go straight into one buffer, written out every 64 KiB. *)
+(* Rows, one per run, go straight into one buffer, written out every
+   64 KiB. *)
 let write t oc =
   let buf = Buffer.create 65536 in
   let field i v = Buffer.add_string buf prefixes.(i); Json.add_int buf v in
   Buffer.add_string buf (Json.to_string (header t));
   Buffer.add_char buf '\n';
   List.iter
-    (fun (s : Probe.sample) ->
+    (fun { first = s; repeats } ->
       Buffer.add_string buf prefixes.(0);
       Json.add_float buf s.time;
       field 1 s.n;
@@ -99,12 +151,14 @@ let write t oc =
       Array.iteri
         (fun i c -> Buffer.add_char buf (if i = 0 then '[' else ','); Json.add_int buf c)
         s.piece_counts;
-      Buffer.add_string buf "]}\n";
+      Buffer.add_char buf ']';
+      if repeats > 0 then field 7 repeats;
+      Buffer.add_string buf "}\n";
       if Buffer.length buf >= 65536 then begin
         Buffer.output_buffer oc buf;
         Buffer.clear buf
       end)
-    (List.rev t.rev_samples);
+    (List.rev t.rev_runs);
   Buffer.output_buffer oc buf
 
 (* ---- reading rows in place ---- *)
@@ -119,8 +173,9 @@ let not_int = per_key (fun _ -> Printf.sprintf "field %S is not an integer")
 let bad_pieces = "field \"pieces\" is not an int array of length k"
 let is_number_char = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
 
-(* A row's bytes, [s] over [[p, stop)], consumed left to right. *)
-type cursor = { s : string; mutable p : int; mutable stop : int }
+(* A row's bytes, [s] over [[p, stop)], consumed left to right;
+   [repeats] is the last row's ["r"], 0 without one. *)
+type cursor = { s : string; mutable p : int; mutable stop : int; mutable repeats : int }
 
 let skip c lit =
   let l = String.length lit in
@@ -152,8 +207,8 @@ let int_value c err =
     c.p <- a;
     match int_of_string_opt (token c) with Some i -> i | None -> fail err)
 
-(* One row, exactly as [write] prints it. *)
-let scan_row ~k c =
+(* One row, exactly as [write] prints it; a version 1 row has no ["r"]. *)
+let scan_row ~v2 ~k c =
   let int_field i = expect c prefixes.(i) missing.(i); int_value c not_int.(i) in
   expect c prefixes.(0) missing.(0);
   let time =
@@ -184,51 +239,87 @@ let scan_row ~k c =
     pieces.(i) <- int_value c bad_pieces
   done;
   expect c "]" bad_pieces;
+  c.repeats <- 0;
+  if skip c prefixes.(7) then begin
+    if not v2 then fail "field \"r\" in a version 1 file";
+    c.repeats <- int_value c not_int.(7);
+    if c.repeats < 1 then fail "field \"r\" < 1"
+  end;
   if not (skip c "}" && c.p = c.stop) then fail "trailing bytes after the row";
   if rarest < 1 || rarest > k then fail "field \"rarest\" out of [1, k]";
   { Probe.time; n; seeds; one_club; rarest_piece = rarest - 1; rarest_count; piece_counts = pieces }
 
-let read ic =
-  let s = In_channel.input_all ic in
+let line_error lineno msg = Error (Printf.sprintf "line %d: %s" lineno msg)
+
+(* Rows re-expand into runs on the grid [interval] of a version 2
+   header, which closes the averages at its ["end"].  A version 1 file
+   closes at its last sample and takes its first step as the grid. *)
+let read_rows s ~header_end ~v2 ~k ~interval ~end_ =
   let n = String.length s in
   let line_end pos = Option.value ~default:n (String.index_from_opt s pos '\n') in
-  if n = 0 then Error "empty probe file"
+  let t = create ~k ~interval in
+  let c = { s; p = 0; stop = 0; repeats = 0 } in
+  let rec loop lineno pos =
+    if pos >= n then Ok ()
+    else
+      let stop = line_end pos in
+      c.p <- pos;
+      c.stop <- stop;
+      match scan_row ~v2 ~k c with
+      | exception Bad_row _ when String.trim (String.sub s pos (stop - pos)) = "" ->
+          loop (lineno + 1) (stop + 1)
+      | exception Bad_row msg -> line_error lineno msg
+      | sample when Float.of_int c.repeats > ((end_ -. sample.time) /. interval) +. 1.0 ->
+          line_error lineno "field \"r\" runs past the header's \"end\""
+      | sample -> (
+          if (not v2) && t.count = 1 && sample.time > t.clock.last then
+            t.clock.step <- sample.time -. t.clock.last;
+          match record t sample with
+          | exception Invalid_argument msg -> line_error lineno msg
+          | () ->
+              let run = List.hd t.rev_runs in
+              for _ = 1 to c.repeats do
+                repeat t run
+              done;
+              loop (lineno + 1) (stop + 1))
+  in
+  match loop 2 (header_end + 1) with
+  | Error _ as e -> e
+  | Ok () when v2 && end_ < t.clock.end_ -> Error "header \"end\" is before the last sample"
+  | Ok () ->
+      close t ~time:(if v2 then end_ else t.clock.end_);
+      Ok t
+
+let read ic =
+  let s = In_channel.input_all ic in
+  let header_end = Option.value ~default:(String.length s) (String.index_opt s '\n') in
+  if s = "" then Error "empty probe file"
   else
-    let header_end = line_end 0 in
     match Json.of_string (String.sub s 0 header_end) with
     | Error msg -> Error ("bad header line: " ^ msg)
-    | Ok header ->
-        if Option.bind (Json.member "schema" header) Json.to_string_opt <> Some schema then
+    | Ok header -> (
+        let member key to_ = Option.bind (Json.member key header) to_ in
+        let finite key =
+          Option.bind (member key Json.to_float_opt) (fun x -> if Float.is_finite x then Some x else None)
+        in
+        if member "schema" Json.to_string_opt <> Some schema then
           Error (Printf.sprintf "not a %s file (bad or missing schema)" schema)
-        else begin
-          match Option.bind (Json.member "k" header) Json.to_int_opt with
-          | None -> Error "header has no \"k\""
-          | Some k when k < 1 -> Error "header \"k\" < 1"
-          | Some k -> (
-              let t = create ~k in
-              let c = { s; p = 0; stop = 0 } in
-              let rec loop lineno pos =
-                if pos >= n then Ok ()
-                else
-                  let stop = line_end pos in
-                  c.p <- pos;
-                  c.stop <- stop;
-                  match scan_row ~k c with
-                  | sample ->
-                      record t sample;
-                      loop (lineno + 1) (stop + 1)
-                  | exception Bad_row _ when String.trim (String.sub s pos (stop - pos)) = "" ->
-                      loop (lineno + 1) (stop + 1)
-                  | exception Bad_row msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-              in
-              match loop 2 (header_end + 1) with
-              | Error _ as e -> e
-              | Ok () ->
-                  (match t.rev_samples with
-                  | last :: _ -> close t ~time:last.Probe.time
-                  | [] -> ());
-                  Ok t)
-        end
+        else
+          match (member "version" Json.to_int_opt, member "k" Json.to_int_opt) with
+          | None, _ -> Error "header has no integer \"version\""
+          | Some v, _ when v <> 1 && v <> 2 ->
+              Error (Printf.sprintf "unsupported %s version %d (this reader takes 1 and 2)" schema v)
+          | _, None -> Error "header has no \"k\""
+          | _, Some k when k < 1 -> Error "header \"k\" < 1"
+          | Some 1, Some k ->
+              read_rows s ~header_end ~v2:false ~k ~interval:1.0 ~end_:infinity
+          | Some _, Some k -> (
+              match finite "interval" with
+              | Some interval when interval > 0.0 -> (
+                  match finite "end" with
+                  | Some end_ -> read_rows s ~header_end ~v2:true ~k ~interval ~end_
+                  | None -> Error "header \"end\" is missing or not finite")
+              | _ -> Error "header \"interval\" is missing, not finite or <= 0"))
 
 let read_file path =
   let ic = open_in_bin path in

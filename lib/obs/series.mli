@@ -6,30 +6,45 @@
     so their honest means are time-weighted) while keeping the raw
     sample list for trajectory output and growth fits.
 
+    In memory and on disk a run of samples that differ only in their
+    time is one entry: each sample after the first equals the one
+    before but for a time exactly [interval] after it (the [+.] the
+    engine's probe grid makes).  {!samples} and the series accessors
+    re-expand the runs, so they return every recorded sample.
+
     The on-disk format is JSONL: a header line
-    [{"schema":"p2p-swarm-probe","version":1,"k":K}] followed by one
-    line per sample,
-    [{"t":..,"n":..,"seeds":..,"club":..,"rarest":..,"rarest_n":..,"pieces":[..]}]
-    ([rarest] is 1-based on the wire).  One list of row keys defines
+    [{"schema":"p2p-swarm-probe","version":2,"k":K,"interval":I,"end":E}]
+    followed by one line per run,
+    [{"t":..,"n":..,"seeds":..,"club":..,"rarest":..,"rarest_n":..,"pieces":[..],"r":R}]
+    ([rarest] is 1-based on the wire; [,"r":R], the run's R >= 1 repeats
+    after its first sample, is left out when there are none).  [E] is
+    the time the averages were closed at.  One list of row keys defines
     both directions: {!read} accepts exactly the row shape {!write}
     emits (those keys in that order, no whitespace, integer counts,
     [pieces] of length k, [rarest] in [1, k]), so [p2psim report] can
-    render any probe file the CLI emitted. *)
+    render any probe file the CLI emitted.  It also reads version 1
+    files, whose header has no [interval] or [end] and whose rows have
+    no [r]. *)
 
 type t
 
-val create : k:int -> t
-(** @raise Invalid_argument if [k < 1]. *)
+val create : k:int -> interval:float -> t
+(** [interval] is the probe grid's step, the one a run's samples are
+    apart.
+    @raise Invalid_argument if [k < 1] or [interval] is not finite and
+    positive. *)
 
 val k : t -> int
 
 val record : t -> Probe.sample -> unit
 (** Append a sample; times must be nondecreasing (enforced by the
-    underlying [Timeavg]). *)
+    underlying [Timeavg]).  A sample that extends the current run
+    allocates nothing. *)
 
 val close : t -> time:float -> unit
 (** Extend every time average through [time] (typically the horizon)
-    without adding a sample. *)
+    without adding a sample; {!write} records [time] as the header's
+    [end]. *)
 
 val count : t -> int
 val samples : t -> Probe.sample array
@@ -48,12 +63,16 @@ val avg_piece : t -> int -> float
 val write : t -> out_channel -> unit
 
 val read : in_channel -> (t, string) result
-(** Replays the samples through {!record} and {!close}s at the last
-    sample time, so the time averages of a re-read series match the
-    writer's (up to the final [close] time).  Rows are scanned in place,
-    with no [Json.t] tree, and numbers convert as [Json] converts them.
-    Blank lines are skipped and a last row without a newline is read;
-    any other line that is not a {!write} row is an
-    [Error "line N: ..."]. *)
+(** Replays the samples through {!record}, re-expanding each run onto
+    the grid, and {!close}s at the header's [end] (version 1: at the
+    last sample time), so the samples and time averages of a re-read
+    series are bit-identical to the writer's.  Rows are scanned in
+    place, with no [Json.t] tree, and numbers convert as [Json] converts
+    them.  Blank lines are skipped and a last row without a newline is
+    read; any other line that is not a {!write} row, an [r] in a
+    version 1 file, [r < 1], or a run past [end] is an
+    [Error "line N: ..."].  A header of another version, or a version
+    2 header without a finite positive [interval] or a finite [end], is
+    an [Error] too. *)
 
 val read_file : string -> (t, string) result

@@ -143,7 +143,7 @@ let test_golden_no_fault_network_sparse () =
    grid and the profiler.  [finish] closes the log and returns how many
    rows it holds and how many events the ring saw. *)
 let busy_probe ~k =
-  let series = Series.create ~k in
+  let series = Series.create ~k ~interval:7.0 in
   let path = Filename.temp_file "p2p_parity" ".jsonl" in
   let recorder = Recorder.create ~capacity:64 ~log:path () in
   let probe =
@@ -222,7 +222,7 @@ let coded_probe_sweep ~jobs =
   let config = { (coded_config ()) with faults = faulty } in
   let results, _ =
     Runner.run_map ~jobs ~chunk:2 ~master_seed:424242 ~replications:6 (fun ~rng ~index:_ ->
-        let series = Series.create ~k:4 in
+        let series = Series.create ~k:4 ~interval:4.0 in
         let probe = Probe.make ~interval:4.0 ~on_sample:(Series.record series) () in
         let stats = Sim_coded.run ~probe ~rng config ~horizon:100.0 in
         Series.close series ~time:100.0;
@@ -234,7 +234,7 @@ let network_probe_sweep ~jobs =
   let config = { (network_config ()) with faults = faulty } in
   let results, _ =
     Runner.run_map ~jobs ~chunk:2 ~master_seed:424242 ~replications:6 (fun ~rng ~index:_ ->
-        let series = Series.create ~k:3 in
+        let series = Series.create ~k:3 ~interval:4.0 in
         let probe = Probe.make ~interval:4.0 ~on_sample:(Series.record series) () in
         let stats, _ = Sim_agent.run ~probe ~rng config ~horizon:100.0 in
         Series.close series ~time:100.0;

@@ -348,7 +348,7 @@ let faulty_config_agent () =
    grid and the profiler.  [finish] closes the log and returns how many
    rows it holds and how many events the ring saw. *)
 let busy_probe () =
-  let series = Series.create ~k:3 in
+  let series = Series.create ~k:3 ~interval:7.0 in
   let path = Filename.temp_file "p2p_obs_test" ".jsonl" in
   let recorder = Recorder.create ~capacity:64 ~log:path () in
   let probe =
@@ -450,7 +450,7 @@ let test_probe_interval_longer_than_run () =
   Alcotest.(check (list (float 0.0))) "single t=0 sample" [ 0.0 ] times
 
 let collect_series ~seed ~horizon ~interval =
-  let series = Series.create ~k:3 in
+  let series = Series.create ~k:3 ~interval in
   let probe = Probe.make ~interval ~on_sample:(Series.record series) () in
   ignore (Sim_markov.run_seeded ~probe ~seed (faulty_config_markov ()) ~horizon);
   Series.close series ~time:horizon;
@@ -480,8 +480,15 @@ let mk_sample ~time ~n ~club ~pieces =
 
 let test_series_averages () =
   Alcotest.check_raises "k < 1 rejected" (Invalid_argument "Series.create: k < 1") (fun () ->
-      ignore (Series.create ~k:0));
-  let s = Series.create ~k:2 in
+      ignore (Series.create ~k:0 ~interval:1.0));
+  List.iter
+    (fun interval ->
+      Alcotest.check_raises
+        (Printf.sprintf "interval %g rejected" interval)
+        (Invalid_argument "Series.create: interval not finite and > 0")
+        (fun () -> ignore (Series.create ~k:2 ~interval)))
+    [ 0.0; -1.0; infinity; nan ];
+  let s = Series.create ~k:2 ~interval:10.0 in
   Alcotest.(check bool) "avg before time elapses is nan" true (Float.is_nan (Series.avg_n s));
   Series.record s (mk_sample ~time:0.0 ~n:2 ~club:0 ~pieces:[| 1; 1 |]);
   Series.record s (mk_sample ~time:10.0 ~n:6 ~club:4 ~pieces:[| 1; 5 |]);
@@ -510,12 +517,149 @@ let test_series_file_roundtrip () =
           Alcotest.(check int) "k preserved" (Series.k s) (Series.k s');
           Alcotest.(check int) "count preserved" (Series.count s) (Series.count s');
           Alcotest.(check bool) "samples preserved" true (Series.samples s = Series.samples s');
-          (* the reader closes at the last sample time, not the writer's
-             horizon; re-close at the horizon and the averages agree *)
-          Series.close s' ~time:150.0;
+          (* the reader closes at the header's end, the writer's horizon *)
           Alcotest.(check bool)
-            "avg_n bit-identical after re-close" true
+            "avg_n bit-identical" true
             (Int64.bits_of_float (Series.avg_n s) = Int64.bits_of_float (Series.avg_n s')))
+
+let bits_of_averages s =
+  List.map Int64.bits_of_float
+    ([ Series.avg_n s; Series.avg_seeds s; Series.avg_one_club s; Series.avg_rarest_count s ]
+    @ List.init (Series.k s) (Series.avg_piece s))
+
+let bits_of_times s =
+  Array.map (fun (x : Probe.sample) -> Int64.bits_of_float x.Probe.time) (Series.samples s)
+
+(* Writes [s], reads it back, checks the samples (times bit for bit),
+   the count and all five time averages bit for bit, and returns the
+   rows written as (t, repeats). *)
+let check_roundtrip name s =
+  with_temp_file (fun path ->
+      let oc = open_out_bin path in
+      Series.write s oc;
+      close_out oc;
+      let rows =
+        List.map
+          (fun line ->
+            match Json.of_string line with
+            | Ok row ->
+                ( Option.get (Option.bind (Json.member "t" row) Json.to_float_opt),
+                  Option.value ~default:0 (Option.bind (Json.member "r" row) Json.to_int_opt) )
+            | Error msg -> Alcotest.failf "%s: row %S: %s" name line msg)
+          (List.tl (lines_of (read_file path)))
+      in
+      match Series.read_file path with
+      | Error msg -> Alcotest.failf "%s: read_file failed: %s" name msg
+      | Ok s' ->
+          Alcotest.(check int) (name ^ ": count") (Series.count s) (Series.count s');
+          Alcotest.(check int)
+            (name ^ ": one row per run")
+            (Series.count s)
+            (List.fold_left (fun acc (_, r) -> acc + 1 + r) 0 rows);
+          Alcotest.(check bool) (name ^ ": samples") true (Series.samples s = Series.samples s');
+          Alcotest.(check bool)
+            (name ^ ": sample times bits") true (bits_of_times s = bits_of_times s');
+          Alcotest.(check (list int64))
+            (name ^ ": time averages bits") (bits_of_averages s) (bits_of_averages s');
+          rows)
+
+let probed_series ~k ~interval ~horizon run =
+  let series = Series.create ~k ~interval in
+  run (Probe.make ~interval ~on_sample:(Series.record series) ());
+  Series.close series ~time:horizon;
+  series
+
+(* Four regimes: the syndrome (the rarest piece sits at 0 copies, so
+   most samples repeat), a stable flash crowd (no repeats), the fluid
+   limit (its rounded counts settle), and a hybrid run whose resumed
+   segments restart the grid. *)
+let test_series_roundtrip_regimes () =
+  let markov params ~seed ~horizon probe =
+    ignore (Sim_markov.run_seeded ~probe ~seed (Sim_markov.default_config params) ~horizon)
+  in
+  let syndrome =
+    probed_series ~k:3 ~interval:0.05 ~horizon:150.0
+      (markov (Scenario.flash_crowd ~k:3 ~lambda:2.0 ~us:0.3 ~mu:2.0 ~gamma:infinity) ~seed:1
+         ~horizon:150.0)
+  in
+  let rows = check_roundtrip "syndrome" syndrome in
+  Alcotest.(check bool) "syndrome: runs at least halve the rows" true
+    (2 * List.length rows < Series.count syndrome);
+  let flash =
+    probed_series ~k:8 ~interval:1.0 ~horizon:300.0
+      (markov (Scenario.flash_crowd ~k:8 ~lambda:20.0 ~us:2.0 ~mu:1.0 ~gamma:0.8) ~seed:3
+         ~horizon:300.0)
+  in
+  let rows = check_roundtrip "flash crowd" flash in
+  Alcotest.(check int) "flash crowd: no repeats" (Series.count flash) (List.length rows);
+  let fluid_params = Scenario.flash_crowd ~k:3 ~lambda:5.0 ~us:1.0 ~mu:1.0 ~gamma:2.0 in
+  let fluid =
+    probed_series ~k:3 ~interval:0.5 ~horizon:100.0 (fun probe ->
+        let config =
+          { (Sim_fluid.default_config fluid_params) with initial = [ (Pieceset.empty, 1000.0) ] }
+        in
+        ignore (Sim_fluid.run_seeded ~probe ~seed:1 config ~horizon:100.0))
+  in
+  let rows = check_roundtrip "fluid" fluid in
+  Alcotest.(check bool) "fluid: has runs" true (List.length rows < Series.count fluid);
+  let switches = ref [] in
+  let hybrid =
+    probed_series ~k:2 ~interval:0.25 ~horizon:50.0 (fun probe ->
+        let markov =
+          Sim_markov.default_config
+            (Scenario.flash_crowd ~k:2 ~lambda:40.0 ~us:50.0 ~mu:1.0 ~gamma:infinity)
+        in
+        let s, _ =
+          Sim_hybrid.run_seeded ~probe ~seed:7
+            (Sim_hybrid.default_config ~up:95 ~down:80 markov)
+            ~horizon:50.0
+        in
+        switches := List.map (fun (w : Sim_hybrid.switch) -> w.at) s.Sim_hybrid.switches)
+  in
+  let rows = check_roundtrip "hybrid" hybrid in
+  Alcotest.(check bool) "hybrid: handed off" true (List.length !switches >= 2);
+  Alcotest.(check bool) "hybrid: has runs" true (List.length rows < Series.count hybrid);
+  List.iter
+    (fun (t, r) ->
+      let last = ref t in
+      for _ = 1 to r do
+        last := !last +. 0.25
+      done;
+      List.iter
+        (fun at ->
+          if t < at && at < !last then
+            Alcotest.failf "hybrid: the run %g..%g crosses the restart at %g" t !last at)
+        !switches)
+    rows
+
+(* The repeat path of [record] is a compare and a counter. *)
+let test_series_repeat_alloc_free () =
+  let interval = 0.05 in
+  let s = Series.create ~k:3 ~interval in
+  let time = ref 0.0 in
+  let samples =
+    Array.init 10_001 (fun i ->
+        if i > 0 then time := !time +. interval;
+        mk_sample ~time:!time ~n:7 ~club:5 ~pieces:[| 0; 5; 7 |])
+  in
+  Series.record s samples.(0);
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Series.record s samples.(i)
+  done;
+  let grown = Gc.minor_words () -. before in
+  (* slack covers the boxed float returned by [Gc.minor_words] itself;
+     one word per repeat would show as >= 10k words *)
+  Alcotest.(check bool)
+    (Printf.sprintf "10k repeats allocate nothing (%g words, ceiling 16)" grown)
+    true (grown <= 16.0);
+  Alcotest.(check int) "count" 10_001 (Series.count s);
+  Alcotest.(check bool) "re-expanded" true (Series.samples s = samples);
+  (* the same counts off the grid start a new run *)
+  let off = { (samples.(10_000)) with Probe.time = !time +. (2.0 *. interval) } in
+  Series.record s off;
+  Alcotest.(check bool) "an off-grid sample keeps its time" true
+    (Series.samples s = Array.append samples [| off |])
 
 let test_series_read_rejects_garbage () =
   let rejects name content =
@@ -531,7 +675,27 @@ let test_series_read_rejects_garbage () =
   rejects "wrong schema" "{\"schema\": \"not-a-probe\", \"version\": 1, \"k\": 3}\n";
   rejects "missing header" "{\"t\": 0, \"n\": 1}\n";
   rejects "malformed sample line"
-    "{\"schema\": \"p2p-swarm-probe\", \"version\": 1, \"k\": 3}\nnot json\n"
+    "{\"schema\": \"p2p-swarm-probe\", \"version\": 1, \"k\": 3}\nnot json\n";
+  with_temp_file (fun path ->
+      let oc = open_out path in
+      output_string oc "{\"schema\":\"p2p-swarm-probe\",\"version\":99,\"k\":3}\n";
+      close_out oc;
+      match Series.read_file path with
+      | Error msg ->
+          Alcotest.(check string) "the error names the version"
+            "unsupported p2p-swarm-probe version 99 (this reader takes 1 and 2)" msg
+      | Ok _ -> Alcotest.fail "version 99 should not parse as a probe series");
+  List.iter
+    (fun (name, fields) ->
+      rejects name ("{\"schema\":\"p2p-swarm-probe\",\"version\":2,\"k\":3" ^ fields ^ "}\n"))
+    [
+      ("v2 without interval", {|,"end":10.0|});
+      ("v2 null interval", {|,"interval":null,"end":10.0|});
+      ("v2 zero interval", {|,"interval":0,"end":10.0|});
+      ("v2 negative interval", {|,"interval":-0.5,"end":10.0|});
+      ("v2 string interval", {|,"interval":"0.5","end":10.0|});
+      ("v2 without end", {|,"interval":0.5|});
+    ]
 
 let probe_header = "{\"schema\":\"p2p-swarm-probe\",\"version\":1,\"k\":3}\n"
 let good_row = "{\"t\":0.5,\"n\":4,\"seeds\":1,\"club\":2,\"rarest\":3,\"rarest_n\":1,\"pieces\":[2,3,1]}"
@@ -588,7 +752,40 @@ let test_series_read_row_contract () =
   rejects "trailing space" (good_row ^ " ");
   rejects "non-numeric t" (edit ~from:"\"t\":0.5" ~into:"\"t\":\"0.5\"");
   rejects "space inside the row" (edit ~from:"\"n\":4" ~into:"\"n\": 4");
-  rejects "not json" "not json"
+  rejects "not json" "not json";
+  rejects "r in a version 1 file" (edit ~from:"]}" ~into:"],\"r\":2}");
+  (* version 2: runs of [r] more samples, [interval] apart, up to [end] *)
+  let header2_to end_ =
+    "{\"schema\":\"p2p-swarm-probe\",\"version\":2,\"k\":3,\"interval\":0.25,\"end\":" ^ end_ ^ "}\n"
+  in
+  let header2 = header2_to "10.0" in
+  let run = edit ~from:"]}" ~into:"],\"r\":2}" in
+  (match read_string (header2 ^ run) with
+  | Error msg -> Alcotest.failf "a v2 run rejected: %s" msg
+  | Ok s ->
+      Alcotest.(check (list (float 0.0)))
+        "the run re-expands onto the grid" [ 0.5; 0.75; 1.0 ]
+        (Array.to_list (Array.map (fun (x : Probe.sample) -> x.Probe.time) (Series.samples s))));
+  let rejects2 name row =
+    match read_string (header2 ^ good_row ^ "\n\n" ^ row ^ "\n") with
+    | Ok _ -> Alcotest.failf "%s accepted" name
+    | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s names line 4 (%s)" name msg)
+          true
+          (String.starts_with ~prefix:"line 4:" msg)
+  in
+  let late = edit ~from:"\"t\":0.5" ~into:"\"t\":1.5" in
+  let late_run r = String.sub late 0 (String.length late - 1) ^ ",\"r\":" ^ r ^ "}" in
+  rejects2 "r = 0" (late_run "0");
+  rejects2 "r < 0" (late_run "-1");
+  rejects2 "non-integer r" (late_run "1.5");
+  rejects2 "r after the closing brace" (late ^ ",\"r\":1");
+  rejects2 "a run past the end" (late_run "100");
+  rejects2 "time going back" (edit ~from:"\"t\":0.5" ~into:"\"t\":0.25");
+  match read_string (header2_to "0.25" ^ good_row) with
+  | Ok _ -> Alcotest.fail "a sample after the header's end accepted"
+  | Error _ -> ()
 
 (* [report] picks a renderer from the first record alone, under the
    JSONL rules; the renderer still reads the whole file. *)
@@ -633,7 +830,7 @@ let test_first_record_contract () =
    bit for bit. *)
 let test_series_read_pinned () =
   let params = Scenario.flash_crowd ~k:3 ~lambda:2.0 ~us:0.3 ~mu:2.0 ~gamma:infinity in
-  let series = Series.create ~k:3 in
+  let series = Series.create ~k:3 ~interval:0.05 in
   let probe = Probe.make ~interval:0.05 ~on_sample:(Series.record series) () in
   ignore (Sim_markov.run_seeded ~probe ~seed:1 (Sim_markov.default_config params) ~horizon:150.0);
   with_temp_file (fun path ->
@@ -641,7 +838,7 @@ let test_series_read_pinned () =
       Series.write series oc;
       close_out oc;
       Alcotest.(check string)
-        "written bytes" "a57a13fb7fa6dcb0dccca075d231b563"
+        "written bytes" "3878090322b8f7314a318168c968ce01"
         (Digest.to_hex (Digest.file path));
       match Series.read_file path with
       | Error msg -> Alcotest.failf "read_file failed: %s" msg
@@ -681,7 +878,7 @@ let probe_sweep ~jobs =
   let module Runner = P2p_runner.Runner in
   let results, _ =
     Runner.run_map ~jobs ~chunk:2 ~master_seed:424242 ~replications:6 (fun ~rng ~index:_ ->
-        let series = Series.create ~k:3 in
+        let series = Series.create ~k:3 ~interval:4.0 in
         let probe = Probe.make ~interval:4.0 ~on_sample:(Series.record series) () in
         let stats, _ = Sim_markov.run ~probe ~rng (faulty_config_markov ()) ~horizon:100.0 in
         Series.close series ~time:100.0;
@@ -1194,15 +1391,47 @@ let test_cli_report_renders_trace () =
               Alcotest.(check (list (pair string int)))
                 "event mix = events/* counts" (List.sort compare counted) (List.sort compare mix))))
 
-(* The whole probe series of a syndrome-regime run, 3,001 rows of grid
-   times and counts, as the Printf-based emitter wrote it. *)
+(* The whole probe series of a syndrome-regime run: 3,001 grid samples
+   in 711 runs, closed at the horizon. *)
 let test_cli_series_golden () =
   with_temp_file (fun path ->
       run_p2psim
         [ "simulate"; "-k"; "3"; "--us"; "0.3"; "--mu"; "2"; "--gamma"; "inf"; "-a"; "none=2";
           "-t"; "150"; "--seed"; "1"; "--probe-interval"; "0.05"; "--metrics-out"; path ];
-      Alcotest.(check string) "series MD5" "a57a13fb7fa6dcb0dccca075d231b563"
+      Alcotest.(check string) "series MD5" "80465d3d03d1a26e045b003ac0150a99"
         (Digest.to_hex (Digest.file path)))
+
+(* A version 1 file written before runs existed (K = 3, U_s = 0.3, mu = 2,
+   gamma = inf, lambda = 2, seed 1, -t 100, --probe-interval 0.25): it
+   reads to the samples of the same command's version 2 file, and
+   [report] renders both byte for byte alike. *)
+let v1_fixture =
+  List.fold_left Filename.concat (Filename.dirname Sys.executable_name) [ "fixtures"; "probe_v1.jsonl" ]
+
+let test_series_reads_v1 () =
+  with_temp_file (fun v2 ->
+      with_temp_file (fun out1 ->
+          with_temp_file (fun out2 ->
+              run_p2psim
+                [ "simulate"; "-k"; "3"; "--us"; "0.3"; "--mu"; "2"; "--gamma"; "inf"; "-a";
+                  "none=2"; "-t"; "100"; "--seed"; "1"; "--probe-interval"; "0.25";
+                  "--metrics-out"; v2 ];
+              Alcotest.(check bool) "the version 2 file is smaller" true
+                ((Unix.stat v2).Unix.st_size < (Unix.stat v1_fixture).Unix.st_size);
+              (match (Series.read_file v1_fixture, Series.read_file v2) with
+              | Ok a, Ok b ->
+                  Alcotest.(check int) "count" 401 (Series.count a);
+                  Alcotest.(check bool) "samples" true (Series.samples a = Series.samples b);
+                  Alcotest.(check bool) "sample times bits" true
+                    (bits_of_times a = bits_of_times b);
+                  (* the last sample is the horizon, so both close there *)
+                  Alcotest.(check (list int64)) "time averages bits" (bits_of_averages a)
+                    (bits_of_averages b)
+              | Error msg, _ | _, Error msg -> Alcotest.failf "read_file failed: %s" msg);
+              run_p2psim ~stdout:out1 [ "report"; v1_fixture ];
+              run_p2psim ~stdout:out2 [ "report"; v2 ];
+              Alcotest.(check string) "report renders both alike" (read_file out1)
+                (read_file out2))))
 
 (* [simulate --agent] with a sparse overlay or peer classes prints what
    the per-peer backend's former [overlay] and [hetero] commands printed
@@ -1459,6 +1688,9 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick test_series_read_rejects_garbage;
           Alcotest.test_case "read path pinned on a syndrome run" `Quick test_series_read_pinned;
           Alcotest.test_case "reader row contract" `Quick test_series_read_row_contract;
+          Alcotest.test_case "roundtrip across regimes" `Quick test_series_roundtrip_regimes;
+          Alcotest.test_case "repeat allocates nothing" `Quick test_series_repeat_alloc_free;
+          Alcotest.test_case "reads a version 1 file" `Quick test_series_reads_v1;
           Alcotest.test_case "first-record dispatch contract" `Quick test_first_record_contract;
         ] );
       ( "jobs-independence",

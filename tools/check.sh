@@ -173,35 +173,51 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
     echo "FAIL: p2psim report exited non-zero" >&2; exit 1; }
   # `report` picks its renderer from the first line alone; the probe
   # reader must still read every row.  A syndrome-regime series must
-  # read as unstable, its time-average one-club size re-read from the
-  # written floats must equal the one `simulate` printed, and a copy
-  # with one corrupt middle row must make `report` exit 2.
-  left=$(remaining)
-  timeout "$left" _build/default/bin/p2psim.exe simulate -k 3 --us 0.3 --mu 2 --gamma inf \
-    -a none=2 -t 150 --seed 1 --probe-interval 0.05 \
-    --metrics-out "$out/syndrome_probe.jsonl" >"$out/syndrome_simulate.txt" || {
-    echo "FAIL: syndrome-regime simulate exited non-zero" >&2; exit 1; }
-  left=$(remaining)
-  timeout "$left" _build/default/bin/p2psim.exe report "$out/syndrome_probe.jsonl" \
-    >"$out/syndrome_report.txt" || {
-    echo "FAIL: p2psim report on the syndrome series exited non-zero" >&2; exit 1; }
-  grep -q 'one-club verdict *: appears-unstable' "$out/syndrome_report.txt" || {
-    echo "FAIL: report did not read the syndrome series as appears-unstable" >&2; exit 1; }
-  club=$(sed -n 's/^ *time-avg one-club size *: //p' "$out/syndrome_simulate.txt")
-  read_club=$(sed -n 's/^ *time-avg one-club size *: //p' "$out/syndrome_report.txt")
-  if [ -z "$club" ] || [ "$club" != "$read_club" ]; then
-    echo "FAIL: report read a time-avg one-club size of '$read_club' from the series; simulate printed '$club'" >&2
-    exit 1
-  fi
-  sed '1500s/.*/{"t":74.9,"n":oops}/' "$out/syndrome_probe.jsonl" >"$out/syndrome_corrupt.jsonl"
-  left=$(remaining)
-  status=0
-  timeout "$left" _build/default/bin/p2psim.exe report "$out/syndrome_corrupt.jsonl" \
-    >/dev/null 2>&1 || status=$?
-  if [ "$status" -ne 2 ]; then
-    echo "FAIL: report on a series with a corrupt middle row exited $status, wanted 2" >&2
-    exit 1
-  fi
+  # read as unstable, and its time-average one-club size re-read from
+  # the written floats must equal the one `simulate` printed, also when
+  # the last grid point falls short of the horizon (interval 7 over
+  # 200): the reader closes the averages at the header's "end".  A copy
+  # with a corrupt middle row, and one with a corrupt run length "r",
+  # must make `report` exit 2.
+  for case in "200 7" "150 0.05"; do
+    set -- $case
+    left=$(remaining)
+    timeout "$left" _build/default/bin/p2psim.exe simulate -k 3 --us 0.3 --mu 2 --gamma inf \
+      -a none=2 -t "$1" --seed 1 --probe-interval "$2" \
+      --metrics-out "$out/syndrome_probe.jsonl" >"$out/syndrome_simulate.txt" || {
+      echo "FAIL: syndrome-regime simulate -t $1 exited non-zero" >&2; exit 1; }
+    left=$(remaining)
+    timeout "$left" _build/default/bin/p2psim.exe report "$out/syndrome_probe.jsonl" \
+      >"$out/syndrome_report.txt" || {
+      echo "FAIL: p2psim report on the syndrome series exited non-zero" >&2; exit 1; }
+    grep -q 'one-club verdict *: appears-unstable' "$out/syndrome_report.txt" || {
+      echo "FAIL: report did not read the syndrome series as appears-unstable" >&2; exit 1; }
+    club=$(sed -n 's/^ *time-avg one-club size *: //p' "$out/syndrome_simulate.txt")
+    read_club=$(sed -n 's/^ *time-avg one-club size *: //p' "$out/syndrome_report.txt")
+    if [ -z "$club" ] || [ "$club" != "$read_club" ]; then
+      echo "FAIL: report read a time-avg one-club size of '$read_club' from the series; simulate printed '$club' (-t $1, interval $2)" >&2
+      exit 1
+    fi
+  done
+  middle=$(( ($(wc -l <"$out/syndrome_probe.jsonl") + 1) / 2 ))
+  sed "${middle}s/.*/{\"t\":74.9,\"n\":oops}/" "$out/syndrome_probe.jsonl" \
+    >"$out/syndrome_corrupt_row.jsonl"
+  run_line=$(grep -n -m 1 '"r":' "$out/syndrome_probe.jsonl" | cut -d: -f1)
+  [ -n "$run_line" ] || { echo "FAIL: the syndrome series has no run" >&2; exit 1; }
+  sed "${run_line}s/\"r\":[0-9]*/\"r\":0/" "$out/syndrome_probe.jsonl" \
+    >"$out/syndrome_corrupt_r.jsonl"
+  for f in syndrome_corrupt_row syndrome_corrupt_r; do
+    cmp -s "$out/syndrome_probe.jsonl" "$out/$f.jsonl" && {
+      echo "FAIL: $f.jsonl is not corrupt" >&2; exit 1; }
+    left=$(remaining)
+    status=0
+    timeout "$left" _build/default/bin/p2psim.exe report "$out/$f.jsonl" \
+      >/dev/null 2>&1 || status=$?
+    if [ "$status" -ne 2 ]; then
+      echo "FAIL: report on $f.jsonl exited $status, wanted 2" >&2
+      exit 1
+    fi
+  done
   # The stable K = 8 flash crowd, where ~100 piece sets are occupied at
   # once and the aggregate backend's uniform-peer and pair draws do the
   # work: both backends must run it to the horizon (no truncation
