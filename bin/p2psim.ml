@@ -646,24 +646,45 @@ let run_backend (r : runs) ~k ~faults ~metrics ?(effective = ignore) ?csv sim =
 (* ---- classify ---- *)
 
 let classify_cmd =
-  let run params =
+  let run (params : Params.t) =
     Format.printf "%a@." Params.pp params;
     let verdict, piece, margin = Stability.classify_detail params in
+    (* Theorem 1's witness: the fluid from the binding piece's one-club,
+       on S_{K−1} orbits, grows at Δ while the club lasts (mass ≫ |Δ|·T). *)
+    let one_club =
+      if Params.mu_over_gamma params >= 1.0 then []
+      else begin
+        let delta = Stability.delta params ~s:(Pieceset.remove piece (Params.full_set params)) in
+        let mass = 4e6 *. Float.max 1.0 (Float.abs delta) in
+        [
+          ("Delta (one-club drift, Eq. 4)", Report.fmt_float delta);
+          ( "fluid one-club slope",
+            match Sim_fluid.one_club_slope ~mass params ~piece with
+            | Some slope -> Report.fmt_float slope
+            | None -> "n/a (arrivals not invariant around the binding piece)" );
+        ]
+      end
+    in
     Report.kv
-      [
-        ("verdict (Theorem 1)", Stability.verdict_to_string verdict);
-        ("binding piece", string_of_int (piece + 1));
-        ("threshold", Report.fmt_float (Stability.threshold params ~piece));
-        ("lambda_total", Report.fmt_float (Params.lambda_total params));
-        ("margin", Report.fmt_float margin);
-        ("max stable lambda (same mix)", Report.fmt_float (Stability.stable_lambda_limit params));
-      ];
+      ([
+         ("verdict (Theorem 1)", Stability.verdict_to_string verdict);
+         ("binding piece", string_of_int (piece + 1));
+         ("threshold", Report.fmt_float (Stability.threshold params ~piece));
+         ("lambda_total", Report.fmt_float (Params.lambda_total params));
+         ("margin", Report.fmt_float margin);
+         ("max stable lambda (same mix)", Report.fmt_float (Stability.stable_lambda_limit params));
+       ]
+      @ one_club);
     Report.subsection "Delta_S for every proper subset S (Eq. 4; all < 0 iff stable)";
-    List.iter
-      (fun s ->
-        Printf.printf "  Delta_%-12s = %s\n" (Pieceset.to_string s)
-          (Report.fmt_float (Stability.delta params ~s)))
-      (Pieceset.all_proper ~k:params.k)
+    if params.k > 12 then
+      Printf.printf "  (2^%d - 1 subsets: listed up to K = 12; their maximum is Delta above)\n"
+        params.k
+    else
+      List.iter
+        (fun s ->
+          Printf.printf "  Delta_%-12s = %s\n" (Pieceset.to_string s)
+            (Report.fmt_float (Stability.delta params ~s)))
+        (Pieceset.all_proper ~k:params.k)
   in
   Cmd.v (Cmd.info "classify" ~doc:"Theorem 1 verdict for a parameter set")
     Term.(const run $ params_term)
@@ -970,8 +991,16 @@ let fluid_cmd =
         with_single_run_probe tel ~k:params.k ~horizon (fun probe ->
             Sim_fluid.run_seeded ~probe ~seed config ~horizon)
       in
+      (* Named only when the run was lumped: a 2^K run prints as it always did. *)
+      let layout () =
+        match s.layout with
+        | Sim_fluid.Types -> ()
+        | Orbits piece ->
+            Printf.printf "state layout: %d orbit masses (S_%d orbits around piece %d)\n"
+              (2 * params.k) (params.k - 1) (piece + 1)
+      in
       print_run ~effective ?csv
-        (summary ~events:s.steps ~truncated:s.truncated ~samples:s.samples
+        (summary ~events:s.steps ~truncated:s.truncated ~samples:s.samples ~detail:layout
            ([
               ("accepted steps", float_of_int s.steps);
               ("rejected steps", float_of_int s.rejected_steps);

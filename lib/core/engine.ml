@@ -141,9 +141,13 @@ let make_handle ~probe ~resume ~rng ~faults ~horizon ~max_events ~sample_every =
         {
           clock = resume.t0;
           next_sample = grid_start ~interval:sample_every ~grid_after:resume.grid_after;
+          (* A segment probes every grid point up to its end, so the probe
+             grid, whose step may differ from the sampling grid's, resumes
+             strictly after the segment's start. *)
           next_probe =
             (if probing then
-               grid_start ~interval:probe.Probe.interval ~grid_after:resume.grid_after
+               grid_start ~interval:probe.Probe.interval
+                 ~grid_after:(if resume.t0 > 0.0 then resume.t0 else -1.0)
              else 0.0);
         };
       truncated = false;

@@ -160,9 +160,10 @@ type stats = {
     The hybrid simulator chops one logical run into alternating
     stochastic and fluid segments on a single global clock.  A [resume]
     value carries the cross-segment engine state: the segment's start
-    time, where the shared sampling grid left off, and the already-
-    running fault clockwork (so outage schedules span segments and the
-    rng is only split once, at the top of the logical run). *)
+    time, where the sampling grid left off (the probe grid resumes
+    strictly after [t0]), and the already-running fault clockwork (so
+    outage schedules span segments and the rng is only split once, at
+    the top of the logical run). *)
 type resume = {
   t0 : float;  (** segment start on the global simulation clock *)
   grid_after : float;

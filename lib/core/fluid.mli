@@ -75,6 +75,66 @@ val drift_into :
     [kernel] (a fresh one when omitted; repeated callers should own one).
     @raise Invalid_argument on short vectors. *)
 
+(** {1 The S_{K−1} orbit layout}
+
+    Fix a piece [q].  When the arrival rates, the initial masses and the
+    faults are invariant under the permutations of the other [K − 1]
+    pieces, so is the solution, and its state is the [2K] orbit masses
+    [z_{a,b}] at index [a·K + b], with [a = [q ∈ C]] and
+    [b = |C ∖ {q}|]; each of the [C(K−1, b)] types of orbit [(a, b)]
+    holds [z_{a,b} / C(K−1, b)].  The right-hand side costs O(K²) and
+    never allocates anything of size [2^K]. *)
+
+type orbits
+(** Binomial tables, per-orbit arrival rates and scratch rows for one
+    [(params, q)]; not shareable between concurrent evaluations. *)
+
+val orbits : Params.t -> piece:int -> orbits
+(** @raise Invalid_argument if [piece] is outside the collection. *)
+
+val orbit_index : k:int -> piece:int -> Pieceset.t -> int
+(** The orbit [a·K + b] of a piece set around [piece]. *)
+
+val invariant : k:int -> piece:int -> (Pieceset.t * float) list -> bool
+(** Whether a list of (piece set, value) entries — duplicates summed,
+    zero values ignored — is invariant under the permutations fixing
+    [piece]: in every orbit either no set or each of its [C(K−1, b)]
+    sets carries one and the same value. *)
+
+val orbit_gammas : ?us_scale:float -> orbits -> Params.t -> float array -> n:float -> float array
+(** Eq. (1) summed over orbits, in an array the orbits own: at [i] the
+    flow by piece [q] out of orbit [i] (zero unless [q ∉ C]), at [2K + i]
+    the flow by any other piece, both summed over the orbit's types.
+    [Γ] of {!Rate.gammas} on the [2^K] state the orbit masses stand for,
+    summed the same way, agrees within its rounding bound: the peer sums
+    here take O(K²) adds of nonnegative terms.
+    @raise Invalid_argument on a short state or orbits built for another [k]. *)
+
+val orbit_drift_into :
+  orbits ->
+  Params.t ->
+  us_scale:float ->
+  abort_rate:float ->
+  loss_factor:float ->
+  float array ->
+  float array ->
+  unit
+(** {!drift_into} on orbit masses: reads the first [2K] entries of the
+    state, writes the [2K] orbit drifts and, when the output has room,
+    the same {!aug_slots} cumulative-flow rates.  Summed over each orbit,
+    the 2^K drift of the invariant state it stands for equals this one
+    within rounding.  @raise Invalid_argument on short vectors or
+    orbits built for another [k]. *)
+
+val type_density : orbits -> float array -> Pieceset.t -> float
+(** The density of one piece set: its orbit's mass over the orbit size. *)
+
+val piece_mass : orbits -> float array -> int -> float
+(** Copies of a piece, from the nonnegative parts of the orbit masses. *)
+
+val orbit_densities : orbits -> float array -> float array
+(** The [2^K] type densities an orbit state stands for (small [K] only). *)
+
 val clamp_nonnegative : float array -> unit
 (** Zero out tiny negative densities (integration round-off) in place —
     applied to {e outputs}, never mid-integration. *)

@@ -117,32 +117,51 @@ let err_norm ~control y0 y1 e =
 let eval_step ~f ~control ~t ~y ~h ~k1 =
   let n = Array.length y in
   let tmp = Array.make n 0.0 in
-  let stage c coeffs =
-    (* y + h * sum coeffs_j k_j, coeffs given as (coef, k) list *)
-    for i = 0 to n - 1 do
-      tmp.(i) <- y.(i) +. (h *. List.fold_left (fun acc (a, k) -> acc +. (a *. k.(i))) 0.0 coeffs)
-    done;
-    f (t +. (c *. h)) tmp
-  in
-  let k2 = stage c2 [ (a21, k1) ] in
-  let k3 = stage c3 [ (a31, k1); (a32, k2) ] in
-  let k4 = stage c4 [ (a41, k1); (a42, k2); (a43, k3) ] in
-  let k5 = stage c5 [ (a51, k1); (a52, k2); (a53, k3); (a54, k4) ] in
-  let k6 = stage 1.0 [ (a61, k1); (a62, k2); (a63, k3); (a64, k4); (a65, k5) ] in
-  let y1 =
-    Array.init n (fun i ->
-        y.(i)
-        +. (h
-            *. ((b1 *. k1.(i)) +. (b3 *. k3.(i)) +. (b4 *. k4.(i)) +. (b5 *. k5.(i))
-               +. (b6 *. k6.(i)))))
-  in
+  (* Each stage is y + h * Σ_j a_j k_j, summed left to right from 0.0,
+     written out as a plain loop so no element allocates. *)
+  for i = 0 to n - 1 do
+    tmp.(i) <- y.(i) +. (h *. (0.0 +. (a21 *. k1.(i))))
+  done;
+  let k2 = f (t +. (c2 *. h)) tmp in
+  for i = 0 to n - 1 do
+    tmp.(i) <- y.(i) +. (h *. (0.0 +. (a31 *. k1.(i)) +. (a32 *. k2.(i))))
+  done;
+  let k3 = f (t +. (c3 *. h)) tmp in
+  for i = 0 to n - 1 do
+    tmp.(i) <- y.(i) +. (h *. (0.0 +. (a41 *. k1.(i)) +. (a42 *. k2.(i)) +. (a43 *. k3.(i))))
+  done;
+  let k4 = f (t +. (c4 *. h)) tmp in
+  for i = 0 to n - 1 do
+    tmp.(i) <-
+      y.(i)
+      +. (h
+         *. (0.0 +. (a51 *. k1.(i)) +. (a52 *. k2.(i)) +. (a53 *. k3.(i)) +. (a54 *. k4.(i))))
+  done;
+  let k5 = f (t +. (c5 *. h)) tmp in
+  for i = 0 to n - 1 do
+    tmp.(i) <-
+      y.(i)
+      +. (h
+         *. (0.0 +. (a61 *. k1.(i)) +. (a62 *. k2.(i)) +. (a63 *. k3.(i)) +. (a64 *. k4.(i))
+            +. (a65 *. k5.(i))))
+  done;
+  let k6 = f (t +. h) tmp in
+  let y1 = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    y1.(i) <-
+      y.(i)
+      +. (h
+          *. ((b1 *. k1.(i)) +. (b3 *. k3.(i)) +. (b4 *. k4.(i)) +. (b5 *. k5.(i))
+             +. (b6 *. k6.(i))))
+  done;
   let k7 = f (t +. h) y1 in
-  let e =
-    Array.init n (fun i ->
-        h
-        *. ((e1 *. k1.(i)) +. (e3 *. k3.(i)) +. (e4 *. k4.(i)) +. (e5 *. k5.(i)) +. (e6 *. k6.(i))
-           +. (e7 *. k7.(i))))
-  in
+  let e = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    e.(i) <-
+      h
+      *. ((e1 *. k1.(i)) +. (e3 *. k3.(i)) +. (e4 *. k4.(i)) +. (e5 *. k5.(i)) +. (e6 *. k6.(i))
+         +. (e7 *. k7.(i)))
+  done;
   let err = err_norm ~control y y1 e in
   (k2, k3, k4, k5, k6, y1, k7, err)
 

@@ -11,7 +11,10 @@ type config = {
 let default_config params =
   { params; initial = []; faults = Faults.none; control = Ode.default_control }
 
+type layout = Types | Orbits of int
+
 type stats = {
+  layout : layout;
   final_time : float;
   steps : int;
   rejected_steps : int;
@@ -31,15 +34,32 @@ type stats = {
   samples : (float * int) array;
 }
 
-let initial_vector (p : Params.t) initial =
-  let d = Fluid.dim p in
+(* Faults act on every piece alike, so invariance is a property of the
+   arrival rates and the initial masses: the first piece both fix. *)
+let layout (config : config) =
+  let p = config.params in
+  let arrivals = Array.to_list p.arrivals in
+  let fits piece =
+    Fluid.invariant ~k:p.k ~piece arrivals && Fluid.invariant ~k:p.k ~piece config.initial
+  in
+  match List.find_opt fits (List.init p.k Fun.id) with
+  | Some piece -> Orbits piece
+  | None -> Types
+
+let dense_max_k = 16
+
+(* The starting state in [d] densities plus the augmented tail; [slot]
+   maps a piece set to its density. *)
+let initial_vector (p : Params.t) ~d ~slot initial =
   let x = Array.make (d + Fluid.aug_slots) 0.0 in
+  let full = Params.full_set p in
   List.iter
     (fun (set, mass) ->
       if not (Float.is_finite mass) || mass < 0.0 then
         invalid_arg "Sim_fluid: initial masses must be finite nonnegative";
-      let i = Pieceset.to_index set in
-      if i >= d then invalid_arg "Sim_fluid: initial piece set outside the collection";
+      if not (Pieceset.subset set full) then
+        invalid_arg "Sim_fluid: initial piece set outside the collection";
+      let i = slot set in
       x.(i) <- x.(i) +. mass)
     initial;
   x
@@ -48,14 +68,18 @@ let round_nonneg v = if v <= 0.0 then 0 else int_of_float (Float.round v)
 
 let run ?probe ?sample_every ?resume ?until ?init ?max_steps ~rng config ~horizon =
   let p = config.params in
-  let d = Fluid.dim p in
+  let layout = match init with Some _ -> Types | None -> layout config in
+  let orbits = match layout with Orbits piece -> Some (Fluid.orbits p ~piece) | Types -> None in
+  let d = match orbits with Some _ -> 2 * p.k | None -> Fluid.dim p in
   let control =
     match max_steps with None -> config.control | Some max_steps -> { config.control with max_steps }
   in
   let y0 =
-    match init with
-    | None -> initial_vector p config.initial
-    | Some densities ->
+    match (init, layout) with
+    | None, Types -> initial_vector p ~d ~slot:Pieceset.to_index config.initial
+    | None, Orbits piece ->
+        initial_vector p ~d ~slot:(Fluid.orbit_index ~k:p.k ~piece) config.initial
+    | Some densities, _ ->
         if Array.length densities <> d then invalid_arg "Sim_fluid: init has wrong size";
         let x = Array.make (d + Fluid.aug_slots) 0.0 in
         Array.blit densities 0 x 0 d;
@@ -67,11 +91,14 @@ let run ?probe ?sample_every ?resume ?until ?init ?max_steps ~rng config ~horizo
     Engine.drive_continuous ?probe ?sample_every ?resume ~name:"sim_fluid" ~rng
       ~faults:config.faults ~horizon (fun h ->
         let frun = Engine.faults h in
-        let kernel = Rate.kernel ~k:p.k in
+        let drift =
+          match orbits with
+          | Some o -> Fluid.orbit_drift_into o p ~abort_rate ~loss_factor
+          | None -> Fluid.drift_into p ~kernel:(Rate.kernel ~k:p.k) ~abort_rate ~loss_factor
+        in
         let rhs _t y =
           let dy = Array.make (d + Fluid.aug_slots) 0.0 in
-          let us_scale = if Faults.seed_up frun then 1.0 else 0.0 in
-          Fluid.drift_into p ~kernel ~us_scale ~abort_rate ~loss_factor y dy;
+          drift ~us_scale:(if Faults.seed_up frun then 1.0 else 0.0) y dy;
           dy
         in
         let session =
@@ -101,14 +128,19 @@ let run ?probe ?sample_every ?resume ?until ?init ?max_steps ~rng config ~horizo
         in
         let c_probe_sample ~time =
           let y = live () in
-          let count_of set = round_nonneg y.(Pieceset.to_index set) in
-          let piece_counts =
-            Array.init p.k (fun piece ->
-                let acc = ref 0.0 in
-                for c = 0 to d - 1 do
-                  if c land (1 lsl piece) <> 0 then acc := !acc +. Float.max 0.0 y.(c)
-                done;
-                round_nonneg !acc)
+          let count_of, piece_counts =
+            match orbits with
+            | Some o ->
+                ( (fun set -> round_nonneg (Fluid.type_density o y set)),
+                  Array.init p.k (fun piece -> round_nonneg (Fluid.piece_mass o y piece)) )
+            | None ->
+                ( (fun set -> round_nonneg y.(Pieceset.to_index set)),
+                  Array.init p.k (fun piece ->
+                      let acc = ref 0.0 in
+                      for c = 0 to d - 1 do
+                        if c land (1 lsl piece) <> 0 then acc := !acc +. Float.max 0.0 y.(c)
+                      done;
+                      round_nonneg !acc) )
           in
           Probe.sample ~time ~k:p.k ~n:(round_nonneg (pop ())) ~count_of ~piece_counts
         in
@@ -157,6 +189,7 @@ let run ?probe ?sample_every ?resume ?until ?init ?max_steps ~rng config ~horizo
   Fluid.clamp_nonnegative final_state;
   let stats =
     {
+      layout;
       final_time = common.Engine.final_time;
       steps = Ode.steps session;
       rejected_steps = Ode.rejected session;
@@ -176,8 +209,35 @@ let run ?probe ?sample_every ?resume ?until ?init ?max_steps ~rng config ~horizo
       samples = common.Engine.samples;
     }
   in
-  (stats, final_state)
+  let densities =
+    match orbits with
+    | None -> final_state
+    | Some o -> if p.k <= dense_max_k then Fluid.orbit_densities o final_state else [||]
+  in
+  (stats, densities)
 
 let run_seeded ?probe ?sample_every ?resume ?until ?init ?max_steps ~seed config ~horizon =
   let rng = P2p_prng.Rng.of_seed seed in
   run ?probe ?sample_every ?resume ?until ?init ?max_steps ~rng config ~horizon
+
+(* One orbit session, read at T/2 and carried on to T. *)
+let one_club_slope ?(horizon = 400.0) ~mass (p : Params.t) ~piece =
+  if not (Fluid.invariant ~k:p.k ~piece (Array.to_list p.arrivals)) then None
+  else begin
+    let o = Fluid.orbits p ~piece and d = 2 * p.k in
+    let y0 = Array.make d 0.0 in
+    y0.(Fluid.orbit_index ~k:p.k ~piece (Pieceset.remove piece (Params.full_set p))) <- mass;
+    let f _t z =
+      let dz = Array.make d 0.0 in
+      Fluid.orbit_drift_into o p ~us_scale:1.0 ~abort_rate:0.0 ~loss_factor:1.0 z dz;
+      dz
+    in
+    let session = Ode.session ~control:(Ode.control ~rtol:1e-10 ~atol:1e-6 ()) ~f ~t0:0.0 ~y0 () in
+    let n_at t =
+      ignore (Ode.advance session ~to_:t);
+      Array.fold_left (fun acc v -> acc +. Float.max 0.0 v) 0.0 (Ode.state session)
+    in
+    let half = horizon /. 2.0 in
+    let n_half = n_at half in
+    Some ((n_at horizon -. n_half) /. half)
+  end

@@ -16,6 +16,14 @@
     does not change the steps taken (worst relative error in N ~4e-6 at
     the default rtol 1e-6 on the million-peer K = 8 crowd).
 
+    {b Two state layouts, one driver.}  When the arrival rates and the
+    initial masses are invariant under the permutations of all pieces
+    but one, the run integrates the [2K] S_{K−1} orbit masses
+    ({!Fluid.orbit_drift_into}, O(K²) per evaluation, nothing of size
+    [2^K] at any [K <= 62]) instead of the [2^K] type densities; probes
+    read a type's density and a piece's copies off the orbits.  Every
+    other input, and an explicit [init], runs on the types.
+
     {b Faults as drift.}  Seed outages are still the engine's
     alternating-renewal clockwork (stochastic, from the dedicated fault
     stream), but between toggles they act on the ODE as a time-varying
@@ -48,7 +56,23 @@ type config = {
 val default_config : Params.t -> config
 (** Empty swarm, no faults, {!Ode.default_control}. *)
 
+(** The state a run integrates: the [2^K] type densities, or the [2K]
+    S_{K−1} orbit masses around a distinguished piece ({!Fluid.orbits}). *)
+type layout = Types | Orbits of int
+
+val layout : config -> layout
+(** The layout a run of [config] without [init] takes: [Orbits q] for
+    the first piece [q] such that the arrival rates and the initial
+    masses are invariant under the permutations of the other pieces
+    (faults always are; a fully symmetric input picks piece 0), else
+    [Types].  An input that is not invariant is never lumped. *)
+
+val dense_max_k : int
+(** Up to this [K] an orbit run returns its final state as [2^K] type
+    densities, like a [Types] run; above it, as the empty array. *)
+
 type stats = {
+  layout : layout;  (** the state layout that ran *)
   final_time : float;
   steps : int;  (** accepted integration steps *)
   rejected_steps : int;
@@ -81,8 +105,10 @@ val run :
   stats * float array
 (** Integrate on [[resume.t0 | 0], horizon]; returns statistics and the
     final density vector (length [Fluid.dim params], clamped
-    nonnegative).  [init] overrides [config.initial] with a raw density
-    vector (the hybrid handoff path).  [until], checked after every
+    nonnegative; empty for an orbit run above {!dense_max_k}).  The
+    layout is {!layout}[ config]; [init] overrides [config.initial] with
+    a raw density vector (the hybrid handoff path) and always runs
+    [Types].  [until], checked after every
     accepted step, stops the run at the deterministically-bisected
     crossing time (the hybrid's downward handoff).  [max_steps]
     overrides the control's step budget.
@@ -100,3 +126,14 @@ val run_seeded :
   config ->
   horizon:float ->
   stats * float array
+
+val one_club_slope : ?horizon:float -> mass:float -> Params.t -> piece:int -> float option
+(** Theorem 1's witness in the fluid: the growth rate
+    [(N(T) − N(T/2)) / (T/2)] of the run from [mass] on [F ∖ {piece}]
+    (the one-club of [piece]) over [[0, T]], [T = horizon] (default 400),
+    at rtol 1e-10, in one orbit session read at [T/2] and carried on
+    to [T].  While the club lasts it is Eq. (4)'s
+    [Δ_{F∖{piece}}] on both sides of the boundary, so [mass] should
+    exceed [|Δ|·T] many times over.  [None] when the arrival rates are
+    not invariant around [piece], so the run would need the [2^K]
+    types. *)

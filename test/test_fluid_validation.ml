@@ -197,6 +197,38 @@ let test_hybrid_samples_monotone () =
     Alcotest.(check bool) "strictly increasing grid" true (times.(i) > times.(i - 1))
   done
 
+(* A probe step finer than the sampling grid's (0.1 against 0.25): each
+   resumed segment continues the probe grid after the previous segment's
+   end, so through handoffs both ways every probe grid point is sampled
+   once and in order, and the probed run is the unprobed one. *)
+let test_hybrid_fine_probe_grid () =
+  let horizon = 50.0 and interval = 0.1 in
+  let times = ref [] in
+  let probe =
+    P2p_obs.Probe.make ~interval ~on_sample:(fun s -> times := s.P2p_obs.Probe.time :: !times) ()
+  in
+  let probed, xp = Sim_hybrid.run_seeded ~probe ~seed:7 (hybrid_config ()) ~horizon in
+  let plain, x = Sim_hybrid.run_seeded ~seed:7 (hybrid_config ()) ~horizon in
+  let dirs = List.map (fun (s : Sim_hybrid.switch) -> s.to_fluid) probed.Sim_hybrid.switches in
+  Alcotest.(check bool) "hands off to the fluid" true (List.mem true dirs);
+  Alcotest.(check bool) "hands back to the CTMC" true (List.mem false dirs);
+  let times = Array.of_list (List.rev !times) in
+  (* 0, 0.1, …, 49.9: the grid accumulates its step, so its point at 50
+     lands a few ulps past the horizon, as in an unsegmented run. *)
+  Alcotest.(check int) "one probe per grid point" 500 (Array.length times);
+  Array.iteri
+    (fun i t ->
+      if Float.abs (t -. (float_of_int i *. interval)) > 1e-9 then
+        Alcotest.failf "probe %d at %.17g, off the grid point %g" i t (float_of_int i *. interval))
+    times;
+  Alcotest.(check bool) "switches" true (probed.switches = plain.switches);
+  Alcotest.(check bool) "samples" true (probed.samples = plain.samples);
+  Alcotest.(check int) "events" plain.events probed.events;
+  Alcotest.(check int) "max N" plain.max_n probed.max_n;
+  Alcotest.(check int64) "time-avg N bits" (Int64.bits_of_float plain.time_avg_n)
+    (Int64.bits_of_float probed.time_avg_n);
+  Alcotest.(check bool) "final state" true (x = xp)
+
 let test_hybrid_one_sample_per_grid_point () =
   (* Fluid segments read grid points from the dense output and record
      only those before their [until] crossing from the crossing step:
@@ -272,6 +304,7 @@ let () =
           Alcotest.test_case "monotone sample grid" `Quick test_hybrid_samples_monotone;
           Alcotest.test_case "one sample per grid point" `Quick
             test_hybrid_one_sample_per_grid_point;
+          Alcotest.test_case "fine probe grid across handoffs" `Quick test_hybrid_fine_probe_grid;
           Alcotest.test_case "markov until/resume" `Quick test_markov_until_and_resume;
         ] );
     ]

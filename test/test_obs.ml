@@ -592,16 +592,26 @@ let test_series_roundtrip_regimes () =
   in
   let rows = check_roundtrip "flash crowd" flash in
   Alcotest.(check int) "flash crowd: no repeats" (Series.count flash) (List.length rows);
+  (* The fluid run on its orbit layout, and from the same start as
+     explicit densities on the 2^K types. *)
   let fluid_params = Scenario.flash_crowd ~k:3 ~lambda:5.0 ~us:1.0 ~mu:1.0 ~gamma:2.0 in
-  let fluid =
-    probed_series ~k:3 ~interval:0.5 ~horizon:100.0 (fun probe ->
-        let config =
-          { (Sim_fluid.default_config fluid_params) with initial = [ (Pieceset.empty, 1000.0) ] }
-        in
-        ignore (Sim_fluid.run_seeded ~probe ~seed:1 config ~horizon:100.0))
-  in
-  let rows = check_roundtrip "fluid" fluid in
-  Alcotest.(check bool) "fluid: has runs" true (List.length rows < Series.count fluid);
+  let fluid_init = Array.init 8 (fun c -> if c = 0 then 1000.0 else 0.0) in
+  List.iter
+    (fun (layout, init) ->
+      let fluid =
+        probed_series ~k:3 ~interval:0.5 ~horizon:100.0 (fun probe ->
+            let config =
+              {
+                (Sim_fluid.default_config fluid_params) with
+                initial = [ (Pieceset.empty, 1000.0) ];
+              }
+            in
+            ignore (Sim_fluid.run_seeded ~probe ?init ~seed:1 config ~horizon:100.0))
+      in
+      let rows = check_roundtrip ("fluid, " ^ layout) fluid in
+      Alcotest.(check bool) ("fluid, " ^ layout ^ ": has runs") true
+        (List.length rows < Series.count fluid))
+    [ ("orbits", None); ("2^K", Some fluid_init) ];
   let switches = ref [] in
   let hybrid =
     probed_series ~k:2 ~interval:0.25 ~horizon:50.0 (fun probe ->
@@ -616,6 +626,20 @@ let test_series_roundtrip_regimes () =
         in
         switches := List.map (fun (w : Sim_hybrid.switch) -> w.at) s.Sim_hybrid.switches)
   in
+  (* A probe step finer than the sampling grid's: the probe grid, not the
+     sampling grid, is where each resumed segment carries on. *)
+  let fine =
+    probed_series ~k:2 ~interval:0.1 ~horizon:50.0 (fun probe ->
+        let markov =
+          Sim_markov.default_config
+            (Scenario.flash_crowd ~k:2 ~lambda:40.0 ~us:50.0 ~mu:1.0 ~gamma:infinity)
+        in
+        ignore
+          (Sim_hybrid.run_seeded ~probe ~seed:7
+             (Sim_hybrid.default_config ~up:95 ~down:80 markov)
+             ~horizon:50.0))
+  in
+  ignore (check_roundtrip "hybrid, probe step 0.1" fine);
   let rows = check_roundtrip "hybrid" hybrid in
   Alcotest.(check bool) "hybrid: handed off" true (List.length !switches >= 2);
   Alcotest.(check bool) "hybrid: has runs" true (List.length rows < Series.count hybrid);

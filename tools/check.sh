@@ -126,6 +126,28 @@ for f in trace.json flight.json; do
   esac
 done
 
+# Theorem 1 in the fluid at K = 50.  From the one-club of piece 50 the
+# run must take the S_49 orbit layout (100 masses, never 2^50 densities),
+# finish within a fixed 10 s, and grow at Eq. (4)'s Delta within 1%:
+# both the slope `fluid` prints and the one `classify` prints beside
+# Delta.
+club=$(seq -s, 1 49)
+SYNDROME50="-k 50 --us 0.3 --mu 2 --gamma inf -a none=2"
+timeout 10 _build/default/bin/p2psim.exe fluid $SYNDROME50 --init "$club=1e6" -t 400 \
+  >"$chrome/k50_fluid.txt" || {
+  echo "FAIL: the K = 50 one-club fluid run did not finish within 10 s" >&2; exit 1; }
+grep -q '^state layout: 100 orbit masses' "$chrome/k50_fluid.txt" || {
+  echo "FAIL: the K = 50 one-club fluid run did not take the orbit layout" >&2; exit 1; }
+timeout 10 _build/default/bin/p2psim.exe classify $SYNDROME50 >"$chrome/k50_classify.txt" || {
+  echo "FAIL: classify at K = 50 did not finish within 10 s" >&2; exit 1; }
+delta=$(sed -n 's/^ *Delta (one-club drift, Eq. 4) *: //p' "$chrome/k50_classify.txt")
+for slope in "$(sed -n 's/^empirical verdict: .*(growth \(.*\)\/t)$/\1/p' "$chrome/k50_fluid.txt")" \
+             "$(sed -n 's/^ *fluid one-club slope *: //p' "$chrome/k50_classify.txt")"; do
+  awk -v s="$slope" -v d="$delta" \
+    'BEGIN { exit !(d > 0 && s - d <= 0.01 * d && d - s <= 0.01 * d) }' || {
+    echo "FAIL: K = 50 one-club slope '$slope' is not within 1% of Delta '$delta'" >&2; exit 1; }
+done
+
 # Optional bench smoke: CHECK_BENCH=1 also runs the quick perf baseline
 # (bench-json-quick) and a traced single run, proving the telemetry
 # plumbing end to end.  Artifacts — including BENCH_smoke.json, which is
@@ -250,6 +272,8 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
     --arrive none=100 --init none=1e6 -t 100 \
     --metrics-out "$out/fluid_probe.jsonl" >"$out/fluid.txt" || {
     echo "FAIL: million-peer fluid run exited non-zero" >&2; exit 1; }
+  grep -q '^state layout: 16 orbit masses' "$out/fluid.txt" || {
+    echo "FAIL: the symmetric million-peer fluid run did not take the orbit layout" >&2; exit 1; }
   left=$(remaining)
   timeout "$left" _build/default/bin/p2psim.exe report "$out/fluid_probe.jsonl" >/dev/null || {
     echo "FAIL: p2psim report on fluid probes exited non-zero" >&2; exit 1; }
@@ -266,6 +290,24 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
   dense_steps=$(grep 'accepted steps' "$out/fluid_dense.txt")
   if [ -z "$steps" ] || [ "$steps" != "$dense_steps" ]; then
     echo "FAIL: probing at 0.05 changed the fluid run's steps ($steps vs $dense_steps)" >&2
+    exit 1
+  fi
+  # The same on the 2^K layout: a stream of {1,2} arrivals breaks the
+  # S_7 symmetry, so these runs integrate all 256 type densities.
+  for interval in 0.5 0.05; do
+    left=$(remaining)
+    timeout "$left" _build/default/bin/p2psim.exe fluid -k 8 --us 1 --gamma 2 \
+      --arrive none=100 --arrive 1,2=1 --init none=1e6 -t 100 --probe-interval "$interval" \
+      --metrics-out "$out/fluid_types_$interval.jsonl" >"$out/fluid_types_$interval.txt" || {
+      echo "FAIL: 2^K million-peer fluid run (probe step $interval) exited non-zero" >&2; exit 1; }
+    if grep -q '^state layout:' "$out/fluid_types_$interval.txt"; then
+      echo "FAIL: a fluid run with {1,2} arrivals took the orbit layout" >&2; exit 1
+    fi
+  done
+  steps=$(grep 'accepted steps' "$out/fluid_types_0.5.txt")
+  dense_steps=$(grep 'accepted steps' "$out/fluid_types_0.05.txt")
+  if [ -z "$steps" ] || [ "$steps" != "$dense_steps" ]; then
+    echo "FAIL: probing at 0.05 changed the 2^K fluid run's steps ($steps vs $dense_steps)" >&2
     exit 1
   fi
   left=$(remaining)
