@@ -38,6 +38,34 @@ let test_too_few_samples () =
        false
      with Invalid_argument _ -> true)
 
+(* Every field of two fits pinned bit for bit, on an odd-length noisy
+   line (its halves differ in length) and on the recurrent trace above:
+   the fit's summation order is part of the result. *)
+let test_fit_bits_pinned () =
+  let bits (r : Classify.result) =
+    ( Int64.bits_of_float r.growth_rate,
+      Int64.bits_of_float r.growth_t_stat,
+      Int64.bits_of_float r.early_scale,
+      Int64.bits_of_float r.mean_n,
+      (r.late_minimum, r.final_n, Classify.verdict_to_string r.verdict) )
+  in
+  let show (a, b, c, d, (e, f, g)) = Printf.sprintf "%LdL %LdL %LdL %LdL %d %d %s" a b c d e f g in
+  let noisy = Classify.of_samples (linear_trace ~n:401 ~slope:0.7 ~noise:5.0 ~seed:9) in
+  let recurrent =
+    Classify.of_samples
+      (Array.init 333 (fun i ->
+           let t = 0.25 *. float_of_int i in
+           (t, int_of_float (50.0 *. Float.abs (sin (t /. 7.0))))))
+  in
+  Alcotest.(check string) "noisy line"
+    "4604436347762561579L 4637506250785364731L 4635954790919380664L 4639815792300044666L \
+     228 306 appears-unstable"
+    (show (bits noisy));
+  Alcotest.(check string) "recurrent trace"
+    "4602314639689860176L 4617431012927655260L 4629786894188750873L 4629716477070676202L \
+     0 32 appears-stable"
+    (show (bits recurrent))
+
 let test_run_end_to_end () =
   let stable = Scenario.flash_crowd ~k:2 ~lambda:0.5 ~us:1.0 ~mu:1.0 ~gamma:2.0 in
   let r = Classify.run ~horizon:1500.0 ~seed:3 stable in
@@ -68,6 +96,7 @@ let () =
           Alcotest.test_case "flat noise" `Quick test_flat_noise_stable;
           Alcotest.test_case "oscillating recurrent" `Quick test_returning_process_stable;
           Alcotest.test_case "too few samples" `Quick test_too_few_samples;
+          Alcotest.test_case "fit bits pinned" `Quick test_fit_bits_pinned;
           Alcotest.test_case "end to end" `Quick test_run_end_to_end;
           Alcotest.test_case "majority" `Quick test_majority_votes;
           Alcotest.test_case "initial state" `Quick test_initial_state_respected;
