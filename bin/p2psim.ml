@@ -1455,16 +1455,16 @@ let report_cmd =
                    (--flight-recorder; the .json Chrome form is for chrome://tracing, not this \
                    command), or a detector timeline (--alerts-out).")
   in
-  let render_monitor_replay (samples : Probe.sample array) =
+  (* One line per alert, unflushed, in the detector's own format. *)
+  let print_alert a = Printf.printf "  %s\n" (Format.asprintf "%a" Monitor.pp_alert a) in
+  let render_monitor_replay m =
     Report.subsection "online detector replay (missing piece syndrome)";
-    if Array.length samples = 0 then print_endline "no samples to replay"
-    else begin
-      let m = Monitor.create () in
-      Array.iter (observe_sample m) samples;
+    if Monitor.samples_seen m = 0 then print_string "no samples to replay\n"
+    else
       match Monitor.alerts m with
-      | [] -> print_endline "detector quiet over the whole series"
+      | [] -> print_string "detector quiet over the whole series\n"
       | alerts ->
-          List.iter (fun a -> Format.printf "  %a@." Monitor.pp_alert a) alerts;
+          List.iter print_alert alerts;
           Report.table
             ~header:[ "episode entered"; "exited" ]
             (List.map
@@ -1476,7 +1476,6 @@ let report_cmd =
                    | None -> "open at end of series");
                  ])
                (Monitor.episodes m))
-    end
   in
   let render_hists file =
     match Hist.read_group_file file with
@@ -1527,15 +1526,10 @@ let report_cmd =
         ("episodes", string_of_int (List.length episodes));
       ];
     List.iter
-      (fun a ->
-        let f k = Option.bind (Json.member k a) Json.to_float_opt in
-        let i k = Option.bind (Json.member k a) Json.to_int_opt in
-        match (f "t", i "one_club", i "rarest_piece", i "rarest_count", f "slope", f "t_stat") with
-        | Some t, Some club, Some piece, Some copies, Some slope, Some t_stat ->
-            Printf.printf
-              "  missing_piece_syndrome at t=%g: piece %d down to %d copies, one-club %d drifting %+g/t (t-stat %.2f)\n"
-              t piece copies club slope t_stat
-        | _ -> usage_error "malformed alert record in %s" file)
+      (fun j ->
+        match Monitor.alert_of_json j with
+        | Some a -> print_alert a
+        | None -> usage_error "malformed alert record in %s" file)
       alerts
   in
   let run file =
@@ -1563,11 +1557,20 @@ let report_cmd =
         match Series.read_file file with
         | Error msg -> usage_error "cannot read %s: %s" file msg
         | Ok s ->
-        let k = Series.k s in
-        let nsamples = Series.count s in
+        let k = Series.k s and n = Series.count s in
+        (* One pass over the stored runs feeds the growth fit's one-club
+           trace and the detector replay. *)
+        let times = Array.create_float n and clubs = Array.create_float n in
+        let m = Monitor.create () and i = ref 0 in
+        Series.iter s (fun at x ->
+            times.(!i) <- at.time;
+            clubs.(!i) <- float_of_int x.one_club;
+            incr i;
+            Monitor.observe m ~time:at.time ~one_club:x.one_club ~rarest_piece:x.rarest_piece
+              ~rarest_count:x.rarest_count);
         Report.kv
           [
-            ("samples", string_of_int nsamples);
+            ("samples", string_of_int n);
             ("pieces (K)", string_of_int k);
             ("time-avg population N", Report.fmt_float (Series.avg_n s));
             ("time-avg peer seeds", Report.fmt_float (Series.avg_seeds s));
@@ -1576,9 +1579,11 @@ let report_cmd =
           ];
         Report.subsection "per-piece scarcity (time-averaged copies in the swarm)";
         let piece_avgs = Array.init k (fun i -> Series.avg_piece s i) in
+        let avg_n = Series.avg_n s in
         let rarest = ref 0 in
         Array.iteri (fun i v -> if v < piece_avgs.(!rarest) then rarest := i) piece_avgs;
-        let avg_n = Series.avg_n s in
+        (* No time elapsed: every average is nan, and no piece is rarest. *)
+        let rarest = if Float.is_nan avg_n then -1 else !rarest in
         Report.table
           ~header:[ "piece"; "avg copies"; "copies per peer"; "" ]
           (List.init k (fun i ->
@@ -1586,28 +1591,27 @@ let report_cmd =
                  string_of_int (i + 1);
                  Report.fmt_float piece_avgs.(i);
                  (if avg_n > 0.0 then Report.fmt_float (piece_avgs.(i) /. avg_n) else "-");
-                 (if i = !rarest then "<- rarest" else "");
+                 (if i = rarest then "<- rarest" else "");
                ]));
         Report.subsection "one-club growth (the missing piece syndrome witness)";
-        let club = Series.one_club_series s in
-        if Array.length club < 16 then
-          Printf.printf "only %d samples; need at least 16 for a growth fit\n"
-            (Array.length club)
-        else begin
-          let r = Classify.of_samples club in
-          Report.kv
-            [
-              ("one-club growth rate", Report.fmt_float r.growth_rate ^ " peers/t");
-              ("growth t-statistic", Report.fmt_float r.growth_t_stat);
-              ("final one-club size", string_of_int r.final_n);
-              ("one-club verdict", Classify.verdict_to_string r.verdict);
-            ];
-          if r.verdict = Classify.Appears_unstable then
-            print_endline
-              "one-club grows linearly: the missing piece syndrome transient signature \
-               (Theorem 1, growth rate ~ Delta)"
-        end;
-        render_monitor_replay (Series.samples s)
+        (if n < 16 then Printf.printf "only %d samples; need at least 16 for a growth fit\n" n
+         else
+           match Classify.of_arrays ~times ~values:clubs with
+           | exception Invalid_argument _ ->
+               Printf.printf "the last %d samples are at one time; no growth fit\n" (n - (n / 2))
+           | r ->
+               Report.kv
+                 [
+                   ("one-club growth rate", Report.fmt_float r.growth_rate ^ " peers/t");
+                   ("growth t-statistic", Report.fmt_float r.growth_t_stat);
+                   ("final one-club size", string_of_int r.final_n);
+                   ("one-club verdict", Classify.verdict_to_string r.verdict);
+                 ];
+               if r.verdict = Classify.Appears_unstable then
+                 print_string
+                   "one-club grows linearly: the missing piece syndrome transient signature \
+                    (Theorem 1, growth rate ~ Delta)\n");
+        render_monitor_replay m
       end
     | Some other -> usage_error "%s: unknown schema %S" file other
     | None -> no_header ()

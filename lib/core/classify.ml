@@ -17,26 +17,30 @@ type result = {
   final_n : int;
 }
 
-let of_samples samples =
-  let n = Array.length samples in
+(* Every sum runs in index order from 0.0, so a trace classifies to the
+   same bits whichever entry point it comes through. *)
+let of_arrays ~times ~values =
+  let n = Array.length times in
+  if Array.length values <> n then invalid_arg "Classify.of_arrays: length mismatch";
   if n < 16 then invalid_arg "Classify.of_samples: need at least 16 samples";
-  let second_half = Array.sub samples (n / 2) (n - (n / 2)) in
-  let fit =
-    P2p_stats.Regression.fit (Array.map (fun (t, v) -> (t, float_of_int v)) second_half)
+  let half = n / 2 in
+  let fit = P2p_stats.Regression.fit_arrays ~pos:half ~len:(n - half) ~xs:times ~ys:values in
+  let late_minimum = ref max_int in
+  for i = 3 * n / 4 to n - 1 do
+    late_minimum := Int.min !late_minimum (int_of_float values.(i))
+  done;
+  let late_minimum = !late_minimum in
+  let sum_below m =
+    let s = ref 0.0 in
+    for i = 0 to m - 1 do
+      s := !s +. values.(i)
+    done;
+    !s
   in
-  let late = Array.sub samples (3 * n / 4) (n - (3 * n / 4)) in
-  let late_minimum = Array.fold_left (fun acc (_, v) -> Int.min acc v) max_int late in
-  let first_half = Array.sub samples 0 (n / 2) in
-  let early_scale =
-    Array.fold_left (fun acc (_, v) -> acc +. float_of_int v) 0.0 first_half
-    /. float_of_int (Array.length first_half)
-  in
-  let mean_n =
-    Array.fold_left (fun acc (_, v) -> acc +. float_of_int v) 0.0 samples /. float_of_int n
-  in
-  let _, final_n = samples.(n - 1) in
-  let t0, _ = samples.(0) in
-  let t1, _ = samples.(n - 1) in
+  let early_scale = sum_below half /. float_of_int half in
+  let mean_n = sum_below n /. float_of_int n in
+  let final_n = int_of_float values.(n - 1) in
+  let t0 = times.(0) and t1 = times.(n - 1) in
   let span = t1 -. t0 in
   let t_stat = P2p_stats.Regression.slope_t_statistic fit in
   (* Growth over the remaining half-horizon, relative to the scale the
@@ -60,6 +64,10 @@ let of_samples samples =
     mean_n;
     final_n;
   }
+
+let of_samples samples =
+  of_arrays ~times:(Array.map fst samples)
+    ~values:(Array.map (fun (_, v) -> float_of_int v) samples)
 
 let run ?(horizon = 2000.0) ?(policy = Policy.random_useful) ?(initial = []) ~seed params =
   let config = { Sim_markov.params; policy; initial; faults = Faults.none } in

@@ -25,7 +25,14 @@ type result = {
 
 val of_samples : (float * int) array -> result
 (** Classify a sampled [(t, N_t)] trajectory.
-    @raise Invalid_argument with fewer than 16 samples. *)
+    @raise Invalid_argument with fewer than 16 samples, or if the second
+    half of the samples is all at one time (no growth fit). *)
+
+val of_arrays : times:float array -> values:float array -> result
+(** {!of_samples} of the points [(times.(i), values.(i))], with each
+    [N_t] given as a float (an exact integer), bit for bit: fits index
+    the arrays in place.
+    @raise Invalid_argument also on unequal lengths. *)
 
 val run :
   ?horizon:float -> ?policy:Policy.t -> ?initial:(Sim_markov.Pieceset.t * int) list ->

@@ -57,11 +57,12 @@ let table ~header rows =
   let print_row row =
     let padded = row @ List.init (cols - List.length row) (fun _ -> "") in
     List.iteri (fun i cell -> Printf.printf "%-*s  " width.(i) cell) padded;
-    print_newline ()
+    print_char '\n'
   in
   print_row header;
   print_row (List.init cols (fun i -> String.make width.(i) '-'));
-  List.iter print_row rows
+  List.iter print_row rows;
+  flush stdout
 
 let kv pairs =
   let width = List.fold_left (fun acc (k, _) -> Int.max acc (String.length k)) 0 pairs in

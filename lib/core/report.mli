@@ -7,8 +7,8 @@ val banner : string -> unit
 val subsection : string -> unit
 
 val table : header:string list -> string list list -> unit
-(** Prints rows aligned to column widths. Rows shorter than the header are
-    padded. *)
+(** Prints rows aligned to column widths, then flushes stdout once. Rows
+    shorter than the header are padded. *)
 
 val kv : (string * string) list -> unit
 (** Key-value block. *)

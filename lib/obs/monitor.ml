@@ -19,11 +19,14 @@ type alert = {
 
 type t = {
   on_alert : alert -> unit;
-  (* the window oldest first, as the fit reads it; sample times increase,
-     so this is time order *)
+  (* Sample j is stored at slot j mod window and again [window] slots
+     later, so the window is always the [window] slots from (seen mod
+     window), oldest first, as the fit reads it; sample times increase,
+     so this is time order. *)
   times : float array;
   clubs : float array;
   rares : int array;
+  mutable pinned : int;  (* entries of [rares] at or under [pin_threshold] *)
   mutable seen : int;
   mutable alerts_rev : alert list;
   mutable episodes_rev : (float * float option) list;
@@ -33,9 +36,10 @@ type t = {
 let create ?(on_alert = fun _ -> ()) () =
   {
     on_alert;
-    times = Array.make window 0.0;
-    clubs = Array.make window 0.0;
+    times = Array.make (2 * window) 0.0;
+    clubs = Array.make (2 * window) 0.0;
     rares = Array.make window 0;
+    pinned = window;
     seen = 0;
     alerts_rev = [];
     episodes_rev = [];
@@ -51,13 +55,11 @@ let alerting t = t.in_episode
    of it AND the one-club drifting up with statistical significance.
    O(window) arithmetic on the window's own arrays, once per probe sample. *)
 let condition t =
-  let pinned = ref 0 in
-  for i = 0 to window - 1 do
-    if t.rares.(i) <= pin_threshold then incr pinned
-  done;
-  if float_of_int !pinned < pin_fraction *. float_of_int window then None
+  if float_of_int t.pinned < pin_fraction *. float_of_int window then None
   else
-    match Regression.fit_arrays ~xs:t.times ~ys:t.clubs with
+    match
+      Regression.fit_arrays ~pos:(t.seen mod window) ~len:window ~xs:t.times ~ys:t.clubs
+    with
     | exception Invalid_argument _ -> None (* degenerate window (repeated times) *)
     | fit ->
         let t_stat = Regression.slope_t_statistic fit in
@@ -66,12 +68,14 @@ let condition t =
         else None
 
 let observe t ~time ~one_club ~rarest_piece ~rarest_count =
-  let last = window - 1 in
-  Array.blit t.times 1 t.times 0 last;
-  Array.blit t.clubs 1 t.clubs 0 last;
-  t.times.(last) <- time;
-  t.clubs.(last) <- float_of_int one_club;
-  t.rares.(t.seen mod window) <- rarest_count;
+  let slot = t.seen mod window in
+  t.times.(slot) <- time;
+  t.times.(slot + window) <- time;
+  t.clubs.(slot) <- float_of_int one_club;
+  t.clubs.(slot + window) <- float_of_int one_club;
+  if t.rares.(slot) <= pin_threshold then t.pinned <- t.pinned - 1;
+  if rarest_count <= pin_threshold then t.pinned <- t.pinned + 1;
+  t.rares.(slot) <- rarest_count;
   t.seen <- t.seen + 1;
   if t.seen >= window && one_club >= min_one_club then (
     match condition t with
@@ -109,6 +113,20 @@ let alert_json a =
       ("slope", Json.Float a.slope);
       ("t_stat", Json.Float a.t_stat);
     ]
+
+let alert_of_json j =
+  let field key to_ = Option.bind (Json.member key j) to_ in
+  match
+    ( field "t" Json.to_float_opt,
+      field "one_club" Json.to_int_opt,
+      field "rarest_piece" Json.to_int_opt,
+      field "rarest_count" Json.to_int_opt,
+      field "slope" Json.to_float_opt,
+      field "t_stat" Json.to_float_opt )
+  with
+  | Some at, Some one_club, Some piece, Some rarest_count, Some slope, Some t_stat ->
+      Some { at; one_club; rarest_piece = piece - 1; rarest_count; slope; t_stat }
+  | _ -> None
 
 let episode_json (entered, exited) =
   Json.Obj

@@ -51,6 +51,11 @@ val alerting : t -> bool
 (** Whether the detector is currently inside an episode. *)
 
 val to_json : t -> Json.t
-(** The full detector timeline: alerts plus episodes. *)
+(** The full detector timeline: alerts plus episodes.  An alert's
+    [rarest_piece] is 1-based on the wire. *)
+
+val alert_of_json : Json.t -> alert option
+(** One alert record of {!to_json}'s ["alerts"], back to the alert; [None]
+    if a field is missing or of the wrong type. *)
 
 val pp_alert : Format.formatter -> alert -> unit

@@ -54,7 +54,11 @@ let[@inline] observe t (s : Probe.sample) ~time =
 
 let same_counts (a : Probe.sample) (b : Probe.sample) =
   a.n = b.n && a.seeds = b.seeds && a.one_club = b.one_club && a.rarest_piece = b.rarest_piece
-  && a.rarest_count = b.rarest_count && a.piece_counts = b.piece_counts
+  && a.rarest_count = b.rarest_count
+  &&
+  let i = ref (Array.length a.piece_counts - 1) in
+  while !i >= 0 && a.piece_counts.(!i) = b.piece_counts.(!i) do decr i done;
+  !i < 0
 
 let record t (s : Probe.sample) =
   if Array.length s.piece_counts <> t.k then
@@ -80,26 +84,41 @@ let close t ~time =
 
 let count t = t.count
 
-(* Runs re-expanded onto their grid, in record order. *)
+type cursor = { mutable time : float }
+
+(* Each run's first sample at its own time, then its repeats at the
+   [+.] steps [repeat] took. *)
+let iter t f =
+  let at = { time = 0.0 } in
+  List.iter
+    (fun run ->
+      at.time <- run.first.time;
+      f at run.first;
+      for _ = 1 to run.repeats do
+        at.time <- at.time +. t.clock.step;
+        f at run.first
+      done)
+    (List.rev t.rev_runs)
+
 let samples t =
   match t.rev_runs with
   | [] -> [||]
   | latest :: _ ->
       let out = Array.make t.count latest.first in
-      let i = ref t.count in
-      List.iter
-        (fun run ->
-          i := !i - run.repeats - 1;
-          out.(!i) <- run.first;
-          let time = ref run.first.time in
-          for j = 1 to run.repeats do
-            time := !time +. t.clock.step;
-            out.(!i + j) <- { run.first with time = !time }
-          done)
-        t.rev_runs;
+      let i = ref 0 in
+      iter t (fun at s ->
+          (* a run's first sample is the stored one *)
+          out.(!i) <- (if at.time = s.time then s else { s with time = at.time });
+          incr i);
       out
 
-let series_of field t = Array.map (fun (s : Probe.sample) -> (s.time, field s)) (samples t)
+let series_of field t =
+  let out = Array.make t.count (0.0, 0) and i = ref 0 in
+  iter t (fun at s ->
+      out.(!i) <- (at.time, field s);
+      incr i);
+  out
+
 let one_club_series = series_of (fun s -> s.one_club)
 let population_series = series_of (fun s -> s.n)
 
@@ -171,17 +190,25 @@ let fail msg = raise (Bad_row msg)
 let missing = per_key (fun _ -> Printf.sprintf "expected field %S")
 let not_int = per_key (fun _ -> Printf.sprintf "field %S is not an integer")
 let bad_pieces = "field \"pieces\" is not an int array of length k"
+let is_digit = function '0' .. '9' -> true | _ -> false
 let is_number_char = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
 
-(* A row's bytes, [s] over [[p, stop)], consumed left to right;
-   [repeats] is the last row's ["r"], 0 without one. *)
-type cursor = { s : string; mutable p : int; mutable stop : int; mutable repeats : int }
+(* The file's bytes [s], consumed left to right from [p]; [stop] is
+   their length.  A row never spans a newline: no literal or number
+   token of the row shape holds one, so a scan stops at the row's end
+   without looking for it first.  [repeats] is the last row's ["r"], 0
+   without one. *)
+type reader = { s : string; stop : int; mutable p : int; mutable repeats : int }
 
 let skip c lit =
   let l = String.length lit in
-  let i = ref 0 in
-  while !i < l && c.p + !i < c.stop && c.s.[c.p + !i] = lit.[!i] do incr i done;
-  !i = l && (c.p <- c.p + l; true)
+  c.p + l <= c.stop
+  && begin
+       let i = ref 0 in
+       while !i < l && String.unsafe_get c.s (c.p + !i) = String.unsafe_get lit !i do incr i done;
+       !i = l
+     end
+  && (c.p <- c.p + l; true)
 
 let expect c lit msg = if not (skip c lit) then fail msg
 
@@ -191,46 +218,67 @@ let token c =
   while c.p < c.stop && is_number_char c.s.[c.p] do c.p <- c.p + 1 done;
   String.sub c.s a (c.p - a)
 
-(* [Json]'s integer reading of the token; plain decimal digits skip the
-   substring. *)
-let int_value c err =
-  let a = c.p and v = ref 0 in
-  if a < c.stop && c.s.[a] = '-' then c.p <- a + 1;
-  let first = c.p in
-  while c.p < c.stop && c.s.[c.p] >= '0' && c.s.[c.p] <= '9' do
-    v := (10 * !v) + Char.code c.s.[c.p] - 48;
-    c.p <- c.p + 1
-  done;
-  if c.p > first && c.p - first <= 18 && not (c.p < c.stop && is_number_char c.s.[c.p]) then
-    if first > a then - !v else !v
-  else (
-    c.p <- a;
-    match int_of_string_opt (token c) with Some i -> i | None -> fail err)
+(* No plain integer: [min_int] has 19 digits, more than a plain token. *)
+let no_int = min_int
 
-(* One row, exactly as [write] prints it; a version 1 row has no ["r"]. *)
-let scan_row ~v2 ~k c =
-  let int_field i = expect c prefixes.(i) missing.(i); int_value c not_int.(i) in
-  expect c prefixes.(0) missing.(0);
-  let time =
-    if skip c "null" then nan
+(* A token of an optional '-' and 1 to 18 decimal digits, consumed and
+   read with no substring; [no_int], with nothing consumed, for any
+   other token. *)
+let plain_int c =
+  let a = c.p in
+  let first = if a < c.stop && c.s.[a] = '-' then a + 1 else a in
+  let p = ref first and v = ref 0 in
+  while !p < c.stop && is_digit (String.unsafe_get c.s !p) do
+    v := (10 * !v) + Char.code (String.unsafe_get c.s !p) - 48;
+    incr p
+  done;
+  if !p > first && !p - first <= 18 && not (!p < c.stop && is_number_char c.s.[!p]) then begin
+    c.p <- !p;
+    if first > a then - !v else !v
+  end
+  else no_int
+
+(* [Json]'s integer reading of the token. *)
+let int_value c err =
+  let v = plain_int c in
+  if v <> no_int then v
+  else match int_of_string_opt (token c) with Some i -> i | None -> fail err
+
+(* [Json]'s number reading of ["t"]: a token without '.', 'e' or 'E' is
+   tried as an integer first. *)
+let time_value c =
+  if skip c "null" then nan
+  else
+    let v = plain_int c in
+    if v <> no_int then float_of_int v
     else
       let tok = token c in
-      (* [Json] tries a token without '.', 'e' or 'E' as an integer first *)
       match
         if String.exists (function '.' | 'e' | 'E' -> true | _ -> false) tok then None
         else int_of_string_opt tok
       with
       | Some i -> float_of_int i
       | None -> (
-          match float_of_string_opt tok with
-          | Some f -> f
-          | None -> fail "missing or bad field \"t\"")
-  in
-  let n = int_field 1 in
-  let seeds = int_field 2 in
-  let one_club = int_field 3 in
-  let rarest = int_field 4 in
-  let rarest_count = int_field 5 in
+          match float_of_string tok with
+          | f -> f
+          | exception Failure _ -> fail "missing or bad field \"t\"")
+
+(* One row, exactly as [write] prints it; a version 1 row has no ["r"].
+   Each field is read inline: a local helper closing over [c] costs
+   ~80 ns a row. *)
+let scan_row ~v2 ~k c =
+  expect c prefixes.(0) missing.(0);
+  let time = time_value c in
+  expect c prefixes.(1) missing.(1);
+  let n = int_value c not_int.(1) in
+  expect c prefixes.(2) missing.(2);
+  let seeds = int_value c not_int.(2) in
+  expect c prefixes.(3) missing.(3);
+  let one_club = int_value c not_int.(3) in
+  expect c prefixes.(4) missing.(4);
+  let rarest = int_value c not_int.(4) in
+  expect c prefixes.(5) missing.(5);
+  let rarest_count = int_value c not_int.(5) in
   expect c prefixes.(6) missing.(6);
   expect c "[" bad_pieces;
   let pieces = Array.make k 0 in
@@ -245,7 +293,8 @@ let scan_row ~v2 ~k c =
     c.repeats <- int_value c not_int.(7);
     if c.repeats < 1 then fail "field \"r\" < 1"
   end;
-  if not (skip c "}" && c.p = c.stop) then fail "trailing bytes after the row";
+  if not (skip c "}" && (c.p = c.stop || c.s.[c.p] = '\n')) then
+    fail "trailing bytes after the row";
   if rarest < 1 || rarest > k then fail "field \"rarest\" out of [1, k]";
   { Probe.time; n; seeds; one_club; rarest_piece = rarest - 1; rarest_count; piece_counts = pieces }
 
@@ -255,20 +304,17 @@ let line_error lineno msg = Error (Printf.sprintf "line %d: %s" lineno msg)
    header, which closes the averages at its ["end"].  A version 1 file
    closes at its last sample and takes its first step as the grid. *)
 let read_rows s ~header_end ~v2 ~k ~interval ~end_ =
-  let n = String.length s in
-  let line_end pos = Option.value ~default:n (String.index_from_opt s pos '\n') in
   let t = create ~k ~interval in
-  let c = { s; p = 0; stop = 0; repeats = 0 } in
+  let c = { s; stop = String.length s; p = 0; repeats = 0 } in
   let rec loop lineno pos =
-    if pos >= n then Ok ()
-    else
-      let stop = line_end pos in
+    if pos >= c.stop then Ok ()
+    else begin
       c.p <- pos;
-      c.stop <- stop;
       match scan_row ~v2 ~k c with
-      | exception Bad_row _ when String.trim (String.sub s pos (stop - pos)) = "" ->
-          loop (lineno + 1) (stop + 1)
-      | exception Bad_row msg -> line_error lineno msg
+      | exception Bad_row msg ->
+          let stop = try String.index_from s pos '\n' with Not_found -> c.stop in
+          if String.trim (String.sub s pos (stop - pos)) = "" then loop (lineno + 1) (stop + 1)
+          else line_error lineno msg
       | sample when Float.of_int c.repeats > ((end_ -. sample.time) /. interval) +. 1.0 ->
           line_error lineno "field \"r\" runs past the header's \"end\""
       | sample -> (
@@ -281,7 +327,8 @@ let read_rows s ~header_end ~v2 ~k ~interval ~end_ =
               for _ = 1 to c.repeats do
                 repeat t run
               done;
-              loop (lineno + 1) (stop + 1))
+              loop (lineno + 1) (c.p + 1))
+    end
   in
   match loop 2 (header_end + 1) with
   | Error _ as e -> e

@@ -47,8 +47,22 @@ val close : t -> time:float -> unit
     [end]. *)
 
 val count : t -> int
+
+type cursor = private { mutable time : float }
+(** The time of the sample {!iter} is at.  Its one field is a float, so
+    the record is flat: reading it does not box. *)
+
+val iter : t -> (cursor -> Probe.sample -> unit) -> unit
+(** [iter t f] calls [f at s] once per recorded sample, in record order,
+    in one pass over the stored runs: [at.time] is the sample's time and
+    [s] the first sample of its run, which has the sample's counts (its
+    own [time] is the run's start).  A run's times are re-expanded by
+    the [+.] steps {!record} checked, so they are bit-identical to the
+    recorded ones.  [at] is one record, updated in place: read it during
+    the call.  Allocates nothing per sample. *)
+
 val samples : t -> Probe.sample array
-(** In record order. *)
+(** In record order: {!iter}'s samples, each with its own time. *)
 
 val one_club_series : t -> (float * int) array
 val population_series : t -> (float * int) array

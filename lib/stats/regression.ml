@@ -6,20 +6,23 @@ type fit = {
   n : int;
 }
 
-let fit_arrays ~xs ~ys =
-  let n = Array.length xs in
-  if Array.length ys <> n then invalid_arg "Regression.fit_arrays: length mismatch";
+(* The range is checked once, so the sums index it unchecked. *)
+let fit_arrays ~pos ~len ~xs ~ys =
+  let n = len in
+  if Array.length ys <> Array.length xs then invalid_arg "Regression.fit_arrays: length mismatch";
+  if pos < 0 || n < 0 || pos > Array.length xs - n then
+    invalid_arg "Regression.fit_arrays: range out of bounds";
   if n < 3 then invalid_arg "Regression.fit: need at least 3 points";
   let nf = float_of_int n in
   let sx = ref 0.0 and sy = ref 0.0 in
-  for i = 0 to n - 1 do
-    sx := !sx +. xs.(i);
-    sy := !sy +. ys.(i)
+  for i = pos to pos + n - 1 do
+    sx := !sx +. Array.unsafe_get xs i;
+    sy := !sy +. Array.unsafe_get ys i
   done;
   let mx = !sx /. nf and my = !sy /. nf in
   let sxx = ref 0.0 and sxy = ref 0.0 and syy = ref 0.0 in
-  for i = 0 to n - 1 do
-    let dx = xs.(i) -. mx and dy = ys.(i) -. my in
+  for i = pos to pos + n - 1 do
+    let dx = Array.unsafe_get xs i -. mx and dy = Array.unsafe_get ys i -. my in
     sxx := !sxx +. (dx *. dx);
     sxy := !sxy +. (dx *. dy);
     syy := !syy +. (dy *. dy)
@@ -33,7 +36,9 @@ let fit_arrays ~xs ~ys =
   let slope_stderr = sqrt (residual_var /. !sxx) in
   { slope; intercept; slope_stderr; r_squared; n }
 
-let fit points = fit_arrays ~xs:(Array.map fst points) ~ys:(Array.map snd points)
+let fit points =
+  fit_arrays ~pos:0 ~len:(Array.length points) ~xs:(Array.map fst points)
+    ~ys:(Array.map snd points)
 
 let slope_t_statistic f = if f.slope_stderr > 0.0 then f.slope /. f.slope_stderr else infinity
 

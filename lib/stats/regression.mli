@@ -14,11 +14,12 @@ type fit = {
   n : int;
 }
 
-val fit_arrays : xs:float array -> ys:float array -> fit
-(** Least-squares fit of [y = intercept + slope * x] over the points
-    [(xs.(i), ys.(i))], summed in index order; allocates only the result.
-    @raise Invalid_argument with fewer than 3 points, unequal lengths,
-    or degenerate xs. *)
+val fit_arrays : pos:int -> len:int -> xs:float array -> ys:float array -> fit
+(** Least-squares fit of [y = intercept + slope * x] over the [len]
+    points [(xs.(i), ys.(i))] from [i = pos], summed in index order;
+    allocates only the result.
+    @raise Invalid_argument with fewer than 3 points, unequal array
+    lengths, a range outside the arrays, or degenerate xs. *)
 
 val fit : (float * float) array -> fit
 (** {!fit_arrays} of the points' coordinates, in the same order. *)

@@ -1457,6 +1457,173 @@ let test_series_reads_v1 () =
               Alcotest.(check string) "report renders both alike" (read_file out1)
                 (read_file out2))))
 
+(* ---- one pass over the stored runs ---- *)
+
+(* A sample as its time's bits and its counts. *)
+let sample_bits time (x : Probe.sample) =
+  ( Int64.bits_of_float time,
+    [ x.Probe.n; x.seeds; x.one_club; x.rarest_piece; x.rarest_count ],
+    Array.to_list x.piece_counts )
+
+let iterated s =
+  let out = ref [] in
+  Series.iter s (fun (at : Series.cursor) x -> out := sample_bits at.time x :: !out);
+  List.rev !out
+
+let expanded samples =
+  List.map (fun (x : Probe.sample) -> sample_bits x.Probe.time x) (Array.to_list samples)
+
+(* [iter] yields, in order, one call per sample with its time bit for bit
+   and its counts: what [samples] re-expands and, independently, the
+   samples the probe recorded. *)
+let test_series_iter_matches_samples () =
+  let check name ?recorded s =
+    let got = iterated s in
+    Alcotest.(check int) (name ^ ": one call per sample") (Series.count s) (List.length got);
+    Alcotest.(check bool) (name ^ ": = samples") true (got = expanded (Series.samples s));
+    Option.iter
+      (fun r -> Alcotest.(check bool) (name ^ ": = the recorded samples") true (got = expanded r))
+      recorded
+  in
+  let read_back s =
+    with_temp_file (fun path ->
+        let oc = open_out_bin path in
+        Series.write s oc;
+        close_out oc;
+        match Series.read_file path with Ok s -> s | Error msg -> Alcotest.failf "read: %s" msg)
+  in
+  (* The syndrome run of [v1_fixture] and, at grid 0.05, a version 2
+     series, recorded in process. *)
+  let syndrome ~interval ~horizon =
+    let params = Scenario.flash_crowd ~k:3 ~lambda:2.0 ~us:0.3 ~mu:2.0 ~gamma:infinity in
+    let series = Series.create ~k:3 ~interval and recorded = ref [] in
+    let on_sample x = recorded := x :: !recorded; Series.record series x in
+    let probe = Probe.make ~interval ~on_sample () in
+    ignore (Sim_markov.run_seeded ~probe ~seed:1 (Sim_markov.default_config params) ~horizon);
+    Series.close series ~time:horizon;
+    (series, Array.of_list (List.rev !recorded))
+  in
+  (match Series.read_file v1_fixture with
+  | Error msg -> Alcotest.failf "read_file failed: %s" msg
+  | Ok v1 -> check "version 1 fixture" ~recorded:(snd (syndrome ~interval:0.25 ~horizon:100.0)) v1);
+  let series, recorded = syndrome ~interval:0.05 ~horizon:150.0 in
+  check "syndrome, recorded" ~recorded series;
+  check "syndrome, read back" ~recorded (read_back series);
+  (* a series whose last run has repeats *)
+  let tail = Series.create ~k:2 ~interval:0.5 in
+  let recorded =
+    Array.of_list
+      (mk_sample ~time:0.0 ~n:1 ~club:0 ~pieces:[| 0; 1 |]
+      :: List.init 4 (fun i ->
+             mk_sample ~time:(0.5 *. float_of_int (i + 1)) ~n:2 ~club:1 ~pieces:[| 1; 1 |]))
+  in
+  Array.iter (Series.record tail) recorded;
+  Series.close tail ~time:2.0;
+  check "ends in a run" ~recorded tail;
+  check "ends in a run, read back" ~recorded (read_back tail);
+  with_temp_file (fun path ->
+      let oc = open_out_bin path in
+      Series.write tail oc;
+      close_out oc;
+      Alcotest.(check bool) "the last row is a run of 3 repeats" true
+        (String.ends_with ~suffix:{|,"r":3}|} (List.nth (lines_of (read_file path)) 2)));
+  let empty = Series.create ~k:3 ~interval:1.0 in
+  check "empty" ~recorded:[||] empty;
+  check "empty, read back" ~recorded:[||] (read_back empty)
+
+(* The repeat path of [iter] is a float add and a call. *)
+let test_series_iter_alloc_free () =
+  let interval = 0.05 in
+  let s = Series.create ~k:3 ~interval in
+  let time = ref 0.0 in
+  for i = 0 to 10_000 do
+    if i > 0 then time := !time +. interval;
+    Series.record s (mk_sample ~time:!time ~n:7 ~club:5 ~pieces:[| 0; 5; 7 |])
+  done;
+  let sum = [| 0.0 |] and calls = ref 0 in
+  let f (at : Series.cursor) (x : Probe.sample) =
+    sum.(0) <- sum.(0) +. at.time;
+    calls := !calls + x.Probe.one_club
+  in
+  let before = Gc.minor_words () in
+  Series.iter s f;
+  let grown = Gc.minor_words () -. before in
+  (* one word per sample would show as >= 10k words *)
+  Alcotest.(check bool)
+    (Printf.sprintf "10k repeats allocate nothing (%g words, ceiling 32)" grown)
+    true (grown <= 32.0);
+  Alcotest.(check int) "one call per sample" (5 * 10_001) !calls;
+  let expected = ref 0.0 and time = ref 0.0 in
+  for i = 0 to 10_000 do
+    if i > 0 then time := !time +. interval;
+    expected := !expected +. !time
+  done;
+  Alcotest.(check int64) "the times, bit for bit" (Int64.bits_of_float !expected)
+    (Int64.bits_of_float sum.(0))
+
+(* [report] on series that span no time: 20 rows at t = 1 (version 1
+   and 2) and a version 2 header alone.  No growth fit is possible and
+   every average is nan, so [report] says so, exits 0 and marks no piece
+   rarest. *)
+let test_cli_report_timeless_series () =
+  let row = {|{"t":1,"n":5,"seeds":0,"club":3,"rarest":1,"rarest_n":0,"pieces":[0,3,5]}|} in
+  let rows = String.concat "" (List.init 20 (fun _ -> row ^ "\n")) in
+  let header v rest = Printf.sprintf {|{"schema":"p2p-swarm-probe","version":%d,"k":3%s}|} v rest in
+  List.iter
+    (fun (name, content, expected) ->
+      with_temp_file (fun path ->
+          with_temp_file (fun out ->
+              Out_channel.with_open_bin path (fun oc -> output_string oc content);
+              run_p2psim ~stdout:out [ "report"; path ];
+              let lines = lines_of (read_file out) in
+              List.iter
+                (fun line ->
+                  Alcotest.(check bool) (Printf.sprintf "%s: prints %S" name line) true
+                    (List.mem line lines))
+                expected;
+              Alcotest.(check bool) (name ^ ": no piece marked rarest") false
+                (List.exists
+                   (fun l ->
+                     let rec at i =
+                       i + 9 <= String.length l && (String.sub l i 9 = "<- rarest" || at (i + 1))
+                     in
+                     at 0)
+                   lines))))
+    [
+      ( "version 1, 20 rows at t = 1",
+        header 1 "" ^ "\n" ^ rows,
+        [ "the last 10 samples are at one time; no growth fit"; "detector quiet over the whole series" ] );
+      ( "version 2, 20 rows at t = 1",
+        header 2 {|,"interval":0.5,"end":1|} ^ "\n" ^ rows,
+        [ "the last 10 samples are at one time; no growth fit" ] );
+      ( "version 2 header alone",
+        header 2 {|,"interval":0.5,"end":0|} ^ "\n",
+        [ "only 0 samples; need at least 16 for a growth fit"; "no samples to replay" ] );
+    ]
+
+(* [report] prints an [--alerts-out] timeline's alerts in the detector's
+   own format: the lines equal those of the replay of the same run's
+   series. *)
+let test_cli_report_alerts_file () =
+  with_temp_file (fun series ->
+      with_temp_file (fun alerts ->
+          with_temp_file (fun out1 ->
+              with_temp_file (fun out2 ->
+                  run_p2psim
+                    [ "simulate"; "-k"; "3"; "--us"; "0.3"; "--mu"; "2"; "--gamma"; "inf"; "-a";
+                      "none=2"; "-t"; "150"; "--seed"; "1"; "--probe-interval"; "0.05";
+                      "--metrics-out"; series; "--alerts-out"; alerts ];
+                  run_p2psim ~stdout:out1 [ "report"; alerts ];
+                  run_p2psim ~stdout:out2 [ "report"; series ];
+                  let alert_lines file =
+                    List.filter
+                      (String.starts_with ~prefix:"  missing_piece_syndrome at ")
+                      (lines_of (read_file file))
+                  in
+                  Alcotest.(check int) "54 alerts" 54 (List.length (alert_lines out1));
+                  Alcotest.(check (list string)) "timeline = replay" (alert_lines out2)
+                    (alert_lines out1)))))
+
 (* [simulate --agent] with a sparse overlay or peer classes prints what
    the per-peer backend's former [overlay] and [hetero] commands printed
    for the same arguments: the figures below were recorded from them.
@@ -1715,6 +1882,8 @@ let () =
           Alcotest.test_case "roundtrip across regimes" `Quick test_series_roundtrip_regimes;
           Alcotest.test_case "repeat allocates nothing" `Quick test_series_repeat_alloc_free;
           Alcotest.test_case "reads a version 1 file" `Quick test_series_reads_v1;
+          Alcotest.test_case "iter yields the samples" `Quick test_series_iter_matches_samples;
+          Alcotest.test_case "iter allocates nothing" `Quick test_series_iter_alloc_free;
           Alcotest.test_case "first-record dispatch contract" `Quick test_first_record_contract;
         ] );
       ( "jobs-independence",
@@ -1758,6 +1927,9 @@ let () =
           Alcotest.test_case "cli trace golden" `Quick test_cli_trace_golden;
           Alcotest.test_case "cli report renders a trace" `Quick test_cli_report_renders_trace;
           Alcotest.test_case "cli series golden" `Quick test_cli_series_golden;
+          Alcotest.test_case "cli report on a series spanning no time" `Quick
+            test_cli_report_timeless_series;
+          Alcotest.test_case "cli report of an alert timeline" `Quick test_cli_report_alerts_file;
           Alcotest.test_case "cli agent overlay and classes" `Quick test_cli_agent_equivalence;
         ] );
       ( "cli",

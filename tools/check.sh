@@ -126,6 +126,24 @@ for f in trace.json flight.json; do
   esac
 done
 
+# `report` renders a probe series byte for byte as it did when the
+# golden files were made: on the version 1 fixture, and on a syndrome
+# series whose detector replay raises 54 alerts.
+left=$(remaining)
+timeout "$left" _build/default/bin/p2psim.exe simulate -k 3 --us 0.3 --mu 2 --gamma inf \
+  -a none=2 -t 150 --seed 1 --probe-interval 0.05 \
+  --metrics-out "$chrome/syndrome150.jsonl" >/dev/null || {
+  echo "FAIL: the syndrome simulate for the report golden exited non-zero" >&2; exit 1; }
+for case in "test/fixtures/probe_v1.jsonl report_probe_v1" \
+            "$chrome/syndrome150.jsonl report_syndrome150"; do
+  set -- $case
+  left=$(remaining)
+  timeout "$left" _build/default/bin/p2psim.exe report "$1" >"$chrome/$2.txt" || {
+    echo "FAIL: p2psim report $1 exited non-zero" >&2; exit 1; }
+  cmp -s "$chrome/$2.txt" "test/fixtures/$2.txt" || {
+    echo "FAIL: p2psim report $1 differs from test/fixtures/$2.txt" >&2; exit 1; }
+done
+
 # Theorem 1 in the fluid at K = 50.  From the one-club of piece 50 the
 # run must take the S_49 orbit layout (100 masses, never 2^50 densities),
 # finish within a fixed 10 s, and grow at Eq. (4)'s Delta within 1%:
