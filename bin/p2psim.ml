@@ -1596,7 +1596,7 @@ let report_cmd =
         Report.subsection "one-club growth (the missing piece syndrome witness)";
         (if n < 16 then Printf.printf "only %d samples; need at least 16 for a growth fit\n" n
          else
-           match Classify.of_arrays ~times ~values:clubs with
+           match Classify.of_points (Arrays (times, clubs)) with
            | exception Invalid_argument _ ->
                Printf.printf "the last %d samples are at one time; no growth fit\n" (n - (n / 2))
            | r ->

@@ -17,32 +17,33 @@ type result = {
   final_n : int;
 }
 
-(* Every sum runs in index order from 0.0, so a trace classifies to the
-   same bits whichever entry point it comes through. *)
-let of_arrays ~times ~values =
-  let n = Array.length times in
-  if Array.length values <> n then invalid_arg "Classify.of_arrays: length mismatch";
+module Regression = P2p_stats.Regression
+
+(* Every sum reads the points in place, in index order from 0.0. *)
+let of_points points =
+  let n = Regression.length points in
   if n < 16 then invalid_arg "Classify.of_samples: need at least 16 samples";
   let half = n / 2 in
-  let fit = P2p_stats.Regression.fit_arrays ~pos:half ~len:(n - half) ~xs:times ~ys:values in
+  let fit = Regression.fit_points points ~pos:half ~len:(n - half) in
+  let count i = int_of_float (Regression.y points i) in
   let late_minimum = ref max_int in
   for i = 3 * n / 4 to n - 1 do
-    late_minimum := Int.min !late_minimum (int_of_float values.(i))
+    late_minimum := Int.min !late_minimum (count i)
   done;
   let late_minimum = !late_minimum in
   let sum_below m =
     let s = ref 0.0 in
     for i = 0 to m - 1 do
-      s := !s +. values.(i)
+      s := !s +. Regression.y points i
     done;
     !s
   in
   let early_scale = sum_below half /. float_of_int half in
   let mean_n = sum_below n /. float_of_int n in
-  let final_n = int_of_float values.(n - 1) in
-  let t0 = times.(0) and t1 = times.(n - 1) in
+  let final_n = count (n - 1) in
+  let t0 = Regression.x points 0 and t1 = Regression.x points (n - 1) in
   let span = t1 -. t0 in
-  let t_stat = P2p_stats.Regression.slope_t_statistic fit in
+  let t_stat = Regression.slope_t_statistic fit in
   (* Growth over the remaining half-horizon, relative to the scale the
      process already reached: transience means this dominates. *)
   let projected_growth = fit.slope *. (span /. 2.0) in
@@ -65,9 +66,7 @@ let of_arrays ~times ~values =
     final_n;
   }
 
-let of_samples samples =
-  of_arrays ~times:(Array.map fst samples)
-    ~values:(Array.map (fun (_, v) -> float_of_int v) samples)
+let of_samples samples = of_points (Counts samples)
 
 let run ?(horizon = 2000.0) ?(policy = Policy.random_useful) ?(initial = []) ~seed params =
   let config = { Sim_markov.params; policy; initial; faults = Faults.none } in

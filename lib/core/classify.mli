@@ -28,11 +28,11 @@ val of_samples : (float * int) array -> result
     @raise Invalid_argument with fewer than 16 samples, or if the second
     half of the samples is all at one time (no growth fit). *)
 
-val of_arrays : times:float array -> values:float array -> result
-(** {!of_samples} of the points [(times.(i), values.(i))], with each
-    [N_t] given as a float (an exact integer), bit for bit: fits index
-    the arrays in place.
-    @raise Invalid_argument also on unequal lengths. *)
+val of_points : P2p_stats.Regression.points -> result
+(** {!of_samples} of any points [(t, N_t)], read in place: the same
+    sums in the same order, so the same bits for the same points.
+    [of_samples samples] is [of_points (Counts samples)].
+    @raise Invalid_argument also on arrays of unequal lengths. *)
 
 val run :
   ?horizon:float -> ?policy:Policy.t -> ?initial:(Sim_markov.Pieceset.t * int) list ->

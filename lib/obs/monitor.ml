@@ -25,6 +25,7 @@ type t = {
      so this is time order. *)
   times : float array;
   clubs : float array;
+  window_points : Regression.points;  (* times against clubs *)
   rares : int array;
   mutable pinned : int;  (* entries of [rares] at or under [pin_threshold] *)
   mutable seen : int;
@@ -34,10 +35,12 @@ type t = {
 }
 
 let create ?(on_alert = fun _ -> ()) () =
+  let times = Array.make (2 * window) 0.0 and clubs = Array.make (2 * window) 0.0 in
   {
     on_alert;
-    times = Array.make (2 * window) 0.0;
-    clubs = Array.make (2 * window) 0.0;
+    times;
+    clubs;
+    window_points = Regression.Arrays (times, clubs);
     rares = Array.make window 0;
     pinned = window;
     seen = 0;
@@ -57,9 +60,7 @@ let alerting t = t.in_episode
 let condition t =
   if float_of_int t.pinned < pin_fraction *. float_of_int window then None
   else
-    match
-      Regression.fit_arrays ~pos:(t.seen mod window) ~len:window ~xs:t.times ~ys:t.clubs
-    with
+    match Regression.fit_points t.window_points ~pos:(t.seen mod window) ~len:window with
     | exception Invalid_argument _ -> None (* degenerate window (repeated times) *)
     | fit ->
         let t_stat = Regression.slope_t_statistic fit in

@@ -14,15 +14,27 @@ type fit = {
   n : int;
 }
 
-val fit_arrays : pos:int -> len:int -> xs:float array -> ys:float array -> fit
+(** Points [(x, y)] by index, read in place. *)
+type points =
+  | Arrays of float array * float array  (** [(xs.(i), ys.(i))] *)
+  | Counts of (float * int) array  (** sampled [(t, N_t)]: an integer y *)
+
+val length : points -> int
+(** @raise Invalid_argument if the two arrays differ in length. *)
+
+val x : points -> int -> float
+val y : points -> int -> float
+(** The coordinates of point [i]. *)
+
+val fit_points : points -> pos:int -> len:int -> fit
 (** Least-squares fit of [y = intercept + slope * x] over the [len]
-    points [(xs.(i), ys.(i))] from [i = pos], summed in index order;
-    allocates only the result.
-    @raise Invalid_argument with fewer than 3 points, unequal array
-    lengths, a range outside the arrays, or degenerate xs. *)
+    points from index [pos], summed in index order; allocates only the
+    result.
+    @raise Invalid_argument with fewer than 3 points, a range outside
+    the points, arrays of unequal lengths, or degenerate xs. *)
 
 val fit : (float * float) array -> fit
-(** {!fit_arrays} of the points' coordinates, in the same order. *)
+(** {!fit_points} of all the points' coordinates, in the same order. *)
 
 val slope_t_statistic : fit -> float
 (** [slope / slope_stderr]; large positive values reject "no growth". *)

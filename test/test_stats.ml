@@ -256,6 +256,39 @@ let test_regression_too_few () =
        false
      with Invalid_argument _ -> true)
 
+(* One set of points in both layouts fits to the same bits, over any
+   range; a range outside the points and arrays of unequal lengths are
+   rejected. *)
+let test_regression_layouts () =
+  let rng = P2p_prng.Rng.of_seed 6 in
+  let counts =
+    Array.init 301 (fun i ->
+        (0.05 *. float_of_int i, 20 + i + int_of_float (5.0 *. P2p_prng.Dist.standard_normal rng)))
+  in
+  let arrays =
+    Regression.Arrays (Array.map fst counts, Array.map (fun (_, v) -> float_of_int v) counts)
+  in
+  let bits (f : Regression.fit) =
+    List.map Int64.bits_of_float [ f.slope; f.intercept; f.slope_stderr; f.r_squared ]
+  in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.(check (list int64))
+        (Printf.sprintf "points %d..%d" pos (pos + len - 1))
+        (bits (Regression.fit_points arrays ~pos ~len))
+        (bits (Regression.fit_points (Counts counts) ~pos ~len)))
+    [ (0, 301); (150, 151); (7, 24) ];
+  Alcotest.(check (list int64)) "fit = fit_points over all the pairs"
+    (bits (Regression.fit (Array.map (fun (t, v) -> (t, float_of_int v)) counts)))
+    (bits (Regression.fit_points (Counts counts) ~pos:0 ~len:301));
+  let rejects name f =
+    Alcotest.(check bool) name true (try ignore (f ()); false with Invalid_argument _ -> true)
+  in
+  rejects "range past the end" (fun () -> Regression.fit_points arrays ~pos:290 ~len:12);
+  rejects "negative pos" (fun () -> Regression.fit_points (Counts counts) ~pos:(-1) ~len:5);
+  rejects "unequal arrays" (fun () ->
+      Regression.fit_points (Arrays (Array.make 5 0.0, Array.make 4 0.0)) ~pos:0 ~len:4)
+
 (* ---- Linalg ---- *)
 
 let test_solve_known_system () =
@@ -426,6 +459,7 @@ let () =
           Alcotest.test_case "noisy line" `Quick test_regression_noisy;
           Alcotest.test_case "flat noise" `Quick test_regression_flat_noise;
           Alcotest.test_case "too few points" `Quick test_regression_too_few;
+          Alcotest.test_case "both layouts, any range" `Quick test_regression_layouts;
         ] );
       ( "linalg",
         [
