@@ -1457,6 +1457,63 @@ let test_series_reads_v1 () =
               Alcotest.(check string) "report renders both alike" (read_file out1)
                 (read_file out2))))
 
+(* Every time average's bits, pinned on three series: the version 1
+   fixture; a version 2 syndrome series at grid 0.05, whose rarest piece
+   sits at 0 copies so most samples repeat, written and read back; and a
+   stable flash crowd with seed dwell (every signal moves) on a
+   non-dyadic grid (0.7), closed at the horizon 50, past its last sample
+   at 49.7.  The values are the ones per-signal [Timeavg]
+   accumulators gave, so a rewrite of how the averages are taken must
+   keep every bit. *)
+let test_series_averages_pinned () =
+  let check name s expected =
+    Alcotest.(check (list string)) (name ^ ": time averages bits") expected
+      (List.map (Printf.sprintf "%Lx") (bits_of_averages s))
+  in
+  let probed params ~interval ~horizon ~seed =
+    let series = Series.create ~k:3 ~interval in
+    let probe = Probe.make ~interval ~on_sample:(Series.record series) () in
+    ignore (Sim_markov.run_seeded ~probe ~seed (Sim_markov.default_config params) ~horizon);
+    Series.close series ~time:horizon;
+    series
+  in
+  (* N, seeds, one-club, rarest copies, then each piece *)
+  let version_1 =
+    [ "405506e147ae147b"; "0"; "40547cf5c28f5c29"; "0";
+      "4054b1999999999a"; "0"; "4054973333333333" ]
+  and version_2 =
+    [ "404995ddddddde22"; "0"; "4048691111111134"; "0";
+      "4048f62fc962fcc1"; "0"; "40488fae147ae162" ]
+  and closed_bits =
+    [ "403766e978d4fdf4"; "3fe5810624dd2f24"; "40318395810624df"; "3feae147ae147aec";
+      "403336c8b4395811"; "3ff020c49ba5e35a"; "4033cb4395810624" ]
+  in
+  (match Series.read_file v1_fixture with
+  | Error msg -> Alcotest.failf "read_file failed: %s" msg
+  | Ok v1 -> check "version 1 fixture" v1 version_1);
+  let repeats =
+    probed (Scenario.flash_crowd ~k:3 ~lambda:2.0 ~us:0.3 ~mu:2.0 ~gamma:infinity)
+      ~interval:0.05 ~horizon:60.0 ~seed:1
+  in
+  with_temp_file (fun path ->
+      Out_channel.with_open_bin path (fun oc -> Series.write repeats oc);
+      (* a header and fewer rows than samples: some rows are runs *)
+      Alcotest.(check bool) "version 2: rows with repeats" true
+        (List.length (lines_of (read_file path)) - 1 < Series.count repeats);
+      match Series.read_file path with
+      | Error msg -> Alcotest.failf "read_file failed: %s" msg
+      | Ok back ->
+          check "version 2, recorded" repeats version_2;
+          check "version 2, read back" back version_2);
+  let closed =
+    probed (Scenario.flash_crowd ~k:3 ~lambda:2.0 ~us:0.8 ~mu:1.0 ~gamma:2.0) ~interval:0.7
+      ~horizon:50.0 ~seed:3
+  in
+  let samples = Series.samples closed in
+  Alcotest.(check bool) "the last sample is before the close" true
+    (samples.(Array.length samples - 1).Probe.time < 50.0);
+  check "closed past its last sample" closed closed_bits
+
 (* ---- one pass over the stored runs ---- *)
 
 (* A sample as its time's bits and its counts. *)
@@ -1883,6 +1940,7 @@ let () =
           Alcotest.test_case "repeat allocates nothing" `Quick test_series_repeat_alloc_free;
           Alcotest.test_case "reads a version 1 file" `Quick test_series_reads_v1;
           Alcotest.test_case "iter yields the samples" `Quick test_series_iter_matches_samples;
+          Alcotest.test_case "time averages pinned" `Quick test_series_averages_pinned;
           Alcotest.test_case "iter allocates nothing" `Quick test_series_iter_alloc_free;
           Alcotest.test_case "first-record dispatch contract" `Quick test_first_record_contract;
         ] );
