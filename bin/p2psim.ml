@@ -452,12 +452,13 @@ let with_single_run_probe tel ~k ~horizon f =
   Option.iter
     (fun s ->
       Series.close s ~time:horizon;
+      let means = Series.means s in
       Report.kv
         [
           ("probe samples", string_of_int (Series.count s));
-          ("time-avg one-club size", Report.fmt_float (Series.avg_one_club s));
-          ("time-avg rarest-piece copies", Report.fmt_float (Series.avg_rarest_count s));
-          ("time-avg peer seeds", Report.fmt_float (Series.avg_seeds s));
+          ("time-avg one-club size", Report.fmt_float means.one_club);
+          ("time-avg rarest-piece copies", Report.fmt_float means.rarest_count);
+          ("time-avg peer seeds", Report.fmt_float means.seeds);
         ];
       match tel.metrics_out with
       | None -> ()
@@ -1568,18 +1569,18 @@ let report_cmd =
             incr i;
             Monitor.observe m ~time:at.time ~one_club:x.one_club ~rarest_piece:x.rarest_piece
               ~rarest_count:x.rarest_count);
+        let means = Series.means s in
         Report.kv
           [
             ("samples", string_of_int n);
             ("pieces (K)", string_of_int k);
-            ("time-avg population N", Report.fmt_float (Series.avg_n s));
-            ("time-avg peer seeds", Report.fmt_float (Series.avg_seeds s));
-            ("time-avg one-club size", Report.fmt_float (Series.avg_one_club s));
-            ("time-avg rarest-piece copies", Report.fmt_float (Series.avg_rarest_count s));
+            ("time-avg population N", Report.fmt_float means.n);
+            ("time-avg peer seeds", Report.fmt_float means.seeds);
+            ("time-avg one-club size", Report.fmt_float means.one_club);
+            ("time-avg rarest-piece copies", Report.fmt_float means.rarest_count);
           ];
         Report.subsection "per-piece scarcity (time-averaged copies in the swarm)";
-        let piece_avgs = Array.init k (fun i -> Series.avg_piece s i) in
-        let avg_n = Series.avg_n s in
+        let piece_avgs = means.pieces and avg_n = means.n in
         let rarest = ref 0 in
         Array.iteri (fun i v -> if v < piece_avgs.(!rarest) then rarest := i) piece_avgs;
         (* No time elapsed: every average is nan, and no piece is rarest. *)

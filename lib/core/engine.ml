@@ -3,6 +3,7 @@ module Dist = P2p_prng.Dist
 module Probe = P2p_obs.Probe
 module Profile = P2p_obs.Profile
 module Hist = P2p_obs.Hist
+module Grid = P2p_obs.Grid
 module Vec = P2p_stats.Vec
 module Timeavg = P2p_stats.Timeavg
 module Runner = P2p_runner.Runner
@@ -18,15 +19,17 @@ type counters = {
   mutable max_n : int;
 }
 
-(* The per-event clock fields live in their own float-only record, which
-   OCaml stores flat: writing them never boxes a float.  In [t] itself,
-   next to the pointer fields, each write would allocate. *)
-type times = { mutable clock : float; mutable next_sample : float; mutable next_probe : float }
+(* The clock lives in its own float-only record, which OCaml stores
+   flat: writing it never boxes a float.  In [t] itself, next to the
+   pointer fields, each write would allocate.  The grids are flat for
+   the same reason. *)
+type times = { mutable clock : float }
+
+type resume = { t0 : float; sample_grid : Grid.t; probe_grid : Grid.t; frun : Faults.run }
 
 type t = {
   probe : Probe.t;
-  frun : Faults.run;
-  start_time : float;
+  run : resume;  (* the segment's start, grids and fault run *)
   horizon : float;
   max_events : int;
   counters : counters;
@@ -35,32 +38,23 @@ type t = {
   times : times;
   mutable truncated : bool;
   mutable stop_requested : bool;
-  sample_every : float;
-  probing : bool;
 }
 
 let counters t = t.counters
-let faults t = t.frun
-let start_time t = t.start_time
+let faults t = t.run.frun
+let start_time t = t.run.t0
 let request_stop t = t.stop_requested <- true
 
-type resume = { t0 : float; grid_after : float; frun : Faults.run option }
-
-let fresh = { t0 = 0.0; grid_after = -1.0; frun = None }
-
-(* First grid point of a resumed segment: the smallest multiple of
-   [interval] strictly after [grid_after].  A fresh run ([grid_after < 0])
-   starts at exactly 0.0 — the same constant the pre-resume engine used,
-   preserving bit-identity of all existing sample grids. *)
-let grid_start ~interval ~grid_after =
-  if grid_after < 0.0 then 0.0
-  else begin
-    let g = ref (interval *. (Float.floor (grid_after /. interval) +. 1.0)) in
-    while !g <= grid_after do
-      g := !g +. interval
-    done;
-    !g
-  end
+let start ?(probe = Probe.none) ?sample_every ~rng ~faults ~horizon () =
+  let step =
+    match sample_every with Some dt -> dt | None -> Float.max (horizon /. 200.0) 1e-9
+  in
+  {
+    t0 = 0.0;
+    sample_grid = Grid.start ~step;
+    probe_grid = Grid.start ~step:probe.Probe.interval;
+    frun = Faults.start faults ~rng;
+  }
 
 let[@inline] observe t ~time ~n =
   Timeavg.observe t.avg ~time ~value:(float_of_int n);
@@ -100,28 +94,22 @@ type stats = {
    lockstep — sim time, never wall clock, so probe series are
    bit-identical across --jobs. *)
 let record_through t ~population ~extra_sample ~probe_sample time =
-  while t.times.next_sample <= time && t.times.next_sample <= t.horizon do
-    Vec.push t.samples (t.times.next_sample, population ());
-    extra_sample ~time:t.times.next_sample;
-    t.times.next_sample <- t.times.next_sample +. t.sample_every
-  done;
-  if t.probing then
-    while t.times.next_probe <= time && t.times.next_probe <= t.horizon do
-      t.probe.Probe.on_sample (probe_sample ~time:t.times.next_probe);
-      t.times.next_probe <- t.times.next_probe +. t.probe.Probe.interval
-    done
+  Grid.walk t.run.sample_grid ~through:time ~horizon:t.horizon (fun g ->
+      Vec.push t.samples (g, population ());
+      extra_sample ~time:g);
+  Grid.walk t.run.probe_grid ~through:time ~horizon:t.horizon (fun g ->
+      t.probe.Probe.on_sample (probe_sample ~time:g))
 
-let record_samples_through t model time =
-  record_through t ~population:model.population ~extra_sample:model.extra_sample
-    ~probe_sample:model.probe_sample time
-
-let make_handle ~probe ~resume ~rng ~faults ~horizon ~max_events ~sample_every =
-  let probing = Probe.sampling probe in
+(* A run without [resume] starts one at 0: its fault stream is split
+   off [rng] here, before the model builder's draws. *)
+let make_handle ~probe ?sample_every ~resume ~rng ~faults ~horizon ~max_events () =
+  let resume =
+    match resume with Some r -> r | None -> start ~probe ?sample_every ~rng ~faults ~horizon ()
+  in
   let t =
     {
       probe;
-      frun = (match resume.frun with Some f -> f | None -> Faults.start faults ~rng);
-      start_time = resume.t0;
+      run = resume;
       horizon;
       max_events;
       counters =
@@ -137,29 +125,35 @@ let make_handle ~probe ~resume ~rng ~faults ~horizon ~max_events ~sample_every =
         };
       avg = Timeavg.create ~t0:resume.t0 ();
       samples = Vec.create ();
-      times =
-        {
-          clock = resume.t0;
-          next_sample = grid_start ~interval:sample_every ~grid_after:resume.grid_after;
-          (* A segment probes every grid point up to its end, so the probe
-             grid, whose step may differ from the sampling grid's, resumes
-             strictly after the segment's start. *)
-          next_probe =
-            (if probing then
-               grid_start ~interval:probe.Probe.interval
-                 ~grid_after:(if resume.t0 > 0.0 then resume.t0 else -1.0)
-             else 0.0);
-        };
+      times = { clock = resume.t0 };
       truncated = false;
       stop_requested = false;
-      sample_every;
-      probing;
     }
   in
   if probe.Probe.tracing then
-    Faults.set_observer t.frun (fun ~now ~up ->
+    Faults.set_observer t.run.frun (fun ~now ~up ->
         Probe.seed_toggle probe ~time:now ~up);
   t
+
+let stats_of t ~time_avg_n ~final_n =
+  let c = t.counters in
+  {
+    final_time = t.times.clock;
+    events = c.events;
+    arrivals = c.arrivals;
+    transfers = c.transfers;
+    completions = c.completions;
+    departures = c.departures;
+    time_avg_n;
+    max_n = c.max_n;
+    final_n;
+    truncated = t.truncated;
+    stopped = t.stop_requested;
+    outage_time = Faults.outage_time t.run.frun;
+    aborted_peers = c.aborted;
+    lost_transfers = c.lost;
+    samples = Vec.to_array t.samples;
+  }
 
 (* [drive] polls the replication watchdog once per [poll_period] events,
    so a sweep's [rep_timeout_s] stops every jump backend mid-run.  Outside
@@ -168,16 +162,17 @@ let poll_period = 1024
 
 let check_watchdog () = if Runner.deadline_exceeded () then raise Runner.Rep_timeout
 
-let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resume = fresh)
-    ~name ~rng ~faults ~horizon build =
+let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?resume ~name ~rng
+    ~faults ~horizon build =
   let prof = probe.Probe.profile in
   let setup_span = Profile.start prof (name ^ "/setup") in
-  let sample_every =
-    match sample_every with Some dt -> dt | None -> Float.max (horizon /. 200.0) 1e-9
-  in
-  let t = make_handle ~probe ~resume ~rng ~faults ~horizon ~max_events ~sample_every in
+  let t = make_handle ~probe ?sample_every ~resume ~rng ~faults ~horizon ~max_events () in
   let model, extra = build t in
-  record_samples_through t model t.start_time;
+  let record time =
+    record_through t ~population:model.population ~extra_sample:model.extra_sample
+      ~probe_sample:model.probe_sample time
+  in
+  record t.run.t0;
   Profile.stop setup_span;
   let loop_span = Profile.start prof (name ^ "/event-loop") in
   (* Per-phase monotonic-clock attribution: the split between rate
@@ -197,7 +192,7 @@ let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resu
   let apply = model.apply in
   let next_scheduled = model.next_scheduled in
   let do_scheduled = model.scheduled in
-  let frun = t.frun in
+  let frun = t.run.frun and sample_grid = t.run.sample_grid and probe_grid = t.run.probe_grid in
   (* The event count at which the loop next looks up: the budget, or the
      next watchdog poll if that comes first.  One comparison per event
      serves both. *)
@@ -217,14 +212,14 @@ let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resu
          and redraw — valid by memorylessness of the exponential race.
          Budget-gated so an exhausted run truncates instead of walking
          the rest of the outage schedule. *)
-      record_samples_through t model toggle;
+      record toggle;
       t.times.clock <- toggle;
-      Faults.toggle t.frun ~now:toggle
+      Faults.toggle frun ~now:toggle
     end
     else if sched <= t_next && sched <= horizon then begin
       (* A scheduled event (dwell expiry) beats the race: a time
          barrier, like the toggle, but it consumes event budget. *)
-      record_samples_through t model sched;
+      record sched;
       t.times.clock <- sched;
       c.events <- c.events + 1;
       let s_t0 = Hist.tick sched_tm in
@@ -253,19 +248,19 @@ let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resu
          time-based statistic.  Record that instead of truncating
          silently. *)
       if t_next <= horizon then t.truncated <- true;
-      record_samples_through t model horizon;
+      record horizon;
       Timeavg.close t.avg ~time:horizon;
       model.finish ~time:horizon;
       t.times.clock <- horizon;
       running := false
     end
     else begin
-      (* Inline grid guard: [record_samples_through] is a no-op unless a
+      (* Inline grid guard: [record] is a no-op unless a
          sample or probe point falls before this event, so the common
          event skips the call (and its two grid-walk loops) entirely.
          Equivalent because both inner loops test the same bounds. *)
-      if t.times.next_sample <= t_next || (t.probing && t.times.next_probe <= t_next) then
-        record_samples_through t model t_next;
+      if sample_grid.next <= t_next || probe_grid.next <= t_next then
+        record t_next;
       t.times.clock <- t_next;
       c.events <- c.events + 1;
       let u = Rng.float rng *. total in
@@ -281,26 +276,8 @@ let drive ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ?(resu
   done;
   Profile.stop loop_span;
   let finish_span = Profile.start prof (name ^ "/finalise") in
-  Faults.finish t.frun ~now:t.times.clock;
-  let stats =
-    {
-      final_time = t.times.clock;
-      events = c.events;
-      arrivals = c.arrivals;
-      transfers = c.transfers;
-      completions = c.completions;
-      departures = c.departures;
-      time_avg_n = Timeavg.average t.avg;
-      max_n = c.max_n;
-      final_n = model.population ();
-      truncated = t.truncated;
-      stopped = t.stop_requested;
-      outage_time = Faults.outage_time t.frun;
-      aborted_peers = c.aborted;
-      lost_transfers = c.lost;
-      samples = Vec.to_array t.samples;
-    }
-  in
+  Faults.finish t.run.frun ~now:t.times.clock;
+  let stats = stats_of t ~time_avg_n:(Timeavg.average t.avg) ~final_n:(model.population ()) in
   Profile.stop finish_span;
   (stats, extra)
 
@@ -310,7 +287,6 @@ type continuous = {
     on_step:(t_end:float -> view:(float -> unit) -> unit) ->
     [ `Reached | `Stopped of float | `Step_limit ];
   c_population : unit -> float;
-  c_extra_sample : time:float -> unit;
   c_probe_sample : time:float -> Probe.sample;
   c_toggled : unit -> unit;
   c_time_average : until:float -> float;
@@ -324,29 +300,22 @@ type continuous = {
    an accepted step are read from the model's dense output, so the
    recorded trajectory keeps the sampling-grid contract of the stochastic
    drivers without the grid dictating the step sizes. *)
-let drive_continuous ?(probe = Probe.none) ?sample_every ?(resume = fresh) ~name ~rng ~faults
-    ~horizon build =
+let drive_continuous ?(probe = Probe.none) ?sample_every ?resume ~name ~rng ~faults ~horizon
+    build =
   let prof = probe.Probe.profile in
   let setup_span = Profile.start prof (name ^ "/setup") in
-  let sample_every =
-    match sample_every with
-    | Some dt -> dt
-    | None -> Float.max ((horizon -. resume.t0) /. 200.0) 1e-9
-  in
-  let t = make_handle ~probe ~resume ~rng ~faults ~horizon ~max_events:max_int ~sample_every in
+  let t = make_handle ~probe ?sample_every ~resume ~rng ~faults ~horizon ~max_events:max_int () in
   let m, extra = build t in
   let pop_int () = int_of_float (Float.round (m.c_population ())) in
   let record time =
-    record_through t ~population:pop_int ~extra_sample:m.c_extra_sample
+    record_through t ~population:pop_int ~extra_sample:(fun ~time:_ -> ())
       ~probe_sample:m.c_probe_sample time
   in
-  observe t ~time:t.start_time ~n:(pop_int ());
-  record t.start_time;
+  observe t ~time:t.run.t0 ~n:(pop_int ());
+  record t.run.t0;
   (* Grid points strictly before an accepted step's end are read through
      [view]; one equal to [t_end] waits for the real step state. *)
-  let next_grid () =
-    Float.min t.times.next_sample (if t.probing then t.times.next_probe else infinity)
-  in
+  let next_grid () = Float.min t.run.sample_grid.next t.run.probe_grid.next in
   let on_step ~t_end ~view =
     while next_grid () < t_end && next_grid () <= horizon do
       let g = next_grid () in
@@ -362,7 +331,7 @@ let drive_continuous ?(probe = Probe.none) ?sample_every ?(resume = fresh) ~name
   let advance_tm = Hist.timer ~period:1 (Hist.get probe.Probe.hists (name ^ "/advance")) in
   let running = ref true in
   while !running do
-    let toggle = Faults.next_toggle t.frun in
+    let toggle = Faults.next_toggle t.run.frun in
     let barrier = Float.max t.times.clock (Float.min horizon toggle) in
     let adv_t0 = Hist.tick advance_tm in
     let outcome = m.c_advance ~to_:barrier ~on_step in
@@ -391,7 +360,7 @@ let drive_continuous ?(probe = Probe.none) ?sample_every ?(resume = fresh) ~name
         observe t ~time:barrier ~n:(pop_int ());
         record barrier;
         if toggle <= barrier then begin
-          Faults.toggle t.frun ~now:toggle;
+          Faults.toggle t.run.frun ~now:toggle;
           m.c_toggled ()
         end;
         if barrier >= horizon then begin
@@ -401,27 +370,10 @@ let drive_continuous ?(probe = Probe.none) ?sample_every ?(resume = fresh) ~name
   done;
   Profile.stop loop_span;
   let finish_span = Profile.start prof (name ^ "/finalise") in
-  Faults.finish t.frun ~now:t.times.clock;
+  Faults.finish t.run.frun ~now:t.times.clock;
   m.c_finish ~time:t.times.clock;
-  let c = t.counters in
   let stats =
-    {
-      final_time = t.times.clock;
-      events = c.events;
-      arrivals = c.arrivals;
-      transfers = c.transfers;
-      completions = c.completions;
-      departures = c.departures;
-      time_avg_n = m.c_time_average ~until:t.times.clock;
-      max_n = c.max_n;
-      final_n = pop_int ();
-      truncated = t.truncated;
-      stopped = t.stop_requested;
-      outage_time = Faults.outage_time t.frun;
-      aborted_peers = c.aborted;
-      lost_transfers = c.lost;
-      samples = Vec.to_array t.samples;
-    }
+    stats_of t ~time_avg_n:(m.c_time_average ~until:t.times.clock) ~final_n:(pop_int ())
   in
   Profile.stop finish_span;
   (stats, extra)

@@ -8,17 +8,15 @@
     rates, punctured by {e time barriers} (scheduled departures popping
     off a heap, seed-outage toggles), truncated by a horizon and an event
     budget, and observed through a sampling grid, a time-averaged
-    population, and an optional {!P2p_obs.Probe.t}.  Before this module
-    existed that scaffolding lived as hand-maintained near-copies,
-    and only two of them ({!Sim_markov}, {!Sim_agent}) ever received the
-    fault layer and the telemetry hooks.  [Engine] is the single home
-    for the shared part; each simulator supplies only its model-specific
-    state and transition logic as a {!model} record of closures.
+    population, and an optional {!P2p_obs.Probe.t}.  [Engine] is the
+    single home for that shared part; each simulator supplies only its
+    model-specific state and transition logic as a {!model} record of
+    closures.
 
     {b What the engine owns}: the clock, the horizon / [max_events]
     truncation (and the [truncated] flag), the shared {!counters}, the
-    time-average of the population, the [Vec]-backed sampling grid, the
-    probe grid and {!P2p_obs.Profile} spans, the per-run {!Faults.run}
+    time-average of the population, the samples on the sampling grid,
+    the probe grid (both {!P2p_obs.Grid.t}), the {!P2p_obs.Profile} spans, the per-run {!Faults.run}
     clockwork (including the toggle time barrier and the [Seed_toggle]
     trace events), and the replication watchdog: every 1,024 events
     {!drive} polls {!P2p_runner.Runner.deadline_exceeded} and raises
@@ -158,27 +156,31 @@ type stats = {
 (** {1 Resumable segments}
 
     The hybrid simulator chops one logical run into alternating
-    stochastic and fluid segments on a single global clock.  A [resume]
-    value carries the cross-segment engine state: the segment's start
-    time, where the sampling grid left off (the probe grid resumes
-    strictly after [t0]), and the already-running fault clockwork (so
-    outage schedules span segments and the rng is only split once, at
-    the top of the logical run). *)
+    stochastic and fluid segments on a single global clock.  It makes
+    one [resume] with {!start} and passes it, [t0] moved to each
+    boundary, to every segment: each walks the live grids on from where
+    the one before stopped, so the run samples exactly the points of an
+    unsegmented run, each once, and the outage schedule spans segments
+    with the rng split only once. *)
 type resume = {
   t0 : float;  (** segment start on the global simulation clock *)
-  grid_after : float;
-      (** last grid time already recorded by a previous segment; the
-          first sample of this segment lands on the next multiple of the
-          interval strictly after it.  Negative = fresh grid starting at
-          exactly [0.]. *)
-  frun : Faults.run option;
-      (** an already-started fault run to continue ([Faults.start] is
-          skipped, and no fault rng split happens); [None] = start one *)
+  sample_grid : P2p_obs.Grid.t;  (** the grid of {!stats.samples} *)
+  probe_grid : P2p_obs.Grid.t;  (** the probe's grid; no point if it does not sample *)
+  frun : Faults.run;  (** the started fault run to continue *)
 }
 
-val fresh : resume
-(** [t0 = 0.], fresh grid, fresh fault run — [drive]'s default, and
-    bit-identical to the pre-resume engine. *)
+val start :
+  ?probe:P2p_obs.Probe.t ->
+  ?sample_every:float ->
+  rng:P2p_prng.Rng.t ->
+  faults:Faults.t ->
+  horizon:float ->
+  unit ->
+  resume
+(** The state of a run at [t0 = 0.]: both grids from [0.] and the fault
+    run started from [faults], its stream split off [rng].  The
+    sampling step is [sample_every], by default [horizon /. 200.]
+    (floored at [1e-9]); the probe grid's is the probe's interval. *)
 
 val drive :
   ?probe:P2p_obs.Probe.t ->
@@ -192,14 +194,15 @@ val drive :
   (t -> model * 'a) ->
   stats * 'a
 (** [drive ~name ~rng ~faults ~horizon build] runs one simulation on
-    [[resume.t0], horizon] (fresh runs start at 0).  [build] receives
+    [[resume.t0], horizon]; without [resume], on [[0, horizon]] from
+    {!start}[ ?probe ?sample_every ~rng ~faults ~horizon ()].  [build] receives
     the handle, constructs the model state (including the initial
     population and the initial {!observe} at {!start_time}), and
     returns the {!model} plus whatever the simulator needs to assemble
     its model-specific statistics afterwards.  [name] prefixes the
     profile spans ([name ^ "/setup"], ["/event-loop"], ["/finalise"]).
-    [sample_every] defaults to [horizon /. 200.] (floored at [1e-9]);
-    [max_events] defaults to 200 million.
+    [sample_every] is only read without [resume] (a resumed segment
+    walks the grid it is given); [max_events] defaults to 200 million.
     @raise P2p_runner.Runner.Rep_timeout when the watchdog of the
     replication running on this domain expires (never outside a
     {!P2p_runner.Runner} sweep with a [rep_timeout_s]). *)
@@ -231,7 +234,6 @@ type continuous = {
           (hybrid handoff); [`Step_limit] = the step budget ran out
           (maps to {!stats.truncated}). *)
   c_population : unit -> float;  (** total mass at the current state *)
-  c_extra_sample : time:float -> unit;
   c_probe_sample : time:float -> P2p_obs.Probe.sample;
   c_toggled : unit -> unit;
       (** A seed-outage toggle just happened at the current time: the
@@ -256,9 +258,9 @@ val drive_continuous :
   horizon:float ->
   (t -> continuous * 'a) ->
   stats * 'a
-(** Drive a continuous model over [[resume.t0], horizon].  [rng] is
-    used only to start the fault stream (no draws at all when
-    [faults = Faults.none] and [resume.frun = None] — determinism
-    contract identical to the stochastic drivers).  It does not poll the
-    replication watchdog: no caller runs it under one.  [sample_every]
-    defaults to [(horizon - t0) /. 200.] (floored at [1e-9]). *)
+(** Drive a continuous model over [[resume.t0], horizon], with
+    [resume] and [sample_every] as in {!drive}.  [rng] is used only to
+    start the fault stream (no draws at all when [faults = Faults.none]
+    or with [resume] — determinism contract identical to the
+    stochastic drivers).  It does not poll the replication watchdog: no
+    caller runs it under one. *)

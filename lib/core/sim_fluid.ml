@@ -175,7 +175,6 @@ let run ?probe ?sample_every ?resume ?until ?init ?max_steps ~rng config ~horizo
           {
             Engine.c_advance;
             c_population = pop;
-            c_extra_sample = (fun ~time:_ -> ());
             c_probe_sample;
             c_toggled = (fun () -> Ode.set_rhs session rhs);
             c_time_average;

@@ -82,12 +82,12 @@ let validate config =
 let run ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ~rng config ~horizon =
   validate config;
   let p = config.markov.Sim_markov.params in
-  let sample_every =
-    match sample_every with Some dt -> dt | None -> Float.max (horizon /. 200.0) 1e-9
+  (* One grid of each kind and one fault clockwork for the whole logical
+     run: every segment walks the grids on, the outage schedule spans
+     segments, and the rng is split exactly once, here. *)
+  let run0 =
+    Engine.start ~probe ?sample_every ~rng ~faults:config.markov.Sim_markov.faults ~horizon ()
   in
-  (* One fault clockwork for the whole logical run: the outage schedule
-     spans segments, and the rng is split exactly once, here. *)
-  let frun = Faults.start config.markov.Sim_markov.faults ~rng in
   let fluid_cfg =
     {
       Sim_fluid.params = p;
@@ -113,14 +113,9 @@ let run ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ~rng con
   let truncated = ref false in
   let outage_time = ref 0.0 in
   let t = ref 0.0 in
-  let grid_after = ref (-1.0) in
   let segment_weight t0 t1 avg =
     let dur = t1 -. t0 in
     if dur > 0.0 && Float.is_finite avg then weighted_avg := !weighted_avg +. (avg *. dur)
-  in
-  let absorb_samples (arr : (float * int) array) =
-    Array.iter (fun s -> samples := s :: !samples) arr;
-    if Array.length arr > 0 then grid_after := fst arr.(Array.length arr - 1)
   in
   (* Alternate segments until the horizon.  Time strictly advances in
      every segment (each consumes at least one event or one accepted
@@ -129,7 +124,7 @@ let run ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ~rng con
   let final_densities = ref (Array.make (Fluid.dim p) 0.0) in
   let running = ref true in
   while !running do
-    let resume = { Engine.t0 = !t; grid_after = !grid_after; frun = Some frun } in
+    let resume = { run0 with Engine.t0 = !t } in
     match !state with
     | `Stoch _ when max_events - !markov_events <= 0 ->
         (* The global event budget is spent: truncate instead of walking
@@ -140,7 +135,7 @@ let run ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ~rng con
         let cfg = { config.markov with Sim_markov.initial } in
         let budget = max_events - !markov_events in
         let stats, st =
-          Sim_markov.run ~probe ~sample_every ~max_events:budget ~resume
+          Sim_markov.run ~probe ~max_events:budget ~resume
             ~until:(fun ~time:_ ~n -> n >= config.up)
             ~rng cfg ~horizon
         in
@@ -154,7 +149,7 @@ let run ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ~rng con
         visits_to_empty := !visits_to_empty + stats.Sim_markov.visits_to_empty;
         max_n := Int.max !max_n stats.Sim_markov.max_n;
         segment_weight !t stats.Sim_markov.final_time stats.Sim_markov.time_avg_n;
-        absorb_samples stats.Sim_markov.samples;
+        samples := stats.Sim_markov.samples :: !samples;
         outage_time := stats.Sim_markov.outage_time;
         final_densities := Fluid.of_state ~k:p.Params.k st;
         t := stats.Sim_markov.final_time;
@@ -172,7 +167,7 @@ let run ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ~rng con
         else running := false
     | `Fluid init ->
         let stats, final =
-          Sim_fluid.run ~probe ~sample_every ~resume
+          Sim_fluid.run ~probe ~resume
             ~until:(fun ~time:_ ~total -> total <= down_f)
             ~init ~rng fluid_cfg ~horizon
         in
@@ -185,7 +180,7 @@ let run ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ~rng con
         lost := !lost +. stats.Sim_fluid.lost_mass;
         max_n := Int.max !max_n stats.Sim_fluid.max_n;
         segment_weight !t stats.Sim_fluid.final_time stats.Sim_fluid.time_avg_n;
-        absorb_samples stats.Sim_fluid.samples;
+        samples := stats.Sim_fluid.samples :: !samples;
         outage_time := stats.Sim_fluid.outage_time;
         final_densities := final;
         t := stats.Sim_fluid.final_time;
@@ -223,7 +218,7 @@ let run ?(probe = Probe.none) ?sample_every ?(max_events = 200_000_000) ~rng con
       truncated = !truncated;
       outage_time = !outage_time;
       switches = List.rev !switches;
-      samples = Array.of_list (List.rev !samples);
+      samples = Array.concat (List.rev !samples);
     }
   in
   (stats, !final_densities)

@@ -66,7 +66,8 @@ val run :
     [until], checked after every state-changing event, ends the run at
     the first event where it holds (sets [stopped]; the hybrid
     upward-handoff trigger); [sample_every] sets the grid for [samples]
-    (default [horizon/200]); [max_events] is a safety valve (default
+    (default [horizon/200]; a resumed segment walks [resume]'s grids
+    instead); [max_events] is a safety valve (default
     200 million).  Returns the statistics and the final state.
 
     [probe] (default {!P2p_obs.Probe.none}) attaches telemetry: event

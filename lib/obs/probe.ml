@@ -72,8 +72,6 @@ let make ?(interval = infinity) ?on_sample ?(profile = Profile.disabled)
        else dead_counts);
   }
 
-let sampling t = t.interval < infinity
-
 (* Top level rather than a local function: a local closure would
    capture [t] and [time] and allocate on every event.  Codes are
    literals in [0, Recorder.n_event_codes) and the count array has

@@ -76,9 +76,6 @@ val make :
     ownership of [recorder] and closes it after the run.
     @raise Invalid_argument if [interval <= 0]. *)
 
-val sampling : t -> bool
-(** Whether the probe wants grid samples ([interval < infinity]). *)
-
 (** {1 Emitters}
 
     Call these under [if probe.tracing then ...] in hot loops.  Each

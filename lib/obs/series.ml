@@ -1,56 +1,37 @@
-module Timeavg = P2p_stats.Timeavg
-
 (* A run: [first] and [repeats] more samples equal to it but for their
-   time, each one [step] after the one before ([last +. step], the
-   addition [Engine.record_through] makes). *)
+   time, each one step of the grid after the one before ([Grid.after],
+   the addition the engine's grids make). *)
 type run = { first : Probe.sample; mutable repeats : int }
 
-(* All fields are floats, so the record is flat and its stores do not
-   box.  [last] is the last sample's time ([nan] before the first, so no
-   sample extends a run), [end_] the latest time recorded or closed. *)
-type clock = { mutable step : float; mutable last : float; mutable end_ : float }
+(* [end_] is the latest time recorded or closed.  Its one field is a
+   float, so the record is flat and its stores do not box. *)
+type clock = { mutable end_ : float }
 
+(* [grid.next] is the time a sample must have to extend the current run:
+   one step after the last sample, [nan] before the first. *)
 type t = {
   k : int;
+  mutable grid : Grid.t;
   clock : clock;
   mutable rev_runs : run list;
   mutable count : int;
-  avg_n : Timeavg.t;
-  avg_seeds : Timeavg.t;
-  avg_club : Timeavg.t;
-  avg_rarest : Timeavg.t;
-  avg_pieces : Timeavg.t array;
 }
 
 let create ~k ~interval =
   if k < 1 then invalid_arg "Series.create: k < 1";
   if not (Float.is_finite interval && interval > 0.0) then
     invalid_arg "Series.create: interval not finite and > 0";
-  {
-    k;
-    clock = { step = interval; last = nan; end_ = 0.0 };
-    rev_runs = [];
-    count = 0;
-    avg_n = Timeavg.create ();
-    avg_seeds = Timeavg.create ();
-    avg_club = Timeavg.create ();
-    avg_rarest = Timeavg.create ();
-    avg_pieces = Array.init k (fun _ -> Timeavg.create ());
-  }
+  { k; grid = { step = interval; next = nan }; clock = { end_ = 0.0 }; rev_runs = []; count = 0 }
 
 let k t = t.k
 
-let[@inline] observe t (s : Probe.sample) ~time =
-  Timeavg.observe t.avg_n ~time ~value:(float_of_int s.n);
-  Timeavg.observe t.avg_seeds ~time ~value:(float_of_int s.seeds);
-  Timeavg.observe t.avg_club ~time ~value:(float_of_int s.one_club);
-  Timeavg.observe t.avg_rarest ~time ~value:(float_of_int s.rarest_count);
-  for piece = 0 to t.k - 1 do
-    Timeavg.observe t.avg_pieces.(piece) ~time ~value:(float_of_int s.piece_counts.(piece))
-  done;
-  t.clock.last <- time;
-  t.clock.end_ <- time;
-  t.count <- t.count + 1
+(* Times must not go back (by more than rounding); the message is the
+   one the reader has always reported as "line N: ...". *)
+let close t ~time =
+  if time < t.clock.end_ -. 1e-12 then
+    invalid_arg
+      (Printf.sprintf "Timeavg.observe: time %g before previous %g" time t.clock.end_);
+  t.clock.end_ <- time
 
 let same_counts (a : Probe.sample) (b : Probe.sample) =
   a.n = b.n && a.seeds = b.seeds && a.one_club = b.one_club && a.rarest_piece = b.rarest_piece
@@ -63,8 +44,10 @@ let same_counts (a : Probe.sample) (b : Probe.sample) =
 let record t (s : Probe.sample) =
   if Array.length s.piece_counts <> t.k then
     invalid_arg "Series.record: sample k does not match series k";
-  let on_grid = s.time = t.clock.last +. t.clock.step in
-  observe t s ~time:s.time;
+  close t ~time:s.time;
+  let on_grid = s.time = t.grid.next in
+  t.grid.next <- Grid.after t.grid s.time;
+  t.count <- t.count + 1;
   match t.rev_runs with
   | run :: _ when on_grid && same_counts run.first s -> run.repeats <- run.repeats + 1
   | _ -> t.rev_runs <- { first = s; repeats = 0 } :: t.rev_runs
@@ -72,22 +55,16 @@ let record t (s : Probe.sample) =
 (* The next sample of the current run, as [record] would take it. *)
 let repeat t run =
   run.repeats <- run.repeats + 1;
-  observe t run.first ~time:(t.clock.last +. t.clock.step)
-
-let close t ~time =
-  Timeavg.close t.avg_n ~time;
-  Timeavg.close t.avg_seeds ~time;
-  Timeavg.close t.avg_club ~time;
-  Timeavg.close t.avg_rarest ~time;
-  Array.iter (fun avg -> Timeavg.close avg ~time) t.avg_pieces;
-  t.clock.end_ <- time
+  t.clock.end_ <- t.grid.next;
+  t.grid.next <- Grid.after t.grid t.grid.next;
+  t.count <- t.count + 1
 
 let count t = t.count
 
 type cursor = { mutable time : float }
 
 (* Each run's first sample at its own time, then its repeats at the
-   [+.] steps [repeat] took. *)
+   steps [record] checked. *)
 let iter t f =
   let at = { time = 0.0 } in
   List.iter
@@ -95,7 +72,7 @@ let iter t f =
       at.time <- run.first.time;
       f at run.first;
       for _ = 1 to run.repeats do
-        at.time <- at.time +. t.clock.step;
+        at.time <- Grid.after t.grid at.time;
         f at run.first
       done)
     (List.rev t.rev_runs)
@@ -122,14 +99,45 @@ let series_of field t =
 let one_club_series = series_of (fun s -> s.one_club)
 let population_series = series_of (fun s -> s.n)
 
-let avg_n t = Timeavg.average t.avg_n
-let avg_seeds t = Timeavg.average t.avg_seeds
-let avg_one_club t = Timeavg.average t.avg_club
-let avg_rarest_count t = Timeavg.average t.avg_rarest
+type means = {
+  n : float; seeds : float; one_club : float; rarest_count : float; pieces : float array;
+}
 
-let avg_piece t piece =
-  if piece < 0 || piece >= t.k then invalid_arg "Series.avg_piece: piece out of range";
-  Timeavg.average t.avg_pieces.(piece)
+(* Each sample's counts hold from its time to the next sample's, the
+   last one's to [end_] (step [r = -1]); nothing before the first sample
+   counts ([at] starts at infinity, so its [dt] is 0).  Each signal gets
+   the [dt]s, products and sums a [P2p_stats.Timeavg] fed its values in
+   order and closed at [end_] makes, so each mean has its bits. *)
+let means t =
+  let signals = 4 + t.k and runs = Array.of_list t.rev_runs in
+  let held = Array.make signals 0.0 and sums = Array.make signals 0.0 in
+  let at = ref infinity and elapsed = ref 0.0 in
+  for r = Array.length runs - 1 downto -1 do
+    let time = ref (if r >= 0 then runs.(r).first.time else t.clock.end_) in
+    for i = 0 to if r >= 0 then runs.(r).repeats else 0 do
+      if i > 0 then time := Grid.after t.grid !time;
+      let dt = Float.max 0.0 (!time -. !at) in
+      for j = 0 to signals - 1 do
+        sums.(j) <- sums.(j) +. (held.(j) *. dt)
+      done;
+      elapsed := !elapsed +. dt;
+      at := !time;
+      if i = 0 && r >= 0 then begin
+        let s = runs.(r).first in
+        held.(0) <- float_of_int s.n;
+        held.(1) <- float_of_int s.seeds;
+        held.(2) <- float_of_int s.one_club;
+        held.(3) <- float_of_int s.rarest_count;
+        for p = 0 to t.k - 1 do
+          held.(4 + p) <- float_of_int s.piece_counts.(p)
+        done
+      end
+    done
+  done;
+  let elapsed = !elapsed in
+  let mean j = if elapsed <= 0.0 then nan else sums.(j) /. elapsed in
+  { n = mean 0; seeds = mean 1; one_club = mean 2; rarest_count = mean 3;
+    pieces = Array.init t.k (fun p -> mean (4 + p)) }
 
 (* ---- persistence ---- *)
 
@@ -144,7 +152,7 @@ let row_keys = [ "t"; "n"; "seeds"; "club"; "rarest"; "rarest_n"; "pieces"; "r" 
 let header t =
   Json.Obj
     [ ("schema", Json.String schema); ("version", Json.Int version); ("k", Json.Int t.k);
-      ("interval", Json.Float t.clock.step); ("end", Json.Float t.clock.end_) ]
+      ("interval", Json.Float t.grid.step); ("end", Json.Float t.clock.end_) ]
 
 (* What precedes each value on a row: [{"t":], [,"n":], ... *)
 let per_key f = Array.of_list (List.mapi f row_keys)
@@ -318,8 +326,11 @@ let read_rows s ~header_end ~v2 ~k ~interval ~end_ =
       | sample when Float.of_int c.repeats > ((end_ -. sample.time) /. interval) +. 1.0 ->
           line_error lineno "field \"r\" runs past the header's \"end\""
       | sample -> (
-          if (not v2) && t.count = 1 && sample.time > t.clock.last then
-            t.clock.step <- sample.time -. t.clock.last;
+          if (not v2) && t.count = 1 && sample.time > t.clock.end_ then begin
+            let last = t.clock.end_ in
+            t.grid <- { step = sample.time -. last; next = last };
+            t.grid.next <- Grid.after t.grid last
+          end;
           match record t sample with
           | exception Invalid_argument msg -> line_error lineno msg
           | () ->

@@ -1,16 +1,17 @@
 (** Time-series collection of swarm probe samples.
 
-    Wraps every probed observable — population, peer seeds, one-club
-    size, rarest-piece copies, per-piece copies — in a
-    [P2p_stats.Timeavg] accumulator (the signals are piecewise constant,
-    so their honest means are time-weighted) while keeping the raw
-    sample list for trajectory output and growth fits.
+    Keeps the samples of every probed observable — population, peer
+    seeds, one-club size, rarest-piece copies, per-piece copies — for
+    trajectory output and growth fits, and takes their time-weighted
+    means (the signals are piecewise constant) from the stored samples
+    when asked.
 
     In memory and on disk a run of samples that differ only in their
     time is one entry: each sample after the first equals the one
-    before but for a time exactly [interval] after it (the [+.] the
-    engine's probe grid makes).  {!samples} and the series accessors
-    re-expand the runs, so they return every recorded sample.
+    before but for a time exactly one grid step after it
+    ({!Grid.after}, the step the engine's probe grid takes).  {!samples}
+    and the series accessors re-expand the runs, so they return every
+    recorded sample.
 
     The on-disk format is JSONL: a header line
     [{"schema":"p2p-swarm-probe","version":2,"k":K,"interval":I,"end":E}]
@@ -37,14 +38,15 @@ val create : k:int -> interval:float -> t
 val k : t -> int
 
 val record : t -> Probe.sample -> unit
-(** Append a sample; times must be nondecreasing (enforced by the
-    underlying [Timeavg]).  A sample that extends the current run
+(** Append a sample.  Times must be nondecreasing: a time before the
+    previous sample's or close's (by more than [1e-12]) raises
+    [Invalid_argument].  A sample that extends the current run
     allocates nothing. *)
 
 val close : t -> time:float -> unit
-(** Extend every time average through [time] (typically the horizon)
-    without adding a sample; {!write} records [time] as the header's
-    [end]. *)
+(** End the time averages at [time] (typically the horizon), past the
+    last sample, without adding one; {!write} records [time] as the
+    header's [end].  Raises like {!record} on a time that goes back. *)
 
 val count : t -> int
 
@@ -67,12 +69,15 @@ val samples : t -> Probe.sample array
 val one_club_series : t -> (float * int) array
 val population_series : t -> (float * int) array
 
-val avg_n : t -> float
-val avg_seeds : t -> float
-val avg_one_club : t -> float
-val avg_rarest_count : t -> float
-val avg_piece : t -> int -> float
-(** Time-weighted means; [nan] before any time has elapsed. *)
+type means = {
+  n : float; seeds : float; one_club : float; rarest_count : float; pieces : float array;
+}
+
+val means : t -> means
+(** Every signal's time-weighted mean ([pieces]: each piece's copies)
+    from the first sample through the last {!close} or sample, in one
+    pass over the stored runs; [nan] before any time has elapsed.  Each
+    mean's bits are a [P2p_stats.Timeavg]'s fed that signal in order. *)
 
 val write : t -> out_channel -> unit
 

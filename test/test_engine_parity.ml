@@ -226,7 +226,7 @@ let coded_probe_sweep ~jobs =
         let probe = Probe.make ~interval:4.0 ~on_sample:(Series.record series) () in
         let stats = Sim_coded.run ~probe ~rng config ~horizon:100.0 in
         Series.close series ~time:100.0;
-        (stats.Sim_coded.events, Series.samples series, Series.avg_n series))
+        (stats.Sim_coded.events, Series.samples series, (Series.means series).n))
   in
   Array.map Option.get results
 
@@ -238,7 +238,7 @@ let network_probe_sweep ~jobs =
         let probe = Probe.make ~interval:4.0 ~on_sample:(Series.record series) () in
         let stats, _ = Sim_agent.run ~probe ~rng config ~horizon:100.0 in
         Series.close series ~time:100.0;
-        (stats.Peers.events, Series.samples series, Series.avg_n series))
+        (stats.Peers.events, Series.samples series, (Series.means series).n))
   in
   Array.map Option.get results
 

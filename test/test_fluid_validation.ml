@@ -245,15 +245,43 @@ let test_hybrid_one_sample_per_grid_point () =
     (fun i (t, _) -> Alcotest.(check (float 0.0)) "grid time" (float_of_int i *. every) t)
     stats.samples
 
+(* A non-dyadic step (0.3), whose grid points are sums of steps that no
+   multiple [i *. 0.3] reproduces bit for bit: every segment carries on
+   the one grid, so the hybrid samples exactly the times an unsegmented
+   run samples, and no point twice. *)
+let test_hybrid_non_dyadic_grid () =
+  let every = 0.3 and horizon = 60.0 in
+  let config = hybrid_config () in
+  let stats, _ = Sim_hybrid.run_seeded ~sample_every:every ~seed:7 config ~horizon in
+  let dirs = List.map (fun (s : Sim_hybrid.switch) -> s.to_fluid) stats.Sim_hybrid.switches in
+  Alcotest.(check bool) "hands off to the fluid" true (List.mem true dirs);
+  Alcotest.(check bool) "hands back to the CTMC" true (List.mem false dirs);
+  let plain, _ =
+    Sim_markov.run_seeded ~sample_every:every ~seed:7 config.Sim_hybrid.markov ~horizon
+  in
+  Alcotest.(check int) "one sample per grid point" (Array.length plain.Sim_markov.samples)
+    (Array.length stats.samples);
+  let times samples = Array.map (fun (t, _) -> Int64.bits_of_float t) samples in
+  Alcotest.(check (array int64)) "the unsegmented run's grid, bit for bit"
+    (times plain.Sim_markov.samples) (times stats.samples);
+  Array.iteri
+    (fun i (t, _) ->
+      if i > 0 && t -. fst stats.samples.(i - 1) < every /. 2.0 then
+        Alcotest.failf "samples %d and %d at %.17g and %.17g" (i - 1) i
+          (fst stats.samples.(i - 1)) t)
+    stats.samples
+
 (* ---- the stochastic side of the handoff: until / resume ---- *)
 
 let test_markov_until_and_resume () =
   let params = Scenario.flash_crowd ~k:2 ~lambda:40.0 ~us:50.0 ~mu:1.0 ~gamma:infinity in
   let config = Sim_markov.default_config params in
   let rng = P2p_prng.Rng.of_seed 5 in
+  let run0 =
+    Engine.start ~sample_every:1.0 ~rng ~faults:config.Sim_markov.faults ~horizon:1000.0 ()
+  in
   let stats, st =
-    Sim_markov.run ~rng ~sample_every:1.0 ~until:(fun ~time:_ ~n -> n >= 50) config
-      ~horizon:1000.0
+    Sim_markov.run ~rng ~resume:run0 ~until:(fun ~time:_ ~n -> n >= 50) config ~horizon:1000.0
   in
   Alcotest.(check bool) "stopped" true stats.Sim_markov.stopped;
   Alcotest.(check bool) "stopped early" true (stats.Sim_markov.final_time < 1000.0);
@@ -261,9 +289,7 @@ let test_markov_until_and_resume () =
   (* Resume from the stop point: the clock and the sampling grid
      continue where the first segment left off. *)
   let last_sample = fst stats.samples.(Array.length stats.samples - 1) in
-  let resume =
-    { Engine.t0 = stats.Sim_markov.final_time; grid_after = last_sample; frun = None }
-  in
+  let resume = { run0 with Engine.t0 = stats.Sim_markov.final_time } in
   let initial =
     List.filter_map
       (fun set ->
@@ -272,7 +298,7 @@ let test_markov_until_and_resume () =
       (List.init 4 (fun i -> PS.of_index i))
   in
   let stats2, _ =
-    Sim_markov.run ~rng ~sample_every:1.0 ~resume
+    Sim_markov.run ~rng ~resume
       { config with initial }
       ~horizon:(stats.Sim_markov.final_time +. 5.0)
   in
@@ -281,7 +307,9 @@ let test_markov_until_and_resume () =
   Array.iter
     (fun (t, _) ->
       Alcotest.(check bool) "grid continues past the first segment" true (t > last_sample))
-    stats2.Sim_markov.samples
+    stats2.Sim_markov.samples;
+  Alcotest.(check (float 0.0)) "the next grid point comes first" (last_sample +. 1.0)
+    (fst stats2.Sim_markov.samples.(0))
 
 let () =
   Alcotest.run "fluid-validation"
@@ -305,6 +333,8 @@ let () =
           Alcotest.test_case "one sample per grid point" `Quick
             test_hybrid_one_sample_per_grid_point;
           Alcotest.test_case "fine probe grid across handoffs" `Quick test_hybrid_fine_probe_grid;
+          Alcotest.test_case "non-dyadic grid across handoffs" `Quick
+            test_hybrid_non_dyadic_grid;
           Alcotest.test_case "markov until/resume" `Quick test_markov_until_and_resume;
         ] );
     ]

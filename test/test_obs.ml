@@ -248,9 +248,12 @@ let test_trace_dump_is_log_tail () =
 
 (* ---- Probe ---- *)
 
+(* The engine walks a probe's grid; one of step [infinity] has no point. *)
+let samples p = (P2p_obs.Grid.start ~step:p.Probe.interval).P2p_obs.Grid.next < infinity
+
 let test_probe_none_is_inert () =
   Alcotest.(check bool) "none does not trace" false Probe.none.Probe.tracing;
-  Alcotest.(check bool) "none does not sample" false (Probe.sampling Probe.none);
+  Alcotest.(check bool) "none does not sample" false (samples Probe.none);
   (* calling the hooks anyway is harmless *)
   Probe.transfer_lost Probe.none ~time:1.0;
   Probe.none.Probe.on_sample
@@ -269,9 +272,9 @@ let test_probe_make_validation () =
     [ 0.0; -1.0; nan ];
   let r = Probe.make ~recorder:(Recorder.create ()) () in
   Alcotest.(check bool) "a live recorder implies tracing" true r.Probe.tracing;
-  Alcotest.(check bool) "no interval means no sampling" false (Probe.sampling r);
+  Alcotest.(check bool) "no interval means no sampling" false (samples r);
   let q = Probe.make ~interval:2.0 () in
-  Alcotest.(check bool) "interval means sampling" true (Probe.sampling q);
+  Alcotest.(check bool) "interval means sampling" true (samples q);
   Alcotest.(check bool) "no event sink means no tracing" false q.Probe.tracing
 
 let test_probe_sample_construction () =
@@ -462,7 +465,7 @@ let test_probe_samples_deterministic () =
   Alcotest.(check bool) "sample arrays identical" true (Series.samples a = Series.samples b);
   Alcotest.(check bool)
     "time averages bit-identical" true
-    (Int64.bits_of_float (Series.avg_n a) = Int64.bits_of_float (Series.avg_n b))
+    (Int64.bits_of_float (Series.means a).n = Int64.bits_of_float (Series.means b).n)
 
 (* ---- Series ---- *)
 
@@ -489,14 +492,14 @@ let test_series_averages () =
         (fun () -> ignore (Series.create ~k:2 ~interval)))
     [ 0.0; -1.0; infinity; nan ];
   let s = Series.create ~k:2 ~interval:10.0 in
-  Alcotest.(check bool) "avg before time elapses is nan" true (Float.is_nan (Series.avg_n s));
+  Alcotest.(check bool) "avg before time elapses is nan" true (Float.is_nan (Series.means s).n);
   Series.record s (mk_sample ~time:0.0 ~n:2 ~club:0 ~pieces:[| 1; 1 |]);
   Series.record s (mk_sample ~time:10.0 ~n:6 ~club:4 ~pieces:[| 1; 5 |]);
   Series.close s ~time:20.0;
   (* n: 2 for 10 time units then 6 for 10 -> 4.0; club: 0 then 4 -> 2.0 *)
-  Alcotest.(check (float 1e-12)) "time-weighted avg n" 4.0 (Series.avg_n s);
-  Alcotest.(check (float 1e-12)) "time-weighted avg one-club" 2.0 (Series.avg_one_club s);
-  Alcotest.(check (float 1e-12)) "per-piece avg" 3.0 (Series.avg_piece s 1);
+  Alcotest.(check (float 1e-12)) "time-weighted avg n" 4.0 (Series.means s).n;
+  Alcotest.(check (float 1e-12)) "time-weighted avg one-club" 2.0 (Series.means s).one_club;
+  Alcotest.(check (float 1e-12)) "per-piece avg" 3.0 (Series.means s).pieces.(1);
   Alcotest.(check int) "count" 2 (Series.count s);
   Alcotest.(check bool)
     "one-club series" true
@@ -520,12 +523,12 @@ let test_series_file_roundtrip () =
           (* the reader closes at the header's end, the writer's horizon *)
           Alcotest.(check bool)
             "avg_n bit-identical" true
-            (Int64.bits_of_float (Series.avg_n s) = Int64.bits_of_float (Series.avg_n s')))
+            (Int64.bits_of_float (Series.means s).n = Int64.bits_of_float (Series.means s').n))
 
 let bits_of_averages s =
   List.map Int64.bits_of_float
-    ([ Series.avg_n s; Series.avg_seeds s; Series.avg_one_club s; Series.avg_rarest_count s ]
-    @ List.init (Series.k s) (Series.avg_piece s))
+    (let m = Series.means s in
+     [ m.n; m.seeds; m.one_club; m.rarest_count ] @ Array.to_list m.pieces)
 
 let bits_of_times s =
   Array.map (fun (x : Probe.sample) -> Int64.bits_of_float x.Probe.time) (Series.samples s)
@@ -906,7 +909,7 @@ let probe_sweep ~jobs =
         let probe = Probe.make ~interval:4.0 ~on_sample:(Series.record series) () in
         let stats, _ = Sim_markov.run ~probe ~rng (faulty_config_markov ()) ~horizon:100.0 in
         Series.close series ~time:100.0;
-        (stats.Sim_markov.events, Series.samples series, Series.avg_n series))
+        (stats.Sim_markov.events, Series.samples series, (Series.means series).n))
   in
   Array.map Option.get results
 

@@ -144,6 +144,18 @@ for case in "test/fixtures/probe_v1.jsonl report_probe_v1" \
     echo "FAIL: p2psim report $1 differs from test/fixtures/$2.txt" >&2; exit 1; }
 done
 
+# A hybrid run samples each point of its grid once: on the non-dyadic
+# default step (horizon/200 = 0.3), the segments after a handoff walk on
+# the grid the one before left, so no time repeats in the CSV.
+left=$(remaining)
+timeout "$left" _build/default/bin/p2psim.exe fluid -k 8 --us 1 --gamma 2 -a none=50 -t 60 \
+  --hybrid --switch-up 300 --switch-down 150 --seed 3 --csv "$chrome/hybrid.csv" >/dev/null || {
+  echo "FAIL: the hybrid grid run exited non-zero" >&2; exit 1; }
+repeats=$(cut -d, -f1 "$chrome/hybrid.csv" | uniq -d)
+if [ -n "$repeats" ]; then
+  echo "FAIL: the hybrid CSV repeats grid times: $repeats" >&2; exit 1
+fi
+
 # Theorem 1 in the fluid at K = 50.  From the one-club of piece 50 the
 # run must take the S_49 orbit layout (100 masses, never 2^50 densities),
 # finish within a fixed 10 s, and grow at Eq. (4)'s Delta within 1%:
