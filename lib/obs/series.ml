@@ -104,36 +104,32 @@ type means = {
 }
 
 (* Each sample's counts hold from its time to the next sample's, the
-   last one's to [end_] (step [r = -1]); nothing before the first sample
-   counts ([at] starts at infinity, so its [dt] is 0).  Each signal gets
-   the [dt]s, products and sums a [P2p_stats.Timeavg] fed its values in
-   order and closed at [end_] makes, so each mean has its bits. *)
+   last one's to [end_]; nothing before the first sample counts ([last]
+   starts at infinity, so its [dt] is 0).  Each signal gets the [dt]s,
+   products and sums a [P2p_stats.Timeavg] fed its values in order and
+   closed at [end_] makes, so each mean has its bits. *)
 let means t =
-  let signals = 4 + t.k and runs = Array.of_list t.rev_runs in
+  let signals = 4 + t.k in
   let held = Array.make signals 0.0 and sums = Array.make signals 0.0 in
-  let at = ref infinity and elapsed = ref 0.0 in
-  for r = Array.length runs - 1 downto -1 do
-    let time = ref (if r >= 0 then runs.(r).first.time else t.clock.end_) in
-    for i = 0 to if r >= 0 then runs.(r).repeats else 0 do
-      if i > 0 then time := Grid.after t.grid !time;
-      let dt = Float.max 0.0 (!time -. !at) in
-      for j = 0 to signals - 1 do
-        sums.(j) <- sums.(j) +. (held.(j) *. dt)
-      done;
-      elapsed := !elapsed +. dt;
-      at := !time;
-      if i = 0 && r >= 0 then begin
-        let s = runs.(r).first in
-        held.(0) <- float_of_int s.n;
-        held.(1) <- float_of_int s.seeds;
-        held.(2) <- float_of_int s.one_club;
-        held.(3) <- float_of_int s.rarest_count;
-        for p = 0 to t.k - 1 do
-          held.(4 + p) <- float_of_int s.piece_counts.(p)
-        done
-      end
-    done
-  done;
+  let last = ref infinity and elapsed = ref 0.0 in
+  let advance time =
+    let dt = Float.max 0.0 (time -. !last) in
+    for j = 0 to signals - 1 do
+      sums.(j) <- sums.(j) +. (held.(j) *. dt)
+    done;
+    elapsed := !elapsed +. dt;
+    last := time
+  in
+  iter t (fun at s ->
+      advance at.time;
+      held.(0) <- float_of_int s.n;
+      held.(1) <- float_of_int s.seeds;
+      held.(2) <- float_of_int s.one_club;
+      held.(3) <- float_of_int s.rarest_count;
+      for p = 0 to t.k - 1 do
+        held.(4 + p) <- float_of_int s.piece_counts.(p)
+      done);
+  advance t.clock.end_;
   let elapsed = !elapsed in
   let mean j = if elapsed <= 0.0 then nan else sums.(j) /. elapsed in
   { n = mean 0; seeds = mean 1; one_club = mean 2; rarest_count = mean 3;
