@@ -349,7 +349,7 @@ let usage_error fmt = Printf.ksprintf (fun m -> prerr_endline ("p2psim: " ^ m); 
    behind. *)
 let with_single_run_probe tel ~k ~horizon f =
   let monitoring = tel.monitor || tel.alerts_out <> None in
-  let interval = Option.value tel.probe_interval ~default:(horizon /. 200.0) in
+  let interval = Option.value tel.probe_interval ~default:(Engine.default_step ~horizon) in
   let series =
     if tel.probe_interval <> None || tel.metrics_out <> None then
       Some (Series.create ~k ~interval)

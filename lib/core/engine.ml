@@ -45,10 +45,10 @@ let faults t = t.run.frun
 let start_time t = t.run.t0
 let request_stop t = t.stop_requested <- true
 
+let default_step ~horizon = Float.max (horizon /. 200.0) 1e-9
+
 let start ?(probe = Probe.none) ?sample_every ~rng ~faults ~horizon () =
-  let step =
-    match sample_every with Some dt -> dt | None -> Float.max (horizon /. 200.0) 1e-9
-  in
+  let step = match sample_every with Some dt -> dt | None -> default_step ~horizon in
   {
     t0 = 0.0;
     sample_grid = Grid.start ~step;
@@ -104,7 +104,10 @@ let record_through t ~population ~extra_sample ~probe_sample time =
    off [rng] here, before the model builder's draws. *)
 let make_handle ~probe ?sample_every ~resume ~rng ~faults ~horizon ~max_events () =
   let resume =
-    match resume with Some r -> r | None -> start ~probe ?sample_every ~rng ~faults ~horizon ()
+    match resume with
+    | None -> start ~probe ?sample_every ~rng ~faults ~horizon ()
+    | Some r when sample_every = None && Float.equal r.probe_grid.step probe.Probe.interval -> r
+    | Some _ -> invalid_arg "Engine: a resumed segment takes its grids from resume"
   in
   let t =
     {

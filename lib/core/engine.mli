@@ -169,6 +169,10 @@ type resume = {
   frun : Faults.run;  (** the started fault run to continue *)
 }
 
+val default_step : horizon:float -> float
+(** The default sampling step, [horizon /. 200.] floored at [1e-9];
+    also the CLI's default probe interval. *)
+
 val start :
   ?probe:P2p_obs.Probe.t ->
   ?sample_every:float ->
@@ -179,8 +183,8 @@ val start :
   resume
 (** The state of a run at [t0 = 0.]: both grids from [0.] and the fault
     run started from [faults], its stream split off [rng].  The
-    sampling step is [sample_every], by default [horizon /. 200.]
-    (floored at [1e-9]); the probe grid's is the probe's interval. *)
+    sampling step is [sample_every], by default {!default_step}; the
+    probe grid's is the probe's interval. *)
 
 val drive :
   ?probe:P2p_obs.Probe.t ->
@@ -201,8 +205,9 @@ val drive :
     returns the {!model} plus whatever the simulator needs to assemble
     its model-specific statistics afterwards.  [name] prefixes the
     profile spans ([name ^ "/setup"], ["/event-loop"], ["/finalise"]).
-    [sample_every] is only read without [resume] (a resumed segment
-    walks the grid it is given); [max_events] defaults to 200 million.
+    A resumed segment walks the grids it is given: [Invalid_argument]
+    if [sample_every] is also given or the probe's interval is not
+    [resume.probe_grid]'s step.  [max_events] defaults to 200 million.
     @raise P2p_runner.Runner.Rep_timeout when the watchdog of the
     replication running on this domain expires (never outside a
     {!P2p_runner.Runner} sweep with a [rep_timeout_s]). *)

@@ -6,7 +6,8 @@
     an unsegmented run, and {!Series} re-expands its runs by {!after}. *)
 
 type t = { step : float; mutable next : float }
-(** [next]: the first point not yet walked.  All-float, so flat. *)
+(** [next]: the first point not yet walked ([nan] in a {!Series} before
+    its first sample).  All-float, so flat. *)
 
 val start : step:float -> t
 (** The grid from [0.]; a step of [infinity] (a probe that does not

@@ -324,8 +324,8 @@ let read_rows s ~header_end ~v2 ~k ~interval ~end_ =
       | sample -> (
           if (not v2) && t.count = 1 && sample.time > t.clock.end_ then begin
             let last = t.clock.end_ in
-            t.grid <- { step = sample.time -. last; next = last };
-            t.grid.next <- Grid.after t.grid last
+            let step = sample.time -. last in
+            t.grid <- { step; next = last +. step }
           end;
           match record t sample with
           | exception Invalid_argument msg -> line_error lineno msg

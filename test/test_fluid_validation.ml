@@ -309,7 +309,17 @@ let test_markov_until_and_resume () =
       Alcotest.(check bool) "grid continues past the first segment" true (t > last_sample))
     stats2.Sim_markov.samples;
   Alcotest.(check (float 0.0)) "the next grid point comes first" (last_sample +. 1.0)
-    (fst stats2.Sim_markov.samples.(0))
+    (fst stats2.Sim_markov.samples.(0));
+  (* A resumed segment takes its grids from [resume] alone: a second
+     sampling step, or a probe on another grid, is refused. *)
+  let refused name f =
+    Alcotest.(check bool) name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  refused "sample_every with resume" (fun () ->
+      Sim_markov.run ~rng ~resume ~sample_every:0.5 config ~horizon:1.0);
+  refused "probe off the resumed grid" (fun () ->
+      Sim_markov.run ~rng ~resume ~probe:(P2p_obs.Probe.make ~interval:0.5 ()) config ~horizon:1.0)
 
 let () =
   Alcotest.run "fluid-validation"
