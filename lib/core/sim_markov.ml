@@ -118,6 +118,12 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ?resume ?until
            the chain, and every other ordered pair keeps its rate μ/n
            (U_s/n for the seed).  DESIGN §18. *)
         let b = { arrival = lambda_total; seed_contact = 0.0; peer_contact = 0.0; abort = 0.0 } in
+        (* The last probe sample, and whether an event has changed the
+           state since: while none has, the next probe sample is the same
+           one at its new time, with no [Array.sub] or count lookup.  The
+           flag is an immediate, so setting it on every state change needs
+           no write barrier. *)
+        let last_sample = ref None and moved = ref true in
         let total_rate () =
           let n = State.n state in
           let s = !seeds in
@@ -177,6 +183,7 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ?resume ?until
             end
           in
           if changed then begin
+            moved := true;
             let n' = State.n state in
             Engine.observe h ~time ~n:n';
             if n' = 0 then incr visits_to_empty;
@@ -196,8 +203,16 @@ let run ?(probe = Probe.none) ?observer ?sample_every ?max_events ?resume ?until
             extra_sample = (fun ~time:_ -> ());
             probe_sample =
               (fun ~time ->
-                Probe.sample ~time ~k:p.k ~n:(State.n state) ~count_of:(State.count state)
-                  ~piece_counts:(State.piece_count_vector state ~k:p.k));
+                match !last_sample with
+                | Some s when not !moved -> { s with Probe.time }
+                | _ ->
+                    let s =
+                      Probe.sample ~time ~k:p.k ~n:(State.n state) ~count_of:(State.count state)
+                        ~piece_counts:(State.piece_count_vector state ~k:p.k)
+                    in
+                    last_sample := Some s;
+                    moved := false;
+                    s);
             finish = (fun ~time:_ -> ());
           }
         in

@@ -12,20 +12,24 @@ type sample = {
   piece_counts : int array;
 }
 
+let rarest piece_counts =
+  let r = ref 0 in
+  for piece = 1 to Array.length piece_counts - 1 do
+    if piece_counts.(piece) < piece_counts.(!r) then r := piece
+  done;
+  !r
+
 let sample ~time ~k ~n ~count_of ~piece_counts =
   if Array.length piece_counts <> k then invalid_arg "Probe.sample: piece_counts length <> k";
-  let rarest = ref 0 in
-  for piece = 1 to k - 1 do
-    if piece_counts.(piece) < piece_counts.(!rarest) then rarest := piece
-  done;
+  let rarest = rarest piece_counts in
   let full = Pieceset.full ~k in
   {
     time;
     n;
     seeds = count_of full;
-    one_club = count_of (Pieceset.remove !rarest full);
-    rarest_piece = !rarest;
-    rarest_count = piece_counts.(!rarest);
+    one_club = count_of (Pieceset.remove rarest full);
+    rarest_piece = rarest;
+    rarest_count = piece_counts.(rarest);
     piece_counts;
   }
 

@@ -40,12 +40,15 @@ type sample = {
   piece_counts : int array;  (** copies of each piece, length [k] *)
 }
 
+val rarest : int array -> int
+(** The rarest piece of [piece_counts]: its first argmin (the lowest
+    index on ties).  [piece_counts] must not be empty. *)
+
 val sample :
   time:float -> k:int -> n:int -> count_of:(Pieceset.t -> int) -> piece_counts:int array -> sample
 (** Build a sample from a state's counting functions.  The rarest piece
-    is the argmin of [piece_counts] (lowest index on ties), and the
-    one-club is counted against {e that} piece — the instantaneous
-    missing-piece candidate. *)
+    is {!rarest}[ piece_counts], and the one-club is counted against
+    {e that} piece — the instantaneous missing-piece candidate. *)
 
 (** {1 The hook record} *)
 

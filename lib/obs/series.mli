@@ -14,18 +14,29 @@
     recorded sample.
 
     The on-disk format is JSONL: a header line
-    [{"schema":"p2p-swarm-probe","version":2,"k":K,"interval":I,"end":E}]
-    followed by one line per run,
+    [{"schema":"p2p-swarm-probe","version":3,"k":K,"interval":I,"end":E,"samples":N}]
+    followed by one line per run, in one of two shapes.  A keyed row,
     [{"t":..,"n":..,"seeds":..,"club":..,"rarest":..,"rarest_n":..,"pieces":[..],"r":R}]
     ([rarest] is 1-based on the wire; [,"r":R], the run's R >= 1 repeats
-    after its first sample, is left out when there are none).  [E] is
-    the time the averages were closed at.  One list of row keys defines
-    both directions: {!read} accepts exactly the row shape {!write}
-    emits (those keys in that order, no whitespace, integer counts,
-    [pieces] of length k, [rarest] in [1, k]), so [p2psim report] can
-    render any probe file the CLI emitted.  It also reads version 1
-    files, whose header has no [interval] or [end] and whose rows have
-    no [r]. *)
+    after its first sample, is left out when there are none), carries
+    every field.  A compact row, [[n,seeds,club,p1,..,pK]] or
+    [[n,seeds,club,p1,..,pK,R]] (its length tells the two apart), leaves
+    out what the reader can rebuild: its time is the grid point
+    ({!Grid.after}) after the previous run's last sample, and its
+    rarest fields are {!Probe.rarest} of its pieces.  {!write} emits a
+    compact row exactly when both hold, bit for bit, so the first row,
+    an off-grid sample and a hand-built sample whose rarest fields
+    follow another rule are keyed, and every series reads back as it
+    was written; an engine-written series has one keyed row, its first.
+    [E] is the time the averages were closed at and [N] the number of
+    samples the rows hold, which {!read} checks: a compact run row cut
+    by one piece would otherwise read as a row without its R.  {!read}
+    accepts exactly the row shapes {!write} emits (the keys in that
+    order, no whitespace, integer counts, [pieces] of length k,
+    [rarest] in [1, k]), so [p2psim report] can render any probe file
+    the CLI emitted.  It also reads version 2 files, which have keyed
+    rows only and no [samples], and version 1 files, whose header has
+    no [interval] or [end] and whose rows have no [r]. *)
 
 type t
 
@@ -89,9 +100,11 @@ val read : in_channel -> (t, string) result
     place, with no [Json.t] tree, and numbers convert as [Json] converts
     them.  Blank lines are skipped and a last row without a newline is
     read; any other line that is not a {!write} row, an [r] in a
-    version 1 file, [r < 1], or a run past [end] is an
-    [Error "line N: ..."].  A header of another version, or a version
-    2 header without a finite positive [interval] or a finite [end], is
-    an [Error] too. *)
+    version 1 file, a compact row in a version 1 or 2 file or before
+    the first keyed row, a run length below 1, or a run past [end] is an
+    [Error "line N: ..."].  A header of another version, a version 2
+    or 3 header without a finite positive [interval] or a finite [end],
+    a version 3 header without an integer [samples], and a [samples]
+    that is not the rows' count are [Error]s too. *)
 
 val read_file : string -> (t, string) result

@@ -467,6 +467,60 @@ let test_probe_samples_deterministic () =
     "time averages bit-identical" true
     (Int64.bits_of_float (Series.means a).n = Int64.bits_of_float (Series.means b).n)
 
+let bits_of_averages s =
+  List.map Int64.bits_of_float
+    (let m = Series.means s in
+     [ m.n; m.seeds; m.one_club; m.rarest_count ] @ Array.to_list m.pieces)
+
+let bits_of_times s =
+  Array.map (fun (x : Probe.sample) -> Int64.bits_of_float x.Probe.time) (Series.samples s)
+
+(* [Sim_markov] restamps its last probe sample while no event changes
+   the state.  Under loss (an upload that changes nothing), outages and
+   churn, every sample it hands the probe is a fresh [Probe.sample] of
+   the live state at that grid point, so the two series are equal, and
+   the probed run is the unprobed one. *)
+let test_markov_probe_reuse_is_fresh () =
+  let config = faulty_config_markov () in
+  let k = config.Sim_markov.params.Params.k and interval = 0.05 and horizon = 250.0 in
+  (* the engine's state, once the observer has seen it; until then the
+     state is still the initial one *)
+  let live = ref (State.of_counts config.initial) in
+  let fresh ~time =
+    let st = !live in
+    Probe.sample ~time ~k ~n:(State.n st) ~count_of:(State.count st)
+      ~piece_counts:(State.piece_count_vector st ~k)
+  in
+  let got = Series.create ~k ~interval and rebuilt = Series.create ~k ~interval in
+  let last = ref None and reused = ref 0 in
+  let on_sample (x : Probe.sample) =
+    let y = fresh ~time:x.Probe.time in
+    if x <> y then Alcotest.failf "stale probe sample at %.17g" x.Probe.time;
+    (match !last with
+    | Some (prev : Probe.sample) when prev.Probe.piece_counts == x.Probe.piece_counts ->
+        incr reused
+    | _ -> ());
+    last := Some x;
+    Series.record got x;
+    Series.record rebuilt y
+  in
+  let probed, _ =
+    Sim_markov.run_seeded ~probe:(Probe.make ~interval ~on_sample ())
+      ~observer:(fun ~time:_ ~state -> live := state)
+      ~seed:77 config ~horizon
+  in
+  List.iter (fun s -> Series.close s ~time:horizon) [ got; rebuilt ];
+  Alcotest.(check bool) "some samples were restamped" true (!reused > 0);
+  Alcotest.(check bool) "the run lost uploads" true (probed.Sim_markov.lost_transfers > 0);
+  Alcotest.(check bool) "the run lost peers to churn" true (probed.Sim_markov.aborted_peers > 0);
+  Alcotest.(check bool) "the seed went down" true (probed.Sim_markov.outage_time > 0.0);
+  Alcotest.(check int) "count" (Series.count rebuilt) (Series.count got);
+  Alcotest.(check bool) "samples" true (Series.samples rebuilt = Series.samples got);
+  Alcotest.(check (list int64)) "time averages bits" (bits_of_averages rebuilt)
+    (bits_of_averages got);
+  let bare, _ = Sim_markov.run_seeded ~seed:77 config ~horizon in
+  check_markov_stats_equal "probed = unprobed" bare probed
+
 (* ---- Series ---- *)
 
 let mk_sample ~time ~n ~club ~pieces =
@@ -525,32 +579,56 @@ let test_series_file_roundtrip () =
             "avg_n bit-identical" true
             (Int64.bits_of_float (Series.means s).n = Int64.bits_of_float (Series.means s').n))
 
-let bits_of_averages s =
-  List.map Int64.bits_of_float
-    (let m = Series.means s in
-     [ m.n; m.seeds; m.one_club; m.rarest_count ] @ Array.to_list m.pieces)
+(* A written row as (t, repeats, keyed).  A keyed row carries its [t]
+   and [r]; a compact row [[n,seeds,club,p1,..,pK]] or [[..,R]] has its
+   t at [next], the grid point after the previous row's last sample. *)
+let row_of ~k ~next line =
+  match Json.of_string line with
+  | Ok (Json.List xs) ->
+      if Float.is_nan next then Alcotest.failf "compact first row %S" line;
+      let r =
+        if List.length xs = 4 + k then Option.get (Json.to_int_opt (List.nth xs (3 + k)))
+        else if List.length xs = 3 + k then 0
+        else Alcotest.failf "compact row %S is not 3 + k or 4 + k long" line
+      in
+      (next, r, false)
+  | Ok row ->
+      ( Option.get (Option.bind (Json.member "t" row) Json.to_float_opt),
+        Option.value ~default:0 (Option.bind (Json.member "r" row) Json.to_int_opt),
+        true )
+  | Error msg -> Alcotest.failf "row %S: %s" line msg
 
-let bits_of_times s =
-  Array.map (fun (x : Probe.sample) -> Int64.bits_of_float x.Probe.time) (Series.samples s)
+(* The rows after the header line of a written file, as [row_of] reads
+   them, each run walked on by the header's [interval]. *)
+let rows_of_file ~k path =
+  match lines_of (read_file path) with
+  | [] -> Alcotest.fail "no header line"
+  | header :: lines ->
+      let interval =
+        match Json.of_string header with
+        | Ok h -> Option.get (Option.bind (Json.member "interval" h) Json.to_float_opt)
+        | Error msg -> Alcotest.failf "header %S: %s" header msg
+      in
+      let next = ref nan in
+      List.map
+        (fun line ->
+          let ((t, r, _) as row) = row_of ~k ~next:!next line in
+          next := t +. interval;
+          for _ = 1 to r do
+            next := !next +. interval
+          done;
+          row)
+        lines
 
 (* Writes [s], reads it back, checks the samples (times bit for bit),
    the count and all five time averages bit for bit, and returns the
-   rows written as (t, repeats). *)
+   rows written as (t, repeats, keyed). *)
 let check_roundtrip name s =
   with_temp_file (fun path ->
       let oc = open_out_bin path in
       Series.write s oc;
       close_out oc;
-      let rows =
-        List.map
-          (fun line ->
-            match Json.of_string line with
-            | Ok row ->
-                ( Option.get (Option.bind (Json.member "t" row) Json.to_float_opt),
-                  Option.value ~default:0 (Option.bind (Json.member "r" row) Json.to_int_opt) )
-            | Error msg -> Alcotest.failf "%s: row %S: %s" name line msg)
-          (List.tl (lines_of (read_file path)))
-      in
+      let rows = rows_of_file ~k:(Series.k s) path in
       match Series.read_file path with
       | Error msg -> Alcotest.failf "%s: read_file failed: %s" name msg
       | Ok s' ->
@@ -558,7 +636,7 @@ let check_roundtrip name s =
           Alcotest.(check int)
             (name ^ ": one row per run")
             (Series.count s)
-            (List.fold_left (fun acc (_, r) -> acc + 1 + r) 0 rows);
+            (List.fold_left (fun acc (_, r, _) -> acc + 1 + r) 0 rows);
           Alcotest.(check bool) (name ^ ": samples") true (Series.samples s = Series.samples s');
           Alcotest.(check bool)
             (name ^ ": sample times bits") true (bits_of_times s = bits_of_times s');
@@ -647,7 +725,7 @@ let test_series_roundtrip_regimes () =
   Alcotest.(check bool) "hybrid: handed off" true (List.length !switches >= 2);
   Alcotest.(check bool) "hybrid: has runs" true (List.length rows < Series.count hybrid);
   List.iter
-    (fun (t, r) ->
+    (fun (t, r, _) ->
       let last = ref t in
       for _ = 1 to r do
         last := !last +. 0.25
@@ -658,6 +736,106 @@ let test_series_roundtrip_regimes () =
             Alcotest.failf "hybrid: the run %g..%g crosses the restart at %g" t !last at)
         !switches)
     rows
+
+(* A sample whose rarest fields follow [Probe.rarest], with seeds and
+   one-club counts that vary with the pieces. *)
+let argmin_sample ~time pieces =
+  Probe.sample ~time ~k:(Array.length pieces) ~n:(Array.fold_left ( + ) 0 pieces)
+    ~count_of:(fun set -> pieces.(Pieceset.cardinal set mod Array.length pieces))
+    ~piece_counts:pieces
+
+let series_of ~k ~interval ~close samples =
+  let s = Series.create ~k ~interval in
+  List.iter (Series.record s) samples;
+  Series.close s ~time:close;
+  s
+
+(* [n] samples on a step of 0.1 from an off-grid start: a repeat, a new
+   count vector on the grid, an off-grid time, or a sample whose
+   [rarest_count] no argmin gives, drawn at random. *)
+let random_series ~k ~seed ~n =
+  let rng = Random.State.make [| seed |] and interval = 0.1 in
+  let counts () = Array.init k (fun _ -> Random.State.int rng 4) in
+  let time = ref (Random.State.float rng 1.0) in
+  let samples = ref [ argmin_sample ~time:!time (counts ()) ] in
+  for _ = 1 to n do
+    let roll = Random.State.int rng 10 in
+    time := !time +. if roll = 0 then Random.State.float rng 0.3 else interval;
+    let x =
+      if roll < 5 then { (List.hd !samples) with Probe.time = !time }
+      else if roll = 9 then { (argmin_sample ~time:!time (counts ())) with rarest_count = -1 }
+      else argmin_sample ~time:!time (counts ())
+    in
+    samples := x :: !samples
+  done;
+  series_of ~k ~interval ~close:(!time +. 0.05) (List.rev !samples)
+
+(* Version 3 writes a run as a compact row only where the reader can
+   rebuild it, so each of these series reads back bit for bit (samples,
+   times and every mean), with keyed rows exactly where the time or the
+   rarest fields cannot be derived. *)
+let test_series_v3_lossless () =
+  let check name ~keyed s =
+    let rows = check_roundtrip name s in
+    Alcotest.(check (list bool)) (name ^ ": keyed rows") keyed
+      (List.map (fun (_, _, keyed) -> keyed) rows)
+  in
+  let at time pieces = argmin_sample ~time pieces in
+  check "off-grid first row" ~keyed:[ true; false; false ]
+    (series_of ~k:3 ~interval:0.25 ~close:1.0
+       [ at 0.3 [| 1; 2; 3 |]; at 0.55 [| 2; 2; 3 |]; at 0.8 [| 2; 1; 3 |] ]);
+  check "off-grid sample mid-series" ~keyed:[ true; false; true; false ]
+    (series_of ~k:3 ~interval:0.25 ~close:2.0
+       [ at 0.0 [| 0; 0; 0 |]; at 0.25 [| 1; 0; 0 |]; at 0.6 [| 1; 1; 0 |];
+         at 0.85 [| 1; 1; 1 |]; at 1.1 [| 1; 1; 1 |] ]);
+  let x = at 0.25 [| 2; 1; 3 |] in
+  check "rarest fields off the argmin rule" ~keyed:[ true; true; true; true; false ]
+    (series_of ~k:3 ~interval:0.25 ~close:2.0
+       [ at 0.0 [| 0; 0; 0 |];
+         (* the argmin is piece 1 *)
+         { x with rarest_piece = 0; rarest_count = 2 };
+         { x with time = 0.5; rarest_count = 0 };
+         (* a tie: piece 0 is the first argmin, not piece 2 *)
+         { (at 0.75 [| 1; 3; 1 |]) with rarest_piece = 2 };
+         at 1.0 [| 1; 3; 1 |] ]);
+  check "ends in a run" ~keyed:[ true; false ]
+    (series_of ~k:2 ~interval:0.1 ~close:0.5
+       (at 0.0 [| 0; 1 |] :: List.init 4 (fun i -> at (0.1 *. float_of_int (i + 1)) [| 1; 1 |])));
+  List.iter
+    (fun k ->
+      let s = random_series ~k ~seed:k ~n:400 in
+      let name = Printf.sprintf "K = %d, random" k in
+      let rows = check_roundtrip name s in
+      let keyed, compact = List.partition (fun (_, _, keyed) -> keyed) rows in
+      Alcotest.(check bool) (name ^ ": both row shapes") true (keyed <> [] && compact <> []))
+    [ 1; 62 ]
+
+(* The hybrid of test_fluid_validation's "non-dyadic grid across
+   handoffs", probed on its sampling step 0.3: one grid runs from the
+   engine to the series through every handoff, so the first row is the
+   only keyed one, and the file reads back bit for bit. *)
+let test_series_hybrid_one_keyed_row () =
+  let every = 0.3 and horizon = 60.0 in
+  let dirs = ref [] in
+  let series =
+    probed_series ~k:2 ~interval:every ~horizon (fun probe ->
+        let markov =
+          Sim_markov.default_config
+            (Scenario.flash_crowd ~k:2 ~lambda:40.0 ~us:50.0 ~mu:1.0 ~gamma:infinity)
+        in
+        let s, _ =
+          Sim_hybrid.run_seeded ~probe ~sample_every:every ~seed:7
+            (Sim_hybrid.default_config ~up:95 ~down:80 markov)
+            ~horizon
+        in
+        dirs := List.map (fun (w : Sim_hybrid.switch) -> w.to_fluid) s.Sim_hybrid.switches)
+  in
+  Alcotest.(check bool) "hands off both ways" true (List.mem true !dirs && List.mem false !dirs);
+  let rows = check_roundtrip "hybrid, step 0.3" series in
+  Alcotest.(check (list bool)) "one keyed row, the first" [ true ]
+    (List.filter Fun.id (List.map (fun (_, _, keyed) -> keyed) rows));
+  let _, _, first = List.hd rows in
+  Alcotest.(check bool) "the first row is keyed" true first
 
 (* The repeat path of [record] is a compare and a counter. *)
 let test_series_repeat_alloc_free () =
@@ -710,7 +888,7 @@ let test_series_read_rejects_garbage () =
       match Series.read_file path with
       | Error msg ->
           Alcotest.(check string) "the error names the version"
-            "unsupported p2p-swarm-probe version 99 (this reader takes 1 and 2)" msg
+            "unsupported p2p-swarm-probe version 99 (this reader takes 1, 2 and 3)" msg
       | Ok _ -> Alcotest.fail "version 99 should not parse as a probe series");
   List.iter
     (fun (name, fields) ->
@@ -810,9 +988,62 @@ let test_series_read_row_contract () =
   rejects2 "r after the closing brace" (late ^ ",\"r\":1");
   rejects2 "a run past the end" (late_run "100");
   rejects2 "time going back" (edit ~from:"\"t\":0.5" ~into:"\"t\":0.25");
-  match read_string (header2_to "0.25" ^ good_row) with
+  (match read_string (header2_to "0.25" ^ good_row) with
   | Ok _ -> Alcotest.fail "a sample after the header's end accepted"
-  | Error _ -> ()
+  | Error _ -> ());
+  (* version 3: a compact row [n,seeds,club,p1,..,pK] or [..,R] is read
+     at the grid point after the last sample, rarest by the argmin rule *)
+  let header3_of samples =
+    "{\"schema\":\"p2p-swarm-probe\",\"version\":3,\"k\":3,\"interval\":0.25,\"end\":10.0"
+    ^ samples ^ "}\n"
+  in
+  let header3 = header3_of ",\"samples\":5"
+  and rows3 = good_row ^ "\n[5,1,2,3,1,3]\n[6,2,2,3,3,1,2]\n" in
+  (match read_string (header3 ^ rows3) with
+  | Error msg -> Alcotest.failf "compact rows rejected: %s" msg
+  | Ok s ->
+      let xs = Series.samples s in
+      Alcotest.(check (list (float 0.0))) "times on the grid" [ 0.5; 0.75; 1.0; 1.25; 1.5 ]
+        (Array.to_list (Array.map (fun (x : Probe.sample) -> x.Probe.time) xs));
+      let x = xs.(1) and y = xs.(4) in
+      Alcotest.(check bool) "fields read" true
+        (x.Probe.n = 5 && x.Probe.seeds = 1 && x.Probe.one_club = 2
+        && x.Probe.piece_counts = [| 3; 1; 3 |] && x.Probe.rarest_piece = 1
+        && x.Probe.rarest_count = 1);
+      Alcotest.(check bool) "a run's fields read" true
+        (y.Probe.n = 6 && y.Probe.piece_counts = [| 3; 3; 1 |] && y.Probe.rarest_piece = 2));
+  let rejects3 name ?(before = good_row ^ "\n\n") row =
+    match read_string (header3 ^ before ^ row ^ "\n") with
+    | Ok _ -> Alcotest.failf "%s accepted" name
+    | Error msg ->
+        let line = if before = "" then "line 2:" else "line 4:" in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s names %s (%s)" name line msg)
+          true
+          (String.starts_with ~prefix:line msg)
+  in
+  rejects3 "compact r = 0" "[5,1,2,3,1,3,0]";
+  rejects3 "compact r < 0" "[5,1,2,3,1,3,-2]";
+  rejects3 "compact row one piece short" "[5,1,2,3,1]";
+  rejects3 "compact row one number long" "[5,1,2,3,1,3,2,1]";
+  rejects3 "non-integer compact count" "[5,1,2,3.5,1,3]";
+  rejects3 "space in a compact row" "[5, 1,2,3,1,3]";
+  rejects3 "trailing bytes after a compact row" "[5,1,2,3,1,3] ";
+  rejects3 "compact first row" ~before:"" "[5,1,2,3,1,3]";
+  rejects2 "compact row in a version 2 file" "[5,1,2,3,1,3]";
+  (* the header's sample count: a compact run row cut by one piece,
+     [6,2,2,3,1,2], parses as a row of 1 sample, not 3 *)
+  List.iter
+    (fun (name, header, rows) ->
+      match read_string (header ^ rows) with
+      | Ok _ -> Alcotest.failf "%s accepted" name
+      | Error _ -> ())
+    [
+      ("a compact run row cut by one piece", header3,
+       good_row ^ "\n[5,1,2,3,1,3]\n[6,2,2,3,1,2]\n");
+      ("a version 3 header without samples", header3_of "", rows3);
+      ("a version 3 header with too many samples", header3_of ",\"samples\":6", rows3);
+    ]
 
 (* [report] picks a renderer from the first record alone, under the
    JSONL rules; the renderer still reads the whole file. *)
@@ -865,7 +1096,7 @@ let test_series_read_pinned () =
       Series.write series oc;
       close_out oc;
       Alcotest.(check string)
-        "written bytes" "3878090322b8f7314a318168c968ce01"
+        "written bytes" "dbcd6c0499b14e78d7109ad563251dff"
         (Digest.to_hex (Digest.file path));
       match Series.read_file path with
       | Error msg -> Alcotest.failf "read_file failed: %s" msg
@@ -1425,7 +1656,7 @@ let test_cli_series_golden () =
       run_p2psim
         [ "simulate"; "-k"; "3"; "--us"; "0.3"; "--mu"; "2"; "--gamma"; "inf"; "-a"; "none=2";
           "-t"; "150"; "--seed"; "1"; "--probe-interval"; "0.05"; "--metrics-out"; path ];
-      Alcotest.(check string) "series MD5" "80465d3d03d1a26e045b003ac0150a99"
+      Alcotest.(check string) "series MD5" "b68c4b7ebfe16d57aafe9b9b562b4081"
         (Digest.to_hex (Digest.file path)))
 
 (* A version 1 file written before runs existed (K = 3, U_s = 0.3, mu = 2,
@@ -1585,8 +1816,8 @@ let test_series_iter_matches_samples () =
       let oc = open_out_bin path in
       Series.write tail oc;
       close_out oc;
-      Alcotest.(check bool) "the last row is a run of 3 repeats" true
-        (String.ends_with ~suffix:{|,"r":3}|} (List.nth (lines_of (read_file path)) 2)));
+      let _, r, _ = List.nth (rows_of_file ~k:2 path) 1 in
+      Alcotest.(check int) "the last row is a run of 3 repeats" 3 r);
   let empty = Series.create ~k:3 ~interval:1.0 in
   check "empty" ~recorded:[||] empty;
   check "empty, read back" ~recorded:[||] (read_back empty)
@@ -1931,6 +2162,8 @@ let () =
           Alcotest.test_case "grid rides sim time" `Quick test_probe_grid_is_sim_time;
           Alcotest.test_case "interval longer than run" `Quick test_probe_interval_longer_than_run;
           Alcotest.test_case "samples deterministic" `Quick test_probe_samples_deterministic;
+          Alcotest.test_case "markov probe reuse is never stale" `Quick
+            test_markov_probe_reuse_is_fresh;
         ] );
       ( "series",
         [
@@ -1946,6 +2179,9 @@ let () =
           Alcotest.test_case "time averages pinned" `Quick test_series_averages_pinned;
           Alcotest.test_case "iter allocates nothing" `Quick test_series_iter_alloc_free;
           Alcotest.test_case "first-record dispatch contract" `Quick test_first_record_contract;
+          Alcotest.test_case "version 3 round trip is lossless" `Quick test_series_v3_lossless;
+          Alcotest.test_case "hybrid non-dyadic grid: one keyed row" `Quick
+            test_series_hybrid_one_keyed_row;
         ] );
       ( "jobs-independence",
         [

@@ -229,8 +229,12 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
   # the written floats must equal the one `simulate` printed, also when
   # the last grid point falls short of the horizon (interval 7 over
   # 200): the reader closes the averages at the header's "end".  A copy
-  # with a corrupt middle row, and one with a corrupt run length "r",
-  # must make `report` exit 2.
+  # with a corrupt middle row, one with a corrupt run length "r", and
+  # four with a corrupt compact row (K = 3: [n,seeds,club,p1,p2,p3] or
+  # [..,R]) must make `report` exit 2: a run length R = 0, a row one
+  # piece short, a run row one piece short (it parses as a row without
+  # its R, so the header's "samples" count catches it), and a compact
+  # row first, with the keyed row before it cut.
   for case in "200 7" "150 0.05"; do
     set -- $case
     left=$(remaining)
@@ -258,7 +262,22 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
   [ -n "$run_line" ] || { echo "FAIL: the syndrome series has no run" >&2; exit 1; }
   sed "${run_line}s/\"r\":[0-9]*/\"r\":0/" "$out/syndrome_probe.jsonl" \
     >"$out/syndrome_corrupt_r.jsonl"
-  for f in syndrome_corrupt_row syndrome_corrupt_r; do
+  compact_run=$(grep -n -m 1 -E '^\[(-?[0-9]+,){6}-?[0-9]+\]$' "$out/syndrome_probe.jsonl" | cut -d: -f1)
+  compact_row=$(grep -n -m 1 -E '^\[(-?[0-9]+,){5}-?[0-9]+\]$' "$out/syndrome_probe.jsonl" | cut -d: -f1)
+  [ -n "$compact_run" ] && [ -n "$compact_row" ] || {
+    echo "FAIL: the syndrome series lacks a compact row with and one without a run length" >&2
+    exit 1; }
+  sed -E "${compact_run}s/,[0-9]+\]$/,0]/" "$out/syndrome_probe.jsonl" \
+    >"$out/syndrome_compact_r.jsonl"
+  sed -E "${compact_row}s/,-?[0-9]+\]$/]/" "$out/syndrome_probe.jsonl" \
+    >"$out/syndrome_compact_short.jsonl"
+  sed -E "${compact_run}s/,-?[0-9]+,(-?[0-9]+)\]$/,\1]/" "$out/syndrome_probe.jsonl" \
+    >"$out/syndrome_compact_run_short.jsonl"
+  sed 2d "$out/syndrome_probe.jsonl" >"$out/syndrome_compact_first.jsonl"
+  head -n 2 "$out/syndrome_compact_first.jsonl" | tail -n 1 | grep -q '^\[' || {
+    echo "FAIL: cutting the keyed row did not leave a compact first row" >&2; exit 1; }
+  for f in syndrome_corrupt_row syndrome_corrupt_r syndrome_compact_r syndrome_compact_short \
+           syndrome_compact_run_short syndrome_compact_first; do
     cmp -s "$out/syndrome_probe.jsonl" "$out/$f.jsonl" && {
       echo "FAIL: $f.jsonl is not corrupt" >&2; exit 1; }
     left=$(remaining)
